@@ -10,8 +10,9 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lux_core::prelude::*;
-use lux_engine::{CachedSample, CostModel, FrameMeta};
-use lux_recs::{execute_action, metadata_actions::Correlation, ActionContext, ActionRegistry};
+use lux_engine::governor::event_sink;
+use lux_engine::{CachedSample, FrameMeta};
+use lux_recs::{execute_action, metadata_actions::Correlation, run_pass, ActionRegistry, Pass};
 use lux_workloads::{communities, synthetic_wide};
 
 /// WFLOW ablation: repeated prints with and without memoization.
@@ -37,9 +38,8 @@ fn ablation_wflow(c: &mut Criterion) {
 /// PRUNE ablation: the Correlation action on a wide frame, exact vs sampled
 /// two-pass.
 fn ablation_prune(c: &mut Criterion) {
-    let df = communities(10_000, 2);
-    let meta = FrameMeta::compute(&df, &HashMap::new());
-    let model = CostModel::default();
+    let df = Arc::new(communities(10_000, 2));
+    let meta = Arc::new(FrameMeta::compute(&df, &HashMap::new()));
     let mut g = c.benchmark_group("ablation_prune");
     g.sample_size(10);
     for (name, prune, sample_rows) in [("exact", false, 0usize), ("pruned_1k_sample", true, 1_000)]
@@ -48,21 +48,20 @@ fn ablation_prune(c: &mut Criterion) {
             BenchmarkId::new("correlation", name),
             &prune,
             |b, &prune| {
-                let config = LuxConfig {
+                let config = Arc::new(LuxConfig {
                     prune,
                     ..LuxConfig::default()
-                };
-                let ctx = ActionContext {
-                    df: &df,
-                    meta: &meta,
-                    intent: &[],
-                    intent_specs: &[],
-                    config: &config,
-                };
-                let sample = (sample_rows > 0).then(|| df.sample(sample_rows, 9));
+                });
+                let sample = (sample_rows > 0).then(|| Arc::new(df.sample(sample_rows, 9)));
                 b.iter(|| {
-                    execute_action(&Correlation, &ctx, sample.as_ref(), &model)
-                        .unwrap()
+                    // A pass per iteration: its budget is per pass.
+                    let pass = Pass {
+                        sample: sample.clone(),
+                        ..Pass::new(Arc::clone(&df), Arc::clone(&meta), Arc::clone(&config))
+                    };
+                    execute_action(&Correlation, &pass, &pass.trace, &event_sink())
+                        .expect("correlation runs clean")
+                        .expect("correlation has candidates")
                         .vislist
                         .len()
                 })
@@ -89,26 +88,22 @@ fn ablation_sample_cache(c: &mut Criterion) {
 
 /// ASYNC ablation: full default action set, threaded vs sequential.
 fn ablation_async(c: &mut Criterion) {
-    let df = synthetic_wide(30, 5_000, 4);
-    let meta = FrameMeta::compute(&df, &HashMap::new());
+    let df = Arc::new(synthetic_wide(30, 5_000, 4));
+    let meta = Arc::new(FrameMeta::compute(&df, &HashMap::new()));
     let registry = ActionRegistry::with_defaults();
     let mut g = c.benchmark_group("ablation_async");
     g.sample_size(10);
     for (name, is_async) in [("sequential", false), ("async_cheapest_first", true)] {
         g.bench_function(name, |b| {
-            let config = LuxConfig {
+            let config = Arc::new(LuxConfig {
                 r#async: is_async,
                 prune: false,
                 ..LuxConfig::default()
-            };
-            let ctx = ActionContext {
-                df: &df,
-                meta: &meta,
-                intent: &[],
-                intent_specs: &[],
-                config: &config,
-            };
-            b.iter(|| lux_recs::run_actions(&registry, &ctx, None, None).len())
+            });
+            b.iter(|| {
+                let pass = Pass::new(Arc::clone(&df), Arc::clone(&meta), Arc::clone(&config));
+                run_pass(&registry, pass).collect_all().len()
+            })
         });
     }
     g.finish();

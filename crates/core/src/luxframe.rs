@@ -23,16 +23,14 @@ use std::sync::Mutex;
 
 use lux_dataframe::prelude::*;
 use lux_engine::sync::lock_recover;
-use lux_engine::trace::{
-    names as metric, MetricsRegistry, MetricsSnapshot, SpanId, TraceCollector,
-};
+use lux_engine::trace::{names as metric, MetricsRegistry, MetricsSnapshot};
 use lux_engine::{
     Admission, AdmissionController, AdmitRequest, BudgetHandle, CachedSample, DegradeLevel,
     FlightRecorder, FlightSample, FrameMeta, LuxConfig, PassTrace, Priority, SemanticType,
     ShedReason,
 };
 use lux_intent::{Clause, Diagnostic};
-use lux_recs::{ActionContext, ActionHealth, ActionRegistry, ActionResult};
+use lux_recs::{ActionHealth, ActionRegistry, ActionResult, Pass, TraceCtx};
 use lux_vis::{Vis, VisSpec};
 
 use crate::logging::{EventKind, SessionLogger};
@@ -43,10 +41,11 @@ use crate::widget::Widget;
 #[derive(Default)]
 struct WflowCache {
     meta: Option<Arc<FrameMeta>>,
-    recommendations: Option<Arc<Vec<ActionResult>>>,
-    /// Per-action health from the pass that produced `recommendations`.
-    health: Option<Arc<Vec<ActionHealth>>>,
+    /// The last pass's recommendations and its per-action health ledger.
+    recommendations: Option<PassOutput>,
 }
+
+type PassOutput = (Arc<Vec<ActionResult>>, Arc<Vec<ActionHealth>>);
 
 /// Caller-supplied options for one print pass, used by the serving layer to
 /// propagate per-request context into the engine. `deadline` is end-to-end:
@@ -169,7 +168,7 @@ impl LuxDataFrame {
         if !ldf.config.wflow {
             // no-opt baseline: recompute everything eagerly on every
             // operation that produces a frame.
-            let _ = ldf.compute_recommendations();
+            let _ = ldf.recommendations_unadmitted();
         }
         ldf
     }
@@ -273,7 +272,6 @@ impl LuxDataFrame {
         let mut cache = lock_recover(&self.cache);
         cache.meta = None;
         cache.recommendations = None;
-        cache.health = None;
         Ok(())
     }
 
@@ -318,55 +316,41 @@ impl LuxDataFrame {
     /// governor for its scans when one is attached.
     fn metadata_traced(
         &self,
-        trace: Option<(&TraceCollector, SpanId)>,
+        trace: Option<&TraceCtx>,
         governor: Option<&BudgetHandle>,
     ) -> Arc<FrameMeta> {
         let metrics = MetricsRegistry::global();
         let tag_memo = |outcome: &str| {
-            if let Some((collector, id)) = trace {
-                collector.tag(id, "memo", outcome);
+            if let Some(t) = trace {
+                t.tag("memo", outcome);
             }
         };
-        if self.config.wflow {
-            let mut cache = lock_recover(&self.cache);
-            if let Some(meta) = &cache.meta {
-                metrics.incr(metric::META_MEMO_HIT);
-                tag_memo("hit");
-                return Arc::clone(meta);
-            }
-            metrics.incr(metric::META_MEMO_MISS);
-            tag_memo("miss");
-            let computed = lux_engine::clock::now();
-            let meta = Arc::new(FrameMeta::compute_governed_par(
-                &self.df,
-                &self.overrides,
-                trace,
-                governor,
-                self.config.effective_threads(),
-            ));
-            metrics.observe(
-                metric::METADATA_LATENCY,
-                lux_engine::clock::elapsed(computed),
-            );
-            cache.meta = Some(Arc::clone(&meta));
-            meta
-        } else {
-            metrics.incr(metric::META_MEMO_MISS);
-            tag_memo("off");
-            let computed = lux_engine::clock::now();
-            let meta = Arc::new(FrameMeta::compute_governed_par(
-                &self.df,
-                &self.overrides,
-                trace,
-                governor,
-                self.config.effective_threads(),
-            ));
-            metrics.observe(
-                metric::METADATA_LATENCY,
-                lux_engine::clock::elapsed(computed),
-            );
-            meta
+        // Under WFLOW the cache stays locked across the computation, so
+        // concurrent first prints of one frame compute its metadata once.
+        let mut cache = self.config.wflow.then(|| lock_recover(&self.cache));
+        if let Some(meta) = cache.as_ref().and_then(|c| c.meta.as_ref()) {
+            metrics.incr(metric::META_MEMO_HIT);
+            tag_memo("hit");
+            return Arc::clone(meta);
         }
+        metrics.incr(metric::META_MEMO_MISS);
+        tag_memo(if self.config.wflow { "miss" } else { "off" });
+        let computed = lux_engine::clock::now();
+        let meta = Arc::new(FrameMeta::compute_governed_par(
+            &self.df,
+            &self.overrides,
+            trace.map(|t| (t.collector.as_ref(), t.span)),
+            governor,
+            self.config.effective_threads(),
+        ));
+        metrics.observe(
+            metric::METADATA_LATENCY,
+            lux_engine::clock::elapsed(computed),
+        );
+        if let Some(cache) = cache.as_mut() {
+            cache.meta = Some(Arc::clone(&meta));
+        }
+        meta
     }
 
     /// True when memoized recommendations are available.
@@ -375,9 +359,7 @@ impl LuxDataFrame {
     }
 
     fn expire_recommendations(&self) {
-        let mut cache = lock_recover(&self.cache);
-        cache.recommendations = None;
-        cache.health = None;
+        lock_recover(&self.cache).recommendations = None;
     }
 
     /// Validate the current intent against the frame.
@@ -401,64 +383,31 @@ impl LuxDataFrame {
         lux_intent::compile(&self.intent, &meta, &opts).unwrap_or_default()
     }
 
-    fn compute_recommendations(&self) -> (Arc<Vec<ActionResult>>, Arc<Vec<ActionHealth>>) {
-        self.compute_recommendations_traced(None, None, None)
-    }
-
-    fn compute_recommendations_traced(
+    /// Run one recommendation pass and collect it. `config` is the frame's
+    /// own, or a caller-supplied one (deadline-shrunk action budget from a
+    /// propagated client deadline) replacing it for this one pass;
+    /// everything memoized (metadata, sample) is config-independent.
+    fn compute_recommendations(
         &self,
-        trace: Option<(&Arc<TraceCollector>, SpanId)>,
-        governor: Option<&Arc<BudgetHandle>>,
-        config_override: Option<&Arc<LuxConfig>>,
-    ) -> (Arc<Vec<ActionResult>>, Arc<Vec<ActionHealth>>) {
-        // A caller-supplied config (deadline-shrunk action budget from a
-        // propagated client deadline) replaces the frame's own for this one
-        // pass; everything memoized (metadata, sample) is config-independent.
-        let config = config_override.unwrap_or(&self.config);
-        let meta = self.metadata();
-        let specs = match trace {
-            Some((collector, parent)) => {
-                collector.time(Some(parent), "intent.compile", || self.compiled_intent())
-            }
-            None => self.compiled_intent(),
+        trace: &TraceCtx,
+        governor: &Arc<BudgetHandle>,
+        config: &Arc<LuxConfig>,
+    ) -> PassOutput {
+        let specs = trace.time("intent.compile", || self.compiled_intent());
+        let pass = Pass {
+            df: Arc::clone(&self.df),
+            meta: self.metadata(),
+            intent: Arc::new(self.intent.clone()),
+            intent_specs: Arc::new(specs),
+            config: Arc::clone(config),
+            sample: config.prune.then(|| self.sample.get(&self.df)),
+            trace: trace.clone(),
+            governor: Arc::clone(governor),
+            // The caller blocks on collect_report, holding the pass's
+            // admission slot itself when there is one, so none is threaded.
+            permit: None,
         };
-        let sample = config.prune.then(|| self.sample.get(&self.df));
-        let report = if config.r#async {
-            // Owned executor: the frame is shared by Arc with detached
-            // workers, which lets the collector abandon hung actions at the
-            // hard cutoff instead of waiting on them.
-            let owned = lux_recs::OwnedContext {
-                df: Arc::clone(&self.df),
-                meta,
-                intent: Arc::new(self.intent.clone()),
-                intent_specs: Arc::new(specs),
-                config: Arc::clone(config),
-                sample,
-                trace: trace
-                    .map(|(collector, span)| lux_recs::TraceCtx::new(Arc::clone(collector), span)),
-                governor: governor.cloned(),
-                // The caller (print) already holds the pass's admission
-                // slot and blocks on collect_report, so none is threaded.
-                permit: None,
-            };
-            lux_recs::run_actions_streaming(&self.registry, owned).collect_report()
-        } else {
-            let ctx = ActionContext {
-                df: &self.df,
-                meta: &meta,
-                intent: &self.intent,
-                intent_specs: &specs,
-                config,
-            };
-            lux_recs::run_actions_report_governed(
-                &self.registry,
-                &ctx,
-                sample.as_deref(),
-                None,
-                trace,
-                governor,
-            )
-        };
+        let report = lux_recs::run_pass(&self.registry, pass).collect_report();
         if let Some(log) = &self.logger {
             for h in report.problems() {
                 log.log(EventKind::ActionFault, h.to_string(), None);
@@ -467,57 +416,52 @@ impl LuxDataFrame {
         (Arc::new(report.results), Arc::new(report.health))
     }
 
-    fn recommendations_with_health(&self) -> (Arc<Vec<ActionResult>>, Arc<Vec<ActionHealth>>) {
-        self.recommendations_with_health_traced(None, None, None)
-    }
-
-    fn recommendations_with_health_traced(
+    /// The recommendations and their health ledger, through the WFLOW memo;
+    /// `trace` is the span the pass records under, `governor` its budget.
+    fn recommendations_with_health(
         &self,
-        trace: Option<(&Arc<TraceCollector>, SpanId)>,
-        governor: Option<&Arc<BudgetHandle>>,
+        trace: &TraceCtx,
+        governor: &Arc<BudgetHandle>,
         config_override: Option<&Arc<LuxConfig>>,
-    ) -> (Arc<Vec<ActionResult>>, Arc<Vec<ActionHealth>>) {
+    ) -> PassOutput {
         let metrics = MetricsRegistry::global();
-        let tag_memo = |outcome: &str| {
-            if let Some((collector, id)) = trace {
-                collector.tag(id, "memo", outcome);
-            }
-        };
         if self.config.wflow {
-            {
-                let cache = lock_recover(&self.cache);
-                if let (Some(recs), Some(health)) = (&cache.recommendations, &cache.health) {
-                    metrics.incr(metric::MEMO_HIT);
-                    tag_memo("hit");
-                    return (Arc::clone(recs), Arc::clone(health));
-                }
-            } // release while computing (compute re-takes for meta)
-            metrics.incr(metric::MEMO_MISS);
-            tag_memo("miss");
-            let (recs, health) =
-                self.compute_recommendations_traced(trace, governor, config_override);
+            if let Some(memoized) = &lock_recover(&self.cache).recommendations {
+                metrics.incr(metric::MEMO_HIT);
+                trace.tag("memo", "hit");
+                return memoized.clone();
+            }
+        } // released while computing (compute re-takes it for the metadata)
+        metrics.incr(metric::MEMO_MISS);
+        trace.tag("memo", if self.config.wflow { "miss" } else { "off" });
+        let (recs, health) =
+            self.compute_recommendations(trace, governor, config_override.unwrap_or(&self.config));
+        if self.config.wflow {
             // A deadline-shrunk pass that degraded must not poison the memo:
             // the next print with a full budget would otherwise replay the
             // partial results forever. Clean passes cache as usual.
             let cacheable = config_override.is_none() || health.iter().all(|h| h.status.is_ok());
             if cacheable {
-                let mut cache = lock_recover(&self.cache);
-                cache.recommendations = Some(Arc::clone(&recs));
-                cache.health = Some(Arc::clone(&health));
+                lock_recover(&self.cache).recommendations =
+                    Some((Arc::clone(&recs), Arc::clone(&health)));
             } else {
-                tag_memo("skip-degraded");
+                trace.tag("memo", "skip-degraded");
             }
-            (recs, health)
-        } else {
-            metrics.incr(metric::MEMO_MISS);
-            tag_memo("off");
-            self.compute_recommendations_traced(trace, governor, config_override)
         }
+        (recs, health)
+    }
+
+    /// Recommendations outside a print: the pass [`LuxDataFrame::print_with`]
+    /// opens minus admission (a throwaway trace, a fresh budget), so results
+    /// memoized here carry the governor marks a print would give them.
+    fn recommendations_unadmitted(&self) -> PassOutput {
+        let governor = Arc::new(BudgetHandle::new(self.config.budget.clone()));
+        self.recommendations_with_health(&TraceCtx::root("recommendations"), &governor, None)
     }
 
     /// The ranked recommendations, computed lazily and memoized under WFLOW.
     pub fn recommendations(&self) -> Arc<Vec<ActionResult>> {
-        self.recommendations_with_health().0
+        self.recommendations_unadmitted().0
     }
 
     /// Per-action health of the most recent recommendation pass (computing
@@ -525,7 +469,7 @@ impl LuxDataFrame {
     /// partial ones, which failed and why, and which the circuit breaker has
     /// disabled. Memoized alongside the recommendations under WFLOW.
     pub fn action_health(&self) -> Arc<Vec<ActionHealth>> {
-        self.recommendations_with_health().1
+        self.recommendations_unadmitted().1
     }
 
     /// Begin a streaming recommendation run: dispatches every applicable
@@ -534,7 +478,7 @@ impl LuxDataFrame {
     /// results can be streamed into the frontend widget as the computation
     /// for each action completes". Bypasses the WFLOW memo (results go to
     /// the caller, not the cache).
-    pub fn recommendations_streaming(&self) -> lux_recs::generate::StreamingRun {
+    pub fn recommendations_streaming(&self) -> lux_recs::StreamingRun {
         // Background priority: streaming runs yield to interactive prints
         // and retry with jittered backoff before giving up. The jitter seed
         // derives from the frame shape so threads=1 runs stay deterministic.
@@ -550,28 +494,24 @@ impl LuxDataFrame {
                             None,
                         );
                     }
-                    return lux_recs::generate::StreamingRun::shed(&shed.reason);
+                    return lux_recs::StreamingRun::shed(&shed.reason);
                 }
             };
-        let meta = self.metadata();
-        let specs = self.compiled_intent();
-        let sample = self.config.prune.then(|| self.sample.get(&self.df));
         // Each streaming run is its own pass; open a fresh budget, shaped
         // by current admission pressure and charged to the global ledger.
         let (budget, floor) = permit.shape_budget(&self.config.budget);
-        let governor = Arc::new(BudgetHandle::governed(budget, permit.ledger(), floor));
-        let owned = lux_recs::generate::OwnedContext {
+        let pass = Pass {
             df: Arc::clone(&self.df),
-            meta,
+            meta: self.metadata(),
             intent: Arc::new(self.intent.clone()),
-            intent_specs: Arc::new(specs),
+            intent_specs: Arc::new(self.compiled_intent()),
             config: Arc::clone(&self.config),
-            sample,
-            trace: None,
-            governor: Some(governor),
+            sample: self.config.prune.then(|| self.sample.get(&self.df)),
+            trace: TraceCtx::root("recommendations.streaming"),
+            governor: Arc::new(BudgetHandle::governed(budget, permit.ledger(), floor)),
             permit: Some(permit),
         };
-        lux_recs::generate::run_actions_streaming(&self.registry, owned)
+        lux_recs::run_pass(&self.registry, pass)
     }
 
     /// The full span tree of the most recent [`LuxDataFrame::print`] on this
@@ -622,20 +562,14 @@ impl LuxDataFrame {
         // must not run the configured 2s per action. An exhausted deadline
         // sheds before any compute.
         let remaining = opts.deadline.map(|d| d.saturating_sub(permit.waited()));
-        if let Some(rem) = remaining {
-            if rem < std::time::Duration::from_millis(1) {
-                drop(permit);
-                let metrics = MetricsRegistry::global();
-                metrics.incr(metric::ADMISSION_SHEDS);
-                return self.print_shed(
-                    start,
-                    ShedReason {
-                        reason: "deadline exhausted while waiting for a slot".to_string(),
-                        priority: Priority::Interactive,
-                    },
-                    opts,
-                );
-            }
+        if remaining.is_some_and(|rem| rem < std::time::Duration::from_millis(1)) {
+            drop(permit);
+            MetricsRegistry::global().incr(metric::ADMISSION_SHEDS);
+            let shed = ShedReason {
+                reason: "deadline exhausted while waiting for a slot".to_string(),
+                priority: Priority::Interactive,
+            };
+            return self.print_shed(start, shed, opts);
         }
         let deadline_config = remaining.map(|rem| {
             let mut c = (*self.config).clone();
@@ -653,55 +587,37 @@ impl LuxDataFrame {
         // process-wide ledger.
         let (budget, floor) = permit.shape_budget(&self.config.budget);
         let governor = Arc::new(BudgetHandle::governed(budget, permit.ledger(), floor));
-        let collector = TraceCollector::new();
-        let root = collector.begin(None, "print");
-        collector.tag(
-            root,
-            "admission.wait_ms",
-            permit.waited().as_millis().to_string(),
-        );
-        collector.tag(root, "admission.pressure", permit.pressure().name());
+        let root = TraceCtx::root("print");
+        root.tag("admission.wait_ms", permit.waited().as_millis().to_string());
+        root.tag("admission.pressure", permit.pressure().name());
         if let Some(rem) = remaining {
-            collector.tag(root, "deadline.remaining_ms", rem.as_millis().to_string());
+            root.tag("deadline.remaining_ms", rem.as_millis().to_string());
         }
         if let Some(tenant) = permit.tenant() {
-            collector.tag(root, "admission.tenant", tenant.to_string());
+            root.tag("admission.tenant", tenant.to_string());
         }
-        self.tag_request_context(&collector, root, opts);
-        let table = collector.time(Some(root), "table", || self.df.to_table_string(10));
+        self.tag_request_context(&root, opts);
+        let table = root.time("table", || self.df.to_table_string(10));
         // Metadata first (and traced): the validate/compile/action stages
         // below all read it through the memo.
-        let meta_span = collector.begin(Some(root), "metadata");
-        let _ = self.metadata_traced(
-            Some((collector.as_ref(), meta_span)),
-            Some(governor.as_ref()),
-        );
-        collector.end(meta_span);
-        let diagnostics = collector.time(Some(root), "intent.validate", || self.validate_intent());
-        let actions_span = collector.begin(Some(root), "actions");
-        let (results, health) = self.recommendations_with_health_traced(
-            Some((&collector, actions_span)),
-            Some(&governor),
-            deadline_config.as_ref(),
-        );
-        collector.end(actions_span);
-        collector.tag(
-            root,
-            "governor.degrades",
-            governor.event_count().to_string(),
-        );
-        collector.tag(root, "governor.breached", governor.breached().to_string());
+        let meta_span = root.child("metadata");
+        let _ = self.metadata_traced(Some(&meta_span), Some(governor.as_ref()));
+        meta_span.end();
+        let diagnostics = root.time("intent.validate", || self.validate_intent());
+        let actions = root.child("actions");
+        let (results, health) =
+            self.recommendations_with_health(&actions, &governor, deadline_config.as_ref());
+        actions.end();
+        root.tag("governor.degrades", governor.event_count().to_string());
+        root.tag("governor.breached", governor.breached().to_string());
         let governor_note = governor.summary();
         if let Some(note) = &governor_note {
-            collector.tag(root, "governor.summary", note.clone());
+            root.tag("governor.summary", note.clone());
         }
-        collector.end(root);
-        let trace = Arc::new(collector.snapshot());
+        root.end();
 
         let elapsed = lux_engine::clock::elapsed(start);
         let metrics = MetricsRegistry::global();
-        metrics.incr(metric::PRINTS);
-        metrics.observe(metric::PRINT_LATENCY, elapsed);
         // Deadline-miss accounting: the pass finished, but after the client's
         // end-to-end budget — the client has likely timed out on its side.
         let deadline_missed = opts.deadline.is_some_and(|d| elapsed > d);
@@ -728,36 +644,12 @@ impl LuxDataFrame {
             let _ = metrics.tenant_counter_handle(metric::TENANT_SHEDS, tenant);
             let _ = metrics.tenant_counter_handle(metric::TENANT_DEADLINE_MISSES, tenant);
         }
-        let summary = PassSummary::from_trace(&trace);
-        if let Some(log) = &self.logger {
-            log.log(
-                EventKind::Print,
-                format!("print {}x{}", self.df.num_rows(), self.df.num_columns()),
-                Some(elapsed.as_secs_f64()),
-            );
-            log.log(
-                EventKind::PassSummary,
-                summary.to_compact_json(),
-                Some(elapsed.as_secs_f64()),
-            );
-        }
         let governor_skips = governor
             .events()
             .iter()
             .filter(|e| e.level == DegradeLevel::Skipped)
             .count() as u64;
-        FlightRecorder::global().record(
-            Arc::clone(&trace),
-            FlightSample {
-                request_id: opts.request_id.clone().unwrap_or_default(),
-                tenant: opts.tenant.clone().unwrap_or_default(),
-                shed: false,
-                deadline_miss: deadline_missed,
-                governor_skips,
-                summary_json: summary.to_compact_json(),
-            },
-        );
-        *lock_recover(&self.last_trace) = Some(Arc::clone(&trace));
+        let trace = self.finish_print(&root, opts, elapsed, None, deadline_missed, governor_skips);
         Widget::new(
             table,
             results,
@@ -773,13 +665,59 @@ impl LuxDataFrame {
     /// Tag wire-propagated request context (`request.id` / `request.tenant`)
     /// onto a pass's root span so traces, pass summaries, and flight dumps
     /// stay attributable across the process boundary.
-    fn tag_request_context(&self, collector: &TraceCollector, root: SpanId, opts: &PrintOptions) {
+    fn tag_request_context(&self, root: &TraceCtx, opts: &PrintOptions) {
         if let Some(id) = &opts.request_id {
-            collector.tag(root, "request.id", id.clone());
+            root.tag("request.id", id.clone());
         }
         if let Some(tenant) = &opts.tenant {
-            collector.tag(root, "request.tenant", tenant.clone());
+            root.tag("request.tenant", tenant.clone());
         }
+    }
+
+    /// What every print does once its root span is closed, served or shed
+    /// (`shed` carries the reason): freeze the trace, count the print, emit
+    /// the `Print` and `PassSummary` log events — sheds too, so the JSONL log
+    /// attributes every request — hand the pass to the flight recorder, and
+    /// keep the trace on the frame.
+    fn finish_print(
+        &self,
+        root: &TraceCtx,
+        opts: &PrintOptions,
+        elapsed: std::time::Duration,
+        shed: Option<&str>,
+        deadline_miss: bool,
+        governor_skips: u64,
+    ) -> Arc<PassTrace> {
+        let trace = Arc::new(root.collector.snapshot());
+        let metrics = MetricsRegistry::global();
+        metrics.incr(metric::PRINTS);
+        metrics.observe(metric::PRINT_LATENCY, elapsed);
+        let summary = PassSummary::from_trace(&trace).to_compact_json();
+        if let Some(log) = &self.logger {
+            let mut detail = format!("print {}x{}", self.df.num_rows(), self.df.num_columns());
+            if let Some(reason) = shed {
+                detail.push_str(&format!(" shed: {reason}"));
+            }
+            log.log(EventKind::Print, detail, Some(elapsed.as_secs_f64()));
+            log.log(
+                EventKind::PassSummary,
+                summary.clone(),
+                Some(elapsed.as_secs_f64()),
+            );
+        }
+        FlightRecorder::global().record(
+            Arc::clone(&trace),
+            FlightSample {
+                request_id: opts.request_id.clone().unwrap_or_default(),
+                tenant: opts.tenant.clone().unwrap_or_default(),
+                shed: shed.is_some(),
+                deadline_miss,
+                governor_skips,
+                summary_json: summary,
+            },
+        );
+        *lock_recover(&self.last_trace) = Some(Arc::clone(&trace));
+        trace
     }
 
     /// The load-shedding tail of [`LuxDataFrame::print`]: admission refused
@@ -792,55 +730,20 @@ impl LuxDataFrame {
         shed: ShedReason,
         opts: &PrintOptions,
     ) -> Widget {
-        let collector = TraceCollector::new();
-        let root = collector.begin(None, "print");
-        self.tag_request_context(&collector, root, opts);
-        let table = collector.time(Some(root), "table", || self.df.to_table_string(10));
-        let diagnostics = collector.time(Some(root), "intent.validate", || self.validate_intent());
-        collector.tag(root, "admission.shed", shed.reason.clone());
-        collector.tag(root, "admission.priority", shed.priority.name());
-        collector.end(root);
-        let trace = Arc::new(collector.snapshot());
+        let root = TraceCtx::root("print");
+        self.tag_request_context(&root, opts);
+        let table = root.time("table", || self.df.to_table_string(10));
+        let diagnostics = root.time("intent.validate", || self.validate_intent());
+        root.tag("admission.shed", shed.reason.clone());
+        root.tag("admission.priority", shed.priority.name());
+        root.end();
         let elapsed = lux_engine::clock::elapsed(start);
-        let metrics = MetricsRegistry::global();
-        metrics.incr(metric::PRINTS);
-        metrics.observe(metric::PRINT_LATENCY, elapsed);
         if let Some(tenant) = opts.tenant.as_deref() {
+            let metrics = MetricsRegistry::global();
             metrics.incr_tenant(metric::TENANT_REQUESTS, tenant);
             metrics.incr_tenant(metric::TENANT_SHEDS, tenant);
         }
-        let summary = PassSummary::from_trace(&trace);
-        if let Some(log) = &self.logger {
-            log.log(
-                EventKind::Print,
-                format!(
-                    "print {}x{} shed: {}",
-                    self.df.num_rows(),
-                    self.df.num_columns(),
-                    shed.reason
-                ),
-                Some(elapsed.as_secs_f64()),
-            );
-            // Sheds emit a PassSummary event too, so the JSONL log carries
-            // the shed reason and request attribution for every request.
-            log.log(
-                EventKind::PassSummary,
-                summary.to_compact_json(),
-                Some(elapsed.as_secs_f64()),
-            );
-        }
-        FlightRecorder::global().record(
-            Arc::clone(&trace),
-            FlightSample {
-                request_id: opts.request_id.clone().unwrap_or_default(),
-                tenant: opts.tenant.clone().unwrap_or_default(),
-                shed: true,
-                deadline_miss: false,
-                governor_skips: 0,
-                summary_json: summary.to_compact_json(),
-            },
-        );
-        *lock_recover(&self.last_trace) = Some(Arc::clone(&trace));
+        let trace = self.finish_print(&root, opts, elapsed, Some(&shed.reason), false, 0);
         Widget::busy(
             table,
             diagnostics,
@@ -1050,7 +953,7 @@ impl std::fmt::Display for LuxDataFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lux_recs::ActionClass;
+    use lux_recs::{ActionClass, ActionContext};
 
     fn sample_ldf() -> LuxDataFrame {
         let df = DataFrameBuilder::new()

@@ -146,7 +146,7 @@ pub fn sleep(dur: Duration) {
             vc.cond.notify_all();
             break;
         }
-        // Bounded real wait so a late `disable_virtual()` or auto-advance
+        // Bounded real wait so a late guard drop or auto-advance
         // toggle cannot strand the sleeper forever.
         let (g, _) = match vc.cond.wait_timeout(st, Duration::from_millis(5)) {
             Ok(r) => r,
@@ -205,18 +205,33 @@ pub fn wait_timeout<'a, T>(
 // Driver API (used by crates/sim and sim-clock tests)
 // ---------------------------------------------------------------------------
 
-/// Enable the virtual clock.  Time freezes at the current virtual offset
-/// until [`advance`] is called.
-pub fn enable_virtual() {
-    vclock(); // capture the anchor before anyone observes virtual time
-    VIRTUAL.store(true, Ordering::SeqCst);
+/// Ownership of the process-wide virtual clock: virtual time stays on for
+/// as long as the guard lives.  Dropping it returns the process to real
+/// time and wakes all virtual sleepers.
+#[must_use = "virtual time is switched off again when the guard drops"]
+pub struct VirtualClockGuard {
+    _owner: MutexGuard<'static, ()>,
 }
 
-/// Disable the virtual clock and wake all virtual sleepers.
-pub fn disable_virtual() {
-    VIRTUAL.store(false, Ordering::SeqCst);
-    AUTO_ADVANCE.store(false, Ordering::SeqCst);
-    vclock().cond.notify_all();
+/// Enable the virtual clock.  Time freezes at the current virtual offset
+/// until [`advance`] is called.  The clock is process-global, so there is
+/// one owner at a time: a second caller (a sibling test on another thread)
+/// blocks here until the first guard drops, instead of advancing or
+/// disabling a clock someone else believes is frozen.
+pub fn enable_virtual() -> VirtualClockGuard {
+    static OWNER: Mutex<()> = Mutex::new(());
+    let owner = crate::sync::lock_recover(&OWNER);
+    vclock(); // capture the anchor before anyone observes virtual time
+    VIRTUAL.store(true, Ordering::SeqCst);
+    VirtualClockGuard { _owner: owner }
+}
+
+impl Drop for VirtualClockGuard {
+    fn drop(&mut self) {
+        VIRTUAL.store(false, Ordering::SeqCst);
+        AUTO_ADVANCE.store(false, Ordering::SeqCst);
+        vclock().cond.notify_all();
+    }
 }
 
 /// Single-threaded simulation mode: virtual sleepers consume their own
@@ -290,7 +305,7 @@ mod tests {
     #[test]
     fn virtual_clock_end_to_end() {
         // -- now()/advance ------------------------------------------------
-        enable_virtual();
+        let virtual_clock = enable_virtual();
         let t0 = now();
         advance(Duration::from_millis(250));
         let t1 = now();
@@ -358,7 +373,27 @@ mod tests {
         let (_g, timed_out) = wait_timeout(&pair.1, g, Duration::from_millis(0));
         assert!(timed_out, "zero-duration wait at/past deadline times out");
 
-        disable_virtual();
+        drop(virtual_clock);
         assert!(!is_virtual());
+    }
+
+    #[test]
+    fn second_enable_blocks_until_first_guard_drops() {
+        let first = enable_virtual();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let h = std::thread::spawn(move || {
+            let _second = enable_virtual();
+            let _ = tx.send(is_virtual());
+        });
+        assert!(
+            rx.recv_timeout(Duration::from_millis(100)).is_err(),
+            "second owner got the clock while the first guard was alive"
+        );
+        drop(first);
+        let virtual_in_second = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("second owner proceeds once the first guard drops");
+        assert!(virtual_in_second);
+        h.join().expect("second owner thread");
     }
 }

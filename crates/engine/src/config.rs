@@ -37,10 +37,9 @@ pub struct LuxConfig {
     pub sql_backend: bool,
     /// Base wall-clock budget per action. The cost model scales it by the
     /// action's estimated cost (`CostModel::time_budget`); expiry degrades
-    /// the action to sample-approximated partial results, and on the
-    /// streaming path a hard cutoff at `action_budget x
-    /// CostModel::HARD_CUTOFF_FACTOR` abandons hung workers. `None` disables
-    /// deadlines entirely.
+    /// the action to sample-approximated partial results, and under ASYNC
+    /// a hard cutoff at `action_budget x CostModel::HARD_CUTOFF_FACTOR`
+    /// abandons hung workers. `None` disables deadlines entirely.
     pub action_budget: Option<Duration>,
     /// Consecutive failures after which an action's circuit breaker opens
     /// and the action is skipped.

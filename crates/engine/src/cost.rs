@@ -92,7 +92,7 @@ impl CostModel {
     pub const REFERENCE_COST: f64 = 1_000_000.0;
 
     /// Budget scale ceiling, and the multiple of the base budget at which
-    /// the streaming executor's hard cutoff abandons a hung worker.
+    /// the ASYNC collector's hard cutoff abandons a hung worker.
     pub const HARD_CUTOFF_FACTOR: u32 = 4;
 
     /// Convert an action's abstract cost estimate into a wall-clock budget:

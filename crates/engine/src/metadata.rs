@@ -156,37 +156,18 @@ impl FrameMeta {
     /// misclassified semantic type (paper §8.1: "If the data type is
     /// misclassified, users can override the automatically-inferred type").
     pub fn compute(df: &DataFrame, overrides: &HashMap<String, SemanticType>) -> FrameMeta {
-        Self::compute_traced(df, overrides, None)
+        Self::compute_governed_par(df, overrides, None, None, 1)
     }
 
-    /// [`FrameMeta::compute`] with per-chunk timing spans recorded under
-    /// `parent` when a trace collector is supplied: each scanned chunk gets
-    /// a `column:<name>` span tagged with its worker and row count.
-    pub fn compute_traced(
-        df: &DataFrame,
-        overrides: &HashMap<String, SemanticType>,
-        trace: Option<(&crate::trace::TraceCollector, crate::trace::SpanId)>,
-    ) -> FrameMeta {
-        Self::compute_governed(df, overrides, trace, None)
-    }
-
-    /// [`FrameMeta::compute_traced`] under a pass budget: per-column scans
-    /// charge the governor before allocating, shrink their distinct-value
-    /// scan when the byte budget is exhausted, and record every downgrade
-    /// as a [`crate::governor::GovernorEvent`].
-    pub fn compute_governed(
-        df: &DataFrame,
-        overrides: &HashMap<String, SemanticType>,
-        trace: Option<(&crate::trace::TraceCollector, crate::trace::SpanId)>,
-        governor: Option<&BudgetHandle>,
-    ) -> FrameMeta {
-        Self::compute_governed_par(df, overrides, trace, governor, 1)
-    }
-
-    /// [`FrameMeta::compute_governed`] with the fused statistics scans
-    /// fanned out over up to `par` pool workers (DESIGN.md §9). Runs in
-    /// three phases so the result — including governor accounting and event
-    /// order — is byte-identical for every `par`:
+    /// [`FrameMeta::compute`] as a print pass runs it: under the pass
+    /// budget (per-column scans charge `governor` before allocating, shrink
+    /// their distinct-value scan when the byte budget is exhausted, and
+    /// record every downgrade as a [`crate::governor::GovernorEvent`]),
+    /// with a `column:<name>` span per scanned chunk under `trace`, and with
+    /// the fused statistics scans fanned out over up to `par` pool workers
+    /// (DESIGN.md §9). Runs in three phases so the result — including
+    /// governor accounting and event order — is byte-identical for every
+    /// `par`:
     ///
     /// 1. **plan** (sequential, column order): every byte-charge and
     ///    scan-cap decision happens on the caller thread, always against
@@ -679,7 +660,7 @@ mod tests {
             max_bytes: 1,
             ..ResourceBudget::default()
         });
-        let m = FrameMeta::compute_governed(&df, &HashMap::new(), None, Some(&h));
+        let m = FrameMeta::compute_governed_par(&df, &HashMap::new(), None, Some(&h), 1);
         assert!(h.breached());
         assert!(h.event_count() >= 1, "no governor events recorded");
         // the degraded scan still produces usable metadata

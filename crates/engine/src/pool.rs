@@ -37,7 +37,7 @@
 //! threshold (`LUX_WORKER_WATCHDOG_MS`, default 30s) is flagged
 //! (`lux.pool.hung_workers`) and a replacement worker is started on its
 //! queue so queued work keeps flowing while the hung task is left to the
-//! streaming path's existing hard-cutoff/abandonment semantics.
+//! ASYNC collector's existing hard-cutoff/abandonment semantics.
 
 use std::cell::Cell;
 use std::collections::VecDeque;

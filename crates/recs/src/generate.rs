@@ -1,32 +1,36 @@
-//! Recommendation generation: runs the applicable actions over a dataframe,
-//! applying the PRUNE optimization inside each action and the ASYNC
-//! cost-based schedule across actions (paper §8.2).
+//! The recommendation pass (paper §8.2): one executor for every caller.
+//!
+//! A caller opens a [`Pass`] and hands it to [`run_pass`], which gates the
+//! registry's actions on the caller (applicability, circuit breaker),
+//! dispatches each runnable one — as a detached pool task under ASYNC,
+//! inline otherwise — through the five stages of [`execute_action`]
+//! (`enumerate → prune_gate → score → select_top_k → process`, PRUNE being
+//! the sample-scored first pass), and settles every outcome in one place.
+//! The blocking API is [`StreamingRun::collect_report`].
 //!
 //! Every action runs under the fault model of [`crate::fault`]: generation,
 //! scoring, and processing are panic-isolated; each action gets a wall-clock
 //! budget derived from its cost estimate (`LuxConfig::action_budget` scaled
 //! by `CostModel::time_budget`) with cooperative checks between steps and —
-//! on the owned/streaming path — a hard cutoff that abandons hung workers;
-//! and a per-action circuit breaker skips actions that keep failing, with a
-//! half-open re-probe after a cooldown of fresh frames. One misbehaving
-//! action can therefore never take down a recommendation pass: every healthy
-//! action's results are still served, and the per-action health ledger in
+//! under ASYNC — a hard cutoff that abandons hung workers; and a per-action
+//! circuit breaker skips actions that keep failing, with a half-open
+//! re-probe after a cooldown of fresh frames. One misbehaving action can
+//! therefore never take down a recommendation pass: every healthy action's
+//! results are still served, and the per-action health ledger in
 //! [`RunReport`] says what happened to the rest.
 
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lux_dataframe::prelude::*;
 use lux_engine::clock;
 use lux_engine::governor::{drain_sink, event_sink, BudgetHandle, DegradeLevel, EventSink};
 use lux_engine::lock_recover;
 use lux_engine::trace::{names as metric, MetricsRegistry, SpanId, TraceCollector};
-#[cfg(test)]
-use lux_engine::LuxConfig;
-use lux_engine::{CostModel, FrameMeta};
-use lux_vis::{Channel, Vis, VisList, VisSpec};
+use lux_engine::{CostModel, FrameMeta, GovernorEvent, LuxConfig};
+use lux_vis::{Channel, ProcessOptions, Vis, VisList, VisSpec};
 
 use crate::action::{Action, ActionContext, ActionRegistry, ActionResult, Candidate};
 use crate::fault::{
@@ -34,10 +38,10 @@ use crate::fault::{
     RunReport,
 };
 
-/// Trace attachment for one executing action: the shared pass collector plus
-/// the action's own span, under which the executor records `generate` /
-/// `score` / `process` phase spans and the PRUNE/deadline decision tags.
-/// Cloneable so detached workers can carry it across threads.
+/// Trace attachment: the shared pass collector plus the span this unit of
+/// work records under — for a [`Pass`] the parent of its per-action spans,
+/// for an executing action its own span. Cloneable so detached workers can
+/// carry it across threads.
 #[derive(Clone)]
 pub struct TraceCtx {
     pub collector: Arc<TraceCollector>,
@@ -45,16 +49,96 @@ pub struct TraceCtx {
 }
 
 impl TraceCtx {
-    pub fn new(collector: Arc<TraceCollector>, span: SpanId) -> TraceCtx {
+    /// A fresh collector with one open root span — the attachment of a pass
+    /// whose trace nobody asked for (standalone passes, background streams).
+    pub fn root(name: &str) -> TraceCtx {
+        let collector = TraceCollector::new();
+        let span = collector.begin(None, name);
         TraceCtx { collector, span }
     }
 
-    fn child(&self, name: &str) -> SpanId {
-        self.collector.begin(Some(self.span), name)
+    /// Begin a child span.
+    pub fn child(&self, name: &str) -> TraceCtx {
+        let span = self.collector.begin(Some(self.span), name);
+        TraceCtx {
+            collector: Arc::clone(&self.collector),
+            span,
+        }
     }
 
-    fn tag(&self, key: &str, value: impl Into<String>) {
+    /// Time a closure as a complete child span.
+    pub fn time<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
+        self.collector.time(Some(self.span), name, f)
+    }
+
+    pub fn tag(&self, key: &str, value: impl Into<String>) {
         self.collector.tag(self.span, key, value);
+    }
+
+    pub fn end(&self) {
+        self.collector.end(self.span);
+    }
+
+    /// Close this span on the panic that cut it short.
+    fn panicked(&self, panic: ActionError) -> ActionError {
+        self.tag("panicked", "true");
+        self.end();
+        panic
+    }
+}
+
+/// One recommendation pass: everything the executor reads, `Arc`'d so
+/// detached workers outlive the caller's borrows. The trace attachment and
+/// the governor are always present — a caller with no use for them opens
+/// throwaway ones ([`Pass::new`]); only the sample and the permit can be
+/// genuinely absent.
+#[derive(Clone)]
+pub struct Pass {
+    pub df: Arc<DataFrame>,
+    pub meta: Arc<FrameMeta>,
+    pub intent: Arc<Vec<lux_intent::Clause>>,
+    pub intent_specs: Arc<Vec<VisSpec>>,
+    pub config: Arc<LuxConfig>,
+    /// The cached PRUNE sample; `None` when PRUNE is off.
+    pub sample: Option<Arc<DataFrame>>,
+    /// The span under which per-action spans are recorded.
+    pub trace: TraceCtx,
+    /// Per-pass resource governor shared by every worker: allocation-heavy
+    /// steps degrade against its budget instead of exhausting memory.
+    pub governor: Arc<BudgetHandle>,
+    /// Admission slot held for the duration of the pass. Under ASYNC the
+    /// collector thread takes ownership so the slot is released only once
+    /// every action has settled (or been abandoned), not when the caller's
+    /// stack frame unwinds. `None` when the caller holds the slot itself.
+    pub permit: Option<Arc<lux_engine::AdmissionPermit>>,
+}
+
+impl Pass {
+    /// A standalone pass over `df`: no intent, no sample, no admission
+    /// permit, a throwaway trace, and a fresh budget over `config.budget`.
+    pub fn new(df: Arc<DataFrame>, meta: Arc<FrameMeta>, config: Arc<LuxConfig>) -> Pass {
+        Pass {
+            df,
+            meta,
+            intent: Arc::new(Vec::new()),
+            intent_specs: Arc::new(Vec::new()),
+            governor: Arc::new(BudgetHandle::new(config.budget.clone())),
+            config,
+            sample: None,
+            trace: TraceCtx::root("pass"),
+            permit: None,
+        }
+    }
+
+    /// The borrowed view handed to `Action::{applies, generate}`.
+    fn action_context(&self) -> ActionContext<'_> {
+        ActionContext {
+            df: &self.df,
+            meta: &self.meta,
+            intent: &self.intent,
+            intent_specs: &self.intent_specs,
+            config: &self.config,
+        }
     }
 }
 
@@ -87,158 +171,197 @@ fn estimate_spec(spec: &VisSpec, meta: &FrameMeta, num_rows: usize) -> (usize, u
     (num_rows, groups)
 }
 
-/// Cost-model estimate for a whole action (sum over its candidates).
-fn estimate_action(
-    candidates: &[Candidate],
-    meta: &FrameMeta,
-    num_rows: usize,
-    model: &CostModel,
-) -> f64 {
-    model.action_cost(candidates.iter().map(|c| {
-        let rows = c.frame.as_ref().map_or(num_rows, |f| f.num_rows());
-        let (r, g) = estimate_spec(&c.spec, meta, rows);
-        (c.spec.op_class(), r, g)
-    }))
+// ---------------------------------------------------------------------
+// One action: enumerate → prune_gate → score → select_top_k → process
+// ---------------------------------------------------------------------
+
+/// A candidate with its first-pass score and whether that score was
+/// computed on the PRUNE sample.
+type Scored = (Candidate, f64, bool);
+
+/// What one per-candidate pool task hands its stage's fold: the outcome
+/// (`Err` is a panic inside the action) and the governor events it buffered.
+type Slot<T> = (std::result::Result<T, ActionError>, Vec<GovernorEvent>);
+
+type Outcome = std::result::Result<Option<ActionResult>, ActionError>;
+
+/// One action's trip through the five stages: the borrowed inputs, the
+/// options every call into the action starts from, and what the stages
+/// accumulate for the final [`ActionResult`].
+struct ActionRun<'a> {
+    action: &'a dyn Action,
+    pass: &'a Pass,
+    /// The action's own span.
+    trace: &'a TraceCtx,
+    /// The action's governor-event buffer, replayed onto the pass handle by
+    /// [`run_pass`] in dispatch order.
+    events: &'a EventSink,
+    model: CostModel,
+    opts: ProcessOptions,
+    // The next three are set by `enumerate`, once there are candidates.
+    started: Instant,
+    estimated_cost: f64,
+    deadline: Deadline,
+    /// Why the deadline degraded this action, when it did.
+    degraded_reason: Option<String>,
+    /// Governor-imposed degradations to surface on the result.
+    governor_notes: Vec<String>,
+    /// Score/process degradations attributed to THIS action (counted from
+    /// its own per-candidate sinks, immune to concurrent actions' events).
+    degrade_events: usize,
 }
 
-/// Run `action.generate` under panic isolation, folding generation errors
-/// into the [`ActionError`] taxonomy.
-fn generate_isolated(
-    action: &dyn Action,
-    ctx: &ActionContext<'_>,
-) -> std::result::Result<Vec<Candidate>, ActionError> {
-    match isolate(action.name(), || action.generate(ctx)) {
-        Ok(Ok(candidates)) => Ok(candidates),
-        Ok(Err(e)) => Err(ActionError::Generation(e.to_string())),
-        Err(panic) => Err(panic),
-    }
+/// Options for one candidate's call into the action, with a call-local
+/// event sink attached: the stage's fold replays it in candidate order.
+fn candidate_opts(opts: &ProcessOptions) -> (ProcessOptions, EventSink) {
+    let sink = event_sink();
+    let mut copts = opts.clone();
+    copts.event_sink = Some(sink.clone());
+    (copts, sink)
 }
 
-/// Score, rank, and process pre-generated candidates under the fault model:
-/// panic isolation around every call into the action, a cooperative deadline
-/// between scoring/processing steps, and the degraded path (sample-backed
-/// partial results, `degraded: true`) once the deadline expires.
-fn execute_prepared(
-    action: &dyn Action,
-    ctx: &ActionContext<'_>,
-    sample: Option<&DataFrame>,
-    model: &CostModel,
-    mut candidates: Vec<Candidate>,
-    trace: Option<&TraceCtx>,
-    governor: Option<&Arc<BudgetHandle>>,
-    sink: Option<&EventSink>,
-) -> std::result::Result<Option<ActionResult>, ActionError> {
-    let start = clock::now();
-    if candidates.is_empty() {
-        return Ok(None);
-    }
-    let mut opts = ctx.process_options();
-    opts.governor = governor.cloned();
-    // SQL backend: count transient-error retries so they can be tagged
-    // onto this action's span (`sql.retries`) after processing.
-    let sql_attempts = ctx
-        .config
-        .sql_backend
-        .then(|| Arc::new(std::sync::atomic::AtomicU64::new(0)));
-    opts.sql_attempts = sql_attempts.clone();
-    // Degradation events go to the caller's sink when one is attached (the
-    // parallel-actions path replays them in schedule order), otherwise live
-    // onto the governor. Returns how many events were emitted.
-    let emit = |events: Vec<lux_engine::GovernorEvent>| -> usize {
-        let n = events.len();
-        match (sink, governor) {
-            (Some(s), _) => lock_recover(s).extend(events),
-            (None, Some(g)) => g.absorb(events),
-            _ => {}
+impl<'a> ActionRun<'a> {
+    fn open(
+        action: &'a dyn Action,
+        pass: &'a Pass,
+        trace: &'a TraceCtx,
+        events: &'a EventSink,
+    ) -> ActionRun<'a> {
+        let mut opts = pass.action_context().process_options();
+        opts.governor = Some(Arc::clone(&pass.governor));
+        // SQL backend: count transient-error retries so they can be tagged
+        // onto this action's span (`sql.retries`) after processing.
+        opts.sql_attempts = pass.config.sql_backend.then(|| Arc::new(AtomicU64::new(0)));
+        ActionRun {
+            action,
+            pass,
+            trace,
+            events,
+            model: CostModel::default(),
+            opts,
+            started: clock::now(),
+            estimated_cost: 0.0,
+            deadline: Deadline::none(),
+            degraded_reason: None,
+            governor_notes: Vec::new(),
+            degrade_events: 0,
         }
-        n
-    };
-    // Governor: the candidate search space is the first allocation-heavy
-    // surface of an action — cap it before any scoring/processing happens.
-    let mut governor_notes: Vec<String> = Vec::new();
-    // The governor's budget may be tighter than the config's: under
-    // admission pressure the shed ladder hands the pass a shrunk candidate
-    // cap (DESIGN.md §10).
-    let max_candidates = governor
-        .map(|g| g.budget().max_candidates)
-        .unwrap_or(ctx.config.budget.max_candidates);
-    if candidates.len() > max_candidates {
-        let dropped = candidates.len() - max_candidates;
-        candidates.truncate(max_candidates);
-        let note = format!("candidate search space capped at {max_candidates} ({dropped} dropped)");
-        if governor.is_some() {
-            emit(vec![lux_engine::GovernorEvent {
-                stage: format!("action:{}", action.name()),
+    }
+
+    /// Move one candidate's buffered events onto the action's sink — the
+    /// order a sequential run would have recorded them in.
+    fn replay(&mut self, events: Vec<GovernorEvent>) {
+        self.degrade_events += events.len();
+        lock_recover(self.events).extend(events);
+    }
+
+    /// Stage 1: run `action.generate` under panic isolation (folding
+    /// generation errors into the [`ActionError`] taxonomy), cap the search
+    /// space, and cost what is left. `Ok(None)` means no candidates.
+    fn enumerate(&mut self) -> std::result::Result<Option<Vec<Candidate>>, ActionError> {
+        let name = self.action.name();
+        let ctx = self.pass.action_context();
+        let span = self.trace.child("generate");
+        let generated = isolate(name, || self.action.generate(&ctx))
+            .and_then(|r| r.map_err(|e| ActionError::Generation(e.to_string())));
+        match &generated {
+            Ok(c) => span.tag("candidates", c.len().to_string()),
+            Err(_) => span.tag("failed", "true"),
+        }
+        span.end();
+        let mut candidates = generated?;
+        if candidates.is_empty() {
+            return Ok(None);
+        }
+        // The action is timed from here: generation has its own span.
+        self.started = clock::now();
+        // Governor: the candidate search space is the first allocation-heavy
+        // surface of an action — cap it before any scoring/processing
+        // happens. The governor's budget may be tighter than the config's:
+        // under admission pressure the shed ladder hands the pass a shrunk
+        // candidate cap (DESIGN.md §10).
+        let max_candidates = self.pass.governor.budget().max_candidates;
+        if candidates.len() > max_candidates {
+            let dropped = candidates.len() - max_candidates;
+            candidates.truncate(max_candidates);
+            let note =
+                format!("candidate search space capped at {max_candidates} ({dropped} dropped)");
+            lock_recover(self.events).push(GovernorEvent {
+                stage: format!("action:{name}"),
                 level: DegradeLevel::CappedCardinality,
                 detail: note.clone(),
-            }]);
+            });
+            self.governor_notes.push(note);
         }
-        governor_notes.push(note);
-    }
-    // Score/process degradations attributed to THIS action (counted from
-    // its own per-candidate sinks, immune to concurrent actions' events).
-    let mut degrade_events = 0usize;
-    let governed = governor.is_some();
-    let estimated_cost = estimate_action(&candidates, ctx.meta, ctx.df.num_rows(), model);
-    let k = ctx.config.top_k;
-    let total = candidates.len();
-    if let Some(t) = trace {
-        t.tag("candidates", total.to_string());
-        t.tag("cost.estimated", format!("{estimated_cost:.0}"));
+        // Cost-model estimate for the whole action: the sum over its
+        // candidates, each costed on the frame it will run against.
+        self.estimated_cost = self.model.action_cost(candidates.iter().map(|c| {
+            let rows = c.frame.as_deref().unwrap_or(&self.pass.df).num_rows();
+            let (r, g) = estimate_spec(&c.spec, &self.pass.meta, rows);
+            (c.spec.op_class(), r, g)
+        }));
+        self.trace.tag("candidates", candidates.len().to_string());
+        self.trace
+            .tag("cost.estimated", format!("{:.0}", self.estimated_cost));
+        // The budget is proportional to how expensive the cost model predicts
+        // this action to be — cheap actions get the base budget, heavyweight
+        // ones up to the hard-cutoff multiple of it.
+        if let Some(base) = self.pass.config.action_budget {
+            self.deadline = Deadline::after(self.model.time_budget(self.estimated_cost, base));
+            self.trace.tag(
+                "deadline.budget_ms",
+                format!("{:.1}", self.deadline.budget().as_secs_f64() * 1e3),
+            );
+        }
+        Ok(Some(candidates))
     }
 
-    // The budget is proportional to how expensive the cost model predicts
-    // this action to be — cheap actions get the base budget, heavyweight
-    // ones up to the hard-cutoff multiple of it.
-    let deadline = match ctx.config.action_budget {
-        Some(base) => Deadline::after(model.time_budget(estimated_cost, base)),
-        None => Deadline::none(),
-    };
-
-    // PRUNE gate: approximate only when the cost model predicts a win and a
-    // genuinely smaller sample exists (paper: "apply prune for any action
-    // where the number of visualizations exceeds k", subject to the model).
-    // The sample is bound in the same match that decides to prune, so the
-    // "prune without a sample" state is unrepresentable.
-    let rep_class = candidates[0].spec.op_class();
-    let (rep_rows, rep_groups) = estimate_spec(&candidates[0].spec, ctx.meta, ctx.df.num_rows());
-    // Admission shed ladder: a pass admitted under pressure carries a
-    // `Sampled` degradation floor — approximate scoring is then forced
-    // whenever a sample exists, regardless of the cost model's verdict.
-    let force_sampled = governor.is_some_and(|g| g.degrade_floor() >= DegradeLevel::Sampled);
-    let prune_sample: Option<&DataFrame> = match sample {
-        Some(s) if force_sampled => Some(s),
-        Some(s)
-            if ctx.config.prune
-                && total > k
-                && model.prune_worthwhile(
-                    total,
-                    k,
-                    rep_class,
-                    rep_rows,
-                    s.num_rows(),
-                    rep_groups,
-                ) =>
-        {
+    /// Stage 2, the PRUNE gate: approximate only when the cost model
+    /// predicts a win and a genuinely smaller sample exists (paper: "apply
+    /// prune for any action where the number of visualizations exceeds k",
+    /// subject to the model). Returns the sample to score on; the sample is
+    /// bound in the same match that decides to prune, so the "prune without
+    /// a sample" state is unrepresentable.
+    fn prune_gate(&self, candidates: &[Candidate]) -> Option<&'a DataFrame> {
+        let config = &self.pass.config;
+        let sample = self.pass.sample.as_deref();
+        let rep = &candidates[0].spec;
+        let (rep_rows, rep_groups) = estimate_spec(rep, &self.pass.meta, self.pass.df.num_rows());
+        // Admission shed ladder: a pass admitted under pressure carries a
+        // `Sampled` degradation floor — approximate scoring is then forced
+        // whenever a sample exists, regardless of the cost model's verdict.
+        let force_sampled = self.pass.governor.degrade_floor() >= DegradeLevel::Sampled;
+        let prune_sample = match sample {
+            Some(s) if force_sampled => Some(s),
             Some(s)
+                if config.prune
+                    && self.model.prune_worthwhile(
+                        candidates.len(),
+                        config.top_k,
+                        rep.op_class(),
+                        rep_rows,
+                        s.num_rows(),
+                        rep_groups,
+                    ) =>
+            {
+                Some(s)
+            }
+            _ => None,
+        };
+        // PRUNE observability: when approximation was a live question (PRUNE
+        // on and a sample available), record whether the gate engaged.
+        if (config.prune || force_sampled) && sample.is_some() {
+            MetricsRegistry::global().incr(if prune_sample.is_some() {
+                metric::PRUNE_ENGAGED
+            } else {
+                metric::PRUNE_SKIPPED
+            });
         }
-        _ => None,
-    };
-    // PRUNE observability: when approximation was a live question (PRUNE on
-    // and a sample available), record whether the cost-model gate engaged.
-    if (ctx.config.prune || force_sampled) && sample.is_some() {
-        MetricsRegistry::global().incr(if prune_sample.is_some() {
-            metric::PRUNE_ENGAGED
-        } else {
-            metric::PRUNE_SKIPPED
-        });
-    }
-    if let Some(t) = trace {
-        t.tag(
+        self.trace.tag(
             "prune",
             match (
                 force_sampled && prune_sample.is_some(),
-                ctx.config.prune,
+                config.prune,
                 prune_sample.is_some(),
             ) {
                 (true, _, _) => "forced",
@@ -247,142 +370,150 @@ fn execute_prepared(
                 (false, false, _) => "off",
             },
         );
-        if deadline.is_bounded() {
-            t.tag(
-                "deadline.budget_ms",
-                format!("{:.1}", deadline.budget().as_secs_f64() * 1e3),
-            );
-        }
+        prune_sample
     }
 
-    // First pass: score every candidate (on the sample when PRUNE applies).
-    // With `threads > 1` candidates score as pool tasks into per-index
-    // slots; the slots are folded in candidate order, stopping at the first
-    // deadline expiry, so a run that never hits its deadline produces
-    // byte-identical output at every thread count (and `threads = 1` is the
-    // old sequential loop exactly).
-    let par = ctx.config.effective_threads();
-    let score_span = trace.map(|t| t.child("score"));
-    if let (Some(t), Some(id)) = (trace, score_span) {
-        t.collector.tag(id, "par", par.to_string());
-    }
-    enum ScoreOutcome {
-        Scored(Candidate, f64, bool),
-        Expired,
-        Panicked(ActionError),
-    }
-    let outcomes = lux_engine::parallel_map(par, candidates, |_, cand| {
-        if deadline.expired() {
-            return (ScoreOutcome::Expired, None);
-        }
-        // Per-candidate event sink: degradations recorded while scoring
-        // buffer here and are replayed in candidate order by the fold below.
-        let csink = governed.then(event_sink);
-        let copts = match &csink {
-            Some(s) => {
-                let mut c = opts.clone();
-                c.event_sink = Some(s.clone());
-                c
+    /// Stage 3, first pass: score every candidate (on the sample when PRUNE
+    /// applies). With `threads > 1` candidates score as pool tasks into
+    /// per-index slots; the slots are folded in candidate order, stopping at
+    /// the first deadline expiry, so a run that never hits its deadline
+    /// produces byte-identical output at every thread count (and
+    /// `threads = 1` is the plain sequential loop).
+    fn score(
+        &mut self,
+        candidates: Vec<Candidate>,
+        prune_sample: Option<&DataFrame>,
+    ) -> std::result::Result<Vec<Scored>, ActionError> {
+        let total = candidates.len();
+        let par = self.pass.config.effective_threads();
+        let span = self.trace.child("score");
+        span.tag("par", par.to_string());
+        let outcomes = lux_engine::parallel_map(par, candidates, |_, cand| {
+            self.score_one(cand, prune_sample)
+        });
+        let mut scored: Vec<Scored> = Vec::with_capacity(total);
+        for (outcome, events) in outcomes {
+            // Replay this candidate's events before settling its outcome.
+            self.replay(events);
+            match outcome {
+                Ok(Some(s)) => scored.push(s),
+                Ok(None) => {
+                    self.degraded_reason = Some(format!(
+                        "budget {:?} exhausted after scoring {}/{} candidates",
+                        self.deadline.budget(),
+                        scored.len(),
+                        total
+                    ));
+                    break;
+                }
+                Err(panic) => return Err(span.panicked(panic)),
             }
-            None => opts.clone(),
-        };
+        }
+        span.tag("scored", format!("{}/{total}", scored.len()));
+        span.tag("approximate", prune_sample.is_some().to_string());
+        span.end();
+        if scored.is_empty() {
+            // Deadline hit before anything was scored: nothing servable.
+            return Err(ActionError::TimedOut {
+                budget: self.deadline.budget(),
+                completed: 0,
+                total,
+            });
+        }
+        Ok(scored)
+    }
+
+    /// Score one candidate; `Ok(None)` once the deadline has expired.
+    fn score_one(&self, cand: Candidate, prune_sample: Option<&DataFrame>) -> Slot<Option<Scored>> {
+        if self.deadline.expired() {
+            return (Ok(None), Vec::new());
+        }
+        let (copts, csink) = candidate_opts(&self.opts);
         // Candidates pinned to their own frame (history/structure actions)
         // are scored on that frame; others use the sample when pruning.
         let (frame, approx): (&DataFrame, bool) = match (&cand.frame, prune_sample) {
             (Some(f), _) => (f, false),
             (None, Some(s)) => (s, true),
-            (None, None) => (ctx.df, false),
+            (None, None) => (&self.pass.df, false),
         };
-        let outcome = match isolate(action.name(), || action.score(&cand.spec, frame, &copts)) {
-            Ok(s) => ScoreOutcome::Scored(cand, s, approx),
-            Err(e) => ScoreOutcome::Panicked(e),
-        };
-        (outcome, csink)
-    });
-    let mut scored: Vec<(Candidate, f64, bool)> = Vec::with_capacity(total);
-    let mut degraded_reason: Option<String> = None;
-    for (outcome, csink) in outcomes {
-        // Replay this candidate's events before settling its outcome — the
-        // order a sequential run would have recorded them in.
-        if let Some(s) = &csink {
-            degrade_events += emit(drain_sink(s));
-        }
-        match outcome {
-            ScoreOutcome::Scored(cand, score, approx) => scored.push((cand, score, approx)),
-            ScoreOutcome::Expired => {
-                degraded_reason = Some(format!(
-                    "budget {:?} exhausted after scoring {}/{} candidates",
-                    deadline.budget(),
-                    scored.len(),
-                    total
-                ));
-                break;
-            }
-            ScoreOutcome::Panicked(e) => {
-                if let (Some(t), Some(id)) = (trace, score_span) {
-                    t.collector.tag(id, "panicked", "true");
-                    t.collector.end(id);
-                }
-                return Err(e);
-            }
-        }
-    }
-    if let (Some(t), Some(id)) = (trace, score_span) {
-        t.collector
-            .tag(id, "scored", format!("{}/{total}", scored.len()));
-        t.collector
-            .tag(id, "approximate", prune_sample.is_some().to_string());
-        t.collector.end(id);
-    }
-    if scored.is_empty() {
-        // Deadline hit before anything was scored: nothing servable.
-        return Err(ActionError::TimedOut {
-            budget: deadline.budget(),
-            completed: 0,
-            total,
+        let score = isolate(self.action.name(), || {
+            self.action.score(&cand.spec, frame, &copts)
         });
+        (score.map(|s| Some((cand, s, approx))), drain_sink(&csink))
     }
-    // NaN scores sort last deterministically (an action whose statistic
-    // degenerates must never float to the top of the ranking).
-    scored.sort_by(|a, b| lux_engine::cmp_score_desc(a.1, b.1));
-    scored.truncate(k);
 
-    // Second pass: recompute approximate scores exactly and process the
-    // top-k on the full frame — until the deadline expires, after which the
-    // remaining survivors are served degraded: approximate score kept,
-    // processed against the (cheap) sample so there is still data to draw.
-    // Like scoring, survivors process as pool tasks into per-index slots;
-    // each task re-checks the deadline itself, so without deadline pressure
-    // every thread count takes the exact path on every survivor.
-    let process_span = trace.map(|t| t.child("process"));
-    if let (Some(t), Some(id)) = (trace, process_span) {
-        t.collector.tag(id, "par", par.to_string());
+    /// Stage 4: rank by first-pass score and keep the top k. NaN scores sort
+    /// last deterministically (an action whose statistic degenerates must
+    /// never float to the top of the ranking).
+    fn select_top_k(&self, mut scored: Vec<Scored>) -> Vec<Scored> {
+        scored.sort_by(|a, b| lux_engine::cmp_score_desc(a.1, b.1));
+        scored.truncate(self.pass.config.top_k);
+        scored
     }
-    enum ProcOutcome {
-        Exact(Result<Vis>),
-        Degraded(Vis),
-        Panicked(ActionError),
-    }
-    let already_degraded = degraded_reason.is_some();
-    let proc_outcomes = lux_engine::parallel_map(par, scored, |_, (cand, score, approx)| {
-        let csink = governed.then(event_sink);
-        let copts = match &csink {
-            Some(s) => {
-                let mut c = opts.clone();
-                c.event_sink = Some(s.clone());
-                c
+
+    /// Stage 5, second pass: recompute approximate scores exactly and
+    /// process the top-k on the full frame — until the deadline expires,
+    /// after which the remaining survivors are served degraded: approximate
+    /// score kept, processed against the (cheap) sample so there is still
+    /// data to draw. Like scoring, survivors process as pool tasks into
+    /// per-index slots; each task re-checks the deadline itself, so without
+    /// deadline pressure every thread count takes the exact path on every
+    /// survivor.
+    fn process(mut self, survivors: Vec<Scored>) -> Outcome {
+        let par = self.pass.config.effective_threads();
+        let span = self.trace.child("process");
+        span.tag("par", par.to_string());
+        let already_degraded = self.degraded_reason.is_some();
+        let outcomes = lux_engine::parallel_map(par, survivors, |_, survivor| {
+            self.process_one(survivor, already_degraded)
+        });
+        let mut visses: Vec<Vis> = Vec::with_capacity(outcomes.len());
+        let mut last_processing_error: Option<String> = None;
+        for (outcome, events) in outcomes {
+            self.replay(events);
+            match outcome.map_err(|panic| span.panicked(panic))? {
+                Processed::Exact(Ok(vis)) => visses.push(vis),
+                // fail-safe: drop the broken vis, keep the rest
+                Processed::Exact(Err(e)) => last_processing_error = Some(e.to_string()),
+                Processed::Degraded(vis) => {
+                    if self.degraded_reason.is_none() {
+                        self.degraded_reason = Some(format!(
+                            "budget {:?} exhausted during exact processing; remaining results are sample-approximated",
+                            self.deadline.budget()
+                        ));
+                    }
+                    visses.push(vis);
+                }
             }
-            None => opts.clone(),
-        };
+        }
+        span.tag("processed", visses.len().to_string());
+        span.tag("degraded", self.degraded_reason.is_some().to_string());
+        span.end();
+        if visses.is_empty() {
+            return Err(ActionError::Processing(
+                last_processing_error
+                    .unwrap_or_else(|| "every candidate failed processing".to_string()),
+            ));
+        }
+        Ok(Some(self.into_result(visses)))
+    }
+
+    fn process_one(
+        &self,
+        (cand, score, approx): Scored,
+        already_degraded: bool,
+    ) -> Slot<Processed> {
+        let name = self.action.name();
+        let (copts, csink) = candidate_opts(&self.opts);
         let Candidate {
             spec,
             frame: pinned,
         } = cand;
-        let outcome = if !already_degraded && !deadline.expired() {
-            let frame: &DataFrame = pinned.as_deref().unwrap_or(ctx.df);
-            match isolate(action.name(), || -> Result<Vis> {
+        let outcome = if !already_degraded && !self.deadline.expired() {
+            let frame: &DataFrame = pinned.as_deref().unwrap_or(&self.pass.df);
+            isolate(name, || -> Result<Vis> {
                 let exact = if approx {
-                    action.score(&spec, frame, &copts)
+                    self.action.score(&spec, frame, &copts)
                 } else {
                     score
                 };
@@ -391,505 +522,410 @@ fn execute_prepared(
                 vis.approximate = false;
                 vis.process(frame, &copts)?;
                 Ok(vis)
-            }) {
-                Ok(r) => ProcOutcome::Exact(r),
-                Err(e) => ProcOutcome::Panicked(e),
-            }
+            })
+            .map(Processed::Exact)
         } else {
             // Degraded path: best-effort processing against the pinned
             // frame or the sample; score-only (no data) when neither works.
             let mut vis = Vis::new(spec);
             vis.score = score;
             vis.approximate = true;
-            if let Some(frame) = pinned.as_deref().or(sample) {
-                let _ = isolate(action.name(), || vis.process(frame, &copts));
+            if let Some(frame) = pinned.as_deref().or(self.pass.sample.as_deref()) {
+                let _ = isolate(name, || vis.process(frame, &copts));
             }
-            ProcOutcome::Degraded(vis)
+            Ok(Processed::Degraded(vis))
         };
-        (outcome, csink)
-    });
-    let mut visses: Vec<Vis> = Vec::with_capacity(proc_outcomes.len());
-    let mut last_processing_error: Option<String> = None;
-    let mut expired_during_processing = false;
-    for (outcome, csink) in proc_outcomes {
-        if let Some(s) = &csink {
-            degrade_events += emit(drain_sink(s));
-        }
-        match outcome {
-            ProcOutcome::Exact(Ok(vis)) => visses.push(vis),
-            // fail-safe: drop the broken vis, keep the rest
-            ProcOutcome::Exact(Err(e)) => last_processing_error = Some(e.to_string()),
-            ProcOutcome::Degraded(vis) => {
-                if !already_degraded {
-                    expired_during_processing = true;
-                }
-                visses.push(vis);
-            }
-            ProcOutcome::Panicked(e) => {
-                if let (Some(t), Some(id)) = (trace, process_span) {
-                    t.collector.tag(id, "panicked", "true");
-                    t.collector.end(id);
-                }
-                return Err(e);
-            }
-        }
+        (outcome, drain_sink(&csink))
     }
-    if expired_during_processing && degraded_reason.is_none() {
-        degraded_reason = Some(format!(
-            "budget {:?} exhausted during exact processing; remaining results are sample-approximated",
-            deadline.budget()
-        ));
-    }
-    if let (Some(t), Some(id)) = (trace, process_span) {
-        t.collector.tag(id, "processed", visses.len().to_string());
-        t.collector
-            .tag(id, "degraded", degraded_reason.is_some().to_string());
-        t.collector.end(id);
-    }
-    if visses.is_empty() {
-        return Err(ActionError::Processing(
-            last_processing_error
-                .unwrap_or_else(|| "every candidate failed processing".to_string()),
-        ));
-    }
-    let mut vislist = VisList::new(visses);
-    vislist.rank();
 
-    // Governor degradations during scoring/processing (group caps, shrunk
-    // scans, ...) surface on the result even though the deadline never
-    // fired: the tab is marked degraded with the governor's reasons.
-    if governed {
-        if degrade_events > 0 {
-            governor_notes.push(format!(
-                "resource governor degraded {degrade_events} processing step(s)"
+    /// Rank the processed survivors and fold what the stages accumulated —
+    /// deadline degradation, governor notes, SQL retries — into the result.
+    fn into_result(mut self, visses: Vec<Vis>) -> ActionResult {
+        let mut vislist = VisList::new(visses);
+        vislist.rank();
+        // Governor degradations during scoring/processing (group caps,
+        // shrunk scans, ...) surface on the result even though the deadline
+        // never fired: the tab is marked degraded with the governor's
+        // reasons.
+        if self.degrade_events > 0 {
+            self.governor_notes.push(format!(
+                "resource governor degraded {} processing step(s)",
+                self.degrade_events
             ));
         }
-        if let Some(t) = trace {
-            t.tag("governor.events", degrade_events.to_string());
+        self.trace
+            .tag("governor.events", self.degrade_events.to_string());
+        // Surface transient SQL retries on the action span (the
+        // retry-with-backoff wrapper counts attempts into this cell).
+        if let Some(attempts) = &self.opts.sql_attempts {
+            let n = attempts.load(Ordering::Relaxed);
+            if n > 0 {
+                self.trace.tag("sql.retries", n.to_string());
+            }
+        }
+        // The deadline's reason first, then the governor's.
+        let mut reasons: Vec<String> = self.degraded_reason.into_iter().collect();
+        reasons.extend(self.governor_notes);
+        let degraded_reason = (!reasons.is_empty()).then(|| reasons.join("; "));
+        ActionResult {
+            action: self.action.name().to_string(),
+            class: self.action.class(),
+            vislist,
+            estimated_cost: self.estimated_cost,
+            elapsed: clock::elapsed(self.started).as_secs_f64(),
+            degraded: degraded_reason.is_some(),
+            degraded_reason,
         }
     }
-    // Surface transient SQL retries on the action span (satellite: the
-    // retry-with-backoff wrapper counts attempts into this cell).
-    if let (Some(t), Some(attempts)) = (trace, &sql_attempts) {
-        let n = attempts.load(std::sync::atomic::Ordering::Relaxed);
-        if n > 0 {
-            t.tag("sql.retries", n.to_string());
-        }
-    }
-    let degraded = degraded_reason.is_some() || !governor_notes.is_empty();
-    let degraded_reason = match (degraded_reason, governor_notes.is_empty()) {
-        (Some(r), true) => Some(r),
-        (Some(r), false) => Some(format!("{r}; {}", governor_notes.join("; "))),
-        (None, false) => Some(governor_notes.join("; ")),
-        (None, true) => None,
-    };
+}
 
-    Ok(Some(ActionResult {
-        action: action.name().to_string(),
-        class: action.class(),
-        vislist,
-        estimated_cost,
-        elapsed: clock::elapsed(start).as_secs_f64(),
-        degraded,
-        degraded_reason,
-    }))
+/// One survivor after stage 5: processed exactly (or failed to), or served
+/// degraded once the deadline had expired.
+enum Processed {
+    Exact(Result<Vis>),
+    Degraded(Vis),
 }
 
 /// Execute one action end-to-end under the fault model: generate, score
 /// (approximately when PRUNE applies), rank, keep top-k, and process the
-/// survivors exactly. `Ok(None)` means the action generated no candidates
-/// (an invisible empty tab, not a fault).
-pub fn execute_action_guarded(
-    action: &dyn Action,
-    ctx: &ActionContext<'_>,
-    sample: Option<&DataFrame>,
-    model: &CostModel,
-) -> std::result::Result<Option<ActionResult>, ActionError> {
-    execute_action_traced(action, ctx, sample, model, None)
-}
-
-/// [`execute_action_guarded`] with an optional trace attachment: records a
-/// `generate` phase span plus the score/process spans and decision tags of
-/// [`execute_prepared`] under the action's span.
-pub fn execute_action_traced(
-    action: &dyn Action,
-    ctx: &ActionContext<'_>,
-    sample: Option<&DataFrame>,
-    model: &CostModel,
-    trace: Option<&TraceCtx>,
-) -> std::result::Result<Option<ActionResult>, ActionError> {
-    execute_action_governed(action, ctx, sample, model, trace, None)
-}
-
-/// [`execute_action_traced`] with an optional resource governor: candidate
-/// enumeration is capped at `config.budget.max_candidates`, processing runs
-/// with the governor attached (group-cardinality caps, scan shrinking), and
-/// any degradation surfaces on the result and the trace.
-pub fn execute_action_governed(
-    action: &dyn Action,
-    ctx: &ActionContext<'_>,
-    sample: Option<&DataFrame>,
-    model: &CostModel,
-    trace: Option<&TraceCtx>,
-    governor: Option<&Arc<BudgetHandle>>,
-) -> std::result::Result<Option<ActionResult>, ActionError> {
-    let candidates = match trace {
-        Some(t) => {
-            let gen_span = t.child("generate");
-            let generated = generate_isolated(action, ctx);
-            match &generated {
-                Ok(c) => t.collector.tag(gen_span, "candidates", c.len().to_string()),
-                Err(_) => t.collector.tag(gen_span, "failed", "true"),
-            }
-            t.collector.end(gen_span);
-            generated?
-        }
-        None => generate_isolated(action, ctx)?,
-    };
-    execute_prepared(
-        action, ctx, sample, model, candidates, trace, governor, None,
-    )
-}
-
-/// Fault-blind convenience wrapper around [`execute_action_guarded`]:
-/// failures of any kind collapse to `None`.
+/// survivors exactly. Phase spans and decision tags are recorded under
+/// `trace` (the action's own span); governor degradations buffer in
+/// `events` for the caller to replay. `Ok(None)` means the action generated
+/// no candidates (an invisible empty tab, not a fault).
 pub fn execute_action(
     action: &dyn Action,
-    ctx: &ActionContext<'_>,
-    sample: Option<&DataFrame>,
-    model: &CostModel,
-) -> Option<ActionResult> {
-    execute_action_guarded(action, ctx, sample, model)
-        .ok()
-        .flatten()
-}
-
-/// Derive the health status for a delivered result.
-fn delivery_status(result: &ActionResult) -> ActionStatus {
-    match &result.degraded_reason {
-        Some(reason) if result.degraded => ActionStatus::Degraded(reason.clone()),
-        _ if result.degraded => ActionStatus::Degraded("partial results".to_string()),
-        _ => ActionStatus::Ok,
-    }
-}
-
-/// Record the always-on metrics and (when attached) the closing span tags
-/// for one settled action. Shared by the borrowing and streaming paths so
-/// counters agree regardless of execution mode. `tripped` is whether the
-/// failure left the circuit breaker open.
-fn settle_observability(
-    outcome: &std::result::Result<Option<ActionResult>, ActionError>,
-    tripped: bool,
-    span: Option<(&TraceCollector, SpanId)>,
-) {
-    let metrics = MetricsRegistry::global();
-    match outcome {
-        Ok(Some(result)) => {
-            metrics.incr(if result.degraded {
-                metric::ACTIONS_DEGRADED
-            } else {
-                metric::ACTIONS_OK
-            });
-            metrics.observe(
-                metric::ACTION_LATENCY,
-                Duration::from_secs_f64(result.elapsed),
-            );
-            if let Some((collector, id)) = span {
-                collector.tag(
-                    id,
-                    "status",
-                    if result.degraded { "degraded" } else { "ok" },
-                );
-                collector.tag(id, "cost.actual_ms", format!("{:.2}", result.elapsed * 1e3));
-                if let Some(reason) = &result.degraded_reason {
-                    collector.tag(id, "degraded.reason", reason.clone());
-                }
-                collector.end(id);
-            }
-        }
-        Ok(None) => {
-            metrics.incr(metric::ACTIONS_OK);
-            if let Some((collector, id)) = span {
-                collector.tag(id, "status", "empty");
-                collector.end(id);
-            }
-        }
-        Err(err) => {
-            metrics.incr(metric::ACTIONS_FAILED);
-            if tripped {
-                metrics.incr(metric::BREAKER_TRIPS);
-            }
-            if let Some((collector, id)) = span {
-                collector.tag(id, "status", "failed");
-                collector.tag(id, "error", err.to_string());
-                collector.end(id);
-            }
-        }
-    }
-}
-
-/// Fold one guarded-execution outcome into the report, the breaker, the
-/// metrics registry/trace, and the caller's streaming callback.
-fn absorb_outcome(
-    name: &str,
-    outcome: std::result::Result<Option<ActionResult>, ActionError>,
-    report: &mut RunReport,
-    breaker: &CircuitBreaker,
-    threshold: u32,
-    on_result: &mut Option<&mut dyn FnMut(&ActionResult)>,
-    span: Option<(&TraceCollector, SpanId)>,
-) {
-    let tripped = match &outcome {
-        // Degraded still counts as delivery for the breaker: the action
-        // is healthy, the budget was just too tight for exact results.
-        Ok(_) => {
-            breaker.record_success(name);
-            false
-        }
-        Err(err) => breaker.record_failure(name, &err.to_string(), threshold),
+    pass: &Pass,
+    trace: &TraceCtx,
+    events: &EventSink,
+) -> std::result::Result<Option<ActionResult>, ActionError> {
+    let mut run = ActionRun::open(action, pass, trace, events);
+    let Some(candidates) = run.enumerate()? else {
+        return Ok(None);
     };
-    settle_observability(&outcome, tripped, span);
-    match outcome {
-        Ok(Some(result)) => {
-            report
-                .health
-                .push(ActionHealth::new(name, delivery_status(&result)));
-            if let Some(cb) = on_result.as_deref_mut() {
-                cb(&result);
-            }
-            report.results.push(result);
-        }
-        // No candidates: not a fault, and (as before the fault layer) not a
-        // visible tab either — no health entry.
-        Ok(None) => {}
-        Err(err) => {
-            report.health.push(ActionHealth::new(
-                name,
-                ActionStatus::Failed(err.to_string()),
-            ));
-        }
-    }
+    let prune_sample = run.prune_gate(&candidates);
+    let scored = run.score(candidates, prune_sample)?;
+    let survivors = run.select_top_k(scored);
+    run.process(survivors)
 }
 
-/// Run every applicable action under the fault model and return both the
-/// healthy results and the per-action health ledger.
+// ---------------------------------------------------------------------
+// The pass: gate → dispatch → settle
+// ---------------------------------------------------------------------
+
+/// A recommendation run whose results stream as actions settle.
 ///
-/// With `config.async` the actions run on scoped worker threads scheduled
-/// cheapest-first and `on_result` fires as each completes (streaming, as in
-/// the paper); otherwise they run sequentially cheapest-first. Results are
-/// ordered by estimated cost. Note the scoped (borrowing) path has panic
-/// isolation and cooperative deadlines but no hard cutoff — an action that
-/// blocks inside one call can delay the pass; the owned path
-/// ([`run_actions_streaming`]) additionally abandons hung workers.
-pub fn run_actions_report(
-    registry: &ActionRegistry,
-    ctx: &ActionContext<'_>,
-    sample: Option<&DataFrame>,
-    on_result: Option<&mut dyn FnMut(&ActionResult)>,
-) -> RunReport {
-    run_actions_report_traced(registry, ctx, sample, on_result, None)
+/// This is the ASYNC optimization as the user experiences it (paper §8.2):
+/// "recommendation results can be streamed into the frontend widget as the
+/// computation for each action completes ... instead of incurring a high
+/// wait time". Results arrive on one channel, per-action health on another;
+/// under ASYNC a collector thread enforces the hard wall-clock cutoff —
+/// workers that outlive it are abandoned (they finish on their own and
+/// their sends fail harmlessly) and reported as failed. Dropping the handle
+/// likewise detaches everything cleanly. Without ASYNC every action has
+/// already settled by the time the handle is returned.
+pub struct StreamingRun {
+    /// Each result with its dispatch index.
+    results: mpsc::Receiver<(usize, ActionResult)>,
+    health: mpsc::Receiver<ActionHealth>,
+    expected: usize,
 }
 
-/// [`run_actions_report`] with an optional trace attachment: every action
-/// gets an `action:<name>` span under the given parent — begun when the
-/// action is queued for generation, ended when its outcome settles — that
-/// carries the generate/score/process phase spans, the PRUNE/deadline
-/// decision tags, and the cheapest-first `sched.order` index.
-pub fn run_actions_report_traced(
-    registry: &ActionRegistry,
-    ctx: &ActionContext<'_>,
-    sample: Option<&DataFrame>,
-    on_result: Option<&mut dyn FnMut(&ActionResult)>,
-    trace: Option<(&Arc<TraceCollector>, SpanId)>,
-) -> RunReport {
-    run_actions_report_governed(registry, ctx, sample, on_result, trace, None)
-}
+impl StreamingRun {
+    /// Receive the next completed action (blocks). `None` once all done.
+    pub fn next_result(&self) -> Option<ActionResult> {
+        self.results.recv().ok().map(|(_, result)| result)
+    }
 
-/// [`run_actions_report_traced`] with an optional per-pass resource
-/// governor shared by every action in the pass (see
-/// `lux_engine::governor`): allocation-heavy steps degrade against the
-/// shared budget instead of exhausting memory.
-pub fn run_actions_report_governed(
-    registry: &ActionRegistry,
-    ctx: &ActionContext<'_>,
-    sample: Option<&DataFrame>,
-    mut on_result: Option<&mut dyn FnMut(&ActionResult)>,
-    trace: Option<(&Arc<TraceCollector>, SpanId)>,
-    governor: Option<&Arc<BudgetHandle>>,
-) -> RunReport {
-    let model = CostModel::default();
-    let breaker = registry.breaker();
-    breaker.begin_frame();
-    let threshold = ctx.config.breaker_threshold;
-    let mut report = RunReport::default();
-    let span_ref = |s: Option<SpanId>| {
-        trace.and_then(|(c, _)| s.map(|id| (c.as_ref() as &TraceCollector, id)))
-    };
+    /// How many actions were dispatched (disabled actions are not).
+    pub fn expected(&self) -> usize {
+        self.expected
+    }
 
-    // Breaker gate, then one isolated generation pass per action: the
-    // candidates drive both the cheapest-first schedule and execution (so
-    // generation runs exactly once per action per pass).
-    let mut prepared: Vec<(Arc<dyn Action>, Vec<Candidate>, f64, Option<SpanId>)> = Vec::new();
-    for action in registry.applicable(ctx) {
-        match breaker.decision(action.name(), ctx.config.breaker_cooldown) {
-            BreakerDecision::Skip(reason) => {
-                MetricsRegistry::global().incr(metric::ACTIONS_DISABLED);
-                if let Some((collector, parent)) = trace {
-                    let id = collector.begin(Some(parent), &format!("action:{}", action.name()));
-                    collector.tag(id, "status", "disabled");
-                    collector.end(id);
-                }
-                report.health.push(ActionHealth::new(
-                    action.name(),
-                    ActionStatus::Disabled(reason),
-                ));
-                continue;
-            }
-            BreakerDecision::Run | BreakerDecision::Probe => {}
-        }
-        let span = trace.map(|(collector, parent)| {
-            collector.begin(Some(parent), &format!("action:{}", action.name()))
+    /// Drain everything (blocks until all workers finish or the hard cutoff
+    /// abandons them) and return results plus the health ledger. Results
+    /// are in deterministic display order: cheapest action first (NaN costs
+    /// last), equal costs in dispatch order — never in the order the
+    /// workers happened to finish.
+    pub fn collect_report(self) -> RunReport {
+        let mut results: Vec<(usize, ActionResult)> = self.results.iter().collect();
+        results.sort_by(|(a_order, a), (b_order, b)| {
+            lux_engine::cmp_cost_asc(a.estimated_cost, b.estimated_cost).then(a_order.cmp(b_order))
         });
-        let gen_span =
-            span.and_then(|s| trace.map(|(collector, _)| collector.begin(Some(s), "generate")));
-        let generated = generate_isolated(action.as_ref(), ctx);
-        if let (Some((collector, _)), Some(g)) = (trace, gen_span) {
-            if let Ok(candidates) = &generated {
-                collector.tag(g, "candidates", candidates.len().to_string());
-            }
-            collector.end(g);
-        }
-        match generated {
-            Ok(candidates) if candidates.is_empty() => absorb_outcome(
-                action.name(),
-                Ok(None),
-                &mut report,
-                breaker,
-                threshold,
-                &mut on_result,
-                span_ref(span),
-            ),
-            Ok(candidates) => {
-                let cost = estimate_action(&candidates, ctx.meta, ctx.df.num_rows(), &model);
-                prepared.push((action, candidates, cost, span));
-            }
-            Err(err) => absorb_outcome(
-                action.name(),
-                Err(err),
-                &mut report,
-                breaker,
-                threshold,
-                &mut on_result,
-                span_ref(span),
-            ),
-        }
-    }
-    prepared.sort_by(|a, b| lux_engine::cmp_cost_asc(a.2, b.2));
-    if let Some((collector, _)) = trace {
-        for (order, (_, _, _, span)) in prepared.iter().enumerate() {
-            if let Some(id) = span {
-                collector.tag(*id, "sched.order", order.to_string());
-            }
-        }
+        let results = results.into_iter().map(|(_, result)| result).collect();
+        let health = self.health.iter().collect();
+        RunReport { results, health }
     }
 
-    let par = ctx.config.effective_threads();
-    if ctx.config.r#async && par > 1 && prepared.len() > 1 {
-        // Cheapest-first dispatch as work-pool fork-join tasks (the caller
-        // participates while waiting); outcomes land in per-action slots
-        // and are absorbed in schedule order, so the report — results,
-        // health ledger, callbacks — is identical to the sequential path.
-        let outcomes =
-            lux_engine::parallel_map(par, prepared, |_, (action, candidates, _, span)| {
-                let tctx = match (trace, span) {
-                    (Some((collector, _)), Some(id)) => {
-                        Some(TraceCtx::new(Arc::clone(collector), id))
-                    }
-                    _ => None,
-                };
-                if let Some(t) = &tctx {
-                    t.tag(
-                        "sched.worker",
-                        match lux_engine::worker_index() {
-                            Some(w) => w.to_string(),
-                            None => "caller".to_string(),
-                        },
-                    );
-                }
-                // Per-action event sink: governor degradations buffer here and
-                // are replayed onto the handle in schedule order below, so the
-                // pass's event list matches the sequential path exactly.
-                let asink = governor.is_some().then(event_sink);
-                let outcome = execute_prepared(
-                    action.as_ref(),
-                    ctx,
-                    sample,
-                    &model,
-                    candidates,
-                    tctx.as_ref(),
-                    governor,
-                    asink.as_ref(),
-                );
-                (action, outcome, span, asink)
-            });
-        for (action, outcome, span, asink) in outcomes {
-            if let (Some(g), Some(s)) = (governor, &asink) {
-                g.absorb(drain_sink(s));
-            }
-            absorb_outcome(
-                action.name(),
-                outcome,
-                &mut report,
-                breaker,
-                threshold,
-                &mut on_result,
-                span_ref(span),
-            );
-        }
-    } else {
-        for (action, candidates, _, span) in prepared {
-            let tctx = match (trace, span) {
-                (Some((collector, _)), Some(id)) => Some(TraceCtx::new(Arc::clone(collector), id)),
-                _ => None,
-            };
-            let outcome = execute_prepared(
-                action.as_ref(),
-                ctx,
-                sample,
-                &model,
-                candidates,
-                tctx.as_ref(),
-                governor,
-                None,
-            );
-            absorb_outcome(
-                action.name(),
-                outcome,
-                &mut report,
-                breaker,
-                threshold,
-                &mut on_result,
-                span_ref(span),
-            );
-        }
+    /// Drain every remaining result (blocks until all workers finish).
+    pub fn collect_all(self) -> Vec<ActionResult> {
+        self.collect_report().results
     }
 
-    // Deterministic display order: cheapest action first (NaN costs last).
-    report
-        .results
-        .sort_by(|a, b| lux_engine::cmp_cost_asc(a.estimated_cost, b.estimated_cost));
-    report
+    /// A run that was refused admission: no actions dispatched, channels
+    /// already closed, and a single health entry carrying the shed reason
+    /// so report consumers see *why* nothing ran instead of an empty
+    /// report that looks like success.
+    pub fn shed(reason: &str) -> StreamingRun {
+        let (_results_tx, results) = mpsc::channel();
+        let (health_tx, health) = mpsc::channel::<ActionHealth>();
+        let _ = health_tx.send(ActionHealth::new(
+            "recommendations",
+            ActionStatus::Failed(format!("shed by admission control: {reason}")),
+        ));
+        StreamingRun {
+            results,
+            health,
+            expected: 0,
+        }
+    }
 }
 
-/// Run every applicable action, returning only the healthy results (the
-/// pre-fault-layer surface; health is discarded).
-pub fn run_actions(
-    registry: &ActionRegistry,
-    ctx: &ActionContext<'_>,
-    sample: Option<&DataFrame>,
-    on_result: Option<&mut dyn FnMut(&ActionResult)>,
-) -> Vec<ActionResult> {
-    run_actions_report(registry, ctx, sample, on_result).results
+/// One dispatched action as the settling side sees it.
+struct Dispatched {
+    /// Position in dispatch (registry) order.
+    order: usize,
+    name: String,
+    /// The action's span: queued at dispatch, ended when it settles.
+    trace: TraceCtx,
+    /// The action's governor events, buffered until the pass closes.
+    sink: EventSink,
+}
+
+/// The settling side of a pass — the collector thread under ASYNC, the
+/// caller otherwise: it owns the breaker bookkeeping, the `lux.actions.*`
+/// metrics, the closing span tags, and the run's sending ends, so health
+/// stays correct even when the consumer drops the [`StreamingRun`] undrained.
+struct Settler {
+    breaker: Arc<CircuitBreaker>,
+    threshold: u32,
+    results: mpsc::Sender<(usize, ActionResult)>,
+    health: mpsc::Sender<ActionHealth>,
+}
+
+impl Settler {
+    /// An action the breaker gate skipped: never dispatched, but visible.
+    fn disabled(&self, parent: &TraceCtx, name: &str, reason: String) {
+        MetricsRegistry::global().incr(metric::ACTIONS_DISABLED);
+        let span = parent.child(&format!("action:{name}"));
+        span.tag("status", "disabled");
+        span.end();
+        let health = ActionHealth::new(name, ActionStatus::Disabled(reason));
+        let _ = self.health.send(health);
+    }
+
+    /// Settle one finished action: breaker, metrics, span, delivery.
+    fn settle(&self, action: &Dispatched, outcome: Outcome) {
+        let metrics = MetricsRegistry::global();
+        let result = match outcome {
+            Ok(delivered) => {
+                // Degraded still counts as delivery for the breaker: the
+                // action is healthy, the budget was just too tight for
+                // exact results.
+                self.breaker.record_success(&action.name);
+                delivered
+            }
+            Err(err) => return self.fail(action, "failed", err.to_string()),
+        };
+        let Some(result) = result else {
+            // No candidates: not a fault, and (as before the fault layer)
+            // not a visible tab either — no health entry.
+            metrics.incr(metric::ACTIONS_OK);
+            action.trace.tag("status", "empty");
+            action.trace.end();
+            return;
+        };
+        let status = if result.degraded { "degraded" } else { "ok" };
+        metrics.incr(if result.degraded {
+            metric::ACTIONS_DEGRADED
+        } else {
+            metric::ACTIONS_OK
+        });
+        metrics.observe(
+            metric::ACTION_LATENCY,
+            Duration::from_secs_f64(result.elapsed),
+        );
+        action.trace.tag("status", status);
+        action
+            .trace
+            .tag("cost.actual_ms", format!("{:.2}", result.elapsed * 1e3));
+        if let Some(reason) = &result.degraded_reason {
+            action.trace.tag("degraded.reason", reason.clone());
+        }
+        action.trace.end();
+        let health = match &result.degraded_reason {
+            Some(reason) if result.degraded => ActionStatus::Degraded(reason.clone()),
+            _ if result.degraded => ActionStatus::Degraded("partial results".to_string()),
+            _ => ActionStatus::Ok,
+        };
+        let _ = self.health.send(ActionHealth::new(&action.name, health));
+        let _ = self.results.send((action.order, result));
+    }
+
+    /// Settle an action that produced nothing: it failed (`status`
+    /// `"failed"`) or was abandoned at the hard cutoff (`"abandoned"`).
+    fn fail(&self, action: &Dispatched, status: &str, reason: String) {
+        let metrics = MetricsRegistry::global();
+        metrics.incr(metric::ACTIONS_FAILED);
+        let tripped = self
+            .breaker
+            .record_failure(&action.name, &reason, self.threshold);
+        if tripped {
+            metrics.incr(metric::BREAKER_TRIPS);
+        }
+        action.trace.tag("status", status);
+        action.trace.tag("error", reason.clone());
+        action.trace.end();
+        let health = ActionHealth::new(&action.name, ActionStatus::Failed(reason));
+        let _ = self.health.send(health);
+    }
+}
+
+/// Run every applicable action of `registry` over `pass`.
+///
+/// With `config.async` each action runs as a detached pool task and the
+/// call returns immediately: results arrive in completion order — cheap
+/// actions naturally finish first, giving the paper's cheapest-first
+/// experience without blocking dispatch on a cost pre-pass (which would
+/// re-introduce a hang window: even `generate` runs on the worker, so a
+/// hung action cannot stall the caller). Without it the same task runs
+/// inline on the caller, in dispatch order, under panic isolation and
+/// cooperative deadlines but no hard cutoff — an action that blocks inside
+/// one call delays the pass.
+pub fn run_pass(registry: &ActionRegistry, pass: Pass) -> StreamingRun {
+    let (results_tx, results) = mpsc::channel();
+    let (health_tx, health) = mpsc::channel();
+    let settler = Settler {
+        breaker: Arc::clone(registry.breaker()),
+        threshold: pass.config.breaker_threshold,
+        results: results_tx,
+        health: health_tx,
+    };
+    settler.breaker.begin_frame();
+
+    // Applicability checks and the breaker gate run on the caller: both are
+    // metadata-only (no user compute) and must see the registry borrow.
+    let mut runnable: Vec<Arc<dyn Action>> = Vec::new();
+    for action in registry.applicable(&pass.action_context()) {
+        let cooldown = pass.config.breaker_cooldown;
+        match settler.breaker.decision(action.name(), cooldown) {
+            BreakerDecision::Skip(reason) => settler.disabled(&pass.trace, action.name(), reason),
+            BreakerDecision::Run | BreakerDecision::Probe => runnable.push(action),
+        }
+    }
+    let expected = runnable.len();
+
+    let (worker_tx, worker_rx) = mpsc::channel::<(usize, Outcome)>();
+    let mut dispatched: Vec<Dispatched> = Vec::with_capacity(expected);
+    for (order, action) in runnable.into_iter().enumerate() {
+        let trace = pass.trace.child(&format!("action:{}", action.name()));
+        trace.tag("sched.order", order.to_string());
+        let sink = event_sink();
+        dispatched.push(Dispatched {
+            order,
+            name: action.name().to_string(),
+            trace: trace.clone(),
+            sink: sink.clone(),
+        });
+        if !pass.config.r#async {
+            let outcome = execute_action(action.as_ref(), &pass, &trace, &sink);
+            settler.settle(&dispatched[order], outcome);
+            continue;
+        }
+        let pass = pass.clone();
+        let worker_tx = worker_tx.clone();
+        // Detached-lane pool task rather than a dedicated thread: cheap
+        // actions reuse warm threads instead of paying a spawn each, while
+        // a task abandoned at the hard cutoff only parks its own lane
+        // thread — it can never occupy the fixed work-stealing workers that
+        // run the per-vis fan-out inside healthy actions.
+        lux_engine::pool::global().spawn_detached(Box::new(move || {
+            let worker = lux_engine::worker_index();
+            trace.tag(
+                "sched.worker",
+                worker.map_or("caller".to_string(), |w| w.to_string()),
+            );
+            let outcome = execute_action(action.as_ref(), &pass, &trace, &sink);
+            // Release this worker's pass clone — and with it its
+            // governor/ledger handle — *before* signaling completion. The
+            // collector may settle the pass the instant this send lands,
+            // and the caller's budget drop must then be the last one so
+            // the global ledger reflects the pass's exit synchronously.
+            drop(action);
+            drop(pass);
+            let _ = worker_tx.send((order, outcome));
+        }));
+    }
+    drop(worker_tx);
+
+    // The closing half of the pass runs on a detached collector thread
+    // under ASYNC, so the caller gets its handle immediately, and inline
+    // otherwise (where every action has settled already).
+    let (r#async, action_budget) = (pass.config.r#async, pass.config.action_budget);
+    let governor = Arc::clone(&pass.governor);
+    let permit = pass.permit.clone();
+    let close = move || {
+        if r#async {
+            collect(&settler, &dispatched, worker_rx, action_budget);
+        }
+        // Every action has settled or been abandoned: free the session slot.
+        drop(permit);
+        // Replay the buffered governor events onto the pass handle in
+        // dispatch order — whatever order the actions finished in — and only
+        // then close the run's channels, so a caller returning from
+        // `collect_report` reads the complete, deterministic event list. The
+        // handle clone goes first: the caller's own drop must be the last
+        // one so the global ledger reflects the pass's exit synchronously.
+        for action in &dispatched {
+            governor.absorb(drain_sink(&action.sink));
+        }
+        drop(governor);
+        drop(settler);
+    };
+    if r#async {
+        std::thread::spawn(close);
+    } else {
+        close();
+    }
+    StreamingRun {
+        results,
+        health,
+        expected,
+    }
+}
+
+/// The ASYNC collector loop: settle outcomes as workers report them, until
+/// all have or the hard cutoff (`action_budget × HARD_CUTOFF_FACTOR`)
+/// passes; whatever is still outstanding then was hung (or its worker died)
+/// — abandon it, charge its breaker, and surface the failure.
+fn collect(
+    settler: &Settler,
+    dispatched: &[Dispatched],
+    worker_rx: mpsc::Receiver<(usize, Outcome)>,
+    action_budget: Option<Duration>,
+) {
+    let hard_budget = action_budget.map(|base| base * CostModel::HARD_CUTOFF_FACTOR);
+    let cutoff = hard_budget.map(|b| clock::now() + b);
+    let mut settled = vec![false; dispatched.len()];
+    while settled.contains(&false) {
+        let left = cutoff.map_or(Duration::MAX, |at| {
+            at.saturating_duration_since(clock::now())
+        });
+        // Timeout: the hard cutoff. Disconnected: a worker died without
+        // reporting (should be unreachable: all action code is isolated).
+        // Either way fall through to cleanup.
+        let Ok((order, outcome)) = worker_rx.recv_timeout(left) else {
+            break;
+        };
+        settler.settle(&dispatched[order], outcome);
+        settled[order] = true;
+    }
+    for (action, _) in dispatched.iter().zip(settled).filter(|(_, done)| !done) {
+        let reason = match hard_budget {
+            Some(b) => format!("exceeded hard deadline ({b:?}); worker abandoned"),
+            None => "worker terminated without reporting".to_string(),
+        };
+        settler.fail(action, "abandoned", reason);
+    }
 }
 
 #[cfg(test)]
@@ -899,34 +935,44 @@ mod tests {
     use crate::fault::{ChaosAction, ChaosMode};
     use crate::metadata_actions::Correlation;
     use std::collections::HashMap;
-    use std::time::Duration;
 
-    fn fixture(rows: usize) -> (DataFrame, FrameMeta, LuxConfig) {
-        let df = DataFrameBuilder::new()
+    fn frame(rows: usize) -> DataFrame {
+        DataFrameBuilder::new()
             .float("a", (0..rows).map(|i| i as f64))
             .float("b", (0..rows).map(|i| (i * 2) as f64))
             .float("c", (0..rows).map(|i| ((i * 7919) % 100) as f64))
-            .str(
-                "dept",
-                (0..rows).map(|i| if i % 2 == 0 { "S" } else { "E" }),
-            )
+            .str("dept", (0..rows).map(|i| ["S", "E"][i % 2]))
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    /// The one fixture every test opens its pass through: a standalone pass
+    /// over `df` (fresh metadata, no intent, no sample).
+    fn pass_over(df: DataFrame, config: LuxConfig) -> Pass {
         let meta = FrameMeta::compute(&df, &HashMap::new());
-        (df, meta, LuxConfig::default())
+        Pass::new(Arc::new(df), Arc::new(meta), Arc::new(config))
+    }
+
+    /// The default config with `tweak` applied.
+    fn config_with(tweak: impl FnOnce(&mut LuxConfig)) -> LuxConfig {
+        let mut config = LuxConfig::default();
+        tweak(&mut config);
+        config
+    }
+
+    fn run_one(action: &dyn Action, pass: &Pass) -> ActionResult {
+        execute_action(action, pass, &pass.trace, &event_sink())
+            .expect("action runs clean")
+            .expect("action has candidates")
+    }
+
+    fn report(registry: &ActionRegistry, pass: Pass) -> RunReport {
+        run_pass(registry, pass).collect_report()
     }
 
     #[test]
     fn execute_correlation_ranks_by_r() {
-        let (df, meta, config) = fixture(100);
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
-        };
-        let r = execute_action(&Correlation, &ctx, None, &CostModel::default()).unwrap();
+        let r = run_one(&Correlation, &pass_over(frame(100), LuxConfig::default()));
         assert_eq!(r.action, "Correlation");
         // a-b are perfectly correlated; that pair must rank first.
         let top = &r.vislist.visualizations[0];
@@ -938,17 +984,9 @@ mod tests {
     }
 
     #[test]
-    fn run_actions_returns_all_classes_on_plain_frame() {
-        let (df, meta, config) = fixture(60);
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
-        };
+    fn run_pass_returns_all_classes_on_plain_frame() {
         let registry = ActionRegistry::with_defaults();
-        let results = run_actions(&registry, &ctx, None, None);
+        let results = report(&registry, pass_over(frame(60), LuxConfig::default())).results;
         let names: Vec<&str> = results.iter().map(|r| r.action.as_str()).collect();
         assert!(names.contains(&"Correlation"));
         assert!(names.contains(&"Distribution"));
@@ -959,27 +997,12 @@ mod tests {
 
     #[test]
     fn async_and_sync_agree_on_content() {
-        let (df, meta, mut config) = fixture(80);
         let registry = ActionRegistry::with_defaults();
-        config.r#async = false;
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
+        let run = |r#async: bool| {
+            let config = config_with(|c| c.r#async = r#async);
+            report(&registry, pass_over(frame(80), config)).results
         };
-        let sync = run_actions(&registry, &ctx, None, None);
-        let mut config2 = config.clone();
-        config2.r#async = true;
-        let ctx2 = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config2,
-        };
-        let asynced = run_actions(&registry, &ctx2, None, None);
+        let (sync, asynced) = (run(false), run(true));
         let names = |rs: &[ActionResult]| rs.iter().map(|r| r.action.clone()).collect::<Vec<_>>();
         assert_eq!(names(&sync), names(&asynced));
         for (a, b) in sync.iter().zip(&asynced) {
@@ -991,52 +1014,35 @@ mod tests {
     }
 
     #[test]
-    fn streaming_callback_fires_per_action() {
-        let (df, meta, config) = fixture(50);
+    fn next_result_yields_once_per_action() {
         let registry = ActionRegistry::with_defaults();
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
-        };
+        // No budget: the collector waits without a hard cutoff.
+        let config = config_with(|c| c.action_budget = None);
+        let run = run_pass(&registry, pass_over(frame(50), config));
         let mut seen = 0usize;
-        let mut cb = |_r: &ActionResult| seen += 1;
-        let results = run_actions(&registry, &ctx, None, Some(&mut cb));
-        assert_eq!(seen, results.len());
+        while run.next_result().is_some() {
+            seen += 1;
+        }
+        assert_eq!(seen, run.expected());
         assert!(seen >= 3);
     }
 
     #[test]
     fn top_k_truncation() {
-        let (df, meta, mut config) = fixture(30);
-        config.top_k = 2;
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
-        };
-        let r = execute_action(&Correlation, &ctx, None, &CostModel::default()).unwrap();
+        let config = config_with(|c| c.top_k = 2);
+        let r = run_one(&Correlation, &pass_over(frame(30), config));
         assert!(r.vislist.len() <= 2);
     }
 
     #[test]
     fn prune_with_sample_keeps_top_pair() {
-        let (df, meta, mut config) = fixture(2000);
-        config.prune = true;
-        config.top_k = 1;
-        let sample = df.sample(100, 7);
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
-        };
-        let r = execute_action(&Correlation, &ctx, Some(&sample), &CostModel::default()).unwrap();
+        let config = config_with(|c| {
+            c.prune = true;
+            c.top_k = 1;
+        });
+        let mut pass = pass_over(frame(2000), config);
+        pass.sample = Some(Arc::new(pass.df.sample(100, 7)));
+        let r = run_one(&Correlation, &pass);
         let attrs = r.vislist.visualizations[0].spec.attributes();
         assert!(attrs.contains(&"a") && attrs.contains(&"b"));
         // final scores are exact (recomputed), so the perfect pair scores 1
@@ -1045,17 +1051,9 @@ mod tests {
 
     #[test]
     fn panicking_action_becomes_failed_health_not_a_crash() {
-        let (df, meta, config) = fixture(40);
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
-        };
         let mut registry = ActionRegistry::with_defaults();
         registry.register(ChaosAction::new("Saboteur", ChaosMode::Panic));
-        let report = run_actions_report(&registry, &ctx, None, None);
+        let report = report(&registry, pass_over(frame(40), LuxConfig::default()));
         assert!(report.results.iter().all(|r| r.action != "Saboteur"));
         assert!(report.results.iter().any(|r| r.action == "Correlation"));
         match report.status_of("Saboteur") {
@@ -1073,17 +1071,9 @@ mod tests {
 
     #[test]
     fn erroring_action_health_carries_generation_error() {
-        let (df, meta, config) = fixture(40);
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
-        };
         let mut registry = ActionRegistry::new();
         registry.register(ChaosAction::new("Erratic", ChaosMode::Error));
-        let report = run_actions_report(&registry, &ctx, None, None);
+        let report = report(&registry, pass_over(frame(40), LuxConfig::default()));
         assert!(report.results.is_empty());
         let status = report.status_of("Erratic").unwrap();
         assert_eq!(status.name(), "failed");
@@ -1092,16 +1082,10 @@ mod tests {
 
     #[test]
     fn slow_action_times_out_degraded_with_partial_results() {
-        let (df, meta, mut config) = fixture(40);
-        config.action_budget = Some(Duration::from_millis(30));
-        config.r#async = false;
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
-        };
+        let config = config_with(|c| {
+            c.action_budget = Some(Duration::from_millis(30));
+            c.r#async = false;
+        });
         let mut registry = ActionRegistry::new();
         registry.register(ChaosAction::new(
             "Molasses",
@@ -1110,7 +1094,7 @@ mod tests {
                 candidates: 200,
             },
         ));
-        let report = run_actions_report(&registry, &ctx, None, None);
+        let report = report(&registry, pass_over(frame(40), config));
         let r = report
             .results
             .iter()
@@ -1126,17 +1110,12 @@ mod tests {
 
     #[test]
     fn breaker_disables_repeat_offender_then_reprobes() {
-        let (df, meta, mut config) = fixture(20);
-        config.breaker_threshold = 2;
-        config.breaker_cooldown = 2;
-        config.r#async = false;
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
-        };
+        let config = config_with(|c| {
+            c.breaker_threshold = 2;
+            c.breaker_cooldown = 2;
+            c.r#async = false;
+        });
+        let pass = pass_over(frame(20), config);
         let mut registry = ActionRegistry::new();
         // fails twice (tripping the breaker), then recovers
         registry.register(ChaosAction::scripted(
@@ -1145,367 +1124,22 @@ mod tests {
         ));
         // frames 1-2: failures
         for _ in 0..2 {
-            let report = run_actions_report(&registry, &ctx, None, None);
+            let report = report(&registry, pass.clone());
             assert_eq!(report.status_of("Flaky").unwrap().name(), "failed");
         }
         // frame 3: breaker open -> disabled without running
-        let report = run_actions_report(&registry, &ctx, None, None);
-        assert_eq!(report.status_of("Flaky").unwrap().name(), "disabled");
+        let disabled = report(&registry, pass.clone());
+        assert_eq!(disabled.status_of("Flaky").unwrap().name(), "disabled");
         // frame 4: cooldown elapsed -> half-open probe runs and succeeds
-        let report = run_actions_report(&registry, &ctx, None, None);
-        assert_eq!(report.status_of("Flaky").unwrap().name(), "ok");
-        assert!(report.results.iter().any(|r| r.action == "Flaky"));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Streaming (owned) execution — the ASYNC user experience
-// ---------------------------------------------------------------------
-
-/// Owned inputs for background execution (everything `Arc`'d so worker
-/// threads outlive the caller's borrows).
-#[derive(Clone)]
-pub struct OwnedContext {
-    pub df: Arc<DataFrame>,
-    pub meta: Arc<FrameMeta>,
-    pub intent: Arc<Vec<lux_intent::Clause>>,
-    pub intent_specs: Arc<Vec<VisSpec>>,
-    pub config: Arc<lux_engine::LuxConfig>,
-    pub sample: Option<Arc<DataFrame>>,
-    /// Trace attachment for the pass (the span is the parent under which
-    /// per-action spans are recorded); `None` runs untraced.
-    pub trace: Option<TraceCtx>,
-    /// Per-pass resource governor shared by every worker; `None` runs
-    /// ungoverned (no budget enforcement).
-    pub governor: Option<Arc<BudgetHandle>>,
-    /// Admission slot held for the duration of the pass. The collector
-    /// thread takes ownership so the slot is released only once every
-    /// action has settled (or been abandoned), not when the caller's
-    /// stack frame unwinds.
-    pub permit: Option<Arc<lux_engine::AdmissionPermit>>,
-}
-
-impl OwnedContext {
-    fn action_context(&self) -> ActionContext<'_> {
-        ActionContext {
-            df: &self.df,
-            meta: &self.meta,
-            intent: &self.intent,
-            intent_specs: &self.intent_specs,
-            config: &self.config,
-        }
-    }
-}
-
-/// A recommendation run streaming results from background workers.
-///
-/// This is the ASYNC optimization as the user experiences it (paper §8.2):
-/// "recommendation results can be streamed into the frontend widget as the
-/// computation for each action completes ... instead of incurring a high
-/// wait time". Results arrive on one channel, per-action health on another;
-/// a collector thread enforces the hard wall-clock cutoff — workers that
-/// outlive it are abandoned (they finish on their own and their sends fail
-/// harmlessly) and reported as failed. Dropping the handle likewise
-/// detaches everything cleanly.
-pub struct StreamingRun {
-    results: mpsc::Receiver<ActionResult>,
-    health: mpsc::Receiver<ActionHealth>,
-    expected: usize,
-}
-
-impl StreamingRun {
-    /// Receive the next completed action (blocks). `None` once all done.
-    pub fn next_result(&self) -> Option<ActionResult> {
-        self.results.recv().ok()
-    }
-
-    /// Non-blocking poll.
-    pub fn try_next(&self) -> Option<ActionResult> {
-        self.results.try_recv().ok()
-    }
-
-    /// Receive the next health entry (blocks; entries arrive as actions
-    /// settle). `None` once the run is complete.
-    pub fn next_health(&self) -> Option<ActionHealth> {
-        self.health.recv().ok()
-    }
-
-    /// Non-blocking health poll.
-    pub fn try_next_health(&self) -> Option<ActionHealth> {
-        self.health.try_recv().ok()
-    }
-
-    /// How many actions were dispatched (disabled actions are not).
-    pub fn expected(&self) -> usize {
-        self.expected
-    }
-
-    /// Drain everything (blocks until all workers finish or the hard cutoff
-    /// abandons them) and return results plus the health ledger.
-    pub fn collect_report(self) -> RunReport {
-        let mut results: Vec<ActionResult> = self.results.iter().collect();
-        results.sort_by(|a, b| lux_engine::cmp_cost_asc(a.estimated_cost, b.estimated_cost));
-        let health = self.health.iter().collect();
-        RunReport { results, health }
-    }
-
-    /// Drain every remaining result (blocks until all workers finish).
-    pub fn collect_all(self) -> Vec<ActionResult> {
-        self.collect_report().results
-    }
-
-    /// A run that was refused admission: no actions dispatched, channels
-    /// already closed, and a single health entry carrying the shed reason
-    /// so report consumers see *why* nothing ran instead of an empty
-    /// report that looks like success.
-    pub fn shed(reason: &str) -> StreamingRun {
-        let (_results_tx, results) = mpsc::channel::<ActionResult>();
-        let (health_tx, health) = mpsc::channel::<ActionHealth>();
-        let _ = health_tx.send(ActionHealth::new(
-            "recommendations",
-            ActionStatus::Failed(format!("shed by admission control: {reason}")),
-        ));
-        StreamingRun {
-            results,
-            health,
-            expected: 0,
-        }
-    }
-}
-
-/// Dispatch every applicable action onto its own detached worker thread,
-/// returning immediately with a [`StreamingRun`]. Results arrive in
-/// completion order — cheap actions naturally finish first, giving the
-/// paper's cheapest-first experience without blocking dispatch on a
-/// cost pre-pass (which would re-introduce a hang window: on this path even
-/// `generate` runs on the worker, so a hung action cannot stall the caller).
-///
-/// A detached collector enforces the hard cutoff at
-/// `action_budget × CostModel::HARD_CUTOFF_FACTOR`: actions still running
-/// then are abandoned, reported as failed, and charged to their breaker.
-pub fn run_actions_streaming(registry: &ActionRegistry, owned: OwnedContext) -> StreamingRun {
-    let breaker = Arc::clone(registry.breaker());
-    breaker.begin_frame();
-    let threshold = owned.config.breaker_threshold;
-    let hard_budget = owned
-        .config
-        .action_budget
-        .map(|base| base * CostModel::HARD_CUTOFF_FACTOR);
-
-    // Applicability checks and the breaker gate run on the caller: both are
-    // metadata-only (no user compute) and must see the registry borrow.
-    let mut pre_health: Vec<ActionHealth> = Vec::new();
-    let mut runnable: Vec<Arc<dyn Action>> = Vec::new();
-    {
-        let ctx = owned.action_context();
-        for action in registry.applicable(&ctx) {
-            match breaker.decision(action.name(), owned.config.breaker_cooldown) {
-                BreakerDecision::Skip(reason) => {
-                    MetricsRegistry::global().incr(metric::ACTIONS_DISABLED);
-                    if let Some(t) = &owned.trace {
-                        let id = t
-                            .collector
-                            .begin(Some(t.span), &format!("action:{}", action.name()));
-                        t.collector.tag(id, "status", "disabled");
-                        t.collector.end(id);
-                    }
-                    pre_health.push(ActionHealth::new(
-                        action.name(),
-                        ActionStatus::Disabled(reason),
-                    ));
-                }
-                BreakerDecision::Run | BreakerDecision::Probe => runnable.push(action),
-            }
-        }
-    }
-
-    type Outcome = std::result::Result<Option<ActionResult>, ActionError>;
-    let (worker_tx, worker_rx) = mpsc::channel::<(String, Outcome)>();
-    let (results_tx, results_rx) = mpsc::channel::<ActionResult>();
-    let (health_tx, health_rx) = mpsc::channel::<ActionHealth>();
-    let expected = runnable.len();
-    // name → per-action span (queued at dispatch; ended when the collector
-    // settles the action, or tagged abandoned at the hard cutoff).
-    let mut outstanding: HashMap<String, Option<SpanId>> = HashMap::new();
-    let trace_collector = owned.trace.as_ref().map(|t| Arc::clone(&t.collector));
-
-    for (order, action) in runnable.into_iter().enumerate() {
-        let action_trace = owned.trace.as_ref().map(|t| {
-            let id = t
-                .collector
-                .begin(Some(t.span), &format!("action:{}", action.name()));
-            t.collector.tag(id, "sched.order", order.to_string());
-            TraceCtx::new(Arc::clone(&t.collector), id)
-        });
-        outstanding.insert(
-            action.name().to_string(),
-            action_trace.as_ref().map(|t| t.span),
-        );
-        let owned = owned.clone();
-        let worker_tx = worker_tx.clone();
-        // Detached-lane pool task rather than a dedicated thread: cheap
-        // actions reuse warm threads instead of paying a spawn each, while
-        // a task abandoned at the hard cutoff only parks its own lane
-        // thread — it can never occupy the fixed work-stealing workers that
-        // run the per-vis fan-out inside healthy actions.
-        lux_engine::pool::global().spawn_detached(Box::new(move || {
-            if let Some(t) = &action_trace {
-                t.tag(
-                    "sched.worker",
-                    match lux_engine::worker_index() {
-                        Some(w) => w.to_string(),
-                        None => "caller".to_string(),
-                    },
-                );
-            }
-            let model = CostModel::default();
-            let ctx = owned.action_context();
-            let outcome = execute_action_governed(
-                action.as_ref(),
-                &ctx,
-                owned.sample.as_deref(),
-                &model,
-                action_trace.as_ref(),
-                owned.governor.as_ref(),
-            );
-            let name = action.name().to_string();
-            // Release this worker's context clone — and with it its
-            // governor/ledger handle — *before* signaling completion. The
-            // collector may settle the pass the instant this send lands,
-            // and the caller's budget drop must then be the last one so
-            // the global ledger reflects the pass's exit synchronously.
-            drop(ctx);
-            drop(action);
-            drop(owned);
-            let _ = worker_tx.send((name, outcome));
-        }));
-    }
-    drop(worker_tx);
-
-    // The collector owns the breaker bookkeeping so health stays correct
-    // even when the consumer drops the StreamingRun without draining it.
-    // It also owns the admission permit: the session slot stays occupied
-    // until every action settles, even if the caller returns immediately.
-    let permit = owned.permit.clone();
-    std::thread::spawn(move || {
-        let _permit = permit;
-        for h in pre_health {
-            let _ = health_tx.send(h);
-        }
-        let cutoff = hard_budget.map(|b| clock::now() + b);
-        while !outstanding.is_empty() {
-            let received = match cutoff {
-                Some(at) => {
-                    let Some(left) = at
-                        .checked_duration_since(clock::now())
-                        .filter(|d| !d.is_zero())
-                    else {
-                        break; // hard cutoff reached
-                    };
-                    match worker_rx.recv_timeout(left) {
-                        Ok(msg) => Some(msg),
-                        Err(mpsc::RecvTimeoutError::Timeout) => break,
-                        Err(mpsc::RecvTimeoutError::Disconnected) => None,
-                    }
-                }
-                None => worker_rx.recv().ok(),
-            };
-            let Some((name, outcome)) = received else {
-                // a worker died without reporting (should be unreachable:
-                // all action code is isolated) — fall through to cleanup
-                break;
-            };
-            let span = outstanding.remove(&name).flatten();
-            let tripped = match &outcome {
-                Ok(_) => {
-                    breaker.record_success(&name);
-                    false
-                }
-                Err(err) => breaker.record_failure(&name, &err.to_string(), threshold),
-            };
-            settle_observability(
-                &outcome,
-                tripped,
-                trace_collector
-                    .as_deref()
-                    .and_then(|c| span.map(|id| (c, id))),
-            );
-            match outcome {
-                Ok(Some(result)) => {
-                    let _ = health_tx.send(ActionHealth::new(&name, delivery_status(&result)));
-                    let _ = results_tx.send(result);
-                }
-                Ok(None) => {}
-                Err(err) => {
-                    let _ = health_tx.send(ActionHealth::new(
-                        &name,
-                        ActionStatus::Failed(err.to_string()),
-                    ));
-                }
-            }
-        }
-        // Anything still outstanding was hung (or its worker died): abandon
-        // it, charge its breaker, and surface the failure.
-        for (name, span) in outstanding {
-            let reason = match hard_budget {
-                Some(b) => format!("exceeded hard deadline ({b:?}); worker abandoned"),
-                None => "worker terminated without reporting".to_string(),
-            };
-            let tripped = breaker.record_failure(&name, &reason, threshold);
-            let metrics = MetricsRegistry::global();
-            metrics.incr(metric::ACTIONS_FAILED);
-            if tripped {
-                metrics.incr(metric::BREAKER_TRIPS);
-            }
-            if let (Some(collector), Some(id)) = (trace_collector.as_deref(), span) {
-                collector.tag(id, "status", "abandoned");
-                collector.tag(id, "error", reason.clone());
-                collector.end(id);
-            }
-            let _ = health_tx.send(ActionHealth::new(&name, ActionStatus::Failed(reason)));
-        }
-    });
-
-    StreamingRun {
-        results: results_rx,
-        health: health_rx,
-        expected,
-    }
-}
-
-#[cfg(test)]
-mod streaming_tests {
-    use super::*;
-    use crate::action::ActionRegistry;
-    use crate::fault::{ChaosAction, ChaosMode};
-    use std::collections::HashMap;
-    use std::time::Duration;
-
-    fn owned_fixture(df: DataFrame, config: LuxConfig) -> OwnedContext {
-        let meta = FrameMeta::compute(&df, &HashMap::new());
-        OwnedContext {
-            df: Arc::new(df),
-            meta: Arc::new(meta),
-            intent: Arc::new(vec![]),
-            intent_specs: Arc::new(vec![]),
-            config: Arc::new(config),
-            sample: None,
-            trace: None,
-            governor: None,
-            permit: None,
-        }
+        let probed = report(&registry, pass);
+        assert_eq!(probed.status_of("Flaky").unwrap().name(), "ok");
+        assert!(probed.results.iter().any(|r| r.action == "Flaky"));
     }
 
     #[test]
     fn streaming_delivers_all_actions() {
-        let df = DataFrameBuilder::new()
-            .float("a", (0..200).map(|i| i as f64))
-            .float("b", (0..200).map(|i| (i * 3 % 17) as f64))
-            .str("g", (0..200).map(|i| if i % 2 == 0 { "x" } else { "y" }))
-            .build()
-            .unwrap();
         let registry = ActionRegistry::with_defaults();
-        let run = run_actions_streaming(&registry, owned_fixture(df, LuxConfig::default()));
+        let run = run_pass(&registry, pass_over(frame(200), LuxConfig::default()));
         let expected = run.expected();
         assert!(expected >= 3);
         let report = run.collect_report();
@@ -1519,31 +1153,22 @@ mod streaming_tests {
 
     #[test]
     fn dropping_run_detaches_cleanly() {
-        let df = DataFrameBuilder::new()
-            .float("a", (0..50).map(|i| i as f64))
-            .build()
-            .unwrap();
         let registry = ActionRegistry::with_defaults();
-        let run = run_actions_streaming(&registry, owned_fixture(df, LuxConfig::default()));
+        let run = run_pass(&registry, pass_over(frame(50), LuxConfig::default()));
         let _first = run.next_result();
         drop(run); // workers keep running; their sends fail silently
     }
 
     #[test]
     fn hung_action_is_abandoned_at_hard_cutoff() {
-        let df = DataFrameBuilder::new()
-            .float("a", (0..50).map(|i| i as f64))
-            .build()
-            .unwrap();
-        let mut config = LuxConfig::default();
-        config.action_budget = Some(Duration::from_millis(40));
+        let config = config_with(|c| c.action_budget = Some(Duration::from_millis(40)));
         let mut registry = ActionRegistry::with_defaults();
         registry.register(ChaosAction::new(
             "Sleeper",
             ChaosMode::Hang(Duration::from_secs(30)),
         ));
         let start = clock::now();
-        let report = run_actions_streaming(&registry, owned_fixture(df, config)).collect_report();
+        let report = report(&registry, pass_over(frame(50), config));
         // returned in ~hard-cutoff time, not the 30 s hang
         assert!(clock::elapsed(start) < Duration::from_secs(5));
         assert!(report.results.iter().all(|r| r.action != "Sleeper"));
@@ -1553,5 +1178,27 @@ mod streaming_tests {
             .expect("health entry for hung action");
         assert_eq!(status.name(), "failed");
         assert!(status.reason().unwrap().contains("hard deadline"));
+    }
+
+    #[test]
+    fn governor_events_replay_in_dispatch_order() {
+        // Both actions enumerate two candidates against a cap of one, so
+        // each records a cap event; the first-registered one finishes last.
+        let config = config_with(|c| {
+            c.r#async = true;
+            c.budget.max_candidates = 1;
+        });
+        let mut registry = ActionRegistry::new();
+        registry.register(ChaosAction::new(
+            "Early",
+            ChaosMode::Hang(Duration::from_millis(50)),
+        ));
+        registry.register(ChaosAction::new("Late", ChaosMode::Healthy));
+        let pass = pass_over(frame(40), config);
+        let governor = Arc::clone(&pass.governor);
+        let report = report(&registry, pass);
+        assert_eq!(report.results.len(), 2);
+        let stages: Vec<String> = governor.events().into_iter().map(|e| e.stage).collect();
+        assert_eq!(stages, ["action:Early", "action:Late"]);
     }
 }

@@ -1,9 +1,10 @@
 //! # lux-recs
 //!
 //! The recommendation layer: the action framework (paper §7.2), the four
-//! default action classes of Table 1, interestingness scoring, and the
-//! executor that applies PRUNE (approximate two-pass top-k) inside each
-//! action and ASYNC (cost-based cheapest-first scheduling) across actions.
+//! default action classes of Table 1, interestingness scoring, and the one
+//! executor: [`run_pass`] runs a [`Pass`] over a registry (ASYNC streams
+//! each action's result as it completes) and [`execute_action`] runs one
+//! action through it (PRUNE: approximate two-pass top-k).
 
 pub mod action;
 pub mod fault;
@@ -22,11 +23,7 @@ pub use action::{
 pub use fault::{
     ActionError, ActionHealth, ActionStatus, ChaosAction, ChaosMode, CircuitBreaker, RunReport,
 };
-pub use generate::{
-    execute_action, execute_action_governed, execute_action_guarded, execute_action_traced,
-    run_actions, run_actions_report, run_actions_report_governed, run_actions_report_traced,
-    run_actions_streaming, OwnedContext, StreamingRun, TraceCtx,
-};
+pub use generate::{execute_action, run_pass, Pass, StreamingRun, TraceCtx};
 
 /// Every default action of Table 1, in taxonomy order.
 pub fn default_actions() -> Vec<Arc<dyn Action>> {

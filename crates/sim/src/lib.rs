@@ -585,7 +585,7 @@ pub struct RunOutcome {
 /// process world seed for product-code randomness).  Fully resets
 /// failpoints and virtual time around the run.
 pub fn run_schedule(seed: u64, steps: &[Step]) -> RunOutcome {
-    clock::enable_virtual();
+    let _virtual_clock = clock::enable_virtual();
     rng::install(seed);
     failpoint::clear_all();
     let mut world = match World::new(&format!("run_{seed:x}")) {

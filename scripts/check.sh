@@ -13,6 +13,11 @@ cargo fmt --all --check
 echo "== cargo build --workspace"
 cargo build --workspace --quiet
 
+echo "== cargo check --workspace --all-targets"
+# Benches and examples are compiled by neither the build above nor the test
+# run below; a renamed API must not rot there out of sight.
+cargo check --workspace --all-targets --quiet
+
 echo "== cargo test --workspace"
 cargo test --workspace --quiet
 
@@ -47,7 +52,7 @@ fi
 echo "ok: $(wc -l < scripts/failpoint_catalogue.txt | tr -d ' ') catalogued failpoint sites in sync"
 
 echo "== unwrap() lint (crates/{engine,recs,core}/src)"
-BASELINE=147
+BASELINE=141
 count=$(grep -rho 'unwrap()' crates/engine/src crates/recs/src crates/core/src | wc -l | tr -d ' ')
 if [ "$count" -gt "$BASELINE" ]; then
     echo "error: $count unwrap() calls (baseline $BASELINE) — new unwrap() in the print path is denied"

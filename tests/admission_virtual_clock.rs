@@ -3,8 +3,9 @@
 //! expires in the same virtual tick as a slot free — the interleaving
 //! the real-time overload test cannot pin.
 //!
-//! This file is its own test binary (root `tests/` layout), so enabling
-//! the process-global virtual clock cannot interfere with other tests.
+//! This file is its own test binary (root `tests/` layout), and each test
+//! holds the `enable_virtual()` guard for its whole body, so the
+//! process-global virtual clock has one owner at a time.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -38,7 +39,7 @@ fn wait_for_queue(c: &AdmissionController) {
 
 #[test]
 fn no_lost_wakeup_when_deadline_expires_in_the_slot_free_tick() {
-    clock::enable_virtual();
+    let _virtual_clock = clock::enable_virtual();
 
     // Phase A — slot frees first, deadline expires in the same tick: the
     // wakeup must not be lost; the waiter MUST be granted (the admit
@@ -103,8 +104,6 @@ fn no_lost_wakeup_when_deadline_expires_in_the_slot_free_tick() {
         assert_eq!(c.stats().queue_depth, 0, "round {round}: queue drained");
         assert_eq!(c.stats().live_sessions, 0, "round {round}: slots drained");
     }
-
-    clock::disable_virtual();
 }
 
 /// A waiter whose deadline passes with the slot still held must shed in
@@ -112,7 +111,7 @@ fn no_lost_wakeup_when_deadline_expires_in_the_slot_free_tick() {
 /// moved (the deadline is measured on the virtual clock).
 #[test]
 fn deadline_is_measured_in_virtual_time() {
-    clock::enable_virtual();
+    let _virtual_clock = clock::enable_virtual();
     let c = Arc::new(AdmissionController::new(one_slot()));
     let _held = match c.admit(Priority::Interactive) {
         Admission::Granted(p) => p,
@@ -139,5 +138,4 @@ fn deadline_is_measured_in_virtual_time() {
         Admission::Granted(_) => panic!("slot is held; grant is impossible"),
     }
     h.join().expect("waiter thread");
-    clock::disable_virtual();
 }
