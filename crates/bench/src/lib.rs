@@ -150,13 +150,20 @@ mod tests {
     }
 
     #[test]
-    fn env_scales_parse() {
-        std::env::set_var("LUX_TEST_SCALES_XYZ", "1_000, 2000,abc,3000");
-        assert_eq!(
-            env_scales("LUX_TEST_SCALES_XYZ", &[7]),
-            vec![1000, 2000, 3000]
-        );
+    fn scale_knobs_override_the_defaults() {
+        // The only test in this binary that touches the environment.
         assert_eq!(env_scales("LUX_UNSET_VAR_XYZ", &[7]), vec![7]);
+        std::env::set_var("LUX_ROWS_AIRBNB", "1_000, 2000,abc,3000");
+        assert_eq!(airbnb_scales(), vec![1000, 2000, 3000]);
+        std::env::set_var("LUX_ROWS_COMMUNITIES", "70");
+        assert_eq!(communities_scales(), vec![70]);
+        std::env::set_var("LUX_WIDTHS", "3,5");
+        assert_eq!(width_scales(), vec![3, 5]);
+        assert_eq!(width_rows(), 5_000);
+        std::env::set_var("LUX_BENCH_FULL", "1");
+        assert_eq!(width_rows(), 100_000, "full scale switches the defaults");
+        std::env::set_var("LUX_WIDTH_ROWS", "900");
+        assert_eq!(width_rows(), 900, "an explicit scale wins over full scale");
     }
 
     #[test]

@@ -27,6 +27,7 @@ fn spawn_server(data_dir: &Path, log: &Path) -> (Child, String) {
         .env("LUX_SERVER_DATA_DIR", data_dir)
         .env("LUX_READ_TIMEOUT_MS", "300")
         .env("LUX_DRAIN_TIMEOUT_MS", "3000")
+        .env("LUX_JOURNAL_FSYNC", "always")
         .env("LUX_METRICS_ADDR", "127.0.0.1:0")
         .stdout(Stdio::from(log_file))
         .stderr(Stdio::null())
@@ -170,6 +171,10 @@ fn client_subcommand_round_trips_against_a_live_server() {
     assert!(ok && text.contains("cars"), "list: {text}");
     let (ok, text) = run(&["stats"]);
     assert!(ok && text.contains("frames: 1"), "stats: {text}");
+    assert!(
+        text.contains("fsync=always"),
+        "fsync policy from env: {text}"
+    );
     // Observability surface: Prometheus exposition over the wire, the
     // flight-recorder table, and a bounded `top` watch round.
     let (ok, text) = run(&["metrics"]);

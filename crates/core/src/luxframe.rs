@@ -47,6 +47,13 @@ struct WflowCache {
 
 type PassOutput = (Arc<Vec<ActionResult>>, Arc<Vec<ActionHealth>>);
 
+#[cfg(test)]
+thread_local! {
+    /// Metadata computations (memo misses) performed on this thread, so a
+    /// unit test can count the ones its own prints caused.
+    static META_COMPUTES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Caller-supplied options for one print pass, used by the serving layer to
 /// propagate per-request context into the engine. `deadline` is end-to-end:
 /// it bounds the admission wait, and whatever is left after queueing caps the
@@ -335,7 +342,8 @@ impl LuxDataFrame {
         }
         metrics.incr(metric::META_MEMO_MISS);
         tag_memo(if self.config.wflow { "miss" } else { "off" });
-        let computed = lux_engine::clock::now();
+        #[cfg(test)]
+        META_COMPUTES.with(|n| n.set(n.get() + 1));
         let meta = Arc::new(FrameMeta::compute_governed_par(
             &self.df,
             &self.overrides,
@@ -343,10 +351,6 @@ impl LuxDataFrame {
             governor,
             self.config.effective_threads(),
         ));
-        metrics.observe(
-            metric::METADATA_LATENCY,
-            lux_engine::clock::elapsed(computed),
-        );
         if let Some(cache) = cache.as_mut() {
             cache.meta = Some(Arc::clone(&meta));
         }
@@ -370,8 +374,13 @@ impl LuxDataFrame {
     /// Compile the current intent into complete specs. Invalid intents
     /// compile to no specs (the widget shows the diagnostics instead).
     pub fn compiled_intent(&self) -> Vec<VisSpec> {
-        let meta = self.metadata();
-        let diags = lux_intent::validate(&self.intent, &meta);
+        self.compile_intent(&self.metadata())
+    }
+
+    /// [`LuxDataFrame::compiled_intent`] against metadata the caller
+    /// already holds.
+    fn compile_intent(&self, meta: &FrameMeta) -> Vec<VisSpec> {
+        let diags = lux_intent::validate(&self.intent, meta);
         if self.intent.is_empty() || lux_intent::has_errors(&diags) {
             return Vec::new();
         }
@@ -380,23 +389,24 @@ impl LuxDataFrame {
             histogram_bins: self.config.histogram_bins,
             ..Default::default()
         };
-        lux_intent::compile(&self.intent, &meta, &opts).unwrap_or_default()
+        lux_intent::compile(&self.intent, meta, &opts).unwrap_or_default()
     }
 
-    /// Run one recommendation pass and collect it. `config` is the frame's
-    /// own, or a caller-supplied one (deadline-shrunk action budget from a
-    /// propagated client deadline) replacing it for this one pass;
-    /// everything memoized (metadata, sample) is config-independent.
+    /// Run one recommendation pass over `meta` and collect it. `config` is
+    /// the frame's own, or a caller-supplied one (deadline-shrunk action
+    /// budget from a propagated client deadline) replacing it for this one
+    /// pass; everything memoized (metadata, sample) is config-independent.
     fn compute_recommendations(
         &self,
         trace: &TraceCtx,
         governor: &Arc<BudgetHandle>,
+        meta: Arc<FrameMeta>,
         config: &Arc<LuxConfig>,
     ) -> PassOutput {
-        let specs = trace.time("intent.compile", || self.compiled_intent());
+        let specs = trace.time("intent.compile", || self.compile_intent(&meta));
         let pass = Pass {
             df: Arc::clone(&self.df),
-            meta: self.metadata(),
+            meta,
             intent: Arc::new(self.intent.clone()),
             intent_specs: Arc::new(specs),
             config: Arc::clone(config),
@@ -417,11 +427,14 @@ impl LuxDataFrame {
     }
 
     /// The recommendations and their health ledger, through the WFLOW memo;
-    /// `trace` is the span the pass records under, `governor` its budget.
+    /// `trace` is the span the pass records under, `governor` its budget,
+    /// `meta` the metadata the caller already computed for this pass (a
+    /// memo miss without one computes it here).
     fn recommendations_with_health(
         &self,
         trace: &TraceCtx,
         governor: &Arc<BudgetHandle>,
+        meta: Option<Arc<FrameMeta>>,
         config_override: Option<&Arc<LuxConfig>>,
     ) -> PassOutput {
         let metrics = MetricsRegistry::global();
@@ -431,11 +444,15 @@ impl LuxDataFrame {
                 trace.tag("memo", "hit");
                 return memoized.clone();
             }
-        } // released while computing (compute re-takes it for the metadata)
+        } // released while computing (the metadata memo re-takes it)
         metrics.incr(metric::MEMO_MISS);
         trace.tag("memo", if self.config.wflow { "miss" } else { "off" });
-        let (recs, health) =
-            self.compute_recommendations(trace, governor, config_override.unwrap_or(&self.config));
+        let (recs, health) = self.compute_recommendations(
+            trace,
+            governor,
+            meta.unwrap_or_else(|| self.metadata()),
+            config_override.unwrap_or(&self.config),
+        );
         if self.config.wflow {
             // A deadline-shrunk pass that degraded must not poison the memo:
             // the next print with a full budget would otherwise replay the
@@ -456,7 +473,7 @@ impl LuxDataFrame {
     /// memoized here carry the governor marks a print would give them.
     fn recommendations_unadmitted(&self) -> PassOutput {
         let governor = Arc::new(BudgetHandle::new(self.config.budget.clone()));
-        self.recommendations_with_health(&TraceCtx::root("recommendations"), &governor, None)
+        self.recommendations_with_health(&TraceCtx::root("recommendations"), &governor, None, None)
     }
 
     /// The ranked recommendations, computed lazily and memoized under WFLOW.
@@ -500,11 +517,12 @@ impl LuxDataFrame {
         // Each streaming run is its own pass; open a fresh budget, shaped
         // by current admission pressure and charged to the global ledger.
         let (budget, floor) = permit.shape_budget(&self.config.budget);
+        let meta = self.metadata();
         let pass = Pass {
             df: Arc::clone(&self.df),
-            meta: self.metadata(),
             intent: Arc::new(self.intent.clone()),
-            intent_specs: Arc::new(self.compiled_intent()),
+            intent_specs: Arc::new(self.compile_intent(&meta)),
+            meta,
             config: Arc::clone(&self.config),
             sample: self.config.prune.then(|| self.sample.get(&self.df)),
             trace: TraceCtx::root("recommendations.streaming"),
@@ -598,15 +616,21 @@ impl LuxDataFrame {
         }
         self.tag_request_context(&root, opts);
         let table = root.time("table", || self.df.to_table_string(10));
-        // Metadata first (and traced): the validate/compile/action stages
-        // below all read it through the memo.
+        // Metadata first (and traced), once: the validate/compile/action
+        // stages below all read this one computation, WFLOW or not.
         let meta_span = root.child("metadata");
-        let _ = self.metadata_traced(Some(&meta_span), Some(governor.as_ref()));
+        let meta = self.metadata_traced(Some(&meta_span), Some(governor.as_ref()));
         meta_span.end();
-        let diagnostics = root.time("intent.validate", || self.validate_intent());
+        let diagnostics = root.time("intent.validate", || {
+            lux_intent::validate(&self.intent, &meta)
+        });
         let actions = root.child("actions");
-        let (results, health) =
-            self.recommendations_with_health(&actions, &governor, deadline_config.as_ref());
+        let (results, health) = self.recommendations_with_health(
+            &actions,
+            &governor,
+            Some(meta),
+            deadline_config.as_ref(),
+        );
         actions.end();
         root.tag("governor.degrades", governor.event_count().to_string());
         root.tag("governor.breached", governor.breached().to_string());
@@ -625,16 +649,11 @@ impl LuxDataFrame {
             metrics.incr(metric::DEADLINE_MISSES);
         }
         // Per-tenant SLO series (request count, latency, queue wait,
-        // deadline misses, governor degrades) keyed by the request tenant.
+        // deadline misses) keyed by the request tenant.
         if let Some(tenant) = opts.tenant.as_deref().or_else(|| permit.tenant()) {
             metrics.incr_tenant(metric::TENANT_REQUESTS, tenant);
             metrics.observe_tenant(metric::TENANT_PASS_LATENCY, tenant, elapsed);
             metrics.observe_tenant(metric::TENANT_QUEUE_WAIT, tenant, permit.waited());
-            metrics.add_tenant(
-                metric::TENANT_GOVERNOR_DEGRADES,
-                tenant,
-                governor.event_count() as u64,
-            );
             if deadline_missed {
                 metrics.incr_tenant(metric::TENANT_DEADLINE_MISSES, tenant);
             }
@@ -733,7 +752,20 @@ impl LuxDataFrame {
         let root = TraceCtx::root("print");
         self.tag_request_context(&root, opts);
         let table = root.time("table", || self.df.to_table_string(10));
-        let diagnostics = root.time("intent.validate", || self.validate_intent());
+        // Admission refused this pass, so it must not scan the frame: the
+        // intent is validated only against metadata an earlier pass
+        // memoized, and an empty intent has nothing to validate.
+        let memoized = if self.intent.is_empty() {
+            None
+        } else {
+            lock_recover(&self.cache).meta.clone()
+        };
+        let diagnostics = match memoized {
+            Some(meta) => root.time("intent.validate", || {
+                lux_intent::validate(&self.intent, &meta)
+            }),
+            None => Vec::new(),
+        };
         root.tag("admission.shed", shed.reason.clone());
         root.tag("admission.priority", shed.priority.name());
         root.end();
@@ -1001,6 +1033,34 @@ mod tests {
         let w2 = ldf.print();
         assert!(!w2.was_shed());
         assert!(!w2.results().is_empty());
+    }
+
+    #[test]
+    fn shed_print_of_a_cold_frame_does_not_scan_it() {
+        // Admission refused the pass: validating the intent must not run
+        // the metadata scan the refusal was meant to avoid.
+        let mut ldf = sample_ldf();
+        ldf.set_intent_strs(["life"]).expect("valid intent");
+        let opts =
+            crate::luxframe::PrintOptions::default().with_deadline(Some(std::time::Duration::ZERO));
+        assert!(ldf.print_with(&opts).was_shed());
+        assert!(
+            lock_recover(&ldf.cache).meta.is_none(),
+            "a shed print computed metadata"
+        );
+    }
+
+    #[test]
+    fn no_opt_print_computes_metadata_once() {
+        // Without the WFLOW memo every stage of a print (validate, compile,
+        // the pass itself) must still share one metadata computation.
+        let mut ldf =
+            LuxDataFrame::with_config(sample_ldf().data().clone(), Arc::new(LuxConfig::no_opt()));
+        ldf.set_intent_strs(["life"]).expect("valid intent");
+        let before = META_COMPUTES.with(|n| n.get());
+        let w = ldf.print();
+        assert!(!w.was_shed());
+        assert_eq!(META_COMPUTES.with(|n| n.get()) - before, 1);
     }
 
     #[test]

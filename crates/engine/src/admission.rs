@@ -45,7 +45,7 @@ pub struct AdmissionConfig {
     /// (`LUX_MAX_SESSIONS`). Clamped to ≥ 1.
     pub max_sessions: usize,
     /// Global memory ledger cap in bytes, aggregated across every live
-    /// pass budget (`LUX_GLOBAL_MEMORY_CAP_MB`).
+    /// pass budget.
     pub max_global_bytes: u64,
     /// How long an interactive pass may wait for a slot before it is shed
     /// (`LUX_ADMIT_TIMEOUT_MS`).
@@ -61,10 +61,10 @@ pub struct AdmissionConfig {
     pub backoff_max: Duration,
     /// Re-admission attempts a background pass makes before giving up.
     pub max_retries: u32,
-    /// Concurrent passes one *tenant* may hold at once
-    /// (`LUX_TENANT_MAX_SESSIONS`). Tenants are named by the serving layer;
-    /// tenant-less passes (the REPL, library callers) are not counted.
-    /// Clamped to ≥ 1.
+    /// Concurrent passes one *tenant* may hold at once; follows
+    /// `max_sessions` unless set programmatically. Tenants are named by the
+    /// serving layer; tenant-less passes (the REPL, library callers) are
+    /// not counted. Clamped to ≥ 1.
     pub tenant_max_sessions: usize,
 }
 
@@ -86,25 +86,19 @@ impl Default for AdmissionConfig {
 }
 
 impl AdmissionConfig {
-    /// Defaults overridden by `LUX_MAX_SESSIONS`, `LUX_GLOBAL_MEMORY_CAP_MB`,
-    /// `LUX_ADMIT_TIMEOUT_MS` and `LUX_TENANT_MAX_SESSIONS` when set.
-    /// Unparseable values warn once (see [`crate::envcfg`]) and keep the
-    /// default — misconfiguration is surfaced, never silently swallowed.
+    /// Defaults overridden by `LUX_MAX_SESSIONS` and `LUX_ADMIT_TIMEOUT_MS`
+    /// when set. Unparseable values warn once (see [`crate::envcfg`]) and
+    /// keep the default — misconfiguration is surfaced, never silently
+    /// swallowed.
     pub fn from_env() -> AdmissionConfig {
         let mut cfg = AdmissionConfig::default();
         if let Some(n) = crate::envcfg::parse_u64("LUX_MAX_SESSIONS") {
             cfg.max_sessions = (n as usize).max(1);
         }
-        if let Some(mb) = crate::envcfg::parse_u64("LUX_GLOBAL_MEMORY_CAP_MB") {
-            cfg.max_global_bytes = mb.saturating_mul(1 << 20).max(1 << 20);
-        }
         if let Some(ms) = crate::envcfg::parse_u64("LUX_ADMIT_TIMEOUT_MS") {
             cfg.interactive_deadline = Duration::from_millis(ms);
         }
         cfg.tenant_max_sessions = cfg.max_sessions;
-        if let Some(n) = crate::envcfg::parse_u64("LUX_TENANT_MAX_SESSIONS") {
-            cfg.tenant_max_sessions = (n as usize).max(1);
-        }
         cfg
     }
 }
@@ -124,20 +118,18 @@ pub struct GlobalLedger {
     cap: AtomicU64,
     live: AtomicU64,
     peak: AtomicU64,
-    /// Cached metric handles: charging is hot, the registry map lock isn't.
-    peak_metric: Arc<AtomicU64>,
+    /// Cached metric handle: charging is hot, the registry map lock isn't.
     refusal_metric: Arc<AtomicU64>,
 }
 
 impl GlobalLedger {
     pub fn new(cap: u64) -> GlobalLedger {
-        let m = MetricsRegistry::global();
         GlobalLedger {
             cap: AtomicU64::new(cap.max(1)),
             live: AtomicU64::new(0),
             peak: AtomicU64::new(0),
-            peak_metric: m.counter_handle(names::ADMISSION_LEDGER_PEAK),
-            refusal_metric: m.counter_handle(names::ADMISSION_LEDGER_REFUSALS),
+            refusal_metric: MetricsRegistry::global()
+                .counter_handle(names::ADMISSION_LEDGER_REFUSALS),
         }
     }
 
@@ -160,7 +152,6 @@ impl GlobalLedger {
             ) {
                 Ok(_) => {
                     self.peak.fetch_max(next, Ordering::Relaxed);
-                    self.peak_metric.fetch_max(next, Ordering::Relaxed);
                     return true;
                 }
                 Err(seen) => current = seen,
@@ -543,7 +534,6 @@ impl AdmissionController {
                 }
                 if waited {
                     st.queue_waits += 1;
-                    metrics.incr(names::ADMISSION_QUEUE_WAITS);
                 }
                 metrics.incr(names::ADMISSION_ADMITS);
                 let wait = clock::elapsed(start);
@@ -844,8 +834,10 @@ mod tests {
     #[test]
     fn ledger_charges_and_releases() {
         let l = GlobalLedger::new(1_000);
+        let refusals0 = MetricsRegistry::global().counter(names::ADMISSION_LEDGER_REFUSALS);
         assert!(l.try_charge(600));
         assert!(!l.try_charge(600), "would cross cap");
+        assert!(MetricsRegistry::global().counter(names::ADMISSION_LEDGER_REFUSALS) > refusals0);
         assert_eq!(l.live(), 600);
         assert_eq!(l.peak(), 600);
         l.release(600);

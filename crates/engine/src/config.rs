@@ -121,19 +121,18 @@ impl LuxConfig {
 
     /// Resolve [`LuxConfig::threads`] to a concrete degree: an explicit
     /// non-zero setting wins; `0` falls back to the `LUX_THREADS`
-    /// environment variable, then to
-    /// [`std::thread::available_parallelism`]. Never returns 0.
+    /// environment variable (read once per process), then to
+    /// [`std::thread::available_parallelism`], which stays a live read so a
+    /// cgroup quota or affinity change takes effect on the next pass.
+    /// Never returns 0.
     pub fn effective_threads(&self) -> usize {
+        static FROM_ENV: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
         if self.threads != 0 {
             return self.threads;
         }
-        if let Some(n) = crate::envcfg::parse_usize("LUX_THREADS") {
-            if n >= 1 {
-                return n;
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
+        FROM_ENV
+            .get_or_init(|| crate::envcfg::parse_usize("LUX_THREADS").filter(|n| *n >= 1))
+            .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
             .unwrap_or(1)
     }
 }

@@ -93,9 +93,12 @@ mod tests {
 
     #[test]
     fn invalid_value_warns_once_and_is_listed() {
+        let metrics = crate::trace::MetricsRegistry::global();
+        let invalid0 = metrics.counter(crate::trace::names::ENV_INVALID);
         std::env::set_var("LUX_ENVCFG_TEST_BAD", "abc");
         assert_eq!(parse_u64("LUX_ENVCFG_TEST_BAD"), None);
         assert_eq!(parse_u64("LUX_ENVCFG_TEST_BAD"), None);
+        assert!(metrics.counter(crate::trace::names::ENV_INVALID) > invalid0);
         let hits: Vec<String> = invalid_warnings()
             .into_iter()
             .filter(|w| w.contains("LUX_ENVCFG_TEST_BAD"))

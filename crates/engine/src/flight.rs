@@ -14,24 +14,23 @@
 //! - pass latency exceeded a configurable **multiple of the rolling p99**
 //!   (default 4x, after a 32-sample warm-up window).
 //!
-//! Knobs: `LUX_FLIGHT_RECORDER_SIZE` (ring capacity, default 64, `0`
-//! disables), `LUX_FLIGHT_LATENCY_MULT` (outlier multiplier, default 4),
-//! `LUX_FLIGHT_SPOOL` (dump directory; the server points this at
-//! `<data_dir>/flight` automatically). See DESIGN.md §12.
+//! The process-wide recorder holds [`DEFAULT_CAPACITY`] passes and uses a
+//! [`DEFAULT_LATENCY_MULT`]x outlier trigger; `LUX_FLIGHT_SPOOL` names the
+//! dump directory (the server points it at `<data_dir>/flight`
+//! automatically).
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
-use crate::envcfg;
 use crate::sync::lock_recover;
 use std::sync::Arc;
 
 use crate::trace::{names, MetricsRegistry, PassTrace};
 
-/// Default ring capacity (`LUX_FLIGHT_RECORDER_SIZE`).
+/// Ring capacity of the process-wide recorder.
 pub const DEFAULT_CAPACITY: usize = 64;
-/// Default latency-outlier multiplier (`LUX_FLIGHT_LATENCY_MULT`).
+/// Latency-outlier multiplier of the process-wide recorder.
 pub const DEFAULT_LATENCY_MULT: u64 = 4;
 /// Rolling latency window used for the p99 estimate.
 const LATENCY_WINDOW: usize = 256;
@@ -121,15 +120,11 @@ impl FlightRecorder {
         }
     }
 
-    /// The process-wide recorder, configured from `LUX_FLIGHT_*` env knobs
-    /// on first use.
+    /// The process-wide recorder; `LUX_FLIGHT_SPOOL` is read on first use.
     pub fn global() -> &'static FlightRecorder {
         static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
         GLOBAL.get_or_init(|| {
-            let capacity =
-                envcfg::parse_usize("LUX_FLIGHT_RECORDER_SIZE").unwrap_or(DEFAULT_CAPACITY);
-            let mult = envcfg::parse_u64("LUX_FLIGHT_LATENCY_MULT").unwrap_or(DEFAULT_LATENCY_MULT);
-            let rec = FlightRecorder::new(capacity, mult);
+            let rec = FlightRecorder::new(DEFAULT_CAPACITY, DEFAULT_LATENCY_MULT);
             if let Ok(dir) = std::env::var("LUX_FLIGHT_SPOOL") {
                 if !dir.trim().is_empty() {
                     rec.set_spool(Path::new(dir.trim()));
@@ -188,14 +183,10 @@ impl FlightRecorder {
         metrics.incr(names::FLIGHT_RECORDED);
         let mut dump_path = None;
         if let Some(reason) = &anomaly {
-            metrics.incr(names::FLIGHT_ANOMALIES);
             if let Some(dir) = self.spool() {
                 let file = dir.join(format!("flight-{seq:06}-{reason}.json"));
                 match std::fs::write(&file, trace.to_chrome_json()) {
-                    Ok(()) => {
-                        metrics.incr(names::FLIGHT_DUMPS);
-                        dump_path = Some(file);
-                    }
+                    Ok(()) => dump_path = Some(file),
                     Err(_) => metrics.incr(names::FLIGHT_DUMP_FAILURES),
                 }
             }
@@ -436,7 +427,15 @@ mod tests {
             .and_then(|n| n.to_str())
             .expect("dump file name");
         assert!(name.contains("shed"));
+        // With the spool directory gone the next dump fails — counted, and
+        // the pass is still recorded.
         let _ = std::fs::remove_dir_all(&dir);
+        let failures0 = MetricsRegistry::global().counter(names::FLIGHT_DUMP_FAILURES);
+        let mut s = sample();
+        s.shed = true;
+        assert!(r.record(trace_of(5), s).is_none());
+        assert!(MetricsRegistry::global().counter(names::FLIGHT_DUMP_FAILURES) > failures0);
+        assert_eq!(r.pinned().len(), 2);
     }
 
     #[test]

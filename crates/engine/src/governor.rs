@@ -272,11 +272,7 @@ impl BudgetHandle {
     /// Record a downgrade: stored on the handle for end-of-pass surfacing
     /// and counted in the global metrics registry immediately.
     pub fn record(&self, stage: impl Into<String>, level: DegradeLevel, detail: impl Into<String>) {
-        let metrics = MetricsRegistry::global();
-        metrics.incr(names::GOVERNOR_DEGRADES);
-        if level == DegradeLevel::Skipped {
-            metrics.incr(names::GOVERNOR_SKIPS);
-        }
+        MetricsRegistry::global().incr(names::GOVERNOR_DEGRADES);
         lock_recover(&self.events).push(GovernorEvent {
             stage: stage.into(),
             level,

@@ -102,22 +102,6 @@ pub const NOMINAL_INT_CARDINALITY: usize = 20;
 /// partials yields the same result at every `par`.
 pub const CHUNK_ROWS: usize = 65_536;
 
-/// Sketch precision for this process: `LUX_SKETCH_PRECISION` (registers =
-/// `2^p`, standard error `1.04/sqrt(2^p)`), clamped to the supported range
-/// with a warn-once on out-of-range values.
-pub fn sketch_precision() -> u32 {
-    match crate::envcfg::parse_u64("LUX_SKETCH_PRECISION") {
-        Some(p) if (sketch::MIN_PRECISION as u64..=sketch::MAX_PRECISION as u64).contains(&p) => {
-            p as u32
-        }
-        Some(p) => {
-            crate::envcfg::invalid("LUX_SKETCH_PRECISION", &p.to_string(), "integer in 4..=16");
-            sketch::DEFAULT_PRECISION
-        }
-        None => sketch::DEFAULT_PRECISION,
-    }
-}
-
 /// Statistics and inferred type for one column.
 #[derive(Debug, Clone)]
 pub struct ColumnMeta {
@@ -188,7 +172,7 @@ impl FrameMeta {
     ) -> FrameMeta {
         let col_names = df.column_names();
         let num_rows = df.num_rows();
-        let precision = sketch_precision();
+        let precision = sketch::DEFAULT_PRECISION;
         let metrics = MetricsRegistry::global();
 
         // Phase 1: plan.
@@ -217,11 +201,6 @@ impl FrameMeta {
                 start = end;
             }
         }
-        metrics.add(names::METADATA_KERNEL_CHUNKS, tasks.len() as u64);
-        metrics.add(
-            names::METADATA_KERNEL_ROWS,
-            tasks.iter().map(|&(_, s, e)| (e - s) as u64).sum(),
-        );
         let partials: Vec<(usize, ColumnStats)> =
             crate::pool::parallel_map(par, tasks, |_, (ci, start, end)| {
                 // Chaos site: `panic`/`sleep` actions inject a crash or a
@@ -281,7 +260,6 @@ impl FrameMeta {
             let col = df.column(name).expect("name enumerated from frame");
             let fin = folded[ci].finalize(col, &plans[ci]);
             if fin.estimated {
-                metrics.incr(names::METADATA_SKETCH_COLUMNS);
                 if let Some(g) = governor {
                     g.record(
                         format!("metadata:{name}"),

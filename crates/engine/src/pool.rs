@@ -34,7 +34,7 @@
 //! supervisor that restarts it if a panic ever escapes the per-task guard
 //! (counted as `lux.pool.respawns`), and a watchdog thread watches how long
 //! every worker has been on its current task — a worker stuck past the
-//! threshold (`LUX_WORKER_WATCHDOG_MS`, default 30s) is flagged
+//! threshold (30s unless [`set_watchdog_ms`] lowers it) is flagged
 //! (`lux.pool.hung_workers`) and a replacement worker is started on its
 //! queue so queued work keeps flowing while the hung task is left to the
 //! ASYNC collector's existing hard-cutoff/abandonment semantics.
@@ -177,9 +177,6 @@ pub struct WorkPool {
 impl WorkPool {
     fn start(workers: usize) -> WorkPool {
         let workers = workers.max(1);
-        if let Some(ms) = crate::envcfg::parse_u64("LUX_WORKER_WATCHDOG_MS") {
-            set_watchdog_ms(ms);
-        }
         let shared = Arc::new(Shared {
             injector: Mutex::new(VecDeque::new()),
             locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -316,8 +313,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
     }
 }
 
-/// Hung-task threshold in milliseconds, adjustable at runtime (tests) and
-/// seeded from `LUX_WORKER_WATCHDOG_MS` on pool start.
+/// Hung-task threshold in milliseconds, adjustable at runtime (tests).
 static WATCHDOG_MS: AtomicU64 = AtomicU64::new(30_000);
 
 /// Adjust the watchdog's hung-task threshold.

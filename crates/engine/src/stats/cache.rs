@@ -6,7 +6,7 @@
 //! appended frame it can fetch the parent's partials here, scan **only the
 //! appended tail**, and merge — O(new rows) instead of O(all rows). Entries
 //! are small (sets are capped, sketches are a few KiB) and evicted LRU past
-//! a byte budget (`LUX_STATS_CACHE_MB`, default 64).
+//! a fixed 64 MiB byte budget.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,8 +17,8 @@ use lux_dataframe::prelude::DType;
 use super::ColumnStats;
 use crate::sync::lock_recover;
 
-/// Default cache budget in bytes (64 MiB).
-const DEFAULT_BUDGET_BYTES: u64 = 64 << 20;
+/// Cache budget in bytes (64 MiB).
+const BUDGET_BYTES: u64 = 64 << 20;
 
 /// Cached partials for one frame, with everything needed to validate reuse.
 #[derive(Debug)]
@@ -62,13 +62,6 @@ fn tick() -> u64 {
     TICK.fetch_add(1, Ordering::Relaxed)
 }
 
-/// The configured byte budget (`LUX_STATS_CACHE_MB`; `0` disables caching).
-pub fn budget_bytes() -> u64 {
-    crate::envcfg::parse_u64("LUX_STATS_CACHE_MB")
-        .map(|mb| mb.saturating_mul(1 << 20))
-        .unwrap_or(DEFAULT_BUDGET_BYTES)
-}
-
 /// Fetch the partials cached for `fingerprint`, refreshing its LRU slot.
 pub fn lookup(fingerprint: u64) -> Option<Arc<FrameStatsEntry>> {
     let mut c = lock_recover(cache());
@@ -81,9 +74,8 @@ pub fn lookup(fingerprint: u64) -> Option<Arc<FrameStatsEntry>> {
 /// past the byte budget. An entry larger than the whole budget is not
 /// cached at all.
 pub fn store(fingerprint: u64, entry: Arc<FrameStatsEntry>) {
-    let budget = budget_bytes();
     let bytes = entry.bytes();
-    if bytes > budget {
+    if bytes > BUDGET_BYTES {
         return;
     }
     let mut c = lock_recover(cache());
@@ -92,7 +84,7 @@ pub fn store(fingerprint: u64, entry: Arc<FrameStatsEntry>) {
     }
     c.total_bytes += bytes;
     c.entries.insert(fingerprint, (tick(), entry));
-    while c.total_bytes > budget {
+    while c.total_bytes > BUDGET_BYTES {
         let Some((&oldest, _)) = c
             .entries
             .iter()

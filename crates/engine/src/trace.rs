@@ -372,7 +372,8 @@ pub fn json_escape(s: &str) -> String {
 // Metric names
 // ---------------------------------------------------------------------
 
-/// Canonical metric names (see DESIGN.md §7 for the catalogue).
+/// Canonical metric names. Each must have an observer (a test, script, CI job
+/// or benchmark probe naming it) — `scripts/lint.sh` enforces it; DESIGN.md §7.
 pub mod names {
     /// Counter: total print passes.
     pub const PRINTS: &str = "lux.prints";
@@ -402,22 +403,15 @@ pub mod names {
     pub const ACTIONS_DISABLED: &str = "lux.actions.disabled";
     /// Counter: resource-governor degradations (any rung below exact).
     pub const GOVERNOR_DEGRADES: &str = "lux.governor.degrades";
-    /// Counter: steps the governor skipped outright (bottom rung).
-    pub const GOVERNOR_SKIPS: &str = "lux.governor.skips";
     /// Counter: memory-budget breaches (a charge that crossed the byte cap).
     pub const GOVERNOR_BREACHES: &str = "lux.governor.breaches";
     /// Counter: passes admitted by the global admission controller.
     pub const ADMISSION_ADMITS: &str = "lux.admission.admits";
-    /// Counter: admitted passes that had to wait for a slot first.
-    pub const ADMISSION_QUEUE_WAITS: &str = "lux.admission.queue_waits";
     /// Counter: passes shed (refused) by the admission controller.
     pub const ADMISSION_SHEDS: &str = "lux.admission.sheds";
     /// Counter: background/streaming re-admission attempts after a
     /// transient refusal (jittered-backoff retries).
     pub const ADMISSION_RETRIES: &str = "lux.admission.retries";
-    /// High-water counter (set via `set_max`): peak bytes held live across
-    /// all passes in the global memory ledger.
-    pub const ADMISSION_LEDGER_PEAK: &str = "lux.admission.ledger_peak";
     /// Counter: per-pass charges the global ledger refused at the cap.
     pub const ADMISSION_LEDGER_REFUSALS: &str = "lux.admission.ledger_refusals";
     /// Counter: transient SQL backend errors retried with backoff.
@@ -444,17 +438,11 @@ pub mod names {
     /// High-water counter (0/1): set once journal persistence degrades —
     /// the metric form of the sticky "journal: degraded" stats flag.
     pub const SERVER_JOURNAL_DEGRADED: &str = "lux.server.journal.degraded";
-    /// Counter: frames rebuilt from the journal at boot.
-    pub const SERVER_JOURNAL_REPLAYED_FRAMES: &str = "lux.server.journal.replayed_frames";
-    /// Counter: tenants rebuilt from the journal at boot.
-    pub const SERVER_JOURNAL_REPLAYED_TENANTS: &str = "lux.server.journal.replayed_tenants";
     /// Counter: corrupt/torn journal lines skipped during replay.
     pub const SERVER_JOURNAL_SKIPPED_LINES: &str = "lux.server.journal.skipped_lines";
     /// Counter: durability fsyncs issued (journal lines, spool files,
     /// snapshots), governed by the `LUX_JOURNAL_FSYNC` policy.
     pub const SERVER_JOURNAL_FSYNCS: &str = "lux.server.journal.fsyncs";
-    /// Counter: snapshot + truncate compaction cycles completed.
-    pub const SERVER_JOURNAL_COMPACTIONS: &str = "lux.server.journal.compactions";
     /// Counter: spooled frames whose payload failed its recovery checksum
     /// and were quarantined instead of served.
     pub const SERVER_JOURNAL_QUARANTINED: &str = "lux.server.journal.quarantined_frames";
@@ -466,10 +454,6 @@ pub mod names {
     pub const DEADLINE_MISSES: &str = "lux.deadline.misses";
     /// Counter: passes recorded by the flight recorder.
     pub const FLIGHT_RECORDED: &str = "lux.flight.recorded";
-    /// Counter: recorded passes that tripped an anomaly trigger.
-    pub const FLIGHT_ANOMALIES: &str = "lux.flight.anomalies";
-    /// Counter: anomalous traces dumped to the flight spool directory.
-    pub const FLIGHT_DUMPS: &str = "lux.flight.dumps";
     /// Counter: flight-dump writes that failed (spool I/O).
     pub const FLIGHT_DUMP_FAILURES: &str = "lux.flight.dump_failures";
     /// Per-tenant counter: print requests attributed to the tenant.
@@ -478,27 +462,12 @@ pub mod names {
     pub const TENANT_SHEDS: &str = "lux.tenant.sheds";
     /// Per-tenant counter: passes that finished after the client deadline.
     pub const TENANT_DEADLINE_MISSES: &str = "lux.tenant.deadline_misses";
-    /// Per-tenant counter: governor degradation events across the tenant's
-    /// passes.
-    pub const TENANT_GOVERNOR_DEGRADES: &str = "lux.tenant.governor_degrades";
     /// Per-tenant histogram: end-to-end pass latency.
     pub const TENANT_PASS_LATENCY: &str = "lux.tenant.pass_latency";
     /// Per-tenant histogram: time spent waiting in the admission queue.
     pub const TENANT_QUEUE_WAIT: &str = "lux.tenant.queue_wait";
     /// Histogram: end-to-end print latency.
     pub const PRINT_LATENCY: &str = "lux.print.latency";
-    /// Histogram: per-action execution latency.
-    pub const ACTION_LATENCY: &str = "lux.action.latency";
-    /// Histogram: metadata computation latency (misses only).
-    pub const METADATA_LATENCY: &str = "lux.metadata.latency";
-    /// Counter: rows scanned by the fused statistics kernels (all columns,
-    /// all chunk tasks; append-merged passes only count the tail).
-    pub const METADATA_KERNEL_ROWS: &str = "lux.metadata.kernel.rows";
-    /// Counter: chunk tasks executed by the fused statistics scan.
-    pub const METADATA_KERNEL_CHUNKS: &str = "lux.metadata.kernel.chunks";
-    /// Counter: columns whose distinct counter degraded from an exact set
-    /// to a cardinality sketch (cardinality became an estimate).
-    pub const METADATA_SKETCH_COLUMNS: &str = "lux.metadata.sketch_columns";
     /// Counter: metadata passes that reused a parent frame's cached
     /// statistics partials across an append and scanned only the tail.
     pub const METADATA_APPEND_MERGES: &str = "lux.metadata.append_merges";
@@ -675,12 +644,6 @@ impl MetricsRegistry {
         self.counter_handle(name).fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Raise a high-water counter to `v` if `v` exceeds its current value
-    /// (gauge-style peaks, e.g. the admission ledger high-water mark).
-    pub fn set_max(&self, name: &str, v: u64) {
-        self.counter_handle(name).fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value of a counter (0 if never recorded).
     pub fn counter(&self, name: &str) -> u64 {
         lock_recover(&self.counters)
@@ -711,14 +674,6 @@ impl MetricsRegistry {
                 .entry((name.to_string(), tenant.to_string()))
                 .or_default(),
         )
-    }
-
-    /// Increment a per-tenant counter by `n`.
-    pub fn add_tenant(&self, name: &str, tenant: &str, n: u64) {
-        if n > 0 {
-            self.tenant_counter_handle(name, tenant)
-                .fetch_add(n, Ordering::Relaxed);
-        }
     }
 
     /// Increment a per-tenant counter by 1.
@@ -1092,7 +1047,8 @@ mod tests {
     fn registry_tenant_series_snapshot() {
         let r = MetricsRegistry::default();
         r.incr_tenant(names::TENANT_REQUESTS, "acme");
-        r.add_tenant(names::TENANT_REQUESTS, "acme", 2);
+        r.incr_tenant(names::TENANT_REQUESTS, "acme");
+        r.incr_tenant(names::TENANT_REQUESTS, "acme");
         r.incr_tenant(names::TENANT_SHEDS, "beta");
         r.observe_tenant(names::TENANT_PASS_LATENCY, "acme", Duration::from_millis(7));
         assert_eq!(r.tenant_counter(names::TENANT_REQUESTS, "acme"), 3);

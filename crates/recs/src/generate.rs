@@ -740,10 +740,6 @@ impl Settler {
         } else {
             metric::ACTIONS_OK
         });
-        metrics.observe(
-            metric::ACTION_LATENCY,
-            Duration::from_secs_f64(result.elapsed),
-        );
         action.trace.tag("status", status);
         action
             .trace

@@ -1,11 +1,11 @@
 //! A blocking client for the wire protocol, used by the CLI's client mode,
-//! the load-test binary, and the integration tests.
+//! the benchmark harness, and the integration tests.
 //!
 //! The client survives a server restart: when the transport dies it
 //! reconnects with jittered exponential backoff (knobs
-//! `LUX_CLIENT_RETRIES`, `LUX_CLIENT_BACKOFF_MS`,
-//! `LUX_CLIENT_BACKOFF_MAX_MS`), replays its `Hello`, and retries the
-//! request — but **only idempotent requests**. A `put` interrupted before
+//! `LUX_CLIENT_RETRIES`, `LUX_CLIENT_BACKOFF_MS`; capped at 2 s), replays
+//! its `Hello`, and retries the request — but **only idempotent
+//! requests**. A `put` interrupted before
 //! its ack is settled through the `StatFrame` probe: the client journals an
 //! idempotency token with every put, and after a reconnect asks the server
 //! what it holds under that name. A matching token means the put was
@@ -98,6 +98,9 @@ pub enum PrintOutcome {
     Error(ErrorCode, String),
 }
 
+/// Ceiling of the reconnect backoff.
+const BACKOFF_MAX: Duration = Duration::from_secs(2);
+
 /// Reconnect/backoff knobs, read from `LUX_CLIENT_*` once per client.
 #[derive(Debug, Clone, Copy)]
 struct RetryPolicy {
@@ -116,11 +119,7 @@ impl RetryPolicy {
                     .unwrap_or(50)
                     .max(1),
             ),
-            max: Duration::from_millis(
-                envcfg::parse_u64("LUX_CLIENT_BACKOFF_MAX_MS")
-                    .unwrap_or(2_000)
-                    .max(1),
-            ),
+            max: BACKOFF_MAX,
         }
     }
 }

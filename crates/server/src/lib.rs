@@ -20,7 +20,7 @@
 //!   propagate into the engine's admission and action-budget machinery,
 //!   reads/writes are timeout-bounded, SIGTERM drains in-flight passes
 //!   behind a readiness flip with a hard cutoff.
-//! - [`client`] — a blocking client for the CLI, the load-test binary, and
+//! - [`client`] — a blocking client for the CLI, the benchmark harness, and
 //!   the integration tests.
 //! - [`mem`] — an in-memory `mem:<name>` transport with seeded fault
 //!   injection, used by the deterministic simulation harness

@@ -34,14 +34,13 @@ pub struct FrameEntry {
     pub fingerprint: u64,
     /// Spool path relative to the data dir.
     pub file: String,
-    /// Spooled payload length and CRC-32 (0/0 for legacy recovered frames
-    /// that predate spool integrity).
+    /// Spooled payload length and CRC-32.
     pub len: u64,
     pub crc: u32,
     /// Client idempotency token from the put that created this entry.
     pub token: String,
-    /// Journal sequence number of that put (0 = not journaled: legacy
-    /// record or degraded persistence).
+    /// Journal sequence number of that put (0 = not journaled: degraded
+    /// persistence).
     pub seq: u64,
     /// The engine frame plus the intent string it currently carries.
     state: Mutex<(LuxDataFrame, String)>,
@@ -654,49 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn fsync_failure_on_overwrite_never_loses_the_frame() {
-        // Regression for a data-loss bug: an overwrite put whose journal
-        // line landed but whose fsync failed had its spool file deleted
-        // as if the record were never written. On the next boot the
-        // written record replayed, superseded the previous acked version,
-        // failed spool verification (file gone), and the orphan sweep
-        // then destroyed the previous version's bytes too.
-        let dir = tmp_dir("fsyncloss");
-        let cfg = JournalConfig {
-            fsync: crate::journal::FsyncPolicy::Always,
-            ..JournalConfig::default()
-        };
-        let (reg, _) = Registry::recover_with_config(&dir, None, cfg).unwrap();
-        let first = reg.put_frame("t1", "cars", CSV, "tok-1").unwrap();
-        assert!(first.seq > 0, "first put is acked durable");
-        // Fail exactly the overwrite's *journal* fsync: the first two
-        // io.fsync hits are its spool file + directory syncs.
-        lux_engine::failpoint::cfg(lux_engine::failpoint::names::IO_FSYNC, "2*off->1*return")
-            .unwrap();
-        let second = reg.put_frame("t1", "cars", CSV2, "tok-2").unwrap();
-        lux_engine::failpoint::remove(lux_engine::failpoint::names::IO_FSYNC);
-        assert_eq!(second.seq, 0, "no durability promised");
-        assert!(reg.journal_degraded());
-        // Both spool versions must still be on disk: the written record
-        // references the new one, and if its un-synced journal line were
-        // lost to power failure, replay would fall back to the old one.
-        assert!(dir.join(&first.file).exists(), "prior acked bytes kept");
-        assert!(dir.join(&second.file).exists(), "journaled bytes kept");
-        drop(reg);
-        // kill -9 semantics: the written line survives, so the newer
-        // payload is served; nothing was lost, nothing quarantined.
-        let (reg, notes) = Registry::recover(&dir).unwrap();
-        let entry = reg.get("t1", "cars").expect("frame must survive");
-        assert_eq!(entry.rows, 5, "the written put's payload is served");
-        assert_eq!(entry.token, "tok-2");
-        assert!(
-            !notes.iter().any(|n| n.contains("not recovered")),
-            "{notes:?}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn missing_newest_spool_falls_back_to_prior_acked_version() {
         // Bit-rot / lost-tail safety net: when the newest put's payload is
         // gone, recovery serves the most recent superseded version that
@@ -749,22 +705,6 @@ mod tests {
         assert_eq!(err.0, ErrorCode::BadName);
         let err = reg.put_frame("t1", "cars", "", "").err().unwrap();
         assert_eq!(err.0, ErrorCode::BadData);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn spool_failpoint_degrades_but_serves_from_memory() {
-        let dir = tmp_dir("spoolfail");
-        let (reg, _) = Registry::recover(&dir).unwrap();
-        lux_engine::failpoint::cfg(lux_engine::failpoint::names::SERVER_SPOOL, "1*return").unwrap();
-        let entry = reg.put_frame("t1", "cars", CSV, "tok").unwrap();
-        lux_engine::failpoint::remove(lux_engine::failpoint::names::SERVER_SPOOL);
-        assert_eq!(entry.seq, 0, "no durability promised");
-        assert!(reg.journal_degraded());
-        assert!(reg.journal_health().contains("degraded"));
-        // Still fully servable from memory.
-        let w = entry.print("", "t1", None, 1, "").unwrap();
-        assert_eq!(w.num_rows, 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

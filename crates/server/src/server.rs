@@ -41,14 +41,12 @@ pub struct ServerConfig {
     /// Per-read socket timeout (`LUX_READ_TIMEOUT_MS`). Bounds how long a
     /// slow or dead client can hold its connection thread.
     pub read_timeout: Duration,
-    /// Per-write socket timeout (`LUX_WRITE_TIMEOUT_MS`, defaults to the
-    /// read timeout).
+    /// Per-write socket timeout (follows `LUX_READ_TIMEOUT_MS`).
     pub write_timeout: Duration,
     /// How long the drain waits for in-flight requests before the hard
     /// cutoff (`LUX_DRAIN_TIMEOUT_MS`).
     pub drain_timeout: Duration,
-    /// Connection cap; excess connections get a typed error and a close
-    /// (`LUX_MAX_CONNS`).
+    /// Connection cap; excess connections get a typed error and a close.
     pub max_conns: usize,
     /// Optional plaintext metrics exposition address (`LUX_METRICS_ADDR`):
     /// a second listener serving the Prometheus text rendering of the
@@ -89,14 +87,8 @@ impl ServerConfig {
             cfg.read_timeout = Duration::from_millis(ms.max(1));
             cfg.write_timeout = cfg.read_timeout;
         }
-        if let Some(ms) = envcfg::parse_u64("LUX_WRITE_TIMEOUT_MS") {
-            cfg.write_timeout = Duration::from_millis(ms.max(1));
-        }
         if let Some(ms) = envcfg::parse_u64("LUX_DRAIN_TIMEOUT_MS") {
             cfg.drain_timeout = Duration::from_millis(ms);
-        }
-        if let Some(n) = envcfg::parse_usize("LUX_MAX_CONNS") {
-            cfg.max_conns = n.max(1);
         }
         if let Ok(addr) = std::env::var("LUX_METRICS_ADDR") {
             if !addr.trim().is_empty() {

@@ -242,11 +242,20 @@ proptest! {
         for d in &damage {
             apply_damage(&dir, d);
         }
+        // Plus one unframed (no `v2` header, so no checksum) put of a frame
+        // that was never stored: it must count as corrupt, not replay.
+        let mut journal_text = std::fs::read(dir.join("journal.jsonl")).unwrap_or_default();
+        journal_text.extend_from_slice(
+            b"\n{\"op\":\"put\",\"tenant\":\"t0\",\"name\":\"ghost\",\"rows\":1,\"cols\":2,\
+              \"file\":\"frames/t0/ghost.csv\",\"len\":0,\"crc\":0,\"token\":\"\"}\n",
+        );
+        std::fs::write(dir.join("journal.jsonl"), journal_text).unwrap();
         // Replay must hold its invariants on whatever is left. Damage may
         // *resurrect* a dropped frame (a lost `drop` record) — that is a
         // reported casualty, not corruption — but it can never invent a
         // frame that was never put.
         let replayed = journal::replay(&dir);
+        prop_assert!(replayed.skipped >= 1, "the unframed line was not counted");
         for rec in &replayed.frames {
             prop_assert!(ever.contains(&(rec.tenant.clone(), rec.name.clone())),
                 "replay invented frame {}/{}", rec.tenant, rec.name);
@@ -258,10 +267,8 @@ proptest! {
                 Ok(bytes) => {
                     // Anything verification lets through matches the
                     // journaled facts exactly.
-                    if rec.len > 0 {
-                        prop_assert_eq!(bytes.len() as u64, rec.len);
-                        prop_assert_eq!(crc32(&bytes), rec.crc);
-                    }
+                    prop_assert_eq!(bytes.len() as u64, rec.len);
+                    prop_assert_eq!(crc32(&bytes), rec.crc);
                 }
                 Err(reason) if reason.contains("quarantined") => {
                     quarantined += 1;
@@ -280,12 +287,10 @@ proptest! {
             let tenant = format!("t{t}");
             for name in reg.list(&tenant) {
                 let entry = reg.get(&tenant, &name).unwrap();
-                if entry.len > 0 {
-                    let bytes = std::fs::read(dir.join(&entry.file))
-                        .unwrap_or_else(|e| panic!("served frame lost its spool: {e}"));
-                    prop_assert_eq!(crc32(&bytes), entry.crc,
-                        "served a frame whose payload fails its checksum");
-                }
+                let bytes = std::fs::read(dir.join(&entry.file))
+                    .unwrap_or_else(|e| panic!("served frame lost its spool: {e}"));
+                prop_assert_eq!(crc32(&bytes), entry.crc,
+                    "served a frame whose payload fails its checksum");
             }
         }
         // Every casualty is reported, never silent: if anything was

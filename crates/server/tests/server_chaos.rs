@@ -14,12 +14,16 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use lux_engine::failpoint::{self, names};
+use lux_engine::trace::{names as metric, MetricsRegistry};
 use lux_server::{Client, PrintOutcome, Server, ServerConfig};
 
 const CSV: &str = "mpg,hp,origin\n18.0,130,usa\n24.0,95,japan\n27.0,88,japan\n14.0,220,usa\n";
 
 #[test]
 fn injected_faults_degrade_one_request_never_the_server() {
+    let metrics = MetricsRegistry::global();
+    let failures0 = metrics.counter(metric::SERVER_JOURNAL_FAILURES);
+    let degraded0 = metrics.counter(metric::SERVER_JOURNAL_DEGRADED);
     let dir: PathBuf = std::env::temp_dir().join(format!("lux_chaos_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -78,6 +82,8 @@ fn injected_faults_degrade_one_request_never_the_server() {
         stats.contains("journal: degraded"),
         "stats should report degraded persistence, got:\n{stats}"
     );
+    assert!(metrics.counter(metric::SERVER_JOURNAL_FAILURES) > failures0);
+    assert!(metrics.counter(metric::SERVER_JOURNAL_DEGRADED) > degraded0);
 
     failpoint::remove(names::SERVER_READ);
     failpoint::remove(names::SERVER_WRITE);

@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lux_engine::trace::{names as metric, MetricsRegistry};
 use lux_engine::AdmissionController;
 use lux_server::protocol::{self, msg};
 use lux_server::{Client, ErrorCode, PrintOutcome, Request, Response, Server, ServerConfig};
@@ -194,6 +195,20 @@ fn garbage_bytes_get_typed_error_and_server_survives() {
         raw.write_all(&hdr).unwrap();
         let err = read_one_frame(&mut raw);
         assert_eq!(err.msg_type, msg::ERROR);
+    }
+    // Slowloris: half a frame, then silence. The read timeout reaps the
+    // connection (the blocking read below returns when the server closes
+    // it) and counts it.
+    {
+        let timeouts0 = MetricsRegistry::global().counter(metric::SERVER_TIMEOUTS);
+        let mut raw = TcpStream::connect(&addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut frame = Vec::new();
+        protocol::write_frame(&mut frame, msg::PING, 11, &[0u8; 32]).unwrap();
+        raw.write_all(&frame[..frame.len() / 2]).unwrap();
+        let mut buf = Vec::new();
+        let _ = raw.read_to_end(&mut buf);
+        assert!(MetricsRegistry::global().counter(metric::SERVER_TIMEOUTS) > timeouts0);
     }
     // The server is still healthy.
     let mut c = connect(&addr);

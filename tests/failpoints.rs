@@ -182,6 +182,36 @@ fn pool_worker_panic_is_respawned_by_supervisor() {
     assert_eq!(healed.iter().sum::<usize>(), (1..=64).sum::<usize>());
 }
 
+/// A pool worker stuck on one task past the watchdog threshold is flagged
+/// (and a replacement worker started on its queue) while fork-join callers
+/// keep completing: the stalled fork claimed no index, so the caller
+/// drains the cursor itself.
+#[test]
+fn hung_pool_worker_is_flagged_by_the_watchdog() {
+    let _serial = failpoint_lock().lock().unwrap();
+    let _chaos = Chaos::begin();
+    let metrics = MetricsRegistry::global();
+    let warm: Vec<usize> = lux::engine::pool::parallel_map(4, (0..64).collect(), |_, x: usize| x);
+    assert_eq!(warm.len(), 64);
+    let hung0 = metrics.counter(names::POOL_HUNG_WORKERS);
+    lux::engine::pool::set_watchdog_ms(20);
+    // Whichever worker runs the next pool task stalls in it for 6s.
+    failpoint::cfg(fp::POOL_TASK_RUN, "1*sleep(6000)").unwrap();
+    let out: Vec<usize> =
+        lux::engine::pool::parallel_map(4, (0..64).collect(), |_, x: usize| x + 1);
+    assert_eq!(out.iter().sum::<usize>(), (1..=64).sum::<usize>());
+    // The watchdog may be mid-nap on its old threshold (at most 1s).
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while metrics.counter(names::POOL_HUNG_WORKERS) == hung0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "watchdog never flagged the stalled worker"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    lux::engine::pool::set_watchdog_ms(30_000);
+}
+
 /// A dropped pool task (`return` at `pool.task.run`) cannot hang fork-join
 /// callers: the caller drains the index cursor itself.
 #[test]

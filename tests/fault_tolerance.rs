@@ -7,6 +7,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lux::engine::trace::{names, MetricsRegistry};
 use lux::prelude::*;
 use lux::recs::{ChaosAction, ChaosMode};
 
@@ -28,6 +29,17 @@ fn frame() -> DataFrame {
         )
         .build()
         .unwrap()
+}
+
+/// An action that takes 10 ms per candidate score, 400 candidates long.
+fn sloth_action() -> ChaosAction {
+    ChaosAction::new(
+        "Sloth",
+        ChaosMode::SlowScore {
+            per_score: Duration::from_millis(10),
+            candidates: 400,
+        },
+    )
 }
 
 fn statuses(ldf: &LuxDataFrame) -> Vec<(String, String)> {
@@ -96,13 +108,7 @@ fn slow_action_degrades_to_partial_results() {
         ..LuxConfig::default()
     };
     let mut ldf = LuxDataFrame::with_config(frame(), Arc::new(cfg));
-    ldf.register_action(ChaosAction::new(
-        "Sloth",
-        ChaosMode::SlowScore {
-            per_score: Duration::from_millis(10),
-            candidates: 400,
-        },
-    ));
+    ldf.register_action(sloth_action());
 
     let recs = ldf.recommendations();
     let sloth = recs
@@ -117,6 +123,26 @@ fn slow_action_degrades_to_partial_results() {
     assert_eq!(status_of(&ldf, "Sloth").as_deref(), Some("degraded"));
     // Healthy actions are unaffected.
     assert_eq!(status_of(&ldf, "Distribution").as_deref(), Some("ok"));
+
+    // The same sloth under a propagated client deadline: what is left of
+    // the deadline becomes its budget, so the pass as a whole overruns it —
+    // counted process-wide and against the tenant.
+    let metrics = MetricsRegistry::global();
+    let misses0 = metrics.counter(names::DEADLINE_MISSES);
+    let tenant0 = metrics.tenant_counter(names::TENANT_DEADLINE_MISSES, "t-sloth");
+    let cfg = LuxConfig {
+        r#async: false,
+        ..LuxConfig::default()
+    };
+    let mut ldf = LuxDataFrame::with_config(frame(), Arc::new(cfg));
+    ldf.register_action(sloth_action());
+    let opts = PrintOptions::default()
+        .with_deadline(Some(Duration::from_millis(100)))
+        .with_tenant(Some("t-sloth".to_string()));
+    let widget = ldf.print_with(&opts);
+    assert!(widget.shed_note().is_none(), "idle engine shed the pass");
+    assert!(metrics.counter(names::DEADLINE_MISSES) > misses0);
+    assert!(metrics.tenant_counter(names::TENANT_DEADLINE_MISSES, "t-sloth") > tenant0);
 }
 
 #[test]
@@ -162,10 +188,15 @@ fn breaker_disables_repeat_offender_then_reprobes() {
         vec![ChaosMode::Panic, ChaosMode::Panic, ChaosMode::Healthy],
     ));
 
+    let trips0 = MetricsRegistry::global().counter(names::BREAKER_TRIPS);
     let mut seen = Vec::new();
     for _ in 0..6 {
         seen.push(status_of(&ldf, "Flaky").expect("Flaky always has a health entry"));
     }
+    assert!(
+        MetricsRegistry::global().counter(names::BREAKER_TRIPS) > trips0,
+        "tripped breaker not counted"
+    );
     assert_eq!(seen[0], "failed");
     assert_eq!(
         seen[1], "failed",

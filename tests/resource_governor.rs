@@ -91,7 +91,12 @@ fn tight_byte_budget_breaches_but_still_serves_the_table() {
     let mut config = LuxConfig::default();
     config.budget.max_bytes = 1; // every allocation is over budget
     let ldf = LuxDataFrame::with_config(near_unique_frame(5_000), Arc::new(config));
+    let breaches0 = MetricsRegistry::global().counter(names::GOVERNOR_BREACHES);
     let widget = ldf.print();
+    assert!(
+        MetricsRegistry::global().counter(names::GOVERNOR_BREACHES) > breaches0,
+        "byte breach not counted"
+    );
 
     // The table view always survives; the breach is marked, not fatal.
     assert!(widget.table().contains("rows"), "table view missing");
