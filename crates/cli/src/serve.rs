@@ -121,10 +121,11 @@ fn watch_loop(
 /// Commands: `ping`, `stats`, `metrics`, `flight [interval-ms] [rounds]`,
 /// `top [interval-ms] [rounds]`, `shutdown`, `list <tenant>`,
 /// `put <tenant> <name> <csv-path>`, `drop <tenant> <name>`,
-/// `print <tenant> <name> [intent] [deadline-ms] [trace-id]`.
+/// `print <tenant> <name> [intent] [deadline-ms] [trace-id]`,
+/// `vega <tenant> <name> [intent]`.
 pub fn run_client(args: &[String]) -> i32 {
     let usage = "usage: lux-shell client <addr> \
-                 ping|stats|metrics|flight|top|shutdown|list|put|drop|print [...]";
+                 ping|stats|metrics|flight|top|shutdown|list|put|drop|print|vega [...]";
     let (addr, rest) = match args.split_first() {
         Some((a, r)) if !r.is_empty() => (a.as_str(), r),
         _ => {
@@ -261,6 +262,17 @@ pub fn run_client(args: &[String]) -> i32 {
                     })
             })
         }
+        // `vega` — the Vega-Lite JSON of the frame's recommendations (the
+        // export a print response does not carry), on stdout.
+        ("vega", [tenant, name, tail @ ..]) if tail.len() <= 1 => {
+            let intent = tail.first().map(String::as_str).unwrap_or("");
+            client.hello(tenant).and_then(|_| {
+                client.vega_lite(name, intent).map(|json| {
+                    println!("{json}");
+                    0
+                })
+            })
+        }
         _ => {
             eprintln!("{usage}");
             return 2;
@@ -270,7 +282,12 @@ pub fn run_client(args: &[String]) -> i32 {
         Ok(code) => code,
         Err(e) => {
             eprintln!("lux-client: {e}");
-            1
+            // A shed is exit 3, as for `print`.
+            if matches!(e, ClientError::Busy { .. }) {
+                3
+            } else {
+                1
+            }
         }
     }
 }

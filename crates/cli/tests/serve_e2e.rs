@@ -167,6 +167,14 @@ fn client_subcommand_round_trips_against_a_live_server() {
     assert!(ok && text.contains("stored cars"), "put: {text}");
     let (ok, text) = run(&["print", "t1", "cars", "mpg,hp"]);
     assert!(ok && text.contains("Current Vis"), "print: {text}");
+    assert!(!text.contains("$schema"), "print carries no export: {text}");
+    let (ok, text) = run(&["vega", "t1", "cars", "mpg,hp"]);
+    assert!(
+        ok && text.starts_with("[{\"action\": \"Current Vis\"") && text.contains("$schema"),
+        "vega: {text:.200}"
+    );
+    let (ok, text) = run(&["vega", "t1", "nope"]);
+    assert!(!ok && text.contains("UnknownFrame"), "vega nope: {text}");
     let (ok, text) = run(&["list", "t1"]);
     assert!(ok && text.contains("cars"), "list: {text}");
     let (ok, text) = run(&["stats"]);

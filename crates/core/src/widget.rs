@@ -282,9 +282,13 @@ impl std::fmt::Display for Widget {
 /// A flattened, wire-serializable snapshot of a [`Widget`] for the serving
 /// layer: the rendered views plus the health/degradation notes, with the
 /// heavyweight internals (span tree, raw `ActionResult`s) already rendered
-/// to strings. Encodes to a versioned, length-prefixed binary payload that
-/// the server frames onto the socket; decode is bounds-checked and returns
-/// an error on truncation rather than panicking.
+/// to strings. It carries what a client displays — the table and the Lux
+/// view, whose size follows the chart cap, not the row count — and not the
+/// Vega-Lite export, which inlines every vis's data and is served on
+/// request ([`Widget::to_vega_lite`] server-side). Encodes to a versioned,
+/// length-prefixed binary payload that the server frames onto the socket;
+/// decode is bounds-checked and returns an error on truncation rather than
+/// panicking.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WireWidget {
     pub num_rows: u64,
@@ -292,8 +296,6 @@ pub struct WireWidget {
     pub table: String,
     /// The full Lux view rendered with the caller's per-tab chart cap.
     pub lux_view: String,
-    /// Grouped Vega-Lite JSON (the machine-readable export).
-    pub vega_lite: String,
     /// Tab names in display order.
     pub tabs: Vec<String>,
     /// Non-ok action health lines ("Correlation: degraded (...)").
@@ -303,19 +305,19 @@ pub struct WireWidget {
     pub timing_footer: Option<String>,
 }
 
-/// Payload format version; bump on any field change.
-const WIRE_WIDGET_VERSION: u8 = 1;
+/// Payload format version; bump on any field change. Version 2 dropped the
+/// always-on `vega_lite` string.
+const WIRE_WIDGET_VERSION: u8 = 2;
 
 impl WireWidget {
     /// Flatten a widget for the wire. `per_tab` caps charts per tab in the
-    /// rendered Lux view (the table/vega exports are unaffected).
+    /// rendered Lux view (the table is unaffected).
     pub fn from_widget(w: &Widget, per_tab: usize) -> WireWidget {
         WireWidget {
             num_rows: w.num_rows as u64,
             num_columns: w.num_columns as u64,
             table: w.table().to_string(),
             lux_view: w.render_lux_view(per_tab),
-            vega_lite: w.to_vega_lite(),
             tabs: w.tabs().iter().map(|t| t.to_string()).collect(),
             health_problems: w.health_problems().iter().map(|h| h.to_string()).collect(),
             governor_note: w.governor_note().map(str::to_string),
@@ -331,14 +333,12 @@ impl WireWidget {
 
     /// Serialize to the versioned binary payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity(64 + self.table.len() + self.lux_view.len() + self.vega_lite.len());
+        let mut out = Vec::with_capacity(64 + self.table.len() + self.lux_view.len());
         out.push(WIRE_WIDGET_VERSION);
         put_u64(&mut out, self.num_rows);
         put_u64(&mut out, self.num_columns);
         put_str(&mut out, &self.table);
         put_str(&mut out, &self.lux_view);
-        put_str(&mut out, &self.vega_lite);
         put_vec(&mut out, &self.tabs);
         put_vec(&mut out, &self.health_problems);
         put_opt(&mut out, self.governor_note.as_deref());
@@ -362,7 +362,6 @@ impl WireWidget {
             num_columns: cur.u64()?,
             table: cur.str()?,
             lux_view: cur.str()?,
-            vega_lite: cur.str()?,
             tabs: cur.vec()?,
             health_problems: cur.vec()?,
             governor_note: cur.opt()?,
@@ -566,9 +565,12 @@ mod tests {
         let wire = super::WireWidget::from_widget(&w, 1);
         assert!(wire.tabs.iter().any(|t| t == "Correlation"));
         let bytes = wire.encode();
+        assert_eq!(bytes[0], super::WIRE_WIDGET_VERSION);
         let back = super::WireWidget::decode(&bytes).expect("round-trip decode");
         assert_eq!(wire, back);
         assert!(back.render().contains("=== Correlation"));
+        // The export is not on the wire: no vis data, no Vega-Lite schema.
+        assert!(!bytes.windows(7).any(|w| w == b"$schema"));
     }
 
     #[test]
@@ -585,5 +587,58 @@ mod tests {
         let mut extended = bytes.clone();
         extended.push(0xFF);
         assert!(super::WireWidget::decode(&extended).is_err());
+    }
+
+    #[test]
+    fn wire_widget_v1_payload_is_rejected_by_version() {
+        // The v1 layout: version 1, and a `vega_lite` string between the
+        // Lux view and the tabs.
+        let w = widget();
+        let wire = super::WireWidget::from_widget(&w, 1);
+        let mut v1 = vec![1u8];
+        super::put_u64(&mut v1, wire.num_rows);
+        super::put_u64(&mut v1, wire.num_columns);
+        super::put_str(&mut v1, &wire.table);
+        super::put_str(&mut v1, &wire.lux_view);
+        super::put_str(&mut v1, &w.to_vega_lite());
+        super::put_vec(&mut v1, &wire.tabs);
+        super::put_vec(&mut v1, &wire.health_problems);
+        super::put_opt(&mut v1, wire.governor_note.as_deref());
+        super::put_opt(&mut v1, wire.shed_note.as_deref());
+        super::put_opt(&mut v1, wire.timing_footer.as_deref());
+        let err = super::WireWidget::decode(&v1).expect_err("v1 must not decode");
+        assert_eq!(
+            err, "unsupported widget payload version 1 (expected 2)",
+            "a v1 payload is a version error, not a layout error"
+        );
+    }
+
+    /// An all-numeric frame of 8 columns: scatter/heatmap and histogram
+    /// recommendations, whose Vega-Lite export scales with the rows.
+    fn numeric_frame(rows: usize) -> LuxDataFrame {
+        let mut b = DataFrameBuilder::new();
+        for c in 0..8u64 {
+            b = b.float(
+                &format!("m{c}"),
+                (0..rows as u64).map(move |i| {
+                    let x = (i * 2_654_435_761 + c * 40_503) % 10_007;
+                    x as f64 / 7.0 + (i % (c + 2)) as f64
+                }),
+            );
+        }
+        LuxDataFrame::new(b.build().expect("columns of equal length"))
+    }
+
+    #[test]
+    fn wire_size_follows_the_chart_cap_not_the_rows() {
+        let small = super::WireWidget::from_widget(&numeric_frame(4_000).print(), 2).encode();
+        let large = super::WireWidget::from_widget(&numeric_frame(40_000).print(), 2).encode();
+        assert!(small.len() < 64 * 1024, "4k rows: {} bytes", small.len());
+        assert!(
+            large.len() < 2 * small.len() && small.len() < 2 * large.len(),
+            "4k rows: {} bytes, 40k rows: {} bytes",
+            small.len(),
+            large.len()
+        );
     }
 }

@@ -36,6 +36,9 @@ pub enum ClientError {
     Protocol(String),
     /// A well-formed typed error from the server.
     Server(ErrorCode, String),
+    /// The server shed the pass behind a non-print request (admission
+    /// control); `trace` is the server-side trace id of the shed.
+    Busy { reason: String, trace: String },
     /// A `put` was interrupted and the server could not confirm it was
     /// applied (no frame, or a different put's token under that name).
     /// Resending might clobber newer state — the caller decides.
@@ -51,6 +54,7 @@ impl std::fmt::Display for ClientError {
             ClientError::Io(e) => write!(f, "connection lost: {e}"),
             ClientError::Protocol(e) => write!(f, "protocol error: {e}"),
             ClientError::Server(code, msg) => write!(f, "server error ({code:?}): {msg}"),
+            ClientError::Busy { reason, trace } => write!(f, "shed [{trace}]: {reason}"),
             ClientError::RetryUnsafe(msg) => write!(f, "retry unsafe: {msg}"),
         }
     }
@@ -441,6 +445,24 @@ impl Client {
             }
             Response::Busy { reason, trace } => Ok(PrintOutcome::Busy { reason, trace }),
             Response::Error { code, message, .. } => Ok(PrintOutcome::Error(code, message)),
+            other => Err(ClientError::Protocol(format!(
+                "unexpected response {other:?}"
+            ))),
+        }
+    }
+
+    /// The machine-readable export of a print: grouped Vega-Lite JSON for
+    /// the frame's recommendations under `intent`. Not part of the print
+    /// response — ask for it when something will consume it. Read-only, so
+    /// reconnect-retried; a shed pass is a typed [`ClientError::Busy`].
+    pub fn vega_lite(&mut self, name: &str, intent: &str) -> Result<String, ClientError> {
+        match self.request_idempotent(&Request::VegaLite {
+            name: name.to_string(),
+            intent: intent.to_string(),
+        })? {
+            Response::VegaLiteText { text } => Ok(text),
+            Response::Busy { reason, trace } => Err(ClientError::Busy { reason, trace }),
+            Response::Error { code, message, .. } => Err(ClientError::Server(code, message)),
             other => Err(ClientError::Protocol(format!(
                 "unexpected response {other:?}"
             ))),

@@ -186,11 +186,9 @@ impl Read for MemStream {
                 ));
             }
             if !st.buf.is_empty() {
-                let n = buf.len().min(st.buf.len());
-                for slot in buf.iter_mut().take(n) {
-                    *slot = st.buf.pop_front().unwrap_or(0);
-                }
-                return Ok(n);
+                // `VecDeque<u8>: Read` copies out (at most) its front
+                // slice in bulk; a wrapped remainder comes on the next call.
+                return st.buf.read(buf);
             }
             if st.closed {
                 return Ok(0); // EOF

@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic `LX`
-//! 2       1     protocol version (currently 2)
+//! 2       1     protocol version ([`PROTOCOL_VERSION`])
 //! 3       1     message type
 //! 4       4     request id (little-endian; echoed in the response)
 //! 8       4     payload length (little-endian; capped at 64 MiB)
@@ -20,6 +20,11 @@
 //! keeps the connection; a bad magic or version means the framing itself is
 //! lost, so the server answers and closes. Either way: a typed response,
 //! never a panic, never a silent desync.
+//!
+//! A frame is assembled in one buffer and handed to the socket in one
+//! `write_all`: the transport sees whole frames, never a header, a payload
+//! and a CRC as three small segments (which on TCP costs a delayed-ACK
+//! timer per direction).
 
 use std::io::{Read, Write};
 
@@ -29,8 +34,10 @@ use std::io::{Read, Write};
 /// durable-state plumbing: an idempotency token on `PutFrame`, the journal
 /// sequence number on `FrameAck`, a persistence-degraded flag on
 /// `HelloAck`, and the `StatFrame`/`FrameStat` pair a reconnecting client
-/// uses to confirm whether an un-acked put was applied.
-pub const PROTOCOL_VERSION: u8 = 3;
+/// uses to confirm whether an un-acked put was applied. Version 4 moved the
+/// Vega-Lite export out of the print response (`WireWidget` v2) into its
+/// own opt-in `VegaLite`/`VegaLiteText` pair.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Frame magic.
 pub const MAGIC: [u8; 2] = *b"LX";
@@ -142,8 +149,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
     if len as usize > MAX_PAYLOAD {
         return Err(ProtoError::TooLarge(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    read_exact(r, &mut payload)?;
+    // Grow with the bytes that actually arrive: a peer that declares a
+    // large (legal) length and then stalls reserves nothing up front.
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(64 * 1024));
+    match r.by_ref().take(len as u64).read_to_end(&mut payload) {
+        Ok(n) if n < len => return Err(mid_frame_eof()),
+        Ok(_) => {}
+        Err(e) => return Err(ProtoError::Io(e)),
+    }
     let mut crc_bytes = [0u8; 4];
     read_exact(r, &mut crc_bytes)?;
     let expected = u32::from_le_bytes(crc_bytes);
@@ -164,17 +178,22 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
 fn read_exact<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), ProtoError> {
     r.read_exact(buf).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            ProtoError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "peer closed mid-frame",
-            ))
+            mid_frame_eof()
         } else {
             ProtoError::Io(e)
         }
     })
 }
 
-/// Write one frame (header + payload + CRC) and flush.
+fn mid_frame_eof() -> ProtoError {
+    ProtoError::Io(std::io::Error::new(
+        std::io::ErrorKind::UnexpectedEof,
+        "peer closed mid-frame",
+    ))
+}
+
+/// Write one frame (header + payload + CRC) as a single `write_all`, then
+/// flush.
 pub fn write_frame<W: Write>(
     w: &mut W,
     msg_type: u8,
@@ -182,18 +201,16 @@ pub fn write_frame<W: Write>(
     payload: &[u8],
 ) -> std::io::Result<()> {
     debug_assert!(payload.len() <= MAX_PAYLOAD);
-    let mut header = [0u8; 12];
-    header[..2].copy_from_slice(&MAGIC);
-    header[2] = PROTOCOL_VERSION;
-    header[3] = msg_type;
-    header[4..8].copy_from_slice(&request_id.to_le_bytes());
-    header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut crc = Crc32::new();
-    crc.update(&header[2..]);
-    crc.update(payload);
-    w.write_all(&header)?;
-    w.write_all(payload)?;
-    w.write_all(&crc.finish().to_le_bytes())?;
+    let mut frame = Vec::with_capacity(12 + payload.len() + 4);
+    frame.extend_from_slice(&MAGIC);
+    frame.push(PROTOCOL_VERSION);
+    frame.push(msg_type);
+    frame.extend_from_slice(&request_id.to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    let crc = crc32(&frame[2..]);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -213,6 +230,7 @@ pub mod msg {
     pub const METRICS: u8 = 0x09;
     pub const FLIGHT: u8 = 0x0A;
     pub const STAT_FRAME: u8 = 0x0B;
+    pub const VEGA_LITE: u8 = 0x0C;
 
     pub const HELLO_ACK: u8 = 0x81;
     pub const FRAME_ACK: u8 = 0x82;
@@ -226,6 +244,7 @@ pub mod msg {
     pub const METRICS_TEXT: u8 = 0x8A;
     pub const FLIGHT_TEXT: u8 = 0x8B;
     pub const FRAME_STAT: u8 = 0x8C;
+    pub const VEGA_LITE_TEXT: u8 = 0x8D;
     pub const ERROR: u8 = 0xFF;
 }
 
@@ -309,6 +328,13 @@ pub enum Request {
     StatFrame {
         name: String,
     },
+    /// The machine-readable export of a print: grouped Vega-Lite JSON for
+    /// every recommended visualization of `name` under `intent`. Opt-in
+    /// per request — a print response carries only the rendered views.
+    VegaLite {
+        name: String,
+        intent: String,
+    },
 }
 
 impl Request {
@@ -353,6 +379,11 @@ impl Request {
                 put_str(&mut p, name);
                 (msg::STAT_FRAME, p)
             }
+            Request::VegaLite { name, intent } => {
+                put_str(&mut p, name);
+                put_str(&mut p, intent);
+                (msg::VEGA_LITE, p)
+            }
         }
     }
 
@@ -383,6 +414,10 @@ impl Request {
             msg::METRICS => Request::Metrics,
             msg::FLIGHT => Request::Flight,
             msg::STAT_FRAME => Request::StatFrame { name: c.str()? },
+            msg::VEGA_LITE => Request::VegaLite {
+                name: c.str()?,
+                intent: c.str()?,
+            },
             t => return Err(format!("unknown request type 0x{t:02x}")),
         };
         c.finish()?;
@@ -449,6 +484,10 @@ pub enum Response {
         fingerprint: u64,
         seq: u64,
         token: String,
+    },
+    /// Grouped Vega-Lite JSON (the `VegaLite` op's response).
+    VegaLiteText {
+        text: String,
     },
     /// `trace` echoes the failing request's trace id ("" when the request
     /// never carried one, e.g. a protocol-level error).
@@ -532,6 +571,10 @@ impl Response {
                 put_str(&mut p, token);
                 (msg::FRAME_STAT, p)
             }
+            Response::VegaLiteText { text } => {
+                put_str(&mut p, text);
+                (msg::VEGA_LITE_TEXT, p)
+            }
             Response::Error {
                 code,
                 message,
@@ -595,6 +638,7 @@ impl Response {
                 seq: c.u64()?,
                 token: c.str()?,
             },
+            msg::VEGA_LITE_TEXT => Response::VegaLiteText { text: c.str()? },
             msg::ERROR => Response::Error {
                 code: ErrorCode::from_u16(c.u16()?),
                 message: c.str()?,
@@ -677,7 +721,7 @@ impl<'a> Reader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected), table-driven.
+// CRC-32 (IEEE 802.3, reflected), slice-by-8.
 
 pub struct Crc32 {
     state: u32,
@@ -694,12 +738,28 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
+    /// Eight bytes per step: the state folds into the first four, and each
+    /// of the eight bytes indexes the table that already carries it past
+    /// the remaining ones. The tail (< 8 bytes) goes a byte at a time.
     pub fn update(&mut self, bytes: &[u8]) {
-        let table = crc_table();
-        for &b in bytes {
-            let idx = ((self.state ^ b as u32) & 0xFF) as usize;
-            self.state = (self.state >> 8) ^ table[idx];
+        let t = crc_tables();
+        let mut crc = self.state;
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][c[4] as usize]
+                ^ t[2][c[5] as usize]
+                ^ t[1][c[6] as usize]
+                ^ t[0][c[7] as usize];
         }
+        for &b in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        self.state = crc;
     }
 
     pub fn finish(&self) -> u32 {
@@ -714,11 +774,13 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c.finish()
 }
 
-fn crc_table() -> &'static [u32; 256] {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
+/// `tables[0]` is the classic byte-at-a-time table; `tables[k][i]` is the
+/// CRC of byte `i` followed by `k` zero bytes.
+fn crc_tables() -> &'static [[u32; 256]; 8] {
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut tables = [[0u32; 256]; 8];
+        for (i, slot) in tables[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -729,7 +791,13 @@ fn crc_table() -> &'static [u32; 256] {
             }
             *slot = c;
         }
-        table
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = tables[k - 1][i];
+                tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            }
+        }
+        tables
     })
 }
 
@@ -737,11 +805,97 @@ fn crc_table() -> &'static [u32; 256] {
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time CRC slice-by-8 must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let table = &crc_tables()[0];
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn slice_by_8_equals_the_bytewise_reference() {
+        let data: Vec<u8> = (0..64u32).map(|i| (i * 151 + 43) as u8).collect();
+        for len in 0..=data.len() {
+            let expected = crc32_bytewise(&data[..len]);
+            assert_eq!(crc32(&data[..len]), expected, "len {len}");
+            // State carried across `update` calls split at every offset.
+            for split in 0..=len {
+                let mut c = Crc32::new();
+                c.update(&data[..split]);
+                c.update(&data[split..len]);
+                assert_eq!(c.finish(), expected, "len {len} split {split}");
+            }
+        }
+    }
+
+    /// Counts `write` calls: what the transport sees of a frame.
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for payload in [&b""[..], b"hello", &[7u8; 100_000]] {
+            let mut w = CountingWriter {
+                writes: 0,
+                bytes: Vec::new(),
+            };
+            write_frame(&mut w, msg::PING, 9, payload).unwrap();
+            assert_eq!(w.writes, 1, "payload of {} bytes", payload.len());
+            let frame = read_frame(&mut w.bytes.as_slice()).unwrap();
+            assert_eq!(frame.payload, payload);
+        }
+    }
+
+    #[test]
+    fn truncated_body_is_a_mid_frame_eof() {
+        // A legal 32 MiB length followed by a handful of bytes: the reader
+        // must report the peer closing mid-frame (having buffered only what
+        // arrived), not TooLarge and not an idle timeout.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC);
+        buf.push(PROTOCOL_VERSION);
+        buf.push(msg::PUT_FRAME);
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&(32u32 * 1024 * 1024).to_le_bytes());
+        buf.extend_from_slice(b"only a few bytes");
+        match read_frame(&mut buf.as_slice()).unwrap_err() {
+            ProtoError::Io(e) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof);
+                assert_eq!(e.to_string(), "peer closed mid-frame");
+            }
+            other => panic!("expected a mid-frame EOF, got {other}"),
+        }
+        // Header only, then EOF: same classification.
+        buf.truncate(12);
+        assert!(matches!(
+            read_frame(&mut buf.as_slice()).unwrap_err(),
+            ProtoError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof
+        ));
     }
 
     #[test]
@@ -833,6 +987,10 @@ mod tests {
             Request::StatFrame {
                 name: "cars".into(),
             },
+            Request::VegaLite {
+                name: "cars".into(),
+                intent: "a,b".into(),
+            },
         ];
         for req in cases {
             let (t, p) = req.encode();
@@ -883,6 +1041,9 @@ mod tests {
                 fingerprint: 99,
                 seq: 17,
                 token: "tok-1".into(),
+            },
+            Response::VegaLiteText {
+                text: "[{\"action\": \"Correlation\", \"charts\": []}]".into(),
             },
             Response::Error {
                 code: ErrorCode::Draining,

@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use lux_core::{LuxDataFrame, PrintOptions, SessionLogger, WireWidget};
+use lux_core::{LuxDataFrame, PrintOptions, SessionLogger, Widget, WireWidget};
 use lux_engine::sync::lock_recover;
 
 use crate::journal::{self, DegradeReason, Journal, JournalConfig, PutRecord, SnapshotState};
@@ -72,6 +72,37 @@ impl FrameEntry {
         per_tab: usize,
         request_id: &str,
     ) -> Result<WireWidget, ReqError> {
+        let widget = self.pass(intent, tenant, deadline, request_id)?;
+        Ok(WireWidget::from_widget(&widget, per_tab.max(1)))
+    }
+
+    /// The machine-readable export of the same pass `print` runs: grouped
+    /// Vega-Lite JSON for every recommended visualization. After a print of
+    /// the same intent this is a WFLOW memo hit plus the rendering. The
+    /// inner `Err` is the shed reason when admission refused the pass.
+    pub fn vega_lite(
+        &self,
+        intent: &str,
+        tenant: &str,
+        request_id: &str,
+    ) -> Result<Result<String, String>, ReqError> {
+        let widget = self.pass(intent, tenant, None, request_id)?;
+        Ok(match widget.shed_note() {
+            Some(reason) => Err(reason.to_string()),
+            None => Ok(widget.to_vega_lite()),
+        })
+    }
+
+    /// Point the frame at `intent` (when it is not there already) and run
+    /// one pass under the frame lock; rendering happens on the returned
+    /// widget, outside it.
+    fn pass(
+        &self,
+        intent: &str,
+        tenant: &str,
+        deadline: Option<Duration>,
+        request_id: &str,
+    ) -> Result<Widget, ReqError> {
         let mut st = lock_recover(&self.state);
         if st.1 != intent {
             let (ldf, current) = &mut *st;
@@ -88,8 +119,7 @@ impl FrameEntry {
             .with_deadline(deadline)
             .with_tenant(Some(tenant.to_string()))
             .with_request_id((!request_id.is_empty()).then(|| request_id.to_string()));
-        let widget = st.0.print_with(&opts);
-        Ok(WireWidget::from_widget(&widget, per_tab.max(1)))
+        Ok(st.0.print_with(&opts))
     }
 }
 

@@ -134,13 +134,52 @@ impl Listener {
         match self {
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
-                Ok(Conn::Tcp(s))
+                Conn::tcp(s)
             }
             Listener::Unix(l) => {
                 let (s, _) = l.accept()?;
                 Ok(Conn::Unix(s))
             }
             Listener::Mem(l) => Ok(Conn::Mem(l.accept()?)),
+        }
+    }
+
+    /// Block until a peer is waiting to be accepted or `timeout` has passed,
+    /// whichever is first (`poll(2)` on the listening socket; raw libc over
+    /// FFI like `install_signal_handlers`). A plain sleep would make every
+    /// new connection wait out the rest of a tick, and a session whose work
+    /// takes about one tick last one tick or two depending on which side of
+    /// it the machine's speed puts it.
+    fn wait_acceptable(&self, timeout: Duration) {
+        use std::os::fd::AsRawFd;
+        #[repr(C)]
+        struct PollFd {
+            fd: i32,
+            events: i16,
+            revents: i16,
+        }
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout_ms: i32) -> i32;
+        }
+        const POLLIN: i16 = 1;
+        let fd = match self {
+            Listener::Tcp(l) => l.as_raw_fd(),
+            Listener::Unix(l) => l.as_raw_fd(),
+            // No descriptor to wait on: the simulated transport keeps the tick.
+            Listener::Mem(_) => return std::thread::sleep(timeout),
+        };
+        let mut p = PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        };
+        let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        // A signal (the terminate latch) cuts the wait short, which is what
+        // the caller wants; any other failure must not turn into a spin.
+        if unsafe { poll(&mut p, 1, ms) } < 0
+            && std::io::Error::last_os_error().kind() != std::io::ErrorKind::Interrupted
+        {
+            std::thread::sleep(timeout);
         }
     }
 }
@@ -161,8 +200,16 @@ impl Conn {
         } else if let Some(path) = addr.strip_prefix("unix:") {
             Ok(Conn::Unix(UnixStream::connect(path)?))
         } else {
-            Ok(Conn::Tcp(TcpStream::connect(addr)?))
+            Conn::tcp(TcpStream::connect(addr)?)
         }
+    }
+
+    /// Every TCP stream, dialed or accepted, runs with `TCP_NODELAY`:
+    /// frames are written whole, so there is nothing for Nagle to merge
+    /// and a request/response exchange must not wait out an ACK timer.
+    fn tcp(s: TcpStream) -> std::io::Result<Conn> {
+        s.set_nodelay(true)?;
+        Ok(Conn::Tcp(s))
     }
 
     pub fn set_timeouts(&self, read: Duration, write: Duration) -> std::io::Result<()> {
@@ -353,7 +400,9 @@ impl Server {
             match self.listener.accept() {
                 Ok(conn) => self.spawn_handler(conn),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
+                    // The timeout only paces the look at the drain flags; a
+                    // dialed connection ends the wait at once.
+                    self.listener.wait_acceptable(Duration::from_millis(20));
                 }
                 Err(e) => {
                     self.logger
@@ -588,6 +637,14 @@ fn mint_trace_id() -> String {
     format!("srv-{}", NEXT_TRACE.fetch_add(1, Ordering::Relaxed))
 }
 
+fn unknown_frame(tenant: &str, name: &str, trace: String) -> Response {
+    Response::Error {
+        code: ErrorCode::UnknownFrame,
+        message: format!("no frame named {name:?} for tenant {tenant:?}"),
+        trace,
+    }
+}
+
 fn process(request: &Request, tenant: &mut Option<String>, ctx: &HandlerCtx) -> Response {
     let draining = ctx.draining.load(Ordering::SeqCst);
     let no_trace = String::new;
@@ -708,11 +765,7 @@ fn process(request: &Request, tenant: &mut Option<String>, ctx: &HandlerCtx) -> 
                         trace.clone()
                     };
                     let Some(entry) = ctx.registry.get(tenant, name) else {
-                        return Response::Error {
-                            code: ErrorCode::UnknownFrame,
-                            message: format!("no frame named {name:?} for tenant {tenant:?}"),
-                            trace: trace_id,
-                        };
+                        return unknown_frame(tenant, name, trace_id);
                     };
                     let deadline = (*deadline_ms > 0).then(|| Duration::from_millis(*deadline_ms));
                     match entry.print(intent, tenant, deadline, *per_tab as usize, &trace_id) {
@@ -724,6 +777,24 @@ fn process(request: &Request, tenant: &mut Option<String>, ctx: &HandlerCtx) -> 
                         },
                         Ok(widget) => Response::PrintResult {
                             widget: widget.encode(),
+                        },
+                        Err((code, message)) => Response::Error {
+                            code,
+                            message,
+                            trace: trace_id,
+                        },
+                    }
+                }
+                Request::VegaLite { name, intent } => {
+                    let trace_id = mint_trace_id();
+                    let Some(entry) = ctx.registry.get(tenant, name) else {
+                        return unknown_frame(tenant, name, trace_id);
+                    };
+                    match entry.vega_lite(intent, tenant, &trace_id) {
+                        Ok(Ok(text)) => Response::VegaLiteText { text },
+                        Ok(Err(reason)) => Response::Busy {
+                            reason,
+                            trace: trace_id,
                         },
                         Err((code, message)) => Response::Error {
                             code,
@@ -767,4 +838,74 @@ fn stats_text(ctx: &HandlerCtx) -> String {
     ));
     out.push_str(&admission.render_text());
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn nodelay(conn: &Conn) -> bool {
+        match conn {
+            Conn::Tcp(s) => s.nodelay().expect("query TCP_NODELAY"),
+            _ => panic!("expected a TCP connection"),
+        }
+    }
+
+    #[test]
+    fn both_ends_of_a_tcp_conn_run_nodelay() {
+        let (listener, addr) = Listener::bind("127.0.0.1:0").expect("bind");
+        let dialed = Conn::connect(&addr).expect("connect");
+        let accepted = listener.accept().expect("accept");
+        assert!(nodelay(&dialed), "dialed end");
+        assert!(nodelay(&accepted), "accepted end");
+    }
+
+    /// The accept loop's wait ends when a peer dials in, not when its tick
+    /// does (the mechanism, with bounds far from either: a 30 s tick, a 5 s
+    /// allowance).
+    #[test]
+    fn a_dialed_connection_ends_the_accept_wait() {
+        for addr in [
+            "127.0.0.1:0".to_string(),
+            format!(
+                "unix:{}/lux-accept-{}.sock",
+                std::env::temp_dir().display(),
+                std::process::id()
+            ),
+        ] {
+            let (listener, addr) = Listener::bind(&addr).expect("bind");
+            listener.set_nonblocking(true).expect("nonblocking");
+
+            let idle = lux_engine::clock::now();
+            listener.wait_acceptable(Duration::from_millis(30));
+            assert!(
+                lux_engine::clock::elapsed(idle) >= Duration::from_millis(25),
+                "{addr}: idle wait returned early"
+            );
+            assert_eq!(
+                listener.accept().err().map(|e| e.kind()),
+                Some(std::io::ErrorKind::WouldBlock),
+                "{addr}: nobody dialed"
+            );
+
+            let dialer = {
+                let addr = addr.clone();
+                std::thread::spawn(move || {
+                    std::thread::sleep(Duration::from_millis(50));
+                    Conn::connect(&addr).expect("connect")
+                })
+            };
+            let waiting = lux_engine::clock::now();
+            listener.wait_acceptable(Duration::from_secs(30));
+            assert!(
+                lux_engine::clock::elapsed(waiting) < Duration::from_secs(5),
+                "{addr}: slept the tick out"
+            );
+            listener.accept().expect("the dialed peer is acceptable");
+            drop(dialer.join().expect("dialer"));
+            if let Some(path) = addr.strip_prefix("unix:") {
+                let _ = std::fs::remove_file(path);
+            }
+        }
+    }
 }

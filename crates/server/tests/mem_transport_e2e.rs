@@ -8,13 +8,13 @@
 //! is measured on `lux_engine::clock`, which tracks wall time unless the
 //! simulation harness enables virtual mode.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use lux_server::mem::{set_fault_plans, FaultPlan};
-use lux_server::{Client, ClientError, PrintOutcome, Server, ServerConfig};
+use lux_server::{Client, ClientError, ErrorCode, PrintOutcome, Server, ServerConfig};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lux_mem_e2e_{tag}_{}", std::process::id()));
@@ -37,10 +37,18 @@ fn csv(rows: usize) -> String {
 }
 
 fn start_server(addr: &str, dir: &PathBuf) -> (Arc<AtomicBool>, std::thread::JoinHandle<usize>) {
+    start_server_with(addr, dir, Duration::from_millis(500))
+}
+
+fn start_server_with(
+    addr: &str,
+    dir: &Path,
+    read_timeout: Duration,
+) -> (Arc<AtomicBool>, std::thread::JoinHandle<usize>) {
     let cfg = ServerConfig {
         addr: addr.to_string(),
-        data_dir: dir.clone(),
-        read_timeout: Duration::from_millis(500),
+        data_dir: dir.to_path_buf(),
+        read_timeout,
         write_timeout: Duration::from_millis(500),
         drain_timeout: Duration::from_millis(3_000),
         max_conns: 64,
@@ -91,6 +99,59 @@ fn mem_transport_serves_the_full_request_surface() {
         Client::connect(addr, Duration::from_secs(1)).is_err(),
         "drained mem listener must refuse connections"
     );
+}
+
+/// The action names of a grouped Vega-Lite export, in document order.
+fn export_actions(json: &str) -> Vec<&str> {
+    json.split("{\"action\": \"")
+        .skip(1)
+        .filter_map(|rest| rest.split('"').next())
+        .collect()
+}
+
+#[test]
+fn vega_lite_export_is_its_own_op_and_matches_the_print() {
+    let addr = "mem:e2e_vega";
+    let dir = tmp_dir("vega");
+    // A long idle timeout: the connections below must outlive the drain.
+    let (shutdown, handle) = start_server_with(addr, &dir, Duration::from_secs(30));
+    // A refused export carries the same typed code the refused print does.
+    let refusal = |c: &mut Client, name: &str| {
+        let print_code = match c.print(name, "", 0, 1).unwrap() {
+            PrintOutcome::Error(code, _) => code,
+            other => panic!("expected a typed print error, got {other:?}"),
+        };
+        match c.vega_lite(name, "") {
+            Err(ClientError::Server(code, _)) => assert_eq!(code, print_code),
+            other => panic!("expected a typed server error, got {other:?}"),
+        }
+        print_code
+    };
+
+    let mut anon = Client::connect(addr, Duration::from_secs(10)).expect("connect");
+    assert_eq!(refusal(&mut anon, "cars"), ErrorCode::Protocol, "no Hello");
+
+    let mut c = Client::connect(addr, Duration::from_secs(10)).expect("connect");
+    c.hello("t1").unwrap();
+    c.put_frame("cars", &csv(60)).unwrap();
+    for intent in ["", "mpg"] {
+        let tabs = match c.print("cars", intent, 0, 1).unwrap() {
+            PrintOutcome::Widget(w) => w.tabs,
+            other => panic!("expected widget, got {other:?}"),
+        };
+        assert!(!tabs.is_empty());
+        let json = c.vega_lite("cars", intent).expect("export");
+        assert!(json.starts_with('[') && json.ends_with(']'), "{json:.80}");
+        assert!(json.contains("\"$schema\""));
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(export_actions(&json), tabs, "intent {intent:?}");
+    }
+    assert_eq!(refusal(&mut c, "nope"), ErrorCode::UnknownFrame);
+
+    // Draining: the open connection is still answered, with a refusal.
+    shutdown.store(true, Ordering::SeqCst);
+    handle.join().expect("server thread");
+    assert_eq!(refusal(&mut c, "cars"), ErrorCode::Draining);
 }
 
 /// Last durable ack per frame name: (rows, seq).

@@ -47,6 +47,30 @@ proptest! {
         let _ = WireWidget::decode(&bytes);
     }
 
+    /// The export op's pair roundtrips for any strings, and every cut of
+    /// either payload is a decode error rather than a panic or a value.
+    #[test]
+    fn vega_lite_messages_roundtrip_and_reject_truncation(
+        name in "[A-Za-z0-9_.-]{1,16}",
+        intent in ".{0,24}",
+        text in ".{0,96}",
+    ) {
+        let req = Request::VegaLite { name, intent };
+        let (t, p) = req.encode();
+        prop_assert_eq!(t, msg::VEGA_LITE);
+        prop_assert_eq!(Request::decode(t, &p), Ok(req));
+        for cut in 0..p.len() {
+            prop_assert!(Request::decode(t, &p[..cut]).is_err());
+        }
+        let resp = Response::VegaLiteText { text };
+        let (t, p) = resp.encode();
+        prop_assert_eq!(t, msg::VEGA_LITE_TEXT);
+        prop_assert_eq!(Response::decode(t, &p), Ok(resp));
+        for cut in 0..p.len() {
+            prop_assert!(Response::decode(t, &p[..cut]).is_err());
+        }
+    }
+
     /// Well-formed frames roundtrip for any payload and id.
     #[test]
     fn frame_roundtrip_any_payload(

@@ -19,6 +19,12 @@ cargo check --workspace --all-targets --quiet
 echo "== cargo test --workspace"
 cargo test --workspace --quiet
 
+echo "== benchmark/ builds and tests against the product APIs"
+# benchmark/ is its own workspace: nothing above compiles it, so a product
+# API change that breaks the harness would only show at the next perf run.
+cargo check --offline --locked --manifest-path benchmark/Cargo.toml --quiet
+( cd benchmark && cargo test --offline --quiet )
+
 scripts/lint.sh
 
 echo "all checks passed"
