@@ -52,7 +52,7 @@ fn ablation_prune(c: &mut Criterion) {
                     prune,
                     ..LuxConfig::default()
                 });
-                let sample = (sample_rows > 0).then(|| Arc::new(df.sample(sample_rows, 9)));
+                let sample = (sample_rows > 0).then(|| Arc::new(CachedSample::new(sample_rows, 9)));
                 b.iter(|| {
                     // A pass per iteration: its budget is per pass.
                     let pass = Pass {

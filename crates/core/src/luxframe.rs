@@ -99,7 +99,7 @@ pub struct LuxDataFrame {
     registry: Arc<ActionRegistry>,
     overrides: HashMap<String, SemanticType>,
     cache: Mutex<WflowCache>,
-    sample: CachedSample,
+    sample: Arc<CachedSample>,
     exported: Mutex<Vec<Vis>>,
     logger: Option<Arc<SessionLogger>>,
     /// Span tree of the most recent print pass on this frame.
@@ -159,7 +159,7 @@ impl LuxDataFrame {
         registry: Arc<ActionRegistry>,
         overrides: HashMap<String, SemanticType>,
     ) -> LuxDataFrame {
-        let sample = CachedSample::new(config.sample_cap, config.sample_seed);
+        let sample = Arc::new(CachedSample::new(config.sample_cap, config.sample_seed));
         let ldf = LuxDataFrame {
             df: Arc::new(df),
             intent,
@@ -410,7 +410,7 @@ impl LuxDataFrame {
             intent: Arc::new(self.intent.clone()),
             intent_specs: Arc::new(specs),
             config: Arc::clone(config),
-            sample: config.prune.then(|| self.sample.get(&self.df)),
+            sample: config.prune.then(|| Arc::clone(&self.sample)),
             trace: trace.clone(),
             governor: Arc::clone(governor),
             // The caller blocks on collect_report, holding the pass's
@@ -524,7 +524,7 @@ impl LuxDataFrame {
             intent_specs: Arc::new(self.compile_intent(&meta)),
             meta,
             config: Arc::clone(&self.config),
-            sample: self.config.prune.then(|| self.sample.get(&self.df)),
+            sample: self.config.prune.then(|| Arc::clone(&self.sample)),
             trace: TraceCtx::root("recommendations.streaming"),
             governor: Arc::new(BudgetHandle::governed(budget, permit.ledger(), floor)),
             permit: Some(permit),
@@ -1011,6 +1011,21 @@ mod tests {
         assert!(names.contains(&"Distribution"));
         assert!(names.contains(&"Occurrence")); // "tier" is nominal
         assert!(names.contains(&"Geographic")); // "region" matches the geo heuristic
+    }
+
+    #[test]
+    fn print_with_skipped_gates_never_draws_the_sample() {
+        // Taller than the cap, PRUNE on, but too few candidates for any
+        // gate to engage: the pass carries the handle and nobody reads it.
+        let config = LuxConfig {
+            sample_cap: 10,
+            ..LuxConfig::default()
+        };
+        assert!(config.prune);
+        let ldf = LuxDataFrame::with_config(sample_ldf().data().clone(), Arc::new(config));
+        let w = ldf.print();
+        assert!(!w.results().is_empty());
+        assert!(!ldf.sample.is_cached(), "an unread sample was drawn");
     }
 
     #[test]

@@ -491,38 +491,29 @@ impl Column {
 
     /// Minimum and maximum over the numeric view, ignoring nulls/NaN.
     pub fn min_max_f64(&self) -> Option<(f64, f64)> {
-        let mut mm: Option<(f64, f64)> = None;
-        for i in 0..self.len() {
-            if let Some(v) = self.f64_at(i) {
-                if v.is_nan() {
-                    continue;
-                }
-                mm = Some(match mm {
-                    None => (v, v),
-                    Some((lo, hi)) => (lo.min(v), hi.max(v)),
-                });
-            }
-        }
-        mm
+        self.min_max_where(|v| !v.is_nan())
     }
 
     /// Minimum and maximum over the numeric view, ignoring nulls, NaN, and
     /// ±inf. Binning needs finite edges; an infinite endpoint would collapse
     /// every value into one bin (or produce NaN widths).
     pub fn min_max_finite(&self) -> Option<(f64, f64)> {
-        let mut mm: Option<(f64, f64)> = None;
-        for i in 0..self.len() {
-            if let Some(v) = self.f64_at(i) {
-                if !v.is_finite() {
-                    continue;
-                }
-                mm = Some(match mm {
-                    None => (v, v),
-                    Some((lo, hi)) => (lo.min(v), hi.max(v)),
-                });
+        self.min_max_where(f64::is_finite)
+    }
+
+    /// Extremes of the kept (never NaN) values. Folding from ±inf gives the
+    /// first kept value `(v, v)` exactly, and keeps the loop body free of an
+    /// `Option` state.
+    fn min_max_where(&self, keep: impl Fn(f64) -> bool) -> Option<(f64, f64)> {
+        let (mut lo, mut hi, mut any) = (f64::INFINITY, f64::NEG_INFINITY, false);
+        self.for_each_f64(|_, v| {
+            if keep(v) {
+                lo = lo.min(v);
+                hi = hi.max(v);
+                any = true;
             }
-        }
-        mm
+        });
+        any.then_some((lo, hi))
     }
 }
 

@@ -43,6 +43,7 @@ pub mod history;
 pub mod index;
 pub mod ops;
 pub mod parallel;
+pub mod scan;
 pub mod series;
 pub mod sql;
 pub mod value;

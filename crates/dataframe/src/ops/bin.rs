@@ -31,14 +31,10 @@ impl DataFrame {
         let nbins = labels.len();
 
         let mut out_col = StrColumn::new();
-        for i in 0..col.len() {
-            match col.f64_at(i) {
-                Some(v) if v.is_finite() => {
-                    out_col.push(Some(labels[bin_of(v, lo, hi, nbins)]));
-                }
-                _ => out_col.push(None),
-            }
-        }
+        col.for_each_row_f64(|_, v| match v {
+            Some(v) if v.is_finite() => out_col.push(Some(labels[bin_of(v, lo, hi, nbins)])),
+            _ => out_col.push(None),
+        });
         let mut df = self.with_column(out, Column::Str(out_col))?;
         df.record_event(
             Event::new(OpKind::Bin, format!("cut({column} -> {out}, {nbins} bins)"))
@@ -69,14 +65,11 @@ impl DataFrame {
         };
         let edges: Vec<f64> = (0..=bins).map(|b| edge_of(b, lo, hi, bins)).collect();
         let mut counts = vec![0u64; bins];
-        for i in 0..col.len() {
-            if let Some(v) = col.f64_at(i) {
-                if !v.is_finite() {
-                    continue;
-                }
+        col.for_each_f64(|_, v| {
+            if v.is_finite() {
                 counts[bin_of(v, lo, hi, bins)] += 1;
             }
-        }
+        });
         Ok((edges, counts))
     }
 }
@@ -84,18 +77,23 @@ impl DataFrame {
 /// Equal-width bin index of a finite `v` in `[lo, hi]`, overflow-safe: the
 /// half-span `hi/2 - lo/2` stays finite even when `hi - lo` would overflow
 /// (e.g. `lo = -f64::MAX`, `hi = f64::MAX`).
-pub(crate) fn bin_of(v: f64, lo: f64, hi: f64, nbins: usize) -> usize {
+#[inline]
+pub fn bin_of(v: f64, lo: f64, hi: f64, nbins: usize) -> usize {
     let half_span = hi * 0.5 - lo * 0.5;
     if !(half_span > 0.0) {
         return 0; // degenerate range: everything lands in the first bin
     }
     let pos = ((v * 0.5 - lo * 0.5) / half_span).clamp(0.0, 1.0);
-    ((pos * nbins as f64) as usize).min(nbins - 1)
+    // `pos * nbins` lies in `[0, nbins]`, so the signed cast yields the same
+    // index as an unsigned one — x86-64 has an instruction for it, where
+    // f64 -> u64 is a multi-branch sequence a third of this function's cost.
+    ((pos * nbins as f64) as i64 as usize).min(nbins - 1)
 }
 
-/// Edge `b` of `nbins` equal-width bins over `[lo, hi]`, computed as a convex
-/// combination so extreme-magnitude endpoints never overflow to inf.
-pub(crate) fn edge_of(b: usize, lo: f64, hi: f64, nbins: usize) -> f64 {
+/// Start edge `b` of `nbins` equal-width bins over `[lo, hi]`, computed as a
+/// convex combination so extreme-magnitude endpoints never overflow to inf.
+#[inline]
+pub fn edge_of(b: usize, lo: f64, hi: f64, nbins: usize) -> f64 {
     let t = b as f64 / nbins as f64;
     lo * (1.0 - t) + hi * t
 }

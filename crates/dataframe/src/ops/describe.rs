@@ -28,10 +28,7 @@ impl DataFrame {
         let mut cols: Vec<Arc<Column>> = Vec::with_capacity(numeric.len());
         for name in numeric {
             let col = self.column(name)?;
-            let mut vals: Vec<f64> = (0..col.len())
-                .filter_map(|i| col.f64_at(i))
-                .filter(|v| !v.is_nan())
-                .collect();
+            let mut vals = col.non_nan_f64s();
             vals.sort_by(f64::total_cmp);
             let n = vals.len();
             let mean = if n > 0 {

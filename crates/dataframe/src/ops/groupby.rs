@@ -15,6 +15,7 @@ use crate::error::{Error, Result};
 use crate::frame::DataFrame;
 use crate::history::{Event, OpKind};
 use crate::index::Index;
+use crate::scan::for_each_valid;
 use crate::value::{DType, Value};
 
 /// Aggregation functions.
@@ -457,11 +458,9 @@ impl GroupBy<'_> {
         match agg {
             Agg::Count => {
                 let mut counts = vec![0i64; ngroups];
-                for (row, &g) in self.group_of.iter().enumerate() {
-                    if source.is_valid(row) {
-                        counts[g as usize] += 1;
-                    }
-                }
+                for_each_valid(source.validity(), 0, source.len(), |row| {
+                    counts[self.group_of[row] as usize] += 1;
+                });
                 Ok(Column::Int64(crate::column::PrimitiveColumn::from_values(
                     counts,
                 )))
@@ -471,15 +470,13 @@ impl GroupBy<'_> {
                 let mut n = vec![0u64; ngroups];
                 let mut mean = vec![0f64; ngroups];
                 let mut m2 = vec![0f64; ngroups];
-                for (row, &g) in self.group_of.iter().enumerate() {
-                    if let Some(v) = source.f64_at(row) {
-                        let g = g as usize;
-                        n[g] += 1;
-                        let delta = v - mean[g];
-                        mean[g] += delta / n[g] as f64;
-                        m2[g] += delta * (v - mean[g]);
-                    }
-                }
+                source.for_each_f64(|row, v| {
+                    let g = self.group_of[row] as usize;
+                    n[g] += 1;
+                    let delta = v - mean[g];
+                    mean[g] += delta / n[g] as f64;
+                    m2[g] += delta * (v - mean[g]);
+                });
                 let vals: Vec<Option<f64>> = (0..ngroups)
                     .map(|g| {
                         if n[g] == 0 {
@@ -520,13 +517,11 @@ impl GroupBy<'_> {
             }
             Agg::Median => {
                 let mut per_group: Vec<Vec<f64>> = vec![Vec::new(); ngroups];
-                for (row, &g) in self.group_of.iter().enumerate() {
-                    if let Some(v) = source.f64_at(row) {
-                        if !v.is_nan() {
-                            per_group[g as usize].push(v);
-                        }
+                source.for_each_f64(|row, v| {
+                    if !v.is_nan() {
+                        per_group[self.group_of[row] as usize].push(v);
                     }
-                }
+                });
                 let vals: Vec<Option<f64>> = per_group
                     .into_iter()
                     .map(|mut vs| {

@@ -18,6 +18,7 @@ mod reshape;
 mod select;
 mod sort;
 
+pub use bin::{bin_of, edge_of};
 pub use describe::DESCRIBE_STATS;
 pub use filter::FilterOp;
 pub use groupby::{Agg, GroupBy};

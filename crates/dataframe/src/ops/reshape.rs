@@ -2,6 +2,7 @@
 //! long), `astype`, `clip`, `quantile`, `rolling_mean`, and `rank` — the
 //! long tail of operations exploratory notebooks lean on between prints.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::column::{Column, PrimitiveColumn, StrColumn};
@@ -106,15 +107,8 @@ impl DataFrame {
                 got: col.dtype().name(),
             });
         }
-        let clipped: Vec<Option<f64>> = (0..col.len())
-            .map(|i| {
-                if !col.is_valid(i) {
-                    None
-                } else {
-                    col.f64_at(i).map(|v| v.clamp(lo, hi))
-                }
-            })
-            .collect();
+        let mut clipped: Vec<Option<f64>> = vec![None; col.len()];
+        col.for_each_f64(|row, v| clipped[row] = Some(v.clamp(lo, hi)));
         let out = Column::Float64(PrimitiveColumn::from_options(clipped));
         let mut df = self.with_column(column, out)?;
         df.record_event(
@@ -133,10 +127,7 @@ impl DataFrame {
             )));
         }
         let col = self.column(column)?;
-        let mut vals: Vec<f64> = (0..col.len())
-            .filter_map(|i| col.f64_at(i))
-            .filter(|v| !v.is_nan())
-            .collect();
+        let mut vals = col.non_nan_f64s();
         if vals.is_empty() {
             return Ok(None);
         }
@@ -162,29 +153,27 @@ impl DataFrame {
                 got: col.dtype().name(),
             });
         }
-        let n = col.len();
-        let mut result: Vec<Option<f64>> = Vec::with_capacity(n);
-        for i in 0..n {
-            if i + 1 < window {
+        let mut result: Vec<Option<f64>> = Vec::with_capacity(col.len());
+        // The trailing window, oldest first (NaN folded into null); each row
+        // re-sums it in that order.
+        let mut trailing: VecDeque<Option<f64>> = VecDeque::with_capacity(window.min(col.len()));
+        col.for_each_row_f64(|_, v| {
+            if trailing.len() == window {
+                trailing.pop_front();
+            }
+            trailing.push_back(v.filter(|v| !v.is_nan()));
+            if trailing.len() < window {
                 result.push(None);
-                continue;
+                return;
             }
             let mut sum = 0.0;
             let mut count = 0usize;
-            for j in i + 1 - window..=i {
-                if let Some(v) = col.f64_at(j) {
-                    if !v.is_nan() {
-                        sum += v;
-                        count += 1;
-                    }
-                }
+            for v in trailing.iter().flatten() {
+                sum += v;
+                count += 1;
             }
-            result.push(if count > 0 {
-                Some(sum / count as f64)
-            } else {
-                None
-            });
-        }
+            result.push((count > 0).then(|| sum / count as f64));
+        });
         let mut df =
             self.with_column(out, Column::Float64(PrimitiveColumn::from_options(result)))?;
         df.record_event(

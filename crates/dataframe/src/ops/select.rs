@@ -71,28 +71,7 @@ impl DataFrame {
     /// Deterministic sample of up to `n` rows using a seeded xorshift
     /// permutation (no external RNG dependency in this crate).
     pub fn sample(&self, n: usize, seed: u64) -> DataFrame {
-        let nrows = self.num_rows();
-        if n >= nrows {
-            return self.take_rows_with_event(
-                &(0..nrows).collect::<Vec<_>>(),
-                Event::new(OpKind::Filter, format!("sample({n})")),
-            );
-        }
-        // Partial Fisher-Yates with a xorshift64* generator.
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
-        let mut pool: Vec<usize> = (0..nrows).collect();
-        for i in 0..n {
-            let j = i + (next() as usize) % (nrows - i);
-            pool.swap(i, j);
-        }
-        let mut indices = pool[..n].to_vec();
-        indices.sort_unstable();
+        let indices = sample_indices(self.num_rows(), n, seed);
         self.take_rows_with_event(&indices, Event::new(OpKind::Filter, format!("sample({n})")))
     }
 
@@ -106,11 +85,124 @@ impl DataFrame {
     }
 }
 
+/// The xorshift64* stream [`DataFrame::sample`] draws from.
+fn xorshift64star(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+}
+
+/// The ascending row indices of a `min(n, nrows)`-row sample: a partial
+/// Fisher-Yates over the virtual pool `0..nrows`. Only the first `n` slots
+/// (where the draws land) are materialized; a swap partner past them goes
+/// through a map of displaced slots, so a draw costs O(n) time and memory
+/// however tall the frame is.
+fn sample_indices(nrows: usize, n: usize, seed: u64) -> Vec<usize> {
+    if n >= nrows {
+        return (0..nrows).collect();
+    }
+    let mut next = xorshift64star(seed);
+    let mut head: Vec<usize> = (0..n).collect();
+    let mut tail = DisplacedSlots::with_capacity(n);
+    for i in 0..n {
+        let j = i + (next() as usize) % (nrows - i);
+        if j < n {
+            head.swap(i, j);
+        } else {
+            head[i] = tail.replace(j, head[i]);
+        }
+    }
+    head.sort_unstable();
+    head
+}
+
+/// The pool slots past the head that a swap has displaced: an open-addressed
+/// `slot -> value` table sized once for its at most `n` keys (a slot absent
+/// from it still holds its own index). Keys are stored `+ 1`; 0 is empty.
+struct DisplacedSlots {
+    entries: Vec<(usize, usize)>,
+    shift: u32,
+}
+
+impl DisplacedSlots {
+    fn with_capacity(n: usize) -> DisplacedSlots {
+        let len = (n * 2).next_power_of_two().max(2);
+        DisplacedSlots {
+            entries: vec![(0, 0); len],
+            shift: usize::BITS - len.trailing_zeros(),
+        }
+    }
+
+    /// Store `value` at pool slot `slot`; returns what the pool held there.
+    fn replace(&mut self, slot: usize, value: usize) -> usize {
+        let mask = self.entries.len() - 1;
+        // Fibonacci hashing: the high bits of the product index the table.
+        let mut at = slot.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as usize) >> self.shift;
+        loop {
+            let entry = &mut self.entries[at];
+            if entry.0 == 0 {
+                *entry = (slot + 1, value);
+                return slot;
+            }
+            if entry.0 == slot + 1 {
+                return std::mem::replace(&mut entry.1, value);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::{sample_indices, xorshift64star};
     use crate::frame::DataFrameBuilder;
     use crate::history::OpKind;
     use crate::value::Value;
+
+    /// The dense-pool partial Fisher-Yates `sample_indices` replaced.
+    fn dense_sample_indices(nrows: usize, n: usize, seed: u64) -> Vec<usize> {
+        if n >= nrows {
+            return (0..nrows).collect();
+        }
+        let mut next = xorshift64star(seed);
+        let mut pool: Vec<usize> = (0..nrows).collect();
+        for i in 0..n {
+            let j = i + (next() as usize) % (nrows - i);
+            pool.swap(i, j);
+        }
+        let mut indices = pool[..n].to_vec();
+        indices.sort_unstable();
+        indices
+    }
+
+    #[test]
+    fn sparse_sample_draws_the_dense_pools_indices() {
+        for nrows in [0usize, 1, 2, 7, 64, 1000] {
+            for n in [0, 1, nrows.saturating_sub(1), nrows, nrows + 1] {
+                assert_eq!(
+                    sample_indices(nrows, n, 42),
+                    dense_sample_indices(nrows, n, 42),
+                    "nrows {nrows}, n {n}"
+                );
+            }
+        }
+        // 100 random (nrows, n, seed) triples off the same generator
+        let mut next = xorshift64star(0xC0FFEE);
+        for _ in 0..100 {
+            let nrows = (next() % 5000) as usize;
+            let n = (next() % 5200) as usize;
+            let seed = next();
+            assert_eq!(
+                sample_indices(nrows, n, seed),
+                dense_sample_indices(nrows, n, seed),
+                "nrows {nrows}, n {n}, seed {seed}"
+            );
+        }
+    }
 
     fn df() -> crate::frame::DataFrame {
         DataFrameBuilder::new()

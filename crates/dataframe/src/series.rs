@@ -80,14 +80,12 @@ impl Series {
     pub fn mean(&self) -> Option<f64> {
         let mut sum = 0.0;
         let mut n = 0usize;
-        for i in 0..self.len() {
-            if let Some(v) = self.column.f64_at(i) {
-                if !v.is_nan() {
-                    sum += v;
-                    n += 1;
-                }
+        self.column.for_each_f64(|_, v| {
+            if !v.is_nan() {
+                sum += v;
+                n += 1;
             }
-        }
+        });
         if n > 0 {
             Some(sum / n as f64)
         } else {

@@ -18,7 +18,10 @@ pub const DEFAULT_SAMPLE_CAP: usize = 30_000;
 /// The first call to [`CachedSample::get`] draws a deterministic sample of at
 /// most `cap` rows; subsequent calls return the same `Arc`. Frames at or
 /// under the cap are returned as-is (no sampling distortion when exact
-/// computation is already cheap).
+/// computation is already cheap). A pass shares the handle, not the rows:
+/// the PRUNE gate decides from [`CachedSample::rows`], and only a gate that
+/// engages (or a degraded survivor) pays for the draw — once, whoever asks
+/// first, since `get` holds the lock while it samples.
 #[derive(Debug)]
 pub struct CachedSample {
     cap: usize,
@@ -38,6 +41,12 @@ impl CachedSample {
     /// The sample cap.
     pub fn cap(&self) -> usize {
         self.cap
+    }
+
+    /// How many rows the sample of an `nrows`-row frame holds, known
+    /// without drawing it.
+    pub fn rows(&self, nrows: usize) -> usize {
+        self.cap.min(nrows)
     }
 
     /// The cached sample of `df`, computing it on first use.
@@ -100,6 +109,31 @@ mod tests {
         assert!(s.is_cached());
         let b = s.get(&df);
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn racing_gets_draw_one_sample() {
+        let df = frame(5000);
+        let s = CachedSample::new(100, 7);
+        assert_eq!(s.rows(df.num_rows()), 100);
+        assert_eq!(s.rows(40), 40);
+        let barrier = std::sync::Barrier::new(3);
+        let drawn: Vec<Arc<DataFrame>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        s.get(&df)
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .map(|r| r.join().expect("racer panicked"))
+                .collect()
+        });
+        assert!(drawn.iter().all(|d| Arc::ptr_eq(d, &drawn[0])));
+        assert_eq!(drawn[0].num_rows(), 100);
     }
 
     #[test]

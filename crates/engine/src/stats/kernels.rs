@@ -16,8 +16,6 @@
 //! - min/max ride the same pass as two comparisons whose NaN behavior
 //!   (comparisons are false) makes NaN-skipping free.
 
-use lux_dataframe::prelude::Bitmap;
-
 use super::sketch::mix64;
 
 /// Sign-flip constant for order-preserving integer keys.
@@ -301,53 +299,9 @@ impl ScanValue for bool {
     }
 }
 
-/// Walk the valid rows of `[start, end)` word-by-word: `on_valid` runs for
-/// every valid row index, and the number of valid rows visited is returned
-/// (nulls are `len - valid` — counted by popcount, never per row).
-#[inline]
-pub fn for_each_valid<F: FnMut(usize)>(
-    validity: Option<&Bitmap>,
-    start: usize,
-    end: usize,
-    mut on_valid: F,
-) -> usize {
-    debug_assert!(start <= end);
-    if start == end {
-        return 0;
-    }
-    let Some(bm) = validity else {
-        for i in start..end {
-            on_valid(i);
-        }
-        return end - start;
-    };
-    let words = bm.words();
-    let mut valid = 0usize;
-    for wi in start / 64..end.div_ceil(64) {
-        let base = wi * 64;
-        let mut w = words[wi];
-        if base < start {
-            w &= u64::MAX << (start - base);
-        }
-        if end - base < 64 {
-            w &= (1u64 << (end - base)) - 1;
-        }
-        if w == u64::MAX {
-            valid += 64;
-            for i in base..base + 64 {
-                on_valid(i);
-            }
-        } else {
-            valid += w.count_ones() as usize;
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                on_valid(base + bit);
-                w &= w - 1;
-            }
-        }
-    }
-    valid
-}
+/// The validity-word walk every scan here is built on; it lives beside
+/// `Bitmap` with the typed column visitors.
+pub use lux_dataframe::scan::for_each_valid;
 
 #[cfg(test)]
 mod tests {
@@ -442,20 +396,5 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab.keys(), ba.keys());
         assert_eq!(ab.keys(), whole.keys());
-    }
-
-    #[test]
-    fn for_each_valid_handles_unaligned_ranges() {
-        let bm = Bitmap::from_iter((0..200).map(|i| i % 3 != 0));
-        for (start, end) in [(0, 200), (1, 199), (63, 65), (64, 128), (130, 131)] {
-            let mut seen = Vec::new();
-            let valid = for_each_valid(Some(&bm), start, end, |i| seen.push(i));
-            let expect: Vec<usize> = (start..end).filter(|&i| i % 3 != 0).collect();
-            assert_eq!(seen, expect, "range {start}..{end}");
-            assert_eq!(valid, expect.len());
-        }
-        let mut n = 0;
-        assert_eq!(for_each_valid(None, 5, 10, |_| n += 1), 5);
-        assert_eq!(n, 5);
     }
 }

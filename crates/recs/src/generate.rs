@@ -29,7 +29,7 @@ use lux_engine::clock;
 use lux_engine::governor::{drain_sink, event_sink, BudgetHandle, DegradeLevel, EventSink};
 use lux_engine::lock_recover;
 use lux_engine::trace::{names as metric, MetricsRegistry, SpanId, TraceCollector};
-use lux_engine::{CostModel, FrameMeta, GovernorEvent, LuxConfig};
+use lux_engine::{CachedSample, CostModel, FrameMeta, GovernorEvent, LuxConfig};
 use lux_vis::{Channel, ProcessOptions, Vis, VisList, VisSpec};
 
 use crate::action::{Action, ActionContext, ActionRegistry, ActionResult, Candidate};
@@ -99,8 +99,10 @@ pub struct Pass {
     pub intent: Arc<Vec<lux_intent::Clause>>,
     pub intent_specs: Arc<Vec<VisSpec>>,
     pub config: Arc<LuxConfig>,
-    /// The cached PRUNE sample; `None` when PRUNE is off.
-    pub sample: Option<Arc<DataFrame>>,
+    /// The frame's PRUNE sample handle; `None` when PRUNE is off. The rows
+    /// are drawn by the first stage that reads them (an engaged or forced
+    /// gate, a degraded survivor), never up front.
+    pub sample: Option<Arc<CachedSample>>,
     /// The span under which per-action spans are recorded.
     pub trace: TraceCtx,
     /// Per-pass resource governor shared by every worker: allocation-heavy
@@ -319,20 +321,22 @@ impl<'a> ActionRun<'a> {
     /// Stage 2, the PRUNE gate: approximate only when the cost model
     /// predicts a win and a genuinely smaller sample exists (paper: "apply
     /// prune for any action where the number of visualizations exceeds k",
-    /// subject to the model). Returns the sample to score on; the sample is
-    /// bound in the same match that decides to prune, so the "prune without
-    /// a sample" state is unrepresentable.
-    fn prune_gate(&self, candidates: &[Candidate]) -> Option<&'a DataFrame> {
+    /// subject to the model). The verdict needs only the sample's size;
+    /// the sample itself is drawn, and returned to score on, in the same
+    /// match that decides to prune, so the "prune without a sample" state
+    /// is unrepresentable.
+    fn prune_gate(&self, candidates: &[Candidate]) -> Option<Arc<DataFrame>> {
         let config = &self.pass.config;
+        let df = &self.pass.df;
         let sample = self.pass.sample.as_deref();
         let rep = &candidates[0].spec;
-        let (rep_rows, rep_groups) = estimate_spec(rep, &self.pass.meta, self.pass.df.num_rows());
+        let (rep_rows, rep_groups) = estimate_spec(rep, &self.pass.meta, df.num_rows());
         // Admission shed ladder: a pass admitted under pressure carries a
         // `Sampled` degradation floor — approximate scoring is then forced
         // whenever a sample exists, regardless of the cost model's verdict.
         let force_sampled = self.pass.governor.degrade_floor() >= DegradeLevel::Sampled;
         let prune_sample = match sample {
-            Some(s) if force_sampled => Some(s),
+            Some(s) if force_sampled => Some(s.get(df)),
             Some(s)
                 if config.prune
                     && self.model.prune_worthwhile(
@@ -340,11 +344,11 @@ impl<'a> ActionRun<'a> {
                         config.top_k,
                         rep.op_class(),
                         rep_rows,
-                        s.num_rows(),
+                        s.rows(df.num_rows()),
                         rep_groups,
                     ) =>
             {
-                Some(s)
+                Some(s.get(df))
             }
             _ => None,
         };
@@ -530,8 +534,9 @@ impl<'a> ActionRun<'a> {
             let mut vis = Vis::new(spec);
             vis.score = score;
             vis.approximate = true;
-            if let Some(frame) = pinned.as_deref().or(self.pass.sample.as_deref()) {
-                let _ = isolate(name, || vis.process(frame, &copts));
+            let sample = || self.pass.sample.as_ref().map(|s| s.get(&self.pass.df));
+            if let Some(frame) = pinned.or_else(sample) {
+                let _ = isolate(name, || vis.process(&frame, &copts));
             }
             Ok(Processed::Degraded(vis))
         };
@@ -603,7 +608,7 @@ pub fn execute_action(
         return Ok(None);
     };
     let prune_sample = run.prune_gate(&candidates);
-    let scored = run.score(candidates, prune_sample)?;
+    let scored = run.score(candidates, prune_sample.as_deref())?;
     let survivors = run.select_top_k(scored);
     run.process(survivors)
 }
@@ -1037,12 +1042,42 @@ mod tests {
             c.top_k = 1;
         });
         let mut pass = pass_over(frame(2000), config);
-        pass.sample = Some(Arc::new(pass.df.sample(100, 7)));
+        let sample = Arc::new(CachedSample::new(100, 7));
+        pass.sample = Some(Arc::clone(&sample));
         let r = run_one(&Correlation, &pass);
+        assert!(sample.is_cached(), "the engaged gate never drew the sample");
         let attrs = r.vislist.visualizations[0].spec.attributes();
         assert!(attrs.contains(&"a") && attrs.contains(&"b"));
         // final scores are exact (recomputed), so the perfect pair scores 1
         assert!((r.vislist.visualizations[0].score - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn forced_gates_of_racing_actions_share_one_drawn_sample() {
+        use lux_engine::admission::GlobalLedger;
+        // ASYNC dispatches the three metadata actions as concurrent tasks;
+        // a `Sampled` floor forces every gate, so all three ask the handle.
+        let config = config_with(|c| c.r#async = true);
+        let sample = Arc::new(CachedSample::new(50, 7));
+        let mut pass = pass_over(frame(400), config);
+        pass.sample = Some(Arc::clone(&sample));
+        pass.governor = Arc::new(BudgetHandle::governed(
+            pass.config.budget.clone(),
+            Arc::new(GlobalLedger::new(u64::MAX)),
+            DegradeLevel::Sampled,
+        ));
+        let results = report(&ActionRegistry::with_defaults(), pass.clone()).results;
+        assert_eq!(results.len(), 3);
+        let trace = pass.trace.collector.snapshot();
+        let forced = trace
+            .spans
+            .iter()
+            .filter(|s| s.tag("prune") == Some("forced"));
+        assert_eq!(forced.count(), 3, "every gate was forced onto the sample");
+        // Whoever asked first drew it (`CachedSample::get` samples under its
+        // lock, so once); the others scored on that same frame.
+        assert!(sample.is_cached());
+        assert_eq!(sample.get(&pass.df).num_rows(), 50);
     }
 
     #[test]

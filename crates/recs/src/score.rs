@@ -12,20 +12,17 @@
 //!   distributions (the classic SeeDB-style utility of a subset view).
 
 use lux_dataframe::prelude::*;
+use lux_dataframe::scan::for_each_f64_pair;
 use lux_vis::{Channel, Mark, ProcessOptions, VisSpec};
 
 /// Pearson correlation between two numeric columns, ignoring rows where
 /// either side is null/NaN. Returns 0 for degenerate inputs.
 pub fn pearson(x: &Column, y: &Column) -> f64 {
-    let n = x.len().min(y.len());
     let mut count = 0usize;
     let (mut sx, mut sy, mut sxx, mut syy, mut sxy) = (0.0, 0.0, 0.0, 0.0, 0.0);
-    for i in 0..n {
-        let (Some(a), Some(b)) = (x.f64_at(i), y.f64_at(i)) else {
-            continue;
-        };
+    for_each_f64_pair(x, y, |_, a, b| {
         if a.is_nan() || b.is_nan() {
-            continue;
+            return;
         }
         count += 1;
         sx += a;
@@ -33,7 +30,7 @@ pub fn pearson(x: &Column, y: &Column) -> f64 {
         sxx += a * a;
         syy += b * b;
         sxy += a * b;
-    }
+    });
     if count < 2 {
         return 0.0;
     }
@@ -49,22 +46,21 @@ pub fn pearson(x: &Column, y: &Column) -> f64 {
 
 /// Sample skewness of a numeric column (Fisher-Pearson), nulls/NaN ignored.
 pub fn skewness(col: &Column) -> f64 {
-    let mut vals = Vec::new();
-    for i in 0..col.len() {
-        if let Some(v) = col.f64_at(i) {
-            if !v.is_nan() {
-                vals.push(v);
-            }
-        }
-    }
-    let n = vals.len();
+    let (n, sum) = count_and_sum(col);
     if n < 3 {
         return 0.0;
     }
     let nf = n as f64;
-    let mean = vals.iter().sum::<f64>() / nf;
-    let m2 = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / nf;
-    let m3 = vals.iter().map(|v| (v - mean).powi(3)).sum::<f64>() / nf;
+    let mean = sum / nf;
+    let (mut m2, mut m3) = (0.0, 0.0);
+    col.for_each_f64(|_, v| {
+        if !v.is_nan() {
+            let d = v - mean;
+            m2 += d.powi(2);
+            m3 += d.powi(3);
+        }
+    });
+    let (m2, m3) = (m2 / nf, m3 / nf);
     if m2 <= 0.0 {
         return 0.0;
     }
@@ -117,24 +113,34 @@ pub fn distribution_deviation(a: &[(Value, f64)], b: &[(Value, f64)]) -> f64 {
 /// Coefficient of variation of a numeric column (std/|mean|), for ranking
 /// line charts and maps by how much the measure moves.
 pub fn coefficient_of_variation(col: &Column) -> f64 {
-    let mut vals = Vec::new();
-    for i in 0..col.len() {
-        if let Some(v) = col.f64_at(i) {
-            if !v.is_nan() {
-                vals.push(v);
-            }
-        }
-    }
-    let n = vals.len();
+    let (n, sum) = count_and_sum(col);
     if n < 2 {
         return 0.0;
     }
-    let mean = vals.iter().sum::<f64>() / n as f64;
+    let mean = sum / n as f64;
     if mean.abs() < 1e-12 {
         return 0.0;
     }
-    let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
-    var.sqrt() / mean.abs()
+    let mut ss = 0.0;
+    col.for_each_f64(|_, v| {
+        if !v.is_nan() {
+            ss += (v - mean).powi(2);
+        }
+    });
+    (ss / (n - 1) as f64).sqrt() / mean.abs()
+}
+
+/// Count and row-order sum of a column's non-null, non-NaN values — the
+/// first pass of the two-pass moments above.
+fn count_and_sum(col: &Column) -> (usize, f64) {
+    let (mut n, mut sum) = (0usize, 0.0);
+    col.for_each_f64(|_, v| {
+        if !v.is_nan() {
+            n += 1;
+            sum += v;
+        }
+    });
+    (n, sum)
 }
 
 /// Interestingness of a complete spec evaluated against `df` (which may be
@@ -180,8 +186,8 @@ fn try_interestingness(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) ->
             let ycol = data.column(y_name)?;
             match spec.mark {
                 Mark::Bar => {
-                    let weights: Vec<f64> =
-                        (0..ycol.len()).filter_map(|i| ycol.f64_at(i)).collect();
+                    let mut weights = Vec::with_capacity(ycol.len());
+                    ycol.for_each_f64(|_, w| weights.push(w));
                     Ok(deviation_from_uniform(&weights))
                 }
                 _ => Ok(coefficient_of_variation(ycol)),
@@ -209,9 +215,9 @@ fn filtered_deviation(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> 
     let dist = |frame: &DataFrame| -> Result<Vec<(Value, f64)>> {
         let x = frame.column(&x_name)?;
         let y = frame.column(&y_name)?;
-        Ok((0..frame.num_rows())
-            .map(|i| (x.value(i), y.f64_at(i).unwrap_or(0.0)))
-            .collect())
+        let mut dist = Vec::with_capacity(frame.num_rows());
+        y.for_each_row_f64(|i, w| dist.push((x.value(i), w.unwrap_or(0.0))));
+        Ok(dist)
     };
     Ok(distribution_deviation(&dist(&with)?, &dist(&without)?))
 }

@@ -7,7 +7,9 @@
 
 use std::sync::Arc;
 
+use lux_dataframe::ops::{bin_of, edge_of};
 use lux_dataframe::prelude::*;
+use lux_dataframe::scan::{for_each_f64_pair, for_each_f64_triple};
 use lux_engine::governor::{BudgetHandle, DegradeLevel, EventSink, GovernorEvent};
 use lux_engine::lock_recover;
 use lux_engine::trace::{names, MetricsRegistry};
@@ -318,26 +320,28 @@ fn process_heatmap(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Res
     let (xlo, xhi) = xcol.min_max_finite().unwrap_or((0.0, 1.0));
     let (ylo, yhi) = ycol.min_max_finite().unwrap_or((0.0, 1.0));
 
+    // The cell of a row whose x and y are both finite.
+    let cell_of = |xv: f64, yv: f64| {
+        (xv.is_finite() && yv.is_finite())
+            .then(|| bin_of(yv, ylo, yhi, yb) * xb + bin_of(xv, xlo, xhi, xb))
+    };
     let mut counts = vec![0i64; xb * yb];
+    for_each_f64_pair(xcol, ycol, |_, xv, yv| {
+        if let Some(cell) = cell_of(xv, yv) {
+            counts[cell] += 1;
+        }
+    });
+    // The colour mean is over the cell's valid colour values only (SQL's
+    // `AVG` skips nulls), so it keeps its own per-cell count.
     let mut sums = vec![0f64; xb * yb];
-    for i in 0..df.num_rows() {
-        let (Some(xv), Some(yv)) = (xcol.f64_at(i), ycol.f64_at(i)) else {
-            continue;
-        };
-        if !xv.is_finite() || !yv.is_finite() {
-            continue;
-        }
-        let bx = bin_idx(xv, xlo, xhi, xb);
-        let by = bin_idx(yv, ylo, yhi, yb);
-        let cell = by * xb + bx;
-        counts[cell] += 1;
-        if let Some(c) = &ccol {
-            if let Some(cv) = c.f64_at(i) {
-                if !cv.is_nan() {
-                    sums[cell] += cv;
-                }
+    let mut colored = vec![0u64; xb * yb];
+    if let Some(ccol) = ccol {
+        for_each_f64_triple(xcol, ycol, ccol, |_, xv, yv, cv| {
+            if let Some(cell) = cell_of(xv, yv).filter(|_| !cv.is_nan()) {
+                sums[cell] += cv;
+                colored[cell] += 1;
             }
-        }
+        });
     }
 
     // Emit only non-empty cells.
@@ -351,10 +355,10 @@ fn process_heatmap(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Res
             if counts[cell] == 0 {
                 continue;
             }
-            xs.push(bin_edge(bx, xlo, xhi, xb));
-            ys.push(bin_edge(by, ylo, yhi, yb));
+            xs.push(edge_of(bx, xlo, xhi, xb));
+            ys.push(edge_of(by, ylo, yhi, yb));
             ns.push(counts[cell]);
-            cs.push(sums[cell] / counts[cell] as f64);
+            cs.push((colored[cell] > 0).then(|| sums[cell] / colored[cell] as f64));
         }
     }
     let mut b = DataFrameBuilder::new()
@@ -362,7 +366,10 @@ fn process_heatmap(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Res
         .float(&y_enc.attribute, ys)
         .int("count", ns);
     if let Some(e) = color {
-        b = b.float(&format!("mean_{}", e.attribute), cs);
+        b = b.column(
+            &format!("mean_{}", e.attribute),
+            Column::Float64(PrimitiveColumn::from_options(cs)),
+        );
     }
     b.build()
 }
@@ -373,33 +380,17 @@ fn resample_temporal(df: &DataFrame, column: &str, buckets: usize) -> Result<Dat
     let col = df.column(column)?;
     let (lo, hi) = col.min_max_finite().unwrap_or((0.0, 1.0));
     let buckets = buckets.max(1);
-    let binned: Vec<Value> = (0..col.len())
-        .map(|i| match col.f64_at(i) {
-            Some(v) if v.is_finite() => {
-                let b = bin_idx(v, lo, hi, buckets);
-                Value::DateTime(bin_edge(b, lo, hi, buckets) as i64)
-            }
-            _ => Value::Null,
-        })
-        .collect();
-    df.with_column(column, Column::from_values(&binned)?)
-}
-
-/// Equal-width bin index of a finite `v` over `[lo, hi]`. The half-span
-/// form stays finite even when `hi - lo` would overflow to inf.
-fn bin_idx(v: f64, lo: f64, hi: f64, nbins: usize) -> usize {
-    let half_span = hi * 0.5 - lo * 0.5;
-    if !(half_span > 0.0) {
-        return 0;
-    }
-    let pos = ((v * 0.5 - lo * 0.5) / half_span).clamp(0.0, 1.0);
-    ((pos * nbins as f64) as usize).min(nbins - 1)
-}
-
-/// Start edge of bin `b`, computed as a convex combination (overflow-safe).
-fn bin_edge(b: usize, lo: f64, hi: f64, nbins: usize) -> f64 {
-    let t = b as f64 / nbins as f64;
-    lo * (1.0 - t) + hi * t
+    let mut binned: Vec<Option<i64>> = vec![None; col.len()];
+    col.for_each_f64(|row, v| {
+        if v.is_finite() {
+            let b = bin_of(v, lo, hi, buckets);
+            binned[row] = Some(edge_of(b, lo, hi, buckets) as i64);
+        }
+    });
+    df.with_column(
+        column,
+        Column::DateTime(PrimitiveColumn::from_options(binned)),
+    )
 }
 
 /// Processed-vis memo cache (paper's WFLOW rule applied to processing, not

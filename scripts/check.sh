@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo hygiene gate: formatting, build, tests, and the grep lints of
-# scripts/lint.sh (unwrap baseline, clock/rng drift, observed names) — the
-# same file the CI Hygiene job runs.
+# scripts/lint.sh (unwrap and f64_at baselines, clock/rng drift, observed
+# names) — the same file the CI Hygiene job runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -18,6 +18,24 @@ if [ "$count" -lt "$BASELINE" ]; then
 fi
 echo "ok: $count unwrap() calls (baseline $BASELINE)"
 
+echo "== f64_at( lint (row-kernel crates, non-test lines)"
+# A loop over a column's rows goes through the typed visitors of
+# lux_dataframe::scan (DESIGN.md §16); `f64_at` — an enum match, a validity
+# test and an Option per call — is for genuine random access only. What is
+# left is its definition and one read across the columns of a single row.
+F64_AT_BASELINE=2
+count=$(find crates/dataframe/src/ops crates/dataframe/src/column.rs crates/dataframe/src/series.rs \
+    crates/recs/src crates/vis/src/data.rs -name '*.rs' \
+    -exec awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t' {} + | grep -o 'f64_at(' | wc -l | tr -d ' ')
+if [ "$count" -gt "$F64_AT_BASELINE" ]; then
+    echo "error: $count f64_at( calls (baseline $F64_AT_BASELINE) — a row loop must use Column::for_each_f64 / scan::for_each_f64_pair"
+    exit 1
+fi
+if [ "$count" -lt "$F64_AT_BASELINE" ]; then
+    echo "note: $count f64_at( calls, below baseline $F64_AT_BASELINE — consider lowering F64_AT_BASELINE in scripts/lint.sh"
+fi
+echo "ok: $count f64_at( calls (baseline $F64_AT_BASELINE)"
+
 echo "== clock/rng drift lint (crates/*/src outside clock.rs, rng.rs, bench)"
 # Product code reads time through lux_engine::clock and draws randomness
 # through lux_engine::rng, so the whole stack is replayable under a world

@@ -173,6 +173,71 @@ fn heatmap_total_counts_agree() {
 }
 
 #[test]
+fn colour_heatmap_means_skip_nulls_on_both_backends() {
+    // A 4x4 lattice, three rows per point. The colour is null on every row
+    // of the points with x == 1, and on one row in three elsewhere.
+    let point = |i: usize| ((i / 3) % 4, (i / 12) % 4);
+    let colour = |i: usize| {
+        let (x, y) = point(i);
+        (x != 1 && i % 3 != 0).then(|| (10 * y + x) as f64 + (i % 3) as f64)
+    };
+    let df = DataFrame::from_columns(vec![
+        (
+            "x".to_string(),
+            Column::Float64(PrimitiveColumn::from_values(
+                (0..48).map(|i| point(i).0 as f64).collect(),
+            )),
+        ),
+        (
+            "y".to_string(),
+            Column::Float64(PrimitiveColumn::from_values(
+                (0..48).map(|i| point(i).1 as f64).collect(),
+            )),
+        ),
+        (
+            "c".to_string(),
+            Column::Float64(PrimitiveColumn::from_options((0..48).map(colour).collect())),
+        ),
+    ])
+    .unwrap();
+    let spec = VisSpec::new(
+        Mark::Heatmap,
+        vec![
+            Encoding::new("x", SemanticType::Quantitative, Channel::X).with_bin(4),
+            Encoding::new("y", SemanticType::Quantitative, Channel::Y).with_bin(4),
+            Encoding::new("c", SemanticType::Quantitative, Channel::Color),
+        ],
+        vec![],
+    );
+    let native = process(&spec, &df, &opts(Backend::Native)).unwrap();
+    let sql = process(&spec, &df, &opts(Backend::Sql)).unwrap();
+    // Both order cells by (y bin, x bin) and every lattice point is its own
+    // cell, so the rows line up even though SQL labels cells by bin index
+    // (the maximum in an edge bin of its own) and native by bin start.
+    assert_eq!(native.num_rows(), 16);
+    assert_eq!(sql.num_rows(), 16);
+    for r in 0..16 {
+        assert_eq!(
+            native.value(r, "count").unwrap(),
+            sql.value(r, "count").unwrap()
+        );
+        let (n, s) = (
+            native.value(r, "mean_c").unwrap(),
+            sql.value(r, "mean_c").unwrap(),
+        );
+        let (x, y) = (r % 4, r / 4);
+        if x == 1 {
+            assert!(n.is_null() && s.is_null(), "cell {r}: {n:?} vs {s:?}");
+        } else {
+            // the two non-null rows carry 10y + x + 1 and 10y + x + 2
+            let want = (10 * y + x) as f64 + 1.5;
+            assert_eq!(n.as_f64(), Some(want), "native cell {r}");
+            assert_eq!(s.as_f64(), Some(want), "sql cell {r}");
+        }
+    }
+}
+
+#[test]
 fn full_print_runs_on_sql_backend() {
     let cfg = LuxConfig {
         sql_backend: true,
