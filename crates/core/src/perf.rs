@@ -20,8 +20,9 @@ pub struct PassSummary {
     pub table: Duration,
     /// Metadata stage time (zero when served from the memo).
     pub metadata: Duration,
-    /// CPU-summed metadata time: per-column scan spans added up across
-    /// workers. Exceeds `metadata` when column scans ran in parallel.
+    /// CPU-summed metadata time: per-column scan spans and per-column
+    /// `metadata.fold` spans added up across workers. Exceeds `metadata`
+    /// when they ran in parallel.
     pub metadata_cpu: Duration,
     /// Recommendation stage time (all actions, including scheduling).
     pub actions: Duration,
@@ -91,7 +92,8 @@ impl PassSummary {
             .spans_prefixed("column:")
             .iter()
             .map(|s| s.duration())
-            .sum::<Duration>();
+            .sum::<Duration>()
+            + trace.stage_total("metadata.fold");
         let root_tag = |key: &str| trace.span("print").and_then(|s| s.tag(key));
         let governor_degrades = root_tag("governor.degrades")
             .and_then(|v| v.parse().ok())

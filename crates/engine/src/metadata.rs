@@ -14,7 +14,8 @@
 //! values. Because the per-chunk partials merge into a result that depends
 //! only on the scanned row set, the pass can
 //!
-//! - fan chunks out over the worker pool and fold deterministically, and
+//! - fan column chunks out over the worker pool and fold deterministically,
+//!   and
 //! - reuse a parent frame's cached partials across an append (`concat`
 //!   stamps lineage; see [`crate::stats::cache`]), scanning only the tail.
 //!
@@ -99,8 +100,12 @@ pub const NOMINAL_INT_CARDINALITY: usize = 20;
 
 /// Rows per fused-scan chunk task. The chunk grid is a pure function of the
 /// scanned row range — never of the worker count — so folding the per-chunk
-/// partials yields the same result at every `par`.
-pub const CHUNK_ROWS: usize = 65_536;
+/// partials yields the same result at every `par`. A million rows: below
+/// that a column is one accumulator (no second table, nothing to fold) and
+/// the columns are the fan-out; above it a near-unique column's partial is
+/// already a sketch by the time a second chunk exists, so its fold is a
+/// register-max merge.
+pub const CHUNK_ROWS: usize = 1 << 20;
 
 /// Statistics and inferred type for one column.
 #[derive(Debug, Clone)]
@@ -156,10 +161,13 @@ impl FrameMeta {
     /// 1. **plan** (sequential, column order): every byte-charge and
     ///    scan-cap decision happens on the caller thread, always against
     ///    the full column length (append reuse does not change charges);
-    /// 2. **scan** (parallel): fixed-size chunk tasks run the fused kernels
-    ///    with their pre-decided caps; partials fold in chunk order. When
-    ///    the frame carries append lineage and the parent's partials are
-    ///    cached, only the appended tail is scanned;
+    /// 2. **scan** (parallel): one task per column chunk runs the fused
+    ///    kernels with its pre-decided cap. Up to [`CHUNK_ROWS`] rows a
+    ///    column is one chunk and its partial is the result; past that (or
+    ///    when the frame carries append lineage and the parent's partials
+    ///    are cached, so only the appended tail is scanned) each column
+    ///    folds its own partials in chunk order, one pool task per column,
+    ///    under a `metadata.fold` span;
     /// 3. **record** (sequential, column order): finalize each column,
     ///    record capped-cardinality events, and cache the merged partials
     ///    under this frame's fingerprint for the next append.
@@ -170,95 +178,102 @@ impl FrameMeta {
         governor: Option<&BudgetHandle>,
         par: usize,
     ) -> FrameMeta {
-        let col_names = df.column_names();
+        Self::compute_with_chunk_rows(df, overrides, trace, governor, par, CHUNK_ROWS)
+    }
+
+    /// [`FrameMeta::compute_governed_par`] on an explicit chunk grid. The
+    /// result does not depend on `chunk_rows`; tests pass a small one to
+    /// reach the multi-chunk fold without a million-row frame.
+    #[doc(hidden)]
+    pub fn compute_with_chunk_rows(
+        df: &DataFrame,
+        overrides: &HashMap<String, SemanticType>,
+        trace: Option<(&crate::trace::TraceCollector, crate::trace::SpanId)>,
+        governor: Option<&BudgetHandle>,
+        par: usize,
+        chunk_rows: usize,
+    ) -> FrameMeta {
+        assert!(chunk_rows > 0, "chunk grid needs a positive stride");
         let num_rows = df.num_rows();
         let precision = sketch::DEFAULT_PRECISION;
-        let metrics = MetricsRegistry::global();
+        // Columns are walked by position, once; every phase carries the
+        // `&Column` instead of resolving the name again.
+        let cols: Vec<(&str, &Column)> = df
+            .column_names()
+            .iter()
+            .enumerate()
+            .map(|(i, name)| (name.as_str(), df.column_at(i)))
+            .collect();
 
         // Phase 1: plan.
-        let plans: Vec<StatsSpec> = col_names
+        let plans: Vec<StatsSpec> = cols
             .iter()
-            .map(|name| {
-                let col = df.column(name).expect("name enumerated from frame");
-                plan_column_scan(name, col, governor, precision)
-            })
+            .map(|(name, col)| plan_column_scan(name, col, governor, precision))
             .collect();
 
         // Append fast path: partials for rows 0..parent_rows come from the
         // cache; the chunk grid below covers only the tail.
-        let parent = reuse_parent_partials(df, &plans, precision);
+        let parent = reuse_parent_partials(df, &cols, &plans, precision);
         let scan_from = parent.as_ref().map_or(0, |p| p.rows);
 
         // Phase 2: scan. One task per (column, chunk); the grid depends
         // only on the row range, so every `par` folds identically.
         let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
-        for (ci, name) in col_names.iter().enumerate() {
-            let len = df.column(name).expect("name enumerated from frame").len();
+        for (ci, (_, col)) in cols.iter().enumerate() {
+            let len = col.len();
             let mut start = scan_from.min(len);
             while start < len {
-                let end = (start + CHUNK_ROWS).min(len);
+                let end = (start + chunk_rows).min(len);
                 tasks.push((ci, start, end));
                 start = end;
             }
         }
-        let partials: Vec<(usize, ColumnStats)> =
-            crate::pool::parallel_map(par, tasks, |_, (ci, start, end)| {
-                // Chaos site: `panic`/`sleep` actions inject a crash or a
-                // stall into the per-chunk scan (a `return` is a no-op
-                // here — metadata has no error channel).
-                let _ = crate::failpoint::hit(crate::failpoint::names::METADATA_COLUMN);
-                let name = &col_names[ci];
-                let col = df.column(name).expect("name enumerated from frame");
-                let span =
-                    trace.map(|(c, parent)| (c, c.begin(Some(parent), format!("column:{name}"))));
-                let stats = ColumnStats::scan(col, start, end, &plans[ci]);
-                if let Some((c, id)) = span {
-                    if let Some(w) = crate::pool::worker_index() {
-                        c.tag(id, "sched.worker", w.to_string());
-                    }
-                    c.tag(id, "rows", (end - start).to_string());
-                    c.end(id);
+        let mut chunks: Vec<Vec<ColumnStats>> = cols.iter().map(|_| Vec::new()).collect();
+        let scanned = crate::pool::parallel_map(par, tasks, |_, (ci, start, end)| {
+            // Chaos site: `panic`/`sleep` actions inject a crash or a
+            // stall into the per-chunk scan (a `return` is a no-op
+            // here — metadata has no error channel).
+            let _ = crate::failpoint::hit(crate::failpoint::names::METADATA_COLUMN);
+            let (name, col) = cols[ci];
+            let span =
+                trace.map(|(c, parent)| (c, c.begin(Some(parent), format!("column:{name}"))));
+            let stats = ColumnStats::scan(col, start, end, &plans[ci]);
+            if let Some((c, id)) = span {
+                if let Some(w) = crate::pool::worker_index() {
+                    c.tag(id, "sched.worker", w.to_string());
                 }
-                (ci, stats)
-            });
-        // Fold, seeding each column from its parent partial (append path)
-        // or from its first chunk partial — never from an empty set that
-        // would force a pointless rehash of the first chunk's keys.
-        let mut slots: Vec<Option<ColumnStats>> = match &parent {
-            Some(entry) => entry
-                .columns
-                .iter()
-                .map(|(_, _, _, stats)| Some(stats.clone()))
-                .collect(),
-            None => (0..col_names.len()).map(|_| None).collect(),
-        };
-        for (ci, p) in partials {
-            match &mut slots[ci] {
-                Some(acc) => acc.merge(&p, &plans[ci]),
-                slot @ None => *slot = Some(p),
+                c.tag(id, "rows", (end - start).to_string());
+                c.end(id);
             }
+            (ci, stats)
+        });
+        for (ci, stats) in scanned {
+            chunks[ci].push(stats);
         }
-        let folded: Vec<ColumnStats> = slots
-            .into_iter()
-            .enumerate()
-            .map(|(ci, slot)| {
-                slot.unwrap_or_else(|| {
-                    let col = df
-                        .column(&col_names[ci])
-                        .expect("name enumerated from frame");
-                    ColumnStats::empty(col, &plans[ci])
-                })
-            })
-            .collect();
+
+        // Fold each column's partials, seeded from the parent's (append
+        // path) or from its first chunk — never from an empty set that
+        // would force a pointless rehash of the first chunk's keys. A
+        // column with a single partial has nothing to fold, so the pool is
+        // only entered when some column does.
+        let seeds = parent.as_ref().map(|entry| &entry.columns);
+        let fold_par = if seeds.is_some() || chunks.iter().any(|c| c.len() > 1) {
+            par
+        } else {
+            1
+        };
+        let folded: Vec<ColumnStats> = crate::pool::parallel_map(fold_par, chunks, |ci, chunks| {
+            let seed = seeds.map(|s| &s[ci].3);
+            fold_column(cols[ci].1, &plans[ci], seed, chunks, trace)
+        });
         if parent.is_some() {
-            metrics.incr(names::METADATA_APPEND_MERGES);
+            MetricsRegistry::global().incr(names::METADATA_APPEND_MERGES);
         }
 
         // Phase 3: record + finalize, in column order.
-        let mut columns = Vec::with_capacity(col_names.len());
-        for (ci, name) in col_names.iter().enumerate() {
-            let col = df.column(name).expect("name enumerated from frame");
-            let fin = folded[ci].finalize(col, &plans[ci]);
+        let mut columns = Vec::with_capacity(cols.len());
+        for ((&(name, col), stats), plan) in cols.iter().zip(&folded).zip(&plans) {
+            let fin = stats.finalize(col, plan);
             if fin.estimated {
                 if let Some(g) = governor {
                     g.record(
@@ -266,12 +281,12 @@ impl FrameMeta {
                         DegradeLevel::CappedCardinality,
                         format!(
                             "distinct values exceed scan cap {}; cardinality estimated by sketch",
-                            plans[ci].scan_cap
+                            plan.scan_cap
                         ),
                     );
                 }
             }
-            let semantic = overrides.get(name.as_str()).copied().unwrap_or_else(|| {
+            let semantic = overrides.get(name).copied().unwrap_or_else(|| {
                 infer_semantic_est(
                     name,
                     col.dtype(),
@@ -282,7 +297,7 @@ impl FrameMeta {
                 )
             });
             columns.push(ColumnMeta {
-                name: name.clone(),
+                name: name.to_string(),
                 dtype: col.dtype(),
                 semantic,
                 cardinality: fin.cardinality,
@@ -299,13 +314,12 @@ impl FrameMeta {
         let entry = FrameStatsEntry {
             rows: num_rows,
             precision,
-            columns: col_names
+            columns: cols
                 .iter()
                 .zip(folded)
                 .zip(&plans)
-                .map(|((name, stats), plan)| {
-                    let dtype = df.column(name).expect("name enumerated from frame").dtype();
-                    (name.clone(), dtype, plan.scan_cap, stats)
+                .map(|((&(name, col), stats), plan)| {
+                    (name.to_string(), col.dtype(), plan.scan_cap, stats)
                 })
                 .collect(),
         };
@@ -380,25 +394,57 @@ fn plan_column_scan(
 /// falls back to a full rescan — never a wrong answer.
 fn reuse_parent_partials(
     df: &DataFrame,
+    cols: &[(&str, &Column)],
     plans: &[StatsSpec],
     precision: u32,
 ) -> Option<Arc<FrameStatsEntry>> {
     let (parent_fp, parent_rows) = df.append_lineage()?;
     let entry = cache::lookup(parent_fp)?;
-    let col_names = df.column_names();
-    let compatible =
-        entry.rows == parent_rows
-            && parent_rows <= df.num_rows()
-            && entry.precision == precision
-            && entry.columns.len() == col_names.len()
-            && entry.columns.iter().zip(col_names).zip(plans).all(
-                |(((n, dt, cap, _), name), plan)| {
-                    n == name
-                        && *cap == plan.scan_cap
-                        && df.column(name).map(|c| c.dtype()).ok() == Some(*dt)
-                },
-            );
+    let compatible = entry.rows == parent_rows
+        && parent_rows <= df.num_rows()
+        && entry.precision == precision
+        && entry.columns.len() == cols.len()
+        && entry.columns.iter().zip(cols).zip(plans).all(
+            |(((n, dt, cap, _), (name, col)), plan)| {
+                n == name && *cap == plan.scan_cap && col.dtype() == *dt
+            },
+        );
     compatible.then_some(entry)
+}
+
+/// Phase-2 fold for one column: its partials merged in chunk order, seeded
+/// from the cached parent partial on the append path. Runs as one pool task
+/// per column; a column with a single partial returns it untouched and
+/// opens no span.
+fn fold_column(
+    col: &Column,
+    plan: &StatsSpec,
+    seed: Option<&ColumnStats>,
+    chunks: Vec<ColumnStats>,
+    trace: Option<(&crate::trace::TraceCollector, crate::trace::SpanId)>,
+) -> ColumnStats {
+    let partials = chunks.len() + seed.is_some() as usize;
+    let mut chunks = chunks.into_iter();
+    if partials <= 1 {
+        return seed
+            .cloned()
+            .or_else(|| chunks.next())
+            .unwrap_or_else(|| ColumnStats::empty(col, plan));
+    }
+    let span = trace.map(|(c, parent)| (c, c.begin(Some(parent), "metadata.fold")));
+    let mut acc = match seed {
+        Some(parent) => parent.clone(),
+        None => chunks.next().expect("two or more partials"),
+    };
+    for partial in chunks {
+        acc.merge(&partial, plan);
+    }
+    if let Some((c, id)) = span {
+        c.tag(id, "chunks", partials.to_string());
+        c.tag(id, "rows", acc.rows().to_string());
+        c.end(id);
+    }
+    acc
 }
 
 /// Names that strongly suggest a geographic attribute.

@@ -59,24 +59,63 @@ pub fn decode_f64(k: u64) -> f64 {
     f64::from_bits(b)
 }
 
+/// Tables up to this many slots (64 KiB) are allocated outright at the size
+/// their hint asks for: zeroing one costs less than a single rehash, and a
+/// 2 000- or 4 000-row column then never rehashes at all.
+const OUTRIGHT_SLOTS: usize = 8192;
+
+/// Where a set with a larger hint starts: 16 KiB, L1-resident beside the
+/// column stream, so a low-cardinality column of any height stays there.
+const START_SLOTS: usize = 2048;
+
+/// Smallest power-of-two table that holds `keys` at ≤7/8 load without
+/// growing (the table doubling would have arrived at).
+fn slots_for(keys: usize) -> usize {
+    (keys.max(8) * 8 / 7 + 1).next_power_of_two()
+}
+
 /// An open-addressing set of `u64` keys — the exact distinct counter under
 /// the scan cap. Linear probing over a power-of-two table at ≤7/8 load;
 /// the zero key (unrepresentable as an empty slot) rides a side flag.
+///
+/// The table sizes itself from what the set has seen. A fresh table page
+/// costs more to first-touch than the keys on it cost to insert, so a
+/// doubling ladder under a near-unique column is most of that column's
+/// scan; a final-size table under a low-cardinality one is the same waste
+/// in one step. Built with a hint whose table is large, the set therefore
+/// starts small and decides at its first growth: if most of the inserts it
+/// served were fresh keys it jumps to the hinted table in one rehash,
+/// otherwise it doubles.
 #[derive(Debug, Clone)]
 pub struct U64Set {
     slots: Vec<u64>,
     len: usize,
     has_zero: bool,
+    /// Inserts served, fresh or not: with `len`, the fresh ratio the first
+    /// growth reads.
+    probes: usize,
+    /// Table size the hint asks for while the first growth has yet to
+    /// decide whether to jump there; 0 once it has (or when the set was
+    /// allocated at that size outright).
+    hinted_slots: usize,
 }
 
 impl U64Set {
-    /// An empty set pre-sized for about `expected` keys.
-    pub fn with_capacity(expected: usize) -> U64Set {
-        let slots = (expected.max(8) * 8 / 7 + 1).next_power_of_two();
+    /// An empty set for a caller that may hand it up to `hint` distinct
+    /// keys. A hint, not a bound: past it the set grows by doubling.
+    pub fn with_capacity(hint: usize) -> U64Set {
+        let hinted = slots_for(hint);
+        let (start, hinted_slots) = if hinted <= OUTRIGHT_SLOTS {
+            (hinted, 0)
+        } else {
+            (START_SLOTS, hinted)
+        };
         U64Set {
-            slots: vec![0u64; slots],
+            slots: vec![0u64; start],
             len: 0,
             has_zero: false,
+            probes: 0,
+            hinted_slots,
         }
     }
 
@@ -96,6 +135,7 @@ impl U64Set {
     /// Insert a key; returns true when it was not already present.
     #[inline]
     pub fn insert(&mut self, key: u64) -> bool {
+        self.probes += 1;
         if key == 0 {
             let new = !self.has_zero;
             self.has_zero = true;
@@ -121,10 +161,31 @@ impl U64Set {
         }
     }
 
+    #[cold]
     fn grow(&mut self) {
-        let doubled = vec![0u64; self.slots.len() * 2];
-        let old = std::mem::replace(&mut self.slots, doubled);
-        let mask = self.slots.len() - 1;
+        let mut slots = self.slots.len() * 2;
+        // First growth of a set that started below its hint: a stream that
+        // has been mostly fresh keys so far is taken at its word.
+        let hinted = std::mem::take(&mut self.hinted_slots);
+        if self.len * 2 > self.probes {
+            slots = slots.max(hinted);
+        }
+        self.rehash(slots);
+    }
+
+    /// Give back the table a jump overshot: rehash into the size doubling
+    /// would have reached, so a set that ended well under its hint does not
+    /// carry (or get cloned with) a table twice the size it needs.
+    pub fn trim(&mut self) {
+        let fit = slots_for(self.len);
+        if fit < self.slots.len() && self.slots.len() > OUTRIGHT_SLOTS {
+            self.rehash(fit);
+        }
+    }
+
+    fn rehash(&mut self, slots: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![0u64; slots]);
+        let mask = slots - 1;
         for key in old {
             if key == 0 {
                 continue;
@@ -154,79 +215,92 @@ impl U64Set {
 /// makes the materialized `unique_values` list insensitive to chunk
 /// boundaries and merge order. Keys are order-preserving, so "smallest keys"
 /// is exactly "smallest values under `Value::total_cmp`".
+///
+/// Arrivals are buffered, not placed: a key at or above the retained
+/// maximum is rejected with one comparison, anything else is pushed, and a
+/// buffer of `2 * cap` is compacted (sort, dedup, truncate to `cap`). That
+/// is O(1) amortized per key whatever the input order — a strictly
+/// descending column, where every key displaces the whole retained set,
+/// costs the same as an ascending one. [`SmallestKeys::compact`] after the
+/// last offer; `keys` and `merge` read a compacted accumulator.
 #[derive(Debug, Clone, Default)]
 pub struct SmallestKeys {
-    /// Sorted ascending, deduplicated, at most `cap` entries.
+    /// `keys[..settled]` is ascending, distinct and at most `cap` long; the
+    /// rest are arrivals since the last compaction.
     keys: Vec<u64>,
+    settled: usize,
     cap: usize,
+    /// The retained maximum once `cap` distinct keys are settled: nothing
+    /// at or above it can enter the smallest `cap`.
+    ceiling: Option<u64>,
 }
 
 impl SmallestKeys {
     pub fn new(cap: usize) -> SmallestKeys {
         SmallestKeys {
             keys: Vec::new(),
+            settled: 0,
             cap,
+            ceiling: None,
         }
     }
 
-    /// Offer one key. The common cases — key already above the cutoff, or a
-    /// duplicate of a retained key — cost one comparison / one binary
-    /// search.
+    /// Offer one key.
     #[inline]
     pub fn offer(&mut self, key: u64) {
-        if self.keys.len() == self.cap {
-            match self.keys.last() {
-                Some(&max) if key >= max => return,
-                _ => {}
-            }
-        }
-        if let Err(pos) = self.keys.binary_search(&key) {
-            self.keys.insert(pos, key);
-            if self.keys.len() > self.cap {
-                self.keys.pop();
-            }
-        }
-    }
-
-    /// Fold another accumulator in (sorted-merge + dedup + truncate).
-    pub fn merge(&mut self, other: &SmallestKeys) {
-        if other.keys.is_empty() {
+        if self.ceiling.is_some_and(|c| key >= c) {
             return;
         }
-        let mut merged = Vec::with_capacity((self.keys.len() + other.keys.len()).min(self.cap));
-        let (a, b) = (&self.keys, &other.keys);
-        let (mut i, mut j) = (0, 0);
-        while merged.len() < self.cap && (i < a.len() || j < b.len()) {
-            let next = match (a.get(i), b.get(j)) {
-                (Some(&x), Some(&y)) if x == y => {
-                    i += 1;
-                    j += 1;
-                    x
-                }
-                (Some(&x), Some(&y)) if x < y => {
-                    i += 1;
-                    x
-                }
-                (Some(_), Some(&y)) => {
-                    j += 1;
-                    y
-                }
-                (Some(&x), None) => {
-                    i += 1;
-                    x
-                }
-                (None, Some(&y)) => {
-                    j += 1;
-                    y
-                }
-                (None, None) => unreachable!("loop guard"),
-            };
-            merged.push(next);
+        self.keys.push(key);
+        if self.keys.len() >= 2 * self.cap {
+            self.compact();
         }
-        self.keys = merged;
     }
 
+    /// Settle the buffered arrivals: afterwards the accumulator holds
+    /// exactly the `cap` smallest distinct keys offered so far, ascending.
+    pub fn compact(&mut self) {
+        if self.settled < self.keys.len() {
+            // Sort only the arrivals, then take the first `cap` distinct
+            // keys of the two sorted runs: the settled prefix is never
+            // re-sorted, and nothing past the cut is ever moved.
+            let (settled, arrivals) = self.keys.split_at_mut(self.settled);
+            arrivals.sort_unstable();
+            let mut merged = Vec::with_capacity(2 * self.cap);
+            let (mut i, mut j) = (0, 0);
+            while merged.len() < self.cap && (i < settled.len() || j < arrivals.len()) {
+                let from_settled =
+                    j == arrivals.len() || (i < settled.len() && settled[i] <= arrivals[j]);
+                let next = if from_settled {
+                    i += 1;
+                    settled[i - 1]
+                } else {
+                    j += 1;
+                    arrivals[j - 1]
+                };
+                if merged.last() != Some(&next) {
+                    merged.push(next);
+                }
+            }
+            self.keys = merged;
+        }
+        self.settled = self.keys.len();
+        self.ceiling = (self.settled == self.cap).then(|| self.keys.last().copied().unwrap_or(0));
+    }
+
+    /// Fold another (compacted) accumulator in.
+    pub fn merge(&mut self, other: &SmallestKeys) {
+        self.keys.extend_from_slice(other.keys());
+        self.compact();
+    }
+
+    /// The retained keys, ascending.
     pub fn keys(&self) -> &[u64] {
+        assert_eq!(
+            self.settled,
+            self.keys.len(),
+            "keys of an uncompacted accumulator"
+        );
         &self.keys
     }
 
@@ -377,6 +451,7 @@ mod tests {
         for k in [9u64, 3, 7, 3, 1, 8, 2, 2, 100] {
             s.offer(k);
         }
+        s.compact();
         assert_eq!(s.keys(), &[1, 2, 3, 7]);
     }
 
@@ -389,6 +464,9 @@ mod tests {
         for (i, &k) in keys.iter().enumerate() {
             if i % 2 == 0 { &mut a } else { &mut b }.offer(k);
             whole.offer(k);
+        }
+        for s in [&mut a, &mut b, &mut whole] {
+            s.compact();
         }
         let mut ab = a.clone();
         ab.merge(&b);

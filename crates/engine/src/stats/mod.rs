@@ -338,12 +338,9 @@ fn scan_primitive<T: ScanValue>(
     end: usize,
     spec: &StatsSpec,
 ) -> NumericStats {
-    // Pre-size the exact set for the chunk (bounded so low-cardinality
-    // columns don't pay a large zeroed allocation per chunk); growth
-    // handles the rest. The 8192 floor lets a fresh-heavy chunk of a few
-    // thousand rows complete without a mid-scan rehash.
-    let expected = (end - start).min(spec.scan_cap).min(8192);
-    let mut distinct = DistinctAcc::Exact(U64Set::with_capacity(expected));
+    // The most keys this chunk can hand the exact set before it converts.
+    let hint = (end - start).min(spec.scan_cap.saturating_add(1));
+    let mut distinct = DistinctAcc::Exact(U64Set::with_capacity(hint));
     let mut smallest = SmallestKeys::new(spec.values_cap);
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
     let valid = for_each_valid(validity, start, end, |i| {
@@ -354,6 +351,10 @@ fn scan_primitive<T: ScanValue>(
             smallest.offer(key);
         }
     });
+    smallest.compact();
+    if let DistinctAcc::Exact(set) = &mut distinct {
+        set.trim();
+    }
     NumericStats {
         rows: end - start,
         null_count: (end - start) - valid,

@@ -2,6 +2,10 @@
 //! so both the engine proptests and the parallel-determinism suite can draw
 //! from the same pathological frame distribution.
 
+use std::collections::HashMap;
+
+use lux::engine::governor::{BudgetHandle, ResourceBudget};
+use lux::engine::FrameMeta;
 use lux::prelude::*;
 use proptest::prelude::*;
 
@@ -88,4 +92,86 @@ pub fn adversarial_frame() -> impl Strategy<Value = DataFrame> {
         single_value,
         huge_strings,
     ]
+}
+
+/// Chunk grids the metadata pass is held invariant over: many chunks per
+/// column, the pre-PR-20 grid (where a near-unique column's first chunk is
+/// exact at exactly the scan cap and its fold converts), and the shipped
+/// one-accumulator grid.
+#[allow(dead_code)]
+pub const CHUNK_GRID: [usize; 3] = [4_096, 65_536, 1 << 20];
+
+/// Thread counts the metadata pass is held invariant over.
+#[allow(dead_code)]
+pub const THREAD_GRID: [usize; 3] = [1, 2, 8];
+
+/// Everything comparable about one governed metadata pass: the governor's
+/// charge, every `ColumnMeta` field per column, and the event list.
+#[allow(dead_code)]
+pub type MetadataPassOutput = (u64, Vec<String>, Vec<String>);
+
+#[allow(dead_code)]
+pub fn pass_output(m: &FrameMeta, h: &BudgetHandle) -> MetadataPassOutput {
+    let cols: Vec<String> = m
+        .columns
+        .iter()
+        .map(|c| {
+            format!(
+                "{}|{:?}|{:?}|{}|{}|{:?}|{}|{:?}|{:?}|{}",
+                c.name,
+                c.dtype,
+                c.semantic,
+                c.cardinality,
+                c.cardinality_estimated,
+                c.unique_values,
+                c.unique_complete,
+                c.min.map(f64::to_bits),
+                c.max.map(f64::to_bits),
+                c.null_count
+            )
+        })
+        .collect();
+    let events: Vec<String> = h.events().iter().map(|e| e.to_string()).collect();
+    (h.charged(), cols, events)
+}
+
+/// One governed metadata pass over `df` on an explicit chunk grid.
+#[allow(dead_code)]
+pub fn governed_pass(
+    df: &DataFrame,
+    budget: &ResourceBudget,
+    threads: usize,
+    chunk_rows: usize,
+) -> MetadataPassOutput {
+    let h = BudgetHandle::new(budget.clone());
+    let m = FrameMeta::compute_with_chunk_rows(
+        df,
+        &HashMap::new(),
+        None,
+        Some(&h),
+        threads,
+        chunk_rows,
+    );
+    pass_output(&m, &h)
+}
+
+/// Run [`governed_pass`] at every `chunk_grid` x [`THREAD_GRID`] point and
+/// require one answer; returns it.
+#[allow(dead_code)]
+pub fn assert_grid_invariant(
+    df: &DataFrame,
+    budget: &ResourceBudget,
+    chunk_grid: &[usize],
+) -> MetadataPassOutput {
+    let reference = governed_pass(df, budget, 1, chunk_grid[0]);
+    for &chunk_rows in chunk_grid {
+        for threads in THREAD_GRID {
+            let out = governed_pass(df, budget, threads, chunk_rows);
+            assert_eq!(
+                out, reference,
+                "metadata pass diverged at chunk_rows={chunk_rows} threads={threads}"
+            );
+        }
+    }
+    reference
 }

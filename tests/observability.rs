@@ -236,3 +236,59 @@ fn metrics_snapshot_renders_and_tracks_memo_rate() {
         .expect("rate defined");
     assert!((0.0..=1.0).contains(&rate));
 }
+
+/// The metadata fold is traced where it runs: a pass whose chunk grid gives
+/// columns several partials opens one `metadata.fold` span per folded
+/// column (tagged with what it folded), those spans count into the pass
+/// summary's metadata CPU time, and a single-chunk pass — every print below
+/// a million rows — has nothing to fold and opens none.
+#[test]
+fn metadata_fold_spans_appear_only_when_columns_fold() {
+    use lux::engine::trace::TraceCollector;
+    use lux::engine::FrameMeta;
+    use lux::prelude::PassSummary;
+
+    let df = frame(1_000);
+    let overrides = std::collections::HashMap::new();
+    let traced_pass = |chunk_rows: usize| {
+        let collector = TraceCollector::new();
+        let root = collector.begin(None, "print");
+        FrameMeta::compute_with_chunk_rows(
+            &df,
+            &overrides,
+            Some((collector.as_ref(), root)),
+            None,
+            2,
+            chunk_rows,
+        );
+        collector.end(root);
+        collector.snapshot()
+    };
+
+    let chunked = traced_pass(300);
+    let folds = chunked.spans_named("metadata.fold");
+    assert_eq!(folds.len(), df.num_columns(), "one fold span per column");
+    for fold in &folds {
+        assert_eq!(fold.tag("chunks"), Some("4"), "1000 rows on a 300-row grid");
+        assert_eq!(fold.tag("rows"), Some("1000"));
+    }
+    assert_eq!(
+        chunked.spans_prefixed("column:").len(),
+        4 * df.num_columns()
+    );
+    let fold_time: Duration = folds.iter().map(|s| s.duration()).sum();
+    let scan_time: Duration = chunked
+        .spans_prefixed("column:")
+        .iter()
+        .map(|s| s.duration())
+        .sum();
+    assert_eq!(
+        PassSummary::from_trace(&chunked).metadata_cpu,
+        scan_time + fold_time,
+        "metadata CPU time counts scans and folds"
+    );
+
+    let single = traced_pass(lux::engine::metadata::CHUNK_ROWS);
+    assert!(single.spans_named("metadata.fold").is_empty());
+    assert_eq!(single.spans_prefixed("column:").len(), df.num_columns());
+}

@@ -3,7 +3,8 @@
 //! runs the identical workload under `threads = 1` and `threads = 8` and
 //! requires bit-identical results — action lists, spec order, scores,
 //! degradation flags, governor notes — plus identical metrics-counter
-//! deltas for the pipeline's own accounting.
+//! deltas for the pipeline's own accounting. The metadata pass under the
+//! print is additionally held invariant over its chunk grid (DESIGN.md §14).
 //!
 //! Frames are rebuilt (not cloned) between runs: clones share freshness
 //! fingerprints, and a shared fingerprint would let the second run answer
@@ -13,7 +14,8 @@ mod common;
 
 use std::sync::{Arc, Mutex};
 
-use common::adversarial_frame;
+use common::{adversarial_frame, assert_grid_invariant, CHUNK_GRID};
+use lux::engine::governor::ResourceBudget;
 use lux::engine::trace::{names, MetricsRegistry};
 use lux::prelude::*;
 use lux::LuxDataFrame;
@@ -94,6 +96,21 @@ proptest! {
         prop_assert_eq!(&sequential.vislists, &parallel.vislists, "vis ranking diverged");
         prop_assert_eq!(&sequential.degraded, &parallel.degraded, "degradation diverged");
         prop_assert_eq!(&sequential.governor, &parallel.governor, "governor events diverged");
+    }
+
+    /// The metadata pass under the print: on the pathological frames, the
+    /// chunk grid and the thread count change neither `FrameMeta`, nor what
+    /// the governor was charged, nor its events. These frames are a few
+    /// dozen rows, so a 7-row grid joins the shipped ones to make every
+    /// column fold; the budget is tight enough that later columns degrade.
+    #[test]
+    fn adversarial_frames_have_one_metadata_answer_on_every_grid(df in adversarial_frame()) {
+        let _guard = lock();
+        let grid = [7, CHUNK_GRID[0], CHUNK_GRID[1], CHUNK_GRID[2]];
+        for max_bytes in [u64::MAX, 2_000] {
+            let budget = ResourceBudget { max_bytes, ..ResourceBudget::default() };
+            assert_grid_invariant(&df, &budget, &grid);
+        }
     }
 }
 

@@ -8,11 +8,16 @@
 
 mod common;
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
-use common::adversarial_frame;
+use common::{
+    adversarial_frame, assert_grid_invariant, governed_pass, pass_output, CHUNK_GRID, THREAD_GRID,
+};
 use lux::engine::governor::{BudgetHandle, ResourceBudget};
+use lux::engine::metadata::{UNIQUE_SCAN_CAP, UNIQUE_VALUES_CAP};
+use lux::engine::stats::kernels::{SmallestKeys, U64Set};
 use lux::engine::stats::sketch::{mix64, CardinalitySketch, DEFAULT_PRECISION};
 use lux::engine::stats::{ColumnStats, StatsSpec};
 use lux::engine::trace::{names, MetricsRegistry};
@@ -196,6 +201,223 @@ proptest! {
     }
 }
 
+/// The keys an order-preserving `u64` encoding makes awkward: the one the
+/// table cannot store as a slot, and both ends of the sign flip.
+const AWKWARD_KEYS: [u64; 3] = [0, u64::MAX, 1 << 63];
+
+/// A key stream built from segments that are either fresh-heavy (new keys
+/// almost every row) or repeat-heavy (draws from a 13-key pool), in any
+/// order, each with the awkward keys mixed in — long enough to take a set
+/// through its first-growth decision and past its hint.
+fn key_stream() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec((any::<bool>(), 0usize..4_000, 0u64..u64::MAX), 1..5).prop_map(
+        |segments| {
+            let mut keys = Vec::new();
+            for (fresh_heavy, len, salt) in segments {
+                for i in 0..len as u64 {
+                    let pick = if fresh_heavy { i } else { mix64(i) % 13 };
+                    keys.push(match pick % 97 {
+                        r @ 0..=2 => AWKWARD_KEYS[r as usize],
+                        _ => mix64(salt.wrapping_add(pick)),
+                    });
+                }
+            }
+            keys
+        },
+    )
+}
+
+fn smallest_of(keys: &[u64], cap: usize) -> SmallestKeys {
+    let mut s = SmallestKeys::new(cap);
+    for &k in keys {
+        s.offer(k);
+    }
+    s.compact();
+    s
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `U64Set` against `HashSet<u64>`: the freshness bit of every insert,
+    /// `len` after it, and the iterated key set — whatever table the set
+    /// started in (outright, or small with a jump pending), wherever its
+    /// first growth fell in the stream, with more keys than its hint, and
+    /// after a trim.
+    #[test]
+    fn u64set_agrees_with_hashset(
+        keys in key_stream(),
+        hint in prop_oneof![
+            Just(0usize), Just(16), Just(4_000), Just(7_168), Just(10_000), Just(70_000),
+        ],
+    ) {
+        let mut set = U64Set::with_capacity(hint);
+        let mut oracle: HashSet<u64> = HashSet::new();
+        for &k in &keys {
+            prop_assert_eq!(set.insert(k), oracle.insert(k), "freshness of key {}", k);
+            prop_assert_eq!(set.len(), oracle.len());
+        }
+        prop_assert_eq!(set.is_empty(), oracle.is_empty());
+        prop_assert_eq!(set.iter().count(), oracle.len(), "a key was iterated twice");
+        prop_assert_eq!(&set.iter().collect::<HashSet<u64>>(), &oracle);
+
+        set.trim();
+        prop_assert_eq!(set.len(), oracle.len());
+        prop_assert_eq!(&set.iter().collect::<HashSet<u64>>(), &oracle);
+        for &k in &keys {
+            prop_assert!(!set.insert(k), "key {} lost by trim", k);
+        }
+    }
+
+    /// `SmallestKeys` against the first K of a `BTreeSet`, for the input
+    /// orders that separate a buffered accumulator from a sorted-insert one
+    /// (ascending rejects everything, descending accepts everything,
+    /// sawtooth re-offers retained keys, duplicate-heavy never fills), and
+    /// for `merge` of two accumulators in either order.
+    #[test]
+    fn smallest_keys_match_btreeset_prefix(
+        shape in 0usize..5,
+        n in 0u64..3_000,
+        period in 1u64..700,
+        salt in 0u64..u64::MAX,
+        cap in prop_oneof![Just(1usize), Just(8), Just(256)],
+        cut in 0usize..3_000,
+    ) {
+        let keys: Vec<u64> = (0..n)
+            .map(|i| match shape {
+                0 => i * 3,
+                1 => u64::MAX - i * 3,
+                2 => (n - i) * 3,
+                3 => (i % period) * 5 + (i / period) % 2,
+                _ => mix64(salt ^ (i % 7)),
+            })
+            .collect();
+        let first_k = |keys: &[u64]| -> Vec<u64> {
+            keys.iter().copied().collect::<BTreeSet<u64>>().into_iter().take(cap).collect()
+        };
+        let expected = first_k(&keys);
+        prop_assert_eq!(smallest_of(&keys, cap).keys(), &expected[..]);
+
+        let cut = cut.min(keys.len());
+        let (a, b) = (smallest_of(&keys[..cut], cap), smallest_of(&keys[cut..], cap));
+        prop_assert_eq!(a.keys(), &first_k(&keys[..cut])[..]);
+        let (mut ab, mut ba) = (a.clone(), b.clone());
+        ab.merge(&b);
+        ba.merge(&a);
+        prop_assert_eq!(ab.keys(), &expected[..]);
+        prop_assert_eq!(ba.keys(), &expected[..]);
+    }
+}
+
+/// The sizing rule, observed through `bytes()`: a set hinted past the
+/// outright size starts L1-sized; at its first growth a fresh-heavy prefix
+/// sends it straight to the hinted table, a repeat-heavy one leaves it
+/// doubling; a small hint is allocated outright; and the hint is not a
+/// bound.
+#[test]
+fn u64set_sizes_itself_from_what_it_has_seen() {
+    let hint = UNIQUE_SCAN_CAP + 1;
+    let hinted_bytes = ((hint * 8 / 7 + 1).next_power_of_two() * 8) as u64;
+    let fresh = |set: &mut U64Set, range: std::ops::Range<u64>| {
+        for i in range {
+            assert!(set.insert(mix64(i) | 1));
+        }
+    };
+
+    let mut fresh_first = U64Set::with_capacity(hint);
+    let start_bytes = fresh_first.bytes();
+    assert!(
+        start_bytes <= 32 << 10,
+        "a large hint must not allocate up front"
+    );
+    fresh(&mut fresh_first, 0..2_000);
+    assert_eq!(
+        fresh_first.bytes(),
+        hinted_bytes,
+        "fresh-heavy prefix jumps"
+    );
+    for i in 0..50_000u64 {
+        fresh_first.insert(mix64(i % 10) | 1);
+    }
+    assert_eq!(
+        fresh_first.bytes(),
+        hinted_bytes,
+        "repeats after the jump do not grow it"
+    );
+    fresh_first.trim();
+    assert!(
+        fresh_first.bytes() < hinted_bytes / 8,
+        "trim gives the overshoot back"
+    );
+    assert_eq!(fresh_first.len(), 2_000);
+
+    let mut repeats_first = U64Set::with_capacity(hint);
+    for i in 0..50_000u64 {
+        repeats_first.insert(mix64(i % 10) | 1);
+    }
+    assert_eq!(
+        repeats_first.bytes(),
+        start_bytes,
+        "ten keys never leave the first table"
+    );
+    fresh(&mut repeats_first, 100..2_100);
+    assert_eq!(
+        repeats_first.bytes(),
+        start_bytes * 2,
+        "repeat-heavy prefix doubles"
+    );
+    assert_eq!(repeats_first.len(), 2_010);
+
+    let mut small = U64Set::with_capacity(4_000);
+    let outright = small.bytes();
+    assert_eq!(outright, 64 << 10);
+    fresh(&mut small, 0..4_000);
+    assert_eq!(
+        small.bytes(),
+        outright,
+        "a small hint is allocated at final size"
+    );
+    fresh(&mut small, 4_000..9_000);
+    assert_eq!(small.len(), 9_000, "the hint is not a bound");
+}
+
+/// Release-mode shape check, run by the CI metadata-stress job: the fused
+/// scan must not care which way a column is sorted. A strictly descending
+/// column offers every key to the smallest-K accumulator and an ascending
+/// one none after the first 2K, so this is the accumulator's worst case
+/// against its best (2.1x when `offer` was a sorted insert).
+#[test]
+#[ignore = "timing shape; run in release via CI metadata-stress or --include-ignored"]
+fn descending_column_scans_as_fast_as_ascending() {
+    let rows = 100_000i64;
+    let spec = StatsSpec {
+        scan_cap: UNIQUE_SCAN_CAP,
+        precision: DEFAULT_PRECISION,
+        values_cap: UNIQUE_VALUES_CAP,
+    };
+    let column = |values: Vec<i64>| Column::Int64(PrimitiveColumn::from_values(values));
+    let (asc, desc) = (
+        column((0..rows).collect()),
+        column((0..rows).rev().collect()),
+    );
+    let scan = |col: &Column| -> Duration {
+        let t = Instant::now();
+        std::hint::black_box(ColumnStats::scan(col, 0, col.len(), &spec));
+        t.elapsed()
+    };
+    // Best of 7, interleaved, so a noisy stretch on a shared runner lands
+    // on both sides instead of on one.
+    let (mut ascending, mut descending) = (Duration::MAX, Duration::MAX);
+    for _ in 0..7 {
+        ascending = ascending.min(scan(&asc));
+        descending = descending.min(scan(&desc));
+    }
+    assert!(
+        descending.as_secs_f64() <= 1.5 * ascending.as_secs_f64(),
+        "descending {descending:?} vs ascending {ascending:?}"
+    );
+}
+
 /// The documented bound must also hold at a scale where linear counting no
 /// longer helps: 200k distinct keys through the real scan-and-convert path.
 #[test]
@@ -242,30 +464,6 @@ fn stats_fixture(start: usize, end: usize) -> DataFrame {
         .expect("fixture frame")
 }
 
-/// Everything comparable about one governed metadata pass.
-fn pass_output(m: &FrameMeta, h: &BudgetHandle) -> (u64, Vec<String>, Vec<String>) {
-    let cols: Vec<String> = m
-        .columns
-        .iter()
-        .map(|c| {
-            format!(
-                "{}|{:?}|{}|{}|{:?}|{}|{:?}|{:?}|{}",
-                c.name,
-                c.semantic,
-                c.cardinality,
-                c.cardinality_estimated,
-                c.unique_values,
-                c.unique_complete,
-                c.min.map(f64::to_bits),
-                c.max.map(f64::to_bits),
-                c.null_count
-            )
-        })
-        .collect();
-    let events: Vec<String> = h.events().iter().map(|e| e.to_string()).collect();
-    (h.charged(), cols, events)
-}
-
 /// Appending a tail and merging cached parent partials must land on the
 /// same `FrameMeta` — and the same governor charges and event stream — as
 /// recomputing the concatenated frame from scratch, at thread counts 1 and
@@ -283,7 +481,7 @@ fn append_then_merge_equals_full_recompute_across_threads() {
     let tail = stats_fixture(parent_rows, total_rows);
     let metrics = MetricsRegistry::global();
 
-    let mut outputs: Vec<(String, (u64, Vec<String>, Vec<String>))> = Vec::new();
+    let mut outputs: Vec<(String, common::MetadataPassOutput)> = Vec::new();
     for &threads in &[1usize, 8] {
         // Append path: prime the parent's stats cache, then concat (which
         // stamps lineage) so metadata can merge cached partials with a
@@ -332,6 +530,99 @@ fn append_then_merge_equals_full_recompute_across_threads() {
         assert_eq!(out.0, first.0, "{label} vs {first_label}: charges");
         assert_eq!(out.1, first.1, "{label} vs {first_label}: columns");
         assert_eq!(out.2, first.2, "{label} vs {first_label}: events");
+    }
+}
+
+/// `airbnb(150_000, 7)` plus two wrap-around counters: between them an
+/// exact column just under the scan cap (`host_id`), one at exactly the cap,
+/// one a single key past it, sketched near-unique ints and floats, nulls,
+/// low-cardinality ints and strings.
+fn grid_frame() -> DataFrame {
+    let base = lux::workloads::airbnb(150_000, 7);
+    let rows = base.num_rows();
+    let wrap = |modulus: usize| {
+        Column::Int64(PrimitiveColumn::from_values(
+            (0..rows).map(|i| (i % modulus) as i64).collect::<Vec<_>>(),
+        ))
+    };
+    let mut cols: Vec<(String, Column)> = base
+        .column_names()
+        .iter()
+        .enumerate()
+        .map(|(i, name)| (name.clone(), base.column_at(i).clone()))
+        .collect();
+    cols.push(("exactly_cap".into(), wrap(UNIQUE_SCAN_CAP)));
+    cols.push(("cap_plus_one".into(), wrap(UNIQUE_SCAN_CAP + 1)));
+    DataFrame::from_columns(cols).expect("grid frame")
+}
+
+/// The metadata pass is a pure function of the scanned rows: the chunk grid
+/// (many chunks, the old 65 536-row grid whose first near-unique chunk ends
+/// exactly at the scan cap, the shipped one-accumulator grid) and the
+/// thread count change neither `FrameMeta`, nor the governor's charge, nor
+/// its events — and on every grid an append that merges the parent's cached
+/// partials with a 1% tail lands on what a full recompute of the
+/// concatenated frame does.
+#[test]
+fn chunk_grid_and_thread_count_do_not_change_the_pass() {
+    let _guard = lock();
+    let budget = ResourceBudget::default();
+    let df = grid_frame();
+    let reference = assert_grid_invariant(&df, &budget, &CHUNK_GRID);
+    let column = |name: &str| -> &str {
+        let prefix = format!("{name}|");
+        reference
+            .1
+            .iter()
+            .find(|c| c.starts_with(&prefix))
+            .expect("column present")
+    };
+    let cap = UNIQUE_SCAN_CAP;
+    assert!(column("exactly_cap").contains(&format!("|{cap}|false|")));
+    assert!(
+        column("cap_plus_one").contains("|true|"),
+        "{}",
+        &column("cap_plus_one")[..60]
+    );
+    assert!(column("id").contains("|true|") && column("latitude").contains("|true|"));
+    assert!(
+        column("host_id").contains("|false|"),
+        "host_id stays exact under the cap"
+    );
+    assert_eq!(
+        reference.2.len(),
+        5,
+        "one capped-cardinality event per sketched column: {:?}",
+        reference.2
+    );
+
+    let metrics = MetricsRegistry::global();
+    let all: Vec<&str> = df.column_names().iter().map(|s| s.as_str()).collect();
+    let tail = df.head(df.num_rows() / 100);
+    let mut appended_reference: Option<common::MetadataPassOutput> = None;
+    for chunk_rows in CHUNK_GRID {
+        for threads in THREAD_GRID {
+            // A fresh fingerprint per grid point, so the parent partials
+            // the append merges were computed on this grid.
+            let parent = df.select(&all).expect("select");
+            governed_pass(&parent, &budget, threads, chunk_rows);
+            let appended = parent.concat(&tail).expect("concat");
+            let merges_before = metrics.counter(names::METADATA_APPEND_MERGES);
+            let merged = governed_pass(&appended, &budget, threads, chunk_rows);
+            assert!(
+                metrics.counter(names::METADATA_APPEND_MERGES) > merges_before,
+                "append at chunk_rows={chunk_rows} threads={threads} did not merge"
+            );
+            let full = appended_reference.get_or_insert_with(|| {
+                let fresh = appended.select(&all).expect("select");
+                assert!(fresh.append_lineage().is_none());
+                governed_pass(&fresh, &budget, 1, CHUNK_GRID[2])
+            });
+            assert_eq!(
+                &merged, full,
+                "append merge diverged from full recompute at chunk_rows={chunk_rows} threads={threads}"
+            );
+        }
     }
 }
 
