@@ -4,9 +4,7 @@
 //! relative coefficients reflect reality (selections cheapest, 2D
 //! bin+count+group-by most expensive).
 
-use std::time::Instant;
-
-use lux_bench::{env_scales, fmt_secs, full_scale, print_table};
+use lux_bench::{env_scales, fmt_spread, full_scale, print_table, time_cells};
 use lux_dataframe::prelude::*;
 use lux_engine::{CostModel, SemanticType};
 use lux_vis::{process, Channel, Encoding, Mark, ProcessOptions, VisSpec};
@@ -100,31 +98,41 @@ fn main() {
         "Color Heatmap",
     ];
 
+    // Nine interleaved repetitions per cell: the ordering check below
+    // compares cells, so a noisy stretch must land on all of them.
+    let specs: Vec<VisSpec> = vis_types.iter().map(|vt| spec_for(vt)).collect();
+    let mut cells: Vec<Box<dyn FnMut() + '_>> = specs
+        .iter()
+        .map(|spec| {
+            Box::new(|| {
+                let data = process(spec, &df, &opts).expect("processing succeeds");
+                std::hint::black_box(data.num_rows());
+            }) as Box<dyn FnMut() + '_>
+        })
+        .collect();
+    let timed = time_cells(9, &mut cells);
+    drop(cells);
+
     let mut out = Vec::new();
     let mut measured: Vec<(String, f64)> = Vec::new();
-    for vt in vis_types {
-        let spec = spec_for(vt);
+    for ((vt, spec), spread) in vis_types.iter().zip(&specs).zip(timed) {
         let class = spec.op_class();
-        // warm + measure best-of-3
-        let mut best = f64::MAX;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let data = process(&spec, &df, &opts).expect("processing succeeds");
-            let dt = start.elapsed().as_secs_f64();
-            best = best.min(dt);
-            std::hint::black_box(data.num_rows());
-        }
         let est = model.vis_cost(class, rows, 16);
-        measured.push((vt.to_string(), best));
+        measured.push((vt.to_string(), spread.0));
         out.push(vec![
             vt.to_string(),
             class.name().to_string(),
-            fmt_secs(best),
+            fmt_spread(spread),
             format!("{est:.0}"),
         ]);
     }
     print_table(
-        &["Vis Type", "Relational Operation", "measured", "model est."],
+        &[
+            "Vis Type",
+            "Relational Operation",
+            "median [q1-q3] of 9",
+            "model est.",
+        ],
         &out,
     );
 

@@ -119,6 +119,38 @@ pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// Time every cell of a table `reps` times and return each cell's
+/// `(median, q1, q3)` in seconds. The repetitions are interleaved — one
+/// untimed warm-up round, then cell 0, 1, ..., n-1, `reps` times over — so
+/// a noisy stretch on a shared box lands on every cell instead of on one,
+/// and cells stay comparable with each other.
+pub fn time_cells(reps: usize, cells: &mut [Box<dyn FnMut() + '_>]) -> Vec<(f64, f64, f64)> {
+    assert!(reps > 0, "a cell needs at least one timed repetition");
+    let mut samples: Vec<Vec<f64>> = cells.iter().map(|_| Vec::with_capacity(reps)).collect();
+    for round in 0..=reps {
+        for (cell, samples) in cells.iter_mut().zip(&mut samples) {
+            let start = std::time::Instant::now();
+            cell();
+            if round > 0 {
+                samples.push(start.elapsed().as_secs_f64());
+            }
+        }
+    }
+    samples
+        .into_iter()
+        .map(|mut s| {
+            s.sort_by(f64::total_cmp);
+            let at = |q: usize| s[(s.len() - 1) * q / 4];
+            (at(2), at(1), at(3))
+        })
+        .collect()
+}
+
+/// A timed cell as `median [q1-q3]`.
+pub fn fmt_spread((median, q1, q3): (f64, f64, f64)) -> String {
+    format!("{} [{}-{}]", fmt_secs(median), fmt_secs(q1), fmt_secs(q3))
+}
+
 /// Format seconds with sensible precision.
 pub fn fmt_secs(s: f64) -> String {
     if s >= 1.0 {
@@ -164,6 +196,27 @@ mod tests {
         assert_eq!(width_rows(), 100_000, "full scale switches the defaults");
         std::env::set_var("LUX_WIDTH_ROWS", "900");
         assert_eq!(width_rows(), 900, "an explicit scale wins over full scale");
+    }
+
+    #[test]
+    fn time_cells_interleaves_and_orders_the_quartiles() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let mut cells: Vec<Box<dyn FnMut() + '_>> = vec![
+            Box::new(|| order.borrow_mut().push('a')),
+            Box::new(|| order.borrow_mut().push('b')),
+        ];
+        let timed = time_cells(9, &mut cells);
+        drop(cells);
+        // warm-up round + nine timed ones, round-robin
+        assert_eq!(
+            order.into_inner(),
+            "ab".repeat(10).chars().collect::<Vec<_>>()
+        );
+        assert_eq!(timed.len(), 2);
+        for (median, q1, q3) in timed {
+            assert!(0.0 <= q1 && q1 <= median && median <= q3);
+        }
+        assert_eq!(fmt_spread((0.002, 0.0015, 0.003)), "2.00ms [1.50ms-3.00ms]");
     }
 
     #[test]

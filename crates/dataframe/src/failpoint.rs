@@ -2,9 +2,8 @@
 //!
 //! The failpoint registry lives in `lux-engine` (which depends on this
 //! crate), so the CSV/SQL injection sites here cannot call it directly.
-//! Instead the engine installs its evaluator once, through [`install`]
-//! (mirroring [`crate::parallel::install_executor`]), and the sites call
-//! [`hit`]. Until an evaluator is installed — the standalone-dataframe and
+//! Instead the engine installs its evaluator once, through [`install`],
+//! and the sites call [`hit`]. Until an evaluator is installed — the standalone-dataframe and
 //! production-default case — [`hit`] is a single relaxed atomic load
 //! returning `None`, so the crate stands alone with no behavior change and
 //! no measurable cost.

@@ -42,7 +42,6 @@ pub mod frame;
 pub mod history;
 pub mod index;
 pub mod ops;
-pub mod parallel;
 pub mod scan;
 pub mod series;
 pub mod sql;

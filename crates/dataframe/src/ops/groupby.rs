@@ -2,20 +2,25 @@
 //!
 //! Group-by aggregation is the primary relational operation behind bar and
 //! line charts in the paper's Table 2, so the implementation avoids boxed
-//! values on the hot path: keys are hashed as compact [`KeyPart`]s (string
-//! keys compare dictionary codes, floats compare bit patterns) and numeric
-//! aggregations run over the typed buffers.
+//! values on the hot path. Keys with a dense form — dictionary codes, bools,
+//! small-span integers, tuples of those — are indexed, not hashed: each row's
+//! key is a code in `0..space` and group ids come out of a table of `space`
+//! slots. Everything else (floats, wide-span integers, oversized products)
+//! is hashed as compact [`KeyPart`]s, which is also the reference semantics.
+//! Numeric aggregations run over the typed buffers.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::column::Column;
+use crate::bitmap::Bitmap;
+use crate::column::{Column, PrimitiveColumn};
 use crate::error::{Error, Result};
 use crate::frame::DataFrame;
 use crate::history::{Event, OpKind};
 use crate::index::Index;
-use crate::scan::for_each_valid;
+use crate::scan::{for_each_valid, int_span};
 use crate::value::{DType, Value};
 
 /// Aggregation functions.
@@ -78,7 +83,7 @@ impl fmt::Display for Agg {
     }
 }
 
-/// Compact hashable group-key component.
+/// Compact hashable group-key component of the reference tier.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum KeyPart {
     Null,
@@ -122,23 +127,20 @@ pub struct GroupBy<'a> {
     /// key first seen after the cap folds into this group, rendered as
     /// `"(other)"` (string keys) or null in the result.
     overflow: Option<u32>,
+    /// Size of the dense code space the keys were indexed through; `None`
+    /// when they went to the hashed reference tier.
+    key_space: Option<usize>,
 }
 
-/// Rows below this run the sequential kernel even when parallelism is
-/// requested: sharding overhead swamps the win on small frames.
-const PARALLEL_GROUPBY_MIN_ROWS: usize = 8_192;
+/// `(group id per row, first row of each group, overflow group id)`.
+type Grouping = (Vec<u32>, Vec<usize>, Option<u32>);
 
-/// Minimum rows per shard; caps the shard count for mid-sized frames.
-const PARALLEL_GROUPBY_MIN_SHARD: usize = 2_048;
-
-/// Sequential hash-grouping: the reference semantics every other path must
+/// Hash-grouping, the reference tier: what float keys, wide-span integers
+/// and oversized key products run, and the semantics the dense tier must
 /// reproduce. Group ids are assigned in global first-seen order; keys first
-/// seen past `max_groups` fold into one overflow group.
-fn group_rows_sequential<K, F>(
-    nrows: usize,
-    max_groups: usize,
-    extract: &F,
-) -> (Vec<u32>, Vec<usize>, Option<u32>)
+/// seen past `max_groups` fold into one overflow group, so the map never
+/// holds more than `max_groups` entries however many keys there are.
+fn group_rows_sequential<K, F>(nrows: usize, max_groups: usize, extract: F) -> Grouping
 where
     K: Eq + std::hash::Hash,
     F: Fn(usize) -> K,
@@ -168,139 +170,137 @@ where
     (group_of, representatives, overflow)
 }
 
-/// One shard's partial grouping over a contiguous row range.
-struct ShardGroups {
-    /// First row (global index) of each shard-local group, first-seen order.
-    reps: Vec<usize>,
-    /// Shard-local group id per row of the range.
-    local_of: Vec<u32>,
-    /// The shard-local map hit `max_groups`; the scan stopped early.
-    capped: bool,
+/// The dense tier indexes a table of one slot per possible key, so the key
+/// space is bounded twice. Both bounds are constants: the first keeps the
+/// table (4 MiB of `u32` at most) from ever being a memory event, the
+/// second keeps clearing it cheaper than scanning the rows it serves, with
+/// a floor so small frames with modest dictionaries still index.
+const DENSE_MAX_SPACE: usize = 1 << 20;
+const DENSE_SLOTS_PER_ROW: usize = 4;
+const DENSE_MIN_ROWS: usize = 1_024;
+
+/// Largest key space a frame of `nrows` rows is indexed through.
+fn dense_space_limit(nrows: usize) -> usize {
+    DENSE_MAX_SPACE.min(DENSE_SLOTS_PER_ROW * nrows.max(DENSE_MIN_ROWS))
 }
 
-/// Sharded parallel hash-grouping: each worker builds a partial map over a
-/// contiguous row range, then the partials merge sequentially *in shard
-/// order*, which reproduces the exact global first-seen group ids and
-/// representatives of [`group_rows_sequential`]. Returns `None` — fall back
-/// to the sequential kernel — whenever the `max_groups` cap binds (a shard
-/// hit the cap locally, or the merged distinct count crossed it): overflow
-/// folding is order-sensitive, and only the sequential scan gets it right.
-fn group_rows_sharded<K, F>(
-    nrows: usize,
-    max_groups: usize,
-    par: usize,
-    extract: &F,
-) -> Option<(Vec<u32>, Vec<usize>, Option<u32>)>
-where
-    K: Eq + std::hash::Hash + Send,
-    F: Fn(usize) -> K + Sync,
-{
-    let shards = par.min(nrows / PARALLEL_GROUPBY_MIN_SHARD).max(1);
-    if shards <= 1 {
-        return None;
+/// One code per row: `code(value)` at valid rows, `null_code` at nulls.
+fn codes_of<T: Copy>(
+    values: &[T],
+    validity: Option<&Bitmap>,
+    null_code: u32,
+    code: impl Fn(T) -> u32,
+) -> Vec<u32> {
+    if validity.is_none() {
+        return values.iter().map(|&v| code(v)).collect();
     }
-    let chunk = nrows.div_ceil(shards);
-    let slots: Vec<std::sync::Mutex<Option<ShardGroups>>> =
-        (0..shards).map(|_| std::sync::Mutex::new(None)).collect();
-    crate::parallel::run(shards, shards, &|s| {
-        let lo = s * chunk;
-        let hi = ((s + 1) * chunk).min(nrows);
-        let mut map: HashMap<K, u32> = HashMap::new();
-        let mut reps = Vec::new();
-        let mut local_of = Vec::with_capacity(hi - lo);
-        let mut capped = false;
-        for row in lo..hi {
-            let part = extract(row);
-            let id = match map.get(&part) {
-                Some(&id) => id,
-                None if map.len() < max_groups => {
-                    let next = reps.len() as u32;
-                    reps.push(row);
-                    map.insert(part, next);
-                    next
-                }
-                None => {
-                    // Local cap hit: abandon this shard — the caller falls
-                    // back to the sequential kernel, whose map is bounded
-                    // by the same cap, so memory stays bounded either way.
-                    capped = true;
-                    break;
-                }
+    let mut out = vec![null_code; values.len()];
+    for_each_valid(validity, 0, values.len(), |i| out[i] = code(values[i]));
+    out
+}
+
+/// Per-row codes in `0..width` for one key column, equal exactly where the
+/// keys are: a string is its dictionary code (borrowed when nothing is
+/// null), a bool 0/1, an integer or datetime `v - min`; a column with a
+/// validity bitmap gets one extra code, the top one, for null. `None` when
+/// the column has no such form (floats) or needs more than `max_width`
+/// codes (a wide integer span, a dictionary far larger than the frame) —
+/// decided before anything is allocated.
+fn key_codes(col: &Column, max_width: usize) -> Option<(Cow<'_, [u32]>, usize)> {
+    let validity = col.validity();
+    // `values` codes for the values, then the null code (= `values`) if
+    // the column can hold a null
+    let width_of = |values: u64| {
+        let width = usize::try_from(values)
+            .ok()?
+            .checked_add(validity.is_some() as usize)?;
+        (width <= max_width).then_some((width, values as u32))
+    };
+    match col {
+        Column::Str(c) => {
+            let (width, null) = width_of(c.dict().len() as u64)?;
+            let codes = match validity {
+                None => Cow::Borrowed(c.codes()),
+                Some(_) => Cow::Owned(codes_of(c.codes(), validity, null, |c| c)),
             };
-            local_of.push(id);
+            Some((codes, width))
         }
-        if let Ok(mut slot) = slots[s].lock() {
-            *slot = Some(ShardGroups {
-                reps,
-                local_of,
-                capped,
-            });
+        Column::Bool(c) => {
+            let (width, null) = width_of(2)?;
+            let codes = codes_of(c.values(), validity, null, |b| b as u32);
+            Some((Cow::Owned(codes), width))
         }
-    });
-    let mut map: HashMap<K, u32> = HashMap::new();
+        Column::Int64(c) | Column::DateTime(c) => {
+            let (lo, values) = match int_span(c.values(), validity, 0, c.len()) {
+                // hi - lo as u64 is exact even from i64::MIN to i64::MAX
+                Some((lo, hi)) => (lo, (hi.wrapping_sub(lo) as u64).checked_add(1)?),
+                None => (0, 0),
+            };
+            let (width, null) = width_of(values)?;
+            let codes = codes_of(c.values(), validity, null, |v| v.wrapping_sub(lo) as u32);
+            Some((Cow::Owned(codes), width))
+        }
+        Column::Float64(_) => None,
+    }
+}
+
+/// Per-row codes in `0..space` for the whole key tuple — the columns' codes
+/// combined by mixed radix — when every column has a dense form and the
+/// product of their widths fits the bounds.
+fn dense_codes<'a>(cols: &[&'a Column], nrows: usize) -> Option<(Cow<'a, [u32]>, usize)> {
+    let limit = dense_space_limit(nrows);
+    let mut combined: Option<Cow<'a, [u32]>> = None;
+    let mut space = 1usize;
+    for col in cols {
+        // (a zero-width key is a column of an empty frame: no rows, no slots)
+        let (codes, width) = key_codes(col, limit / space.max(1))?;
+        space *= width;
+        combined = Some(match combined {
+            None => codes,
+            Some(prev) => {
+                let radix = width as u32;
+                let mixed = prev.iter().zip(&*codes).map(|(&p, &c)| p * radix + c);
+                Cow::Owned(mixed.collect())
+            }
+        });
+    }
+    Some((combined?, space))
+}
+
+/// The dense tier: group ids through a table indexed by key code, in row
+/// order, with [`group_rows_sequential`]'s first-seen / cap / overflow rule.
+fn group_rows_dense(codes: &[u32], space: usize, max_groups: usize) -> Grouping {
+    const UNSEEN: u32 = u32::MAX;
+    let mut table = vec![UNSEEN; space];
+    let mut group_of = Vec::with_capacity(codes.len());
     let mut representatives = Vec::new();
-    let mut group_of = vec![0u32; nrows];
-    let mut offset = 0usize;
-    for slot in &slots {
-        let out = slot.lock().ok()?.take()?;
-        if out.capped {
-            return None;
-        }
-        let mut translate = Vec::with_capacity(out.reps.len());
-        for &rep in &out.reps {
-            let part = extract(rep);
-            let id = match map.get(&part) {
-                Some(&id) => id,
+    let mut overflow: Option<u32> = None;
+    for (row, &code) in codes.iter().enumerate() {
+        let slot = &mut table[code as usize];
+        if *slot == UNSEEN {
+            // A key first seen once the overflow group exists belongs to it
+            // for good, so the slot can say so.
+            *slot = match overflow {
+                Some(id) => id,
                 None => {
-                    if representatives.len() >= max_groups {
-                        return None; // cap binds across shards: fall back
-                    }
                     let next = representatives.len() as u32;
-                    representatives.push(rep);
-                    map.insert(part, next);
+                    if next as usize == max_groups {
+                        overflow = Some(next);
+                    }
+                    representatives.push(row);
                     next
                 }
             };
-            translate.push(id);
         }
-        for (i, &lid) in out.local_of.iter().enumerate() {
-            group_of[offset + i] = translate[lid as usize];
-        }
-        offset += out.local_of.len();
+        group_of.push(*slot);
     }
-    debug_assert_eq!(offset, nrows);
-    Some((group_of, representatives, None))
-}
-
-fn group_rows<K, F>(
-    nrows: usize,
-    max_groups: usize,
-    par: usize,
-    extract: F,
-) -> (Vec<u32>, Vec<usize>, Option<u32>)
-where
-    K: Eq + std::hash::Hash + Send,
-    F: Fn(usize) -> K + Sync,
-{
-    if par > 1 && nrows >= PARALLEL_GROUPBY_MIN_ROWS && crate::parallel::has_executor() {
-        if let Some(r) = group_rows_sharded(nrows, max_groups, par, &extract) {
-            return r;
-        }
-    }
-    group_rows_sequential(nrows, max_groups, &extract)
+    (group_of, representatives, overflow)
 }
 
 impl DataFrame {
     /// Start a group-by over the named key columns.
     pub fn groupby(&self, keys: &[&str]) -> Result<GroupBy<'_>> {
-        self.groupby_impl(keys, usize::MAX, 1)
-    }
-
-    /// [`DataFrame::groupby`] with the hash-grouping scan sharded over up to
-    /// `par` pool workers. Results are identical to the sequential kernel
-    /// for every `par` (group ids stay in global first-seen order).
-    pub fn groupby_par(&self, keys: &[&str], par: usize) -> Result<GroupBy<'_>> {
-        self.groupby_impl(keys, usize::MAX, par)
+        self.groupby_impl(keys, usize::MAX)
     }
 
     /// Start a group-by that enumerates at most `max_groups` distinct keys;
@@ -308,22 +308,10 @@ impl DataFrame {
     /// other"). This bounds the output cardinality — and therefore memory —
     /// no matter how pathological the key column is.
     pub fn groupby_capped(&self, keys: &[&str], max_groups: usize) -> Result<GroupBy<'_>> {
-        self.groupby_impl(keys, max_groups.max(1), 1)
+        self.groupby_impl(keys, max_groups.max(1))
     }
 
-    /// [`DataFrame::groupby_capped`] with a sharded parallel scan. When the
-    /// cap actually binds the kernel reruns sequentially (overflow folding
-    /// is order-sensitive), so capped results too are `par`-independent.
-    pub fn groupby_capped_par(
-        &self,
-        keys: &[&str],
-        max_groups: usize,
-        par: usize,
-    ) -> Result<GroupBy<'_>> {
-        self.groupby_impl(keys, max_groups.max(1), par)
-    }
-
-    fn groupby_impl(&self, keys: &[&str], max_groups: usize, par: usize) -> Result<GroupBy<'_>> {
+    fn groupby_impl(&self, keys: &[&str], max_groups: usize) -> Result<GroupBy<'_>> {
         if keys.is_empty() {
             return Err(Error::InvalidArgument(
                 "groupby requires at least one key".into(),
@@ -331,14 +319,13 @@ impl DataFrame {
         }
         let key_cols: Vec<&Column> = keys.iter().map(|k| self.column(k)).collect::<Result<_>>()?;
         let nrows = self.num_rows();
-        let (group_of, representatives, overflow) = if key_cols.len() == 1 {
-            let col = key_cols[0];
-            group_rows(nrows, max_groups, par, |row| key_part(col, row))
-        } else {
-            let cols = &key_cols;
-            group_rows(nrows, max_groups, par, |row| {
+        let dense = dense_codes(&key_cols, nrows);
+        let (group_of, representatives, overflow) = match (&dense, &key_cols[..]) {
+            (Some((codes, space)), _) => group_rows_dense(codes, *space, max_groups),
+            (None, [col]) => group_rows_sequential(nrows, max_groups, |row| key_part(col, row)),
+            (None, cols) => group_rows_sequential(nrows, max_groups, |row| {
                 cols.iter().map(|c| key_part(c, row)).collect::<Vec<_>>()
-            })
+            }),
         };
 
         Ok(GroupBy {
@@ -347,6 +334,7 @@ impl DataFrame {
             group_of,
             representatives,
             overflow,
+            key_space: dense.map(|(_, space)| space),
         })
     }
 
@@ -367,6 +355,18 @@ impl DataFrame {
         Ok(self.unique(column)?.len())
     }
 
+    /// Whether the column has more than `limit` distinct non-null values,
+    /// answered without enumerating them: the group-by stops admitting keys
+    /// at `limit + 1`, so a near-unique column costs one scan and a
+    /// `limit`-sized table, never one boxed [`Value`] per distinct value.
+    pub fn cardinality_exceeds(&self, column: &str, limit: usize) -> Result<bool> {
+        // `limit + 1` groups hold `limit` values and the null group, or
+        // `limit + 1` values; anything past that caps.
+        let gb = self.groupby_capped(&[column], limit.saturating_add(1))?;
+        let null_group = (self.column(column)?.null_count() > 0) as usize;
+        Ok(gb.is_capped() || gb.num_groups() - null_group > limit)
+    }
+
     /// Frequency table of a column: columns `[column, "count"]`, sorted by
     /// count descending, with a labeled index.
     pub fn value_counts(&self, column: &str) -> Result<DataFrame> {
@@ -378,20 +378,6 @@ impl DataFrame {
     /// values beyond the cap are folded into an `"(other)"` row.
     pub fn value_counts_capped(&self, column: &str, max_groups: usize) -> Result<DataFrame> {
         let counted = self.groupby_capped(&[column], max_groups)?.count()?;
-        counted.sort_by(&["count"], false)
-    }
-
-    /// [`DataFrame::value_counts_capped`] with the grouping scan sharded
-    /// over up to `par` pool workers.
-    pub fn value_counts_capped_par(
-        &self,
-        column: &str,
-        max_groups: usize,
-        par: usize,
-    ) -> Result<DataFrame> {
-        let counted = self
-            .groupby_capped_par(&[column], max_groups, par)?
-            .count()?;
         counted.sort_by(&["count"], false)
     }
 }
@@ -412,6 +398,13 @@ impl GroupBy<'_> {
         self.overflow.is_some()
     }
 
+    /// Size of the code space the keys were direct-indexed through, `None`
+    /// when they were hashed (mechanism checks only).
+    #[doc(hidden)]
+    pub fn key_space(&self) -> Option<usize> {
+        self.key_space
+    }
+
     /// Count rows per group: output columns are the keys plus `"count"`.
     pub fn count(&self) -> Result<DataFrame> {
         let ngroups = self.num_groups();
@@ -419,7 +412,7 @@ impl GroupBy<'_> {
         for &g in &self.group_of {
             counts[g as usize] += 1;
         }
-        let count_col = Column::Int64(crate::column::PrimitiveColumn::from_values(counts));
+        let count_col = Column::Int64(PrimitiveColumn::from_values(counts));
         self.finish(vec![("count".to_string(), count_col)], "count")
     }
 
@@ -453,17 +446,41 @@ impl GroupBy<'_> {
         self.finish(out, &detail)
     }
 
+    /// Per-group sums of an integer column in integer arithmetic — exact
+    /// where `mean * n` is not (above 2^53, and off by one below it). Null
+    /// for a group with no valid row; `None` when some group's sum does not
+    /// fit an `i64`.
+    fn sum_i64(&self, source: &PrimitiveColumn<i64>) -> Option<Column> {
+        // i128 cannot overflow over fewer than 2^64 rows, so only the final
+        // sums need checking, not every addition.
+        let mut sums: Vec<Option<i128>> = vec![None; self.num_groups()];
+        let values = source.values();
+        for_each_valid(source.validity(), 0, values.len(), |row| {
+            *sums[self.group_of[row] as usize].get_or_insert(0) += values[row] as i128;
+        });
+        let sums: Option<Vec<Option<i64>>> = sums
+            .into_iter()
+            .map(|sum| sum.map(i64::try_from).transpose().ok())
+            .collect();
+        Some(Column::Int64(PrimitiveColumn::from_options(sums?)))
+    }
+
     fn aggregate_column(&self, source: &Column, agg: Agg) -> Result<Column> {
         let ngroups = self.num_groups();
+        if let (Agg::Sum, Column::Int64(ints)) = (agg, source) {
+            // An overflowing group sends the whole column down the float
+            // path below, with the float path's `Float64` result.
+            if let Some(sums) = self.sum_i64(ints) {
+                return Ok(sums);
+            }
+        }
         match agg {
             Agg::Count => {
                 let mut counts = vec![0i64; ngroups];
                 for_each_valid(source.validity(), 0, source.len(), |row| {
                     counts[self.group_of[row] as usize] += 1;
                 });
-                Ok(Column::Int64(crate::column::PrimitiveColumn::from_values(
-                    counts,
-                )))
+                Ok(Column::Int64(PrimitiveColumn::from_values(counts)))
             }
             Agg::Sum | Agg::Mean | Agg::Var | Agg::Std => {
                 // single Welford pass covers all four
@@ -503,17 +520,7 @@ impl GroupBy<'_> {
                         })
                     })
                     .collect();
-                if agg == Agg::Sum && source.dtype() == DType::Int64 {
-                    let ints: Vec<Option<i64>> =
-                        vals.iter().map(|v| v.map(|x| x.round() as i64)).collect();
-                    Ok(Column::Int64(crate::column::PrimitiveColumn::from_options(
-                        ints,
-                    )))
-                } else {
-                    Ok(Column::Float64(
-                        crate::column::PrimitiveColumn::from_options(vals),
-                    ))
-                }
+                Ok(Column::Float64(PrimitiveColumn::from_options(vals)))
             }
             Agg::Median => {
                 let mut per_group: Vec<Vec<f64>> = vec![Vec::new(); ngroups];
@@ -537,9 +544,7 @@ impl GroupBy<'_> {
                         })
                     })
                     .collect();
-                Ok(Column::Float64(
-                    crate::column::PrimitiveColumn::from_options(vals),
-                ))
+                Ok(Column::Float64(PrimitiveColumn::from_options(vals)))
             }
             Agg::Min | Agg::Max | Agg::First => {
                 let mut best: Vec<Value> = vec![Value::Null; ngroups];
@@ -750,9 +755,7 @@ mod tests {
             Some("a"),
             None,
         ]));
-        let v = Column::Int64(crate::column::PrimitiveColumn::from_values(vec![
-            1, 2, 3, 4,
-        ]));
+        let v = Column::Int64(PrimitiveColumn::from_values(vec![1, 2, 3, 4]));
         let df = DataFrame::from_columns(vec![("k".into(), col), ("v".into(), v)]).unwrap();
         let a = df.groupby(&["k"]).unwrap().count().unwrap();
         assert_eq!(a.num_rows(), 2);
@@ -830,115 +833,78 @@ mod tests {
         assert_eq!(df.cardinality("x").unwrap(), 2);
     }
 
-    /// A plain scoped-thread executor, installed so the sharded kernel runs
-    /// for real inside this crate's tests (the work-stealing pool lives in
-    /// `lux-engine` and installs itself the same way).
-    struct ScopedExec;
-    impl crate::parallel::ParallelExec for ScopedExec {
-        fn run(&self, par: usize, n: usize, body: &(dyn Fn(usize) + Sync)) {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..par.min(n).max(1) {
-                    s.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        body(i);
-                    });
-                }
-            });
+    /// Both tiers on the same keys: a 20-bit-wide integer span is hashed, the
+    /// same values shifted into a small span are indexed, and the grouping
+    /// (ids, representatives, overflow) is the same either way.
+    #[test]
+    fn dense_and_hashed_tiers_group_alike() {
+        let n = 20_000i64;
+        let build = |stretch: i64| {
+            DataFrameBuilder::new()
+                .str("k", (0..n).map(|i| format!("key{}", i % 113)))
+                .int("kind", (0..n).map(|i| (i % 7) * stretch))
+                .build()
+                .unwrap()
+        };
+        let (narrow, wide) = (build(1), build(1 << 40));
+        for (keys, cap) in [
+            (&["kind"][..], usize::MAX),
+            (&["k", "kind"][..], usize::MAX),
+            (&["k", "kind"][..], 10),
+        ] {
+            let dense = narrow.groupby_capped(keys, cap).unwrap();
+            let hashed = wide.groupby_capped(keys, cap).unwrap();
+            assert!(dense.key_space().is_some() && hashed.key_space().is_none());
+            assert_eq!(dense.group_ids(), hashed.group_ids());
+            assert_eq!(dense.representatives, hashed.representatives);
+            assert_eq!(dense.overflow, hashed.overflow);
         }
+        assert_eq!(narrow.groupby(&["k"]).unwrap().key_space(), Some(113));
     }
 
-    fn install_test_executor() {
-        static EXEC: ScopedExec = ScopedExec;
-        crate::parallel::install_executor(&EXEC);
-    }
-
-    fn tall_df(n: i64) -> DataFrame {
-        DataFrameBuilder::new()
-            .str("k", (0..n).map(|i| format!("key{}", i % 113)))
-            .int("kind", (0..n).map(|i| i % 7))
-            .float("v", (0..n).map(|i| (i % 31) as f64))
+    #[test]
+    fn integer_sum_is_exact_and_overflow_falls_back_to_float() {
+        let big = (1i64 << 53) + 1;
+        let df = DataFrameBuilder::new()
+            .str("g", ["a", "a", "a", "b"])
+            .int("v", [big, 1, 1, 7])
             .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn sharded_groupby_matches_sequential() {
-        install_test_executor();
-        let df = tall_df(20_000);
-        let seq = df.groupby(&["k"]).unwrap();
-        let par = df.groupby_par(&["k"], 8).unwrap();
-        assert_eq!(seq.group_ids(), par.group_ids());
-        assert_eq!(seq.representatives, par.representatives);
-        assert_eq!(seq.overflow, par.overflow);
-        let a = df
-            .groupby_par(&["k"], 8)
-            .unwrap()
-            .agg(&[("v", Agg::Mean)])
             .unwrap();
-        let b = df
-            .groupby(&["k"])
-            .unwrap()
-            .agg(&[("v", Agg::Mean)])
+        let sums = df.groupby(&["g"]).unwrap().agg(&[("v", Agg::Sum)]).unwrap();
+        // `mean * n` rounds this to 2^53 + 4
+        assert_eq!(sums.value(0, "v").unwrap(), Value::Int(big + 2));
+        assert_eq!(sums.value(1, "v").unwrap(), Value::Int(7));
+
+        let df = DataFrameBuilder::new()
+            .str("g", ["a", "a", "b"])
+            .int("v", [i64::MAX, 1, 7])
+            .build()
             .unwrap();
-        for r in 0..a.num_rows() {
-            assert_eq!(a.value(r, "k").unwrap(), b.value(r, "k").unwrap());
-            assert_eq!(a.value(r, "v").unwrap(), b.value(r, "v").unwrap());
-        }
+        let sums = df.groupby(&["g"]).unwrap().agg(&[("v", Agg::Sum)]).unwrap();
+        assert_eq!(sums.column("v").unwrap().dtype(), DType::Float64);
+        assert_eq!(sums.value(0, "v").unwrap(), Value::Float(2f64.powi(63)));
+        assert_eq!(sums.value(1, "v").unwrap(), Value::Float(7.0));
     }
 
     #[test]
-    fn sharded_multi_key_matches_sequential() {
-        install_test_executor();
-        let df = tall_df(20_000);
-        let seq = df.groupby(&["k", "kind"]).unwrap();
-        let par = df.groupby_par(&["k", "kind"], 8).unwrap();
-        assert_eq!(seq.group_ids(), par.group_ids());
-        assert_eq!(seq.representatives, par.representatives);
-    }
-
-    #[test]
-    fn sharded_capped_falls_back_to_exact_fold() {
-        install_test_executor();
-        // 113 distinct keys, cap 10: the cap binds, so the parallel entry
-        // point must reproduce the sequential overflow fold exactly.
-        let df = tall_df(20_000);
-        let seq = df.groupby_capped(&["k"], 10).unwrap();
-        let par = df.groupby_capped_par(&["k"], 10, 8).unwrap();
-        assert!(seq.is_capped() && par.is_capped());
-        assert_eq!(seq.group_ids(), par.group_ids());
-        assert_eq!(seq.representatives, par.representatives);
-        assert_eq!(seq.overflow, par.overflow);
-    }
-
-    #[test]
-    fn sharded_capped_below_cap_stays_parallel_and_exact() {
-        install_test_executor();
-        let df = tall_df(20_000);
-        let seq = df.groupby_capped(&["k"], 1_000).unwrap();
-        let par = df.groupby_capped_par(&["k"], 1_000, 8).unwrap();
-        assert!(!seq.is_capped() && !par.is_capped());
-        assert_eq!(seq.group_ids(), par.group_ids());
-        let a = df.value_counts_capped_par("k", 1_000, 8).unwrap();
-        let b = df.value_counts_capped("k", 1_000).unwrap();
-        assert_eq!(a.num_rows(), b.num_rows());
-        for r in 0..a.num_rows() {
-            assert_eq!(a.value(r, "count").unwrap(), b.value(r, "count").unwrap());
+    fn cardinality_exceeds_counts_non_null_values_only() {
+        let col = |n: i64, nulls: bool| {
+            let vals = (0..1_000).map(|i| (!nulls || i % 10 != 0).then_some(i % n));
+            let col = Column::Int64(PrimitiveColumn::from_options(vals.collect()));
+            DataFrame::from_columns(vec![("k".into(), col)]).unwrap()
+        };
+        for nulls in [false, true] {
+            assert!(!col(64, nulls).cardinality_exceeds("k", 64).unwrap());
+            assert!(col(65, nulls).cardinality_exceeds("k", 64).unwrap());
+            assert!(col(900, nulls).cardinality_exceeds("k", 64).unwrap());
+            assert!(col(1, nulls).cardinality_exceeds("k", 0).unwrap());
         }
     }
 
     #[test]
     fn agg_count_skips_nulls() {
         let k = Column::Str(crate::column::StrColumn::from_strings(["a", "a", "b"]));
-        let v = Column::Int64(crate::column::PrimitiveColumn::from_options(vec![
-            Some(1),
-            None,
-            Some(3),
-        ]));
+        let v = Column::Int64(PrimitiveColumn::from_options(vec![Some(1), None, Some(3)]));
         let df = DataFrame::from_columns(vec![("k".into(), k), ("v".into(), v)]).unwrap();
         let a = df
             .groupby(&["k"])

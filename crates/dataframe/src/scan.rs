@@ -75,6 +75,23 @@ fn walk_words(
     valid
 }
 
+/// Smallest and largest valid value of rows `[start, end)`, `None` when
+/// every row is null. The dense-key kernels read it to decide whether
+/// `v - min` fits a small code space before they index with it.
+pub fn int_span(
+    values: &[i64],
+    validity: Option<&Bitmap>,
+    start: usize,
+    end: usize,
+) -> Option<(i64, i64)> {
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+    let valid = for_each_valid(validity, start, end, |i| {
+        lo = lo.min(values[i]);
+        hi = hi.max(values[i]);
+    });
+    (valid > 0).then_some((lo, hi))
+}
+
 /// Element types with a numeric view — exactly [`Column::f64_at`]'s
 /// conversions.
 trait AsF64: Copy {

@@ -17,8 +17,8 @@
 //!   records a [`PassTrace`] span tree and feeds the process-wide
 //!   [`MetricsRegistry`] (see DESIGN.md §7);
 //! - [`pool`] — the zero-dependency work-stealing thread pool behind the
-//!   parallel print path: metadata fan-out, per-vis score/process, and the
-//!   sharded group-by kernel (DESIGN.md §9).
+//!   parallel print path: metadata fan-out, per-vis score/process, and
+//!   per-action execution (DESIGN.md §9).
 //!
 //! Higher layers (intent compilation, visualization processing, actions)
 //! build on these services; the WFLOW freshness cache lives with the

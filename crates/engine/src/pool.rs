@@ -368,19 +368,8 @@ pub fn global() -> &'static WorkPool {
         if let Some(n) = crate::envcfg::parse_usize("LUX_THREADS") {
             workers = workers.max(n.min(64));
         }
-        // Hook the dataframe crate's parallel kernels (group-by sharding)
-        // up to this pool; without the hook they stay sequential.
-        lux_dataframe::parallel::install_executor(&PoolExecutor);
         WorkPool::start(workers)
     })
-}
-
-struct PoolExecutor;
-
-impl lux_dataframe::parallel::ParallelExec for PoolExecutor {
-    fn run(&self, par: usize, n: usize, body: &(dyn Fn(usize) + Sync)) {
-        parallel_for(par, n, body);
-    }
 }
 
 /// Shared state for one fork-join call: the index cursor plus an

@@ -208,6 +208,96 @@ impl U64Set {
     }
 }
 
+/// A set of `u64` keys from one small range, one bit per key: the exact
+/// distinct form of a dictionary-coded string column (keys are codes, the
+/// range is the dictionary) and of an integer column whose values sit close
+/// together (keys are [`encode_i64`]'s, the range is min..=max). Membership
+/// is an index, cardinality a popcount, and iteration is ascending, so the
+/// smallest K keys are the first K.
+///
+/// The covered range starts on a multiple of 64, so two sets over
+/// overlapping ranges line up word for word and a union is an OR.
+#[derive(Debug, Clone, Default)]
+pub struct KeyBits {
+    /// First key of the range; a multiple of 64.
+    base: u64,
+    words: Vec<u64>,
+}
+
+impl KeyBits {
+    /// An empty set able to hold every key of `lo..=hi`.
+    pub fn covering(lo: u64, hi: u64) -> KeyBits {
+        let mut bits = KeyBits::default();
+        bits.cover(lo, hi);
+        bits
+    }
+
+    /// First and last key the allocated words cover; `None` without words.
+    pub fn range(&self) -> Option<(u64, u64)> {
+        let bits = self.words.len() as u64 * 64;
+        (bits > 0).then(|| (self.base, self.base + (bits - 1)))
+    }
+
+    /// Insert a key of the covered range.
+    #[inline]
+    pub fn set(&mut self, key: u64) {
+        let bit = key - self.base;
+        self.words[(bit / 64) as usize] |= 1u64 << (bit % 64);
+    }
+
+    /// Grow the covered range to hold every key of `lo..=hi`.
+    pub fn cover(&mut self, lo: u64, hi: u64) {
+        let lo = lo & !63;
+        match self.range() {
+            None => self.base = lo,
+            Some((first, _)) if lo < first => {
+                let prepend = ((first - lo) / 64) as usize;
+                self.words.splice(0..0, std::iter::repeat_n(0, prepend));
+                self.base = lo;
+            }
+            Some(_) => {}
+        }
+        let need = ((hi - self.base) / 64 + 1) as usize;
+        if need > self.words.len() {
+            self.words.resize(need, 0);
+        }
+    }
+
+    /// Union `other` in, growing the covered range to hold it.
+    pub fn union(&mut self, other: &KeyBits) {
+        let Some((lo, hi)) = other.range() else {
+            return;
+        };
+        self.cover(lo, hi);
+        let at = ((lo - self.base) / 64) as usize;
+        for (w, &o) in self.words[at..].iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+    }
+
+    /// Number of keys in the set.
+    pub fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The keys, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.words.iter().enumerate().flat_map(move |(wi, &w)| {
+            let first = self.base + wi as u64 * 64;
+            std::iter::successors((w != 0).then_some(w), |&w| {
+                let rest = w & (w - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |w| first + w.trailing_zeros() as u64)
+        })
+    }
+
+    /// Resident size in bytes.
+    pub fn bytes(&self) -> u64 {
+        self.words.capacity() as u64 * 8
+    }
+}
+
 /// Bounded accumulator of the `cap` **smallest distinct keys** seen so far.
 ///
 /// Maintained over *all* rows, independent of whether the distinct counter
@@ -243,6 +333,15 @@ impl SmallestKeys {
             cap,
             ceiling: None,
         }
+    }
+
+    /// The accumulator a scan that offered every key of `ascending` (a
+    /// strictly increasing stream) would hold: its first `cap` keys.
+    pub fn from_ascending(cap: usize, ascending: impl Iterator<Item = u64>) -> SmallestKeys {
+        let mut s = SmallestKeys::new(cap);
+        s.keys = ascending.take(cap).collect();
+        s.compact();
+        s
     }
 
     /// Offer one key.

@@ -9,10 +9,12 @@
 //! - null count / row count / min / max are trivially associative and
 //!   commutative;
 //! - the distinct counter is exact while the union of keys fits
-//!   [`StatsSpec::scan_cap`] and converts to a sketch the moment it does
-//!   not — and because the conversion inserts every exact key, the final
-//!   registers depend only on the distinct key set, never on where chunk
-//!   boundaries fell or which side of a merge overflowed;
+//!   [`StatsSpec::scan_cap`] — a bitset when the keys sit in a small range
+//!   (dictionary codes, close-together integers), a hashed set otherwise —
+//!   and converts to a sketch the moment it does not; because the
+//!   conversion inserts every exact key, the final registers depend only on
+//!   the distinct key set, never on where chunk boundaries fell, which form
+//!   a chunk took, or which side of a merge overflowed;
 //! - the smallest-K accumulator runs over **all** rows regardless of
 //!   exact/sketch mode, so the materialized `unique_values` list is also
 //!   grouping-insensitive.
@@ -28,7 +30,10 @@ pub mod sketch;
 
 use lux_dataframe::prelude::*;
 
-use kernels::{decode_f64, decode_i64, for_each_valid, ScanValue, SmallestKeys, U64Set};
+use kernels::{
+    decode_f64, decode_i64, encode_i64, for_each_valid, KeyBits, ScanValue, SmallestKeys, U64Set,
+};
+use lux_dataframe::scan::int_span;
 use sketch::CardinalitySketch;
 
 /// Shape parameters for a statistics pass. Partials are only mergeable when
@@ -45,24 +50,55 @@ pub struct StatsSpec {
     pub values_cap: usize,
 }
 
-/// Distinct counter: exact until the union of keys outgrows the cap.
+/// Distinct counter: exact until the union of keys outgrows the cap. The
+/// two exact forms hold the same thing — a key set of at most `scan_cap`
+/// keys — and nothing `finalize` reports tells them apart.
 #[derive(Debug, Clone)]
 pub enum DistinctAcc {
+    /// Exact, one bit per key of a small range (integer chunks whose values
+    /// sit close together).
+    Dense(KeyBits),
+    /// Exact, hashed (everything else under the cap).
     Exact(U64Set),
     Sketch(CardinalitySketch),
 }
 
+/// An integer chunk is counted in a bitset when its keys span at most this
+/// many per row scanned — 2 bytes of bitset a row at worst, under what the
+/// plan charged for the hashed set — and at most [`DENSE_MAX_SPAN`] in all
+/// (2 MiB). Constants: both only say when an index beats a hash probe.
+const DENSE_SPAN_PER_ROW: u64 = 16;
+const DENSE_MAX_SPAN: u64 = 1 << 24;
+
+/// Whether the keys `lo..=hi` of a partial over `rows` rows are worth a
+/// bitset (whose range starts on a word boundary at or below `lo`).
+fn dense_span_fits(lo: u64, hi: u64, rows: usize) -> bool {
+    let span = (hi - (lo & !63)).saturating_add(1);
+    span <= DENSE_MAX_SPAN && span <= DENSE_SPAN_PER_ROW * rows as u64
+}
+
 impl DistinctAcc {
-    /// Insert one key. Returns true when the caller should forward the key
-    /// to the smallest-K accumulator (known-fresh in exact mode; always in
-    /// sketch mode, where freshness is unknowable and `offer` dedups).
+    /// A filled bitset as a counter: past the cap it becomes the sketch of
+    /// its keys on the spot, exactly as a hashed set does mid-scan.
+    fn dense(bits: KeyBits, spec: &StatsSpec) -> DistinctAcc {
+        if bits.count() > spec.scan_cap {
+            DistinctAcc::Sketch(sketch_of(bits.iter(), spec.precision))
+        } else {
+            DistinctAcc::Dense(bits)
+        }
+    }
+
+    /// Insert one key into a hashed or sketched counter. Returns true when
+    /// the caller should forward the key to the smallest-K accumulator
+    /// (known-fresh in exact mode; always in sketch mode, where freshness
+    /// is unknowable and `offer` dedups).
     #[inline]
     fn insert(&mut self, key: u64, spec: &StatsSpec) -> bool {
         match self {
             DistinctAcc::Exact(set) => {
                 let fresh = set.insert(key);
                 if fresh && set.len() > spec.scan_cap {
-                    *self = DistinctAcc::Sketch(sketch_of(set, spec.precision));
+                    *self = DistinctAcc::Sketch(sketch_of(set.iter(), spec.precision));
                 }
                 fresh
             }
@@ -70,16 +106,118 @@ impl DistinctAcc {
                 s.insert_key(key);
                 true
             }
+            DistinctAcc::Dense(_) => unreachable!("a bitset is filled whole by its scan"),
+        }
+    }
+
+    /// Keys held by an exact form.
+    fn len(&self) -> usize {
+        match self {
+            DistinctAcc::Dense(bits) => bits.count(),
+            DistinctAcc::Exact(set) => set.len(),
+            DistinctAcc::Sketch(_) => unreachable!("a sketch does not know its keys"),
+        }
+    }
+
+    /// Visit the keys of an exact form (any order).
+    fn for_each_key(&self, mut f: impl FnMut(u64)) {
+        match self {
+            DistinctAcc::Dense(bits) => bits.iter().for_each(&mut f),
+            DistinctAcc::Exact(set) => set.iter().for_each(&mut f),
+            DistinctAcc::Sketch(_) => unreachable!("a sketch does not know its keys"),
+        }
+    }
+
+    /// The range an exact form's keys lie in (what a bitset covers, the
+    /// extremes of a hashed set); `None` when it holds none.
+    fn key_range(&self) -> Option<(u64, u64)> {
+        match self {
+            DistinctAcc::Dense(bits) => bits.range(),
+            DistinctAcc::Exact(set) => set.iter().fold(None, |range, k| {
+                Some(range.map_or((k, k), |(lo, hi): (u64, u64)| (lo.min(k), hi.max(k))))
+            }),
+            DistinctAcc::Sketch(_) => unreachable!("a sketch does not know its keys"),
+        }
+    }
+
+    /// An exact form as a hashed set.
+    fn into_hashed(self) -> U64Set {
+        match self {
+            DistinctAcc::Exact(set) => set,
+            dense => {
+                let mut set = U64Set::with_capacity(dense.len());
+                dense.for_each_key(|k| {
+                    set.insert(k);
+                });
+                set
+            }
+        }
+    }
+
+    /// Fold `other` in; `rows` is what the two partials scanned together.
+    /// Closed over the three forms, and what it reports a function of the
+    /// two key sets: anything with a sketch is a sketch; a bitset absorbs
+    /// the other side while their joint range is worth indexing (an append
+    /// then costs an OR over the parent's words plus O(tail distinct),
+    /// whatever form the tail took); every other exact pair is hashed; and
+    /// whichever exact form results converts once it is past the cap.
+    fn merge(&mut self, other: &DistinctAcc, rows: usize, spec: &StatsSpec) {
+        use DistinctAcc::{Dense, Exact, Sketch};
+        match (&mut *self, other) {
+            (Sketch(s), Sketch(t)) => s.merge(t),
+            (Sketch(s), exact) => exact.for_each_key(|k| s.insert_key(k)),
+            (exact, Sketch(t)) => {
+                let mut merged = CardinalitySketch::new(spec.precision);
+                exact.for_each_key(|k| merged.insert_key(k));
+                merged.merge(t);
+                *self = Sketch(merged);
+            }
+            (mine, other) => {
+                let dense = (matches!(mine, Dense(_)) || matches!(other, Dense(_)))
+                    .then(|| match (mine.key_range(), other.key_range()) {
+                        (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
+                        (one, none) => one.or(none),
+                    })
+                    .filter(|joint| joint.is_none_or(|(lo, hi)| dense_span_fits(lo, hi, rows)));
+                *self = if let Some(joint) = dense {
+                    let mut bits = KeyBits::default();
+                    if let Some((lo, hi)) = joint {
+                        bits.cover(lo, hi);
+                    }
+                    for side in [&*mine, other] {
+                        match side {
+                            Dense(theirs) => bits.union(theirs),
+                            hashed => hashed.for_each_key(|k| bits.set(k)),
+                        }
+                    }
+                    DistinctAcc::dense(bits, spec)
+                } else {
+                    // Re-insert the smaller side into the larger — the
+                    // union is the same either way, and an append merge
+                    // then costs O(tail distinct), not O(parent distinct).
+                    let mine = std::mem::replace(mine, Dense(KeyBits::default()));
+                    let (large, small) = if mine.len() < other.len() {
+                        (other.clone(), &mine)
+                    } else {
+                        (mine, other)
+                    };
+                    let mut acc = Exact(large.into_hashed());
+                    small.for_each_key(|k| {
+                        acc.insert(k, spec);
+                    });
+                    acc
+                };
+            }
         }
     }
 }
 
-/// Convert an exact key set into a sketch by inserting every key: the
-/// resulting registers are a function of the key set alone, which is what
-/// keeps mid-scan and merge-time conversions grouping-insensitive.
-fn sketch_of(set: &U64Set, precision: u32) -> CardinalitySketch {
+/// The sketch of a key set: its registers are a function of the set alone,
+/// which is what keeps mid-scan and merge-time conversions, from either
+/// exact form, grouping-insensitive.
+fn sketch_of(keys: impl Iterator<Item = u64>, precision: u32) -> CardinalitySketch {
     let mut s = CardinalitySketch::new(precision);
-    for k in set.iter() {
+    for k in keys {
         s.insert_key(k);
     }
     s
@@ -104,8 +242,8 @@ pub struct NumericStats {
 pub struct StrStats {
     pub rows: usize,
     pub null_count: usize,
-    /// One bit per dictionary code, packed; set = referenced by a valid row.
-    pub seen: Vec<u64>,
+    /// The dictionary codes referenced by a valid row.
+    pub seen: KeyBits,
 }
 
 /// One column's mergeable statistics partial.
@@ -140,7 +278,7 @@ impl ColumnStats {
     pub fn scan(col: &Column, start: usize, end: usize, spec: &StatsSpec) -> ColumnStats {
         match col {
             Column::Int64(c) | Column::DateTime(c) => {
-                ColumnStats::Numeric(scan_primitive(c.values(), c.validity(), start, end, spec))
+                ColumnStats::Numeric(scan_ints(c.values(), c.validity(), start, end, spec))
             }
             Column::Float64(c) => {
                 ColumnStats::Numeric(scan_primitive(c.values(), c.validity(), start, end, spec))
@@ -150,10 +288,12 @@ impl ColumnStats {
             }
             Column::Str(c) => {
                 let codes = c.codes();
-                let mut seen = vec![0u64; c.dict().len().div_ceil(64)];
+                let mut seen = match c.dict().len() as u64 {
+                    0 => KeyBits::default(),
+                    entries => KeyBits::covering(0, entries - 1),
+                };
                 let valid = for_each_valid(c.validity(), start, end, |i| {
-                    let code = codes[i] as usize;
-                    seen[code / 64] |= 1u64 << (code % 64);
+                    seen.set(codes[i] as u64);
                 });
                 ColumnStats::Str(StrStats {
                     rows: end - start,
@@ -178,52 +318,13 @@ impl ColumnStats {
                     a.hi = b.hi;
                 }
                 a.smallest.merge(&b.smallest);
-                match (&mut a.distinct, &b.distinct) {
-                    (DistinctAcc::Exact(x), DistinctAcc::Exact(y)) => {
-                        // Re-insert the smaller side into the larger — the
-                        // union is the same either way, and an append merge
-                        // then costs O(tail distinct), not O(parent
-                        // distinct).
-                        let acc = if x.len() < y.len() {
-                            let small = std::mem::replace(x, U64Set::with_capacity(0));
-                            let mut acc = DistinctAcc::Exact(y.clone());
-                            for k in small.iter() {
-                                acc.insert(k, spec);
-                            }
-                            acc
-                        } else {
-                            let mut acc =
-                                DistinctAcc::Exact(std::mem::replace(x, U64Set::with_capacity(0)));
-                            for k in y.iter() {
-                                acc.insert(k, spec);
-                            }
-                            acc
-                        };
-                        a.distinct = acc;
-                    }
-                    (DistinctAcc::Exact(x), DistinctAcc::Sketch(s)) => {
-                        let mut merged = sketch_of(x, spec.precision);
-                        merged.merge(s);
-                        a.distinct = DistinctAcc::Sketch(merged);
-                    }
-                    (DistinctAcc::Sketch(s), DistinctAcc::Exact(y)) => {
-                        for k in y.iter() {
-                            s.insert_key(k);
-                        }
-                    }
-                    (DistinctAcc::Sketch(s), DistinctAcc::Sketch(t)) => s.merge(t),
-                }
+                a.distinct.merge(&b.distinct, a.rows, spec);
             }
             (ColumnStats::Str(a), ColumnStats::Str(b)) => {
                 a.rows += b.rows;
                 a.null_count += b.null_count;
                 // An appended tail may have grown the dictionary.
-                if b.seen.len() > a.seen.len() {
-                    a.seen.resize(b.seen.len(), 0);
-                }
-                for (w, &o) in a.seen.iter_mut().zip(&b.seen) {
-                    *w |= o;
-                }
+                a.seen.union(&b.seen);
             }
             _ => unreachable!("merging statistics partials of different column kinds"),
         }
@@ -235,7 +336,7 @@ impl ColumnStats {
         match self {
             ColumnStats::Numeric(n) => {
                 let (cardinality, estimated) = match &n.distinct {
-                    DistinctAcc::Exact(set) => (set.len(), false),
+                    exact @ (DistinctAcc::Dense(_) | DistinctAcc::Exact(_)) => (exact.len(), false),
                     DistinctAcc::Sketch(s) => {
                         // The sketch only exists because the true count
                         // exceeded the cap, and it cannot exceed the number
@@ -271,19 +372,13 @@ impl ColumnStats {
                 let Column::Str(c) = col else {
                     unreachable!("string partial for a non-string column")
                 };
-                let cardinality: usize = s.seen.iter().map(|w| w.count_ones() as usize).sum();
-                let mut unique_values = Vec::with_capacity(cardinality.min(spec.values_cap));
-                'outer: for (wi, &w) in s.seen.iter().enumerate() {
-                    let mut w = w;
-                    while w != 0 {
-                        let code = wi * 64 + w.trailing_zeros() as usize;
-                        unique_values.push(Value::Str(c.dict()[code].clone()));
-                        if unique_values.len() == spec.values_cap {
-                            break 'outer;
-                        }
-                        w &= w - 1;
-                    }
-                }
+                let cardinality = s.seen.count();
+                let unique_values: Vec<Value> = s
+                    .seen
+                    .iter()
+                    .take(spec.values_cap)
+                    .map(|code| Value::Str(c.dict()[code as usize].clone()))
+                    .collect();
                 FinalColumnStats {
                     cardinality,
                     estimated: false,
@@ -316,18 +411,69 @@ impl ColumnStats {
         )
     }
 
+    /// True when the distinct counter is a bitset: a string column's always
+    /// is, an integer column's while its keys sit in a small range.
+    pub fn is_dense(&self) -> bool {
+        matches!(
+            self,
+            ColumnStats::Str(_)
+                | ColumnStats::Numeric(NumericStats {
+                    distinct: DistinctAcc::Dense(_),
+                    ..
+                })
+        )
+    }
+
     /// Approximate resident bytes (cache accounting).
     pub fn bytes(&self) -> u64 {
         match self {
             ColumnStats::Numeric(n) => {
                 let d = match &n.distinct {
+                    DistinctAcc::Dense(bits) => bits.bytes(),
                     DistinctAcc::Exact(set) => set.bytes(),
                     DistinctAcc::Sketch(s) => s.bytes(),
                 };
                 48 + d + n.smallest.bytes()
             }
-            ColumnStats::Str(s) => 32 + s.seen.capacity() as u64 * 8,
+            ColumnStats::Str(s) => 32 + s.seen.bytes(),
         }
+    }
+}
+
+/// The integer scan: when the chunk's values sit close together the
+/// distinct set is a bitset over `min..=max` — one extremes pass, then one
+/// pass that sets a bit per row — and the smallest K are its first K bits;
+/// otherwise the hashed scan every other dtype runs.
+fn scan_ints(
+    values: &[i64],
+    validity: Option<&Bitmap>,
+    start: usize,
+    end: usize,
+    spec: &StatsSpec,
+) -> NumericStats {
+    let rows = end - start;
+    let (mut bits, lo, hi) = match int_span(values, validity, start, end) {
+        // nothing valid: the empty bitset, so an all-null chunk folds into
+        // a dense neighbour without turning it into a hashed set
+        None => (KeyBits::default(), f64::INFINITY, f64::NEG_INFINITY),
+        Some((lo, hi)) => {
+            let (klo, khi) = (encode_i64(lo), encode_i64(hi));
+            if !dense_span_fits(klo, khi, rows) {
+                return scan_primitive(values, validity, start, end, spec);
+            }
+            // i64 -> f64 is monotone: the extremes convert to what a
+            // per-row min/max of converted values finds.
+            (KeyBits::covering(klo, khi), lo as f64, hi as f64)
+        }
+    };
+    let valid = for_each_valid(validity, start, end, |i| bits.set(encode_i64(values[i])));
+    NumericStats {
+        rows,
+        null_count: rows - valid,
+        lo,
+        hi,
+        smallest: SmallestKeys::from_ascending(spec.values_cap, bits.iter()),
+        distinct: DistinctAcc::dense(bits, spec),
     }
 }
 

@@ -60,7 +60,6 @@ impl ActionContext<'_> {
                 lux_vis::Backend::Native
             },
             max_group_cardinality: self.config.budget.max_group_cardinality,
-            threads: self.config.effective_threads(),
             memo: self.config.wflow,
             ..ProcessOptions::default()
         }

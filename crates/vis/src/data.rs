@@ -57,8 +57,9 @@ pub struct ProcessOptions {
     /// instead of recorded live on the governor, so a parallel caller can
     /// replay them in schedule order (see `lux_engine::governor::EventSink`).
     pub event_sink: Option<EventSink>,
-    /// Parallelism hint for data-parallel kernels (group-by sharding).
-    /// `1` (the default) keeps every kernel strictly sequential.
+    /// Read by nothing: the sharded group-by it selected is gone. The field
+    /// stays only because `benchmark/src/probe.rs` names it and product PRs
+    /// may not edit `benchmark/`; the next `[benchmark]` PR deletes both.
     pub threads: usize,
     /// Consult and fill the processed-vis memo cache (the paper's WFLOW
     /// rule extended past metadata). Off by default so direct `process`
@@ -218,8 +219,7 @@ fn process_group_agg(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> R
     let df = if spec.mark == Mark::Line
         && matches!(df.column(x)?.dtype(), lux_dataframe::DType::DateTime)
     {
-        let distinct = df.cardinality(x)?;
-        if distinct > opts.temporal_buckets {
+        if df.cardinality_exceeds(x, opts.temporal_buckets)? {
             resampled = resample_temporal(df, x, opts.temporal_buckets)?;
             &resampled
         } else {
@@ -236,9 +236,9 @@ fn process_group_agg(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> R
             keys.push(c);
         }
     }
-    // Grouping cost is ~8 bytes/row (group-id vector + hash-map entries up
-    // to the cap); charge it, and tighten the cap to the displayable bar
-    // count once the pass budget is spent.
+    // Grouping cost is ~8 bytes/row (group-id vector + key codes or
+    // hash-map entries up to the cap); charge it, and tighten the cap to
+    // the displayable bar count once the pass budget is spent.
     let mut group_cap = opts.max_group_cardinality;
     if let Some(g) = &opts.governor {
         if !g.try_charge(df.num_rows() as u64 * 8) {
@@ -251,7 +251,7 @@ fn process_group_agg(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> R
             );
         }
     }
-    let gb = df.groupby_capped_par(&keys, group_cap, opts.threads)?;
+    let gb = df.groupby_capped(&keys, group_cap)?;
     if gb.is_capped() && opts.governor.is_some() {
         record_degrade(
             opts,
@@ -739,6 +739,55 @@ mod tests {
             out.num_rows()
         );
         assert!(out.num_rows() >= 20);
+    }
+
+    /// The resample decision counts distinct non-null instants up to the
+    /// bucket count and no further; it must still be the decision an exact
+    /// count makes, on either side of the threshold and far past it.
+    #[test]
+    fn temporal_resample_threshold_matches_exact_cardinality() {
+        let spec = VisSpec::new(
+            Mark::Line,
+            vec![
+                Encoding::new("when", lux_engine::SemanticType::Temporal, Channel::X),
+                Encoding::new("v", lux_engine::SemanticType::Quantitative, Channel::Y)
+                    .with_aggregation(Agg::Mean),
+            ],
+            vec![],
+        );
+        let buckets = ProcessOptions::default().temporal_buckets;
+        assert_eq!(buckets, 64);
+        for distinct in [64usize, 65, 100_000] {
+            for nulls in [false, true] {
+                // every instant twice, then (optionally) a run of nulls
+                let mut dates: Vec<Option<i64>> = (0..2 * distinct)
+                    .map(|i| Some((i % distinct) as i64 * 3_600))
+                    .collect();
+                dates.extend(std::iter::repeat_n(None, 10 * nulls as usize));
+                let rows = dates.len();
+                let df = DataFrame::from_columns(vec![
+                    (
+                        "when".to_string(),
+                        Column::DateTime(PrimitiveColumn::from_options(dates)),
+                    ),
+                    (
+                        "v".to_string(),
+                        Column::Float64(PrimitiveColumn::from_values(
+                            (0..rows).map(|i| i as f64).collect(),
+                        )),
+                    ),
+                ])
+                .unwrap();
+                assert_eq!(df.cardinality("when").unwrap(), distinct);
+                let out = process(&spec, &df, &ProcessOptions::default()).unwrap();
+                let points = out.num_rows() - nulls as usize; // less the null group
+                if distinct > buckets {
+                    assert!(points <= buckets, "{distinct} instants: {points} points");
+                } else {
+                    assert_eq!(points, distinct, "{distinct} instants left as they are");
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,10 +19,54 @@ pub fn test_seed() -> u64 {
     lux_engine::rng::test_seed()
 }
 
+/// The scan cap [`dense_int_columns`] is shaped around inside
+/// [`adversarial_frame`]: small enough that a 50-row frame crosses it.
+#[allow(dead_code)]
+pub const ADVERSARIAL_SCAN_CAP: usize = 16;
+
+/// Integer columns placed around the edges of the metadata pass's dense
+/// distinct form (DESIGN.md §14), for a frame of `rows` rows scanned in
+/// chunks of about `step` rows against an exact ceiling of `cap`:
+///
+/// - `dense`: a small span straddling zero — a bitset on any grid;
+/// - `dense_outlier`: the same with one value just past `16 x rows`, so the
+///   chunk that holds it is hashed and its neighbours are bitsets;
+/// - `dense_stepped`: each run of `step` rows is a tight span of its own, a
+///   billion apart — dense per chunk, never jointly;
+/// - `exactly_cap` / `cap_plus_one`: `cap` and `cap + 1` distinct values in
+///   one dense span — the last exact bitset and the first one that must
+///   become the sketch of its keys.
+#[allow(dead_code)]
+pub fn dense_int_columns(rows: usize, step: usize, cap: usize) -> Vec<(String, Column)> {
+    let ints = |f: &dyn Fn(usize) -> i64| {
+        Column::Int64(PrimitiveColumn::from_values((0..rows).map(f).collect()))
+    };
+    vec![
+        ("dense".into(), ints(&|i| (i * 7 % 1_000) as i64 - 500)),
+        (
+            "dense_outlier".into(),
+            ints(&|i| {
+                if i == rows / 2 {
+                    16 * rows as i64 + 64
+                } else {
+                    (i % 100) as i64
+                }
+            }),
+        ),
+        (
+            "dense_stepped".into(),
+            ints(&|i| (i / step) as i64 * 1_000_000_000 + (i % step) as i64),
+        ),
+        ("exactly_cap".into(), ints(&|i| (i % cap) as i64)),
+        ("cap_plus_one".into(), ints(&|i| (i % (cap + 1)) as i64)),
+    ]
+}
+
 /// Adversarial frame generator: the pathological shapes the resource
 /// governor and the always-on print path must survive (DESIGN.md §8) —
 /// empty frames, all-null columns, near-unique categoricals, NaN/inf
-/// floats, single-value and mixed-sign-zero columns, and huge strings.
+/// floats, single-value and mixed-sign-zero columns, huge strings, and
+/// integer columns on both sides of every dense-form bound.
 pub fn adversarial_frame() -> impl Strategy<Value = DataFrame> {
     let zero_rows = Just(
         DataFrameBuilder::new()
@@ -84,6 +128,9 @@ pub fn adversarial_frame() -> impl Strategy<Value = DataFrame> {
             .build()
             .unwrap()
     });
+    let dense_ints = (50usize..400, 1usize..80).prop_map(|(rows, step)| {
+        DataFrame::from_columns(dense_int_columns(rows, step, ADVERSARIAL_SCAN_CAP)).unwrap()
+    });
     prop_oneof![
         zero_rows,
         all_null,
@@ -91,6 +138,7 @@ pub fn adversarial_frame() -> impl Strategy<Value = DataFrame> {
         non_finite,
         single_value,
         huge_strings,
+        dense_ints,
     ]
 }
 

@@ -13,11 +13,12 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use common::{
-    adversarial_frame, assert_grid_invariant, governed_pass, pass_output, CHUNK_GRID, THREAD_GRID,
+    adversarial_frame, assert_grid_invariant, dense_int_columns, governed_pass, pass_output,
+    ADVERSARIAL_SCAN_CAP, CHUNK_GRID, THREAD_GRID,
 };
 use lux::engine::governor::{BudgetHandle, ResourceBudget};
 use lux::engine::metadata::{UNIQUE_SCAN_CAP, UNIQUE_VALUES_CAP};
-use lux::engine::stats::kernels::{SmallestKeys, U64Set};
+use lux::engine::stats::kernels::{encode_i64, SmallestKeys, U64Set};
 use lux::engine::stats::sketch::{mix64, CardinalitySketch, DEFAULT_PRECISION};
 use lux::engine::stats::{ColumnStats, StatsSpec};
 use lux::engine::trace::{names, MetricsRegistry};
@@ -164,6 +165,74 @@ proptest! {
         );
     }
 
+    /// Integer columns on both sides of every dense-form bound: whichever
+    /// form each chunk took (bitset, hashed set, sketch) and however the
+    /// chunks were cut, the fold reports what a `BTreeSet` of the keys does
+    /// while they fit the cap, and what a sketch fed that same key set does
+    /// once they do not.
+    #[test]
+    fn integer_partials_match_set_and_sketch_oracles(
+        rows in 50usize..400,
+        step in 1usize..80,
+        with_nulls in any::<bool>(),
+        bounds in splits(400),
+    ) {
+        let spec = StatsSpec {
+            scan_cap: ADVERSARIAL_SCAN_CAP,
+            precision: DEFAULT_PRECISION,
+            values_cap: 8,
+        };
+        let bounds: Vec<usize> = bounds.iter().map(|&b| b.min(rows)).collect();
+        for (name, col) in dense_int_columns(rows, step, spec.scan_cap) {
+            let values: Vec<Option<i64>> = (0..rows)
+                .map(|i| match col.value(i) {
+                    Value::Int(v) if !(with_nulls && i % 5 == 2) => Some(v),
+                    _ => None,
+                })
+                .collect();
+            let col = Column::Int64(PrimitiveColumn::from_options(values.clone()));
+            let valid: Vec<i64> = values.iter().flatten().copied().collect();
+            let keys: BTreeSet<u64> = valid.iter().map(|&v| encode_i64(v)).collect();
+            let (cardinality, estimated) = if keys.len() <= spec.scan_cap {
+                (keys.len(), false)
+            } else {
+                let fed: Vec<u64> = keys.iter().copied().collect();
+                let estimate = sketch_from(&fed).estimate().round() as usize;
+                let floor = spec.scan_cap + 1;
+                (estimate.clamp(floor, valid.len().max(floor)), true)
+            };
+            let mut smallest: Vec<i64> = valid.clone();
+            smallest.sort_unstable();
+            smallest.dedup();
+            smallest.truncate(spec.values_cap);
+            let expected = (
+                cardinality,
+                estimated,
+                smallest.into_iter().map(Value::Int).collect::<Vec<_>>(),
+                !estimated && cardinality <= spec.values_cap,
+                valid.iter().min().map(|&v| (v as f64).to_bits()),
+                valid.iter().max().map(|&v| (v as f64).to_bits()),
+                rows - valid.len(),
+            );
+            for stats in [
+                ColumnStats::scan(&col, 0, rows, &spec),
+                fold_chunks(&col, &bounds, &spec),
+            ] {
+                let f = stats.finalize(&col, &spec);
+                let got = (
+                    f.cardinality,
+                    f.estimated,
+                    f.unique_values.clone(),
+                    f.unique_complete,
+                    f.min.map(f64::to_bits),
+                    f.max.map(f64::to_bits),
+                    f.null_count,
+                );
+                prop_assert_eq!(&got, &expected, "column {} cut at {:?}", name, &bounds);
+            }
+        }
+    }
+
     /// On the pathological frame distribution, a scan forced into sketch
     /// mode must estimate cardinality within the documented error bound of
     /// the exact count (3σ of 1.04/√2^p, plus a small absolute floor for
@@ -199,6 +268,100 @@ proptest! {
             );
         }
     }
+}
+
+/// A bitset chunk beside a hashed one beside a sketched one: the three
+/// forms are what the scan says they are, and every merge order and
+/// grouping of them finalizes to what one scan of all the rows does.
+#[test]
+fn dense_hashed_and_sketched_partials_fold_alike() {
+    let spec = StatsSpec {
+        scan_cap: 64,
+        precision: DEFAULT_PRECISION,
+        values_cap: 8,
+    };
+    let rows = 300usize;
+    let col = Column::Int64(PrimitiveColumn::from_values(
+        (0..rows as i64)
+            .map(|i| match i {
+                0..=99 => i % 20 - 10,       // 20 values around zero
+                150 => 1 << 40,              // one far outlier among...
+                100..=199 => i % 20 + 1_000, // ...20 more
+                _ => 5_000 + i,              // 100 distinct: past the cap
+            })
+            .collect::<Vec<_>>(),
+    ));
+    let parts: Vec<ColumnStats> = [(0, 100), (100, 200), (200, 300)]
+        .iter()
+        .map(|&(start, end)| ColumnStats::scan(&col, start, end, &spec))
+        .collect();
+    assert!(parts[0].is_dense() && !parts[0].is_sketched());
+    assert!(!parts[1].is_dense() && !parts[1].is_sketched());
+    assert!(parts[2].is_sketched());
+
+    let whole = ColumnStats::scan(&col, 0, rows, &spec);
+    assert!(whole.is_sketched(), "141 distinct values exceed the cap");
+    let merged = |order: [usize; 3], right_first: bool| {
+        let [a, b, c] = order.map(|i| parts[i].clone());
+        if right_first {
+            let mut tail = b;
+            tail.merge(&c, &spec);
+            let mut acc = a;
+            acc.merge(&tail, &spec);
+            acc
+        } else {
+            let mut acc = a;
+            acc.merge(&b, &spec);
+            acc.merge(&c, &spec);
+            acc
+        }
+    };
+    for order in [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ] {
+        for right_first in [false, true] {
+            assert_eq!(
+                fingerprint(&merged(order, right_first), &col, &spec),
+                fingerprint(&whole, &col, &spec),
+                "order {order:?}, right-first {right_first}"
+            );
+        }
+    }
+    // Under the cap the same closure holds on the exact side: a bitset
+    // turns into a hashed set when its neighbour's keys are far away...
+    let mut far = parts[0].clone();
+    far.merge(&parts[1], &spec);
+    assert!(!far.is_dense() && !far.is_sketched());
+    assert_eq!(
+        fingerprint(&far, &col, &spec),
+        fingerprint(&ColumnStats::scan(&col, 0, 200, &spec), &col, &spec)
+    );
+    // ... and absorbs a hashed neighbour (two rows 600 apart are not worth
+    // a bitset of their own) when the joint range is small.
+    let near_col = Column::Int64(PrimitiveColumn::from_values(
+        (0..100)
+            .map(|i| i % 40 - 20)
+            .chain([300, 900])
+            .collect::<Vec<i64>>(),
+    ));
+    let tail = ColumnStats::scan(&near_col, 100, 102, &spec);
+    assert!(!tail.is_dense());
+    let mut near = ColumnStats::scan(&near_col, 0, 100, &spec);
+    near.merge(&tail, &spec);
+    assert!(near.is_dense());
+    assert_eq!(
+        fingerprint(&near, &near_col, &spec),
+        fingerprint(
+            &ColumnStats::scan(&near_col, 0, 102, &spec),
+            &near_col,
+            &spec
+        )
+    );
 }
 
 /// The keys an order-preserving `u64` encoding makes awkward: the one the
@@ -533,27 +696,33 @@ fn append_then_merge_equals_full_recompute_across_threads() {
     }
 }
 
-/// `airbnb(150_000, 7)` plus two wrap-around counters: between them an
-/// exact column just under the scan cap (`host_id`), one at exactly the cap,
-/// one a single key past it, sketched near-unique ints and floats, nulls,
-/// low-cardinality ints and strings.
+/// `airbnb(150_000, 7)` plus [`dense_int_columns`] at the shipped scan cap
+/// and a 4 096-row step: between them an exact column just under the cap
+/// (`host_id`), one at exactly the cap and one a single key past it (both
+/// inside a dense span), a column that is a bitset per 4 096-row chunk and
+/// hashed or sketched on the coarser grids, one whose single outlier makes
+/// the chunk holding it hashed, sketched near-unique ints and floats,
+/// nulls, low-cardinality ints and strings.
 fn grid_frame() -> DataFrame {
     let base = lux::workloads::airbnb(150_000, 7);
-    let rows = base.num_rows();
-    let wrap = |modulus: usize| {
-        Column::Int64(PrimitiveColumn::from_values(
-            (0..rows).map(|i| (i % modulus) as i64).collect::<Vec<_>>(),
-        ))
-    };
     let mut cols: Vec<(String, Column)> = base
         .column_names()
         .iter()
         .enumerate()
         .map(|(i, name)| (name.clone(), base.column_at(i).clone()))
         .collect();
-    cols.push(("exactly_cap".into(), wrap(UNIQUE_SCAN_CAP)));
-    cols.push(("cap_plus_one".into(), wrap(UNIQUE_SCAN_CAP + 1)));
+    cols.extend(dense_int_columns(base.num_rows(), 4_096, UNIQUE_SCAN_CAP));
     DataFrame::from_columns(cols).expect("grid frame")
+}
+
+/// `df` with the named integer column moved up by `by`.
+fn shifted(df: &DataFrame, name: &str, by: i64) -> DataFrame {
+    let Column::Int64(c) = df.column(name).expect("column") else {
+        panic!("{name} is not an integer column");
+    };
+    let moved = c.values().iter().map(|v| v + by).collect();
+    df.with_column(name, Column::Int64(PrimitiveColumn::from_values(moved)))
+        .expect("with_column")
 }
 
 /// The metadata pass is a pure function of the scanned rows: the chunk grid
@@ -589,16 +758,23 @@ fn chunk_grid_and_thread_count_do_not_change_the_pass() {
         column("host_id").contains("|false|"),
         "host_id stays exact under the cap"
     );
+    assert!(column("dense").contains("|1000|false|"));
+    assert!(column("dense_outlier").contains("|101|false|"));
+    assert!(column("dense_stepped").contains("|true|"));
     assert_eq!(
         reference.2.len(),
-        5,
+        6,
         "one capped-cardinality event per sketched column: {:?}",
         reference.2
     );
 
     let metrics = MetricsRegistry::global();
     let all: Vec<&str> = df.column_names().iter().map(|s| s.as_str()).collect();
+    // A 1% tail whose values reach past the parent's: `dense` stays a
+    // bitset over a wider span, `exactly_cap` crosses the cap in the merge.
     let tail = df.head(df.num_rows() / 100);
+    let tail = shifted(&tail, "dense", 700);
+    let tail = shifted(&tail, "exactly_cap", UNIQUE_SCAN_CAP as i64 / 2);
     let mut appended_reference: Option<common::MetadataPassOutput> = None;
     for chunk_rows in CHUNK_GRID {
         for threads in THREAD_GRID {
