@@ -12,7 +12,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lux_core::prelude::*;
 use lux_engine::governor::event_sink;
 use lux_engine::{CachedSample, FrameMeta};
-use lux_recs::{execute_action, metadata_actions::Correlation, run_pass, ActionRegistry, Pass};
+use lux_recs::{
+    execute_action, metadata_actions::Correlation, run_pass, ActionRegistry, Pass, PassCtx,
+};
 use lux_workloads::{communities, synthetic_wide};
 
 /// WFLOW ablation: repeated prints with and without memoization.
@@ -35,6 +37,24 @@ fn ablation_wflow(c: &mut Criterion) {
     g.finish();
 }
 
+/// A standalone pass: no intent, detached, `sample` kept when PRUNE is on.
+fn pass_over(
+    df: &Arc<DataFrame>,
+    meta: &Arc<FrameMeta>,
+    config: &Arc<LuxConfig>,
+    sample: Option<&Arc<CachedSample>>,
+) -> Pass {
+    let ctx = PassCtx::detached("pass", config.budget.clone());
+    Pass::open(
+        Arc::clone(df),
+        Arc::clone(meta),
+        &[],
+        Arc::clone(config),
+        sample,
+        ctx,
+    )
+}
+
 /// PRUNE ablation: the Correlation action on a wide frame, exact vs sampled
 /// two-pass.
 fn ablation_prune(c: &mut Criterion) {
@@ -55,10 +75,7 @@ fn ablation_prune(c: &mut Criterion) {
                 let sample = (sample_rows > 0).then(|| Arc::new(CachedSample::new(sample_rows, 9)));
                 b.iter(|| {
                     // A pass per iteration: its budget is per pass.
-                    let pass = Pass {
-                        sample: sample.clone(),
-                        ..Pass::new(Arc::clone(&df), Arc::clone(&meta), Arc::clone(&config))
-                    };
+                    let pass = pass_over(&df, &meta, &config, sample.as_ref());
                     execute_action(&Correlation, &pass, &pass.trace, &event_sink())
                         .expect("correlation runs clean")
                         .expect("correlation has candidates")
@@ -101,7 +118,7 @@ fn ablation_async(c: &mut Criterion) {
                 ..LuxConfig::default()
             });
             b.iter(|| {
-                let pass = Pass::new(Arc::clone(&df), Arc::clone(&meta), Arc::clone(&config));
+                let pass = pass_over(&df, &meta, &config, None);
                 run_pass(&registry, pass).collect_all().len()
             })
         });

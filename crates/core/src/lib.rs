@@ -32,6 +32,7 @@ pub mod luxseries;
 pub mod perf;
 pub mod vis_api;
 pub mod widget;
+pub mod wire;
 
 pub use logging::{EventKind, SessionLogger};
 pub use luxframe::{LuxDataFrame, PrintOptions};

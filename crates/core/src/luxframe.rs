@@ -17,21 +17,19 @@
 //! naive always-on implementation.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use lux_dataframe::prelude::*;
 use lux_engine::sync::lock_recover;
 use lux_engine::trace::{names as metric, MetricsRegistry, MetricsSnapshot};
 use lux_engine::{
-    Admission, AdmissionController, AdmitRequest, BudgetHandle, CachedSample, DegradeLevel,
-    FlightRecorder, FlightSample, FrameMeta, LuxConfig, PassTrace, Priority, SemanticType,
-    ShedReason,
+    failpoint, Admission, AdmissionController, AdmitRequest, CachedSample, DegradeLevel,
+    FlightRecorder, FlightSample, FrameMeta, LuxConfig, PassTrace, Priority, ResourceBudget,
+    SemanticType, ShedReason,
 };
 use lux_intent::{Clause, Diagnostic};
-use lux_recs::{ActionHealth, ActionRegistry, ActionResult, Pass, TraceCtx};
-use lux_vis::{Vis, VisSpec};
+use lux_recs::{ActionHealth, ActionRegistry, ActionResult, Pass, PassCtx, TraceCtx};
+use lux_vis::Vis;
 
 use crate::logging::{EventKind, SessionLogger};
 use crate::perf::PassSummary;
@@ -125,11 +123,13 @@ impl LuxDataFrame {
 
     /// Read a CSV file into a wrapped frame.
     pub fn read_csv(path: &std::path::Path) -> Result<LuxDataFrame> {
+        ingest_gate()?;
         Ok(Self::new(lux_dataframe::csv::read_csv_path(path)?))
     }
 
     /// Parse CSV text into a wrapped frame.
     pub fn read_csv_str(text: &str) -> Result<LuxDataFrame> {
+        ingest_gate()?;
         Ok(Self::new(lux_dataframe::csv::read_csv_str(text)?))
     }
 
@@ -140,6 +140,7 @@ impl LuxDataFrame {
     pub fn read_csv_permissive(
         path: &std::path::Path,
     ) -> Result<(LuxDataFrame, lux_dataframe::csv::ParseReport)> {
+        ingest_gate()?;
         let (df, report) = lux_dataframe::csv::read_csv_path_permissive(path)?;
         Ok((Self::new(df), report))
     }
@@ -148,11 +149,12 @@ impl LuxDataFrame {
     pub fn read_csv_str_permissive(
         text: &str,
     ) -> Result<(LuxDataFrame, lux_dataframe::csv::ParseReport)> {
+        ingest_gate()?;
         let (df, report) = lux_dataframe::csv::read_csv_str_permissive(text)?;
         Ok((Self::new(df), report))
     }
 
-    fn assemble(
+    pub(crate) fn assemble(
         df: DataFrame,
         intent: Vec<Clause>,
         config: Arc<LuxConfig>,
@@ -175,7 +177,7 @@ impl LuxDataFrame {
         if !ldf.config.wflow {
             // no-opt baseline: recompute everything eagerly on every
             // operation that produces a frame.
-            let _ = ldf.recommendations_unadmitted();
+            let _ = ldf.recommendations();
         }
         ldf
     }
@@ -315,40 +317,32 @@ impl LuxDataFrame {
     /// `wflow` is on). Every access counts as a memo query in the
     /// process-wide metrics (`lux.wflow.meta_memo_*`).
     pub fn metadata(&self) -> Arc<FrameMeta> {
-        self.metadata_traced(None, None)
+        self.metadata_in(&PassCtx::detached("metadata", ResourceBudget::unlimited()))
     }
 
-    /// [`LuxDataFrame::metadata`] recording per-column spans and the memo
-    /// hit/miss tag under `trace` when attached, and charging the pass
-    /// governor for its scans when one is attached.
-    fn metadata_traced(
-        &self,
-        trace: Option<&TraceCtx>,
-        governor: Option<&BudgetHandle>,
-    ) -> Arc<FrameMeta> {
+    /// [`LuxDataFrame::metadata`] in a pass's context: per-column spans and
+    /// the memo hit/miss tag go under `ctx.trace`, the scans charge
+    /// `ctx.governor`.
+    fn metadata_in(&self, ctx: &PassCtx) -> Arc<FrameMeta> {
         let metrics = MetricsRegistry::global();
-        let tag_memo = |outcome: &str| {
-            if let Some(t) = trace {
-                t.tag("memo", outcome);
-            }
-        };
         // Under WFLOW the cache stays locked across the computation, so
         // concurrent first prints of one frame compute its metadata once.
         let mut cache = self.config.wflow.then(|| lock_recover(&self.cache));
         if let Some(meta) = cache.as_ref().and_then(|c| c.meta.as_ref()) {
             metrics.incr(metric::META_MEMO_HIT);
-            tag_memo("hit");
+            ctx.trace.tag("memo", "hit");
             return Arc::clone(meta);
         }
         metrics.incr(metric::META_MEMO_MISS);
-        tag_memo(if self.config.wflow { "miss" } else { "off" });
+        ctx.trace
+            .tag("memo", if self.config.wflow { "miss" } else { "off" });
         #[cfg(test)]
         META_COMPUTES.with(|n| n.set(n.get() + 1));
         let meta = Arc::new(FrameMeta::compute_governed_par(
             &self.df,
             &self.overrides,
-            trace.map(|t| (t.collector.as_ref(), t.span)),
-            governor,
+            Some((ctx.trace.collector.as_ref(), ctx.trace.span)),
+            Some(ctx.governor.as_ref()),
             self.config.effective_threads(),
         ));
         if let Some(cache) = cache.as_mut() {
@@ -371,114 +365,77 @@ impl LuxDataFrame {
         lux_intent::validate(&self.intent, &self.metadata())
     }
 
-    /// Compile the current intent into complete specs. Invalid intents
-    /// compile to no specs (the widget shows the diagnostics instead).
-    pub fn compiled_intent(&self) -> Vec<VisSpec> {
-        self.compile_intent(&self.metadata())
-    }
-
-    /// [`LuxDataFrame::compiled_intent`] against metadata the caller
-    /// already holds.
-    fn compile_intent(&self, meta: &FrameMeta) -> Vec<VisSpec> {
-        let diags = lux_intent::validate(&self.intent, meta);
-        if self.intent.is_empty() || lux_intent::has_errors(&diags) {
-            return Vec::new();
-        }
-        let opts = lux_intent::CompileOptions {
-            max_filter_expansions: self.config.max_filter_expansions,
-            histogram_bins: self.config.histogram_bins,
-            ..Default::default()
-        };
-        lux_intent::compile(&self.intent, meta, &opts).unwrap_or_default()
-    }
-
-    /// Run one recommendation pass over `meta` and collect it. `config` is
-    /// the frame's own, or a caller-supplied one (deadline-shrunk action
-    /// budget from a propagated client deadline) replacing it for this one
-    /// pass; everything memoized (metadata, sample) is config-independent.
-    fn compute_recommendations(
-        &self,
-        trace: &TraceCtx,
-        governor: &Arc<BudgetHandle>,
-        meta: Arc<FrameMeta>,
-        config: &Arc<LuxConfig>,
-    ) -> PassOutput {
-        let specs = trace.time("intent.compile", || self.compile_intent(&meta));
-        let pass = Pass {
-            df: Arc::clone(&self.df),
+    /// Open a pass over this frame in `ctx`: the one place the frame's
+    /// state meets [`Pass::open`]. `config` is the frame's own, or a print's
+    /// deadline-shrunk copy replacing it for this one pass; everything
+    /// memoized (metadata, sample) is config-independent.
+    fn open_pass(&self, ctx: &PassCtx, config: &Arc<LuxConfig>, meta: Arc<FrameMeta>) -> Pass {
+        Pass::open(
+            Arc::clone(&self.df),
             meta,
-            intent: Arc::new(self.intent.clone()),
-            intent_specs: Arc::new(specs),
-            config: Arc::clone(config),
-            sample: config.prune.then(|| Arc::clone(&self.sample)),
-            trace: trace.clone(),
-            governor: Arc::clone(governor),
-            // The caller blocks on collect_report, holding the pass's
-            // admission slot itself when there is one, so none is threaded.
-            permit: None,
-        };
+            &self.intent,
+            Arc::clone(config),
+            Some(&self.sample),
+            ctx.clone(),
+        )
+    }
+
+    /// One blocking pass in `ctx` — its recommendations and their health
+    /// ledger — through the WFLOW memo. `meta` is what the pass reads, asked
+    /// for only on a memo miss.
+    fn pass_in(
+        &self,
+        ctx: &PassCtx,
+        config: &Arc<LuxConfig>,
+        meta: impl FnOnce() -> Arc<FrameMeta>,
+    ) -> PassOutput {
+        let metrics = MetricsRegistry::global();
+        if self.config.wflow {
+            if let Some(memoized) = &lock_recover(&self.cache).recommendations {
+                metrics.incr(metric::MEMO_HIT);
+                ctx.trace.tag("memo", "hit");
+                return memoized.clone();
+            }
+        } // released while computing (the metadata memo re-takes it)
+        metrics.incr(metric::MEMO_MISS);
+        ctx.trace
+            .tag("memo", if self.config.wflow { "miss" } else { "off" });
+        // The caller blocks on collect_report, holding the pass's admission
+        // slot itself when there is one, so the pass carries none.
+        let pass = self.open_pass(ctx, config, meta());
         let report = lux_recs::run_pass(&self.registry, pass).collect_report();
         if let Some(log) = &self.logger {
             for h in report.problems() {
                 log.log(EventKind::ActionFault, h.to_string(), None);
             }
         }
-        (Arc::new(report.results), Arc::new(report.health))
-    }
-
-    /// The recommendations and their health ledger, through the WFLOW memo;
-    /// `trace` is the span the pass records under, `governor` its budget,
-    /// `meta` the metadata the caller already computed for this pass (a
-    /// memo miss without one computes it here).
-    fn recommendations_with_health(
-        &self,
-        trace: &TraceCtx,
-        governor: &Arc<BudgetHandle>,
-        meta: Option<Arc<FrameMeta>>,
-        config_override: Option<&Arc<LuxConfig>>,
-    ) -> PassOutput {
-        let metrics = MetricsRegistry::global();
-        if self.config.wflow {
-            if let Some(memoized) = &lock_recover(&self.cache).recommendations {
-                metrics.incr(metric::MEMO_HIT);
-                trace.tag("memo", "hit");
-                return memoized.clone();
-            }
-        } // released while computing (the metadata memo re-takes it)
-        metrics.incr(metric::MEMO_MISS);
-        trace.tag("memo", if self.config.wflow { "miss" } else { "off" });
-        let (recs, health) = self.compute_recommendations(
-            trace,
-            governor,
-            meta.unwrap_or_else(|| self.metadata()),
-            config_override.unwrap_or(&self.config),
-        );
+        let (recs, health) = (Arc::new(report.results), Arc::new(report.health));
         if self.config.wflow {
             // A deadline-shrunk pass that degraded must not poison the memo:
             // the next print with a full budget would otherwise replay the
             // partial results forever. Clean passes cache as usual.
-            let cacheable = config_override.is_none() || health.iter().all(|h| h.status.is_ok());
-            if cacheable {
+            let own_config = Arc::ptr_eq(config, &self.config);
+            if own_config || health.iter().all(|h| h.status.is_ok()) {
                 lock_recover(&self.cache).recommendations =
                     Some((Arc::clone(&recs), Arc::clone(&health)));
             } else {
-                trace.tag("memo", "skip-degraded");
+                ctx.trace.tag("memo", "skip-degraded");
             }
         }
         (recs, health)
     }
 
-    /// Recommendations outside a print: the pass [`LuxDataFrame::print_with`]
-    /// opens minus admission (a throwaway trace, a fresh budget), so results
+    /// The blocking pass outside a print: what [`LuxDataFrame::print_with`]
+    /// opens minus admission (a detached trace, a fresh budget), so results
     /// memoized here carry the governor marks a print would give them.
-    fn recommendations_unadmitted(&self) -> PassOutput {
-        let governor = Arc::new(BudgetHandle::new(self.config.budget.clone()));
-        self.recommendations_with_health(&TraceCtx::root("recommendations"), &governor, None, None)
+    fn detached_pass(&self) -> PassOutput {
+        let ctx = PassCtx::detached("recommendations", self.config.budget.clone());
+        self.pass_in(&ctx, &self.config, || self.metadata())
     }
 
     /// The ranked recommendations, computed lazily and memoized under WFLOW.
     pub fn recommendations(&self) -> Arc<Vec<ActionResult>> {
-        self.recommendations_unadmitted().0
+        self.detached_pass().0
     }
 
     /// Per-action health of the most recent recommendation pass (computing
@@ -486,7 +443,7 @@ impl LuxDataFrame {
     /// partial ones, which failed and why, and which the circuit breaker has
     /// disabled. Memoized alongside the recommendations under WFLOW.
     pub fn action_health(&self) -> Arc<Vec<ActionHealth>> {
-        self.recommendations_unadmitted().1
+        self.detached_pass().1
     }
 
     /// Begin a streaming recommendation run: dispatches every applicable
@@ -514,21 +471,11 @@ impl LuxDataFrame {
                     return lux_recs::StreamingRun::shed(&shed.reason);
                 }
             };
-        // Each streaming run is its own pass; open a fresh budget, shaped
-        // by current admission pressure and charged to the global ledger.
-        let (budget, floor) = permit.shape_budget(&self.config.budget);
-        let meta = self.metadata();
-        let pass = Pass {
-            df: Arc::clone(&self.df),
-            intent: Arc::new(self.intent.clone()),
-            intent_specs: Arc::new(self.compile_intent(&meta)),
-            meta,
-            config: Arc::clone(&self.config),
-            sample: self.config.prune.then(|| Arc::clone(&self.sample)),
-            trace: TraceCtx::root("recommendations.streaming"),
-            governor: Arc::new(BudgetHandle::governed(budget, permit.ledger(), floor)),
-            permit: Some(permit),
-        };
+        // Each streaming run is its own pass with its own budget; its
+        // collector holds the slot until every action has settled.
+        let ctx = PassCtx::admitted("recommendations.streaming", &permit, &self.config.budget);
+        let mut pass = self.open_pass(&ctx, &self.config, self.metadata());
+        pass.permit = Some(permit);
         lux_recs::run_pass(&self.registry, pass)
     }
 
@@ -589,23 +536,23 @@ impl LuxDataFrame {
             };
             return self.print_shed(start, shed, opts);
         }
-        let deadline_config = remaining.map(|rem| {
-            let mut c = (*self.config).clone();
+        let mut config = Arc::clone(&self.config);
+        if let Some(rem) = remaining {
+            // A copy: the frame's own config is shared, and stays as it is.
+            let c = Arc::make_mut(&mut config);
             c.action_budget = Some(match c.action_budget {
                 Some(b) => b.min(rem),
                 None => rem,
             });
-            Arc::new(c)
-        });
+        }
         // One budget per pass: every allocation-heavy step below (metadata
         // scans, candidate enumeration, group-by/bin processing) charges
         // this handle and degrades along the ladder instead of exhausting
         // memory (DESIGN.md §8). Under admission pressure the budget is
         // shaped down (shed ladder) and every charge is mirrored into the
         // process-wide ledger.
-        let (budget, floor) = permit.shape_budget(&self.config.budget);
-        let governor = Arc::new(BudgetHandle::governed(budget, permit.ledger(), floor));
-        let root = TraceCtx::root("print");
+        let ctx = PassCtx::admitted("print", &permit, &self.config.budget);
+        let (root, governor) = (&ctx.trace, &ctx.governor);
         root.tag("admission.wait_ms", permit.waited().as_millis().to_string());
         root.tag("admission.pressure", permit.pressure().name());
         if let Some(rem) = remaining {
@@ -614,24 +561,19 @@ impl LuxDataFrame {
         if let Some(tenant) = permit.tenant() {
             root.tag("admission.tenant", tenant.to_string());
         }
-        self.tag_request_context(&root, opts);
+        self.tag_request_context(root, opts);
         let table = root.time("table", || self.df.to_table_string(10));
         // Metadata first (and traced), once: the validate/compile/action
         // stages below all read this one computation, WFLOW or not.
-        let meta_span = root.child("metadata");
-        let meta = self.metadata_traced(Some(&meta_span), Some(governor.as_ref()));
-        meta_span.end();
+        let meta_ctx = ctx.child("metadata");
+        let meta = self.metadata_in(&meta_ctx);
+        meta_ctx.trace.end();
         let diagnostics = root.time("intent.validate", || {
             lux_intent::validate(&self.intent, &meta)
         });
-        let actions = root.child("actions");
-        let (results, health) = self.recommendations_with_health(
-            &actions,
-            &governor,
-            Some(meta),
-            deadline_config.as_ref(),
-        );
-        actions.end();
+        let actions = ctx.child("actions");
+        let (results, health) = self.pass_in(&actions, &config, || meta);
+        actions.trace.end();
         root.tag("governor.degrades", governor.event_count().to_string());
         root.tag("governor.breached", governor.breached().to_string());
         let governor_note = governor.summary();
@@ -668,7 +610,7 @@ impl LuxDataFrame {
             .iter()
             .filter(|e| e.level == DegradeLevel::Skipped)
             .count() as u64;
-        let trace = self.finish_print(&root, opts, elapsed, None, deadline_missed, governor_skips);
+        let trace = self.finish_print(root, opts, elapsed, None, deadline_missed, governor_skips);
         Widget::new(
             table,
             results,
@@ -973,6 +915,15 @@ impl LuxDataFrame {
             Arc::clone(&self.config),
             Arc::clone(&self.registry),
         ))
+    }
+}
+
+/// The `csv.ingest` failpoint: every CSV entry into the engine (the readers
+/// above, and through them the server's puts and journal replay) passes it.
+fn ingest_gate() -> Result<()> {
+    match failpoint::hit(failpoint::names::CSV_INGEST) {
+        Some(msg) => Err(Error::Parse(format!("injected ingest failure: {msg}"))),
+        None => Ok(()),
     }
 }
 

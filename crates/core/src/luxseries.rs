@@ -5,6 +5,7 @@
 //! costs far less than printing a frame because the search space is a
 //! single column — the effect measured in Table 3's "Print Series" rows.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use lux_dataframe::prelude::*;
@@ -23,11 +24,8 @@ pub struct LuxSeries {
 
 impl LuxSeries {
     pub fn new(series: Series) -> LuxSeries {
-        LuxSeries {
-            series,
-            config: Arc::new(LuxConfig::default()),
-            registry: Arc::new(ActionRegistry::with_defaults()),
-        }
+        let registry = Arc::new(ActionRegistry::with_defaults());
+        Self::from_parts(series, Arc::new(LuxConfig::default()), registry)
     }
 
     pub(crate) fn from_parts(
@@ -63,11 +61,17 @@ impl LuxSeries {
         &self.series
     }
 
-    /// View as a one-column LuxDataFrame (shares config and actions).
+    /// View as a one-column LuxDataFrame sharing the config and the action
+    /// registry, so custom actions registered on the parent frame stay
+    /// available.
     pub fn to_frame(&self) -> LuxDataFrame {
-        // custom actions registered on the parent frame stay available
-        let _ = &self.registry;
-        LuxDataFrame::with_config(self.series.to_frame(), Arc::clone(&self.config))
+        LuxDataFrame::assemble(
+            self.series.to_frame(),
+            Vec::new(),
+            Arc::clone(&self.config),
+            Arc::clone(&self.registry),
+            HashMap::new(),
+        )
     }
 
     /// Print the series: a one-column frame print, which exercises only the
@@ -118,5 +122,28 @@ mod tests {
             series_result.vislist.visualizations[0].spec.mark,
             lux_vis::Mark::Bar
         );
+    }
+
+    #[test]
+    fn series_print_runs_the_parents_custom_actions() {
+        let df = DataFrameBuilder::new()
+            .float("x", (0..30).map(|i| i as f64))
+            .float("y", (0..30).map(|i| (i % 7) as f64))
+            .build()
+            .expect("columns of equal length");
+        let mut ldf = LuxDataFrame::new(df);
+        ldf.register_action(lux_recs::CustomAction::new(
+            "Lonely",
+            |ctx: &lux_recs::ActionContext<'_>| ctx.df.num_columns() == 1,
+            |ctx: &lux_recs::ActionContext<'_>| {
+                let column = &ctx.meta.columns[0];
+                Ok(vec![lux_recs::Candidate::new(
+                    lux_recs::structure_actions::univariate_spec(&column.name, column.semantic, 10),
+                )])
+            },
+        ));
+        assert!(!ldf.print().tabs().contains(&"Lonely"));
+        let w = ldf.series("x").expect("column exists").print();
+        assert!(w.tabs().contains(&"Lonely"), "got {:?}", w.tabs());
     }
 }

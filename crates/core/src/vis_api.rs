@@ -95,18 +95,8 @@ impl LuxVisList {
                 msgs.join("; ")
             )));
         }
-        let copts = lux_intent::CompileOptions {
-            max_filter_expansions: ldf.config().max_filter_expansions,
-            histogram_bins: ldf.config().histogram_bins,
-            ..Default::default()
-        };
-        let specs = lux_intent::compile(&intent, &meta, &copts)?;
-        let popts = ProcessOptions {
-            histogram_bins: ldf.config().histogram_bins,
-            max_bars: ldf.config().max_bars,
-            seed: ldf.config().sample_seed,
-            ..ProcessOptions::default()
-        };
+        let specs = lux_intent::compile(&intent, &meta, &ldf.config().into())?;
+        let popts = ProcessOptions::from(ldf.config());
         let mut visualizations = Vec::with_capacity(specs.len());
         for spec in specs {
             let mut vis = Vis::new(spec);

@@ -14,6 +14,7 @@ use lux_recs::{ActionHealth, ActionResult};
 use lux_vis::render::{ascii, vega};
 
 use crate::perf::PassSummary;
+use crate::wire::{put_opt, put_str, put_vec, Reader};
 
 /// The output of [`crate::LuxDataFrame::print`].
 pub struct Widget {
@@ -335,8 +336,8 @@ impl WireWidget {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.table.len() + self.lux_view.len());
         out.push(WIRE_WIDGET_VERSION);
-        put_u64(&mut out, self.num_rows);
-        put_u64(&mut out, self.num_columns);
+        out.extend_from_slice(&self.num_rows.to_le_bytes());
+        out.extend_from_slice(&self.num_columns.to_le_bytes());
         put_str(&mut out, &self.table);
         put_str(&mut out, &self.lux_view);
         put_vec(&mut out, &self.tabs);
@@ -350,7 +351,7 @@ impl WireWidget {
     /// Deserialize a payload produced by [`WireWidget::encode`]. Truncated,
     /// oversized, or non-UTF-8 input yields `Err`, never a panic.
     pub fn decode(bytes: &[u8]) -> Result<WireWidget, String> {
-        let mut cur = Cursor { buf: bytes, pos: 0 };
+        let mut cur = Reader::new(bytes);
         let version = cur.u8()?;
         if version != WIRE_WIDGET_VERSION {
             return Err(format!(
@@ -368,12 +369,7 @@ impl WireWidget {
             shed_note: cur.opt()?,
             timing_footer: cur.opt()?,
         };
-        if cur.pos != bytes.len() {
-            return Err(format!(
-                "trailing garbage: {} byte(s) after widget payload",
-                bytes.len() - cur.pos
-            ));
-        }
+        cur.finish()?;
         Ok(w)
     }
 
@@ -389,96 +385,6 @@ impl WireWidget {
             out.push('\n');
         }
         out
-    }
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_vec(out: &mut Vec<u8>, items: &[String]) {
-    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-    for s in items {
-        put_str(out, s);
-    }
-}
-
-fn put_opt(out: &mut Vec<u8>, s: Option<&str>) {
-    match s {
-        Some(s) => {
-            out.push(1);
-            put_str(out, s);
-        }
-        None => out.push(0),
-    }
-}
-
-/// Bounds-checked reader over a widget payload. Every accessor returns
-/// `Err` on truncation; element counts are validated against the remaining
-/// buffer so a hostile length prefix cannot trigger a huge allocation.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("truncated widget payload at byte {}", self.pos))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        let len = self.u32()? as usize;
-        let b = self.take(len)?;
-        String::from_utf8(b.to_vec()).map_err(|_| "non-UTF-8 string in payload".to_string())
-    }
-
-    fn vec(&mut self) -> Result<Vec<String>, String> {
-        let n = self.u32()? as usize;
-        // Each element needs at least its 4-byte length prefix.
-        if n > self.buf.len().saturating_sub(self.pos) / 4 {
-            return Err(format!("element count {n} exceeds remaining payload"));
-        }
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.str()?);
-        }
-        Ok(v)
-    }
-
-    fn opt(&mut self) -> Result<Option<String>, String> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.str()?)),
-            t => Err(format!("invalid option tag {t}")),
-        }
     }
 }
 
@@ -596,8 +502,8 @@ mod tests {
         let w = widget();
         let wire = super::WireWidget::from_widget(&w, 1);
         let mut v1 = vec![1u8];
-        super::put_u64(&mut v1, wire.num_rows);
-        super::put_u64(&mut v1, wire.num_columns);
+        v1.extend_from_slice(&wire.num_rows.to_le_bytes());
+        v1.extend_from_slice(&wire.num_columns.to_le_bytes());
         super::put_str(&mut v1, &wire.table);
         super::put_str(&mut v1, &wire.lux_view);
         super::put_str(&mut v1, &w.to_vega_lite());

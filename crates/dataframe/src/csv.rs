@@ -82,9 +82,6 @@ impl fmt::Display for ParseReport {
 
 /// Parse CSV text into a dataframe. The first record is the header.
 pub fn read_csv_str(text: &str) -> Result<DataFrame> {
-    if let Some(msg) = crate::failpoint::hit("csv.ingest") {
-        return Err(Error::Parse(format!("injected ingest failure: {msg}")));
-    }
     let records = parse_records(text)?;
     let mut it = records.into_iter();
     let header = it
@@ -120,9 +117,6 @@ pub const MAX_CELL_BYTES: usize = 4096;
 /// input; each repair lands in the returned [`ParseReport`]. A clean file
 /// yields the same frame as [`read_csv_str`] with an empty report.
 pub fn read_csv_str_permissive(text: &str) -> Result<(DataFrame, ParseReport)> {
-    if let Some(msg) = crate::failpoint::hit("csv.ingest") {
-        return Err(Error::Parse(format!("injected ingest failure: {msg}")));
-    }
     let scan = scan_records(text)?;
     let mut report = ParseReport::default();
     if scan.unterminated {

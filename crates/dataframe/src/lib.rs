@@ -37,7 +37,6 @@ pub mod column;
 pub mod csv;
 pub mod error;
 pub mod expr;
-pub mod failpoint;
 pub mod frame;
 pub mod history;
 pub mod index;

@@ -32,11 +32,6 @@ use crate::frame::DataFrame;
 ///
 /// `tables` maps table names (case-sensitive) to frames.
 pub fn query(sql: &str, tables: &dyn Fn(&str) -> Option<DataFrame>) -> Result<DataFrame> {
-    if let Some(msg) = crate::failpoint::hit("sql.query") {
-        return Err(crate::error::Error::InvalidArgument(format!(
-            "injected backend failure: {msg}"
-        )));
-    }
     let stmt = parse_select(sql)?;
     let df = tables(&stmt.table).ok_or_else(|| {
         crate::error::Error::InvalidArgument(format!("unknown table {:?}", stmt.table))

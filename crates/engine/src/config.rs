@@ -53,7 +53,7 @@ pub struct LuxConfig {
     /// DESIGN.md §8 for the degradation ladder it drives.
     pub budget: ResourceBudget,
     /// Parallelism degree for the print path (metadata fan-out, per-vis
-    /// score/process, sharded group-by; DESIGN.md §9). `0` — the default —
+    /// score/process; DESIGN.md §9). `0` — the default —
     /// resolves through [`LuxConfig::effective_threads`]: the `LUX_THREADS`
     /// environment variable when set, else the machine's available
     /// parallelism. `1` forces the fully sequential path.

@@ -9,10 +9,10 @@
 //! memo cache, metadata, CSV ingest, SQL backend) that PR 1's `ChaosAction`
 //! harness — which only scripts *actions* — cannot reach.
 //!
-//! `lux-dataframe` is the dependency-free base crate, so its CSV/SQL sites
-//! cannot call this registry directly; they go through the installable hook
-//! in `lux_dataframe::failpoint`, which [`init`] wires to [`hit`] (mirroring
-//! how the pool installs its executor into `lux_dataframe::parallel`).
+//! `lux-dataframe` is the dependency-free base crate and holds no sites: the
+//! CSV and SQL points are hit by the callers that can see this registry
+//! (`LuxDataFrame::read_csv*`, which the server's puts and journal replay go
+//! through, and the SQL backend's retry loop in `lux-vis`).
 //!
 //! ## Activation syntax
 //!
@@ -229,15 +229,12 @@ pub fn clear_all() {
     ACTIVE.fetch_sub(n, Ordering::Release);
 }
 
-/// Initialise the subsystem: parse `LUX_FAILPOINTS` once and install the
-/// evaluator hook into `lux_dataframe::failpoint` so the base crate's
-/// CSV/SQL sites reach this registry. Idempotent; called from the admission
-/// controller's `global()` (a spot every pass hits) and from `cfg`-driven
-/// tests via [`hit`]'s callers.
+/// Initialise the subsystem: parse `LUX_FAILPOINTS` once. Idempotent; called
+/// from the admission controller's `global()` (a spot every pass hits) and
+/// from `cfg`-driven tests via [`hit`]'s callers.
 pub fn init() {
     static INIT: Once = Once::new();
     INIT.call_once(|| {
-        lux_dataframe::failpoint::install(hit);
         if let Ok(spec) = std::env::var("LUX_FAILPOINTS") {
             for part in spec.split(';').filter(|p| !p.trim().is_empty()) {
                 match part.split_once('=') {

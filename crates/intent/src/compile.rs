@@ -3,7 +3,7 @@
 //! and **Infer** marks/channels/transforms via rule-based design heuristics.
 
 use lux_dataframe::prelude::*;
-use lux_engine::{FrameMeta, SemanticType};
+use lux_engine::{FrameMeta, LuxConfig, SemanticType};
 use lux_vis::{Channel, Encoding, FilterSpec, Mark, VisSpec};
 
 use crate::clause::{AttributeSpec, Clause, ValueSpec};
@@ -31,6 +31,17 @@ impl Default for CompileOptions {
             histogram_bins: 10,
             max_visualizations: 50_000,
             scatter_row_threshold: 50_000,
+        }
+    }
+}
+
+/// How a [`LuxConfig`] becomes compilation options — the one place.
+impl From<&LuxConfig> for CompileOptions {
+    fn from(config: &LuxConfig) -> CompileOptions {
+        CompileOptions {
+            max_filter_expansions: config.max_filter_expansions,
+            histogram_bins: config.histogram_bins,
+            ..CompileOptions::default()
         }
     }
 }

@@ -47,25 +47,6 @@ pub struct ActionContext<'a> {
     pub config: &'a LuxConfig,
 }
 
-impl ActionContext<'_> {
-    /// Processing options derived from the config.
-    pub fn process_options(&self) -> ProcessOptions {
-        ProcessOptions {
-            histogram_bins: self.config.histogram_bins,
-            max_bars: self.config.max_bars,
-            seed: self.config.sample_seed,
-            backend: if self.config.sql_backend {
-                lux_vis::Backend::Sql
-            } else {
-                lux_vis::Backend::Native
-            },
-            max_group_cardinality: self.config.budget.max_group_cardinality,
-            memo: self.config.wflow,
-            ..ProcessOptions::default()
-        }
-    }
-}
-
 /// A candidate visualization produced by an action. `frame` optionally
 /// overrides the dataframe the vis is processed/scored against (used by
 /// history actions, which visualize a *parent* frame).

@@ -26,10 +26,13 @@ use std::time::{Duration, Instant};
 
 use lux_dataframe::prelude::*;
 use lux_engine::clock;
-use lux_engine::governor::{drain_sink, event_sink, BudgetHandle, DegradeLevel, EventSink};
+use lux_engine::governor::{
+    drain_sink, event_sink, BudgetHandle, DegradeLevel, EventSink, ResourceBudget,
+};
 use lux_engine::lock_recover;
 use lux_engine::trace::{names as metric, MetricsRegistry, SpanId, TraceCollector};
-use lux_engine::{CachedSample, CostModel, FrameMeta, GovernorEvent, LuxConfig};
+use lux_engine::{AdmissionPermit, CachedSample, CostModel, FrameMeta, GovernorEvent, LuxConfig};
+use lux_intent::{Clause, CompileOptions};
 use lux_vis::{Channel, ProcessOptions, Vis, VisList, VisSpec};
 
 use crate::action::{Action, ActionContext, ActionRegistry, ActionResult, Candidate};
@@ -87,16 +90,54 @@ impl TraceCtx {
     }
 }
 
+/// What a pass is opened in: the span it records under and the budget it
+/// charges. Both are always present — a caller with no use for them opens a
+/// [`PassCtx::detached`] one — so nothing downstream branches on whether
+/// anyone is watching.
+#[derive(Clone)]
+pub struct PassCtx {
+    pub trace: TraceCtx,
+    pub governor: Arc<BudgetHandle>,
+}
+
+impl PassCtx {
+    /// A root span nobody reads and a fresh handle over `budget`, charged
+    /// to no ledger (standalone passes).
+    pub fn detached(name: &str, budget: ResourceBudget) -> PassCtx {
+        PassCtx {
+            trace: TraceCtx::root(name),
+            governor: Arc::new(BudgetHandle::new(budget)),
+        }
+    }
+
+    /// The context of an admitted pass: `budget` shaped down by the pressure
+    /// `permit` was granted under (the shed ladder, DESIGN.md §10), every
+    /// charge mirrored into the process-wide ledger.
+    pub fn admitted(name: &str, permit: &AdmissionPermit, budget: &ResourceBudget) -> PassCtx {
+        let (budget, floor) = permit.shape_budget(budget);
+        PassCtx {
+            trace: TraceCtx::root(name),
+            governor: Arc::new(BudgetHandle::governed(budget, permit.ledger(), floor)),
+        }
+    }
+
+    /// The same budget under a child span.
+    pub fn child(&self, name: &str) -> PassCtx {
+        PassCtx {
+            trace: self.trace.child(name),
+            governor: Arc::clone(&self.governor),
+        }
+    }
+}
+
 /// One recommendation pass: everything the executor reads, `Arc`'d so
-/// detached workers outlive the caller's borrows. The trace attachment and
-/// the governor are always present — a caller with no use for them opens
-/// throwaway ones ([`Pass::new`]); only the sample and the permit can be
-/// genuinely absent.
+/// detached workers outlive the caller's borrows. [`Pass::open`] is the one
+/// way in: it resolves, once, what every action of the pass starts from.
 #[derive(Clone)]
 pub struct Pass {
     pub df: Arc<DataFrame>,
     pub meta: Arc<FrameMeta>,
-    pub intent: Arc<Vec<lux_intent::Clause>>,
+    pub intent: Arc<Vec<Clause>>,
     pub intent_specs: Arc<Vec<VisSpec>>,
     pub config: Arc<LuxConfig>,
     /// The frame's PRUNE sample handle; `None` when PRUNE is off. The rows
@@ -111,23 +152,45 @@ pub struct Pass {
     /// Admission slot held for the duration of the pass. Under ASYNC the
     /// collector thread takes ownership so the slot is released only once
     /// every action has settled (or been abandoned), not when the caller's
-    /// stack frame unwinds. `None` when the caller holds the slot itself.
-    pub permit: Option<Arc<lux_engine::AdmissionPermit>>,
+    /// stack frame unwinds. `None` — as opened — when the caller holds the
+    /// slot itself.
+    pub permit: Option<Arc<AdmissionPermit>>,
+    /// `config` as processing options; each action attaches the governor
+    /// and its own sinks to a copy.
+    opts: ProcessOptions,
+    model: CostModel,
 }
 
 impl Pass {
-    /// A standalone pass over `df`: no intent, no sample, no admission
-    /// permit, a throwaway trace, and a fresh budget over `config.budget`.
-    pub fn new(df: Arc<DataFrame>, meta: Arc<FrameMeta>, config: Arc<LuxConfig>) -> Pass {
+    /// Open a pass over `df` in `ctx`: compile `intent` against `meta` (an
+    /// empty or invalid intent compiles to no specs — the widget shows the
+    /// diagnostics instead), derive the processing options and cost model
+    /// from `config`, and keep the `sample` handle only when PRUNE is on.
+    pub fn open(
+        df: Arc<DataFrame>,
+        meta: Arc<FrameMeta>,
+        intent: &[Clause],
+        config: Arc<LuxConfig>,
+        sample: Option<&Arc<CachedSample>>,
+        ctx: PassCtx,
+    ) -> Pass {
+        let intent_specs = ctx.trace.time("intent.compile", || {
+            if intent.is_empty() || lux_intent::has_errors(&lux_intent::validate(intent, &meta)) {
+                return Vec::new();
+            }
+            lux_intent::compile(intent, &meta, &CompileOptions::from(&*config)).unwrap_or_default()
+        });
         Pass {
             df,
             meta,
-            intent: Arc::new(Vec::new()),
-            intent_specs: Arc::new(Vec::new()),
-            governor: Arc::new(BudgetHandle::new(config.budget.clone())),
+            intent: Arc::new(intent.to_vec()),
+            intent_specs: Arc::new(intent_specs),
+            sample: sample.filter(|_| config.prune).cloned(),
+            opts: ProcessOptions::from(&*config),
+            model: CostModel::default(),
             config,
-            sample: None,
-            trace: TraceCtx::root("pass"),
+            trace: ctx.trace,
+            governor: ctx.governor,
             permit: None,
         }
     }
@@ -198,7 +261,6 @@ struct ActionRun<'a> {
     /// The action's governor-event buffer, replayed onto the pass handle by
     /// [`run_pass`] in dispatch order.
     events: &'a EventSink,
-    model: CostModel,
     opts: ProcessOptions,
     // The next three are set by `enumerate`, once there are candidates.
     started: Instant,
@@ -229,7 +291,7 @@ impl<'a> ActionRun<'a> {
         trace: &'a TraceCtx,
         events: &'a EventSink,
     ) -> ActionRun<'a> {
-        let mut opts = pass.action_context().process_options();
+        let mut opts = pass.opts.clone();
         opts.governor = Some(Arc::clone(&pass.governor));
         // SQL backend: count transient-error retries so they can be tagged
         // onto this action's span (`sql.retries`) after processing.
@@ -239,7 +301,6 @@ impl<'a> ActionRun<'a> {
             pass,
             trace,
             events,
-            model: CostModel::default(),
             opts,
             started: clock::now(),
             estimated_cost: 0.0,
@@ -297,7 +358,7 @@ impl<'a> ActionRun<'a> {
         }
         // Cost-model estimate for the whole action: the sum over its
         // candidates, each costed on the frame it will run against.
-        self.estimated_cost = self.model.action_cost(candidates.iter().map(|c| {
+        self.estimated_cost = self.pass.model.action_cost(candidates.iter().map(|c| {
             let rows = c.frame.as_deref().unwrap_or(&self.pass.df).num_rows();
             let (r, g) = estimate_spec(&c.spec, &self.pass.meta, rows);
             (c.spec.op_class(), r, g)
@@ -309,7 +370,7 @@ impl<'a> ActionRun<'a> {
         // this action to be — cheap actions get the base budget, heavyweight
         // ones up to the hard-cutoff multiple of it.
         if let Some(base) = self.pass.config.action_budget {
-            self.deadline = Deadline::after(self.model.time_budget(self.estimated_cost, base));
+            self.deadline = Deadline::after(self.pass.model.time_budget(self.estimated_cost, base));
             self.trace.tag(
                 "deadline.budget_ms",
                 format!("{:.1}", self.deadline.budget().as_secs_f64() * 1e3),
@@ -339,7 +400,7 @@ impl<'a> ActionRun<'a> {
             Some(s) if force_sampled => Some(s.get(df)),
             Some(s)
                 if config.prune
-                    && self.model.prune_worthwhile(
+                    && self.pass.model.prune_worthwhile(
                         candidates.len(),
                         config.top_k,
                         rep.op_class(),
@@ -950,8 +1011,9 @@ mod tests {
     /// The one fixture every test opens its pass through: a standalone pass
     /// over `df` (fresh metadata, no intent, no sample).
     fn pass_over(df: DataFrame, config: LuxConfig) -> Pass {
-        let meta = FrameMeta::compute(&df, &HashMap::new());
-        Pass::new(Arc::new(df), Arc::new(meta), Arc::new(config))
+        let meta = Arc::new(FrameMeta::compute(&df, &HashMap::new()));
+        let ctx = PassCtx::detached("pass", config.budget.clone());
+        Pass::open(Arc::new(df), meta, &[], Arc::new(config), None, ctx)
     }
 
     /// The default config with `tweak` applied.

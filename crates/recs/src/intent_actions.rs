@@ -15,12 +15,7 @@ use crate::action::{Action, ActionClass, ActionContext, Candidate};
 /// Compile a modified intent into candidates, dropping expansion failures
 /// (an over-broad Enhance/Filter variant just contributes nothing).
 fn compile_to_candidates(intent: &[Clause], ctx: &ActionContext<'_>) -> Vec<Candidate> {
-    let opts = lux_intent::CompileOptions {
-        max_filter_expansions: ctx.config.max_filter_expansions,
-        histogram_bins: ctx.config.histogram_bins,
-        ..Default::default()
-    };
-    match lux_intent::compile(intent, ctx.meta, &opts) {
+    match lux_intent::compile(intent, ctx.meta, &ctx.config.into()) {
         Ok(specs) => specs.into_iter().map(Candidate::new).collect(),
         Err(_) => Vec::new(),
     }

@@ -2,9 +2,10 @@
 //!
 //! The recommendation layer: the action framework (paper §7.2), the four
 //! default action classes of Table 1, interestingness scoring, and the one
-//! executor: [`run_pass`] runs a [`Pass`] over a registry (ASYNC streams
-//! each action's result as it completes) and [`execute_action`] runs one
-//! action through it (PRUNE: approximate two-pass top-k).
+//! executor: [`run_pass`] runs a [`Pass`] — opened by [`Pass::open`], the
+//! one way in — over a registry (ASYNC streams each action's result as it
+//! completes) and [`execute_action`] runs one action through it (PRUNE:
+//! approximate two-pass top-k).
 
 pub mod action;
 pub mod fault;
@@ -23,7 +24,7 @@ pub use action::{
 pub use fault::{
     ActionError, ActionHealth, ActionStatus, ChaosAction, ChaosMode, CircuitBreaker, RunReport,
 };
-pub use generate::{execute_action, run_pass, Pass, StreamingRun, TraceCtx};
+pub use generate::{execute_action, run_pass, Pass, PassCtx, StreamingRun, TraceCtx};
 
 /// Every default action of Table 1, in taxonomy order.
 pub fn default_actions() -> Vec<Arc<dyn Action>> {

@@ -28,6 +28,8 @@
 
 use std::io::{Read, Write};
 
+use lux_core::wire::{put_str, put_vec, Reader};
+
 /// Protocol version carried in every frame header. Version 2 added wire
 /// request-trace propagation (a trace id on `Print`, echoed on `Busy` and
 /// `Error`) and the `Metrics`/`Flight` observability ops. Version 3 added
@@ -531,10 +533,7 @@ impl Response {
                 (msg::BUSY, p)
             }
             Response::FrameList { names } => {
-                p.extend_from_slice(&(names.len() as u32).to_le_bytes());
-                for n in names {
-                    put_str(&mut p, n);
-                }
+                put_vec(&mut p, names);
                 (msg::FRAME_LIST, p)
             }
             Response::Dropped { existed } => {
@@ -611,17 +610,7 @@ impl Response {
                 reason: c.str()?,
                 trace: c.str()?,
             },
-            msg::FRAME_LIST => {
-                let n = c.u32()? as usize;
-                if n > payload.len() / 4 {
-                    return Err(format!("frame list count {n} exceeds payload"));
-                }
-                let mut names = Vec::with_capacity(n);
-                for _ in 0..n {
-                    names.push(c.str()?);
-                }
-                Response::FrameList { names }
-            }
+            msg::FRAME_LIST => Response::FrameList { names: c.vec()? },
             msg::DROPPED => Response::Dropped {
                 existed: c.u8()? != 0,
             },
@@ -648,75 +637,6 @@ impl Response {
         };
         c.finish()?;
         Ok(resp)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Payload primitives
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Bounds-checked payload reader; every accessor errors on truncation.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("truncated payload at byte {}", self.pos))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        let len = self.u32()? as usize;
-        let b = self.take(len)?;
-        String::from_utf8(b.to_vec()).map_err(|_| "non-UTF-8 string".to_string())
-    }
-
-    fn finish(&self) -> Result<(), String> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} trailing byte(s) after message payload",
-                self.buf.len() - self.pos
-            ))
-        }
     }
 }
 

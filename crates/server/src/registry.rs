@@ -272,9 +272,8 @@ impl Registry {
                 }
             };
             let text = String::from_utf8_lossy(&bytes);
-            match lux_dataframe::csv::read_csv_str(&text) {
-                Ok(df) => {
-                    let mut ldf = LuxDataFrame::new(df);
+            match LuxDataFrame::read_csv_str(&text) {
+                Ok(mut ldf) => {
                     if let Some(log) = &logger {
                         ldf.attach_logger(Arc::clone(log));
                     }
@@ -357,9 +356,8 @@ impl Registry {
             ));
         }
         self.register_tenant(tenant)?;
-        let df = lux_dataframe::csv::read_csv_str(csv)
+        let mut ldf = LuxDataFrame::read_csv_str(csv)
             .map_err(|e| (ErrorCode::BadData, format!("csv parse failed: {e}")))?;
-        let mut ldf = LuxDataFrame::new(df);
         if let Some(log) = &self.logger {
             ldf.attach_logger(Arc::clone(log));
         }

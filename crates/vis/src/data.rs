@@ -13,6 +13,7 @@ use lux_dataframe::scan::{for_each_f64_pair, for_each_f64_triple};
 use lux_engine::governor::{BudgetHandle, DegradeLevel, EventSink, GovernorEvent};
 use lux_engine::lock_recover;
 use lux_engine::trace::{names, MetricsRegistry};
+use lux_engine::LuxConfig;
 
 use crate::spec::{Channel, Mark, VisSpec};
 
@@ -90,6 +91,27 @@ impl Default for ProcessOptions {
     }
 }
 
+/// How a [`LuxConfig`] becomes processing options — the one place. The
+/// per-pass attachments (`governor`, `event_sink`, `sql_attempts`) are the
+/// executor's to set.
+impl From<&LuxConfig> for ProcessOptions {
+    fn from(config: &LuxConfig) -> ProcessOptions {
+        ProcessOptions {
+            histogram_bins: config.histogram_bins,
+            max_bars: config.max_bars,
+            seed: config.sample_seed,
+            backend: if config.sql_backend {
+                Backend::Sql
+            } else {
+                Backend::Native
+            },
+            max_group_cardinality: config.budget.max_group_cardinality,
+            memo: config.wflow,
+            ..ProcessOptions::default()
+        }
+    }
+}
+
 /// Process the data for one visualization. The result is a small dataframe
 /// whose columns match the spec's channels (`x`, `y`, and optionally
 /// `color`-named after the source attributes, or `count` for synthetic
@@ -103,7 +125,7 @@ impl Default for ProcessOptions {
 /// into healthier passes.
 pub fn process(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<DataFrame> {
     if !opts.memo {
-        return process_uncached(spec, df, opts);
+        return process_uncached(spec, df, opts).map(|(out, _)| out);
     }
     let key = memo::key(spec, opts);
     let fingerprint = df.fingerprint();
@@ -112,24 +134,7 @@ pub fn process(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<
         metrics.incr(names::VIS_MEMO_HIT);
         return Ok(hit);
     }
-    // Bracket the computation with a call-local sink: a degradation is
-    // whatever THIS call recorded, never what a concurrently-running vis
-    // happened to record on the shared handle in the same window.
-    let call_sink = lux_engine::governor::event_sink();
-    let mut inner = opts.clone();
-    inner.event_sink = Some(call_sink.clone());
-    let result = process_uncached(spec, df, &inner);
-    let events = lux_engine::governor::drain_sink(&call_sink);
-    let degraded = !events.is_empty();
-    if !events.is_empty() {
-        // Hand the events back to whatever the caller was collecting into.
-        if let Some(outer) = &opts.event_sink {
-            lock_recover(outer).extend(events);
-        } else if let Some(g) = &opts.governor {
-            g.absorb(events);
-        }
-    }
-    let out = result?;
+    let (out, degraded) = process_uncached(spec, df, opts)?;
     if degraded {
         metrics.incr(names::VIS_MEMO_MISS);
     } else if memo::insert(fingerprint, key, out.clone()) {
@@ -143,9 +148,16 @@ pub fn process(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<
     Ok(out)
 }
 
-fn process_uncached(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<DataFrame> {
+/// The processed frame and whether THIS call degraded it (recorded a
+/// governor event) — never what a concurrently-running vis happened to
+/// record on the shared handle in the same window.
+fn process_uncached(
+    spec: &VisSpec,
+    df: &DataFrame,
+    opts: &ProcessOptions,
+) -> Result<(DataFrame, bool)> {
     if opts.backend == Backend::Sql {
-        return crate::sql::process_sql(spec, df, opts);
+        return Ok((crate::sql::process_sql(spec, df, opts)?, false));
     }
     // 1. Apply the filter conjunction.
     let mut filtered;
@@ -158,28 +170,14 @@ fn process_uncached(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Re
         frame = &filtered;
     }
 
-    // 2. Mark-specific processing.
-    match spec.mark {
+    // 2. Mark-specific processing; only grouping can degrade.
+    let exact = match spec.mark {
+        Mark::Bar | Mark::Line | Mark::Choropleth => return process_group_agg(spec, frame, opts),
         Mark::Scatter => process_scatter(spec, frame, opts),
-        Mark::Bar | Mark::Line | Mark::Choropleth => process_group_agg(spec, frame, opts),
         Mark::Histogram => process_histogram(spec, frame, opts),
         Mark::Heatmap => process_heatmap(spec, frame, opts),
-    }
-}
-
-/// Record a processing degradation: buffered into the caller's
-/// [`EventSink`] when one is attached (deterministic parallel replay),
-/// otherwise recorded live on the governor.
-fn record_degrade(opts: &ProcessOptions, stage: String, level: DegradeLevel, detail: String) {
-    if let Some(sink) = &opts.event_sink {
-        lock_recover(sink).push(GovernorEvent {
-            stage,
-            level,
-            detail,
-        });
-    } else if let Some(g) = &opts.governor {
-        g.record(stage, level, detail);
-    }
+    };
+    Ok((exact?, false))
 }
 
 fn x_attr(spec: &VisSpec) -> Result<&str> {
@@ -209,7 +207,11 @@ fn process_scatter(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Res
 }
 
 /// Bar / line / choropleth: (1D or 2D) group-by aggregation.
-fn process_group_agg(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<DataFrame> {
+fn process_group_agg(
+    spec: &VisSpec,
+    df: &DataFrame,
+    opts: &ProcessOptions,
+) -> Result<(DataFrame, bool)> {
     let x = x_attr(spec)?;
 
     // High-cardinality temporal axes get resampled into time buckets before
@@ -240,25 +242,35 @@ fn process_group_agg(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> R
     // hash-map entries up to the cap); charge it, and tighten the cap to
     // the displayable bar count once the pass budget is spent.
     let mut group_cap = opts.max_group_cardinality;
+    // Either degradation below caps this grouping's cardinality. The event
+    // is buffered into the caller's [`EventSink`] when one is attached
+    // (deterministic parallel replay), otherwise recorded live.
+    let mut degraded = false;
+    let mut degrade = |g: &BudgetHandle, detail: String| {
+        degraded = true;
+        let (stage, level) = (format!("process:{x}"), DegradeLevel::CappedCardinality);
+        match &opts.event_sink {
+            Some(sink) => lock_recover(sink).push(GovernorEvent {
+                stage,
+                level,
+                detail,
+            }),
+            None => g.record(stage, level, detail),
+        }
+    };
     if let Some(g) = &opts.governor {
         if !g.try_charge(df.num_rows() as u64 * 8) {
             group_cap = group_cap.min(opts.max_bars.max(1));
-            record_degrade(
-                opts,
-                format!("process:{x}"),
-                DegradeLevel::CappedCardinality,
+            degrade(
+                g,
                 "pass memory budget exhausted; group cap tightened".to_string(),
             );
         }
     }
     let gb = df.groupby_capped(&keys, group_cap)?;
-    if gb.is_capped() && opts.governor.is_some() {
-        record_degrade(
-            opts,
-            format!("process:{x}"),
-            DegradeLevel::CappedCardinality,
-            format!("distinct group keys exceed cap {group_cap}; folded into \"(other)\""),
-        );
+    if let Some(g) = opts.governor.as_ref().filter(|_| gb.is_capped()) {
+        let detail = format!("distinct group keys exceed cap {group_cap}; folded into \"(other)\"");
+        degrade(g, detail);
     }
 
     let y_enc = spec.channel(Channel::Y);
@@ -274,16 +286,16 @@ fn process_group_agg(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> R
         _ => "count".to_string(),
     };
 
-    match spec.mark {
-        Mark::Bar => {
-            // Rank bars by value and keep the top ones so high-cardinality
-            // axes stay readable (and bounded in cost).
-            let sorted = grouped.sort_by(&[y_col.as_str()], false)?;
-            Ok(sorted.head(opts.max_bars))
-        }
+    let out = match spec.mark {
+        // Rank bars by value and keep the top ones so high-cardinality
+        // axes stay readable (and bounded in cost).
+        Mark::Bar => grouped
+            .sort_by(&[y_col.as_str()], false)?
+            .head(opts.max_bars),
         // Lines and maps read left-to-right / by region: sort by the axis.
-        _ => grouped.sort_by(&[x], true),
-    }
+        _ => grouped.sort_by(&[x], true)?,
+    };
+    Ok((out, degraded))
 }
 
 fn process_histogram(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<DataFrame> {

@@ -6,27 +6,11 @@
 //! aggregate/bin, and inline `data.values`.
 
 use lux_dataframe::prelude::*;
+use lux_engine::trace::json_escape as esc;
 use lux_engine::SemanticType;
 
 use crate::spec::{Channel, Encoding, Mark, VisSpec};
 use crate::vislist::Vis;
-
-/// Escape a string for JSON.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn json_value(v: &Value) -> String {
     match v {

@@ -14,6 +14,7 @@ use std::time::Duration;
 use lux_dataframe::prelude::*;
 use lux_dataframe::sql::query_frame;
 use lux_engine::admission::Backoff;
+use lux_engine::failpoint;
 use lux_engine::trace::{names, MetricsRegistry};
 
 use crate::data::ProcessOptions;
@@ -51,7 +52,13 @@ fn query_with_retry(sql: &str, df: &DataFrame, opts: &ProcessOptions) -> Result<
     });
     let mut backoff = Backoff::new(Duration::from_millis(1), Duration::from_millis(16), seed);
     loop {
-        match query_frame(sql, df) {
+        let outcome = match failpoint::hit(failpoint::names::SQL_QUERY) {
+            Some(msg) => Err(Error::InvalidArgument(format!(
+                "injected backend failure: {msg}"
+            ))),
+            None => query_frame(sql, df),
+        };
+        match outcome {
             Ok(out) => return Ok(out),
             Err(e) if is_transient_error(&e) && backoff.attempts() + 1 < SQL_MAX_ATTEMPTS => {
                 MetricsRegistry::global().incr(names::SQL_RETRIES);

@@ -66,7 +66,7 @@ pub fn action_recall(
     k: usize,
     seed: u64,
 ) -> f64 {
-    let opts = ctx.process_options();
+    let opts = ProcessOptions::from(ctx.config);
     let truth = ranked_keys(action, ctx, ctx.df, &opts);
     if truth.is_empty() {
         return 1.0;

@@ -4,6 +4,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Test code is what follows a file's `#[cfg(test)]` + `mod` pair; a lone
+# `#[cfg(test)]` item above it (a test-only thread-local, say) is not.
+# TEST_LINES prints a file list's test lines, PROD_LINES the rest.
+MARK_TESTS='FNR == 1 { t = 0; armed = 0 } armed && /^(pub(\([a-z]+\))? )?mod / { t = 1 } { armed = /^#\[cfg\(test\)\]/ }'
+TEST_LINES="$MARK_TESTS t"
+PROD_LINES="$MARK_TESTS !t"
+
 echo "== unwrap() lint (crates/{engine,recs,core}/src)"
 # New code in the print path must handle errors (or use `expect` with a
 # message), never add bare unwraps. Lower the baseline when you remove some.
@@ -26,7 +33,7 @@ echo "== f64_at( lint (row-kernel crates, non-test lines)"
 F64_AT_BASELINE=2
 count=$(find crates/dataframe/src/ops crates/dataframe/src/column.rs crates/dataframe/src/series.rs \
     crates/recs/src crates/vis/src/data.rs -name '*.rs' \
-    -exec awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t' {} + | grep -o 'f64_at(' | wc -l | tr -d ' ')
+    -exec awk "$PROD_LINES" {} + | grep -o 'f64_at(' | wc -l | tr -d ' ')
 if [ "$count" -gt "$F64_AT_BASELINE" ]; then
     echo "error: $count f64_at( calls (baseline $F64_AT_BASELINE) — a row loop must use Column::for_each_f64 / scan::for_each_f64_pair"
     exit 1
@@ -35,6 +42,19 @@ if [ "$count" -lt "$F64_AT_BASELINE" ]; then
     echo "note: $count f64_at( calls, below baseline $F64_AT_BASELINE — consider lowering F64_AT_BASELINE in scripts/lint.sh"
 fi
 echo "ok: $count f64_at( calls (baseline $F64_AT_BASELINE)"
+
+echo "== options-literal lint (ProcessOptions / CompileOptions outside their crates)"
+# A LuxConfig becomes options in two places, `impl From<&LuxConfig>` in
+# lux-vis and in lux-intent (DESIGN.md §6). A struct literal anywhere else
+# in product code is a second derivation that will drift from them.
+literals=$(find crates/*/src -name '*.rs' ! -path 'crates/vis/src/*' ! -path 'crates/intent/src/*' \
+    -exec awk "$MARK_TESTS"' !t && /(ProcessOptions|CompileOptions) \{/ && !/->.*Options \{/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ -n "$literals" ]; then
+    echo "$literals"
+    echo "error: ProcessOptions/CompileOptions literal outside its defining crate — derive it with From<&LuxConfig>"
+    exit 1
+fi
+echo "ok: options are derived from a LuxConfig only in lux-vis and lux-intent"
 
 echo "== clock/rng drift lint (crates/*/src outside clock.rs, rng.rs, bench)"
 # Product code reads time through lux_engine::clock and draws randomness
@@ -63,7 +83,7 @@ trap 'rm -f "$observers"' EXIT
 {
     find tests crates/*/tests benchmark/src .github -type f -exec cat {} +
     find scripts -name '*.sh' ! -name lint.sh -exec cat {} +
-    find crates/*/src -name '*.rs' -exec awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } t' {} +
+    find crates/*/src -name '*.rs' -exec awk "$TEST_LINES" {} +
 } >"$observers"
 
 # `pub const IDENT: &str = "value";` pairs of a file's `pub mod names`.

@@ -64,18 +64,45 @@ fn all_conditions_produce_identical_recommendations() {
     }
 }
 
+/// Conditions agree under an intent too — and so do the two ways into a
+/// pass: a print and a streaming run of the same frame, intent and config
+/// yield the same tabs, specs and score bits at every thread count.
 #[test]
 fn conditions_agree_under_intent_too() {
     let df = fixture();
+    let scored = |recs: &[ActionResult]| -> Vec<(String, Vec<(String, u64)>)> {
+        let vis = |v: &Vis| (v.spec.describe(), v.score.to_bits());
+        recs.iter()
+            .map(|r| (r.action.clone(), r.vislist.iter().map(vis).collect()))
+            .collect()
+    };
     let mut signatures = Vec::new();
-    for cond in [Condition::NoOpt, Condition::AllOpt] {
-        let mut cfg = cond.config().expect("lux condition");
-        cfg.sample_cap = 10_000;
-        let mut ldf = LuxDataFrame::with_config(df.clone(), Arc::new(cfg));
-        ldf.set_intent_strs(["a", "b"]).unwrap();
-        signatures.push(signature(&ldf.recommendations()));
+    for cond in [
+        Condition::NoOpt,
+        Condition::Wflow,
+        Condition::WflowPrune,
+        Condition::AllOpt,
+    ] {
+        for threads in [1, 8] {
+            let mut cfg = cond.config().expect("lux condition");
+            cfg.sample_cap = 10_000;
+            cfg.threads = threads;
+            let mut ldf = LuxDataFrame::with_config(df.clone(), Arc::new(cfg));
+            ldf.set_intent_strs(["a", "b"]).unwrap();
+            let streamed = ldf.recommendations_streaming().collect_report().results;
+            let printed = ldf.print();
+            assert_eq!(
+                scored(printed.results()),
+                scored(&streamed),
+                "print and streaming run disagree under {} at threads={threads}",
+                cond.name()
+            );
+            signatures.push(signature(printed.results()));
+        }
     }
-    assert_eq!(signatures[0], signatures[1]);
+    for sig in &signatures[1..] {
+        assert_eq!(sig, &signatures[0]);
+    }
 }
 
 #[test]

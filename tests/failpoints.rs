@@ -65,10 +65,10 @@ fn csv_ingest_failpoint_surfaces_as_parse_error() {
     let _serial = failpoint_lock().lock().unwrap();
     let _chaos = Chaos::begin();
     failpoint::cfg(fp::CSV_INGEST, "return(disk gremlin)").unwrap();
-    let err = lux::dataframe::csv::read_csv_str("a,b\n1,2\n").unwrap_err();
+    let err = LuxDataFrame::read_csv_str("a,b\n1,2\n").err().unwrap();
     assert!(err.to_string().contains("injected ingest failure"), "{err}");
     failpoint::remove(fp::CSV_INGEST);
-    let df = lux::dataframe::csv::read_csv_str("a,b\n1,2\n").unwrap();
+    let df = LuxDataFrame::read_csv_str("a,b\n1,2\n").unwrap();
     assert_eq!(df.num_rows(), 1);
 }
 

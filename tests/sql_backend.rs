@@ -3,10 +3,20 @@
 //! data as the native columnar kernels, for every Table-2 visualization
 //! type that has a SQL translation.
 
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
+use lux::engine::failpoint;
 use lux::prelude::*;
 use lux::vis::{process, Backend, ProcessOptions};
+use lux::LuxVis;
+
+/// The `sql.query` failpoint is process-wide: the one test that arms it
+/// holds this lock exclusively, every other test shares it.
+static SQL_FAILPOINT: RwLock<()> = RwLock::new(());
+
+fn backend_up() -> RwLockReadGuard<'static, ()> {
+    SQL_FAILPOINT.read().unwrap_or_else(|e| e.into_inner())
+}
 
 fn fixture() -> DataFrame {
     DataFrameBuilder::new()
@@ -53,6 +63,7 @@ fn assert_frames_equal(native: &DataFrame, sql: &DataFrame, label: &str) {
 }
 
 fn check(spec: VisSpec, label: &str) {
+    let _up = backend_up();
     let df = fixture();
     let native = process(&spec, &df, &opts(Backend::Native)).unwrap();
     let sql = process(&spec, &df, &opts(Backend::Sql)).unwrap();
@@ -152,6 +163,7 @@ fn filtered_histogram_backends_agree() {
 
 #[test]
 fn heatmap_total_counts_agree() {
+    let _up = backend_up();
     // Heatmaps order cells identically; compare total mass and cell count.
     let spec = VisSpec::new(
         Mark::Heatmap,
@@ -174,6 +186,7 @@ fn heatmap_total_counts_agree() {
 
 #[test]
 fn colour_heatmap_means_skip_nulls_on_both_backends() {
+    let _up = backend_up();
     // A 4x4 lattice, three rows per point. The colour is null on every row
     // of the points with x == 1, and on one row in three elsewhere.
     let point = |i: usize| ((i / 3) % 4, (i / 12) % 4);
@@ -239,6 +252,7 @@ fn colour_heatmap_means_skip_nulls_on_both_backends() {
 
 #[test]
 fn full_print_runs_on_sql_backend() {
+    let _up = backend_up();
     let cfg = LuxConfig {
         sql_backend: true,
         ..LuxConfig::default()
@@ -257,6 +271,7 @@ fn full_print_runs_on_sql_backend() {
 
 #[test]
 fn sql_and_native_prints_rank_identically() {
+    let _up = backend_up();
     let native = LuxDataFrame::with_config(
         fixture(),
         Arc::new(LuxConfig {
@@ -282,4 +297,32 @@ fn sql_and_native_prints_rank_identically() {
         };
         assert_eq!(specs(a), specs(b), "ranking differs for {}", a.action);
     }
+}
+
+#[test]
+fn lux_vis_runs_on_the_configured_backend() {
+    let _exclusive = SQL_FAILPOINT.write().unwrap_or_else(|e| e.into_inner());
+    // A fresh frame per vis, so no processed-vis memo entry can serve it.
+    let vis = |config: LuxConfig| {
+        let ldf = LuxDataFrame::with_config(fixture(), Arc::new(config));
+        LuxVis::from_strs(["pay", "dept"], &ldf)
+    };
+    let on = |sql_backend| LuxConfig {
+        sql_backend,
+        ..LuxConfig::default()
+    };
+    let (native, sql) = (vis(on(false)).unwrap(), vis(on(true)).unwrap());
+    assert_eq!(native.spec(), sql.spec());
+    assert_frames_equal(native.data().unwrap(), sql.data().unwrap(), "LuxVis");
+    // A refusing backend fails the SQL vis and only it: the path was taken.
+    failpoint::cfg(failpoint::names::SQL_QUERY, "return(x)").unwrap();
+    let (native, sql) = (vis(on(false)), vis(on(true)));
+    failpoint::remove(failpoint::names::SQL_QUERY);
+    assert!(native.is_ok());
+    assert!(sql.is_err());
+    // The group cap is the config's too: keys past it fold into "(other)".
+    let mut capped = LuxConfig::default();
+    capped.budget.max_group_cardinality = 2;
+    assert_eq!(native.unwrap().data().unwrap().num_rows(), 4);
+    assert_eq!(vis(capped).unwrap().data().unwrap().num_rows(), 3);
 }
