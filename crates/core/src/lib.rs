@@ -29,15 +29,14 @@
 pub mod logging;
 pub mod luxframe;
 pub mod luxseries;
-pub mod perf;
 pub mod vis_api;
 pub mod widget;
 pub mod wire;
 
 pub use logging::{EventKind, SessionLogger};
+pub use lux_engine::PassSummary;
 pub use luxframe::{LuxDataFrame, PrintOptions};
 pub use luxseries::LuxSeries;
-pub use perf::PassSummary;
 pub use vis_api::{LuxVis, LuxVisList};
 pub use widget::{Widget, WireWidget};
 
@@ -46,12 +45,12 @@ pub mod prelude {
     pub use crate::logging::{EventKind, SessionLogger};
     pub use crate::luxframe::{LuxDataFrame, PrintOptions};
     pub use crate::luxseries::LuxSeries;
-    pub use crate::perf::PassSummary;
     pub use crate::vis_api::{LuxVis, LuxVisList};
     pub use crate::widget::{Widget, WireWidget};
     pub use lux_dataframe::prelude::*;
     pub use lux_engine::{
-        LuxConfig, MetricsRegistry, MetricsSnapshot, PassTrace, SemanticType, TraceCollector,
+        LuxConfig, MetricsRegistry, MetricsSnapshot, PassSummary, PassTrace, SemanticType,
+        TraceCollector,
     };
     pub use lux_intent::{parse_clause, parse_intent, Clause};
     pub use lux_recs::{ActionContext, ActionRegistry, ActionResult, Candidate, CustomAction};

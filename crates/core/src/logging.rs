@@ -4,8 +4,8 @@
 //! usage ("based on 514 collected logs of Lux usage...", §9 fn. 2; "logged
 //! via a custom extension", §10.1). [`SessionLogger`] records the analogous
 //! events here — prints, intent changes, exports, derived operations — as
-//! JSON-lines, either in memory or to a file, so deployments can analyze
-//! real workflows the same way.
+//! JSON-lines, either in memory or appended to a file, so deployments can
+//! analyze real workflows the same way.
 
 use std::fmt;
 use std::io::Write;
@@ -28,7 +28,7 @@ pub enum EventKind {
     /// An action failed, degraded, or was disabled during a pass (see
     /// `lux-recs::fault`); the detail carries the action name and reason.
     ActionFault,
-    /// Per-pass timing summary (see [`crate::perf::PassSummary`]); the
+    /// Per-pass timing summary (see [`lux_engine::PassSummary`]); the
     /// detail is its compact JSON payload, so session logs carry the same
     /// stage/memo numbers the pass trace does.
     PassSummary,
@@ -46,20 +46,6 @@ impl EventKind {
             EventKind::ActionFault => "action-fault",
             EventKind::PassSummary => "pass-summary",
             EventKind::Server => "server",
-        }
-    }
-
-    /// Inverse of [`EventKind::name`] (used when reloading JSONL logs).
-    pub fn parse(name: &str) -> Option<EventKind> {
-        match name {
-            "print" => Some(EventKind::Print),
-            "intent" => Some(EventKind::IntentChanged),
-            "export" => Some(EventKind::Export),
-            "operation" => Some(EventKind::Operation),
-            "action-fault" => Some(EventKind::ActionFault),
-            "pass-summary" => Some(EventKind::PassSummary),
-            "server" => Some(EventKind::Server),
-            _ => None,
         }
     }
 }
@@ -97,156 +83,49 @@ impl LogEvent {
             lux_engine::trace::json_escape(&self.detail)
         )
     }
-
-    /// Parse one JSONL line previously written by `to_json`. Returns `None`
-    /// for lines in an unrecognized shape (foreign content is skipped, not
-    /// guessed at).
-    fn from_json(line: &str) -> Option<LogEvent> {
-        let pairs = parse_flat_object(line)?;
-        let get = |k: &str| {
-            pairs
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.as_str())
-        };
-        Some(LogEvent {
-            timestamp: get("ts")?.parse().ok()?,
-            kind: EventKind::parse(get("kind")?)?,
-            detail: get("detail")?.to_string(),
-            elapsed: get("elapsed").and_then(|v| v.parse().ok()),
-        })
-    }
-}
-
-/// Minimal parser for one flat JSON object of the shape this module emits
-/// (string and number values only). Returns key → decoded value pairs.
-fn parse_flat_object(line: &str) -> Option<Vec<(String, String)>> {
-    let s: Vec<char> = line.trim().chars().collect();
-    let skip_ws = |i: &mut usize| {
-        while *i < s.len() && s[*i].is_whitespace() {
-            *i += 1;
-        }
-    };
-    let mut i = 0usize;
-    if s.first() != Some(&'{') {
-        return None;
-    }
-    i += 1;
-    let mut pairs = Vec::new();
-    loop {
-        skip_ws(&mut i);
-        match s.get(i)? {
-            '}' => return Some(pairs),
-            ',' => {
-                i += 1;
-                continue;
-            }
-            '"' => {}
-            _ => return None,
-        }
-        let key = parse_json_string(&s, &mut i)?;
-        skip_ws(&mut i);
-        if s.get(i) != Some(&':') {
-            return None;
-        }
-        i += 1;
-        skip_ws(&mut i);
-        let value = match s.get(i)? {
-            '"' => parse_json_string(&s, &mut i)?,
-            _ => {
-                let start = i;
-                while i < s.len() && !matches!(s[i], ',' | '}') {
-                    i += 1;
-                }
-                s[start..i].iter().collect::<String>().trim().to_string()
-            }
-        };
-        pairs.push((key, value));
-    }
-}
-
-/// Decode a JSON string literal starting at `s[*i] == '"'`, advancing `i`
-/// past the closing quote.
-fn parse_json_string(s: &[char], i: &mut usize) -> Option<String> {
-    *i += 1;
-    let mut out = String::new();
-    while *i < s.len() {
-        match s[*i] {
-            '"' => {
-                *i += 1;
-                return Some(out);
-            }
-            '\\' => {
-                *i += 1;
-                match s.get(*i)? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'u' => {
-                        let hex: String = s.get(*i + 1..*i + 5)?.iter().collect();
-                        out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                        *i += 4;
-                    }
-                    _ => return None,
-                }
-                *i += 1;
-            }
-            c => {
-                out.push(c);
-                *i += 1;
-            }
-        }
-    }
-    None
 }
 
 enum Sink {
-    Memory,
+    /// Kept for inspection (tests, the REPL).
+    Memory(Vec<LogEvent>),
+    /// Appended to a file, one write per line; nothing kept.
     File(std::fs::File),
+    /// Dropped: the server's fallback when its log file cannot be opened.
+    Discard,
 }
 
-/// Collects usage events; clone the `Arc` into every wrapper that should
+/// Records usage events; clone the `Arc` into every wrapper that should
 /// report to the same session log.
 pub struct SessionLogger {
-    events: Mutex<Vec<LogEvent>>,
     sink: Mutex<Sink>,
 }
 
 impl SessionLogger {
-    /// An in-memory logger (inspect with [`SessionLogger::events`]).
-    pub fn in_memory() -> Arc<SessionLogger> {
+    fn with(sink: Sink) -> Arc<SessionLogger> {
         Arc::new(SessionLogger {
-            events: Mutex::new(Vec::new()),
-            sink: Mutex::new(Sink::Memory),
+            sink: Mutex::new(sink),
         })
     }
 
-    /// A logger that appends JSON-lines to `path` (and keeps the in-memory
-    /// copy for inspection).
-    ///
-    /// Reopening an existing session file **reloads** its events: every
-    /// parseable JSONL line becomes an in-memory [`LogEvent`] again, so
-    /// [`SessionLogger::count_of`] and [`SessionLogger::think_times`] see
-    /// the whole session history across reopens rather than silently
-    /// undercounting. Lines this module did not write (or corrupted ones)
-    /// are skipped, left untouched on disk, and not re-emitted.
+    /// An in-memory logger (inspect with [`SessionLogger::events`]).
+    pub fn in_memory() -> Arc<SessionLogger> {
+        Self::with(Sink::Memory(Vec::new()))
+    }
+
+    /// A logger that appends JSON-lines to `path`, after whatever the file
+    /// already holds. It is a sink, not a store: nothing is kept in memory
+    /// and nothing is read back, so [`SessionLogger::events`] stays empty.
     pub fn to_file(path: &std::path::Path) -> std::io::Result<Arc<SessionLogger>> {
-        let existing: Vec<LogEvent> = match std::fs::read_to_string(path) {
-            Ok(text) => text.lines().filter_map(LogEvent::from_json).collect(),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
         let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)?;
-        Ok(Arc::new(SessionLogger {
-            events: Mutex::new(existing),
-            sink: Mutex::new(Sink::File(file)),
-        }))
+        Ok(Self::with(Sink::File(file)))
+    }
+
+    /// A logger that drops every event.
+    pub fn discard() -> Arc<SessionLogger> {
+        Self::with(Sink::Discard)
     }
 
     /// Record one event.
@@ -257,40 +136,43 @@ impl SessionLogger {
             detail: detail.into(),
             elapsed,
         };
-        if let Sink::File(f) = &mut *lock_recover(&self.sink) {
-            let _ = writeln!(f, "{}", event.to_json());
+        match &mut *lock_recover(&self.sink) {
+            Sink::Memory(events) => events.push(event),
+            Sink::File(f) => {
+                // One `write_all`: `writeln!` on a `File` is two syscalls.
+                let mut line = event.to_json();
+                line.push('\n');
+                let _ = f.write_all(line.as_bytes());
+            }
+            Sink::Discard => {}
         }
-        lock_recover(&self.events).push(event);
     }
 
-    /// Snapshot of the recorded events.
+    /// Snapshot of the recorded events (empty unless in memory).
     pub fn events(&self) -> Vec<LogEvent> {
-        lock_recover(&self.events).clone()
+        match &*lock_recover(&self.sink) {
+            Sink::Memory(events) => events.clone(),
+            _ => Vec::new(),
+        }
     }
 
     /// Count of events of one kind.
     pub fn count_of(&self, kind: EventKind) -> usize {
-        lock_recover(&self.events)
-            .iter()
-            .filter(|e| e.kind == kind)
-            .count()
+        self.events().iter().filter(|e| e.kind == kind).count()
     }
 
     /// The full JSONL rendering of the session so far.
     pub fn to_jsonl(&self) -> String {
-        lock_recover(&self.events)
-            .iter()
-            .map(LogEvent::to_json)
-            .collect::<Vec<_>>()
-            .join("\n")
+        let lines: Vec<String> = self.events().iter().map(LogEvent::to_json).collect();
+        lines.join("\n")
     }
 
     /// Seconds between consecutive prints — the paper's "think time"
     /// distribution (fn. 2: median 2.8 s between showing the table and
     /// toggling to the Lux view).
     pub fn think_times(&self) -> Vec<f64> {
-        let events = lock_recover(&self.events);
-        let prints: Vec<f64> = events
+        let prints: Vec<f64> = self
+            .events()
             .iter()
             .filter(|e| e.kind == EventKind::Print)
             .map(|e| e.timestamp)
@@ -336,55 +218,29 @@ mod tests {
         assert!(jsonl.contains("\\rcr"), "{jsonl}");
         assert!(jsonl.contains("\\u0001ctrl"), "{jsonl}");
         assert!(!jsonl.contains('\t') && !jsonl.contains('\r'));
-        // and the line round-trips
-        let back = LogEvent::from_json(&jsonl).unwrap();
-        assert_eq!(back.detail, "tab\there\rcr\u{1}ctrl");
     }
 
+    /// A file logger is a sink, not a store: it appends after whatever the
+    /// file already holds (foreign lines included) and keeps nothing in
+    /// memory however long the session runs.
     #[test]
-    fn from_json_roundtrips_every_field() {
-        let event = LogEvent {
-            timestamp: 1712.25,
-            kind: EventKind::PassSummary,
-            detail: "{\"total_ms\": 1.5, \"memo\": \"hit\"}".to_string(),
-            elapsed: Some(0.0015),
-        };
-        let back = LogEvent::from_json(&event.to_json()).unwrap();
-        assert_eq!(back.timestamp, event.timestamp);
-        assert_eq!(back.kind, event.kind);
-        assert_eq!(back.detail, event.detail);
-        assert_eq!(back.elapsed, event.elapsed);
-        // foreign / corrupted lines are rejected, not guessed at
-        assert!(LogEvent::from_json("not json").is_none());
-        assert!(
-            LogEvent::from_json("{\"ts\": 1.0, \"kind\": \"martian\", \"detail\": \"x\"}")
-                .is_none()
-        );
-    }
-
-    #[test]
-    fn reopened_file_logger_reloads_history() {
-        let dir = std::env::temp_dir().join("lux_logger_reload_test");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn file_logger_appends_after_foreign_lines_and_keeps_nothing() {
+        let dir = std::env::temp_dir().join(format!("lux_logger_sink_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("session.jsonl");
-        let _ = std::fs::remove_file(&path);
-        {
-            let log = SessionLogger::to_file(&path).unwrap();
-            log.log(EventKind::Print, "print 10x2", Some(0.01));
-            log.log(EventKind::Print, "print 10x2", Some(0.01));
-            log.log(EventKind::Export, "vis", None);
+        std::fs::write(&path, "not json\n{\"foreign\": true}\n").expect("seed file");
+        let log = SessionLogger::to_file(&path).expect("open logger");
+        for i in 0..10_000 {
+            log.log(EventKind::Print, format!("print {i}"), None);
         }
-        let reopened = SessionLogger::to_file(&path).unwrap();
-        // history is visible again...
-        assert_eq!(reopened.events().len(), 3);
-        assert_eq!(reopened.count_of(EventKind::Print), 2);
-        assert_eq!(reopened.think_times().len(), 1);
-        // ...and new events append after it, on disk and in memory
-        reopened.log(EventKind::Print, "print 10x2", Some(0.02));
-        assert_eq!(reopened.count_of(EventKind::Print), 3);
-        assert_eq!(reopened.think_times().len(), 2);
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content.lines().count(), 4);
+        assert!(log.events().is_empty(), "a file logger kept events");
+        let content = std::fs::read_to_string(&path).expect("read log");
+        let lines: Vec<&str> = content.lines().collect();
+        assert_eq!(lines.len(), 10_002);
+        assert_eq!(lines[..2], ["not json", "{\"foreign\": true}"]);
+        assert!(lines[2].contains("\"detail\": \"print 0\""), "{}", lines[2]);
+        assert!(lines[10_001].contains("\"detail\": \"print 9999\""));
+        assert!(content.ends_with("}\n"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -17,22 +17,22 @@
 //! naive always-on implementation.
 
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use lux_dataframe::prelude::*;
 use lux_engine::sync::lock_recover;
 use lux_engine::trace::{names as metric, MetricsRegistry, MetricsSnapshot};
 use lux_engine::{
-    failpoint, Admission, AdmissionController, AdmitRequest, CachedSample, DegradeLevel,
-    FlightRecorder, FlightSample, FrameMeta, LuxConfig, PassTrace, Priority, ResourceBudget,
-    SemanticType, ShedReason,
+    failpoint, Admission, AdmissionController, AdmitRequest, CachedSample, FlightRecorder,
+    FrameMeta, LuxConfig, PassSummary, PassTrace, Priority, ResourceBudget, SemanticType,
+    ShedReason,
 };
 use lux_intent::{Clause, Diagnostic};
 use lux_recs::{ActionHealth, ActionRegistry, ActionResult, Pass, PassCtx, TraceCtx};
 use lux_vis::Vis;
 
 use crate::logging::{EventKind, SessionLogger};
-use crate::perf::PassSummary;
 use crate::widget::Widget;
 
 /// Cached per-frame state for the WFLOW optimization.
@@ -581,36 +581,6 @@ impl LuxDataFrame {
             root.tag("governor.summary", note.clone());
         }
         root.end();
-
-        let elapsed = lux_engine::clock::elapsed(start);
-        let metrics = MetricsRegistry::global();
-        // Deadline-miss accounting: the pass finished, but after the client's
-        // end-to-end budget — the client has likely timed out on its side.
-        let deadline_missed = opts.deadline.is_some_and(|d| elapsed > d);
-        if deadline_missed {
-            metrics.incr(metric::DEADLINE_MISSES);
-        }
-        // Per-tenant SLO series (request count, latency, queue wait,
-        // deadline misses) keyed by the request tenant.
-        if let Some(tenant) = opts.tenant.as_deref().or_else(|| permit.tenant()) {
-            metrics.incr_tenant(metric::TENANT_REQUESTS, tenant);
-            metrics.observe_tenant(metric::TENANT_PASS_LATENCY, tenant, elapsed);
-            metrics.observe_tenant(metric::TENANT_QUEUE_WAIT, tenant, permit.waited());
-            if deadline_missed {
-                metrics.incr_tenant(metric::TENANT_DEADLINE_MISSES, tenant);
-            }
-            // Pre-register the event-driven series at zero so a tenant's
-            // SLO catalogue is complete from its first request — scrapers
-            // can tell "no sheds yet" from "tenant unknown".
-            let _ = metrics.tenant_counter_handle(metric::TENANT_SHEDS, tenant);
-            let _ = metrics.tenant_counter_handle(metric::TENANT_DEADLINE_MISSES, tenant);
-        }
-        let governor_skips = governor
-            .events()
-            .iter()
-            .filter(|e| e.level == DegradeLevel::Skipped)
-            .count() as u64;
-        let trace = self.finish_print(root, opts, elapsed, None, deadline_missed, governor_skips);
         Widget::new(
             table,
             results,
@@ -618,7 +588,7 @@ impl LuxDataFrame {
             diagnostics,
             self.df.num_rows(),
             self.df.num_columns(),
-            Some(trace),
+            self.finish_print(root, opts, start, Some(permit.waited())),
             governor_note,
         )
     }
@@ -635,50 +605,54 @@ impl LuxDataFrame {
         }
     }
 
-    /// What every print does once its root span is closed, served or shed
-    /// (`shed` carries the reason): freeze the trace, count the print, emit
-    /// the `Print` and `PassSummary` log events — sheds too, so the JSONL log
-    /// attributes every request — hand the pass to the flight recorder, and
-    /// keep the trace on the frame.
+    /// The one place a finished print is observed, served or shed
+    /// (`permit_wait` is `None` for a shed pass): a served pass that
+    /// outlived its client deadline is tagged `deadline.missed`, the trace
+    /// is frozen and summarized once, and that one [`PassSummary`] feeds
+    /// every sink — the print counters, the tenant SLO series, the
+    /// `Print` / `PassSummary` log events (sheds too, so the JSONL log
+    /// attributes every request), the flight recorder, and the widget the
+    /// caller builds. The trace stays on the frame.
     fn finish_print(
         &self,
         root: &TraceCtx,
         opts: &PrintOptions,
-        elapsed: std::time::Duration,
-        shed: Option<&str>,
-        deadline_miss: bool,
-        governor_skips: u64,
-    ) -> Arc<PassTrace> {
-        let trace = Arc::new(root.collector.snapshot());
+        start: std::time::Instant,
+        permit_wait: Option<std::time::Duration>,
+    ) -> (Arc<PassTrace>, PassSummary) {
+        let elapsed = lux_engine::clock::elapsed(start);
         let metrics = MetricsRegistry::global();
+        // The pass finished, but after the client's end-to-end budget — the
+        // client has likely timed out on its side.
+        if permit_wait.is_some() && opts.deadline.is_some_and(|d| elapsed > d) {
+            root.tag("deadline.missed", "true");
+            metrics.incr(metric::DEADLINE_MISSES);
+        }
+        let trace = Arc::new(root.collector.snapshot());
+        let summary = PassSummary::from_trace(&trace);
         metrics.incr(metric::PRINTS);
         metrics.observe(metric::PRINT_LATENCY, elapsed);
-        let summary = PassSummary::from_trace(&trace).to_compact_json();
-        if let Some(log) = &self.logger {
-            let mut detail = format!("print {}x{}", self.df.num_rows(), self.df.num_columns());
-            if let Some(reason) = shed {
-                detail.push_str(&format!(" shed: {reason}"));
-            }
-            log.log(EventKind::Print, detail, Some(elapsed.as_secs_f64()));
-            log.log(
-                EventKind::PassSummary,
-                summary.clone(),
-                Some(elapsed.as_secs_f64()),
+        if let Some(tenant) = &summary.tenant {
+            record_slo(
+                metrics,
+                tenant,
+                elapsed,
+                permit_wait,
+                summary.deadline_missed,
             );
         }
-        FlightRecorder::global().record(
-            Arc::clone(&trace),
-            FlightSample {
-                request_id: opts.request_id.clone().unwrap_or_default(),
-                tenant: opts.tenant.clone().unwrap_or_default(),
-                shed: shed.is_some(),
-                deadline_miss,
-                governor_skips,
-                summary_json: summary,
-            },
-        );
+        if let Some(log) = &self.logger {
+            let mut detail = format!("print {}x{}", self.df.num_rows(), self.df.num_columns());
+            if let Some(reason) = &summary.admission_shed {
+                detail.push_str(&format!(" shed: {reason}"));
+            }
+            let elapsed = Some(elapsed.as_secs_f64());
+            log.log(EventKind::Print, detail, elapsed);
+            log.log(EventKind::PassSummary, summary.to_compact_json(), elapsed);
+        }
+        FlightRecorder::global().record(Arc::clone(&trace), &summary);
         *lock_recover(&self.last_trace) = Some(Arc::clone(&trace));
-        trace
+        (trace, summary)
     }
 
     /// The load-shedding tail of [`LuxDataFrame::print`]: admission refused
@@ -708,23 +682,18 @@ impl LuxDataFrame {
             }),
             None => Vec::new(),
         };
-        root.tag("admission.shed", shed.reason.clone());
+        root.tag("admission.shed", shed.reason);
         root.tag("admission.priority", shed.priority.name());
         root.end();
-        let elapsed = lux_engine::clock::elapsed(start);
-        if let Some(tenant) = opts.tenant.as_deref() {
-            let metrics = MetricsRegistry::global();
-            metrics.incr_tenant(metric::TENANT_REQUESTS, tenant);
-            metrics.incr_tenant(metric::TENANT_SHEDS, tenant);
-        }
-        let trace = self.finish_print(&root, opts, elapsed, Some(&shed.reason), false, 0);
-        Widget::busy(
+        Widget::new(
             table,
+            Arc::default(),
+            Arc::default(),
             diagnostics,
             self.df.num_rows(),
             self.df.num_columns(),
-            Some(trace),
-            shed.reason,
+            self.finish_print(&root, opts, start, None),
+            None,
         )
     }
 
@@ -915,6 +884,33 @@ impl LuxDataFrame {
             Arc::clone(&self.config),
             Arc::clone(&self.registry),
         ))
+    }
+}
+
+/// The tenant SLO series of one finished print, served or shed
+/// (`permit_wait` is `None` for a shed pass): a shed counts a shed; a
+/// served pass observes its latency since the admission request and its
+/// permit wait.
+fn record_slo(
+    metrics: &MetricsRegistry,
+    tenant: &str,
+    elapsed: std::time::Duration,
+    permit_wait: Option<std::time::Duration>,
+    deadline_missed: bool,
+) {
+    metrics.incr_tenant(metric::TENANT_REQUESTS, tenant);
+    let Some(wait) = permit_wait else {
+        metrics.incr_tenant(metric::TENANT_SHEDS, tenant);
+        return;
+    };
+    metrics.observe_tenant(metric::TENANT_PASS_LATENCY, tenant, elapsed);
+    metrics.observe_tenant(metric::TENANT_QUEUE_WAIT, tenant, wait);
+    // The event-driven series exist at zero from a tenant's first served
+    // request, so scrapers can tell "no sheds yet" from "tenant unknown".
+    let _ = metrics.tenant_counter_handle(metric::TENANT_SHEDS, tenant);
+    let misses = metrics.tenant_counter_handle(metric::TENANT_DEADLINE_MISSES, tenant);
+    if deadline_missed {
+        misses.fetch_add(1, Ordering::Relaxed);
     }
 }
 

@@ -8,12 +8,11 @@
 
 use std::sync::Arc;
 
-use lux_engine::PassTrace;
+use lux_engine::{PassSummary, PassTrace};
 use lux_intent::{Diagnostic, Severity};
 use lux_recs::{ActionHealth, ActionResult};
 use lux_vis::render::{ascii, vega};
 
-use crate::perf::PassSummary;
 use crate::wire::{put_opt, put_str, put_vec, Reader};
 
 /// The output of [`crate::LuxDataFrame::print`].
@@ -24,17 +23,22 @@ pub struct Widget {
     diagnostics: Vec<Diagnostic>,
     num_rows: usize,
     num_columns: usize,
-    trace: Option<Arc<PassTrace>>,
+    trace: Arc<PassTrace>,
+    /// The pass's one summary, computed when the print finished: the timing
+    /// footer and the shed note read it.
+    summary: PassSummary,
     /// One-line summary of resource-governor degradations during the pass
     /// (`None` when everything ran exact within budget).
     governor_note: Option<String>,
-    /// Set when admission control shed the pass: the engine was too busy to
-    /// run recommendations, so the widget degrades to the plain table plus
-    /// this reason (never a panic or a hang).
-    shed_note: Option<String>,
 }
 
 impl Widget {
+    /// The widget of a finished pass, with the trace and summary its print
+    /// produced. A shed pass (DESIGN.md §10) — its summary carries
+    /// `admission.shed` — comes with no results: the engine was too busy to
+    /// run recommendations, so the widget degrades to the plain table plus
+    /// the reason (never a panic or a hang), and display, export and the
+    /// timing footer all still work.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         table: String,
@@ -43,7 +47,7 @@ impl Widget {
         diagnostics: Vec<Diagnostic>,
         num_rows: usize,
         num_columns: usize,
-        trace: Option<Arc<PassTrace>>,
+        (trace, summary): (Arc<PassTrace>, PassSummary),
         governor_note: Option<String>,
     ) -> Widget {
         Widget {
@@ -54,39 +58,14 @@ impl Widget {
             num_rows,
             num_columns,
             trace,
+            summary,
             governor_note,
-            shed_note: None,
-        }
-    }
-
-    /// A well-formed "engine busy" widget: the table view with no
-    /// recommendation tabs, produced when admission control sheds the pass
-    /// under overload (DESIGN.md §10). Still a complete widget — display,
-    /// export, and the timing footer all work.
-    pub(crate) fn busy(
-        table: String,
-        diagnostics: Vec<Diagnostic>,
-        num_rows: usize,
-        num_columns: usize,
-        trace: Option<Arc<PassTrace>>,
-        shed_note: String,
-    ) -> Widget {
-        Widget {
-            table,
-            results: Arc::new(Vec::new()),
-            health: Arc::new(Vec::new()),
-            diagnostics,
-            num_rows,
-            num_columns,
-            trace,
-            governor_note: None,
-            shed_note: Some(shed_note),
         }
     }
 
     /// The span tree of the pass that produced this widget.
     pub fn trace(&self) -> Option<&Arc<PassTrace>> {
-        self.trace.as_ref()
+        Some(&self.trace)
     }
 
     /// The resource-governor marker for this pass: which steps degraded and
@@ -98,19 +77,17 @@ impl Widget {
     /// Why admission control shed this pass, or `None` when it ran
     /// normally. A shed widget has a table but no recommendation tabs.
     pub fn shed_note(&self) -> Option<&str> {
-        self.shed_note.as_deref()
+        self.summary.admission_shed.as_deref()
     }
 
     /// Whether this pass was shed by admission control (engine busy).
     pub fn was_shed(&self) -> bool {
-        self.shed_note.is_some()
+        self.shed_note().is_some()
     }
 
-    /// The one-line per-pass timing footer (`None` for untraced widgets).
+    /// The one-line per-pass timing footer.
     pub fn timing_footer(&self) -> Option<String> {
-        self.trace
-            .as_ref()
-            .map(|t| PassSummary::from_trace(t).footer())
+        Some(self.summary.footer())
     }
 
     /// The plain table view (the pandas-equivalent default display).
@@ -165,7 +142,7 @@ impl Widget {
         if let Some(note) = &self.governor_note {
             out.push_str(&format!("(~) {note}\n"));
         }
-        if let Some(note) = &self.shed_note {
+        if let Some(note) = self.shed_note() {
             out.push_str(&format!("(!) engine busy: {note}\n"));
             out.push_str(&self.table);
             return out;
@@ -270,7 +247,7 @@ impl std::fmt::Display for Widget {
         if let Some(note) = &self.governor_note {
             writeln!(f, "[{note}]")?;
         }
-        if let Some(note) = &self.shed_note {
+        if let Some(note) = self.shed_note() {
             writeln!(f, "[engine busy: {note}]")?;
         }
         if let Some(footer) = self.timing_footer() {

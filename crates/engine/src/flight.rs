@@ -1,16 +1,16 @@
 //! Anomaly-triggered flight recorder for recommendation passes.
 //!
-//! A bounded ring buffer of the most recent [`PassTrace`]s (plus their
-//! compact pass-summary JSON) that an operator can inspect after the fact:
-//! "the p99 spiked at 14:32 — show me the trace of the pass that did it".
-//! Every finished pass is offered to the recorder; passes that trip an
-//! anomaly trigger are *pinned* (survive ring eviction) and their Chrome
-//! trace JSON is dumped to a spool directory for offline analysis.
+//! A bounded ring buffer of the most recent [`PassTrace`]s that an operator
+//! can inspect after the fact: "the p99 spiked at 14:32 — show me the trace
+//! of the pass that did it". Every finished pass is offered to the recorder
+//! with its [`PassSummary`]; passes that trip an anomaly trigger are *pinned*
+//! (survive ring eviction) and their Chrome trace JSON is dumped to a spool
+//! directory for offline analysis.
 //!
-//! Anomaly triggers:
-//! - the pass was **shed** by admission control;
-//! - the pass **missed its deadline** (finished after the client budget);
-//! - the governor **skipped** at least one stage (`DegradeLevel::Skipped`);
+//! Anomaly triggers, each read off the summary (and so off the trace the
+//! dump carries):
+//! - the pass was **shed** by admission control (`admission.shed`);
+//! - the pass **missed its deadline** (`deadline.missed`);
 //! - pass latency exceeded a configurable **multiple of the rolling p99**
 //!   (default 4x, after a 32-sample warm-up window).
 //!
@@ -26,6 +26,7 @@ use std::sync::{Mutex, OnceLock};
 use crate::sync::lock_recover;
 use std::sync::Arc;
 
+use crate::summary::PassSummary;
 use crate::trace::{names, MetricsRegistry, PassTrace};
 
 /// Ring capacity of the process-wide recorder.
@@ -37,22 +38,6 @@ const LATENCY_WINDOW: usize = 256;
 /// Minimum samples before the latency-outlier trigger arms.
 const MIN_P99_SAMPLES: usize = 32;
 
-/// What the caller knows about one finished pass, offered to
-/// [`FlightRecorder::record`].
-#[derive(Debug, Clone, Default)]
-pub struct FlightSample {
-    pub request_id: String,
-    pub tenant: String,
-    /// The pass was shed by admission control (busy widget returned).
-    pub shed: bool,
-    /// The pass finished after its client-supplied deadline.
-    pub deadline_miss: bool,
-    /// Number of governor events at `DegradeLevel::Skipped`.
-    pub governor_skips: u64,
-    /// Compact pass-summary JSON (empty when unavailable, e.g. sheds).
-    pub summary_json: String,
-}
-
 /// One recorded pass in the ring.
 #[derive(Debug, Clone)]
 pub struct FlightEntry {
@@ -63,13 +48,12 @@ pub struct FlightEntry {
     pub total_ns: u64,
     pub request_id: String,
     pub tenant: String,
-    /// Trigger that pinned this entry, e.g. `"shed"`, `"deadline"`,
-    /// `"governor-skip"`, `"latency-outlier"`. `None` for routine passes.
-    pub anomaly: Option<String>,
+    /// Trigger that pinned this entry: `"shed"`, `"deadline"` or
+    /// `"latency-outlier"`. `None` for routine passes.
+    pub anomaly: Option<&'static str>,
     /// Spool file the Chrome trace was dumped to, when an anomaly fired and
     /// a spool directory is configured.
     pub dump_path: Option<PathBuf>,
-    pub summary_json: String,
     /// Shared, not cloned: recording a routine pass must stay O(1) — the
     /// print path hands over its existing `Arc`.
     pub trace: Arc<PassTrace>,
@@ -157,7 +141,7 @@ impl FlightRecorder {
 
     /// Offer one finished pass. Returns the spool path when an anomaly fired
     /// and the trace was dumped.
-    pub fn record(&self, trace: Arc<PassTrace>, sample: FlightSample) -> Option<PathBuf> {
+    pub fn record(&self, trace: Arc<PassTrace>, summary: &PassSummary) -> Option<PathBuf> {
         if !self.enabled() {
             return None;
         }
@@ -166,7 +150,7 @@ impl FlightRecorder {
         let (seq, anomaly) = {
             let mut inner = lock_recover(&self.inner);
             inner.seq += 1;
-            let anomaly = self.classify(&inner, total_ns, &sample);
+            let anomaly = self.classify(&inner, total_ns, summary);
             // The window feeds the p99 estimate; exclude anomalous passes so
             // a burst of outliers cannot ratchet the baseline up and mask
             // later ones.
@@ -182,7 +166,7 @@ impl FlightRecorder {
         };
         metrics.incr(names::FLIGHT_RECORDED);
         let mut dump_path = None;
-        if let Some(reason) = &anomaly {
+        if let Some(reason) = anomaly {
             if let Some(dir) = self.spool() {
                 let file = dir.join(format!("flight-{seq:06}-{reason}.json"));
                 match std::fs::write(&file, trace.to_chrome_json()) {
@@ -195,11 +179,10 @@ impl FlightRecorder {
             seq,
             unix_ms: unix_ms(),
             total_ns,
-            request_id: sample.request_id,
-            tenant: sample.tenant,
-            anomaly: anomaly.clone(),
+            request_id: summary.request_id.clone().unwrap_or_default(),
+            tenant: summary.tenant.clone().unwrap_or_default(),
+            anomaly,
             dump_path: dump_path.clone(),
-            summary_json: sample.summary_json,
             trace,
         };
         let mut inner = lock_recover(&self.inner);
@@ -216,23 +199,23 @@ impl FlightRecorder {
         dump_path
     }
 
-    fn classify(&self, inner: &Inner, total_ns: u64, sample: &FlightSample) -> Option<String> {
-        if sample.shed {
-            return Some("shed".to_string());
+    fn classify(
+        &self,
+        inner: &Inner,
+        total_ns: u64,
+        summary: &PassSummary,
+    ) -> Option<&'static str> {
+        if summary.admission_shed.is_some() {
+            Some("shed")
+        } else if summary.deadline_missed {
+            Some("deadline")
+        } else if inner.latencies.len() >= MIN_P99_SAMPLES
+            && total_ns > rolling_p99(&inner.latencies).saturating_mul(self.latency_mult)
+        {
+            Some("latency-outlier")
+        } else {
+            None
         }
-        if sample.deadline_miss {
-            return Some("deadline".to_string());
-        }
-        if sample.governor_skips > 0 {
-            return Some("governor-skip".to_string());
-        }
-        if inner.latencies.len() >= MIN_P99_SAMPLES {
-            let p99 = rolling_p99(&inner.latencies);
-            if total_ns > p99.saturating_mul(self.latency_mult) {
-                return Some("latency-outlier".to_string());
-            }
-        }
-        None
     }
 
     /// The most recent `n` entries, newest first.
@@ -287,7 +270,7 @@ impl FlightRecorder {
                 e.total_ns as f64 / 1e6,
                 truncate(&e.tenant, 15),
                 truncate(&e.request_id, 20),
-                e.anomaly.as_deref().unwrap_or("-"),
+                e.anomaly.unwrap_or("-"),
             );
         }
         out
@@ -318,32 +301,37 @@ fn truncate(s: &str, n: usize) -> String {
 mod tests {
     use super::*;
     use crate::trace::TraceCollector;
-    use std::time::Duration;
 
-    fn trace_of(ms: u64) -> Arc<PassTrace> {
+    /// A finished pass of `ms` milliseconds with `tags` on its root, as the
+    /// print path hands it over: the trace and its summary.
+    fn pass(ms: u64, tags: &[(&str, &str)]) -> (Arc<PassTrace>, PassSummary) {
         let c = TraceCollector::new();
         let root = c.begin(None, "print");
-        std::thread::sleep(Duration::from_millis(1));
+        c.tag(root, "request.id", "req-1");
+        c.tag(root, "request.tenant", "acme");
+        for (k, v) in tags {
+            c.tag(root, *k, *v);
+        }
         c.end(root);
         let mut t = c.snapshot();
         // Pin a deterministic duration for trigger math.
         t.total_ns = ms * 1_000_000;
-        Arc::new(t)
+        let summary = PassSummary::from_trace(&t);
+        (Arc::new(t), summary)
     }
 
-    fn sample() -> FlightSample {
-        FlightSample {
-            request_id: "req-1".into(),
-            tenant: "acme".into(),
-            ..FlightSample::default()
-        }
+    fn record(r: &FlightRecorder, ms: u64, tags: &[(&str, &str)]) -> Option<PathBuf> {
+        let (trace, summary) = pass(ms, tags);
+        r.record(trace, &summary)
     }
+
+    const SHED: &[(&str, &str)] = &[("admission.shed", "all 2 session slots busy")];
 
     #[test]
     fn ring_is_bounded_and_ordered() {
         let r = FlightRecorder::new(4, 4);
         for _ in 0..10 {
-            r.record(trace_of(5), sample());
+            record(&r, 5, &[]);
         }
         let recent = r.recent(16);
         assert_eq!(recent.len(), 4);
@@ -355,15 +343,13 @@ mod tests {
     #[test]
     fn anomalies_pin_and_survive_eviction() {
         let r = FlightRecorder::new(2, 4);
-        let mut s = sample();
-        s.shed = true;
-        r.record(trace_of(5), s);
+        record(&r, 5, SHED);
         for _ in 0..5 {
-            r.record(trace_of(5), sample());
+            record(&r, 5, &[]);
         }
         let pinned = r.pinned();
         assert_eq!(pinned.len(), 1);
-        assert_eq!(pinned[0].anomaly.as_deref(), Some("shed"));
+        assert_eq!(pinned[0].anomaly, Some("shed"));
         // Evicted from the ring but retained in the pinned set.
         assert!(r.recent(16).iter().all(|e| e.seq != pinned[0].seq));
         let (recorded, anomalies) = r.totals();
@@ -371,20 +357,12 @@ mod tests {
     }
 
     #[test]
-    fn deadline_and_governor_triggers_classify() {
+    fn deadline_trigger_classifies() {
         let r = FlightRecorder::new(8, 4);
-        let mut s = sample();
-        s.deadline_miss = true;
-        r.record(trace_of(5), s);
-        let mut s = sample();
-        s.governor_skips = 2;
-        r.record(trace_of(5), s);
-        let kinds: Vec<String> = r
-            .pinned()
-            .iter()
-            .filter_map(|e| e.anomaly.clone())
-            .collect();
-        assert_eq!(kinds, vec!["governor-skip", "deadline"]);
+        record(&r, 5, &[("deadline.missed", "true")]);
+        record(&r, 5, SHED);
+        let kinds: Vec<&str> = r.pinned().iter().filter_map(|e| e.anomaly).collect();
+        assert_eq!(kinds, vec!["shed", "deadline"]);
     }
 
     #[test]
@@ -392,18 +370,18 @@ mod tests {
         let r = FlightRecorder::new(512, 4);
         // Below the 32-sample warm-up: a huge pass is not an outlier yet.
         for _ in 0..MIN_P99_SAMPLES - 1 {
-            r.record(trace_of(10), sample());
+            record(&r, 10, &[]);
         }
-        r.record(trace_of(1000), sample());
+        record(&r, 1000, &[]);
         assert!(r.pinned().is_empty(), "trigger must not arm before warm-up");
         // That 1s pass entered the window; top it up past the threshold.
         for _ in 0..MIN_P99_SAMPLES {
-            r.record(trace_of(10), sample());
+            record(&r, 10, &[]);
         }
-        r.record(trace_of(100_000), sample());
+        record(&r, 100_000, &[]);
         let pinned = r.pinned();
         assert_eq!(pinned.len(), 1);
-        assert_eq!(pinned[0].anomaly.as_deref(), Some("latency-outlier"));
+        assert_eq!(pinned[0].anomaly, Some("latency-outlier"));
     }
 
     #[test]
@@ -415,13 +393,11 @@ mod tests {
         ));
         let r = FlightRecorder::new(8, 4);
         r.set_spool(&dir);
-        let mut s = sample();
-        s.shed = true;
-        let path = r
-            .record(trace_of(5), s)
-            .expect("anomaly dumps when spool set");
+        let path = record(&r, 5, SHED).expect("anomaly dumps when spool set");
         let json = std::fs::read_to_string(&path).expect("dump readable");
         assert!(json.starts_with('[') && json.trim_end().ends_with(']'));
+        // The dump carries why it was pinned.
+        assert!(json.contains("admission.shed"), "{json}");
         let name = path
             .file_name()
             .and_then(|n| n.to_str())
@@ -431,9 +407,7 @@ mod tests {
         // the pass is still recorded.
         let _ = std::fs::remove_dir_all(&dir);
         let failures0 = MetricsRegistry::global().counter(names::FLIGHT_DUMP_FAILURES);
-        let mut s = sample();
-        s.shed = true;
-        assert!(r.record(trace_of(5), s).is_none());
+        assert!(record(&r, 5, SHED).is_none());
         assert!(MetricsRegistry::global().counter(names::FLIGHT_DUMP_FAILURES) > failures0);
         assert_eq!(r.pinned().len(), 2);
     }
@@ -441,9 +415,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables() {
         let r = FlightRecorder::new(0, 4);
-        let mut s = sample();
-        s.shed = true;
-        assert!(r.record(trace_of(5), s).is_none());
+        assert!(record(&r, 5, SHED).is_none());
         assert!(r.recent(4).is_empty());
         assert!(!r.enabled());
     }
@@ -451,9 +423,7 @@ mod tests {
     #[test]
     fn render_text_lists_entries() {
         let r = FlightRecorder::new(8, 4);
-        let mut s = sample();
-        s.deadline_miss = true;
-        r.record(trace_of(5), s);
+        record(&r, 5, &[("deadline.missed", "true")]);
         let text = r.render_text();
         assert!(text.contains("1 recorded, 1 anomalies"));
         assert!(text.contains("deadline"));

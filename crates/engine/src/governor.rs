@@ -12,8 +12,7 @@
 //! 1. **exact** — the normal path, within budget;
 //! 2. **sampled** — recompute over the cached sample (PRUNE machinery);
 //! 3. **capped cardinality** — "top-K + other" group enumeration
-//!    ([`lux_dataframe`'s `groupby_capped`]);
-//! 4. **skipped** — the step is dropped and a marker recorded.
+//!    ([`lux_dataframe`'s `groupby_capped`]).
 //!
 //! Each downgrade is recorded as a [`GovernorEvent`], surfaced as an
 //! `ActionStatus::Degraded` reason, a `lux.governor.*` metric, and a span
@@ -109,8 +108,6 @@ pub enum DegradeLevel {
     Sampled,
     /// Group enumeration folded into "top-K + other".
     CappedCardinality,
-    /// Step dropped entirely; only the marker remains.
-    Skipped,
 }
 
 impl DegradeLevel {
@@ -119,7 +116,6 @@ impl DegradeLevel {
             DegradeLevel::Exact => "exact",
             DegradeLevel::Sampled => "sampled",
             DegradeLevel::CappedCardinality => "capped-cardinality",
-            DegradeLevel::Skipped => "skipped",
         }
     }
 }
@@ -459,7 +455,7 @@ mod tests {
             DegradeLevel::CappedCardinality,
             "998000 uniques",
         );
-        h.record("action:Occurrence", DegradeLevel::Skipped, "over budget");
+        h.record("action:Occurrence", DegradeLevel::Sampled, "over budget");
         assert_eq!(h.event_count(), 2);
         let s = h.summary().expect("summary");
         assert!(s.contains("2 step(s) degraded"), "{s}");
@@ -510,6 +506,5 @@ mod tests {
     fn degrade_ladder_is_ordered() {
         assert!(DegradeLevel::Exact < DegradeLevel::Sampled);
         assert!(DegradeLevel::Sampled < DegradeLevel::CappedCardinality);
-        assert!(DegradeLevel::CappedCardinality < DegradeLevel::Skipped);
     }
 }

@@ -10,13 +10,14 @@
 //! - [`config`] — the knobs that express the paper's experimental conditions
 //!   (`no-opt` / `wflow` / `wflow+prune` / `all-opt`);
 //! - [`governor`] — per-pass resource budgets and the degradation ladder
-//!   (exact → sampled → capped-cardinality → skipped) that keep the
+//!   (exact → sampled → capped-cardinality) that keep the
 //!   always-on print path bounded in memory as well as latency
 //!   (DESIGN.md §8);
 //! - [`trace`] — the always-on span/metrics subsystem: every print pass
 //!   records a [`PassTrace`] span tree and feeds the process-wide
-//!   [`MetricsRegistry`] (see DESIGN.md §7);
-//! - [`pool`] — the zero-dependency work-stealing thread pool behind the
+//!   [`MetricsRegistry`], and [`summary`] boils each finished trace down to
+//!   the one [`PassSummary`] every sink reads (see DESIGN.md §7);
+//! - [`pool`] — the zero-dependency thread pool behind the
 //!   parallel print path: metadata fan-out, per-vis score/process, and
 //!   per-action execution (DESIGN.md §9).
 //!
@@ -38,6 +39,7 @@ pub mod pool;
 pub mod rng;
 pub mod sample;
 pub mod stats;
+pub mod summary;
 pub mod sync;
 pub mod trace;
 
@@ -47,7 +49,7 @@ pub use admission::{
 };
 pub use config::LuxConfig;
 pub use cost::{CostModel, OpClass};
-pub use flight::{FlightEntry, FlightRecorder, FlightSample};
+pub use flight::{FlightEntry, FlightRecorder};
 pub use governor::{
     cmp_cost_asc, cmp_score_desc, drain_sink, event_sink, BudgetHandle, DegradeLevel, EventSink,
     GovernorEvent, ResourceBudget,
@@ -56,6 +58,7 @@ pub use metadata::{ColumnMeta, FrameMeta, SemanticType};
 pub use pool::{parallel_for, parallel_map, worker_index, WorkPool};
 pub use rng::SeededRng;
 pub use sample::{CachedSample, DEFAULT_SAMPLE_CAP};
+pub use summary::PassSummary;
 pub use sync::lock_recover;
 pub use trace::{
     Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot, PassTrace, SpanId, SpanRecord,

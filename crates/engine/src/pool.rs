@@ -1,19 +1,19 @@
-//! Zero-dependency work-stealing thread pool for the parallel print path.
+//! Zero-dependency thread pool for the parallel print path.
 //!
 //! The paper's ASYNC optimization only *orders* actions by estimated cost;
 //! every pass still executes on one thread. This pool parallelizes the three
 //! stages that dominate the trace bench — per-column metadata scans, per-vis
-//! scoring/processing, and the group-by kernel — without adding a
+//! scoring/processing, and per-action execution — without adding a
 //! dependency (crossbeam was dropped in PR 1).
 //!
 //! Design (DESIGN.md §9):
 //!
 //! - one process-wide pool, lazily started, sized from
 //!   [`std::thread::available_parallelism`];
-//! - a mutex+condvar **injector** queue for tasks submitted from outside the
-//!   pool, plus one **local deque per worker**: a worker pushes subtasks to
-//!   its own deque (LIFO pop for cache locality) and idle workers **steal**
-//!   from the front of other workers' deques (FIFO, oldest first);
+//! - one mutex+condvar **injector** queue the workers pop FIFO — no pool
+//!   task forks further work (metadata, score and process all fan out from
+//!   callers or lane threads), so there is nothing for per-worker deques to
+//!   hold;
 //! - fork-join entry points ([`parallel_for`] / [`parallel_map`]) that keep
 //!   borrowed data on the caller's stack: indices are claimed from a shared
 //!   cursor, the caller itself drains the cursor (so every join completes
@@ -53,8 +53,8 @@ use crate::trace::{names, MetricsRegistry};
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
 thread_local! {
-    /// Index of the pool worker running on this thread, if any. Used both
-    /// for local-queue routing and for `sched.worker` trace tags.
+    /// Index of the pool worker running on this thread, if any, for the
+    /// `sched.worker` trace tags.
     static WORKER_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
@@ -65,11 +65,9 @@ pub fn worker_index() -> Option<usize> {
 }
 
 struct Shared {
-    /// Tasks submitted from threads outside the pool.
+    /// The one task queue: pushed by [`WorkPool::spawn`], popped FIFO.
     injector: Mutex<VecDeque<Task>>,
-    /// One deque per worker; owner pops LIFO, thieves steal FIFO.
-    locals: Vec<Mutex<VecDeque<Task>>>,
-    /// Signalled whenever a task is pushed anywhere.
+    /// Signalled whenever a task is pushed.
     available: Condvar,
     /// Pool epoch origin for the watchdog's coarse clocks.
     started: Instant,
@@ -90,43 +88,48 @@ impl Shared {
     fn epoch_ms(&self) -> u64 {
         (self.started.elapsed().as_millis() as u64).max(1)
     }
-    /// Pop work from anywhere: own deque first (newest — best locality),
-    /// then the injector, then steal the oldest task from another worker.
-    fn find_task(&self, own: Option<usize>) -> Option<Task> {
-        if let Some(me) = own {
-            if let Some(t) = lock_recover(&self.locals[me]).pop_back() {
-                return Some(t);
-            }
-        }
-        if let Some(t) = lock_recover(&self.injector).pop_front() {
-            return Some(t);
-        }
-        let n = self.locals.len();
-        let start = own.map(|i| i + 1).unwrap_or(0);
-        for off in 0..n {
-            let j = (start + off) % n;
-            if own == Some(j) {
-                continue;
-            }
-            if let Some(t) = lock_recover(&self.locals[j]).pop_front() {
-                return Some(t);
-            }
-        }
-        None
-    }
 }
 
 /// Elastic lane for detached tasks that may block or hang (streaming action
 /// workers abandoned at the hard cutoff). These must never occupy the fixed
-/// work-stealing workers — on a small machine one hung action would starve
-/// every queued task behind it — so the lane grows a thread whenever a task
-/// arrives with no idle thread, reuses warm threads otherwise, and lets
-/// idle threads expire.
+/// workers — on a small machine one hung action would starve every queued
+/// task behind it — so the lane grows a thread whenever queued tasks
+/// outnumber idle threads, reuses warm threads otherwise, and lets idle
+/// threads expire.
+#[derive(Default)]
 struct Detached {
     inner: Mutex<DetachedInner>,
     available: Condvar,
 }
 
+impl Detached {
+    /// Queue `task` and make sure a thread will take it. A thread woken by
+    /// an earlier push still counts as idle until it re-takes the lock, so
+    /// "no idle thread" is the wrong test: back-to-back pushes would queue
+    /// the second task behind the first instead of starting it.
+    fn spawn(self: &Arc<Self>, task: Task) {
+        let mut inner = lock_recover(&self.inner);
+        inner.queue.push_back(task);
+        let starved = inner.queue.len() > inner.idle;
+        drop(inner);
+        self.available.notify_one();
+        if starved {
+            let lane = Arc::clone(self);
+            let spawned = std::thread::Builder::new()
+                .name("lux-pool-detached".to_string())
+                .spawn(move || detached_loop(lane))
+                .is_ok();
+            if !spawned {
+                // Out of threads: run inline rather than strand the task.
+                if let Some(t) = lock_recover(&self.inner).queue.pop_back() {
+                    run_task(t);
+                }
+            }
+        }
+    }
+}
+
+#[derive(Default)]
 struct DetachedInner {
     queue: VecDeque<Task>,
     idle: usize,
@@ -165,7 +168,7 @@ fn detached_loop(lane: Arc<Detached>) {
     }
 }
 
-/// The work-stealing pool. One global instance serves the whole process;
+/// The pool. One global instance serves the whole process;
 /// per-call parallelism is bounded by the `par` argument of the fork-join
 /// entry points, not by reconfiguring the pool.
 pub struct WorkPool {
@@ -179,7 +182,6 @@ impl WorkPool {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
             injector: Mutex::new(VecDeque::new()),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             available: Condvar::new(),
             started: clock::now(),
             busy_since_ms: (0..workers).map(|_| AtomicU64::new(0)).collect(),
@@ -196,16 +198,9 @@ impl WorkPool {
                 .spawn(move || watchdog_loop(shared))
                 .ok();
         }
-        let detached = Arc::new(Detached {
-            inner: Mutex::new(DetachedInner {
-                queue: VecDeque::new(),
-                idle: 0,
-            }),
-            available: Condvar::new(),
-        });
         WorkPool {
             shared,
-            detached,
+            detached: Arc::default(),
             workers,
         }
     }
@@ -215,44 +210,20 @@ impl WorkPool {
         self.workers
     }
 
-    /// Submit a task for the work-stealing workers. From a pool worker the
-    /// task lands on that worker's own deque (and is stealable); from any
-    /// other thread it goes through the injector. Tasks on this path are
-    /// expected to be compute-bound and finite — anything that may block
-    /// indefinitely belongs on [`WorkPool::spawn_detached`].
+    /// Submit a task for the fixed workers. Tasks on this path are expected
+    /// to be compute-bound and finite — anything that may block indefinitely
+    /// belongs on [`WorkPool::spawn_detached`].
     pub fn spawn(&self, task: Task) {
-        match worker_index() {
-            Some(me) if me < self.shared.locals.len() => {
-                lock_recover(&self.shared.locals[me]).push_back(task);
-            }
-            _ => lock_recover(&self.shared.injector).push_back(task),
-        }
+        lock_recover(&self.shared.injector).push_back(task);
         self.shared.available.notify_one();
     }
 
     /// Submit a detached task that may block for a long time (or hang and
     /// be abandoned at a hard cutoff). Runs on the elastic detached lane —
     /// a warm thread when one is idle, a fresh one otherwise — never on the
-    /// fixed work-stealing workers, so it cannot starve fork-join work.
+    /// fixed workers, so it cannot starve fork-join work.
     pub fn spawn_detached(&self, task: Task) {
-        let mut inner = lock_recover(&self.detached.inner);
-        inner.queue.push_back(task);
-        if inner.idle == 0 {
-            drop(inner);
-            let lane = Arc::clone(&self.detached);
-            let spawned = std::thread::Builder::new()
-                .name("lux-pool-detached".to_string())
-                .spawn(move || detached_loop(lane))
-                .is_ok();
-            if !spawned {
-                // Out of threads: run inline rather than strand the task.
-                if let Some(t) = lock_recover(&self.detached.inner).queue.pop_back() {
-                    run_task(t);
-                }
-            }
-        } else {
-            self.detached.available.notify_one();
-        }
+        self.detached.spawn(task);
     }
 }
 
@@ -295,21 +266,18 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
         // Outside the task guard on purpose: a `panic` action here escapes
         // the loop and exercises the supervisor respawn path.
         let _ = crate::failpoint::hit(crate::failpoint::names::POOL_WORKER_LOOP);
-        if let Some(task) = shared.find_task(Some(index)) {
-            shared.busy_since_ms[index].store(shared.epoch_ms(), Ordering::Relaxed);
-            run_task(task);
-            shared.busy_since_ms[index].store(0, Ordering::Relaxed);
+        let mut queue = lock_recover(&shared.injector);
+        let Some(task) = queue.pop_front() else {
+            // Timed, so an idle worker still passes the failpoint above.
+            let _ = shared
+                .available
+                .wait_timeout(queue, Duration::from_millis(50));
             continue;
-        }
-        let guard = lock_recover(&shared.injector);
-        if !guard.is_empty() {
-            continue; // raced with a push; retry the fast path
-        }
-        // Timed wait: a push to a *local* deque notifies while we are
-        // between the steal sweep and this wait, so never sleep forever.
-        let _ = shared
-            .available
-            .wait_timeout(guard, Duration::from_millis(50));
+        };
+        drop(queue);
+        shared.busy_since_ms[index].store(shared.epoch_ms(), Ordering::Relaxed);
+        run_task(task);
+        shared.busy_since_ms[index].store(0, Ordering::Relaxed);
     }
 }
 
@@ -633,6 +601,48 @@ mod tests {
             let (g, _) = cv.wait_timeout(guard, left).expect("counter lock");
             guard = g;
         }
+    }
+
+    /// `run_pass` dispatches ASYNC actions back to back. On a lane with one
+    /// warm idle thread, A (which waits for B to start) and B pushed in a
+    /// row must both start: queued behind A, B never would.
+    #[test]
+    fn detached_lane_starts_back_to_back_tasks() {
+        let lane = Arc::new(Detached::default());
+        let (warm_tx, warm_rx) = std::sync::mpsc::channel();
+        lane.spawn(Box::new(move || warm_tx.send(()).expect("warm-up report")));
+        warm_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("warm-up task ran");
+        let deadline = clock::now() + Duration::from_secs(5);
+        while lock_recover(&lane.inner).idle != 1 {
+            assert!(clock::now() < deadline, "warm thread never went idle");
+            std::thread::yield_now();
+        }
+        let b_started = Arc::new((Mutex::new(false), Condvar::new()));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (a_started, a_tx) = (Arc::clone(&b_started), tx.clone());
+        lane.spawn(Box::new(move || {
+            let (lock, cv) = &*a_started;
+            let guard = lock.lock().expect("b_started lock");
+            let (guard, _) = cv
+                .wait_timeout_while(guard, Duration::from_secs(2), |started| !*started)
+                .expect("b_started lock");
+            a_tx.send(("A", *guard)).expect("A report");
+        }));
+        lane.spawn(Box::new(move || {
+            *b_started.0.lock().expect("b_started lock") = true;
+            b_started.1.notify_all();
+            tx.send(("B", true)).expect("B report");
+        }));
+        let mut reports: Vec<_> = (0..2)
+            .map(|_| {
+                rx.recv_timeout(Duration::from_secs(5))
+                    .expect("task report")
+            })
+            .collect();
+        reports.sort();
+        assert_eq!(reports, [("A", true), ("B", true)], "B queued behind A");
     }
 
     #[test]

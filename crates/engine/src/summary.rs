@@ -1,15 +1,15 @@
-//! Per-pass performance summaries (DESIGN.md §7).
+//! Per-pass summaries (DESIGN.md §7).
 //!
-//! Every [`crate::LuxDataFrame::print`] records a full
-//! [`PassTrace`](lux_engine::trace::PassTrace) span tree; [`PassSummary`]
-//! boils one down to the handful of numbers worth surfacing inline — stage
-//! durations, the WFLOW memo outcome, and per-action tallies. It feeds the
-//! widget's timing footer and the `PassSummary` session-log event, so the
-//! JSONL usage logs carry the same figures the trace does.
+//! Every print records a full [`PassTrace`] span tree; [`PassSummary`] boils
+//! one down to the handful of numbers worth surfacing — stage durations, the
+//! WFLOW memo outcome, per-action tallies, admission and deadline outcome.
+//! A finished print computes it once and every sink reads that one value:
+//! the widget's timing footer, the `pass-summary` JSONL event, the flight
+//! recorder's triggers and the tenant SLO series.
 
 use std::time::Duration;
 
-use lux_engine::trace::{json_escape, PassTrace};
+use crate::trace::{json_escape, PassTrace};
 
 /// Compact per-pass numbers derived from a [`PassTrace`].
 #[derive(Debug, Clone)]
@@ -50,6 +50,8 @@ pub struct PassSummary {
     /// Engine pressure at admission time (`normal`/`elevated`/`critical`),
     /// `None` on untagged (pre-admission) traces.
     pub admission_pressure: Option<String>,
+    /// The pass finished after its client deadline (`deadline.missed`).
+    pub deadline_missed: bool,
     /// Wire-propagated request id (client-supplied or server-minted), `None`
     /// for local passes without request context.
     pub request_id: Option<String>,
@@ -105,6 +107,7 @@ impl PassSummary {
             .map(Duration::from_millis)
             .unwrap_or_default();
         let admission_pressure = root_tag("admission.pressure").map(str::to_string);
+        let deadline_missed = root_tag("deadline.missed") == Some("true");
         let request_id = root_tag("request.id").map(str::to_string);
         let tenant = root_tag("request.tenant")
             .or_else(|| root_tag("admission.tenant"))
@@ -127,6 +130,7 @@ impl PassSummary {
             admission_shed,
             admission_wait,
             admission_pressure,
+            deadline_missed,
             request_id,
             tenant,
         }
@@ -254,7 +258,7 @@ fn fmt_cpu(wall: Duration, cpu: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lux_engine::trace::TraceCollector;
+    use crate::trace::TraceCollector;
 
     fn traced_pass() -> PassTrace {
         let c = TraceCollector::new();

@@ -600,18 +600,51 @@ pub struct HistogramSummary {
 // MetricsRegistry
 // ---------------------------------------------------------------------
 
-/// Process-wide named counters and histograms. The name table is behind a
-/// mutex (touched once per metric per record call, on a cold path of a few
-/// dozen records per print); the values themselves are plain atomics.
-/// [`MetricsRegistry::global`] is the instance the whole engine records to.
+/// A series key: the metric name and its tenant label (`None` for the
+/// process-wide series). Labelled series are bounded in practice by live
+/// tenants × the handful of `lux.tenant.*` names.
+type SeriesKey = (String, Option<String>);
+
+/// One series of a [`MetricsSnapshot`]: name, tenant label, value.
+pub type Series<V> = (String, Option<String>, V);
+
+/// Process-wide named counters and histograms, each table keyed by
+/// [`SeriesKey`]. The tables are behind a mutex (touched once per metric per
+/// record call, on a cold path of a few dozen records per print); the
+/// values themselves are plain atomics. [`MetricsRegistry::global`] is the
+/// instance the whole engine records to.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: Mutex<HashMap<String, Arc<AtomicU64>>>,
-    histograms: Mutex<HashMap<String, Arc<Histogram>>>,
-    /// Per-tenant labeled series, keyed `(metric name, tenant)`. Bounded in
-    /// practice by live tenants × the handful of `lux.tenant.*` names.
-    tenant_counters: Mutex<HashMap<(String, String), Arc<AtomicU64>>>,
-    tenant_histograms: Mutex<HashMap<(String, String), Arc<Histogram>>>,
+    counters: Mutex<HashMap<SeriesKey, Arc<AtomicU64>>>,
+    histograms: Mutex<HashMap<SeriesKey, Arc<Histogram>>>,
+}
+
+/// The series `(name, tenant)` of `table` (create-on-first-use).
+fn series<T: Default>(
+    table: &Mutex<HashMap<SeriesKey, Arc<T>>>,
+    name: &str,
+    tenant: Option<&str>,
+) -> Arc<T> {
+    let mut table = lock_recover(table);
+    Arc::clone(
+        table
+            .entry((name.to_string(), tenant.map(str::to_string)))
+            .or_default(),
+    )
+}
+
+/// Every series of `table`, read through `read` and sorted unlabelled
+/// first, then by name and tenant — the order both renderings print in.
+fn sorted<T, V>(
+    table: &Mutex<HashMap<SeriesKey, Arc<T>>>,
+    read: impl Fn(&T) -> V,
+) -> Vec<Series<V>> {
+    let mut out: Vec<Series<V>> = lock_recover(table)
+        .iter()
+        .map(|((name, tenant), v)| (name.clone(), tenant.clone(), read(v)))
+        .collect();
+    out.sort_by(|a, b| (a.1.is_some(), &a.0, &a.1).cmp(&(b.1.is_some(), &b.0, &b.1)));
+    out
 }
 
 impl MetricsRegistry {
@@ -624,14 +657,12 @@ impl MetricsRegistry {
     /// Handle to a counter (create-on-first-use). Callers on hot paths can
     /// cache the `Arc` and `fetch_add` directly.
     pub fn counter_handle(&self, name: &str) -> Arc<AtomicU64> {
-        let mut counters = lock_recover(&self.counters);
-        Arc::clone(counters.entry(name.to_string()).or_default())
+        series(&self.counters, name, None)
     }
 
     /// Handle to a histogram (create-on-first-use).
     pub fn histogram_handle(&self, name: &str) -> Arc<Histogram> {
-        let mut hists = lock_recover(&self.histograms);
-        Arc::clone(hists.entry(name.to_string()).or_default())
+        series(&self.histograms, name, None)
     }
 
     /// Increment a counter by 1.
@@ -646,9 +677,7 @@ impl MetricsRegistry {
 
     /// Current value of a counter (0 if never recorded).
     pub fn counter(&self, name: &str) -> u64 {
-        lock_recover(&self.counters)
-            .get(name)
-            .map_or(0, |c| c.load(Ordering::Relaxed))
+        self.read(name, None)
     }
 
     /// Record one latency observation.
@@ -658,71 +687,36 @@ impl MetricsRegistry {
 
     /// Handle to a per-tenant labeled counter (create-on-first-use).
     pub fn tenant_counter_handle(&self, name: &str, tenant: &str) -> Arc<AtomicU64> {
-        let mut counters = lock_recover(&self.tenant_counters);
-        Arc::clone(
-            counters
-                .entry((name.to_string(), tenant.to_string()))
-                .or_default(),
-        )
-    }
-
-    /// Handle to a per-tenant labeled histogram (create-on-first-use).
-    pub fn tenant_histogram_handle(&self, name: &str, tenant: &str) -> Arc<Histogram> {
-        let mut hists = lock_recover(&self.tenant_histograms);
-        Arc::clone(
-            hists
-                .entry((name.to_string(), tenant.to_string()))
-                .or_default(),
-        )
+        series(&self.counters, name, Some(tenant))
     }
 
     /// Increment a per-tenant counter by 1.
     pub fn incr_tenant(&self, name: &str, tenant: &str) {
-        self.tenant_counter_handle(name, tenant)
-            .fetch_add(1, Ordering::Relaxed);
+        series(&self.counters, name, Some(tenant)).fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one per-tenant latency observation.
     pub fn observe_tenant(&self, name: &str, tenant: &str, d: Duration) {
-        self.tenant_histogram_handle(name, tenant).observe(d);
+        series(&self.histograms, name, Some(tenant)).observe(d);
     }
 
     /// Current value of a per-tenant counter (0 if never recorded).
     pub fn tenant_counter(&self, name: &str, tenant: &str) -> u64 {
-        lock_recover(&self.tenant_counters)
-            .get(&(name.to_string(), tenant.to_string()))
+        self.read(name, Some(tenant))
+    }
+
+    fn read(&self, name: &str, tenant: Option<&str>) -> u64 {
+        lock_recover(&self.counters)
+            .get(&(name.to_string(), tenant.map(str::to_string)))
             .map_or(0, |c| c.load(Ordering::Relaxed))
     }
 
     /// Point-in-time snapshot of every counter and histogram (global and
-    /// per-tenant), sorted by name.
+    /// per-tenant), sorted unlabelled first, then by name and tenant.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: Vec<(String, u64)> = lock_recover(&self.counters)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect();
-        counters.sort();
-        let mut histograms: Vec<(String, HistogramSummary)> = lock_recover(&self.histograms)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.summary()))
-            .collect();
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut tenant_counters: Vec<(String, String, u64)> = lock_recover(&self.tenant_counters)
-            .iter()
-            .map(|((k, t), v)| (k.clone(), t.clone(), v.load(Ordering::Relaxed)))
-            .collect();
-        tenant_counters.sort();
-        let mut tenant_histograms: Vec<(String, String, HistogramSummary)> =
-            lock_recover(&self.tenant_histograms)
-                .iter()
-                .map(|((k, t), v)| (k.clone(), t.clone(), v.summary()))
-                .collect();
-        tenant_histograms.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
         MetricsSnapshot {
-            counters,
-            histograms,
-            tenant_counters,
-            tenant_histograms,
+            counters: sorted(&self.counters, |c| c.load(Ordering::Relaxed)),
+            histograms: sorted(&self.histograms, Histogram::summary),
         }
     }
 }
@@ -730,41 +724,38 @@ impl MetricsRegistry {
 /// Point-in-time view of the registry, safe to hold and diff.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
-    pub counters: Vec<(String, u64)>,
-    pub histograms: Vec<(String, HistogramSummary)>,
-    /// Per-tenant labeled counters as `(name, tenant, value)`.
-    pub tenant_counters: Vec<(String, String, u64)>,
-    /// Per-tenant labeled histograms as `(name, tenant, summary)`.
-    pub tenant_histograms: Vec<(String, String, HistogramSummary)>,
+    pub counters: Vec<Series<u64>>,
+    pub histograms: Vec<Series<HistogramSummary>>,
+}
+
+/// The value of series `(name, tenant)` in a sorted snapshot table.
+fn find<'a, V>(table: &'a [Series<V>], name: &str, tenant: Option<&str>) -> Option<&'a V> {
+    table
+        .iter()
+        .find(|(n, t, _)| n == name && t.as_deref() == tenant)
+        .map(|(_, _, v)| v)
+}
+
+/// A sorted snapshot table split into its unlabelled and labelled series.
+fn split<V>(table: &[Series<V>]) -> (&[Series<V>], &[Series<V>]) {
+    table.split_at(table.partition_point(|(_, t, _)| t.is_none()))
 }
 
 impl MetricsSnapshot {
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map_or(0, |(_, v)| *v)
+        find(&self.counters, name, None).map_or(0, |v| *v)
     }
 
     pub fn tenant_counter(&self, name: &str, tenant: &str) -> u64 {
-        self.tenant_counters
-            .iter()
-            .find(|(k, t, _)| k == name && t == tenant)
-            .map_or(0, |(_, _, v)| *v)
+        find(&self.counters, name, Some(tenant)).map_or(0, |v| *v)
     }
 
     pub fn tenant_histogram(&self, name: &str, tenant: &str) -> Option<&HistogramSummary> {
-        self.tenant_histograms
-            .iter()
-            .find(|(k, t, _)| k == name && t == tenant)
-            .map(|(_, _, v)| v)
+        find(&self.histograms, name, Some(tenant))
     }
 
     pub fn histogram(&self, name: &str) -> Option<&HistogramSummary> {
-        self.histograms
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
+        find(&self.histograms, name, None)
     }
 
     /// `hits / (hits + misses)`, or `None` when neither was recorded.
@@ -780,11 +771,13 @@ impl MetricsSnapshot {
 
     /// Human-readable rendering (the REPL `stats` command).
     pub fn render_text(&self) -> String {
+        let (counters, tenant_counters) = split(&self.counters);
+        let (histograms, tenant_histograms) = split(&self.histograms);
         let mut out = String::from("counters:\n");
-        if self.counters.is_empty() {
+        if counters.is_empty() {
             out.push_str("  (none recorded)\n");
         }
-        for (name, value) in &self.counters {
+        for (name, _, value) in counters {
             let _ = writeln!(out, "  {name:<28} {value}");
         }
         if let Some(rate) = self.hit_rate(names::MEMO_HIT, names::MEMO_MISS) {
@@ -799,10 +792,10 @@ impl MetricsSnapshot {
             );
         }
         out.push_str("latencies (count / mean / p50 / p95 / p99):\n");
-        if self.histograms.is_empty() {
+        if histograms.is_empty() {
             out.push_str("  (none recorded)\n");
         }
-        for (name, h) in &self.histograms {
+        for (name, _, h) in histograms {
             let _ = writeln!(
                 out,
                 "  {name:<28} {:>6}  {:>9}  {:>9}  {:>9}  {:>9}",
@@ -813,17 +806,19 @@ impl MetricsSnapshot {
                 fmt_ns(h.p99_ns)
             );
         }
-        if !self.tenant_counters.is_empty() || !self.tenant_histograms.is_empty() {
+        if !tenant_counters.is_empty() || !tenant_histograms.is_empty() {
             out.push_str("per-tenant:\n");
-            for (name, tenant, value) in &self.tenant_counters {
-                let label = format!("{name}{{{tenant}}}");
-                let _ = writeln!(out, "  {label:<36} {value}");
+            let label = |name: &str, tenant: &Option<String>| {
+                format!("{name}{{{}}}", tenant.as_deref().unwrap_or_default())
+            };
+            for (name, tenant, value) in tenant_counters {
+                let _ = writeln!(out, "  {:<36} {value}", label(name, tenant));
             }
-            for (name, tenant, h) in &self.tenant_histograms {
-                let label = format!("{name}{{{tenant}}}");
+            for (name, tenant, h) in tenant_histograms {
                 let _ = writeln!(
                     out,
-                    "  {label:<36} {:>6}  p50 {:>9}  p99 {:>9}",
+                    "  {:<36} {:>6}  p50 {:>9}  p99 {:>9}",
+                    label(name, tenant),
                     h.count,
                     fmt_ns(h.p50_ns),
                     fmt_ns(h.p99_ns)
@@ -837,52 +832,47 @@ impl MetricsSnapshot {
     /// (version 0.0.4). Counters become `counter` families; histograms are
     /// rendered as `summary` families (quantile series + `_sum`/`_count`)
     /// with latencies in seconds. Per-tenant series carry a `tenant` label.
+    /// A family — a name, unlabelled or tenant-labelled — gets one `# TYPE`
+    /// line, before its first series.
     pub fn prometheus_text(&self) -> String {
         let mut out = String::new();
-        for (name, value) in &self.counters {
+        let mut family = None;
+        for (name, tenant, value) in &self.counters {
             let pname = prom_name(name);
-            let _ = writeln!(out, "# TYPE {pname} counter");
-            let _ = writeln!(out, "{pname} {value}");
-        }
-        // Group per-tenant counters by metric name so each family gets one
-        // TYPE line (the snapshot is sorted by (name, tenant)).
-        let mut last_family: Option<&str> = None;
-        for (name, tenant, value) in &self.tenant_counters {
-            let pname = prom_name(name);
-            if last_family != Some(name.as_str()) {
+            if family.replace((tenant.is_some(), name)) != Some((tenant.is_some(), name)) {
                 let _ = writeln!(out, "# TYPE {pname} counter");
-                last_family = Some(name.as_str());
             }
-            let _ = writeln!(out, "{pname}{{tenant=\"{}\"}} {value}", prom_label(tenant));
+            let _ = writeln!(out, "{pname}{} {value}", prom_labels(tenant, None));
         }
-        for (name, h) in &self.histograms {
+        let mut family = None;
+        for (name, tenant, h) in &self.histograms {
             let pname = format!("{}_seconds", prom_name(name));
-            let _ = writeln!(out, "# TYPE {pname} summary");
-            for (q, v) in [(0.5, h.p50_ns), (0.95, h.p95_ns), (0.99, h.p99_ns)] {
-                let _ = writeln!(out, "{pname}{{quantile=\"{q}\"}} {}", secs(v));
-            }
-            let _ = writeln!(out, "{pname}_sum {}", secs(h.sum_ns));
-            let _ = writeln!(out, "{pname}_count {}", h.count);
-        }
-        let mut last_family: Option<&str> = None;
-        for (name, tenant, h) in &self.tenant_histograms {
-            let pname = format!("{}_seconds", prom_name(name));
-            if last_family != Some(name.as_str()) {
+            if family.replace((tenant.is_some(), name)) != Some((tenant.is_some(), name)) {
                 let _ = writeln!(out, "# TYPE {pname} summary");
-                last_family = Some(name.as_str());
             }
-            let t = prom_label(tenant);
             for (q, v) in [(0.5, h.p50_ns), (0.95, h.p95_ns), (0.99, h.p99_ns)] {
-                let _ = writeln!(
-                    out,
-                    "{pname}{{tenant=\"{t}\",quantile=\"{q}\"}} {}",
-                    secs(v)
-                );
+                let _ = writeln!(out, "{pname}{} {}", prom_labels(tenant, Some(q)), secs(v));
             }
-            let _ = writeln!(out, "{pname}_sum{{tenant=\"{t}\"}} {}", secs(h.sum_ns));
-            let _ = writeln!(out, "{pname}_count{{tenant=\"{t}\"}} {}", h.count);
+            let labels = prom_labels(tenant, None);
+            let _ = writeln!(out, "{pname}_sum{labels} {}", secs(h.sum_ns));
+            let _ = writeln!(out, "{pname}_count{labels} {}", h.count);
         }
         out
+    }
+}
+
+/// The `{tenant="…",quantile="…"}` label set of one exposition line (empty
+/// when it has neither).
+fn prom_labels(tenant: &Option<String>, quantile: Option<f64>) -> String {
+    let labels: Vec<String> = tenant
+        .iter()
+        .map(|t| format!("tenant=\"{}\"", prom_label(t)))
+        .chain(quantile.map(|q| format!("quantile=\"{q}\"")))
+        .collect();
+    if labels.is_empty() {
+        String::new()
+    } else {
+        format!("{{{}}}", labels.join(","))
     }
 }
 
@@ -1089,6 +1079,109 @@ mod tests {
             value.parse::<f64>().expect("metric value parses");
         }
     }
+
+    /// A private registry with global counters and histograms plus two
+    /// tenants' series. Populate it the same way in every test that pins its
+    /// rendering.
+    fn pinned_registry() -> MetricsRegistry {
+        let r = MetricsRegistry::default();
+        r.add(names::PRINTS, 4);
+        r.add(names::MEMO_HIT, 3);
+        r.incr(names::MEMO_MISS);
+        r.incr("lux.test.zeta");
+        r.observe(names::PRINT_LATENCY, Duration::from_millis(10));
+        r.observe(names::PRINT_LATENCY, Duration::from_micros(2_500));
+        r.observe("lux.test.alpha", Duration::from_nanos(900));
+        for _ in 0..3 {
+            r.incr_tenant(names::TENANT_REQUESTS, "acme");
+        }
+        r.incr_tenant(names::TENANT_REQUESTS, "beta");
+        r.incr_tenant(names::TENANT_SHEDS, "beta");
+        r.incr_tenant(names::TENANT_DEADLINE_MISSES, "acme");
+        r.observe_tenant(names::TENANT_PASS_LATENCY, "beta", Duration::from_millis(2));
+        r.observe_tenant(names::TENANT_PASS_LATENCY, "acme", Duration::from_millis(7));
+        r.observe_tenant(
+            names::TENANT_PASS_LATENCY,
+            "acme",
+            Duration::from_millis(30),
+        );
+        r.observe_tenant(names::TENANT_QUEUE_WAIT, "acme", Duration::from_micros(150));
+        r
+    }
+
+    /// Recorded before the registry's four tables became two: the merged
+    /// tables must reproduce both renderings byte for byte.
+    #[test]
+    fn exposition_and_render_text_are_pinned() {
+        let snap = pinned_registry().snapshot();
+        assert_eq!(snap.prometheus_text(), PINNED_PROMETHEUS);
+        assert_eq!(snap.render_text(), PINNED_RENDER);
+    }
+
+    const PINNED_PROMETHEUS: &str = r#"# TYPE lux_prints counter
+lux_prints 4
+# TYPE lux_test_zeta counter
+lux_test_zeta 1
+# TYPE lux_wflow_memo_hit counter
+lux_wflow_memo_hit 3
+# TYPE lux_wflow_memo_miss counter
+lux_wflow_memo_miss 1
+# TYPE lux_tenant_deadline_misses counter
+lux_tenant_deadline_misses{tenant="acme"} 1
+# TYPE lux_tenant_requests counter
+lux_tenant_requests{tenant="acme"} 3
+lux_tenant_requests{tenant="beta"} 1
+# TYPE lux_tenant_sheds counter
+lux_tenant_sheds{tenant="beta"} 1
+# TYPE lux_print_latency_seconds summary
+lux_print_latency_seconds{quantile="0.5"} 0.004194304
+lux_print_latency_seconds{quantile="0.95"} 0.010000000
+lux_print_latency_seconds{quantile="0.99"} 0.010000000
+lux_print_latency_seconds_sum 0.012500000
+lux_print_latency_seconds_count 2
+# TYPE lux_test_alpha_seconds summary
+lux_test_alpha_seconds{quantile="0.5"} 0.000000900
+lux_test_alpha_seconds{quantile="0.95"} 0.000000900
+lux_test_alpha_seconds{quantile="0.99"} 0.000000900
+lux_test_alpha_seconds_sum 0.000000900
+lux_test_alpha_seconds_count 1
+# TYPE lux_tenant_pass_latency_seconds summary
+lux_tenant_pass_latency_seconds{tenant="acme",quantile="0.5"} 0.008388608
+lux_tenant_pass_latency_seconds{tenant="acme",quantile="0.95"} 0.030000000
+lux_tenant_pass_latency_seconds{tenant="acme",quantile="0.99"} 0.030000000
+lux_tenant_pass_latency_seconds_sum{tenant="acme"} 0.037000000
+lux_tenant_pass_latency_seconds_count{tenant="acme"} 2
+lux_tenant_pass_latency_seconds{tenant="beta",quantile="0.5"} 0.002000000
+lux_tenant_pass_latency_seconds{tenant="beta",quantile="0.95"} 0.002000000
+lux_tenant_pass_latency_seconds{tenant="beta",quantile="0.99"} 0.002000000
+lux_tenant_pass_latency_seconds_sum{tenant="beta"} 0.002000000
+lux_tenant_pass_latency_seconds_count{tenant="beta"} 1
+# TYPE lux_tenant_queue_wait_seconds summary
+lux_tenant_queue_wait_seconds{tenant="acme",quantile="0.5"} 0.000150000
+lux_tenant_queue_wait_seconds{tenant="acme",quantile="0.95"} 0.000150000
+lux_tenant_queue_wait_seconds{tenant="acme",quantile="0.99"} 0.000150000
+lux_tenant_queue_wait_seconds_sum{tenant="acme"} 0.000150000
+lux_tenant_queue_wait_seconds_count{tenant="acme"} 1
+"#;
+
+    const PINNED_RENDER: &str = r#"counters:
+  lux.prints                   4
+  lux.test.zeta                1
+  lux.wflow.memo_hit           3
+  lux.wflow.memo_miss          1
+  memo hit rate                75.0%
+latencies (count / mean / p50 / p95 / p99):
+  lux.print.latency                 2     6.25ms     4.19ms    10.00ms    10.00ms
+  lux.test.alpha                    1      0.9us      0.9us      0.9us      0.9us
+per-tenant:
+  lux.tenant.deadline_misses{acme}     1
+  lux.tenant.requests{acme}            3
+  lux.tenant.requests{beta}            1
+  lux.tenant.sheds{beta}               1
+  lux.tenant.pass_latency{acme}             2  p50    8.39ms  p99   30.00ms
+  lux.tenant.pass_latency{beta}             1  p50    2.00ms  p99    2.00ms
+  lux.tenant.queue_wait{acme}               1  p50   150.0us  p99   150.0us
+"#;
 
     #[test]
     fn registry_counters_and_snapshot() {

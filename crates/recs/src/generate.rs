@@ -19,7 +19,6 @@
 //! results are still served, and the per-action health ledger in
 //! [`RunReport`] says what happened to the rest.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -293,9 +292,6 @@ impl<'a> ActionRun<'a> {
     ) -> ActionRun<'a> {
         let mut opts = pass.opts.clone();
         opts.governor = Some(Arc::clone(&pass.governor));
-        // SQL backend: count transient-error retries so they can be tagged
-        // onto this action's span (`sql.retries`) after processing.
-        opts.sql_attempts = pass.config.sql_backend.then(|| Arc::new(AtomicU64::new(0)));
         ActionRun {
             action,
             pass,
@@ -605,7 +601,7 @@ impl<'a> ActionRun<'a> {
     }
 
     /// Rank the processed survivors and fold what the stages accumulated —
-    /// deadline degradation, governor notes, SQL retries — into the result.
+    /// deadline degradation, governor notes — into the result.
     fn into_result(mut self, visses: Vec<Vis>) -> ActionResult {
         let mut vislist = VisList::new(visses);
         vislist.rank();
@@ -621,14 +617,6 @@ impl<'a> ActionRun<'a> {
         }
         self.trace
             .tag("governor.events", self.degrade_events.to_string());
-        // Surface transient SQL retries on the action span (the
-        // retry-with-backoff wrapper counts attempts into this cell).
-        if let Some(attempts) = &self.opts.sql_attempts {
-            let n = attempts.load(Ordering::Relaxed);
-            if n > 0 {
-                self.trace.tag("sql.retries", n.to_string());
-            }
-        }
         // The deadline's reason first, then the governor's.
         let mut reasons: Vec<String> = self.degraded_reason.into_iter().collect();
         reasons.extend(self.governor_notes);
@@ -898,7 +886,7 @@ pub fn run_pass(registry: &ActionRegistry, pass: Pass) -> StreamingRun {
         // Detached-lane pool task rather than a dedicated thread: cheap
         // actions reuse warm threads instead of paying a spawn each, while
         // a task abandoned at the hard cutoff only parks its own lane
-        // thread — it can never occupy the fixed work-stealing workers that
+        // thread — it can never occupy the fixed pool workers that
         // run the per-vis fan-out inside healthy actions.
         lux_engine::pool::global().spawn_detached(Box::new(move || {
             let worker = lux_engine::worker_index();

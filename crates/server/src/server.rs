@@ -317,13 +317,14 @@ impl Server {
     pub fn bind(cfg: ServerConfig) -> std::io::Result<Server> {
         failpoint::init();
         // The data dir must exist before the logger opens its JSONL file in
-        // it — otherwise a fresh deployment silently degrades to an
-        // in-memory logger and loses request attribution.
+        // it — otherwise a fresh deployment silently drops its log and loses
+        // request attribution.
         std::fs::create_dir_all(&cfg.data_dir)?;
         // Logger first: the registry attaches it to every frame so
-        // server-side passes emit attributable PassSummary JSONL events.
+        // server-side passes emit attributable PassSummary JSONL events. A
+        // log that cannot be opened is dropped, never kept in memory.
         let logger = SessionLogger::to_file(&cfg.data_dir.join("server.log.jsonl"))
-            .unwrap_or_else(|_| SessionLogger::in_memory());
+            .unwrap_or_else(|_| SessionLogger::discard());
         let (registry, notes) =
             Registry::recover_with_logger(&cfg.data_dir, Some(Arc::clone(&logger)))?;
         let (listener, local_addr) = Listener::bind(&cfg.addr)?;

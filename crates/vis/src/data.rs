@@ -66,9 +66,6 @@ pub struct ProcessOptions {
     /// rule extended past metadata). Off by default so direct `process`
     /// calls never observe cross-call state.
     pub memo: bool,
-    /// When set, the SQL backend counts transient-error retry attempts
-    /// here, so the action executor can tag them onto its trace span.
-    pub sql_attempts: Option<Arc<std::sync::atomic::AtomicU64>>,
 }
 
 impl Default for ProcessOptions {
@@ -86,14 +83,13 @@ impl Default for ProcessOptions {
             event_sink: None,
             threads: 1,
             memo: false,
-            sql_attempts: None,
         }
     }
 }
 
 /// How a [`LuxConfig`] becomes processing options — the one place. The
-/// per-pass attachments (`governor`, `event_sink`, `sql_attempts`) are the
-/// executor's to set.
+/// per-pass attachments (`governor`, `event_sink`) are the executor's to
+/// set.
 impl From<&LuxConfig> for ProcessOptions {
     fn from(config: &LuxConfig) -> ProcessOptions {
         ProcessOptions {

@@ -8,7 +8,6 @@
 //! SQL engine — an alternative backend whose results match the native
 //! processing in [`crate::data`] (verified by integration tests).
 
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use lux_dataframe::prelude::*;
@@ -44,9 +43,8 @@ const SQL_MAX_ATTEMPTS: u32 = 3;
 
 /// Run one backend query, retrying transient errors with jittered
 /// exponential backoff (deterministically seeded from the query text).
-/// Every retry is counted in `lux.sql.retries` and, when the caller
-/// attached [`ProcessOptions::sql_attempts`], surfaced for span tagging.
-fn query_with_retry(sql: &str, df: &DataFrame, opts: &ProcessOptions) -> Result<DataFrame> {
+/// Every retry is counted in `lux.sql.retries`.
+fn query_with_retry(sql: &str, df: &DataFrame) -> Result<DataFrame> {
     let seed = sql.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
     });
@@ -62,9 +60,6 @@ fn query_with_retry(sql: &str, df: &DataFrame, opts: &ProcessOptions) -> Result<
             Ok(out) => return Ok(out),
             Err(e) if is_transient_error(&e) && backoff.attempts() + 1 < SQL_MAX_ATTEMPTS => {
                 MetricsRegistry::global().incr(names::SQL_RETRIES);
-                if let Some(attempts) = &opts.sql_attempts {
-                    attempts.fetch_add(1, Ordering::Relaxed);
-                }
                 std::thread::sleep(backoff.next_delay());
             }
             Err(e) => return Err(e),
@@ -199,7 +194,7 @@ pub fn to_sql(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<S
                 .channel(Channel::X)
                 .ok_or_else(|| Error::InvalidArgument("histogram needs x".into()))?;
             let bins = x.bin.unwrap_or(opts.histogram_bins).max(1);
-            let (lo, hi) = filtered_min_max(spec, df, &x.attribute, opts)?;
+            let (lo, hi) = filtered_min_max(spec, df, &x.attribute)?;
             let width = if hi > lo {
                 (hi - lo) / bins as f64
             } else {
@@ -219,8 +214,8 @@ pub fn to_sql(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<S
                 .ok_or_else(|| Error::InvalidArgument("heatmap needs y".into()))?;
             let xb = x.bin.unwrap_or(opts.heatmap_bins).max(1);
             let yb = y.bin.unwrap_or(opts.heatmap_bins).max(1);
-            let (xlo, xhi) = filtered_min_max(spec, df, &x.attribute, opts)?;
-            let (ylo, yhi) = filtered_min_max(spec, df, &y.attribute, opts)?;
+            let (xlo, xhi) = filtered_min_max(spec, df, &x.attribute)?;
+            let (ylo, yhi) = filtered_min_max(spec, df, &y.attribute)?;
             let xw = if xhi > xlo {
                 (xhi - xlo) / xb as f64
             } else {
@@ -252,18 +247,13 @@ pub fn to_sql(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<S
 
 /// min/max of an attribute under the spec's filters (two tiny SQL queries,
 /// mirroring how a relational backend would plan the histogram).
-fn filtered_min_max(
-    spec: &VisSpec,
-    df: &DataFrame,
-    attr: &str,
-    opts: &ProcessOptions,
-) -> Result<(f64, f64)> {
+fn filtered_min_max(spec: &VisSpec, df: &DataFrame, attr: &str) -> Result<(f64, f64)> {
     let wher = where_clause(spec);
     let q = format!(
         "SELECT MIN({c}) AS lo, MAX({c}) AS hi FROM t{wher}",
         c = ident(attr)
     );
-    let r = query_with_retry(&q, df, opts)?;
+    let r = query_with_retry(&q, df)?;
     let lo = r.value(0, "lo")?.as_f64().unwrap_or(0.0);
     let hi = r.value(0, "hi")?.as_f64().unwrap_or(1.0);
     Ok((lo, hi))
@@ -274,7 +264,7 @@ fn filtered_min_max(
 /// columns hold bin *indices* scaled back to bin starts for histograms).
 pub fn process_sql(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<DataFrame> {
     let sql = to_sql(spec, df, opts)?;
-    let out = query_with_retry(&sql, df, opts)?;
+    let out = query_with_retry(&sql, df)?;
     // Histograms: SQL's FLOOR puts the maximum value into its own edge bin
     // (index == bins); native processing clamps it into the last bin.
     // Merge edge bins and convert indices back to bin-start values so the
@@ -282,7 +272,7 @@ pub fn process_sql(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Res
     if spec.mark == Mark::Histogram {
         let x = spec.channel(Channel::X).expect("checked in to_sql");
         let bins = x.bin.unwrap_or(opts.histogram_bins).max(1);
-        let (lo, hi) = filtered_min_max(spec, df, &x.attribute, opts)?;
+        let (lo, hi) = filtered_min_max(spec, df, &x.attribute)?;
         let width = if hi > lo {
             (hi - lo) / bins as f64
         } else {

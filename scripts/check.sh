@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo hygiene gate: formatting, build, tests, and the grep lints of
-# scripts/lint.sh (unwrap and f64_at baselines, clock/rng drift, observed
-# names) — the same file the CI Hygiene job runs.
+# scripts/lint.sh (unwrap and f64_at baselines, options literals, one
+# record per print, clock/rng drift, observed names) — the same file the CI
+# Hygiene job runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -14,7 +14,7 @@ PROD_LINES="$MARK_TESTS !t"
 echo "== unwrap() lint (crates/{engine,recs,core}/src)"
 # New code in the print path must handle errors (or use `expect` with a
 # message), never add bare unwraps. Lower the baseline when you remove some.
-BASELINE=141
+BASELINE=135
 count=$(grep -rho 'unwrap()' crates/engine/src crates/recs/src crates/core/src | wc -l | tr -d ' ')
 if [ "$count" -gt "$BASELINE" ]; then
     echo "error: $count unwrap() calls (baseline $BASELINE) — new unwrap() in the print path is denied"
@@ -55,6 +55,19 @@ if [ -n "$literals" ]; then
     exit 1
 fi
 echo "ok: options are derived from a LuxConfig only in lux-vis and lux-intent"
+
+echo "== one-record lint (pass observation outside LuxDataFrame::finish_print)"
+# A finished print is observed in one place (DESIGN.md §7): it summarizes its
+# trace once and that one PassSummary feeds the JSONL log, the flight
+# recorder and the tenant SLO series. A second call site is a second copy.
+records=$(find crates/*/src -name '*.rs' ! -path 'crates/core/src/luxframe.rs' \
+    -exec awk "$MARK_TESTS"' !t && /PassSummary::from_trace\(|\.to_compact_json\(|FlightRecorder::global\(\)\.record\(|\.(incr|observe)_tenant\(|\.tenant_counter_handle\(/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ -n "$records" ]; then
+    echo "$records"
+    echo "error: a finished pass is summarized, logged, flight-recorded and charged to its tenant only in crates/core/src/luxframe.rs"
+    exit 1
+fi
+echo "ok: finished passes are observed only in crates/core/src/luxframe.rs"
 
 echo "== clock/rng drift lint (crates/*/src outside clock.rs, rng.rs, bench)"
 # Product code reads time through lux_engine::clock and draws randomness

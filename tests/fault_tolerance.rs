@@ -8,6 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lux::engine::trace::{names, MetricsRegistry};
+use lux::engine::FlightRecorder;
 use lux::prelude::*;
 use lux::recs::{ChaosAction, ChaosMode};
 
@@ -143,6 +144,35 @@ fn slow_action_degrades_to_partial_results() {
     assert!(widget.shed_note().is_none(), "idle engine shed the pass");
     assert!(metrics.counter(names::DEADLINE_MISSES) > misses0);
     assert!(metrics.tenant_counter(names::TENANT_DEADLINE_MISSES, "t-sloth") > tenant0);
+}
+
+/// A print that outlives its client deadline says so on its own trace, and
+/// the flight recorder pins it for that reason.
+#[test]
+fn missed_deadline_is_tagged_and_pinned() {
+    let cfg = LuxConfig {
+        r#async: false,
+        ..LuxConfig::default()
+    };
+    let mut ldf = LuxDataFrame::with_config(frame(), Arc::new(cfg));
+    ldf.register_action(sloth_action());
+    let opts = PrintOptions::default()
+        .with_deadline(Some(Duration::from_millis(50)))
+        .with_request_id(Some("req-deadline-miss".to_string()));
+    let widget = ldf.print_with(&opts);
+    assert!(widget.shed_note().is_none(), "idle engine shed the pass");
+    let root = widget.trace().and_then(|t| t.root().cloned());
+    assert_eq!(
+        root.as_ref().and_then(|r| r.tag("deadline.missed")),
+        Some("true"),
+        "{root:?}"
+    );
+    let pinned = FlightRecorder::global().pinned();
+    let entry = pinned
+        .iter()
+        .find(|e| e.request_id == "req-deadline-miss")
+        .expect("the missed deadline is pinned");
+    assert_eq!(entry.anomaly, Some("deadline"));
 }
 
 #[test]
