@@ -32,10 +32,6 @@ pub fn run_serve(args: &[String]) -> i32 {
         }
     };
     println!("lux-serve: listening on {}", server.local_addr());
-    if let Some(maddr) = server.metrics_addr() {
-        // Scrape jobs and the CI load test wait for this marker.
-        println!("lux-serve: metrics on {maddr}");
-    }
     // Tests and scripts wait for this marker before connecting.
     println!("lux-serve: ready");
     match server.run() {

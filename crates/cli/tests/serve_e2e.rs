@@ -28,7 +28,6 @@ fn spawn_server(data_dir: &Path, log: &Path) -> (Child, String) {
         .env("LUX_READ_TIMEOUT_MS", "300")
         .env("LUX_DRAIN_TIMEOUT_MS", "3000")
         .env("LUX_JOURNAL_FSYNC", "always")
-        .env("LUX_METRICS_ADDR", "127.0.0.1:0")
         .stdout(Stdio::from(log_file))
         .stderr(Stdio::null())
         .spawn()
@@ -197,27 +196,6 @@ fn client_subcommand_round_trips_against_a_live_server() {
         ok && text.contains("lux-top") && text.contains("flight recorder"),
         "top: {text}"
     );
-
-    // The standalone exposition listener announced in the serve log serves
-    // the same catalogue over plain HTTP.
-    let serve_log = std::fs::read_to_string(&log).unwrap_or_default();
-    let maddr = serve_log
-        .lines()
-        .find_map(|l| l.strip_prefix("lux-serve: metrics on "))
-        .expect("metrics marker in serve log")
-        .trim()
-        .to_string();
-    {
-        use std::io::{Read, Write};
-        let mut s = std::net::TcpStream::connect(&maddr).expect("connect metrics");
-        s.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
-        let mut body = String::new();
-        s.read_to_string(&mut body).expect("scrape");
-        assert!(
-            body.contains("200 OK") && body.contains("lux_tenant_requests"),
-            "scrape: {body}"
-        );
-    }
 
     child.kill().expect("kill");
     let _ = child.wait();

@@ -2,12 +2,13 @@
 //!
 //! A *failpoint* is a named injection site compiled into the engine. When a
 //! failpoint is disabled — the production default — hitting it costs a single
-//! relaxed atomic load. When enabled (programmatically from a test via
-//! [`cfg`], or process-wide via the `LUX_FAILPOINTS` environment variable),
-//! the site executes an injected [`FailAction`]: return an error message,
-//! panic, or sleep. This lets chaos tests cover the engine layers (pool,
-//! memo cache, metadata, CSV ingest, SQL backend) that PR 1's `ChaosAction`
-//! harness — which only scripts *actions* — cannot reach.
+//! relaxed atomic load. When enabled, the site executes an injected
+//! [`FailAction`]: return an error message, panic, or sleep. Sites cover what
+//! no action code reaches — engine layers, server I/O and per-action scoring
+//! (`action.score:<name>`, a keyed site: see [`hit_for`]); a fault inside an
+//! action body is a `lux_recs::CustomAction` closure's job. Points are armed
+//! by `LUX_FAILPOINTS` (parsed once by [`init`]) or from code through a
+//! [`FailScope`], the one guard over the process-global table.
 //!
 //! `lux-dataframe` is the dependency-free base crate and holds no sites: the
 //! CSV and SQL points are hit by the callers that can see this registry
@@ -37,7 +38,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{Mutex, MutexGuard, Once, OnceLock};
 use std::time::Duration;
 
 use crate::sync::lock_recover;
@@ -92,6 +93,11 @@ pub mod names {
     /// writes but fails to make them durable — under
     /// `LUX_JOURNAL_FSYNC=always` this flips the degrade ladder).
     pub const IO_FSYNC: &str = "io.fsync";
+    /// Per-action candidate scoring, keyed by action name: arm
+    /// `action.score:<name>` (inside the isolated score call, so `panic`
+    /// fails only that action and `sleep` slows only its scoring; `return`
+    /// has no error path here and is ignored).
+    pub const ACTION_SCORE: &str = "action.score";
 
     /// Every compiled-in failpoint, for catalogue listings and tests.
     pub const ALL: &[&str] = &[
@@ -109,6 +115,7 @@ pub mod names {
         SERVER_SPOOL,
         SERVER_SNAPSHOT,
         IO_FSYNC,
+        ACTION_SCORE,
     ];
 }
 
@@ -187,51 +194,79 @@ pub fn parse_chain(spec: &str) -> Result<Vec<(FailAction, Option<usize>)>, Strin
     spec.split("->").map(parse_action).collect()
 }
 
-/// Configure a failpoint by name. `action` uses the [`parse_chain`] syntax;
-/// a bare `off` removes the point. Returns an error on unparseable actions.
-pub fn cfg(name: &str, action: &str) -> Result<(), String> {
-    let chain = parse_chain(action)?;
+/// Apply `edit` to the table and republish the armed count the fast path
+/// reads.
+fn edit(edit: impl FnOnce(&mut HashMap<String, Entry>)) {
     let mut reg = lock_recover(registry());
-    let had = reg.contains_key(name);
-    if matches!(chain.as_slice(), [(FailAction::Off, None)]) {
-        if reg.remove(name).is_some() {
-            ACTIVE.fetch_sub(1, Ordering::Release);
-        }
-        return Ok(());
-    }
-    reg.insert(name.to_string(), Entry { chain, stage: 0 });
-    if !had {
-        ACTIVE.fetch_add(1, Ordering::Release);
-    }
-    Ok(())
+    edit(&mut reg);
+    ACTIVE.store(reg.len(), Ordering::Release);
 }
 
-/// Remove a single failpoint.
-pub fn remove(name: &str) {
-    let mut reg = lock_recover(registry());
-    if reg.remove(name).is_some() {
-        ACTIVE.fetch_sub(1, Ordering::Release);
-    }
+/// Arm `name` with a [`parse_chain`] action; a bare `off` disarms it.
+fn arm(name: &str, action: &str) -> Result<(), String> {
+    let chain = parse_chain(action)?;
+    edit(|reg| {
+        if matches!(chain.as_slice(), [(FailAction::Off, None)]) {
+            reg.remove(name);
+        } else {
+            reg.insert(name.to_string(), Entry { chain, stage: 0 });
+        }
+    });
+    Ok(())
 }
 
 /// Number of currently configured failpoints (armed, including chains
 /// that have already run their counted stages).  The simulation harness
 /// uses this to tell whether persistence was being interfered with.
 pub fn active_count() -> usize {
-    lock_recover(registry()).len()
+    ACTIVE.load(Ordering::Acquire)
 }
 
-/// Remove every configured failpoint (test teardown).
-pub fn clear_all() {
-    let mut reg = lock_recover(registry());
-    let n = reg.len();
-    reg.clear();
-    ACTIVE.fetch_sub(n, Ordering::Release);
+/// The one way to arm failpoints from code. A second [`scope`] blocks
+/// until this one drops; the table is cleared on entry and on drop, so a
+/// panicking assertion cannot leak an armed site. A scope does not run
+/// [`init`]: a test that must start clean under `LUX_FAILPOINTS` calls it
+/// first.
+pub struct FailScope {
+    _owner: MutexGuard<'static, ()>,
 }
 
-/// Initialise the subsystem: parse `LUX_FAILPOINTS` once. Idempotent; called
-/// from the admission controller's `global()` (a spot every pass hits) and
-/// from `cfg`-driven tests via [`hit`]'s callers.
+/// Take the failpoint table; see [`FailScope`].
+pub fn scope() -> FailScope {
+    static OWNER: Mutex<()> = Mutex::new(());
+    let owner = lock_recover(&OWNER);
+    edit(HashMap::clear);
+    FailScope { _owner: owner }
+}
+
+impl FailScope {
+    /// Arm `name` with a [`parse_chain`] action (a bare `off` disarms).
+    pub fn arm(&self, name: &str, action: &str) -> Result<(), String> {
+        arm(name, action)
+    }
+
+    /// Disarm `name`.
+    pub fn disarm(&self, name: &str) {
+        edit(|reg| {
+            reg.remove(name);
+        });
+    }
+
+    /// Disarm every failpoint.
+    pub fn clear(&self) {
+        edit(HashMap::clear);
+    }
+}
+
+impl Drop for FailScope {
+    fn drop(&mut self) {
+        edit(HashMap::clear);
+    }
+}
+
+/// Initialise the subsystem: arm `LUX_FAILPOINTS` once. Idempotent; called
+/// from the admission controller's `global()` (a spot every pass hits), the
+/// server's bind and the CLI's serve entry.
 pub fn init() {
     static INIT: Once = Once::new();
     INIT.call_once(|| {
@@ -239,7 +274,7 @@ pub fn init() {
             for part in spec.split(';').filter(|p| !p.trim().is_empty()) {
                 match part.split_once('=') {
                     Some((name, action)) => {
-                        if let Err(e) = cfg(name.trim(), action) {
+                        if let Err(e) = arm(name.trim(), action) {
                             eprintln!("lux: ignoring failpoint `{part}`: {e}");
                         }
                     }
@@ -260,6 +295,20 @@ pub fn hit(name: &str) -> Option<String> {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
         return None;
     }
+    fire(name)
+}
+
+/// Evaluate the keyed failpoint `<site>:<key>`: one site armed per key, so
+/// `action.score:Sloth` slows only the action named `Sloth`. The key is
+/// built only past the disabled fast path, which stays one relaxed load.
+pub fn hit_for(site: &str, key: &str) -> Option<String> {
+    if ACTIVE.load(Ordering::Relaxed) == 0 {
+        return None;
+    }
+    fire(&format!("{site}:{key}"))
+}
+
+fn fire(name: &str) -> Option<String> {
     let action = {
         let mut reg = lock_recover(registry());
         let entry = reg.get_mut(name)?;
@@ -334,43 +383,87 @@ mod tests {
 
     #[test]
     fn chained_stages_run_in_order() {
-        cfg("test.chain", "2*off->1*return(boom)").expect("cfg");
+        let fp = scope();
+        fp.arm("test.chain", "2*off->1*return(boom)").expect("arm");
         assert_eq!(hit("test.chain"), None, "first off stage");
         assert_eq!(hit("test.chain"), None, "second off stage");
         assert_eq!(hit("test.chain"), Some("boom".into()));
         assert_eq!(hit("test.chain"), None, "chain exhausted");
-        remove("test.chain");
         assert!(parse_chain("1*off->nonsense").is_err());
     }
 
     #[test]
     fn counted_trigger_exhausts() {
-        cfg("test.counted", "2*return(err)").expect("cfg");
+        let fp = scope();
+        fp.arm("test.counted", "2*return(err)").expect("arm");
         assert_eq!(hit("test.counted"), Some("err".into()));
         assert_eq!(hit("test.counted"), Some("err".into()));
         assert_eq!(hit("test.counted"), None);
-        remove("test.counted");
     }
 
     #[test]
-    fn off_removes() {
-        cfg("test.off", "return").expect("cfg");
+    fn off_and_disarm_remove() {
+        let fp = scope();
+        fp.arm("test.off", "return").expect("arm");
         assert!(hit("test.off").is_some());
-        cfg("test.off", "off").expect("cfg");
+        fp.arm("test.off", "off").expect("arm");
         assert_eq!(hit("test.off"), None);
+        fp.arm("test.off", "return").expect("arm");
+        fp.disarm("test.off");
+        assert_eq!(hit("test.off"), None);
+        assert_eq!(active_count(), 0);
     }
 
     #[test]
     fn panic_action_panics() {
-        cfg("test.panic", "1*panic(kaboom)").expect("cfg");
+        let fp = scope();
+        fp.arm("test.panic", "1*panic(kaboom)").expect("arm");
         let caught = std::panic::catch_unwind(|| hit("test.panic"));
-        remove("test.panic");
         let payload = caught.expect_err("should panic");
         let msg = payload
             .downcast_ref::<String>()
             .cloned()
             .unwrap_or_default();
         assert!(msg.contains("kaboom"), "unexpected payload: {msg}");
+    }
+
+    #[test]
+    fn keyed_site_fires_only_for_its_key() {
+        let fp = scope();
+        let trips = || {
+            crate::trace::MetricsRegistry::global().counter(crate::trace::names::FAILPOINT_TRIPS)
+        };
+        assert_eq!(hit_for(names::ACTION_SCORE, "A"), None, "unarmed");
+        fp.arm("action.score:A", "sleep(20)").expect("arm");
+        // Every arming test holds a scope, so only these hits move the
+        // trip counter.
+        let trips0 = trips();
+        assert_eq!(hit_for(names::ACTION_SCORE, "B"), None);
+        assert_eq!(trips(), trips0, "B is not slowed");
+        assert_eq!(hit_for(names::ACTION_SCORE, "A"), None);
+        assert_eq!(trips(), trips0 + 1, "A slept");
+    }
+
+    #[test]
+    fn second_scope_blocks_until_first_drops() {
+        let first = scope();
+        first.arm("test.scope", "return").expect("arm");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let h = std::thread::spawn(move || {
+            let _second = scope();
+            let _ = tx.send(hit("test.scope"));
+        });
+        assert!(
+            rx.recv_timeout(Duration::from_millis(100)).is_err(),
+            "second scope got the table while the first was alive"
+        );
+        assert!(hit("test.scope").is_some(), "first scope's point intact");
+        drop(first);
+        let seen = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("second scope proceeds once the first drops");
+        assert_eq!(seen, None, "the table was cleared between scopes");
+        h.join().expect("second scope thread");
     }
 
     #[test]

@@ -19,21 +19,20 @@
 //!   failures an action is skipped with a recorded reason, and re-probed
 //!   (half-open) after M fresh frames;
 //! - [`ActionStatus`] / [`ActionHealth`] / [`RunReport`] — per-action health
-//!   surfaced to the widget, streaming consumers, and the CLI;
-//! - [`ChaosAction`] — a fault-injection harness used by the integration
-//!   tests (and available to downstream users for their own chaos testing).
+//!   surfaced to the widget, streaming consumers, and the CLI.
+//!
+//! Faults are injected with a [`crate::CustomAction`] whose closure panics,
+//! errors or hangs, and with the `action.score:<name>` failpoint for slow
+//! scoring (`lux_engine::failpoint`).
 
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once, PoisonError};
 use std::time::{Duration, Instant};
 
-use lux_dataframe::prelude::{DataFrame, Error, Result};
-use lux_vis::ProcessOptions;
-
-use crate::action::{Action, ActionClass, ActionContext, ActionResult, Candidate};
+use crate::action::ActionResult;
 
 fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -436,146 +435,6 @@ impl CircuitBreaker {
     }
 }
 
-// ---------------------------------------------------------------------
-// Chaos harness
-// ---------------------------------------------------------------------
-
-/// What a [`ChaosAction`] does on one invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ChaosMode {
-    /// Behave like a normal univariate-overview action.
-    Healthy,
-    /// Panic inside `generate`.
-    Panic,
-    /// Return an error from `generate`.
-    Error,
-    /// Sleep inside `generate` (a hard hang from the executor's view:
-    /// cooperative checks cannot interrupt it).
-    Hang(Duration),
-    /// Produce `candidates` candidates and sleep `per_score` inside each
-    /// `score` call — a runaway action the cooperative deadline can catch.
-    SlowScore {
-        per_score: Duration,
-        candidates: usize,
-    },
-    /// Produce candidates whose specs reference a column that does not
-    /// exist, so every one of them fails processing.
-    Garbage,
-}
-
-/// A scriptable fault-injection action (the test harness of the fault
-/// model). Each recommendation pass consumes the next mode in the script;
-/// after the script is exhausted the last mode repeats.
-pub struct ChaosAction {
-    name: String,
-    script: Vec<ChaosMode>,
-    calls: AtomicUsize,
-    active: Mutex<ChaosMode>,
-}
-
-impl ChaosAction {
-    /// An action that performs `mode` on every invocation.
-    pub fn new(name: impl Into<String>, mode: ChaosMode) -> ChaosAction {
-        Self::scripted(name, vec![mode])
-    }
-
-    /// An action that walks `script` one mode per invocation, repeating the
-    /// final mode once the script is exhausted.
-    pub fn scripted(name: impl Into<String>, script: Vec<ChaosMode>) -> ChaosAction {
-        assert!(
-            !script.is_empty(),
-            "chaos script must have at least one mode"
-        );
-        ChaosAction {
-            name: name.into(),
-            script,
-            calls: AtomicUsize::new(0),
-            active: Mutex::new(ChaosMode::Healthy),
-        }
-    }
-
-    /// How many times `generate` has been invoked.
-    pub fn invocations(&self) -> usize {
-        self.calls.load(Ordering::SeqCst)
-    }
-
-    fn next_mode(&self) -> ChaosMode {
-        let call = self.calls.fetch_add(1, Ordering::SeqCst);
-        self.script[call.min(self.script.len() - 1)].clone()
-    }
-
-    fn healthy_candidates(ctx: &ActionContext<'_>) -> Vec<Candidate> {
-        ctx.meta
-            .columns
-            .iter()
-            .take(2)
-            .map(|c| {
-                Candidate::new(crate::structure_actions::univariate_spec(
-                    &c.name,
-                    c.semantic,
-                    ctx.config.histogram_bins,
-                ))
-            })
-            .collect()
-    }
-}
-
-impl Action for ChaosAction {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn class(&self) -> ActionClass {
-        ActionClass::Custom
-    }
-
-    fn applies(&self, _ctx: &ActionContext<'_>) -> bool {
-        true
-    }
-
-    fn generate(&self, ctx: &ActionContext<'_>) -> Result<Vec<Candidate>> {
-        let mode = self.next_mode();
-        *lock_recover(&self.active) = mode.clone();
-        match mode {
-            ChaosMode::Healthy => Ok(Self::healthy_candidates(ctx)),
-            ChaosMode::Panic => panic!("chaos: injected panic from {}", self.name),
-            ChaosMode::Error => Err(Error::InvalidArgument(format!(
-                "chaos: injected error from {}",
-                self.name
-            ))),
-            ChaosMode::Hang(d) => {
-                std::thread::sleep(d);
-                Ok(Self::healthy_candidates(ctx))
-            }
-            ChaosMode::SlowScore { candidates, .. } => {
-                let base = Self::healthy_candidates(ctx);
-                let Some(first) = base.first() else {
-                    return Ok(vec![]);
-                };
-                Ok((0..candidates.max(1))
-                    .map(|_| Candidate::new(first.spec.clone()))
-                    .collect())
-            }
-            ChaosMode::Garbage => {
-                let spec = crate::structure_actions::univariate_spec(
-                    "__chaos_missing_column__",
-                    lux_engine::SemanticType::Quantitative,
-                    ctx.config.histogram_bins,
-                );
-                Ok(vec![Candidate::new(spec.clone()), Candidate::new(spec)])
-            }
-        }
-    }
-
-    fn score(&self, spec: &lux_vis::VisSpec, frame: &DataFrame, opts: &ProcessOptions) -> f64 {
-        if let ChaosMode::SlowScore { per_score, .. } = &*lock_recover(&self.active) {
-            std::thread::sleep(*per_score);
-            return 0.5;
-        }
-        crate::score::interestingness(spec, frame, opts)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -660,15 +519,6 @@ mod tests {
         assert!(d.is_bounded());
         std::thread::sleep(Duration::from_millis(10));
         assert!(d.expired());
-    }
-
-    #[test]
-    fn chaos_script_walks_then_repeats_last() {
-        let c = ChaosAction::scripted("C", vec![ChaosMode::Error, ChaosMode::Healthy]);
-        assert_eq!(c.next_mode(), ChaosMode::Error);
-        assert_eq!(c.next_mode(), ChaosMode::Healthy);
-        assert_eq!(c.next_mode(), ChaosMode::Healthy);
-        assert_eq!(c.invocations(), 3);
     }
 
     #[test]

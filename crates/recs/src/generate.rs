@@ -24,12 +24,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lux_dataframe::prelude::*;
-use lux_engine::clock;
 use lux_engine::governor::{
     drain_sink, event_sink, BudgetHandle, DegradeLevel, EventSink, ResourceBudget,
 };
 use lux_engine::lock_recover;
 use lux_engine::trace::{names as metric, MetricsRegistry, SpanId, TraceCollector};
+use lux_engine::{clock, failpoint};
 use lux_engine::{AdmissionPermit, CachedSample, CostModel, FrameMeta, GovernorEvent, LuxConfig};
 use lux_intent::{Clause, CompileOptions};
 use lux_vis::{Channel, ProcessOptions, Vis, VisList, VisSpec};
@@ -498,6 +498,7 @@ impl<'a> ActionRun<'a> {
             (None, None) => (&self.pass.df, false),
         };
         let score = isolate(self.action.name(), || {
+            let _ = failpoint::hit_for(failpoint::names::ACTION_SCORE, self.action.name());
             self.action.score(&cand.spec, frame, &copts)
         });
         (score.map(|s| Some((cand, s, approx))), drain_sink(&csink))
@@ -981,10 +982,11 @@ fn collect(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::ActionClass;
-    use crate::fault::{ChaosAction, ChaosMode};
+    use crate::action::{ActionClass, CustomAction};
     use crate::metadata_actions::Correlation;
+    use crate::structure_actions::univariate_spec;
     use std::collections::HashMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn frame(rows: usize) -> DataFrame {
         DataFrameBuilder::new()
@@ -1019,6 +1021,30 @@ mod tests {
 
     fn report(registry: &ActionRegistry, pass: Pass) -> RunReport {
         run_pass(registry, pass).collect_report()
+    }
+
+    /// An always-applicable custom action running `generate`: the fault
+    /// harness of these tests (each test names its own, so no sibling test
+    /// can run it).
+    fn custom(
+        name: &str,
+        generate: impl Fn(&ActionContext<'_>) -> Result<Vec<Candidate>> + Send + Sync + 'static,
+    ) -> impl Action {
+        CustomAction::new(name, |_| true, generate)
+    }
+
+    /// Univariate candidates over the frame's first two columns.
+    fn healthy(ctx: &ActionContext<'_>) -> Vec<Candidate> {
+        ctx.meta.columns[..2]
+            .iter()
+            .map(|c| {
+                Candidate::new(univariate_spec(
+                    &c.name,
+                    c.semantic,
+                    ctx.config.histogram_bins,
+                ))
+            })
+            .collect()
     }
 
     #[test]
@@ -1133,7 +1159,7 @@ mod tests {
     #[test]
     fn panicking_action_becomes_failed_health_not_a_crash() {
         let mut registry = ActionRegistry::with_defaults();
-        registry.register(ChaosAction::new("Saboteur", ChaosMode::Panic));
+        registry.register(custom("Saboteur", |_| panic!("injected panic")));
         let report = report(&registry, pass_over(frame(40), LuxConfig::default()));
         assert!(report.results.iter().all(|r| r.action != "Saboteur"));
         assert!(report.results.iter().any(|r| r.action == "Correlation"));
@@ -1153,7 +1179,9 @@ mod tests {
     #[test]
     fn erroring_action_health_carries_generation_error() {
         let mut registry = ActionRegistry::new();
-        registry.register(ChaosAction::new("Erratic", ChaosMode::Error));
+        registry.register(custom("Erratic", |_| {
+            Err(Error::InvalidArgument("injected error".into()))
+        }));
         let report = report(&registry, pass_over(frame(40), LuxConfig::default()));
         assert!(report.results.is_empty());
         let status = report.status_of("Erratic").unwrap();
@@ -1168,13 +1196,12 @@ mod tests {
             c.r#async = false;
         });
         let mut registry = ActionRegistry::new();
-        registry.register(ChaosAction::new(
-            "Molasses",
-            ChaosMode::SlowScore {
-                per_score: Duration::from_millis(10),
-                candidates: 200,
-            },
-        ));
+        registry.register(custom("Molasses", |ctx| {
+            let spec = healthy(ctx).swap_remove(0).spec;
+            Ok((0..200).map(|_| Candidate::new(spec.clone())).collect())
+        }));
+        let fp = failpoint::scope();
+        fp.arm("action.score:Molasses", "sleep(10)").expect("arm");
         let report = report(&registry, pass_over(frame(40), config));
         let r = report
             .results
@@ -1199,10 +1226,13 @@ mod tests {
         let pass = pass_over(frame(20), config);
         let mut registry = ActionRegistry::new();
         // fails twice (tripping the breaker), then recovers
-        registry.register(ChaosAction::scripted(
-            "Flaky",
-            vec![ChaosMode::Panic, ChaosMode::Panic, ChaosMode::Healthy],
-        ));
+        let calls = AtomicUsize::new(0);
+        registry.register(custom("Flaky", move |ctx| {
+            if calls.fetch_add(1, Ordering::SeqCst) < 2 {
+                panic!("injected panic");
+            }
+            Ok(healthy(ctx))
+        }));
         // frames 1-2: failures
         for _ in 0..2 {
             let report = report(&registry, pass.clone());
@@ -1244,10 +1274,10 @@ mod tests {
     fn hung_action_is_abandoned_at_hard_cutoff() {
         let config = config_with(|c| c.action_budget = Some(Duration::from_millis(40)));
         let mut registry = ActionRegistry::with_defaults();
-        registry.register(ChaosAction::new(
-            "Sleeper",
-            ChaosMode::Hang(Duration::from_secs(30)),
-        ));
+        registry.register(custom("Sleeper", |ctx| {
+            std::thread::sleep(Duration::from_secs(30));
+            Ok(healthy(ctx))
+        }));
         let start = clock::now();
         let report = report(&registry, pass_over(frame(50), config));
         // returned in ~hard-cutoff time, not the 30 s hang
@@ -1270,11 +1300,11 @@ mod tests {
             c.budget.max_candidates = 1;
         });
         let mut registry = ActionRegistry::new();
-        registry.register(ChaosAction::new(
-            "Early",
-            ChaosMode::Hang(Duration::from_millis(50)),
-        ));
-        registry.register(ChaosAction::new("Late", ChaosMode::Healthy));
+        registry.register(custom("Early", |ctx| {
+            std::thread::sleep(Duration::from_millis(50));
+            Ok(healthy(ctx))
+        }));
+        registry.register(custom("Late", |ctx| Ok(healthy(ctx))));
         let pass = pass_over(frame(40), config);
         let governor = Arc::clone(&pass.governor);
         let report = report(&registry, pass);

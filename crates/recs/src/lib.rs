@@ -21,9 +21,7 @@ use std::sync::Arc;
 pub use action::{
     Action, ActionClass, ActionContext, ActionRegistry, ActionResult, Candidate, CustomAction,
 };
-pub use fault::{
-    ActionError, ActionHealth, ActionStatus, ChaosAction, ChaosMode, CircuitBreaker, RunReport,
-};
+pub use fault::{ActionError, ActionHealth, ActionStatus, CircuitBreaker, RunReport};
 pub use generate::{execute_action, run_pass, Pass, PassCtx, StreamingRun, TraceCtx};
 
 /// Every default action of Table 1, in taxonomy order.

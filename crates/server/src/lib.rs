@@ -25,11 +25,8 @@
 //! - [`mem`] — an in-memory `mem:<name>` transport with seeded fault
 //!   injection, used by the deterministic simulation harness
 //!   (DESIGN.md §15).
-//! - [`expose`] — an optional read-only Prometheus-text metrics listener
-//!   (`LUX_METRICS_ADDR`), hand-rolled HTTP/1.0 on `std`.
 
 pub mod client;
-pub mod expose;
 pub mod journal;
 pub mod mem;
 pub mod protocol;

@@ -48,10 +48,6 @@ pub struct ServerConfig {
     pub drain_timeout: Duration,
     /// Connection cap; excess connections get a typed error and a close.
     pub max_conns: usize,
-    /// Optional plaintext metrics exposition address (`LUX_METRICS_ADDR`):
-    /// a second listener serving the Prometheus text rendering of the
-    /// process `MetricsRegistry` over minimal HTTP. `None` = off.
-    pub metrics_addr: Option<String>,
 }
 
 impl Default for ServerConfig {
@@ -63,7 +59,6 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_millis(10_000),
             drain_timeout: Duration::from_millis(5_000),
             max_conns: 256,
-            metrics_addr: None,
         }
     }
 }
@@ -89,11 +84,6 @@ impl ServerConfig {
         }
         if let Some(ms) = envcfg::parse_u64("LUX_DRAIN_TIMEOUT_MS") {
             cfg.drain_timeout = Duration::from_millis(ms);
-        }
-        if let Ok(addr) = std::env::var("LUX_METRICS_ADDR") {
-            if !addr.trim().is_empty() {
-                cfg.metrics_addr = Some(addr.trim().to_string());
-            }
         }
         cfg
     }
@@ -308,8 +298,6 @@ pub struct Server {
     in_flight: Arc<AtomicUsize>,
     conns: Arc<AtomicUsize>,
     logger: Arc<SessionLogger>,
-    /// Bound metrics-exposition address, when `cfg.metrics_addr` was set.
-    metrics_addr: Option<String>,
 }
 
 impl Server {
@@ -334,19 +322,6 @@ impl Server {
         if flight.enabled() && flight.spool().is_none() {
             flight.set_spool(&cfg.data_dir.join("flight"));
         }
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let metrics_addr = match &cfg.metrics_addr {
-            Some(addr) => {
-                let bound = crate::expose::spawn_metrics_listener(addr, Arc::clone(&shutdown))?;
-                logger.log(
-                    EventKind::Server,
-                    format!("metrics exposition on {bound}"),
-                    None,
-                );
-                Some(bound)
-            }
-            None => None,
-        };
         for w in envcfg::invalid_warnings() {
             logger.log(EventKind::ActionFault, w, None);
         }
@@ -363,23 +338,17 @@ impl Server {
             registry: Arc::new(registry),
             listener,
             local_addr,
-            shutdown,
+            shutdown: Arc::new(AtomicBool::new(false)),
             draining: Arc::new(AtomicBool::new(false)),
             in_flight: Arc::new(AtomicUsize::new(0)),
             conns: Arc::new(AtomicUsize::new(0)),
             logger,
-            metrics_addr,
         })
     }
 
     /// The bound address (resolves `:0` to the chosen port).
     pub fn local_addr(&self) -> &str {
         &self.local_addr
-    }
-
-    /// The bound metrics-exposition address (`None` when not enabled).
-    pub fn metrics_addr(&self) -> Option<&str> {
-        self.metrics_addr.as_deref()
     }
 
     /// Handle a test or embedding can use to request a drain.

@@ -1,12 +1,10 @@
 //! The journal and registry tests that arm failpoints, in a binary of
 //! their own: the failpoint table is process-global, so a counted action
 //! such as `2*off->1*return` on `io.fsync` is eaten by any sibling test
-//! that fsyncs concurrently. Every test here holds one file-local lock
-//! (the `tests/failpoints.rs` pattern), and no non-arming test shares the
-//! process.
+//! that fsyncs concurrently. Every test here holds a `failpoint::scope`,
+//! and no non-arming test shares the process.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use lux_engine::failpoint::{self, names as fp};
 use lux_engine::trace::{names as metric, MetricsRegistry};
@@ -20,30 +18,6 @@ const CSV: &str = "mpg,hp,origin\n18.0,130,usa\n24.0,95,japan\n27.0,88,japan\n14
 /// A distinguishable second payload (5 rows to CSV's 4).
 const CSV2: &str =
     "mpg,hp,origin\n18.0,130,usa\n24.0,95,japan\n27.0,88,japan\n14.0,220,usa\n31.0,65,japan\n";
-
-/// Serializes the file and clears every failpoint on entry and on drop, so
-/// a panicking assertion cannot leak an armed site into the next test.
-struct Chaos {
-    _serial: MutexGuard<'static, ()>,
-}
-
-impl Chaos {
-    fn begin() -> Chaos {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        let _serial = LOCK
-            .get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        failpoint::clear_all();
-        Chaos { _serial }
-    }
-}
-
-impl Drop for Chaos {
-    fn drop(&mut self) {
-        failpoint::clear_all();
-    }
-}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lux_jfail_{tag}_{}", std::process::id()));
@@ -79,13 +53,13 @@ fn always() -> JournalConfig {
 
 #[test]
 fn journal_failpoint_degrades_but_does_not_fail() {
-    let _chaos = Chaos::begin();
+    let chaos = failpoint::scope();
     let dir = tmp_dir("failpoint");
     let mut j = open(&dir);
-    failpoint::cfg(fp::SERVER_JOURNAL, "1*return").unwrap();
+    chaos.arm(fp::SERVER_JOURNAL, "1*return").unwrap();
     assert_eq!(j.record_tenant("t1"), None); // swallowed by the failpoint
     assert!(matches!(j.degraded(), Some(DegradeReason::Append(_))));
-    failpoint::remove(fp::SERVER_JOURNAL);
+    chaos.disarm(fp::SERVER_JOURNAL);
     // Sticky all the way down: once degraded, nothing more is
     // appended, so acks carrying seq 0 and the health flag agree.
     assert_eq!(j.record_tenant("t2"), None);
@@ -98,15 +72,15 @@ fn journal_failpoint_degrades_but_does_not_fail() {
 
 #[test]
 fn fsync_failpoint_degrades_under_always_policy() {
-    let _chaos = Chaos::begin();
+    let chaos = failpoint::scope();
     let dir = tmp_dir("fsyncfail");
     let mut j = Journal::open(&dir, always(), 0).unwrap();
     let io_errors0 = MetricsRegistry::global().counter(metric::SERVER_JOURNAL_IO_ERRORS);
-    failpoint::cfg(fp::IO_FSYNC, "2*return").unwrap();
+    chaos.arm(fp::IO_FSYNC, "2*return").unwrap();
     assert_eq!(j.record_tenant("t1"), None);
     assert!(matches!(j.degraded(), Some(DegradeReason::Fsync(_))));
     assert!(MetricsRegistry::global().counter(metric::SERVER_JOURNAL_IO_ERRORS) > io_errors0);
-    failpoint::remove(fp::IO_FSYNC);
+    chaos.disarm(fp::IO_FSYNC);
     // The line itself was written before the failed fsync — replay
     // still sees it; only the durability *promise* was withdrawn.
     drop(j);
@@ -117,15 +91,15 @@ fn fsync_failpoint_degrades_under_always_policy() {
 
 #[test]
 fn fsync_failure_is_written_not_lost() {
-    let _chaos = Chaos::begin();
+    let chaos = failpoint::scope();
     // The distinction put_frame's spool cleanup rides on: a put whose
     // journal line landed but whose fsync failed WILL replay, so the
     // caller must learn the record exists (and keep its spool file).
     let dir = tmp_dir("written");
     let mut j = Journal::open(&dir, always(), 0).unwrap();
-    failpoint::cfg(fp::IO_FSYNC, "1*return").unwrap();
+    chaos.arm(fp::IO_FSYNC, "1*return").unwrap();
     let out = j.record_put(&put("t1", "cars", 10));
-    failpoint::remove(fp::IO_FSYNC);
+    chaos.disarm(fp::IO_FSYNC);
     assert!(matches!(out, Append::Written(seq) if seq > 0), "{out:?}");
     assert_eq!(out.durable(), None, "no durability promised");
     assert!(matches!(j.degraded(), Some(DegradeReason::Fsync(_))));
@@ -138,13 +112,13 @@ fn fsync_failure_is_written_not_lost() {
 
 #[test]
 fn snapshot_failpoint_degrades_compaction() {
-    let _chaos = Chaos::begin();
+    let chaos = failpoint::scope();
     let dir = tmp_dir("snapfail");
     let mut j = open(&dir);
     j.record_put(&put("t1", "cars", 1));
-    failpoint::cfg(fp::SERVER_SNAPSHOT, "1*return").unwrap();
+    chaos.arm(fp::SERVER_SNAPSHOT, "1*return").unwrap();
     j.compact(&SnapshotState::default());
-    failpoint::remove(fp::SERVER_SNAPSHOT);
+    chaos.disarm(fp::SERVER_SNAPSHOT);
     assert!(matches!(j.degraded(), Some(DegradeReason::Compact(_))));
     // The journal was left untouched.
     let r = replay(&dir);
@@ -154,7 +128,7 @@ fn snapshot_failpoint_degrades_compaction() {
 
 #[test]
 fn fsync_failure_on_overwrite_never_loses_the_frame() {
-    let _chaos = Chaos::begin();
+    let chaos = failpoint::scope();
     // Regression for a data-loss bug: an overwrite put whose journal
     // line landed but whose fsync failed had its spool file deleted
     // as if the record were never written. On the next boot the
@@ -167,9 +141,9 @@ fn fsync_failure_on_overwrite_never_loses_the_frame() {
     assert!(first.seq > 0, "first put is acked durable");
     // Fail exactly the overwrite's *journal* fsync: the first two
     // io.fsync hits are its spool file + directory syncs.
-    failpoint::cfg(fp::IO_FSYNC, "2*off->1*return").unwrap();
+    chaos.arm(fp::IO_FSYNC, "2*off->1*return").unwrap();
     let second = reg.put_frame("t1", "cars", CSV2, "tok-2").unwrap();
-    failpoint::remove(fp::IO_FSYNC);
+    chaos.disarm(fp::IO_FSYNC);
     assert_eq!(second.seq, 0, "no durability promised");
     assert!(reg.journal_degraded());
     // Both spool versions must still be on disk: the written record
@@ -193,12 +167,12 @@ fn fsync_failure_on_overwrite_never_loses_the_frame() {
 
 #[test]
 fn spool_failpoint_degrades_but_serves_from_memory() {
-    let _chaos = Chaos::begin();
+    let chaos = failpoint::scope();
     let dir = tmp_dir("spoolfail");
     let (reg, _) = Registry::recover(&dir).unwrap();
-    failpoint::cfg(fp::SERVER_SPOOL, "1*return").unwrap();
+    chaos.arm(fp::SERVER_SPOOL, "1*return").unwrap();
     let entry = reg.put_frame("t1", "cars", CSV, "tok").unwrap();
-    failpoint::remove(fp::SERVER_SPOOL);
+    chaos.disarm(fp::SERVER_SPOOL);
     assert_eq!(entry.seq, 0, "no durability promised");
     assert!(reg.journal_degraded());
     assert!(reg.journal_health().contains("degraded"));

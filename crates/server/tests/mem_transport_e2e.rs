@@ -52,7 +52,6 @@ fn start_server_with(
         write_timeout: Duration::from_millis(500),
         drain_timeout: Duration::from_millis(3_000),
         max_conns: 64,
-        metrics_addr: None,
     };
     let server = Server::bind(cfg).expect("bind mem listener");
     assert_eq!(server.local_addr(), addr);

@@ -128,7 +128,6 @@ fn garbage_barrage_never_kills_the_server() {
         write_timeout: Duration::from_millis(300),
         drain_timeout: Duration::from_millis(2_000),
         max_conns: 64,
-        metrics_addr: None,
     })
     .expect("bind");
     let addr = server.local_addr().to_string();

@@ -1,13 +1,12 @@
 //! Failpoint chaos against a live server: injected faults at every
 //! `server.*` failpoint site degrade exactly one request (or one
 //! connection, or persistence) and never the process. A single test
-//! function cycles the sites sequentially — the failpoint registry is
-//! process-global, so phases must not overlap.
+//! function cycles the sites sequentially under one `FailScope`.
 //!
 //! CI runs this binary twice: once clean, and once with
 //! `LUX_FAILPOINTS=server.journal=return` so the env-driven path (armed by
-//! `failpoint::init` inside `Server::bind`) is exercised too. Every
-//! assertion below holds in both modes.
+//! `failpoint::init` inside `Server::bind`, after the scope cleared the
+//! table) is exercised too. Every assertion below holds in both modes.
 
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -21,6 +20,7 @@ const CSV: &str = "mpg,hp,origin\n18.0,130,usa\n24.0,95,japan\n27.0,88,japan\n14
 
 #[test]
 fn injected_faults_degrade_one_request_never_the_server() {
+    let fp = failpoint::scope();
     let metrics = MetricsRegistry::global();
     let failures0 = metrics.counter(metric::SERVER_JOURNAL_FAILURES);
     let degraded0 = metrics.counter(metric::SERVER_JOURNAL_DEGRADED);
@@ -34,7 +34,6 @@ fn injected_faults_degrade_one_request_never_the_server() {
         write_timeout: Duration::from_millis(500),
         drain_timeout: Duration::from_millis(2_000),
         max_conns: 32,
-        metrics_addr: None,
     })
     .expect("bind");
     let addr = server.local_addr().to_string();
@@ -46,7 +45,7 @@ fn injected_faults_degrade_one_request_never_the_server() {
     // a connection that went away. The client sees a dead socket on that
     // attempt — and, being idempotent, reconnects and retries: a one-shot
     // fault is absorbed entirely client-side.
-    failpoint::cfg(names::SERVER_READ, "1*return").unwrap();
+    fp.arm(names::SERVER_READ, "1*return").unwrap();
     let mut faulted = connect();
     faulted
         .ping()
@@ -56,7 +55,7 @@ fn injected_faults_degrade_one_request_never_the_server() {
 
     // Phase 2 — server.write: the response write is dropped and the
     // connection closed. Same story: the retry rides over it.
-    failpoint::cfg(names::SERVER_WRITE, "1*return").unwrap();
+    fp.arm(names::SERVER_WRITE, "1*return").unwrap();
     let mut faulted = connect();
     faulted
         .ping()
@@ -66,7 +65,7 @@ fn injected_faults_degrade_one_request_never_the_server() {
 
     // Phase 3 — server.journal: persistence degrades, service does not.
     // Requests keep succeeding and stats report the degradation honestly.
-    failpoint::cfg(names::SERVER_JOURNAL, "2*return").unwrap();
+    fp.arm(names::SERVER_JOURNAL, "2*return").unwrap();
     let mut c = connect();
     c.hello("t-chaos").expect("hello");
     let (rows, _, _) = c
@@ -85,9 +84,7 @@ fn injected_faults_degrade_one_request_never_the_server() {
     assert!(metrics.counter(metric::SERVER_JOURNAL_FAILURES) > failures0);
     assert!(metrics.counter(metric::SERVER_JOURNAL_DEGRADED) > degraded0);
 
-    failpoint::remove(names::SERVER_READ);
-    failpoint::remove(names::SERVER_WRITE);
-    failpoint::remove(names::SERVER_JOURNAL);
+    drop(fp);
     shutdown.store(true, Ordering::SeqCst);
     handle.join().expect("server thread");
     let _ = std::fs::remove_dir_all(&dir);

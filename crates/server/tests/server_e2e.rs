@@ -46,7 +46,6 @@ fn start_server(dir: &PathBuf) -> (String, Arc<AtomicBool>, std::thread::JoinHan
         write_timeout: Duration::from_millis(500),
         drain_timeout: Duration::from_millis(3_000),
         max_conns: 64,
-        metrics_addr: None,
     };
     let server = Server::bind(cfg).expect("bind");
     let addr = server.local_addr().to_string();
@@ -337,7 +336,6 @@ fn unix_socket_transport_works() {
         write_timeout: Duration::from_millis(500),
         drain_timeout: Duration::from_millis(2_000),
         max_conns: 8,
-        metrics_addr: None,
     };
     let server = Server::bind(cfg).expect("bind unix");
     let addr = server.local_addr().to_string();

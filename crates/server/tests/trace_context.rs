@@ -1,16 +1,20 @@
 //! End-to-end request-context tests: a client-supplied request id must be
 //! visible in every server-side artifact — the pass-summary JSONL line,
 //! the echoed shed frame, the flight recorder (pin + spooled Chrome dump)
-//! — and the per-tenant SLO series must be scrapeable both over the wire
-//! (`Request::Metrics`) and from the plaintext exposition listener.
+//! — and the per-tenant SLO series must be scrapeable over the wire
+//! (`Request::Metrics`).
+//!
+//! Both tests hold a `failpoint::scope` for their whole run: one arms a
+//! one-shot admission refusal, and a sibling's print must neither consume
+//! it nor be refused by it (nor re-point the process-global flight spool
+//! mid-test).
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use lux_engine::failpoint;
 use lux_engine::FlightRecorder;
 use lux_server::{Client, PrintOutcome, Server, ServerConfig};
 
@@ -34,15 +38,7 @@ fn csv(rows: usize) -> String {
     out
 }
 
-fn start_server(
-    dir: &PathBuf,
-    metrics: bool,
-) -> (
-    String,
-    Option<String>,
-    Arc<AtomicBool>,
-    std::thread::JoinHandle<usize>,
-) {
+fn start_server(dir: &PathBuf) -> (String, Arc<AtomicBool>, std::thread::JoinHandle<usize>) {
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         data_dir: dir.clone(),
@@ -50,14 +46,12 @@ fn start_server(
         write_timeout: Duration::from_secs(5),
         drain_timeout: Duration::from_millis(3_000),
         max_conns: 16,
-        metrics_addr: metrics.then(|| "127.0.0.1:0".to_string()),
     };
     let server = Server::bind(cfg).expect("bind");
     let addr = server.local_addr().to_string();
-    let metrics_addr = server.metrics_addr().map(str::to_string);
     let shutdown = server.shutdown_handle();
     let handle = std::thread::spawn(move || server.run().expect("run"));
-    (addr, metrics_addr, shutdown, handle)
+    (addr, shutdown, handle)
 }
 
 fn stop_server(shutdown: &Arc<AtomicBool>, handle: std::thread::JoinHandle<usize>) {
@@ -65,33 +59,15 @@ fn stop_server(shutdown: &Arc<AtomicBool>, handle: std::thread::JoinHandle<usize
     let _ = handle.join();
 }
 
-/// Scrape `http://addr/metrics` with a raw socket (the listener is
-/// hand-rolled HTTP/1.0, so the client can be too). Returns the body.
-fn scrape(addr: &str) -> String {
-    let mut s = TcpStream::connect(addr).expect("connect metrics listener");
-    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    s.write_all(b"GET /metrics HTTP/1.0\r\nHost: lux\r\n\r\n")
-        .unwrap();
-    let mut raw = String::new();
-    s.read_to_string(&mut raw).expect("read scrape response");
-    assert!(raw.starts_with("HTTP/1.0 200 OK"), "scrape status: {raw}");
-    let (headers, body) = raw.split_once("\r\n\r\n").expect("header/body split");
-    assert!(
-        headers.contains("text/plain") && headers.contains("version=0.0.4"),
-        "content type: {headers}"
-    );
-    body.to_string()
-}
-
 #[test]
 fn request_id_flows_into_jsonl_shed_echo_flight_and_metrics() {
+    let fp = failpoint::scope();
     let dir = tmp_dir("full");
     // Pin the flight spool to this test's dir regardless of which test in
     // this binary bound a server first (the recorder is process-global).
     let flight_dir = dir.join("flight");
     FlightRecorder::global().set_spool(&flight_dir);
-    let (addr, metrics_addr, shutdown, handle) = start_server(&dir, true);
-    let metrics_addr = metrics_addr.expect("metrics listener bound");
+    let (addr, shutdown, handle) = start_server(&dir);
 
     let mut c = Client::connect(&addr, Duration::from_secs(10)).expect("connect");
     c.hello("t-obs").unwrap();
@@ -115,10 +91,10 @@ fn request_id_flows_into_jsonl_shed_echo_flight_and_metrics() {
 
     // 2. A deterministically shed print echoes the request id back in the
     //    Busy frame and logs an attributed pass-summary for the shed too.
-    lux_engine::failpoint::cfg(lux_engine::failpoint::names::ADMISSION_ACQUIRE, "1*return")
+    fp.arm(failpoint::names::ADMISSION_ACQUIRE, "1*return")
         .unwrap();
     let outcome = c.print_traced("cars", "", 0, 1, "req-shed-7").unwrap();
-    lux_engine::failpoint::remove(lux_engine::failpoint::names::ADMISSION_ACQUIRE);
+    fp.disarm(failpoint::names::ADMISSION_ACQUIRE);
     match outcome {
         PrintOutcome::Busy { reason, trace } => {
             assert_eq!(trace, "req-shed-7", "shed must echo the request id");
@@ -160,21 +136,16 @@ fn request_id_flows_into_jsonl_shed_echo_flight_and_metrics() {
         "dump lost the request id: {dump}"
     );
 
-    // 4. Per-tenant SLO series are scrapeable — identically over the wire
-    //    and from the plaintext listener.
-    for body in [
-        c.metrics().expect("metrics over the wire"),
-        scrape(&metrics_addr),
+    // 4. Per-tenant SLO series are scrapeable over the wire.
+    let body = c.metrics().expect("metrics over the wire");
+    for needle in [
+        "lux_tenant_requests{tenant=\"t-obs\"}",
+        "lux_tenant_sheds{tenant=\"t-obs\"}",
+        "lux_tenant_pass_latency_seconds{tenant=\"t-obs\",quantile=\"0.5\"}",
+        "lux_tenant_pass_latency_seconds{tenant=\"t-obs\",quantile=\"0.99\"}",
+        "lux_tenant_queue_wait_seconds_count{tenant=\"t-obs\"}",
     ] {
-        for needle in [
-            "lux_tenant_requests{tenant=\"t-obs\"}",
-            "lux_tenant_sheds{tenant=\"t-obs\"}",
-            "lux_tenant_pass_latency_seconds{tenant=\"t-obs\",quantile=\"0.5\"}",
-            "lux_tenant_pass_latency_seconds{tenant=\"t-obs\",quantile=\"0.99\"}",
-            "lux_tenant_queue_wait_seconds_count{tenant=\"t-obs\"}",
-        ] {
-            assert!(body.contains(needle), "missing {needle} in:\n{body}");
-        }
+        assert!(body.contains(needle), "missing {needle} in:\n{body}");
     }
 
     stop_server(&shutdown, handle);
@@ -183,8 +154,9 @@ fn request_id_flows_into_jsonl_shed_echo_flight_and_metrics() {
 
 #[test]
 fn server_mints_trace_ids_when_client_sends_none() {
+    let _fp = failpoint::scope();
     let dir = tmp_dir("minted");
-    let (addr, _, shutdown, handle) = start_server(&dir, false);
+    let (addr, shutdown, handle) = start_server(&dir);
     let mut c = Client::connect(&addr, Duration::from_secs(10)).expect("connect");
     c.hello("t-mint").unwrap();
     c.put_frame("cars", &csv(50)).unwrap();

@@ -237,9 +237,11 @@ pub fn payload_csv(k: u64) -> String {
     s
 }
 
-/// The schedulable world: registry + journal on a private dir, plus the
-/// oracle of acked state.
+/// The schedulable world: registry + journal on a private dir, the oracle
+/// of acked state, and the failpoint table (held for the world's life, so
+/// it starts and ends clear).
 pub struct World {
+    faults: failpoint::FailScope,
     dir: PathBuf,
     registry: Option<Registry>,
     oracle: BTreeMap<(String, String), KeyHistory>,
@@ -267,11 +269,13 @@ impl World {
 
     /// Build a fresh world on a private temp dir (wiped first).
     pub fn new(tag: &str) -> std::io::Result<World> {
+        let faults = failpoint::scope();
         let dir = std::env::temp_dir().join(format!("lux_sim_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir)?;
         let (registry, _notes) = Registry::recover_with_config(&dir, None, Self::journal_config())?;
         Ok(World {
+            faults,
             dir,
             registry: Some(registry),
             oracle: BTreeMap::new(),
@@ -377,21 +381,21 @@ impl World {
                 }
             }
             Step::Arm { fault } => {
-                if let Err(e) = failpoint::cfg(fault.name(), fault.action()) {
+                if let Err(e) = self.faults.arm(fault.name(), fault.action()) {
                     return Err(Violation {
                         step: index,
                         detail: format!("failpoint arm failed: {e}"),
                     });
                 }
             }
-            Step::ClearFaults => failpoint::clear_all(),
+            Step::ClearFaults => self.faults.clear(),
             Step::AdvanceClock { ms } => clock::advance(Duration::from_millis(*ms)),
             Step::CrashRestart => {
                 // Kill: no drain, no shutdown — just drop the instance.
                 self.registry = None;
                 // A crash clears the process image, including any armed
                 // one-shot failpoints (they are process state).
-                failpoint::clear_all();
+                self.faults.clear();
                 let (registry, notes) =
                     Registry::recover_with_config(&self.dir, None, Self::journal_config())
                         .map_err(|e| Violation {
@@ -583,11 +587,10 @@ pub struct RunOutcome {
 
 /// Replay `steps` in a fresh world under `seed` (installed as the
 /// process world seed for product-code randomness).  Fully resets
-/// failpoints and virtual time around the run.
+/// failpoints (the world's scope) and virtual time around the run.
 pub fn run_schedule(seed: u64, steps: &[Step]) -> RunOutcome {
     let _virtual_clock = clock::enable_virtual();
     rng::install(seed);
-    failpoint::clear_all();
     let mut world = match World::new(&format!("run_{seed:x}")) {
         Ok(w) => w,
         Err(e) => {
@@ -608,7 +611,6 @@ pub fn run_schedule(seed: u64, steps: &[Step]) -> RunOutcome {
             break;
         }
     }
-    failpoint::clear_all();
     rng::uninstall();
     RunOutcome {
         fingerprint: world.fingerprint(),

@@ -127,7 +127,7 @@ done < <(names_of crates/engine/src/failpoint.rs)
 
 # Where the process listens and where it keeps its files are configurable
 # whether or not a test happens to move them.
-deployment=' LUX_SERVER_ADDR LUX_SERVER_DATA_DIR LUX_METRICS_ADDR LUX_FLIGHT_SPOOL '
+deployment=' LUX_SERVER_ADDR LUX_SERVER_DATA_DIR LUX_FLIGHT_SPOOL '
 knobs=0
 for var in $(grep -rhoE '"LUX_[A-Z0-9_]+"' crates/*/src | tr -d '"' | sort -u); do
     knobs=$((knobs + 1))

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Mid-load metrics-exposition check (DESIGN.md §12): boot a real
-# `lux-shell serve` process with the plaintext metrics listener enabled,
-# drive client load against it, scrape the listener while prints are in
-# flight, and fail on malformed exposition lines or missing catalogue
-# metrics. Zero dependencies beyond bash: the scrape uses /dev/tcp.
+# Mid-load metrics-scrape check (DESIGN.md §12): boot a real
+# `lux-shell serve` process, drive client load against it, scrape it over
+# the wire (`lux-shell client <addr> metrics`, the `Metrics` op) while
+# prints are in flight, and fail on malformed exposition lines or missing
+# catalogue metrics.
 #
 # Usage: scripts/scrape_check.sh [clients] [prints-per-client]
 set -euo pipefail
@@ -26,7 +26,7 @@ trap 'kill "${SERVE_PID:-0}" 2>/dev/null || true; rm -rf "$work"' EXIT
     done
 } >"$work/cars.csv"
 
-LUX_SERVER_DATA_DIR="$work/data" LUX_METRICS_ADDR=127.0.0.1:0 \
+LUX_SERVER_DATA_DIR="$work/data" \
     "$BIN" serve 127.0.0.1:0 >"$work/serve.log" 2>&1 &
 SERVE_PID=$!
 
@@ -38,9 +38,7 @@ grep -q 'lux-serve: ready' "$work/serve.log" || {
     echo "error: server never became ready"; cat "$work/serve.log"; exit 1
 }
 ADDR=$(sed -n 's/^lux-serve: listening on //p' "$work/serve.log" | head -1)
-MADDR=$(sed -n 's/^lux-serve: metrics on //p' "$work/serve.log" | head -1)
-[ -n "$MADDR" ] || { echo "error: no metrics listener marker"; cat "$work/serve.log"; exit 1; }
-echo "== server on $ADDR, metrics on $MADDR"
+echo "== server on $ADDR"
 
 # Client load: N background clients, each uploading once and printing with
 # rotating intents and a client-supplied request id.
@@ -57,31 +55,15 @@ done
 
 # Scrape mid-load: wait for the first tenant series to appear (load is in
 # flight), then take the scrape that gets validated.
-scrape() {
-    local host="${MADDR%:*}" port="${MADDR##*:}"
-    exec 3<>"/dev/tcp/$host/$port"
-    printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3
-    cat <&3
-    exec 3<&- 3>&-
-}
+scrape() { "$BIN" client "$ADDR" metrics; }
 for _ in $(seq 1 100); do
-    if scrape | grep -q 'lux_tenant_requests{tenant="tenant-'; then break; fi
+    if scrape 2>/dev/null | grep -q 'lux_tenant_requests{tenant="tenant-'; then break; fi
     sleep 0.1
 done
-scrape >"$work/scrape.txt"
+scrape >"$work/body.txt" || { echo "error: metrics scrape failed"; exit 1; }
 for pid in "${CLIENT_PIDS[@]}"; do wait "$pid" 2>/dev/null || true; done
 
-# 1. HTTP envelope.
-head -1 "$work/scrape.txt" | grep -q '200 OK' || {
-    echo "error: scrape did not answer 200 OK"; head -5 "$work/scrape.txt"; exit 1
-}
-grep -q 'text/plain; version=0.0.4' "$work/scrape.txt" || {
-    echo "error: wrong exposition content type"; head -5 "$work/scrape.txt"; exit 1
-}
-# Body = everything after the blank header line.
-sed -e '1,/^\r\{0,1\}$/d' "$work/scrape.txt" >"$work/body.txt"
-
-# 2. Every non-comment line must be `name{labels} value` with a numeric
+# 1. Every non-comment line must be `name{labels} value` with a numeric
 #    value — malformed exposition fails the job.
 awk '
     /^$/ || /^#/ { next }
@@ -99,7 +81,7 @@ awk '
     }
 ' "$work/body.txt"
 
-# 3. Catalogue: the server, per-tenant SLO, journal, and flight-recorder
+# 2. Catalogue: the server, per-tenant SLO, journal, and flight-recorder
 #    series must all be present in a mid-load scrape.
 missing=0
 for needle in \

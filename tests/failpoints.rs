@@ -5,39 +5,22 @@
 //! backoff, a panic inside the processed-vis memo cache poisons the store
 //! and later passes recover, and a panic escaping a pool worker loop gets
 //! the worker respawned by its supervisor. Failpoints are process-global
-//! state, so the whole file serializes on one lock and clears the registry
-//! on both entry and exit of each test.
+//! state, so every test holds a `FailScope`, which serializes the file and
+//! clears the table on both entry and exit.
 
-use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
-use lux::engine::failpoint::{self, names as fp};
+use lux::engine::failpoint::{self, names as fp, FailScope};
 use lux::engine::trace::{names, MetricsRegistry};
 use lux::prelude::*;
 use lux::vis::{process, Backend, Channel, Encoding, Mark, ProcessOptions, VisSpec};
 use lux::LuxDataFrame;
 
-fn failpoint_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// Clears every failpoint when dropped, so a panicking assertion cannot
-/// leak chaos into the next test.
-struct Chaos;
-
-impl Chaos {
-    fn begin() -> Chaos {
-        failpoint::init();
-        failpoint::clear_all();
-        Chaos
-    }
-}
-
-impl Drop for Chaos {
-    fn drop(&mut self) {
-        failpoint::clear_all();
-    }
+/// A scope over a clean table: `LUX_FAILPOINTS` is armed (by `init`)
+/// before the scope clears it, never mid-test.
+fn chaos() -> FailScope {
+    failpoint::init();
+    failpoint::scope()
 }
 
 fn frame(rows: usize) -> DataFrame {
@@ -62,25 +45,25 @@ fn scatter() -> VisSpec {
 
 #[test]
 fn csv_ingest_failpoint_surfaces_as_parse_error() {
-    let _serial = failpoint_lock().lock().unwrap();
-    let _chaos = Chaos::begin();
-    failpoint::cfg(fp::CSV_INGEST, "return(disk gremlin)").unwrap();
+    let chaos = chaos();
+    chaos.arm(fp::CSV_INGEST, "return(disk gremlin)").unwrap();
     let err = LuxDataFrame::read_csv_str("a,b\n1,2\n").err().unwrap();
     assert!(err.to_string().contains("injected ingest failure"), "{err}");
-    failpoint::remove(fp::CSV_INGEST);
+    chaos.disarm(fp::CSV_INGEST);
     let df = LuxDataFrame::read_csv_str("a,b\n1,2\n").unwrap();
     assert_eq!(df.num_rows(), 1);
 }
 
 #[test]
 fn transient_sql_errors_retry_with_backoff_then_succeed() {
-    let _serial = failpoint_lock().lock().unwrap();
-    let _chaos = Chaos::begin();
+    let chaos = chaos();
     let metrics = MetricsRegistry::global();
     let retries0 = metrics.counter(names::SQL_RETRIES);
     // Two transient refusals, then the backend works: the third of the
     // three budgeted attempts succeeds.
-    failpoint::cfg(fp::SQL_QUERY, "2*return(connection reset by peer)").unwrap();
+    chaos
+        .arm(fp::SQL_QUERY, "2*return(connection reset by peer)")
+        .unwrap();
     let df = frame(100);
     let opts = ProcessOptions {
         backend: Backend::Sql,
@@ -96,11 +79,12 @@ fn transient_sql_errors_retry_with_backoff_then_succeed() {
 
 #[test]
 fn permanent_sql_errors_fail_fast_without_retry() {
-    let _serial = failpoint_lock().lock().unwrap();
-    let _chaos = Chaos::begin();
+    let chaos = chaos();
     let metrics = MetricsRegistry::global();
     let retries0 = metrics.counter(names::SQL_RETRIES);
-    failpoint::cfg(fp::SQL_QUERY, "return(malformed projection)").unwrap();
+    chaos
+        .arm(fp::SQL_QUERY, "return(malformed projection)")
+        .unwrap();
     let df = frame(50);
     let opts = ProcessOptions {
         backend: Backend::Sql,
@@ -124,20 +108,21 @@ fn permanent_sql_errors_fail_fast_without_retry() {
 /// `.lock().ok()?` silently disabled it for the rest of the process).
 #[test]
 fn memo_cache_survives_poisoning_and_keeps_caching() {
-    let _serial = failpoint_lock().lock().unwrap();
-    let _chaos = Chaos::begin();
+    let chaos = chaos();
     let df = frame(200);
     let opts = ProcessOptions {
         memo: true,
         ..ProcessOptions::default()
     };
     // Poison: the panic fires inside the store's critical section.
-    failpoint::cfg(fp::MEMO_VIS_INSERT, "1*panic(injected insert fault)").unwrap();
+    chaos
+        .arm(fp::MEMO_VIS_INSERT, "1*panic(injected insert fault)")
+        .unwrap();
     let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _ = process(&scatter(), &df, &opts);
     }));
     assert!(poisoned.is_err(), "panic failpoint did not fire");
-    failpoint::remove(fp::MEMO_VIS_INSERT);
+    chaos.disarm(fp::MEMO_VIS_INSERT);
 
     // Recovery: the next pass succeeds and the cache still serves hits.
     let metrics = MetricsRegistry::global();
@@ -156,15 +141,16 @@ fn memo_cache_survives_poisoning_and_keeps_caching() {
 /// instead of silently shrinking.
 #[test]
 fn pool_worker_panic_is_respawned_by_supervisor() {
-    let _serial = failpoint_lock().lock().unwrap();
-    let _chaos = Chaos::begin();
+    let chaos = chaos();
     let metrics = MetricsRegistry::global();
     // Touch the pool first so workers exist before the failpoint arms.
     let warm: Vec<usize> =
         lux::engine::pool::parallel_map(4, (0..64).collect(), |_, x: usize| x * 2);
     assert_eq!(warm[5], 10);
     let respawns0 = metrics.counter(names::POOL_RESPAWNS);
-    failpoint::cfg(fp::POOL_WORKER_LOOP, "1*panic(injected loop fault)").unwrap();
+    chaos
+        .arm(fp::POOL_WORKER_LOOP, "1*panic(injected loop fault)")
+        .unwrap();
     // Idle workers re-enter the loop top within their 50ms nap, so the
     // panic fires without any help; poll for the supervisor's restart.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -175,7 +161,7 @@ fn pool_worker_panic_is_respawned_by_supervisor() {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
-    failpoint::remove(fp::POOL_WORKER_LOOP);
+    chaos.disarm(fp::POOL_WORKER_LOOP);
     // The pool still does correct fork-join work afterwards.
     let healed: Vec<usize> =
         lux::engine::pool::parallel_map(4, (0..64).collect(), |_, x: usize| x + 1);
@@ -188,15 +174,14 @@ fn pool_worker_panic_is_respawned_by_supervisor() {
 /// drains the cursor itself.
 #[test]
 fn hung_pool_worker_is_flagged_by_the_watchdog() {
-    let _serial = failpoint_lock().lock().unwrap();
-    let _chaos = Chaos::begin();
+    let chaos = chaos();
     let metrics = MetricsRegistry::global();
     let warm: Vec<usize> = lux::engine::pool::parallel_map(4, (0..64).collect(), |_, x: usize| x);
     assert_eq!(warm.len(), 64);
     let hung0 = metrics.counter(names::POOL_HUNG_WORKERS);
     lux::engine::pool::set_watchdog_ms(20);
     // Whichever worker runs the next pool task stalls in it for 6s.
-    failpoint::cfg(fp::POOL_TASK_RUN, "1*sleep(6000)").unwrap();
+    chaos.arm(fp::POOL_TASK_RUN, "1*sleep(6000)").unwrap();
     let out: Vec<usize> =
         lux::engine::pool::parallel_map(4, (0..64).collect(), |_, x: usize| x + 1);
     assert_eq!(out.iter().sum::<usize>(), (1..=64).sum::<usize>());
@@ -216,9 +201,8 @@ fn hung_pool_worker_is_flagged_by_the_watchdog() {
 /// callers: the caller drains the index cursor itself.
 #[test]
 fn dropped_pool_tasks_do_not_hang_fork_join() {
-    let _serial = failpoint_lock().lock().unwrap();
-    let _chaos = Chaos::begin();
-    failpoint::cfg(fp::POOL_TASK_RUN, "3*return").unwrap();
+    let chaos = chaos();
+    chaos.arm(fp::POOL_TASK_RUN, "3*return").unwrap();
     let out: Vec<usize> = lux::engine::pool::parallel_map(8, (0..256).collect(), |_, x: usize| x);
     assert_eq!(out.len(), 256);
     assert_eq!(out[255], 255);
@@ -229,14 +213,19 @@ fn dropped_pool_tasks_do_not_hang_fork_join() {
 /// or a table are served, and after clearing chaos the engine is healthy.
 #[test]
 fn chaotic_print_pass_completes_and_recovers() {
-    let _serial = failpoint_lock().lock().unwrap();
-    let _chaos = Chaos::begin();
+    let chaos = chaos();
     let metrics = MetricsRegistry::global();
     let trips0 = metrics.counter(names::FAILPOINT_TRIPS);
-    failpoint::cfg(fp::METADATA_COLUMN, "2*return(metadata chaos)").unwrap();
-    failpoint::cfg(fp::MEMO_VIS_LOOKUP, "4*return(lookup chaos)").unwrap();
-    failpoint::cfg(fp::POOL_TASK_RUN, "1*return").unwrap();
-    failpoint::cfg(fp::MEMO_VIS_INSERT, "2*return(insert chaos)").unwrap();
+    chaos
+        .arm(fp::METADATA_COLUMN, "2*return(metadata chaos)")
+        .unwrap();
+    chaos
+        .arm(fp::MEMO_VIS_LOOKUP, "4*return(lookup chaos)")
+        .unwrap();
+    chaos.arm(fp::POOL_TASK_RUN, "1*return").unwrap();
+    chaos
+        .arm(fp::MEMO_VIS_INSERT, "2*return(insert chaos)")
+        .unwrap();
     let ldf = LuxDataFrame::new(frame(400));
     let widget = ldf.print();
     assert!(
@@ -247,7 +236,7 @@ fn chaotic_print_pass_completes_and_recovers() {
         metrics.counter(names::FAILPOINT_TRIPS) > trips0,
         "no failpoint actually fired during the chaotic pass"
     );
-    failpoint::clear_all();
+    chaos.clear();
     let clean = LuxDataFrame::new(frame(400)).print();
     assert!(clean.shed_note().is_none());
     assert!(
@@ -260,12 +249,11 @@ fn chaotic_print_pass_completes_and_recovers() {
 /// loudly rather than silently ignored, and the catalogue stays complete.
 #[test]
 fn failpoint_spec_parsing_round_trips() {
-    let _serial = failpoint_lock().lock().unwrap();
-    let _chaos = Chaos::begin();
+    let chaos = chaos();
     for name in fp::ALL {
-        failpoint::cfg(name, "off").unwrap();
+        chaos.arm(name, "off").unwrap();
     }
     assert!(fp::ALL.len() >= 8, "failpoint catalogue shrank");
-    assert!(failpoint::cfg(fp::CSV_INGEST, "dance(badly)").is_err());
-    assert!(failpoint::cfg(fp::CSV_INGEST, "sleep").is_err());
+    assert!(chaos.arm(fp::CSV_INGEST, "dance(badly)").is_err());
+    assert!(chaos.arm(fp::CSV_INGEST, "sleep").is_err());
 }

@@ -4,13 +4,16 @@
 //! results, disable repeat offenders through the circuit breaker, and
 //! surface all of it through the health ledger and the widget.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lux::engine::failpoint::{self, FailScope};
 use lux::engine::trace::{names, MetricsRegistry};
 use lux::engine::FlightRecorder;
 use lux::prelude::*;
-use lux::recs::{ChaosAction, ChaosMode};
+use lux::recs::structure_actions::univariate_spec;
+use lux::recs::{Action, ActionContext, Candidate, CustomAction};
 
 /// A small frame with enough shape for the default overview actions.
 fn frame() -> DataFrame {
@@ -32,15 +35,47 @@ fn frame() -> DataFrame {
         .unwrap()
 }
 
-/// An action that takes 10 ms per candidate score, 400 candidates long.
-fn sloth_action() -> ChaosAction {
-    ChaosAction::new(
-        "Sloth",
-        ChaosMode::SlowScore {
-            per_score: Duration::from_millis(10),
-            candidates: 400,
-        },
-    )
+/// An always-applicable custom action running `generate`: the fault
+/// harness of this suite. Each test names its own, so no concurrent test
+/// can run it.
+fn custom(
+    name: &str,
+    generate: impl Fn(&ActionContext<'_>) -> Result<Vec<Candidate>> + Send + Sync + 'static,
+) -> impl Action {
+    CustomAction::new(name, |_| true, generate)
+}
+
+/// Univariate candidates over the frame's first two columns.
+fn healthy(ctx: &ActionContext<'_>) -> Vec<Candidate> {
+    ctx.meta.columns[..2]
+        .iter()
+        .map(|c| {
+            Candidate::new(univariate_spec(
+                &c.name,
+                c.semantic,
+                ctx.config.histogram_bins,
+            ))
+        })
+        .collect()
+}
+
+/// An action 400 candidates long; [`slow_sloth`] makes each score 10 ms.
+fn sloth_action() -> impl Action {
+    custom("Sloth", |ctx| {
+        let spec = healthy(ctx).swap_remove(0).spec;
+        Ok((0..400).map(|_| Candidate::new(spec.clone())).collect())
+    })
+}
+
+/// Slows every `Sloth` score by 10 ms for as long as the guard lives.
+fn slow_sloth() -> FailScope {
+    let fp = failpoint::scope();
+    fp.arm("action.score:Sloth", "sleep(10)").expect("arm");
+    fp
+}
+
+fn panicker() -> impl Action {
+    custom("Panicker", |_| panic!("injected panic"))
 }
 
 fn statuses(ldf: &LuxDataFrame) -> Vec<(String, String)> {
@@ -60,9 +95,19 @@ fn status_of(ldf: &LuxDataFrame, action: &str) -> Option<String> {
 #[test]
 fn healthy_actions_survive_a_chaotic_registry() {
     let mut ldf = LuxDataFrame::new(frame());
-    ldf.register_action(ChaosAction::new("Panicker", ChaosMode::Panic));
-    ldf.register_action(ChaosAction::new("Erratic", ChaosMode::Error));
-    ldf.register_action(ChaosAction::new("Garbler", ChaosMode::Garbage));
+    ldf.register_action(panicker());
+    ldf.register_action(custom("Erratic", |_| {
+        Err(Error::InvalidArgument("injected error".into()))
+    }));
+    // Specs on a missing column: every candidate fails processing.
+    ldf.register_action(custom("Garbler", |ctx| {
+        let spec = univariate_spec(
+            "__missing__",
+            SemanticType::Quantitative,
+            ctx.config.histogram_bins,
+        );
+        Ok(vec![Candidate::new(spec.clone()), Candidate::new(spec)])
+    }));
 
     let widget = ldf.print(); // must not panic
     let tabs = widget.tabs();
@@ -90,7 +135,7 @@ fn chaos_survives_both_executor_paths() {
             ..LuxConfig::default()
         };
         let mut ldf = LuxDataFrame::with_config(frame(), Arc::new(cfg));
-        ldf.register_action(ChaosAction::new("Panicker", ChaosMode::Panic));
+        ldf.register_action(panicker());
         let widget = ldf.print();
         assert!(widget.tabs().contains(&"Distribution"), "async={async}");
         assert_eq!(
@@ -103,6 +148,7 @@ fn chaos_survives_both_executor_paths() {
 
 #[test]
 fn slow_action_degrades_to_partial_results() {
+    let _slow = slow_sloth();
     let cfg = LuxConfig {
         r#async: false,
         action_budget: Some(Duration::from_millis(30)),
@@ -150,6 +196,7 @@ fn slow_action_degrades_to_partial_results() {
 /// the flight recorder pins it for that reason.
 #[test]
 fn missed_deadline_is_tagged_and_pinned() {
+    let _slow = slow_sloth();
     let cfg = LuxConfig {
         r#async: false,
         ..LuxConfig::default()
@@ -183,10 +230,10 @@ fn hung_action_is_abandoned_at_the_hard_cutoff() {
         ..LuxConfig::default()
     };
     let mut ldf = LuxDataFrame::with_config(frame(), Arc::new(cfg));
-    ldf.register_action(ChaosAction::new(
-        "Sleeper",
-        ChaosMode::Hang(Duration::from_secs(30)),
-    ));
+    ldf.register_action(custom("Sleeper", |ctx| {
+        std::thread::sleep(Duration::from_secs(30));
+        Ok(healthy(ctx))
+    }));
 
     let start = Instant::now();
     let widget = ldf.print();
@@ -213,10 +260,14 @@ fn breaker_disables_repeat_offender_then_reprobes() {
         ..LuxConfig::default()
     };
     let mut ldf = LuxDataFrame::with_config(frame(), Arc::new(cfg));
-    ldf.register_action(ChaosAction::scripted(
-        "Flaky",
-        vec![ChaosMode::Panic, ChaosMode::Panic, ChaosMode::Healthy],
-    ));
+    // Fails twice, then recovers.
+    let calls = AtomicUsize::new(0);
+    ldf.register_action(custom("Flaky", move |ctx| {
+        if calls.fetch_add(1, Ordering::SeqCst) < 2 {
+            panic!("injected panic");
+        }
+        Ok(healthy(ctx))
+    }));
 
     let trips0 = MetricsRegistry::global().counter(names::BREAKER_TRIPS);
     let mut seen = Vec::new();
@@ -247,7 +298,7 @@ fn breaker_disables_repeat_offender_then_reprobes() {
 #[test]
 fn widget_surfaces_health_problems() {
     let mut ldf = LuxDataFrame::new(frame());
-    ldf.register_action(ChaosAction::new("Panicker", ChaosMode::Panic));
+    ldf.register_action(panicker());
     let widget = ldf.print();
     assert_eq!(widget.health_problems().len(), 1);
     let rendered = widget.to_string();

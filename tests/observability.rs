@@ -6,10 +6,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use lux::engine::failpoint;
 use lux::engine::trace::names as metric;
 use lux::engine::MetricsRegistry;
 use lux::prelude::*;
-use lux::recs::{ChaosAction, ChaosMode};
+use lux::recs::structure_actions::univariate_spec;
+use lux::recs::{Candidate, CustomAction};
 
 fn frame(n: usize) -> DataFrame {
     DataFrameBuilder::new()
@@ -147,13 +149,21 @@ fn degraded_pass_is_marked_in_trace_and_metrics() {
     config.r#async = false; // deterministic sequential path
     config.action_budget = Some(Duration::from_millis(25));
     let mut ldf = LuxDataFrame::with_config(df, Arc::new(config));
-    ldf.register_action(ChaosAction::new(
+    // 300 candidates, each scored 10 ms slow.
+    ldf.register_action(CustomAction::new(
         "Molasses",
-        ChaosMode::SlowScore {
-            per_score: Duration::from_millis(10),
-            candidates: 300,
+        |_| true,
+        |ctx| {
+            let spec = univariate_spec(
+                "price",
+                SemanticType::Quantitative,
+                ctx.config.histogram_bins,
+            );
+            Ok((0..300).map(|_| Candidate::new(spec.clone())).collect())
         },
     ));
+    let fp = failpoint::scope();
+    fp.arm("action.score:Molasses", "sleep(10)").expect("arm");
 
     let before = MetricsRegistry::global().snapshot();
     let _ = ldf.print();
@@ -191,7 +201,11 @@ fn degraded_pass_is_marked_in_trace_and_metrics() {
 #[test]
 fn failed_action_is_marked_in_trace_and_metrics() {
     let mut ldf = LuxDataFrame::new(frame(50));
-    ldf.register_action(ChaosAction::new("Saboteur", ChaosMode::Panic));
+    ldf.register_action(CustomAction::new(
+        "Saboteur",
+        |_| true,
+        |_| panic!("injected panic"),
+    ));
     let before = MetricsRegistry::global().snapshot();
     let widget = ldf.print();
     let after = MetricsRegistry::global().snapshot();

@@ -63,7 +63,6 @@ fn thirty_two_clients_against_two_slots() {
         write_timeout: Duration::from_secs(5),
         drain_timeout: Duration::from_secs(3),
         max_conns: 64,
-        metrics_addr: None,
     })
     .expect("bind");
     let addr = server.local_addr().to_string();

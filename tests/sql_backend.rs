@@ -315,9 +315,10 @@ fn lux_vis_runs_on_the_configured_backend() {
     assert_eq!(native.spec(), sql.spec());
     assert_frames_equal(native.data().unwrap(), sql.data().unwrap(), "LuxVis");
     // A refusing backend fails the SQL vis and only it: the path was taken.
-    failpoint::cfg(failpoint::names::SQL_QUERY, "return(x)").unwrap();
+    let fp = failpoint::scope();
+    fp.arm(failpoint::names::SQL_QUERY, "return(x)").unwrap();
     let (native, sql) = (vis(on(false)), vis(on(true)));
-    failpoint::remove(failpoint::names::SQL_QUERY);
+    drop(fp);
     assert!(native.is_ok());
     assert!(sql.is_err());
     // The group cap is the config's too: keys past it fold into "(other)".
