@@ -109,11 +109,6 @@ type AckedState = Arc<Mutex<std::collections::BTreeMap<String, (u64, u64)>>>;
 
 #[test]
 fn kill_nine_torture_loses_no_acked_put_and_serves_no_corrupt_frame() {
-    // Trim client-side reconnect budgets: after a kill the writer should
-    // fail fast, not burn the torture window in backoff.
-    std::env::set_var("LUX_CLIENT_RETRIES", "1");
-    std::env::set_var("LUX_CLIENT_BACKOFF_MS", "20");
-
     let cycles = env_u64("LUX_TORTURE_CYCLES", 5);
     // Seed precedence: LUX_TORTURE_SEED > LUX_TEST_SEED (the shared
     // test-replay knob, DESIGN.md §15) > ambient entropy.

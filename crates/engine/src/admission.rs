@@ -87,19 +87,17 @@ impl Default for AdmissionConfig {
 
 impl AdmissionConfig {
     /// Defaults overridden by `LUX_MAX_SESSIONS` and `LUX_ADMIT_TIMEOUT_MS`
-    /// when set. Unparseable values warn once (see [`crate::envcfg`]) and
-    /// keep the default — misconfiguration is surfaced, never silently
-    /// swallowed.
+    /// when set ([`crate::knobs`]; an invalid value keeps the default).
     pub fn from_env() -> AdmissionConfig {
-        let mut cfg = AdmissionConfig::default();
-        if let Some(n) = crate::envcfg::parse_u64("LUX_MAX_SESSIONS") {
-            cfg.max_sessions = (n as usize).max(1);
+        let env = crate::knobs::knobs();
+        let d = AdmissionConfig::default();
+        let max_sessions = env.max_sessions.map_or(d.max_sessions, |n| n.max(1));
+        AdmissionConfig {
+            max_sessions,
+            interactive_deadline: env.admit_timeout.unwrap_or(d.interactive_deadline),
+            tenant_max_sessions: max_sessions,
+            ..d
         }
-        if let Some(ms) = crate::envcfg::parse_u64("LUX_ADMIT_TIMEOUT_MS") {
-            cfg.interactive_deadline = Duration::from_millis(ms);
-        }
-        cfg.tenant_max_sessions = cfg.max_sessions;
-        cfg
     }
 }
 

@@ -4,10 +4,11 @@
 //! instead of calling [`Instant::now`] / [`SystemTime::now`] directly
 //! (`scripts/check.sh` enforces this with a drift lint).  In the default
 //! **real** mode the functions are thin wrappers around the std clock and
-//! cost one relaxed atomic load on top.  In **virtual** mode — enabled by
-//! the simulation harness (`crates/sim`) and by sim-clock unit tests —
-//! time only moves when a driver calls [`advance`], which makes timeout /
-//! deadline / backoff interleavings schedulable and replayable.
+//! cost one relaxed atomic load on top.  In **virtual** mode — held by a
+//! [`World::simulated`](crate::world::World::simulated) in the simulation
+//! harness (`crates/sim`) and in sim-clock tests — time only moves when a
+//! driver calls [`advance`], which makes timeout / deadline / backoff
+//! interleavings schedulable and replayable.
 //!
 //! ## Design notes
 //!
@@ -34,7 +35,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Fast-path flag: true while the virtual clock is enabled.
@@ -64,8 +65,6 @@ struct WheelState {
     /// Entries are popped lazily once expired; a waiter that leaves
     /// early (notified) simply leaves a stale entry behind.
     wheel: BinaryHeap<Reverse<u64>>,
-    /// Number of threads currently blocked in a virtual `sleep`.
-    sleepers: usize,
 }
 
 fn vclock() -> &'static VirtualClock {
@@ -78,10 +77,7 @@ fn vclock() -> &'static VirtualClock {
 }
 
 fn lock_state() -> MutexGuard<'static, WheelState> {
-    match vclock().state.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
+    crate::sync::lock_recover(&vclock().state)
 }
 
 /// True while the virtual clock is enabled.
@@ -136,7 +132,6 @@ pub fn sleep(dur: Duration) {
     let mut st = lock_state();
     let deadline = st.now_nanos.saturating_add(dur.as_nanos() as u64);
     st.wheel.push(Reverse(deadline));
-    st.sleepers += 1;
     loop {
         if st.now_nanos >= deadline {
             break;
@@ -146,18 +141,17 @@ pub fn sleep(dur: Duration) {
             vc.cond.notify_all();
             break;
         }
-        // Bounded real wait so a late guard drop or auto-advance
+        // Bounded real wait so a late World drop or auto-advance
         // toggle cannot strand the sleeper forever.
-        let (g, _) = match vc.cond.wait_timeout(st, Duration::from_millis(5)) {
-            Ok(r) => r,
-            Err(p) => p.into_inner(),
-        };
-        st = g;
+        st = vc
+            .cond
+            .wait_timeout(st, Duration::from_millis(5))
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
         if !is_virtual() {
             break;
         }
     }
-    st.sleepers = st.sleepers.saturating_sub(1);
 }
 
 /// Condvar wait with a timeout measured in *virtual* time when the
@@ -175,13 +169,10 @@ pub fn wait_timeout<'a, T>(
     dur: Duration,
 ) -> (MutexGuard<'a, T>, bool) {
     if !is_virtual() {
-        return match cond.wait_timeout(guard, dur) {
-            Ok((g, t)) => (g, t.timed_out()),
-            Err(p) => {
-                let (g, t) = p.into_inner();
-                (g, t.timed_out())
-            }
-        };
+        let (g, t) = cond
+            .wait_timeout(guard, dur)
+            .unwrap_or_else(PoisonError::into_inner);
+        return (g, t.timed_out());
     }
     // Register the deadline so the sim driver can see that a waiter
     // exists and how far it needs to advance the clock.
@@ -193,49 +184,32 @@ pub fn wait_timeout<'a, T>(
     };
     // Short real wait keeps the waiter responsive to notify_all while
     // virtual time is frozen; the caller's loop supplies correctness.
-    let (g, _) = match cond.wait_timeout(guard, Duration::from_millis(2)) {
-        Ok(r) => r,
-        Err(p) => p.into_inner(),
-    };
+    let (g, _) = cond
+        .wait_timeout(guard, Duration::from_millis(2))
+        .unwrap_or_else(PoisonError::into_inner);
     let timed_out = lock_state().now_nanos >= deadline_nanos;
     (g, timed_out)
 }
 
 // ---------------------------------------------------------------------------
-// Driver API (used by crates/sim and sim-clock tests)
+// Driver API (used by crates/sim and sim-clock tests). Virtual time is
+// switched on only by `World::simulated`; the driver calls below have no
+// effect in real mode.
 // ---------------------------------------------------------------------------
 
-/// Ownership of the process-wide virtual clock: virtual time stays on for
-/// as long as the guard lives.  Dropping it returns the process to real
-/// time and wakes all virtual sleepers.
-#[must_use = "virtual time is switched off again when the guard drops"]
-pub struct VirtualClockGuard {
-    _owner: MutexGuard<'static, ()>,
-}
-
-/// Enable the virtual clock.  Time freezes at the current virtual offset
-/// until [`advance`] is called.  The clock is process-global, so there is
-/// one owner at a time: a second caller (a sibling test on another thread)
-/// blocks here until the first guard drops, instead of advancing or
-/// disabling a clock someone else believes is frozen.
-pub fn enable_virtual() -> VirtualClockGuard {
-    static OWNER: Mutex<()> = Mutex::new(());
-    let owner = crate::sync::lock_recover(&OWNER);
-    vclock(); // capture the anchor before anyone observes virtual time
-    VIRTUAL.store(true, Ordering::SeqCst);
-    VirtualClockGuard { _owner: owner }
-}
-
-impl Drop for VirtualClockGuard {
-    fn drop(&mut self) {
-        VIRTUAL.store(false, Ordering::SeqCst);
-        AUTO_ADVANCE.store(false, Ordering::SeqCst);
-        vclock().cond.notify_all();
-    }
+/// Switch virtual time on (frozen at the current virtual offset until
+/// [`advance`]) or off (real time again); either way auto-advance is off
+/// and virtual sleepers are woken. Only [`crate::world::World`] calls this.
+pub(crate) fn set_virtual(on: bool) {
+    let vc = vclock(); // capture the anchor before anyone observes virtual time
+    AUTO_ADVANCE.store(false, Ordering::SeqCst);
+    VIRTUAL.store(on, Ordering::SeqCst);
+    vc.cond.notify_all();
 }
 
 /// Single-threaded simulation mode: virtual sleepers consume their own
-/// delay immediately instead of blocking on the driver.
+/// delay immediately instead of blocking on the driver. (Real-mode sleeps
+/// never read the flag, and the next `World` resets it.)
 pub fn set_auto_advance(on: bool) {
     AUTO_ADVANCE.store(on, Ordering::SeqCst);
     if on {
@@ -281,31 +255,17 @@ pub fn next_deadline() -> Option<Duration> {
     None
 }
 
-/// Advance virtual time to the earliest pending deadline.  Returns the
-/// duration advanced, or `None` if the wheel is empty.
-pub fn advance_to_next() -> Option<Duration> {
-    let d = next_deadline()?;
-    advance(d);
-    Some(d)
-}
-
-/// Number of threads currently blocked in a virtual [`sleep`].
-pub fn sleeper_count() -> usize {
-    lock_state().sleepers
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::World;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
-    // Virtual-clock tests share process-global state; keep them in one
-    // test fn so cargo's parallel test runner cannot interleave them.
     #[test]
     fn virtual_clock_end_to_end() {
         // -- now()/advance ------------------------------------------------
-        let virtual_clock = enable_virtual();
+        let _world = World::simulated(0);
         let t0 = now();
         advance(Duration::from_millis(250));
         let t1 = now();
@@ -317,6 +277,18 @@ mod tests {
         advance(Duration::from_millis(7));
         assert_eq!(unix_millis(), m0 + 7);
 
+        // A spawned sleeper has registered once its deadline is pending.
+        let registered = || {
+            let start = Instant::now();
+            loop {
+                if let Some(d) = next_deadline() {
+                    return d;
+                }
+                assert!(start.elapsed() < Duration::from_secs(5), "no sleeper");
+                std::thread::yield_now();
+            }
+        };
+
         // -- sleep blocks until the driver advances past the deadline ----
         let done = Arc::new(AtomicUsize::new(0));
         let d2 = Arc::clone(&done);
@@ -324,19 +296,12 @@ mod tests {
             sleep(Duration::from_millis(100));
             d2.store(1, Ordering::SeqCst);
         });
-        // Wait for the sleeper to register.
-        let start = Instant::now();
-        while sleeper_count() == 0 && start.elapsed() < Duration::from_secs(5) {
-            std::thread::yield_now();
-        }
-        assert_eq!(sleeper_count(), 1);
-        assert!(next_deadline().is_some());
+        assert_eq!(registered(), Duration::from_millis(100));
         advance(Duration::from_millis(40));
         assert_eq!(done.load(Ordering::SeqCst), 0, "woke before its deadline");
         advance(Duration::from_millis(60));
         h.join().expect("sleeper thread");
         assert_eq!(done.load(Ordering::SeqCst), 1);
-        assert_eq!(sleeper_count(), 0);
 
         // -- auto-advance: sleep consumes virtual time immediately --------
         set_auto_advance(true);
@@ -345,19 +310,16 @@ mod tests {
         assert_eq!(now().duration_since(before), Duration::from_secs(3));
         set_auto_advance(false);
 
-        // -- advance_to_next ---------------------------------------------
+        // -- advancing exactly to the next deadline wakes its sleeper ----
         let d3 = Arc::new(AtomicUsize::new(0));
         let d4 = Arc::clone(&d3);
         let h2 = std::thread::spawn(move || {
             sleep(Duration::from_millis(30));
             d4.store(1, Ordering::SeqCst);
         });
-        let start = Instant::now();
-        while sleeper_count() == 0 && start.elapsed() < Duration::from_secs(5) {
-            std::thread::yield_now();
-        }
-        let adv = advance_to_next().expect("a deadline is pending");
-        assert_eq!(adv, Duration::from_millis(30));
+        let next = registered();
+        assert_eq!(next, Duration::from_millis(30));
+        advance(next);
         h2.join().expect("sleeper thread");
         assert_eq!(d3.load(Ordering::SeqCst), 1);
 
@@ -372,28 +334,5 @@ mod tests {
         let g = pair.0.lock().expect("lock");
         let (_g, timed_out) = wait_timeout(&pair.1, g, Duration::from_millis(0));
         assert!(timed_out, "zero-duration wait at/past deadline times out");
-
-        drop(virtual_clock);
-        assert!(!is_virtual());
-    }
-
-    #[test]
-    fn second_enable_blocks_until_first_guard_drops() {
-        let first = enable_virtual();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let h = std::thread::spawn(move || {
-            let _second = enable_virtual();
-            let _ = tx.send(is_virtual());
-        });
-        assert!(
-            rx.recv_timeout(Duration::from_millis(100)).is_err(),
-            "second owner got the clock while the first guard was alive"
-        );
-        drop(first);
-        let virtual_in_second = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("second owner proceeds once the first guard drops");
-        assert!(virtual_in_second);
-        h.join().expect("second owner thread");
     }
 }

@@ -48,7 +48,7 @@ pub struct LuxConfig {
     /// re-probing the action.
     pub breaker_cooldown: u64,
     /// Per-pass resource ceilings (memory, candidate count, group
-    /// cardinality, cell width). Each print pass opens one
+    /// cardinality). Each print pass opens one
     /// [`crate::governor::BudgetHandle`] over this budget; see
     /// DESIGN.md §8 for the degradation ladder it drives.
     pub budget: ResourceBudget,
@@ -120,18 +120,17 @@ impl LuxConfig {
     }
 
     /// Resolve [`LuxConfig::threads`] to a concrete degree: an explicit
-    /// non-zero setting wins; `0` falls back to the `LUX_THREADS`
-    /// environment variable (read once per process), then to
+    /// non-zero setting wins; `0` falls back to `LUX_THREADS`
+    /// ([`crate::knobs`]), then to
     /// [`std::thread::available_parallelism`], which stays a live read so a
     /// cgroup quota or affinity change takes effect on the next pass.
     /// Never returns 0.
     pub fn effective_threads(&self) -> usize {
-        static FROM_ENV: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
         if self.threads != 0 {
             return self.threads;
         }
-        FROM_ENV
-            .get_or_init(|| crate::envcfg::parse_usize("LUX_THREADS").filter(|n| *n >= 1))
+        crate::knobs::knobs()
+            .threads
             .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
             .unwrap_or(1)
     }

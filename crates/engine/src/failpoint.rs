@@ -7,8 +7,9 @@
 //! no action code reaches — engine layers, server I/O and per-action scoring
 //! (`action.score:<name>`, a keyed site: see [`hit_for`]); a fault inside an
 //! action body is a `lux_recs::CustomAction` closure's job. Points are armed
-//! by `LUX_FAILPOINTS` (parsed once by [`init`]) or from code through a
-//! [`FailScope`], the one guard over the process-global table.
+//! by `LUX_FAILPOINTS` (armed once by [`init`]) or from code through a
+//! [`World`](crate::world::World), the one guard over the process-global
+//! table.
 //!
 //! `lux-dataframe` is the dependency-free base crate and holds no sites: the
 //! CSV and SQL points are hit by the callers that can see this registry
@@ -38,7 +39,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, Once, OnceLock};
+use std::sync::{Mutex, Once, OnceLock};
 use std::time::Duration;
 
 use crate::sync::lock_recover;
@@ -203,7 +204,9 @@ fn edit(edit: impl FnOnce(&mut HashMap<String, Entry>)) {
 }
 
 /// Arm `name` with a [`parse_chain`] action; a bare `off` disarms it.
-fn arm(name: &str, action: &str) -> Result<(), String> {
+/// Besides [`init`], only [`crate::world::World`] calls this, [`disarm`]
+/// and [`clear`].
+pub(crate) fn arm(name: &str, action: &str) -> Result<(), String> {
     let chain = parse_chain(action)?;
     edit(|reg| {
         if matches!(chain.as_slice(), [(FailAction::Off, None)]) {
@@ -215,53 +218,23 @@ fn arm(name: &str, action: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Disarm `name`.
+pub(crate) fn disarm(name: &str) {
+    edit(|reg| {
+        reg.remove(name);
+    });
+}
+
+/// Disarm every failpoint.
+pub(crate) fn clear() {
+    edit(HashMap::clear);
+}
+
 /// Number of currently configured failpoints (armed, including chains
 /// that have already run their counted stages).  The simulation harness
 /// uses this to tell whether persistence was being interfered with.
 pub fn active_count() -> usize {
     ACTIVE.load(Ordering::Acquire)
-}
-
-/// The one way to arm failpoints from code. A second [`scope`] blocks
-/// until this one drops; the table is cleared on entry and on drop, so a
-/// panicking assertion cannot leak an armed site. A scope does not run
-/// [`init`]: a test that must start clean under `LUX_FAILPOINTS` calls it
-/// first.
-pub struct FailScope {
-    _owner: MutexGuard<'static, ()>,
-}
-
-/// Take the failpoint table; see [`FailScope`].
-pub fn scope() -> FailScope {
-    static OWNER: Mutex<()> = Mutex::new(());
-    let owner = lock_recover(&OWNER);
-    edit(HashMap::clear);
-    FailScope { _owner: owner }
-}
-
-impl FailScope {
-    /// Arm `name` with a [`parse_chain`] action (a bare `off` disarms).
-    pub fn arm(&self, name: &str, action: &str) -> Result<(), String> {
-        arm(name, action)
-    }
-
-    /// Disarm `name`.
-    pub fn disarm(&self, name: &str) {
-        edit(|reg| {
-            reg.remove(name);
-        });
-    }
-
-    /// Disarm every failpoint.
-    pub fn clear(&self) {
-        edit(HashMap::clear);
-    }
-}
-
-impl Drop for FailScope {
-    fn drop(&mut self) {
-        edit(HashMap::clear);
-    }
 }
 
 /// Initialise the subsystem: arm `LUX_FAILPOINTS` once. Idempotent; called
@@ -270,17 +243,14 @@ impl Drop for FailScope {
 pub fn init() {
     static INIT: Once = Once::new();
     INIT.call_once(|| {
-        if let Ok(spec) = std::env::var("LUX_FAILPOINTS") {
+        if let Some(spec) = &crate::knobs::knobs().failpoints {
             for part in spec.split(';').filter(|p| !p.trim().is_empty()) {
-                match part.split_once('=') {
-                    Some((name, action)) => {
-                        if let Err(e) = arm(name.trim(), action) {
-                            eprintln!("lux: ignoring failpoint `{part}`: {e}");
-                        }
-                    }
-                    None => {
-                        eprintln!("lux: ignoring malformed failpoint `{part}` (want name=action)")
-                    }
+                let armed = match part.split_once('=') {
+                    Some((name, action)) => arm(name.trim(), action),
+                    None => Err("want name=action".to_string()),
+                };
+                if let Err(e) = armed {
+                    eprintln!("lux: ignoring failpoint `{part}`: {e}");
                 }
             }
         }
@@ -351,6 +321,7 @@ fn fire(name: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::World;
 
     #[test]
     fn disabled_is_none_and_cheap() {
@@ -383,8 +354,10 @@ mod tests {
 
     #[test]
     fn chained_stages_run_in_order() {
-        let fp = scope();
-        fp.arm("test.chain", "2*off->1*return(boom)").expect("arm");
+        let world = World::enter();
+        world
+            .arm("test.chain", "2*off->1*return(boom)")
+            .expect("arm");
         assert_eq!(hit("test.chain"), None, "first off stage");
         assert_eq!(hit("test.chain"), None, "second off stage");
         assert_eq!(hit("test.chain"), Some("boom".into()));
@@ -394,8 +367,8 @@ mod tests {
 
     #[test]
     fn counted_trigger_exhausts() {
-        let fp = scope();
-        fp.arm("test.counted", "2*return(err)").expect("arm");
+        let world = World::enter();
+        world.arm("test.counted", "2*return(err)").expect("arm");
         assert_eq!(hit("test.counted"), Some("err".into()));
         assert_eq!(hit("test.counted"), Some("err".into()));
         assert_eq!(hit("test.counted"), None);
@@ -403,21 +376,21 @@ mod tests {
 
     #[test]
     fn off_and_disarm_remove() {
-        let fp = scope();
-        fp.arm("test.off", "return").expect("arm");
+        let world = World::enter();
+        world.arm("test.off", "return").expect("arm");
         assert!(hit("test.off").is_some());
-        fp.arm("test.off", "off").expect("arm");
+        world.arm("test.off", "off").expect("arm");
         assert_eq!(hit("test.off"), None);
-        fp.arm("test.off", "return").expect("arm");
-        fp.disarm("test.off");
+        world.arm("test.off", "return").expect("arm");
+        world.disarm("test.off");
         assert_eq!(hit("test.off"), None);
         assert_eq!(active_count(), 0);
     }
 
     #[test]
     fn panic_action_panics() {
-        let fp = scope();
-        fp.arm("test.panic", "1*panic(kaboom)").expect("arm");
+        let world = World::enter();
+        world.arm("test.panic", "1*panic(kaboom)").expect("arm");
         let caught = std::panic::catch_unwind(|| hit("test.panic"));
         let payload = caught.expect_err("should panic");
         let msg = payload
@@ -429,41 +402,19 @@ mod tests {
 
     #[test]
     fn keyed_site_fires_only_for_its_key() {
-        let fp = scope();
+        let world = World::enter();
         let trips = || {
             crate::trace::MetricsRegistry::global().counter(crate::trace::names::FAILPOINT_TRIPS)
         };
         assert_eq!(hit_for(names::ACTION_SCORE, "A"), None, "unarmed");
-        fp.arm("action.score:A", "sleep(20)").expect("arm");
-        // Every arming test holds a scope, so only these hits move the
+        world.arm("action.score:A", "sleep(20)").expect("arm");
+        // Every arming test holds a World, so only these hits move the
         // trip counter.
         let trips0 = trips();
         assert_eq!(hit_for(names::ACTION_SCORE, "B"), None);
         assert_eq!(trips(), trips0, "B is not slowed");
         assert_eq!(hit_for(names::ACTION_SCORE, "A"), None);
         assert_eq!(trips(), trips0 + 1, "A slept");
-    }
-
-    #[test]
-    fn second_scope_blocks_until_first_drops() {
-        let first = scope();
-        first.arm("test.scope", "return").expect("arm");
-        let (tx, rx) = std::sync::mpsc::channel();
-        let h = std::thread::spawn(move || {
-            let _second = scope();
-            let _ = tx.send(hit("test.scope"));
-        });
-        assert!(
-            rx.recv_timeout(Duration::from_millis(100)).is_err(),
-            "second scope got the table while the first was alive"
-        );
-        assert!(hit("test.scope").is_some(), "first scope's point intact");
-        drop(first);
-        let seen = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("second scope proceeds once the first drops");
-        assert_eq!(seen, None, "the table was cleared between scopes");
-        h.join().expect("second scope thread");
     }
 
     #[test]

@@ -109,10 +109,8 @@ impl FlightRecorder {
         static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
         GLOBAL.get_or_init(|| {
             let rec = FlightRecorder::new(DEFAULT_CAPACITY, DEFAULT_LATENCY_MULT);
-            if let Ok(dir) = std::env::var("LUX_FLIGHT_SPOOL") {
-                if !dir.trim().is_empty() {
-                    rec.set_spool(Path::new(dir.trim()));
-                }
+            if let Some(dir) = &crate::knobs::knobs().flight_spool {
+                rec.set_spool(dir);
             }
             rec
         })

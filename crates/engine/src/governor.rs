@@ -58,9 +58,6 @@ pub struct ResourceBudget {
     /// Output cardinality ceiling for groupby / value_counts / bin
     /// results; beyond it, group enumeration folds into "top-K + other".
     pub max_group_cardinality: usize,
-    /// Longest cell string (chars) rendered into tables or ingested by the
-    /// permissive CSV reader.
-    pub max_cell_chars: usize,
 }
 
 impl Default for ResourceBudget {
@@ -69,7 +66,6 @@ impl Default for ResourceBudget {
             max_bytes: 256 << 20, // 256 MiB of intermediates per pass
             max_candidates: 64,
             max_group_cardinality: 1_000,
-            max_cell_chars: 4_096,
         }
     }
 }
@@ -81,7 +77,6 @@ impl ResourceBudget {
             max_bytes: u64::MAX,
             max_candidates: usize::MAX,
             max_group_cardinality: usize::MAX,
-            max_cell_chars: usize::MAX,
         }
     }
 }
@@ -368,7 +363,6 @@ mod tests {
         assert!(b.max_bytes > 0 && b.max_bytes < u64::MAX);
         assert!(b.max_candidates >= 15, "must not undercut top_k");
         assert!(b.max_group_cardinality >= 100);
-        assert!(b.max_cell_chars >= 256);
     }
 
     #[test]

@@ -30,10 +30,10 @@ pub mod admission;
 pub mod clock;
 pub mod config;
 pub mod cost;
-pub mod envcfg;
 pub mod failpoint;
 pub mod flight;
 pub mod governor;
+pub mod knobs;
 pub mod metadata;
 pub mod pool;
 pub mod rng;
@@ -42,6 +42,7 @@ pub mod stats;
 pub mod summary;
 pub mod sync;
 pub mod trace;
+pub mod world;
 
 pub use admission::{
     Admission, AdmissionConfig, AdmissionController, AdmissionPermit, AdmissionStats, AdmitRequest,

@@ -324,19 +324,15 @@ fn watchdog_loop(shared: Arc<Shared>) {
 }
 
 /// The process-wide pool, started on first use and sized from
-/// [`std::thread::available_parallelism`] (raised to `LUX_THREADS` when the
-/// env var asks for more, so an explicit thread count exercises real
+/// [`std::thread::available_parallelism`] (raised to `LUX_THREADS`, at most
+/// 64, when that asks for more, so an explicit thread count exercises real
 /// cross-thread interleavings even on small machines).
 pub fn global() -> &'static WorkPool {
     static POOL: OnceLock<WorkPool> = OnceLock::new();
     POOL.get_or_init(|| {
-        let mut workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if let Some(n) = crate::envcfg::parse_usize("LUX_THREADS") {
-            workers = workers.max(n.min(64));
-        }
-        WorkPool::start(workers)
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let asked = crate::knobs::knobs().threads.unwrap_or(0);
+        WorkPool::start(cores.max(asked.min(64)))
     })
 }
 

@@ -5,9 +5,9 @@
 //! this module instead of hashing `SystemTime::now()` ad hoc
 //! (`scripts/check.sh` enforces this with a drift lint).  In normal
 //! operation [`derive`] mixes ambient entropy (wall clock, pid, a
-//! process-global counter) so behaviour is exactly as before.  When the
-//! simulation harness installs a world seed via [`install`], every
-//! `derive` call becomes a pure function of `(seed, label, call-index)`,
+//! process-global counter) so behaviour is exactly as before.  While a
+//! [`World::simulated`](crate::world::World::simulated) holds a world
+//! seed, every `derive` call becomes a pure function of `(seed, label, call-index)`,
 //! so a failing sim seed replays byte-for-byte.
 //!
 //! [`SeededRng`] is the shared splitmix64 stream type used by callers
@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 /// Fast-path flag: true while a world seed is installed.
 static SEEDED: AtomicBool = AtomicBool::new(false);
@@ -34,11 +34,8 @@ struct WorldSeed {
 }
 
 fn world() -> MutexGuard<'static, Option<WorldSeed>> {
-    static WORLD: OnceLock<Mutex<Option<WorldSeed>>> = OnceLock::new();
-    match WORLD.get_or_init(|| Mutex::new(None)).lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
+    static WORLD: Mutex<Option<WorldSeed>> = Mutex::new(None);
+    crate::sync::lock_recover(&WORLD)
 }
 
 /// splitmix64 step — the same mixer `admission::Backoff` uses.
@@ -63,8 +60,9 @@ pub fn fnv1a(s: &str) -> u64 {
 }
 
 /// Install a world seed.  Until [`uninstall`] every [`derive`] call is a
-/// pure function of `(seed, label, per-label call index)`.
-pub fn install(seed: u64) {
+/// pure function of `(seed, label, per-label call index)`. Only
+/// [`crate::world::World`] calls this.
+pub(crate) fn install(seed: u64) {
     let mut w = world();
     *w = Some(WorldSeed {
         seed,
@@ -74,7 +72,7 @@ pub fn install(seed: u64) {
 }
 
 /// Remove the world seed and return to ambient-entropy derives.
-pub fn uninstall() {
+pub(crate) fn uninstall() {
     let mut w = world();
     *w = None;
     SEEDED.store(false, Ordering::SeqCst);
@@ -132,14 +130,6 @@ impl SeededRng {
         SeededRng { state: seed }
     }
 
-    /// Stream seeded from the world seed (or ambient entropy) for a
-    /// call-site label.
-    pub fn for_label(label: &'static str) -> Self {
-        SeededRng {
-            state: derive(label),
-        }
-    }
-
     /// Next 64 random bits.
     pub fn next_u64(&mut self) -> u64 {
         splitmix64(&mut self.state)
@@ -153,11 +143,6 @@ impl SeededRng {
             self.next_u64() % n
         }
     }
-
-    /// Uniform float in `[0, 1)`.
-    pub fn gen_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 /// Resolve the seed a randomized test should use: `LUX_TEST_SEED` when
@@ -165,52 +150,32 @@ impl SeededRng {
 /// returned seed so a failure is replayable with
 /// `LUX_TEST_SEED=<seed> cargo test ...`.
 pub fn test_seed() -> u64 {
-    match std::env::var("LUX_TEST_SEED") {
-        Ok(v) => {
-            let v = v.trim();
-            let parsed = if let Some(hex) = v.strip_prefix("0x") {
-                u64::from_str_radix(hex, 16).ok()
-            } else {
-                v.parse::<u64>().ok()
-            };
-            match parsed {
-                Some(s) => s,
-                None => {
-                    eprintln!("LUX_TEST_SEED={v:?} is not a valid u64; using ambient seed");
-                    derive("test.seed")
-                }
-            }
-        }
-        Err(_) => derive("test.seed"),
-    }
+    crate::knobs::knobs()
+        .test_seed
+        .unwrap_or_else(|| derive("test.seed"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::World;
 
     #[test]
     fn seeded_derive_is_deterministic_and_label_separated() {
-        install(42);
-        let a0 = derive("test.a");
-        let a1 = derive("test.a");
-        let b0 = derive("test.b");
-        uninstall();
-        install(42);
-        assert_eq!(derive("test.a"), a0, "same seed+label+index replays");
-        assert_eq!(derive("test.a"), a1);
-        assert_eq!(derive("test.b"), b0);
-        uninstall();
+        let draw = || {
+            let _world = World::simulated(42);
+            [derive("test.a"), derive("test.a"), derive("test.b")]
+        };
+        let [a0, a1, b0] = draw();
+        assert_eq!(draw(), [a0, a1, b0], "same seed+label+index replays");
         assert_ne!(a0, a1, "successive derives differ");
         assert_ne!(a0, b0, "labels are separated");
     }
 
     #[test]
     fn unseeded_derives_differ() {
-        uninstall();
-        let x = derive("test.ambient");
-        let y = derive("test.ambient");
-        assert_ne!(x, y);
+        let _world = World::enter();
+        assert_ne!(derive("test.ambient"), derive("test.ambient"));
     }
 
     #[test]
@@ -220,7 +185,6 @@ mod tests {
         let mut r2 = SeededRng::from_seed(7);
         let second: Vec<u64> = (0..4).map(|_| r2.next_u64()).collect();
         assert_eq!(first, second);
-        let f = SeededRng::from_seed(9).gen_f64();
-        assert!((0.0..1.0).contains(&f));
+        assert!(SeededRng::from_seed(9).gen_range(10) < 10);
     }
 }

@@ -423,7 +423,7 @@ pub mod names {
     /// Counter: failpoint actions actually executed (chaos bookkeeping).
     pub const FAILPOINT_TRIPS: &str = "lux.failpoint.trips";
     /// Counter: `LUX_*` environment values that failed to parse (each
-    /// distinct variable also warns once on stderr; see `envcfg`).
+    /// invalid variable also warns once on stderr; see `knobs`).
     pub const ENV_INVALID: &str = "lux.env.invalid";
     /// Counter: requests served by the recommendation server.
     pub const SERVER_REQUESTS: &str = "lux.server.requests";

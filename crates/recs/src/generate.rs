@@ -1200,8 +1200,10 @@ mod tests {
             let spec = healthy(ctx).swap_remove(0).spec;
             Ok((0..200).map(|_| Candidate::new(spec.clone())).collect())
         }));
-        let fp = failpoint::scope();
-        fp.arm("action.score:Molasses", "sleep(10)").expect("arm");
+        let world = lux_engine::world::World::enter();
+        world
+            .arm("action.score:Molasses", "sleep(10)")
+            .expect("arm");
         let report = report(&registry, pass_over(frame(40), config));
         let r = report
             .results

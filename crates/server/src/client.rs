@@ -2,8 +2,8 @@
 //! the benchmark harness, and the integration tests.
 //!
 //! The client survives a server restart: when the transport dies it
-//! reconnects with jittered exponential backoff (knobs
-//! `LUX_CLIENT_RETRIES`, `LUX_CLIENT_BACKOFF_MS`; capped at 2 s), replays
+//! reconnects with jittered exponential backoff (three attempts from a
+//! 50 ms base, capped at 2 s), replays
 //! its `Hello`, and retries the request — but **only idempotent
 //! requests**. A `put` interrupted before
 //! its ack is settled through the `StatFrame` probe: the client journals an
@@ -17,7 +17,6 @@
 use std::time::Duration;
 
 use lux_core::WireWidget;
-use lux_engine::envcfg;
 
 use crate::protocol::{read_frame, write_frame, ErrorCode, Request, Response};
 use crate::server::Conn;
@@ -102,31 +101,12 @@ pub enum PrintOutcome {
     Error(ErrorCode, String),
 }
 
+/// Reconnect attempts after a transport failure.
+const RETRIES: u32 = 3;
+/// Base of the reconnect backoff.
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
 /// Ceiling of the reconnect backoff.
 const BACKOFF_MAX: Duration = Duration::from_secs(2);
-
-/// Reconnect/backoff knobs, read from `LUX_CLIENT_*` once per client.
-#[derive(Debug, Clone, Copy)]
-struct RetryPolicy {
-    /// Reconnect attempts after a transport failure (0 = fail fast).
-    retries: u32,
-    base: Duration,
-    max: Duration,
-}
-
-impl RetryPolicy {
-    fn from_env() -> RetryPolicy {
-        RetryPolicy {
-            retries: envcfg::parse_u64("LUX_CLIENT_RETRIES").unwrap_or(3) as u32,
-            base: Duration::from_millis(
-                envcfg::parse_u64("LUX_CLIENT_BACKOFF_MS")
-                    .unwrap_or(50)
-                    .max(1),
-            ),
-            max: BACKOFF_MAX,
-        }
-    }
-}
 
 /// One logical connection to a lux server (transparently re-dialed across
 /// restarts). Requests are synchronous: send a frame, read the matching
@@ -138,7 +118,6 @@ pub struct Client {
     next_id: u32,
     /// Replayed on every reconnect, once `hello` has been called.
     tenant: Option<String>,
-    retry: RetryPolicy,
     /// xorshift64 state for backoff jitter and idempotency tokens.
     rng: u64,
 }
@@ -154,7 +133,6 @@ impl Client {
             conn: None,
             next_id: 1,
             tenant: None,
-            retry: RetryPolicy::from_env(),
             rng: seed_rng(addr),
         };
         client.conn = Some(client.dial()?);
@@ -194,11 +172,9 @@ impl Client {
     /// [0.5, 1.5) so a fleet of clients does not stampede a restarting
     /// server in lockstep.
     fn backoff(&mut self, attempt: u32) {
-        let exp = self
-            .retry
-            .base
+        let exp = BACKOFF_BASE
             .saturating_mul(1u32 << attempt.saturating_sub(1).min(16))
-            .min(self.retry.max);
+            .min(BACKOFF_MAX);
         let jitter = 0.5 + (self.next_rand() % 1_000) as f64 / 1_000.0;
         lux_engine::clock::sleep(exp.mul_f64(jitter));
     }
@@ -263,7 +239,7 @@ impl Client {
                 Err(e) if e.is_transport() => e,
                 Err(e) => return Err(e),
             };
-            if attempt >= self.retry.retries {
+            if attempt >= RETRIES {
                 return Err(err);
             }
             attempt += 1;
@@ -335,7 +311,7 @@ impl Client {
                 Err(e @ ClientError::Connect { .. }) => {
                     // The dial itself failed: the put was never sent, so
                     // resending is unconditionally safe — no token probe.
-                    if attempt >= self.retry.retries {
+                    if attempt >= RETRIES {
                         return Err(e);
                     }
                     attempt += 1;
@@ -352,7 +328,7 @@ impl Client {
         // before the transport died — the put may or may not have been
         // applied. Reconnect (within the remaining budget) and let the
         // server settle it by token.
-        while attempt < self.retry.retries {
+        while attempt < RETRIES {
             attempt += 1;
             self.backoff(attempt);
             if self.redial().is_err() {
@@ -602,6 +578,7 @@ fn seed_rng(addr: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::seed_rng;
+    use lux_engine::world::World;
 
     /// Reconnect jitter is replayable under the simulation world seed
     /// (DESIGN.md §15): the same installed seed yields the same sequence
@@ -609,18 +586,18 @@ mod tests {
     /// one run still de-correlate.
     #[test]
     fn reconnect_jitter_seed_replays_under_an_installed_world_seed() {
-        lux_engine::rng::install(7);
-        let first: Vec<u64> = (0..4).map(|_| seed_rng("mem:sim")).collect();
-        lux_engine::rng::uninstall();
-        lux_engine::rng::install(7);
-        let second: Vec<u64> = (0..4).map(|_| seed_rng("mem:sim")).collect();
-        lux_engine::rng::uninstall();
-        assert_eq!(first, second, "world-seed replay must be exact");
+        let draw = || {
+            let _world = World::simulated(7);
+            (0..4).map(|_| seed_rng("mem:sim")).collect::<Vec<u64>>()
+        };
+        let first = draw();
+        assert_eq!(first, draw(), "world-seed replay must be exact");
         assert_ne!(first[0], first[1], "connections must de-correlate");
         assert!(first.iter().all(|s| s % 2 == 1), "xorshift seeds stay odd");
 
         // Ambient path (no world seed installed): the address stirs the
         // seed, so clients dialing different servers diverge.
+        let _world = World::enter();
         let a = seed_rng("unix:/tmp/a.sock");
         let b = seed_rng("unix:/tmp/b.sock");
         assert_ne!(a, b);

@@ -68,7 +68,6 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use lux_engine::clock;
-use lux_engine::envcfg;
 use lux_engine::failpoint;
 use lux_engine::trace::{names as metric, MetricsRegistry};
 
@@ -184,25 +183,6 @@ pub enum FsyncPolicy {
 }
 
 impl FsyncPolicy {
-    /// Parse `LUX_JOURNAL_FSYNC`; invalid values warn once (via `envcfg`)
-    /// and keep the default (`interval`).
-    pub fn from_env() -> FsyncPolicy {
-        let default = JournalConfig::default().fsync;
-        match envcfg::parse::<String>("LUX_JOURNAL_FSYNC", "one of always|interval|never")
-            .as_deref()
-        {
-            Some("always") => FsyncPolicy::Always,
-            Some("never") => FsyncPolicy::Never,
-            Some("interval") | None => default,
-            Some(other) => {
-                // envcfg::parse::<String> never fails, so surface the bad
-                // enum value through the same warn-once channel.
-                envcfg::invalid("LUX_JOURNAL_FSYNC", other, "one of always|interval|never");
-                default
-            }
-        }
-    }
-
     fn label(&self) -> &'static str {
         match self {
             FsyncPolicy::Always => "always",
@@ -234,16 +214,22 @@ impl Default for JournalConfig {
 
 impl JournalConfig {
     /// Defaults overridden by `LUX_JOURNAL_FSYNC` and
-    /// `LUX_JOURNAL_COMPACT_LINES`.
+    /// `LUX_JOURNAL_COMPACT_LINES` ([`lux_engine::knobs`]; an invalid value
+    /// keeps the default).
     pub fn from_env() -> JournalConfig {
-        let mut cfg = JournalConfig {
-            fsync: FsyncPolicy::from_env(),
-            ..JournalConfig::default()
-        };
-        if let Some(n) = envcfg::parse_u64("LUX_JOURNAL_COMPACT_LINES") {
-            cfg.compact_lines = n.max(16);
+        let env = lux_engine::knobs::knobs();
+        let d = JournalConfig::default();
+        JournalConfig {
+            fsync: match env.journal_fsync {
+                Some("always") => FsyncPolicy::Always,
+                Some("never") => FsyncPolicy::Never,
+                _ => d.fsync,
+            },
+            compact_lines: env
+                .journal_compact_lines
+                .map_or(d.compact_lines, |n| n.max(16)),
+            ..d
         }
-        cfg
     }
 }
 
@@ -1099,17 +1085,5 @@ mod tests {
         assert!(!dir.join(&rel).exists(), "corrupt spool must be moved out");
         assert!(dir.join("quarantine").join("t1_cars_seq0.csv").exists());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fsync_policy_parses_from_env_shapes() {
-        // Direct construction only — env vars are process-global and other
-        // tests run in parallel, so only exercise the pure paths here.
-        assert_eq!(FsyncPolicy::Always.label(), "always");
-        assert_eq!(
-            FsyncPolicy::Interval(Duration::from_millis(50)).label(),
-            "interval"
-        );
-        assert_eq!(FsyncPolicy::Never.label(), "never");
     }
 }

@@ -21,8 +21,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lux_core::{EventKind, SessionLogger};
+use lux_engine::knobs::knobs;
 use lux_engine::trace::{names as metric, MetricsRegistry};
-use lux_engine::{envcfg, failpoint, AdmissionController};
+use lux_engine::{failpoint, AdmissionController};
 
 use crate::protocol::{read_frame, write_frame, ErrorCode, Frame, ProtoError, Request, Response};
 use crate::registry::Registry;
@@ -64,28 +65,20 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults overridden by the `LUX_SERVER_*` environment; invalid
-    /// values warn once (via `envcfg`) and keep the default.
+    /// Defaults overridden by the `LUX_*` variables named above
+    /// ([`lux_engine::knobs`]; an invalid value keeps the default).
     pub fn from_env() -> ServerConfig {
-        let mut cfg = ServerConfig::default();
-        if let Ok(addr) = std::env::var("LUX_SERVER_ADDR") {
-            if !addr.trim().is_empty() {
-                cfg.addr = addr.trim().to_string();
-            }
+        let env = knobs();
+        let d = ServerConfig::default();
+        let io_timeout = env.read_timeout.map(|t| t.max(Duration::from_millis(1)));
+        ServerConfig {
+            addr: env.server_addr.clone().unwrap_or(d.addr),
+            data_dir: env.server_data_dir.clone().unwrap_or(d.data_dir),
+            read_timeout: io_timeout.unwrap_or(d.read_timeout),
+            write_timeout: io_timeout.unwrap_or(d.write_timeout),
+            drain_timeout: env.drain_timeout.unwrap_or(d.drain_timeout),
+            max_conns: d.max_conns,
         }
-        if let Ok(dir) = std::env::var("LUX_SERVER_DATA_DIR") {
-            if !dir.trim().is_empty() {
-                cfg.data_dir = PathBuf::from(dir.trim());
-            }
-        }
-        if let Some(ms) = envcfg::parse_u64("LUX_READ_TIMEOUT_MS") {
-            cfg.read_timeout = Duration::from_millis(ms.max(1));
-            cfg.write_timeout = cfg.read_timeout;
-        }
-        if let Some(ms) = envcfg::parse_u64("LUX_DRAIN_TIMEOUT_MS") {
-            cfg.drain_timeout = Duration::from_millis(ms);
-        }
-        cfg
     }
 }
 
@@ -322,8 +315,8 @@ impl Server {
         if flight.enabled() && flight.spool().is_none() {
             flight.set_spool(&cfg.data_dir.join("flight"));
         }
-        for w in envcfg::invalid_warnings() {
-            logger.log(EventKind::ActionFault, w, None);
+        for w in &knobs().invalid {
+            logger.log(EventKind::ActionFault, w.clone(), None);
         }
         for n in notes {
             logger.log(EventKind::Server, n, None);

@@ -1,13 +1,14 @@
 //! The journal and registry tests that arm failpoints, in a binary of
 //! their own: the failpoint table is process-global, so a counted action
 //! such as `2*off->1*return` on `io.fsync` is eaten by any sibling test
-//! that fsyncs concurrently. Every test here holds a `failpoint::scope`,
-//! and no non-arming test shares the process.
+//! that fsyncs concurrently. Every test here holds a `World`, and no
+//! non-arming test shares the process.
 
 use std::path::{Path, PathBuf};
 
-use lux_engine::failpoint::{self, names as fp};
+use lux_engine::failpoint::names as fp;
 use lux_engine::trace::{names as metric, MetricsRegistry};
+use lux_engine::world::World;
 use lux_server::journal::{
     replay, spool_rel_path, Append, DegradeReason, FsyncPolicy, Journal, JournalConfig, PutRecord,
     SnapshotState,
@@ -53,7 +54,7 @@ fn always() -> JournalConfig {
 
 #[test]
 fn journal_failpoint_degrades_but_does_not_fail() {
-    let chaos = failpoint::scope();
+    let chaos = World::enter();
     let dir = tmp_dir("failpoint");
     let mut j = open(&dir);
     chaos.arm(fp::SERVER_JOURNAL, "1*return").unwrap();
@@ -72,7 +73,7 @@ fn journal_failpoint_degrades_but_does_not_fail() {
 
 #[test]
 fn fsync_failpoint_degrades_under_always_policy() {
-    let chaos = failpoint::scope();
+    let chaos = World::enter();
     let dir = tmp_dir("fsyncfail");
     let mut j = Journal::open(&dir, always(), 0).unwrap();
     let io_errors0 = MetricsRegistry::global().counter(metric::SERVER_JOURNAL_IO_ERRORS);
@@ -91,7 +92,7 @@ fn fsync_failpoint_degrades_under_always_policy() {
 
 #[test]
 fn fsync_failure_is_written_not_lost() {
-    let chaos = failpoint::scope();
+    let chaos = World::enter();
     // The distinction put_frame's spool cleanup rides on: a put whose
     // journal line landed but whose fsync failed WILL replay, so the
     // caller must learn the record exists (and keep its spool file).
@@ -112,7 +113,7 @@ fn fsync_failure_is_written_not_lost() {
 
 #[test]
 fn snapshot_failpoint_degrades_compaction() {
-    let chaos = failpoint::scope();
+    let chaos = World::enter();
     let dir = tmp_dir("snapfail");
     let mut j = open(&dir);
     j.record_put(&put("t1", "cars", 1));
@@ -128,7 +129,7 @@ fn snapshot_failpoint_degrades_compaction() {
 
 #[test]
 fn fsync_failure_on_overwrite_never_loses_the_frame() {
-    let chaos = failpoint::scope();
+    let chaos = World::enter();
     // Regression for a data-loss bug: an overwrite put whose journal
     // line landed but whose fsync failed had its spool file deleted
     // as if the record were never written. On the next boot the
@@ -167,7 +168,7 @@ fn fsync_failure_on_overwrite_never_loses_the_frame() {
 
 #[test]
 fn spool_failpoint_degrades_but_serves_from_memory() {
-    let chaos = failpoint::scope();
+    let chaos = World::enter();
     let dir = tmp_dir("spoolfail");
     let (reg, _) = Registry::recover(&dir).unwrap();
     chaos.arm(fp::SERVER_SPOOL, "1*return").unwrap();

@@ -1,26 +1,28 @@
 //! Failpoint chaos against a live server: injected faults at every
 //! `server.*` failpoint site degrade exactly one request (or one
 //! connection, or persistence) and never the process. A single test
-//! function cycles the sites sequentially under one `FailScope`.
+//! function cycles the sites sequentially under one `World`.
 //!
 //! CI runs this binary twice: once clean, and once with
 //! `LUX_FAILPOINTS=server.journal=return` so the env-driven path (armed by
-//! `failpoint::init` inside `Server::bind`, after the scope cleared the
-//! table) is exercised too. Every assertion below holds in both modes.
+//! `failpoint::init` inside `Server::bind`, after entering the `World`
+//! cleared the table) is exercised too. Every assertion below holds in
+//! both modes.
 
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use lux_engine::failpoint::{self, names};
+use lux_engine::failpoint::names;
 use lux_engine::trace::{names as metric, MetricsRegistry};
+use lux_engine::world::World;
 use lux_server::{Client, PrintOutcome, Server, ServerConfig};
 
 const CSV: &str = "mpg,hp,origin\n18.0,130,usa\n24.0,95,japan\n27.0,88,japan\n14.0,220,usa\n";
 
 #[test]
 fn injected_faults_degrade_one_request_never_the_server() {
-    let fp = failpoint::scope();
+    let world = World::enter();
     let metrics = MetricsRegistry::global();
     let failures0 = metrics.counter(metric::SERVER_JOURNAL_FAILURES);
     let degraded0 = metrics.counter(metric::SERVER_JOURNAL_DEGRADED);
@@ -45,7 +47,7 @@ fn injected_faults_degrade_one_request_never_the_server() {
     // a connection that went away. The client sees a dead socket on that
     // attempt — and, being idempotent, reconnects and retries: a one-shot
     // fault is absorbed entirely client-side.
-    fp.arm(names::SERVER_READ, "1*return").unwrap();
+    world.arm(names::SERVER_READ, "1*return").unwrap();
     let mut faulted = connect();
     faulted
         .ping()
@@ -55,7 +57,7 @@ fn injected_faults_degrade_one_request_never_the_server() {
 
     // Phase 2 — server.write: the response write is dropped and the
     // connection closed. Same story: the retry rides over it.
-    fp.arm(names::SERVER_WRITE, "1*return").unwrap();
+    world.arm(names::SERVER_WRITE, "1*return").unwrap();
     let mut faulted = connect();
     faulted
         .ping()
@@ -65,7 +67,7 @@ fn injected_faults_degrade_one_request_never_the_server() {
 
     // Phase 3 — server.journal: persistence degrades, service does not.
     // Requests keep succeeding and stats report the degradation honestly.
-    fp.arm(names::SERVER_JOURNAL, "2*return").unwrap();
+    world.arm(names::SERVER_JOURNAL, "2*return").unwrap();
     let mut c = connect();
     c.hello("t-chaos").expect("hello");
     let (rows, _, _) = c
@@ -84,7 +86,7 @@ fn injected_faults_degrade_one_request_never_the_server() {
     assert!(metrics.counter(metric::SERVER_JOURNAL_FAILURES) > failures0);
     assert!(metrics.counter(metric::SERVER_JOURNAL_DEGRADED) > degraded0);
 
-    drop(fp);
+    drop(world);
     shutdown.store(true, Ordering::SeqCst);
     handle.join().expect("server thread");
     let _ = std::fs::remove_dir_all(&dir);

@@ -4,7 +4,7 @@
 //! — and the per-tenant SLO series must be scrapeable over the wire
 //! (`Request::Metrics`).
 //!
-//! Both tests hold a `failpoint::scope` for their whole run: one arms a
+//! Both tests hold a `World` for their whole run: one arms a
 //! one-shot admission refusal, and a sibling's print must neither consume
 //! it nor be refused by it (nor re-point the process-global flight spool
 //! mid-test).
@@ -15,6 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lux_engine::failpoint;
+use lux_engine::world::World;
 use lux_engine::FlightRecorder;
 use lux_server::{Client, PrintOutcome, Server, ServerConfig};
 
@@ -61,7 +62,7 @@ fn stop_server(shutdown: &Arc<AtomicBool>, handle: std::thread::JoinHandle<usize
 
 #[test]
 fn request_id_flows_into_jsonl_shed_echo_flight_and_metrics() {
-    let fp = failpoint::scope();
+    let world = World::enter();
     let dir = tmp_dir("full");
     // Pin the flight spool to this test's dir regardless of which test in
     // this binary bound a server first (the recorder is process-global).
@@ -91,10 +92,11 @@ fn request_id_flows_into_jsonl_shed_echo_flight_and_metrics() {
 
     // 2. A deterministically shed print echoes the request id back in the
     //    Busy frame and logs an attributed pass-summary for the shed too.
-    fp.arm(failpoint::names::ADMISSION_ACQUIRE, "1*return")
+    world
+        .arm(failpoint::names::ADMISSION_ACQUIRE, "1*return")
         .unwrap();
     let outcome = c.print_traced("cars", "", 0, 1, "req-shed-7").unwrap();
-    fp.disarm(failpoint::names::ADMISSION_ACQUIRE);
+    world.disarm(failpoint::names::ADMISSION_ACQUIRE);
     match outcome {
         PrintOutcome::Busy { reason, trace } => {
             assert_eq!(trace, "req-shed-7", "shed must echo the request id");
@@ -154,7 +156,7 @@ fn request_id_flows_into_jsonl_shed_echo_flight_and_metrics() {
 
 #[test]
 fn server_mints_trace_ids_when_client_sends_none() {
-    let _fp = failpoint::scope();
+    let _world = World::enter();
     let dir = tmp_dir("minted");
     let (addr, shutdown, handle) = start_server(&dir);
     let mut c = Client::connect(&addr, Duration::from_secs(10)).expect("connect");

@@ -1,8 +1,9 @@
 //! # lux-sim
 //!
 //! FoundationDB-style deterministic simulation harness for the Lux
-//! server stack (DESIGN.md §15).  A [`World`] owns a registry + journal
-//! on a private data dir and an *oracle* of every acknowledged put; a
+//! server stack (DESIGN.md §15).  A [`Sim`] owns a registry + journal
+//! on a private data dir, an *oracle* of every acknowledged put and the
+//! process's simulated [`World`] (virtual clock, world seed, failpoints); a
 //! seeded schedule of [`Step`]s drives it — puts, prints, failpoint
 //! arming, virtual-clock advances, crash-and-restart — and after every
 //! restart the standing invariants are checked:
@@ -32,6 +33,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use lux_engine::rng::SeededRng;
+use lux_engine::world::World;
 use lux_engine::{clock, failpoint, rng, AdmissionController};
 use lux_server::journal::{FsyncPolicy, JournalConfig};
 use lux_server::protocol::crc32;
@@ -237,16 +239,17 @@ pub fn payload_csv(k: u64) -> String {
     s
 }
 
-/// The schedulable world: registry + journal on a private dir, the oracle
-/// of acked state, and the failpoint table (held for the world's life, so
-/// it starts and ends clear).
-pub struct World {
-    faults: failpoint::FailScope,
+/// One schedule's run: registry + journal on a private dir, the oracle of
+/// acked state, and the simulated [`World`] (held for the run's life, so
+/// time, seed and failpoints start and end clean even if a step panics).
+pub struct Sim {
     dir: PathBuf,
     registry: Option<Registry>,
     oracle: BTreeMap<(String, String), KeyHistory>,
     fingerprint: u64,
     puts: u64,
+    /// Last, so it drops after the registry.
+    world: World,
 }
 
 fn mix(fp: &mut u64, v: u64) {
@@ -254,7 +257,7 @@ fn mix(fp: &mut u64, v: u64) {
     *fp = rng::splitmix64(&mut s);
 }
 
-impl World {
+impl Sim {
     /// Journal config the world runs under: fsync on every append (so
     /// fsync failpoints hit deterministic call sites) and aggressive
     /// compaction thresholds so snapshot/compaction paths run inside
@@ -267,20 +270,21 @@ impl World {
         }
     }
 
-    /// Build a fresh world on a private temp dir (wiped first).
-    pub fn new(tag: &str) -> std::io::Result<World> {
-        let faults = failpoint::scope();
-        let dir = std::env::temp_dir().join(format!("lux_sim_{tag}_{}", std::process::id()));
+    /// Enter `World::simulated(seed)` and build a fresh registry on a
+    /// private temp dir (wiped first).
+    pub fn new(seed: u64) -> std::io::Result<Sim> {
+        let world = World::simulated(seed);
+        let dir = std::env::temp_dir().join(format!("lux_sim_run_{seed:x}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir)?;
         let (registry, _notes) = Registry::recover_with_config(&dir, None, Self::journal_config())?;
-        Ok(World {
-            faults,
+        Ok(Sim {
             dir,
             registry: Some(registry),
             oracle: BTreeMap::new(),
             fingerprint: 0x6c75_785f_7369_6d00, // "lux_sim"
             puts: 0,
+            world,
         })
     }
 
@@ -381,21 +385,21 @@ impl World {
                 }
             }
             Step::Arm { fault } => {
-                if let Err(e) = self.faults.arm(fault.name(), fault.action()) {
+                if let Err(e) = self.world.arm(fault.name(), fault.action()) {
                     return Err(Violation {
                         step: index,
                         detail: format!("failpoint arm failed: {e}"),
                     });
                 }
             }
-            Step::ClearFaults => self.faults.clear(),
+            Step::ClearFaults => self.world.clear_faults(),
             Step::AdvanceClock { ms } => clock::advance(Duration::from_millis(*ms)),
             Step::CrashRestart => {
                 // Kill: no drain, no shutdown — just drop the instance.
                 self.registry = None;
                 // A crash clears the process image, including any armed
                 // one-shot failpoints (they are process state).
-                self.faults.clear();
+                self.world.clear_faults();
                 let (registry, notes) =
                     Registry::recover_with_config(&self.dir, None, Self::journal_config())
                         .map_err(|e| Violation {
@@ -531,7 +535,7 @@ impl World {
     }
 }
 
-impl Drop for World {
+impl Drop for Sim {
     fn drop(&mut self) {
         self.registry = None;
         let _ = std::fs::remove_dir_all(&self.dir);
@@ -585,16 +589,12 @@ pub struct RunOutcome {
     pub violation: Option<Violation>,
 }
 
-/// Replay `steps` in a fresh world under `seed` (installed as the
-/// process world seed for product-code randomness).  Fully resets
-/// failpoints (the world's scope) and virtual time around the run.
+/// Replay `steps` in a fresh [`Sim`] under `seed` (the world seed for
+/// product-code randomness).
 pub fn run_schedule(seed: u64, steps: &[Step]) -> RunOutcome {
-    let _virtual_clock = clock::enable_virtual();
-    rng::install(seed);
-    let mut world = match World::new(&format!("run_{seed:x}")) {
-        Ok(w) => w,
+    let mut sim = match Sim::new(seed) {
+        Ok(sim) => sim,
         Err(e) => {
-            rng::uninstall();
             return RunOutcome {
                 fingerprint: 0,
                 violation: Some(Violation {
@@ -604,16 +604,12 @@ pub fn run_schedule(seed: u64, steps: &[Step]) -> RunOutcome {
             };
         }
     };
-    let mut violation = None;
-    for (i, step) in steps.iter().enumerate() {
-        if let Err(v) = world.apply(i, step) {
-            violation = Some(v);
-            break;
-        }
-    }
-    rng::uninstall();
+    let violation = steps
+        .iter()
+        .enumerate()
+        .find_map(|(i, step)| sim.apply(i, step).err());
     RunOutcome {
-        fingerprint: world.fingerprint(),
+        fingerprint: sim.fingerprint(),
         violation,
     }
 }

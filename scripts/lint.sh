@@ -84,6 +84,31 @@ if [ -n "$drift" ]; then
 fi
 echo "ok: no direct time or ambient-RNG calls outside the clock/rng modules"
 
+echo "== knobs lint (LUX_* names outside crates/engine/src/knobs.rs, README knob table)"
+# The product's LUX_* variables are parsed once, by lux_engine::knobs
+# (DESIGN.md §2): a quoted name anywhere else under crates/*/src is a second
+# read. The bench binaries' and the sim binary's own tool knobs are exempt.
+# Every variable knobs.rs names has a row in README.md's knob table.
+stray=$(grep -rn '"LUX_[A-Z0-9_]*"' crates/*/src \
+    | grep -v '^crates/engine/src/knobs\.rs:\|^crates/bench/src/\|^crates/sim/src/bin/' || true)
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "error: LUX_* variable named outside crates/engine/src/knobs.rs — add a Knobs field and read that"
+    exit 1
+fi
+rowless=0
+for var in $(grep -oE '"LUX_[A-Z0-9_]+"' crates/engine/src/knobs.rs | tr -d '"' | sort -u); do
+    if ! grep -q "^| \`$var\` |" README.md; then
+        echo "no README.md knob-table row: $var"
+        rowless=1
+    fi
+done
+if [ "$rowless" -ne 0 ]; then
+    echo "error: every variable in crates/engine/src/knobs.rs needs a row in README.md's knob table"
+    exit 1
+fi
+echo "ok: LUX_* variables are read only in knobs.rs, and each has a README row"
+
 echo "== observed-name lint (metrics, failpoints, LUX_* variables)"
 # One rule for the whole instrument surface: a metric in trace::names, a
 # failpoint site in failpoint::names, or a LUX_* variable read under

@@ -4,13 +4,14 @@
 //! the real-time overload test cannot pin.
 //!
 //! This file is its own test binary (root `tests/` layout), and each test
-//! holds the `enable_virtual()` guard for its whole body, so the
-//! process-global virtual clock has one owner at a time.
+//! holds a `World::simulated` for its whole body, so the process-global
+//! virtual clock has one owner at a time.
 
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lux_engine::world::World;
 use lux_engine::{clock, Admission, AdmissionConfig, AdmissionController, Priority};
 
 fn one_slot() -> AdmissionConfig {
@@ -39,7 +40,7 @@ fn wait_for_queue(c: &AdmissionController) {
 
 #[test]
 fn no_lost_wakeup_when_deadline_expires_in_the_slot_free_tick() {
-    let _virtual_clock = clock::enable_virtual();
+    let _world = World::simulated(0);
 
     // Phase A — slot frees first, deadline expires in the same tick: the
     // wakeup must not be lost; the waiter MUST be granted (the admit
@@ -111,7 +112,7 @@ fn no_lost_wakeup_when_deadline_expires_in_the_slot_free_tick() {
 /// moved (the deadline is measured on the virtual clock).
 #[test]
 fn deadline_is_measured_in_virtual_time() {
-    let _virtual_clock = clock::enable_virtual();
+    let _world = World::simulated(0);
     let c = Arc::new(AdmissionController::new(one_slot()));
     let _held = match c.admit(Priority::Interactive) {
         Admission::Granted(p) => p,

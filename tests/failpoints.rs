@@ -5,22 +5,23 @@
 //! backoff, a panic inside the processed-vis memo cache poisons the store
 //! and later passes recover, and a panic escaping a pool worker loop gets
 //! the worker respawned by its supervisor. Failpoints are process-global
-//! state, so every test holds a `FailScope`, which serializes the file and
+//! state, so every test holds a `World`, which serializes the file and
 //! clears the table on both entry and exit.
 
 use std::time::Duration;
 
-use lux::engine::failpoint::{self, names as fp, FailScope};
+use lux::engine::failpoint::{self, names as fp};
 use lux::engine::trace::{names, MetricsRegistry};
+use lux::engine::world::World;
 use lux::prelude::*;
 use lux::vis::{process, Backend, Channel, Encoding, Mark, ProcessOptions, VisSpec};
 use lux::LuxDataFrame;
 
-/// A scope over a clean table: `LUX_FAILPOINTS` is armed (by `init`)
-/// before the scope clears it, never mid-test.
-fn chaos() -> FailScope {
+/// A World over a clean table: `LUX_FAILPOINTS` is armed (by `init`)
+/// before entering clears it, never mid-test.
+fn chaos() -> World {
     failpoint::init();
-    failpoint::scope()
+    World::enter()
 }
 
 fn frame(rows: usize) -> DataFrame {
@@ -236,7 +237,7 @@ fn chaotic_print_pass_completes_and_recovers() {
         metrics.counter(names::FAILPOINT_TRIPS) > trips0,
         "no failpoint actually fired during the chaotic pass"
     );
-    chaos.clear();
+    chaos.clear_faults();
     let clean = LuxDataFrame::new(frame(400)).print();
     assert!(clean.shed_note().is_none());
     assert!(

@@ -8,8 +8,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lux::engine::failpoint::{self, FailScope};
 use lux::engine::trace::{names, MetricsRegistry};
+use lux::engine::world::World;
 use lux::engine::FlightRecorder;
 use lux::prelude::*;
 use lux::recs::structure_actions::univariate_spec;
@@ -68,10 +68,10 @@ fn sloth_action() -> impl Action {
 }
 
 /// Slows every `Sloth` score by 10 ms for as long as the guard lives.
-fn slow_sloth() -> FailScope {
-    let fp = failpoint::scope();
-    fp.arm("action.score:Sloth", "sleep(10)").expect("arm");
-    fp
+fn slow_sloth() -> World {
+    let world = World::enter();
+    world.arm("action.score:Sloth", "sleep(10)").expect("arm");
+    world
 }
 
 fn panicker() -> impl Action {

@@ -6,8 +6,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use lux::engine::failpoint;
 use lux::engine::trace::names as metric;
+use lux::engine::world::World;
 use lux::engine::MetricsRegistry;
 use lux::prelude::*;
 use lux::recs::structure_actions::univariate_spec;
@@ -162,8 +162,10 @@ fn degraded_pass_is_marked_in_trace_and_metrics() {
             Ok((0..300).map(|_| Candidate::new(spec.clone())).collect())
         },
     ));
-    let fp = failpoint::scope();
-    fp.arm("action.score:Molasses", "sleep(10)").expect("arm");
+    let world = World::enter();
+    world
+        .arm("action.score:Molasses", "sleep(10)")
+        .expect("arm");
 
     let before = MetricsRegistry::global().snapshot();
     let _ = ldf.print();
