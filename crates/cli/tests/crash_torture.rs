@@ -2,8 +2,8 @@
 //!
 //! Each cycle boots a real `lux-shell serve` process over a shared data
 //! dir, hammers it with puts from a writer thread (every ack recorded with
-//! its journal seq), kill -9s the server at a random instant, restarts it,
-//! and asserts the three invariants the journal promises:
+//! its seq), kill -9s the server at a random instant, restarts it, and
+//! asserts the three invariants the spool directory promises:
 //!
 //! 1. **Every acked put is served after restart** — for each name, the
 //!    recovered frame exists and its row count is at least the last acked
@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use lux_server::{Client, PrintOutcome};
 
-/// Maximum tolerated journal replay + spool verify time after a crash.
+/// Maximum tolerated spool listing + verify time after a crash.
 const RECOVERY_CEILING_MS: u64 = 30_000;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -66,9 +66,7 @@ fn env_u64(name: &str, default: u64) -> u64 {
 }
 
 /// Spawn `lux-shell serve` on `addr` over `data_dir`, wait for the ready
-/// marker, and return the child. Aggressive compaction thresholds so the
-/// snapshot/truncate path runs *during* the torture window, not only in
-/// long benchmarks.
+/// marker, and return the child.
 fn spawn_server(data_dir: &Path, addr: &str, log: &Path) -> Child {
     let log_file = std::fs::File::create(log).unwrap();
     let child = Command::new(env!("CARGO_BIN_EXE_lux-shell"))
@@ -77,7 +75,6 @@ fn spawn_server(data_dir: &Path, addr: &str, log: &Path) -> Child {
         .env("LUX_SERVER_DATA_DIR", data_dir)
         .env("LUX_READ_TIMEOUT_MS", "300")
         .env("LUX_DRAIN_TIMEOUT_MS", "2000")
-        .env("LUX_JOURNAL_COMPACT_LINES", "24")
         .stdout(Stdio::from(log_file))
         .stderr(Stdio::null())
         .spawn()
@@ -273,8 +270,8 @@ fn corrupted_spool_is_quarantined_not_served_after_restart() {
     let _ = child.wait();
 
     // Flip one digit inside the spooled payload. The damaged CSV still
-    // parses — only the journaled checksum can catch it. Spool files are
-    // versioned by journal seq, so locate the live one by prefix.
+    // parses — only the spool header's checksum can catch it. Spool files
+    // are versioned by seq, so locate the live one by prefix.
     let spool = std::fs::read_dir(dir.join("frames/t1"))
         .expect("spool dir")
         .flatten()

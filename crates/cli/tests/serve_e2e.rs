@@ -1,6 +1,7 @@
 //! Binary-level crash-tolerance tests for `lux-shell serve`: SIGTERM
-//! drains and exits cleanly; `kill -9` loses nothing that was journaled —
-//! a restarted server replays the journal and serves the same frames.
+//! drains and exits cleanly; `kill -9` loses nothing that was acked — a
+//! restarted server rebuilds its state from the spool directory and serves
+//! the same frames.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -27,7 +28,6 @@ fn spawn_server(data_dir: &Path, log: &Path) -> (Child, String) {
         .env("LUX_SERVER_DATA_DIR", data_dir)
         .env("LUX_READ_TIMEOUT_MS", "300")
         .env("LUX_DRAIN_TIMEOUT_MS", "3000")
-        .env("LUX_JOURNAL_FSYNC", "always")
         .stdout(Stdio::from(log_file))
         .stderr(Stdio::null())
         .spawn()
@@ -104,7 +104,7 @@ fn kill_nine_then_restart_replays_journal() {
         PrintOutcome::Widget(w) => assert_eq!(w.num_rows, 4),
         other => panic!("unexpected outcome before kill: {other:?}"),
     }
-    // Hard kill: no drain, no shutdown protocol, journal must carry it.
+    // Hard kill: no drain, no shutdown protocol, the spool directory must carry it.
     child.kill().expect("kill -9");
     let _ = child.wait();
 
@@ -115,7 +115,7 @@ fn kill_nine_then_restart_replays_journal() {
     assert_eq!(
         c2.list_frames().expect("list"),
         vec!["cars".to_string()],
-        "journal replay should restore `cars` and honour the drop of `gone`"
+        "recovery should restore `cars` and honour the drop of `gone`"
     );
     match c2.print("cars", "", 0, 2).expect("print after restart") {
         PrintOutcome::Widget(w) => {
@@ -180,7 +180,7 @@ fn client_subcommand_round_trips_against_a_live_server() {
     assert!(ok && text.contains("frames: 1"), "stats: {text}");
     assert!(
         text.contains("fsync=always"),
-        "fsync policy from env: {text}"
+        "stats names the fsync policy: {text}"
     );
     // Observability surface: Prometheus exposition over the wire, the
     // flight-recorder table, and a bounded `top` watch round.

@@ -13,7 +13,7 @@
 //!
 //! `lux-dataframe` is the dependency-free base crate and holds no sites: the
 //! CSV and SQL points are hit by the callers that can see this registry
-//! (`LuxDataFrame::read_csv*`, which the server's puts and journal replay go
+//! (`LuxDataFrame::read_csv*`, which the server's puts and recovery go
 //! through, and the SQL backend's retry loop in `lux-vis`).
 //!
 //! ## Activation syntax
@@ -33,7 +33,7 @@
 //! Actions chain with `->` (tikv `fail-rs` style): `2*off->1*return` passes
 //! the first two hits through untouched, fails the third, then goes quiet.
 //! Chains place a fault at an exact hit index when several sites share one
-//! failpoint (e.g. `io.fsync` covers spool, directory, and journal syncs).
+//! failpoint (e.g. `io.fsync` covers a put's file and directory syncs).
 //! A bare `off` still removes the point; a counted or chained `off` stage
 //! is a pass-through.
 
@@ -77,22 +77,13 @@ pub mod names {
     /// simulates a dead client mid-response; the handler must release its
     /// session state, never wedge).
     pub const SERVER_WRITE: &str = "server.write";
-    /// Session-journal append, before the line reaches the file (`return`
-    /// degrades persistence; the request itself must still succeed).
-    pub const SERVER_JOURNAL: &str = "server.journal";
-    /// Frame-spool write, before the CSV payload is written to its temp
-    /// file (`return` degrades persistence: the frame is served from
-    /// memory but not re-served after a restart).
+    /// Spool write (a put's file or a drop's tombstone), before its temp
+    /// file is created (`return` degrades persistence: the request still
+    /// succeeds and is served from memory, but not after a restart).
     pub const SERVER_SPOOL: &str = "server.spool";
-    /// Journal snapshot/compaction, before the snapshot temp file is
-    /// written (`return` fails the compaction — the journal keeps growing
-    /// and persistence degrades with a typed reason; `sleep` widens the
-    /// crash window the torture harness kills into).
-    pub const SERVER_SNAPSHOT: &str = "server.snapshot";
-    /// Durability fsync (journal line, spool file, or snapshot), before
-    /// the `sync_data` call (`return` simulates a disk that acknowledges
-    /// writes but fails to make them durable — under
-    /// `LUX_JOURNAL_FSYNC=always` this flips the degrade ladder).
+    /// Durability fsync (a spool file or its directory), before the
+    /// `sync_data` call (`return` simulates a disk that acknowledges writes
+    /// but fails to make them durable; persistence degrades).
     pub const IO_FSYNC: &str = "io.fsync";
     /// Per-action candidate scoring, keyed by action name: arm
     /// `action.score:<name>` (inside the isolated score call, so `panic`
@@ -112,9 +103,7 @@ pub mod names {
         ADMISSION_ACQUIRE,
         SERVER_READ,
         SERVER_WRITE,
-        SERVER_JOURNAL,
         SERVER_SPOOL,
-        SERVER_SNAPSHOT,
         IO_FSYNC,
         ACTION_SCORE,
     ];

@@ -30,9 +30,6 @@ pub struct Knobs {
     pub server_data_dir: Option<PathBuf>,
     pub read_timeout: Option<Duration>,
     pub drain_timeout: Option<Duration>,
-    /// `"always"`, `"interval"` or `"never"`.
-    pub journal_fsync: Option<&'static str>,
-    pub journal_compact_lines: Option<u64>,
     /// One `VAR="…" is not …; using the default` line per invalid variable.
     pub invalid: Vec<String>,
 }
@@ -67,12 +64,6 @@ impl Knobs {
             server_data_dir: env.text("LUX_SERVER_DATA_DIR").map(PathBuf::from),
             read_timeout: env.millis("LUX_READ_TIMEOUT_MS"),
             drain_timeout: env.millis("LUX_DRAIN_TIMEOUT_MS"),
-            journal_fsync: env.typed("LUX_JOURNAL_FSYNC", "one of always|interval|never", |v| {
-                ["always", "interval", "never"]
-                    .into_iter()
-                    .find(|m| *m == v)
-            }),
-            journal_compact_lines: env.count("LUX_JOURNAL_COMPACT_LINES"),
             invalid: env.invalid,
         }
     }
@@ -137,14 +128,12 @@ mod tests {
             ("LUX_READ_TIMEOUT_MS", "300"),
             ("LUX_TEST_SEED", "0x2a"),
             ("LUX_SERVER_DATA_DIR", " /srv/lux "),
-            ("LUX_JOURNAL_FSYNC", "always"),
         ]);
         assert_eq!(k.threads, Some(3));
         assert_eq!(k.max_sessions, Some(2));
         assert_eq!(k.read_timeout, Some(Duration::from_millis(300)));
         assert_eq!(k.test_seed, Some(42));
         assert_eq!(k.server_data_dir, Some(PathBuf::from("/srv/lux")));
-        assert_eq!(k.journal_fsync, Some("always"));
         assert!(k.invalid.is_empty(), "{:?}", k.invalid);
     }
 
@@ -154,7 +143,6 @@ mod tests {
         assert_eq!(k.server_addr, None);
         assert_eq!(k.failpoints, None);
         assert_eq!(k.max_sessions, None);
-        assert_eq!(k.journal_fsync, None);
         assert!(k.invalid.is_empty(), "{:?}", k.invalid);
     }
 
@@ -182,11 +170,11 @@ mod tests {
         );
         assert_eq!(metric(), before + 1);
 
-        let k = parse(&[("LUX_JOURNAL_FSYNC", "sometimes")]);
-        assert_eq!(k.journal_fsync, None);
+        let k = parse(&[("LUX_TEST_SEED", "0xnope")]);
+        assert_eq!(k.test_seed, None);
         assert_eq!(k.invalid.len(), 1);
         assert!(
-            k.invalid[0].contains("always|interval|never"),
+            k.invalid[0].contains("a decimal or 0x-hex u64"),
             "{}",
             k.invalid[0]
         );
@@ -205,6 +193,6 @@ mod tests {
         reads.sort();
         reads.dedup();
         assert_eq!(reads.len(), total, "a variable was read twice");
-        assert_eq!(total, 12);
+        assert_eq!(total, 10);
     }
 }

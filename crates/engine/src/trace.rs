@@ -431,23 +431,20 @@ pub mod names {
     pub const SERVER_PROTOCOL_ERRORS: &str = "lux.server.protocol_errors";
     /// Counter: connections reaped by the read/write timeout.
     pub const SERVER_TIMEOUTS: &str = "lux.server.timeouts";
-    /// Counter: lines appended to the server session journal.
+    /// Counter: durable directory mutations of the server's spool
+    /// directory: put files, tombstones, tenant dirs.
     pub const SERVER_JOURNAL_APPENDS: &str = "lux.server.journal.appends";
-    /// Counter: journal appends that failed (I/O error or injected fault).
-    pub const SERVER_JOURNAL_FAILURES: &str = "lux.server.journal.append_failures";
-    /// High-water counter (0/1): set once journal persistence degrades —
-    /// the metric form of the sticky "journal: degraded" stats flag.
+    /// High-water counter (0/1): set once persistence degrades — the metric
+    /// form of the sticky "journal: degraded" stats flag.
     pub const SERVER_JOURNAL_DEGRADED: &str = "lux.server.journal.degraded";
-    /// Counter: corrupt/torn journal lines skipped during replay.
-    pub const SERVER_JOURNAL_SKIPPED_LINES: &str = "lux.server.journal.skipped_lines";
-    /// Counter: durability fsyncs issued (journal lines, spool files,
-    /// snapshots), governed by the `LUX_JOURNAL_FSYNC` policy.
+    /// Counter: durability fsyncs issued (spool files and their
+    /// directories).
     pub const SERVER_JOURNAL_FSYNCS: &str = "lux.server.journal.fsyncs";
-    /// Counter: spooled frames whose payload failed its recovery checksum
-    /// and were quarantined instead of served.
+    /// Counter: spool files that failed their recovery checksums and were
+    /// quarantined instead of served.
     pub const SERVER_JOURNAL_QUARANTINED: &str = "lux.server.journal.quarantined_frames";
-    /// Counter: classified journal/spool/snapshot I/O errors (disk-full,
-    /// EIO, ...) — the events that flip the persistence degrade ladder.
+    /// Counter: spool I/O failures, injected ones included — the events
+    /// that degrade persistence.
     pub const SERVER_JOURNAL_IO_ERRORS: &str = "lux.server.journal.io_errors";
     /// Counter: passes that finished after their client deadline (the
     /// deadline-miss SLO signal; sheds are counted separately).

@@ -2,7 +2,7 @@
 //!
 //! A crash-tolerant, multi-tenant serving layer over the Lux engine
 //! (DESIGN.md §11). Zero dependencies beyond the workspace: the wire
-//! protocol, CRC, journal, and signal handling are all hand-rolled on
+//! protocol, CRC, spool directory, and signal handling are all hand-rolled on
 //! `std`.
 //!
 //! - [`protocol`] — length-prefixed, CRC-checked binary frames over TCP or
@@ -12,10 +12,10 @@
 //!   a CSV once, print it many times; repeated prints share the WFLOW memo
 //!   and the process-wide processed-vis cache through the frame
 //!   fingerprint.
-//! - [`journal`] — checksummed, sequence-numbered JSONL session journal
-//!   with an explicit fsync policy, snapshot + compaction, and a verified
-//!   CSV spool; replayed on boot so a `kill -9`'d server comes back
-//!   serving exactly the frames it acked — and never a corrupt one.
+//! - [`journal`] — durable state as a spool directory: one checksummed,
+//!   seq-versioned file per put, a tombstone per drop, a directory per
+//!   tenant; listed on boot so a `kill -9`'d server comes back serving
+//!   exactly the frames it acked — and never a corrupt one.
 //! - [`server`] — the accept/dispatch/drain loop: per-request deadlines
 //!   propagate into the engine's admission and action-budget machinery,
 //!   reads/writes are timeout-bounded, SIGTERM drains in-flight passes

@@ -49,8 +49,8 @@ pub const MAGIC: [u8; 2] = *b"LX";
 pub const MAX_PAYLOAD: usize = 64 * 1024 * 1024;
 
 /// Tenant and frame names on the wire: 1-64 chars of `[A-Za-z0-9_.-]`.
-/// Keeping names in this alphabet makes the journal lines and the on-disk
-/// spool paths safe by construction.
+/// Keeping names in this alphabet makes the on-disk spool paths safe by
+/// construction.
 pub fn valid_name(name: &str) -> bool {
     !name.is_empty()
         && name.len() <= 64

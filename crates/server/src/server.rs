@@ -37,7 +37,7 @@ pub struct ServerConfig {
     /// `host:port`, or `unix:<path>` for a Unix domain socket
     /// (`LUX_SERVER_ADDR`).
     pub addr: String,
-    /// Journal + frame spool directory (`LUX_SERVER_DATA_DIR`).
+    /// The spool directory durable state lives in (`LUX_SERVER_DATA_DIR`).
     pub data_dir: PathBuf,
     /// Per-read socket timeout (`LUX_READ_TIMEOUT_MS`). Bounds how long a
     /// slow or dead client can hold its connection thread.
@@ -294,7 +294,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind the listener and recover session state from the journal.
+    /// Bind the listener and recover session state from the spool directory.
     pub fn bind(cfg: ServerConfig) -> std::io::Result<Server> {
         failpoint::init();
         // The data dir must exist before the logger opens its JSONL file in

@@ -4,7 +4,7 @@
 //! function cycles the sites sequentially under one `World`.
 //!
 //! CI runs this binary twice: once clean, and once with
-//! `LUX_FAILPOINTS=server.journal=return` so the env-driven path (armed by
+//! `LUX_FAILPOINTS=server.spool=return` so the env-driven path (armed by
 //! `failpoint::init` inside `Server::bind`, after entering the `World`
 //! cleared the table) is exercised too. Every assertion below holds in
 //! both modes.
@@ -24,7 +24,7 @@ const CSV: &str = "mpg,hp,origin\n18.0,130,usa\n24.0,95,japan\n27.0,88,japan\n14
 fn injected_faults_degrade_one_request_never_the_server() {
     let world = World::enter();
     let metrics = MetricsRegistry::global();
-    let failures0 = metrics.counter(metric::SERVER_JOURNAL_FAILURES);
+    let io_errors0 = metrics.counter(metric::SERVER_JOURNAL_IO_ERRORS);
     let degraded0 = metrics.counter(metric::SERVER_JOURNAL_DEGRADED);
     let dir: PathBuf = std::env::temp_dir().join(format!("lux_chaos_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -65,14 +65,12 @@ fn injected_faults_degrade_one_request_never_the_server() {
     let mut c = connect();
     c.ping().expect("server healthy after write fault");
 
-    // Phase 3 — server.journal: persistence degrades, service does not.
+    // Phase 3 — server.spool: persistence degrades, service does not.
     // Requests keep succeeding and stats report the degradation honestly.
-    world.arm(names::SERVER_JOURNAL, "2*return").unwrap();
+    world.arm(names::SERVER_SPOOL, "2*return").unwrap();
     let mut c = connect();
     c.hello("t-chaos").expect("hello");
-    let (rows, _, _) = c
-        .put_frame("cars", CSV)
-        .expect("put survives journal fault");
+    let (rows, _, _) = c.put_frame("cars", CSV).expect("put survives spool fault");
     assert_eq!(rows, 4);
     match c.print("cars", "", 0, 1).expect("print") {
         PrintOutcome::Widget(w) => assert_eq!(w.num_rows, 4),
@@ -83,7 +81,7 @@ fn injected_faults_degrade_one_request_never_the_server() {
         stats.contains("journal: degraded"),
         "stats should report degraded persistence, got:\n{stats}"
     );
-    assert!(metrics.counter(metric::SERVER_JOURNAL_FAILURES) > failures0);
+    assert!(metrics.counter(metric::SERVER_JOURNAL_IO_ERRORS) > io_errors0);
     assert!(metrics.counter(metric::SERVER_JOURNAL_DEGRADED) > degraded0);
 
     drop(world);

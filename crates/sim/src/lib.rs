@@ -1,8 +1,8 @@
 //! # lux-sim
 //!
 //! FoundationDB-style deterministic simulation harness for the Lux
-//! server stack (DESIGN.md §15).  A [`Sim`] owns a registry + journal
-//! on a private data dir, an *oracle* of every acknowledged put and the
+//! server stack (DESIGN.md §15).  A [`Sim`] owns a registry on a private
+//! data dir, an *oracle* of every acknowledged put and the
 //! process's simulated [`World`] (virtual clock, world seed, failpoints); a
 //! seeded schedule of [`Step`]s drives it — puts, prints, failpoint
 //! arming, virtual-clock advances, crash-and-restart — and after every
@@ -35,7 +35,6 @@ use std::time::Duration;
 use lux_engine::rng::SeededRng;
 use lux_engine::world::World;
 use lux_engine::{clock, failpoint, rng, AdmissionController};
-use lux_server::journal::{FsyncPolicy, JournalConfig};
 use lux_server::protocol::crc32;
 use lux_server::Registry;
 
@@ -70,61 +69,49 @@ pub enum Step {
     CrashRestart,
 }
 
-/// The failpoint menu the explorer arms. Each maps to an existing
-/// `lux_engine::failpoint` site with a counted action chain.
+/// The failpoint menu the explorer arms: one fault per durability step of
+/// a put. Each maps to a `lux_engine::failpoint` site with a counted
+/// action chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// Fail the next fsync (hits the spool-file fsync of the next put).
+    /// Fail the next fsync: the next put's file fsync (the new version
+    /// never lands).
     FsyncNext,
-    /// Skip two fsyncs then fail the third: under `FsyncPolicy::Always`
-    /// a put fsyncs spool file → spool dir → journal, so this fails
-    /// exactly the *journal* fsync — the PR 8 data-loss window.
-    FsyncThird,
-    /// Fail the next journal append outright (record lost).
-    JournalAppend,
+    /// Skip one fsync then fail the second: the next put's directory
+    /// fsync (the new file is in place, its entry not durable).
+    FsyncDir,
     /// Fail the next spool write (payload never reaches disk).
     SpoolWrite,
-    /// Fail the next snapshot write during compaction.
-    SnapshotWrite,
 }
 
 impl Fault {
     pub fn name(self) -> &'static str {
         match self {
-            Fault::FsyncNext | Fault::FsyncThird => failpoint::names::IO_FSYNC,
-            Fault::JournalAppend => failpoint::names::SERVER_JOURNAL,
+            Fault::FsyncNext | Fault::FsyncDir => failpoint::names::IO_FSYNC,
             Fault::SpoolWrite => failpoint::names::SERVER_SPOOL,
-            Fault::SnapshotWrite => failpoint::names::SERVER_SNAPSHOT,
         }
     }
 
     pub fn action(self) -> &'static str {
         match self {
-            Fault::FsyncNext => "1*return(sim)",
-            Fault::FsyncThird => "2*off->1*return(sim)",
-            Fault::JournalAppend => "1*return(sim)",
-            Fault::SpoolWrite => "1*return(sim)",
-            Fault::SnapshotWrite => "1*return(sim)",
+            Fault::FsyncNext | Fault::SpoolWrite => "1*return(sim)",
+            Fault::FsyncDir => "1*off->1*return(sim)",
         }
     }
 
     fn token(self) -> &'static str {
         match self {
             Fault::FsyncNext => "fsync-next",
-            Fault::FsyncThird => "fsync-third",
-            Fault::JournalAppend => "journal-append",
+            Fault::FsyncDir => "fsync-dir",
             Fault::SpoolWrite => "spool-write",
-            Fault::SnapshotWrite => "snapshot-write",
         }
     }
 
     fn from_token(t: &str) -> Option<Fault> {
         Some(match t {
             "fsync-next" => Fault::FsyncNext,
-            "fsync-third" => Fault::FsyncThird,
-            "journal-append" => Fault::JournalAppend,
+            "fsync-dir" => Fault::FsyncDir,
             "spool-write" => Fault::SpoolWrite,
-            "snapshot-write" => Fault::SnapshotWrite,
             _ => return None,
         })
     }
@@ -208,7 +195,7 @@ impl std::fmt::Display for Violation {
 struct AckedPut {
     crc: u32,
     len: u64,
-    /// The ack carried a journal seq (> 0): a durability promise.
+    /// The ack carried a seq (> 0): a durability promise.
     durable: bool,
 }
 
@@ -221,8 +208,8 @@ struct KeyHistory {
     /// keeps the payloads: whatever recovery serves must still be one of
     /// them.
     acked: Vec<AckedPut>,
-    /// Dropped while persistence was verifiably healthy (journal not
-    /// degraded, no failpoints armed): the frame must not resurrect.
+    /// Dropped while persistence was verifiably healthy (not degraded, no
+    /// failpoints armed): the frame must not resurrect.
     /// Reset by the next put.
     dropped_clean: bool,
 }
@@ -239,7 +226,7 @@ pub fn payload_csv(k: u64) -> String {
     s
 }
 
-/// One schedule's run: registry + journal on a private dir, the oracle of
+/// One schedule's run: a registry on a private dir, the oracle of
 /// acked state, and the simulated [`World`] (held for the run's life, so
 /// time, seed and failpoints start and end clean even if a step panics).
 pub struct Sim {
@@ -258,18 +245,6 @@ fn mix(fp: &mut u64, v: u64) {
 }
 
 impl Sim {
-    /// Journal config the world runs under: fsync on every append (so
-    /// fsync failpoints hit deterministic call sites) and aggressive
-    /// compaction thresholds so snapshot/compaction paths run inside
-    /// ordinary schedules.
-    fn journal_config() -> JournalConfig {
-        JournalConfig {
-            fsync: FsyncPolicy::Always,
-            compact_bytes: 64 * 1024,
-            compact_lines: 24,
-        }
-    }
-
     /// Enter `World::simulated(seed)` and build a fresh registry on a
     /// private temp dir (wiped first).
     pub fn new(seed: u64) -> std::io::Result<Sim> {
@@ -277,7 +252,7 @@ impl Sim {
         let dir = std::env::temp_dir().join(format!("lux_sim_run_{seed:x}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir)?;
-        let (registry, _notes) = Registry::recover_with_config(&dir, None, Self::journal_config())?;
+        let (registry, _notes) = Registry::recover(&dir)?;
         Ok(Sim {
             dir,
             registry: Some(registry),
@@ -400,12 +375,10 @@ impl Sim {
                 // A crash clears the process image, including any armed
                 // one-shot failpoints (they are process state).
                 self.world.clear_faults();
-                let (registry, notes) =
-                    Registry::recover_with_config(&self.dir, None, Self::journal_config())
-                        .map_err(|e| Violation {
-                            step: index,
-                            detail: format!("recovery failed: {e}"),
-                        })?;
+                let (registry, notes) = Registry::recover(&self.dir).map_err(|e| Violation {
+                    step: index,
+                    detail: format!("recovery failed: {e}"),
+                })?;
                 self.registry = Some(registry);
                 self.check_restart_invariants(index, &notes)?;
                 // Recovery is the new baseline: acked-but-lost versions
@@ -561,9 +534,8 @@ pub fn generate_schedule(seed: u64, len: usize) -> Vec<Step> {
             50..=54 => Step::DropFrame { tenant, name },
             55..=74 => {
                 let fault = match r.gen_range(5) {
-                    0 => Fault::FsyncNext,
-                    1 | 2 => Fault::FsyncThird, // the journal-fsync window
-                    3 => Fault::JournalAppend,
+                    0 | 1 => Fault::FsyncNext,
+                    2 | 3 => Fault::FsyncDir,
                     _ => Fault::SpoolWrite,
                 };
                 Step::Arm { fault }

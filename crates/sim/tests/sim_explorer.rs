@@ -1,10 +1,11 @@
 //! Acceptance tests for the deterministic simulation harness
 //! (DESIGN.md §15):
 //!
-//! - **Detection power**: with the PR 8 overwrite-fsync data-loss fix
-//!   reverted (behind the test-only `fsync_loss_bug` flag), the seeded
-//!   explorer finds the acked-put-lost violation within 200 seeds and
-//!   emits a minimized, replayable schedule.
+//! - **Detection power**: with a data-loss bug planted behind the
+//!   test-only `fsync_loss_bug` flag (a put deletes the previous version
+//!   before its own is durable), the seeded explorer finds the
+//!   acked-put-lost violation within 200 seeds and emits a minimized,
+//!   replayable schedule.
 //! - **Soundness**: with the fix active, the same seed budget passes
 //!   clean, and the minimized bug schedule no longer fails.
 //! - **Replay**: any single seed re-runs byte-for-byte identically
@@ -28,7 +29,7 @@ fn detection_power_soundness_and_exact_replay() {
     // ---- Phase 1: detection power (bug re-introduced) -------------------
     test_flags::set_fsync_loss_bug(true);
     let report = explore(1, SEED_BUDGET, STEPS)
-        .expect("explorer must find the reverted fsync data-loss bug within 200 seeds");
+        .expect("explorer must find the planted fsync data-loss bug within 200 seeds");
     eprintln!("{report}");
     assert!(
         report.violation.detail.contains("acked put lost")
@@ -59,6 +60,13 @@ fn detection_power_soundness_and_exact_replay() {
         );
     }
 
+    // An overwrite whose file fsync fails exposes it too.
+    let overwrite: Vec<Step> = ["put 0 1 1", "arm fsync-next", "put 0 1 2", "crash-restart"]
+        .iter()
+        .map(|line| Step::parse(line).expect("valid step"))
+        .collect();
+    assert!(run_schedule(1, &overwrite).violation.is_some());
+
     // Byte-for-byte replay under the bug: same seed, same fingerprint,
     // same violating step.
     let (_, first) = run_seed(report.seed, STEPS);
@@ -78,6 +86,7 @@ fn detection_power_soundness_and_exact_replay() {
         "the fix must survive the minimized bug schedule, got: {:?}",
         fixed.violation
     );
+    assert!(run_schedule(1, &overwrite).violation.is_none());
     if let Some(r) = explore(seed, 40, STEPS) {
         panic!("clean sweep found a violation with the fix active (replay with LUX_TEST_SEED={seed}): {r}");
     }
