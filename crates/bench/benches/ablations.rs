@@ -51,6 +51,7 @@ fn pass_over(
         &[],
         Arc::clone(config),
         sample,
+        None,
         ctx,
     )
 }

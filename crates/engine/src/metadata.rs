@@ -22,6 +22,7 @@
 //! Governor accounting stays thread-count-independent by splitting the pass
 //! into plan (sequential) / scan (parallel) / record (sequential) phases.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -178,10 +179,21 @@ impl FrameMeta {
         governor: Option<&BudgetHandle>,
         par: usize,
     ) -> FrameMeta {
-        Self::compute_with_chunk_rows(df, overrides, trace, governor, par, CHUNK_ROWS)
+        let lineage = df.append_lineage();
+        Self::compute_with_chunk_rows(df, overrides, trace, governor, par, CHUNK_ROWS, lineage)
     }
 
-    /// [`FrameMeta::compute_governed_par`] on an explicit chunk grid. The
+    /// [`FrameMeta::compute`] for a frame a pass may already have scanned
+    /// (a history action's parent): compatible partials cached under its
+    /// own fingerprint are finalized — an append with a zero-row tail.
+    pub fn compute_reusing(df: &DataFrame, overrides: &HashMap<String, SemanticType>) -> FrameMeta {
+        let own = Some((df.fingerprint(), df.num_rows()));
+        Self::compute_with_chunk_rows(df, overrides, None, None, 1, CHUNK_ROWS, own)
+    }
+
+    /// [`FrameMeta::compute_governed_par`] on an explicit chunk grid,
+    /// seeded from the partials cached for `lineage` (`(fingerprint,
+    /// rows)`; a print passes `df.append_lineage()`) when compatible. The
     /// result does not depend on `chunk_rows`; tests pass a small one to
     /// reach the multi-chunk fold without a million-row frame.
     #[doc(hidden)]
@@ -192,6 +204,7 @@ impl FrameMeta {
         governor: Option<&BudgetHandle>,
         par: usize,
         chunk_rows: usize,
+        lineage: Option<(u64, usize)>,
     ) -> FrameMeta {
         assert!(chunk_rows > 0, "chunk grid needs a positive stride");
         let num_rows = df.num_rows();
@@ -213,7 +226,7 @@ impl FrameMeta {
 
         // Append fast path: partials for rows 0..parent_rows come from the
         // cache; the chunk grid below covers only the tail.
-        let parent = reuse_parent_partials(df, &cols, &plans, precision);
+        let parent = reuse_parent_partials(df, lineage, &cols, &plans, precision);
         let scan_from = parent.as_ref().map_or(0, |p| p.rows);
 
         // Phase 2: scan. One task per (column, chunk); the grid depends
@@ -228,6 +241,14 @@ impl FrameMeta {
                 start = end;
             }
         }
+        // Claim the chunks that may hash before the bitset-only ones, taller
+        // first, so the heaviest columns never start last and set the
+        // makespan. The sort is stable and partials fold by column index.
+        let hashing = [DType::Float64, DType::Int64, DType::DateTime];
+        tasks.sort_by_key(|&(ci, start, end)| {
+            let rank = hashing.iter().position(|&d| d == cols[ci].1.dtype());
+            (rank.unwrap_or(hashing.len()), Reverse(end - start))
+        });
         let mut chunks: Vec<Vec<ColumnStats>> = cols.iter().map(|_| Vec::new()).collect();
         let scanned = crate::pool::parallel_map(par, tasks, |_, (ci, start, end)| {
             // Chaos site: `panic`/`sleep` actions inject a crash or a
@@ -266,7 +287,7 @@ impl FrameMeta {
             let seed = seeds.map(|s| &s[ci].3);
             fold_column(cols[ci].1, &plans[ci], seed, chunks, trace)
         });
-        if parent.is_some() {
+        if parent.is_some() && scan_from < num_rows {
             MetricsRegistry::global().incr(names::METADATA_APPEND_MERGES);
         }
 
@@ -388,17 +409,18 @@ fn plan_column_scan(
     }
 }
 
-/// Fetch the parent frame's cached partials when `df` carries append
-/// lineage and the cache entry is compatible with this pass (same rows,
-/// precision, column names, dtypes, and per-column scan caps). Any mismatch
-/// falls back to a full rescan — never a wrong answer.
+/// Fetch the partials cached for `lineage` — an append's parent, or the
+/// frame itself — when the cache entry is compatible with this pass (same
+/// rows, precision, column names, dtypes, and per-column scan caps). Any
+/// mismatch falls back to a full rescan — never a wrong answer.
 fn reuse_parent_partials(
     df: &DataFrame,
+    lineage: Option<(u64, usize)>,
     cols: &[(&str, &Column)],
     plans: &[StatsSpec],
     precision: u32,
 ) -> Option<Arc<FrameStatsEntry>> {
-    let (parent_fp, parent_rows) = df.append_lineage()?;
+    let (parent_fp, parent_rows) = lineage?;
     let entry = cache::lookup(parent_fp)?;
     let compatible = entry.rows == parent_rows
         && parent_rows <= df.num_rows()

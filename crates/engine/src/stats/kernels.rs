@@ -98,6 +98,8 @@ pub struct U64Set {
     /// decide whether to jump there; 0 once it has (or when the set was
     /// allocated at that size outright).
     hinted_slots: usize,
+    /// The first growth took the stream at its word and jumped.
+    jumped: bool,
 }
 
 impl U64Set {
@@ -116,6 +118,7 @@ impl U64Set {
             has_zero: false,
             probes: 0,
             hinted_slots,
+            jumped: false,
         }
     }
 
@@ -168,9 +171,15 @@ impl U64Set {
         // has been mostly fresh keys so far is taken at its word.
         let hinted = std::mem::take(&mut self.hinted_slots);
         if self.len * 2 > self.probes {
+            self.jumped = hinted > slots;
             slots = slots.max(hinted);
         }
         self.rehash(slots);
+    }
+
+    /// True once the first growth jumped to the hinted table.
+    pub fn jumped(&self) -> bool {
+        self.jumped
     }
 
     /// Give back the table a jump overshot: rehash into the size doubling

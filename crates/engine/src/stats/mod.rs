@@ -88,24 +88,16 @@ impl DistinctAcc {
         }
     }
 
-    /// Insert one key into a hashed or sketched counter. Returns true when
-    /// the caller should forward the key to the smallest-K accumulator
-    /// (known-fresh in exact mode; always in sketch mode, where freshness
-    /// is unknowable and `offer` dedups).
-    #[inline]
-    fn insert(&mut self, key: u64, spec: &StatsSpec) -> bool {
+    /// Insert one key into a hashed or sketched counter; a set that passes
+    /// the cap becomes the sketch of its keys.
+    fn insert(&mut self, key: u64, spec: &StatsSpec) {
         match self {
             DistinctAcc::Exact(set) => {
-                let fresh = set.insert(key);
-                if fresh && set.len() > spec.scan_cap {
+                if set.insert(key) && set.len() > spec.scan_cap {
                     *self = DistinctAcc::Sketch(sketch_of(set.iter(), spec.precision));
                 }
-                fresh
             }
-            DistinctAcc::Sketch(s) => {
-                s.insert_key(key);
-                true
-            }
+            DistinctAcc::Sketch(s) => s.insert_key(key),
             DistinctAcc::Dense(_) => unreachable!("a bitset is filled whole by its scan"),
         }
     }
@@ -202,9 +194,7 @@ impl DistinctAcc {
                         (mine, other)
                     };
                     let mut acc = Exact(large.into_hashed());
-                    small.for_each_key(|k| {
-                        acc.insert(k, spec);
-                    });
+                    small.for_each_key(|k| acc.insert(k, spec));
                     acc
                 };
             }
@@ -477,6 +467,11 @@ fn scan_ints(
     }
 }
 
+/// The hashed scan. A chunk of at most `scan_cap` rows cannot overflow, so
+/// its set is the counter. In a taller one, once the set's first growth
+/// judges the stream mostly fresh keys, a sketch seeded with its keys is fed
+/// every row, and a set past the cap is dropped with nothing re-inserted:
+/// the registers are the conversion's, and the set alone decides exactness.
 fn scan_primitive<T: ScanValue>(
     values: &[T],
     validity: Option<&Bitmap>,
@@ -484,26 +479,52 @@ fn scan_primitive<T: ScanValue>(
     end: usize,
     spec: &StatsSpec,
 ) -> NumericStats {
+    let rows = end - start;
     // The most keys this chunk can hand the exact set before it converts.
-    let hint = (end - start).min(spec.scan_cap.saturating_add(1));
-    let mut distinct = DistinctAcc::Exact(U64Set::with_capacity(hint));
+    let mut set = U64Set::with_capacity(rows.min(spec.scan_cap.saturating_add(1)));
     let mut smallest = SmallestKeys::new(spec.values_cap);
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    let valid = for_each_valid(validity, start, end, |i| {
-        let v = values[i];
-        v.update_minmax(&mut lo, &mut hi);
-        let key = v.key();
-        if distinct.insert(key, spec) {
-            smallest.offer(key);
-        }
-    });
+    let (valid, mut distinct) = if rows <= spec.scan_cap {
+        let valid = for_each_valid(validity, start, end, |i| {
+            values[i].update_minmax(&mut lo, &mut hi);
+            let key = values[i].key();
+            if set.insert(key) {
+                smallest.offer(key);
+            }
+        });
+        (valid, DistinctAcc::Exact(set))
+    } else {
+        let (mut exact, mut sketch) = (Some(set), None::<CardinalitySketch>);
+        let valid = for_each_valid(validity, start, end, |i| {
+            values[i].update_minmax(&mut lo, &mut hi);
+            let key = values[i].key();
+            if let Some(s) = &mut sketch {
+                s.insert_key(key);
+            }
+            let Some(set) = &mut exact else {
+                return smallest.offer(key);
+            };
+            if set.insert(key) {
+                smallest.offer(key);
+                let over = set.len() > spec.scan_cap;
+                if sketch.is_none() && (over || set.jumped()) {
+                    sketch = Some(sketch_of(set.iter(), spec.precision));
+                }
+                if over {
+                    exact = None;
+                }
+            }
+        });
+        let sketch = || DistinctAcc::Sketch(sketch.expect("a dropped set leaves its sketch"));
+        (valid, exact.map_or_else(sketch, DistinctAcc::Exact))
+    };
     smallest.compact();
     if let DistinctAcc::Exact(set) = &mut distinct {
         set.trim();
     }
     NumericStats {
-        rows: end - start,
-        null_count: (end - start) - valid,
+        rows,
+        null_count: rows - valid,
         lo,
         hi,
         distinct,

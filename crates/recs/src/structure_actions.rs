@@ -286,10 +286,11 @@ impl Action for IndexVis {
     }
 }
 
-/// Metadata for a synthesized/parent frame, computed on demand (these frames
-/// are small aggregates, so this is cheap).
+/// Metadata for a synthesized or parent frame, computed on demand: an
+/// aggregate is small, and a history action's big parent finalizes the
+/// partials its own print cached instead of rescanning.
 pub fn meta_for(df: &DataFrame) -> FrameMeta {
-    FrameMeta::compute(df, &HashMap::new())
+    FrameMeta::compute_reusing(df, &HashMap::new())
 }
 
 #[cfg(test)]

@@ -199,6 +199,7 @@ pub fn governed_pass(
         Some(&h),
         threads,
         chunk_rows,
+        df.append_lineage(),
     );
     pass_output(&m, &h)
 }

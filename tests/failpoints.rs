@@ -14,6 +14,7 @@ use lux::engine::failpoint::{self, names as fp};
 use lux::engine::trace::{names, MetricsRegistry};
 use lux::engine::world::World;
 use lux::prelude::*;
+use lux::recs::structure_actions::meta_for;
 use lux::vis::{process, Backend, Channel, Encoding, Mark, ProcessOptions, VisSpec};
 use lux::LuxDataFrame;
 
@@ -257,4 +258,20 @@ fn failpoint_spec_parsing_round_trips() {
     assert!(fp::ALL.len() >= 8, "failpoint catalogue shrank");
     assert!(chaos.arm(fp::CSV_INGEST, "dance(badly)").is_err());
     assert!(chaos.arm(fp::CSV_INGEST, "sleep").is_err());
+}
+
+/// A history action's parent is a frame a print already scanned: its
+/// metadata finalizes the partials cached under the frame's own
+/// fingerprint, so a second `meta_for` scans no column (the armed panic
+/// never fires) and answers what the first did.
+#[test]
+fn meta_for_a_scanned_frame_finalizes_its_cached_partials() {
+    let chaos = chaos();
+    let df = frame(5_000);
+    let first = meta_for(&df);
+    chaos
+        .arm(fp::METADATA_COLUMN, "panic(column rescanned)")
+        .unwrap();
+    let again = meta_for(&df);
+    assert_eq!(format!("{again:?}"), format!("{first:?}"));
 }

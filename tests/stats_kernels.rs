@@ -18,9 +18,9 @@ use common::{
 };
 use lux::engine::governor::{BudgetHandle, ResourceBudget};
 use lux::engine::metadata::{UNIQUE_SCAN_CAP, UNIQUE_VALUES_CAP};
-use lux::engine::stats::kernels::{encode_i64, SmallestKeys, U64Set};
+use lux::engine::stats::kernels::{encode_i64, for_each_valid, ScanValue, SmallestKeys, U64Set};
 use lux::engine::stats::sketch::{mix64, CardinalitySketch, DEFAULT_PRECISION};
-use lux::engine::stats::{ColumnStats, StatsSpec};
+use lux::engine::stats::{ColumnStats, DistinctAcc, NumericStats, StatsSpec};
 use lux::engine::trace::{names, MetricsRegistry};
 use lux::engine::FrameMeta;
 use lux::prelude::*;
@@ -578,6 +578,189 @@ fn descending_column_scans_as_fast_as_ascending() {
     assert!(
         descending.as_secs_f64() <= 1.5 * ascending.as_secs_f64(),
         "descending {descending:?} vs ascending {ascending:?}"
+    );
+}
+
+/// The hashed scan before the tall-chunk rule, copied as the reference it
+/// must reproduce: the exact set takes every key until it passes the cap,
+/// then converts into the sketch of its keys, and every later row feeds the
+/// sketch (and, its freshness unknowable, the smallest-K).
+fn converting_scan<T: ScanValue>(
+    values: &[T],
+    validity: Option<&Bitmap>,
+    spec: &StatsSpec,
+) -> NumericStats {
+    /// `DistinctAcc::insert` as it was: convert on the insert past the cap.
+    fn insert(distinct: &mut DistinctAcc, key: u64, spec: &StatsSpec) -> bool {
+        match distinct {
+            DistinctAcc::Exact(set) => {
+                let fresh = set.insert(key);
+                if fresh && set.len() > spec.scan_cap {
+                    let mut sketch = CardinalitySketch::new(spec.precision);
+                    set.iter().for_each(|k| sketch.insert_key(k));
+                    *distinct = DistinctAcc::Sketch(sketch);
+                }
+                fresh
+            }
+            DistinctAcc::Sketch(s) => {
+                s.insert_key(key);
+                true
+            }
+            DistinctAcc::Dense(_) => unreachable!("a bitset is filled whole by its scan"),
+        }
+    }
+    let rows = values.len();
+    let hint = rows.min(spec.scan_cap.saturating_add(1));
+    let mut distinct = DistinctAcc::Exact(U64Set::with_capacity(hint));
+    let mut smallest = SmallestKeys::new(spec.values_cap);
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    let valid = for_each_valid(validity, 0, rows, |i| {
+        let v = values[i];
+        v.update_minmax(&mut lo, &mut hi);
+        let key = v.key();
+        if insert(&mut distinct, key, spec) {
+            smallest.offer(key);
+        }
+    });
+    smallest.compact();
+    if let DistinctAcc::Exact(set) = &mut distinct {
+        set.trim();
+    }
+    NumericStats {
+        rows,
+        null_count: rows - valid,
+        lo,
+        hi,
+        distinct,
+        smallest,
+    }
+}
+
+/// A partial's registers or exact key set, smallest-K, extremes and counts.
+fn partial_shape(n: &NumericStats) -> impl PartialEq + std::fmt::Debug {
+    let distinct = match &n.distinct {
+        DistinctAcc::Exact(set) => {
+            let mut keys: Vec<u64> = set.iter().collect();
+            keys.sort_unstable();
+            (Some(keys), None)
+        }
+        DistinctAcc::Sketch(s) => (None, Some(s.clone())),
+        DistinctAcc::Dense(_) => panic!("a float chunk is never a bitset"),
+    };
+    (
+        distinct,
+        n.smallest.keys().to_vec(),
+        n.lo.to_bits(),
+        n.hi.to_bits(),
+        n.rows,
+        n.null_count,
+    )
+}
+
+/// The tall-chunk rule (DESIGN.md §14): a chunk taller than its cap whose
+/// set jumped feeds a sketch from then on, and lands on exactly the
+/// partial the convert-at-the-cap loop does — near-unique, exactly `cap`
+/// and `cap + 1` distinct (the set jumps, then stays exact or converts),
+/// 30 distinct in 100k rows (no jump, no sketch), NaN / null / `-0.0`
+/// mixes, and the degraded cap whose set is allocated outright and never
+/// jumps.
+#[test]
+fn tall_chunk_partials_equal_the_converting_scan() {
+    let rows = 100_000usize;
+    let spec = |scan_cap| StatsSpec {
+        scan_cap,
+        precision: DEFAULT_PRECISION,
+        values_cap: UNIQUE_VALUES_CAP,
+    };
+    let near_unique = |i: usize| (mix64(i as u64) % 1_000_000_007) as f64 / 1e4;
+    let cycling = |distinct: usize| move |i: usize| (i % distinct) as f64 * 0.5 - 7.0;
+    let cases: Vec<(&str, Vec<Option<f64>>, StatsSpec)> = vec![
+        (
+            "near-unique",
+            (0..rows).map(|i| Some(near_unique(i))).collect(),
+            spec(UNIQUE_SCAN_CAP),
+        ),
+        (
+            "exactly cap",
+            (0..rows)
+                .map(|i| Some(cycling(UNIQUE_SCAN_CAP)(i)))
+                .collect(),
+            spec(UNIQUE_SCAN_CAP),
+        ),
+        (
+            "cap + 1",
+            (0..rows)
+                .map(|i| Some(cycling(UNIQUE_SCAN_CAP + 1)(i)))
+                .collect(),
+            spec(UNIQUE_SCAN_CAP),
+        ),
+        (
+            "30 distinct",
+            (0..rows).map(|i| Some(cycling(30)(i))).collect(),
+            spec(UNIQUE_SCAN_CAP),
+        ),
+        (
+            "nan / null / -0.0 mix",
+            (0..rows)
+                .map(|i| match mix64(i as u64 ^ 0xfeed) % 10 {
+                    0 => None,
+                    1 => Some(f64::NAN),
+                    2 => Some(-0.0),
+                    3 => Some(0.0),
+                    _ => Some(near_unique(i)),
+                })
+                .collect(),
+            spec(UNIQUE_SCAN_CAP),
+        ),
+        (
+            "degraded cap",
+            (0..rows).map(|i| Some(near_unique(i))).collect(),
+            spec(4_096),
+        ),
+    ];
+    for (name, values, spec) in cases {
+        let col = PrimitiveColumn::from_options(values);
+        let reference = converting_scan(col.values(), col.validity(), &spec);
+        let ColumnStats::Numeric(tall) =
+            ColumnStats::scan(&Column::Float64(col.clone()), 0, rows, &spec)
+        else {
+            panic!("a float column scans into a numeric partial");
+        };
+        assert_eq!(partial_shape(&tall), partial_shape(&reference), "{name}");
+    }
+}
+
+/// Release-mode shape check, run by the CI metadata-stress job: the
+/// sketch the tall-chunk rule may start costs nothing on a column where it
+/// must never start. 30 distinct floats in 100k rows scan within 1.05x of
+/// the converting loop the rule replaced.
+#[test]
+#[ignore = "timing shape; run in release via CI metadata-stress or --include-ignored"]
+fn low_cardinality_tall_column_scans_as_fast_as_the_converting_loop() {
+    let spec = StatsSpec {
+        scan_cap: UNIQUE_SCAN_CAP,
+        precision: DEFAULT_PRECISION,
+        values_cap: UNIQUE_VALUES_CAP,
+    };
+    let values: Vec<f64> = (0..100_000).map(|i| (i % 30) as f64 * 1.25).collect();
+    let col = Column::Float64(PrimitiveColumn::from_values(values.clone()));
+    let time = |scan: &dyn Fn()| -> Duration {
+        let t = Instant::now();
+        scan();
+        t.elapsed()
+    };
+    let (mut tall, mut converting) = (Duration::MAX, Duration::MAX);
+    for _ in 0..15 {
+        tall = tall.min(time(&|| {
+            std::hint::black_box(ColumnStats::scan(&col, 0, col.len(), &spec));
+        }));
+        converting = converting.min(time(&|| {
+            std::hint::black_box(converting_scan(&values, None, &spec));
+        }));
+    }
+    assert!(
+        tall.as_secs_f64() <= 1.05 * converting.as_secs_f64(),
+        "tall-chunk scan {tall:?} vs converting loop {converting:?}"
     );
 }
 
