@@ -51,7 +51,6 @@ fn pass_over(
         &[],
         Arc::clone(config),
         sample,
-        None,
         ctx,
     )
 }

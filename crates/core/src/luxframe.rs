@@ -30,7 +30,7 @@ use lux_engine::{
 };
 use lux_intent::{Clause, Diagnostic};
 use lux_recs::{ActionHealth, ActionRegistry, ActionResult, Pass, PassCtx, TraceCtx};
-use lux_vis::{ProcessOptions, Vis};
+use lux_vis::Vis;
 
 use crate::logging::{EventKind, SessionLogger};
 use crate::widget::Widget;
@@ -98,8 +98,6 @@ pub struct LuxDataFrame {
     overrides: HashMap<String, SemanticType>,
     cache: Mutex<WflowCache>,
     sample: Arc<CachedSample>,
-    /// The scatter downsample every pass over this frame shares.
-    downsample: Arc<CachedSample>,
     exported: Mutex<Vec<Vis>>,
     logger: Option<Arc<SessionLogger>>,
     /// Span tree of the most recent print pass on this frame.
@@ -164,8 +162,6 @@ impl LuxDataFrame {
         overrides: HashMap<String, SemanticType>,
     ) -> LuxDataFrame {
         let sample = Arc::new(CachedSample::new(config.sample_cap, config.sample_seed));
-        let max_points = ProcessOptions::from(&*config).max_points;
-        let downsample = Arc::new(CachedSample::new(max_points, config.sample_seed));
         let ldf = LuxDataFrame {
             df: Arc::new(df),
             intent,
@@ -174,7 +170,6 @@ impl LuxDataFrame {
             overrides,
             cache: Mutex::new(WflowCache::default()),
             sample,
-            downsample,
             exported: Mutex::new(Vec::new()),
             logger: None,
             last_trace: Mutex::new(None),
@@ -381,7 +376,6 @@ impl LuxDataFrame {
             &self.intent,
             Arc::clone(config),
             Some(&self.sample),
-            Some(&self.downsample),
             ctx.clone(),
         )
     }

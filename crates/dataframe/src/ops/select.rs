@@ -1,7 +1,7 @@
 //! Column selection and row subsetting: `select`, `drop_columns`, `head`,
 //! `tail`, `take`, `sample`.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::error::{Error, Result};
 use crate::frame::DataFrame;
@@ -96,12 +96,31 @@ fn xorshift64star(seed: u64) -> impl FnMut() -> u64 {
     }
 }
 
-/// The ascending row indices of a `min(n, nrows)`-row sample: a partial
-/// Fisher-Yates over the virtual pool `0..nrows`. Only the first `n` slots
-/// (where the draws land) are materialized; a swap partner past them goes
-/// through a map of displaced slots, so a draw costs O(n) time and memory
-/// however tall the frame is.
-fn sample_indices(nrows: usize, n: usize, seed: u64) -> Vec<usize> {
+/// The ascending row indices of a `min(n, nrows)`-row sample. The draw is
+/// a pure function of its arguments and the last one is kept: a print's
+/// scatters sample one frame to one cap with one seed (paper §8.2, "a
+/// cached sample"), so only the first of them draws and the rest gather
+/// their own columns through the shared indices.
+fn sample_indices(nrows: usize, n: usize, seed: u64) -> Arc<[usize]> {
+    type Draw = ((usize, usize, u64), Arc<[usize]>);
+    static LAST: Mutex<Option<Draw>> = Mutex::new(None);
+    let key = (nrows, n, seed);
+    let mut last = LAST.lock().unwrap_or_else(PoisonError::into_inner);
+    match &*last {
+        Some((drawn_for, indices)) if *drawn_for == key => Arc::clone(indices),
+        _ => {
+            let indices: Arc<[usize]> = draw_indices(nrows, n, seed).into();
+            *last = Some((key, Arc::clone(&indices)));
+            indices
+        }
+    }
+}
+
+/// A partial Fisher-Yates over the virtual pool `0..nrows`. Only the first
+/// `n` slots (where the draws land) are materialized; a swap partner past
+/// them goes through a map of displaced slots, so a draw costs O(n) time
+/// and memory however tall the frame is.
+fn draw_indices(nrows: usize, n: usize, seed: u64) -> Vec<usize> {
     if n >= nrows {
         return (0..nrows).collect();
     }
@@ -158,12 +177,12 @@ impl DisplacedSlots {
 
 #[cfg(test)]
 mod tests {
-    use super::{sample_indices, xorshift64star};
+    use super::{draw_indices, sample_indices, xorshift64star};
     use crate::frame::DataFrameBuilder;
     use crate::history::OpKind;
     use crate::value::Value;
 
-    /// The dense-pool partial Fisher-Yates `sample_indices` replaced.
+    /// The dense-pool partial Fisher-Yates `draw_indices` replaced.
     fn dense_sample_indices(nrows: usize, n: usize, seed: u64) -> Vec<usize> {
         if n >= nrows {
             return (0..nrows).collect();
@@ -184,7 +203,7 @@ mod tests {
         for nrows in [0usize, 1, 2, 7, 64, 1000] {
             for n in [0, 1, nrows.saturating_sub(1), nrows, nrows + 1] {
                 assert_eq!(
-                    sample_indices(nrows, n, 42),
+                    draw_indices(nrows, n, 42),
                     dense_sample_indices(nrows, n, 42),
                     "nrows {nrows}, n {n}"
                 );
@@ -197,10 +216,34 @@ mod tests {
             let n = (next() % 5200) as usize;
             let seed = next();
             assert_eq!(
-                sample_indices(nrows, n, seed),
+                draw_indices(nrows, n, seed),
                 dense_sample_indices(nrows, n, seed),
                 "nrows {nrows}, n {n}, seed {seed}"
             );
+        }
+    }
+
+    /// The kept draw is the one its key asks for: a repeat shares it, and
+    /// interleaved keys (a filtered scatter between two unfiltered ones)
+    /// each get their own draw back.
+    #[test]
+    fn kept_draw_answers_only_its_own_key() {
+        // Tests sampling on other threads may replace the kept draw between
+        // the two calls, so one shared pair in a few tries is the evidence.
+        let shared = (0..100).any(|_| {
+            let first = sample_indices(12_000, 5_000, 7);
+            std::sync::Arc::ptr_eq(&first, &sample_indices(12_000, 5_000, 7))
+        });
+        assert!(shared, "a repeated draw was never shared");
+        for (nrows, n, seed) in [(12_000, 5_000, 7), (9_000, 5_000, 7), (12_000, 5_000, 8)] {
+            for _ in 0..2 {
+                let drawn = sample_indices(nrows, n, seed);
+                assert_eq!(
+                    *drawn,
+                    *dense_sample_indices(nrows, n, seed),
+                    "{nrows} {n} {seed}"
+                );
+            }
         }
     }
 

@@ -180,22 +180,33 @@ impl FrameMeta {
         par: usize,
     ) -> FrameMeta {
         let lineage = df.append_lineage();
-        Self::compute_with_chunk_rows(df, overrides, trace, governor, par, CHUNK_ROWS, lineage)
+        Self::compute_with_chunk_rows(
+            df,
+            overrides,
+            trace,
+            governor,
+            par,
+            CHUNK_ROWS,
+            lineage.as_slice(),
+        )
     }
 
     /// [`FrameMeta::compute`] for a frame a pass may already have scanned
     /// (a history action's parent): compatible partials cached under its
-    /// own fingerprint are finalized — an append with a zero-row tail.
+    /// own fingerprint are finalized — an append with a zero-row tail —
+    /// and failing those, its append parent's are, as a print would.
     pub fn compute_reusing(df: &DataFrame, overrides: &HashMap<String, SemanticType>) -> FrameMeta {
-        let own = Some((df.fingerprint(), df.num_rows()));
-        Self::compute_with_chunk_rows(df, overrides, None, None, 1, CHUNK_ROWS, own)
+        let own = (df.fingerprint(), df.num_rows());
+        let lineage: Vec<_> = std::iter::once(own).chain(df.append_lineage()).collect();
+        Self::compute_with_chunk_rows(df, overrides, None, None, 1, CHUNK_ROWS, &lineage)
     }
 
     /// [`FrameMeta::compute_governed_par`] on an explicit chunk grid,
-    /// seeded from the partials cached for `lineage` (`(fingerprint,
-    /// rows)`; a print passes `df.append_lineage()`) when compatible. The
-    /// result does not depend on `chunk_rows`; tests pass a small one to
-    /// reach the multi-chunk fold without a million-row frame.
+    /// seeded from the partials cached for the first compatible entry of
+    /// `lineage` (`(fingerprint, rows)` pairs; a print passes
+    /// `df.append_lineage()`). The result does not depend on `chunk_rows`;
+    /// tests pass a small one to reach the multi-chunk fold without a
+    /// million-row frame.
     #[doc(hidden)]
     pub fn compute_with_chunk_rows(
         df: &DataFrame,
@@ -204,7 +215,7 @@ impl FrameMeta {
         governor: Option<&BudgetHandle>,
         par: usize,
         chunk_rows: usize,
-        lineage: Option<(u64, usize)>,
+        lineage: &[(u64, usize)],
     ) -> FrameMeta {
         assert!(chunk_rows > 0, "chunk grid needs a positive stride");
         let num_rows = df.num_rows();
@@ -226,7 +237,9 @@ impl FrameMeta {
 
         // Append fast path: partials for rows 0..parent_rows come from the
         // cache; the chunk grid below covers only the tail.
-        let parent = reuse_parent_partials(df, lineage, &cols, &plans, precision);
+        let parent = lineage
+            .iter()
+            .find_map(|&l| reuse_parent_partials(df, l, &cols, &plans, precision));
         let scan_from = parent.as_ref().map_or(0, |p| p.rows);
 
         // Phase 2: scan. One task per (column, chunk); the grid depends
@@ -409,18 +422,18 @@ fn plan_column_scan(
     }
 }
 
-/// Fetch the partials cached for `lineage` — an append's parent, or the
-/// frame itself — when the cache entry is compatible with this pass (same
-/// rows, precision, column names, dtypes, and per-column scan caps). Any
-/// mismatch falls back to a full rescan — never a wrong answer.
+/// Fetch the partials cached for `(parent_fp, parent_rows)` — an append's
+/// parent, or the frame itself — when the cache entry is compatible with
+/// this pass (same rows, precision, column names, dtypes, and per-column
+/// scan caps). Any mismatch falls back to a full rescan — never a wrong
+/// answer.
 fn reuse_parent_partials(
     df: &DataFrame,
-    lineage: Option<(u64, usize)>,
+    (parent_fp, parent_rows): (u64, usize),
     cols: &[(&str, &Column)],
     plans: &[StatsSpec],
     precision: u32,
 ) -> Option<Arc<FrameStatsEntry>> {
-    let (parent_fp, parent_rows) = lineage?;
     let entry = cache::lookup(parent_fp)?;
     let compatible = entry.rows == parent_rows
         && parent_rows <= df.num_rows()

@@ -171,7 +171,7 @@ impl U64Set {
         // has been mostly fresh keys so far is taken at its word.
         let hinted = std::mem::take(&mut self.hinted_slots);
         if self.len * 2 > self.probes {
-            self.jumped = hinted > slots;
+            self.jumped |= hinted > slots;
             slots = slots.max(hinted);
         }
         self.rehash(slots);

@@ -467,11 +467,11 @@ fn scan_ints(
     }
 }
 
-/// The hashed scan. A chunk of at most `scan_cap` rows cannot overflow, so
-/// its set is the counter. In a taller one, once the set's first growth
-/// judges the stream mostly fresh keys, a sketch seeded with its keys is fed
-/// every row, and a set past the cap is dropped with nothing re-inserted:
-/// the registers are the conversion's, and the set alone decides exactness.
+/// The hashed scan. In a chunk taller than `scan_cap` (one that can
+/// overflow), once the set's first growth judges the stream mostly fresh
+/// keys, a sketch seeded with its keys is fed every row, and a set past the
+/// cap is dropped with nothing re-inserted: the registers are the
+/// conversion's, and the set alone decides exactness.
 fn scan_primitive<T: ScanValue>(
     values: &[T],
     validity: Option<&Bitmap>,
@@ -480,44 +480,34 @@ fn scan_primitive<T: ScanValue>(
     spec: &StatsSpec,
 ) -> NumericStats {
     let rows = end - start;
+    let tall = rows > spec.scan_cap;
     // The most keys this chunk can hand the exact set before it converts.
-    let mut set = U64Set::with_capacity(rows.min(spec.scan_cap.saturating_add(1)));
+    let set = U64Set::with_capacity(rows.min(spec.scan_cap.saturating_add(1)));
+    let (mut exact, mut sketch) = (Some(set), None::<CardinalitySketch>);
     let mut smallest = SmallestKeys::new(spec.values_cap);
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    let (valid, mut distinct) = if rows <= spec.scan_cap {
-        let valid = for_each_valid(validity, start, end, |i| {
-            values[i].update_minmax(&mut lo, &mut hi);
-            let key = values[i].key();
-            if set.insert(key) {
-                smallest.offer(key);
+    let valid = for_each_valid(validity, start, end, |i| {
+        values[i].update_minmax(&mut lo, &mut hi);
+        let key = values[i].key();
+        if let Some(s) = &mut sketch {
+            s.insert_key(key);
+        }
+        let Some(set) = &mut exact else {
+            return smallest.offer(key);
+        };
+        if set.insert(key) {
+            smallest.offer(key);
+            let over = set.len() > spec.scan_cap;
+            if sketch.is_none() && tall && (over || set.jumped()) {
+                sketch = Some(sketch_of(set.iter(), spec.precision));
             }
-        });
-        (valid, DistinctAcc::Exact(set))
-    } else {
-        let (mut exact, mut sketch) = (Some(set), None::<CardinalitySketch>);
-        let valid = for_each_valid(validity, start, end, |i| {
-            values[i].update_minmax(&mut lo, &mut hi);
-            let key = values[i].key();
-            if let Some(s) = &mut sketch {
-                s.insert_key(key);
+            if over {
+                exact = None;
             }
-            let Some(set) = &mut exact else {
-                return smallest.offer(key);
-            };
-            if set.insert(key) {
-                smallest.offer(key);
-                let over = set.len() > spec.scan_cap;
-                if sketch.is_none() && (over || set.jumped()) {
-                    sketch = Some(sketch_of(set.iter(), spec.precision));
-                }
-                if over {
-                    exact = None;
-                }
-            }
-        });
-        let sketch = || DistinctAcc::Sketch(sketch.expect("a dropped set leaves its sketch"));
-        (valid, exact.map_or_else(sketch, DistinctAcc::Exact))
-    };
+        }
+    });
+    let sketch = || DistinctAcc::Sketch(sketch.expect("a dropped set leaves its sketch"));
+    let mut distinct = exact.map_or_else(sketch, DistinctAcc::Exact);
     smallest.compact();
     if let DistinctAcc::Exact(set) = &mut distinct {
         set.trim();

@@ -32,7 +32,7 @@ use lux_engine::trace::{names as metric, MetricsRegistry, SpanId, TraceCollector
 use lux_engine::{clock, failpoint};
 use lux_engine::{AdmissionPermit, CachedSample, CostModel, FrameMeta, GovernorEvent, LuxConfig};
 use lux_intent::{Clause, CompileOptions};
-use lux_vis::{Backend, Channel, Mark, ProcessOptions, Vis, VisList, VisSpec};
+use lux_vis::{Channel, ProcessOptions, Vis, VisList, VisSpec};
 
 use crate::action::{Action, ActionContext, ActionRegistry, ActionResult, Candidate};
 use crate::fault::{
@@ -143,9 +143,6 @@ pub struct Pass {
     /// are drawn by the first stage that reads them (an engaged or forced
     /// gate, a degraded survivor), never up front.
     pub sample: Option<Arc<CachedSample>>,
-    /// The frame's scatter downsample: `max_points` rows drawn with
-    /// `config.sample_seed`, the draw `process` makes per scatter.
-    pub downsample: Option<Arc<CachedSample>>,
     /// The span under which per-action spans are recorded.
     pub trace: TraceCtx,
     /// Per-pass resource governor shared by every worker: allocation-heavy
@@ -174,7 +171,6 @@ impl Pass {
         intent: &[Clause],
         config: Arc<LuxConfig>,
         sample: Option<&Arc<CachedSample>>,
-        downsample: Option<&Arc<CachedSample>>,
         ctx: PassCtx,
     ) -> Pass {
         let intent_specs = ctx.trace.time("intent.compile", || {
@@ -189,7 +185,6 @@ impl Pass {
             intent: Arc::new(intent.to_vec()),
             intent_specs: Arc::new(intent_specs),
             sample: sample.filter(|_| config.prune).cloned(),
-            downsample: downsample.cloned(),
             opts: ProcessOptions::from(&*config),
             model: CostModel::default(),
             config,
@@ -584,11 +579,10 @@ impl<'a> ActionRun<'a> {
                 } else {
                     score
                 };
-                let shared = self.scatter_downsample(&spec, pinned.is_some());
                 let mut vis = Vis::new(spec);
                 vis.score = exact;
                 vis.approximate = false;
-                vis.process(shared.as_deref().unwrap_or(frame), &copts)?;
+                vis.process(frame, &copts)?;
                 Ok(vis)
             })
             .map(Processed::Exact)
@@ -605,20 +599,6 @@ impl<'a> ActionRun<'a> {
             Ok(Processed::Degraded(vis))
         };
         (outcome, drain_sink(&csink))
-    }
-
-    /// The shared downsample, for an unpinned, unfiltered (filters sample
-    /// after filtering) native (SQL samples by `LIMIT`) scatter over a frame
-    /// taller than `max_points`: the rows processing it would draw.
-    fn scatter_downsample(&self, spec: &VisSpec, pinned: bool) -> Option<Arc<DataFrame>> {
-        let df = &self.pass.df;
-        let shared = !pinned
-            && spec.mark == Mark::Scatter
-            && spec.filters.is_empty()
-            && self.opts.backend == Backend::Native
-            && df.num_rows() > self.opts.max_points;
-        let downsample = self.pass.downsample.as_ref().filter(|_| shared)?;
-        Some(downsample.get(df))
     }
 
     /// Rank the processed survivors and fold what the stages accumulated —
@@ -1023,7 +1003,7 @@ mod tests {
     fn pass_over(df: DataFrame, config: LuxConfig) -> Pass {
         let meta = Arc::new(FrameMeta::compute(&df, &HashMap::new()));
         let ctx = PassCtx::detached("pass", config.budget.clone());
-        Pass::open(Arc::new(df), meta, &[], Arc::new(config), None, None, ctx)
+        Pass::open(Arc::new(df), meta, &[], Arc::new(config), None, ctx)
     }
 
     /// The default config with `tweak` applied.

@@ -53,7 +53,7 @@ impl Action for PreFilter {
         let Some(parent) = Self::parent_of(ctx) else {
             return Ok(vec![]);
         };
-        let parent_meta = meta_for(&parent);
+        let parent_meta = meta_for(&parent, ctx.config);
         let mut out = Vec::new();
         for cm in &parent_meta.columns {
             if cm.semantic == SemanticType::Id {
@@ -105,7 +105,7 @@ impl Action for PreAggregate {
             Some(k) => k.clone(),
             None => return Ok(vec![]),
         };
-        let parent_meta = meta_for(&parent);
+        let parent_meta = meta_for(&parent, ctx.config);
         let Some(key_meta) = parent_meta.column(&key) else {
             return Ok(vec![]);
         };

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use lux_dataframe::prelude::*;
-use lux_engine::{FrameMeta, SemanticType};
+use lux_engine::{FrameMeta, LuxConfig, SemanticType};
 use lux_vis::{Channel, Encoding, Mark, VisSpec};
 
 use crate::action::{Action, ActionClass, ActionContext, Candidate};
@@ -287,16 +287,20 @@ impl Action for IndexVis {
 }
 
 /// Metadata for a synthesized or parent frame, computed on demand: an
-/// aggregate is small, and a history action's big parent finalizes the
-/// partials its own print cached instead of rescanning.
-pub fn meta_for(df: &DataFrame) -> FrameMeta {
-    FrameMeta::compute_reusing(df, &HashMap::new())
+/// aggregate is small, and under WFLOW a history action's big parent
+/// finalizes the partials its own print cached instead of rescanning (the
+/// no-opt baseline rescans).
+pub fn meta_for(df: &DataFrame, config: &LuxConfig) -> FrameMeta {
+    if config.wflow {
+        FrameMeta::compute_reusing(df, &HashMap::new())
+    } else {
+        FrameMeta::compute(df, &HashMap::new())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lux_engine::LuxConfig;
 
     fn ctx_for(df: &DataFrame, meta: &FrameMeta, cfg: &LuxConfig) -> ActionContext<'static> {
         // SAFETY-free workaround for lifetimes in tests: leak fixtures.
@@ -318,8 +322,8 @@ mod tests {
             .float("x", [1.0, 2.0, 3.0])
             .build()
             .unwrap();
-        let meta = meta_for(&df);
         let cfg = LuxConfig::default();
+        let meta = meta_for(&df, &cfg);
         let ctx = ctx_for(&df, &meta, &cfg);
         assert!(SeriesVis.applies(&ctx));
         let c = SeriesVis.generate(&ctx).unwrap();
@@ -334,8 +338,8 @@ mod tests {
             .float("y", [1.0])
             .build()
             .unwrap();
-        let meta = meta_for(&df);
         let cfg = LuxConfig::default();
+        let meta = meta_for(&df, &cfg);
         assert!(!SeriesVis.applies(&ctx_for(&df, &meta, &cfg)));
     }
 
@@ -351,8 +355,8 @@ mod tests {
             .unwrap()
             .agg(&[("pay", Agg::Mean)])
             .unwrap();
-        let meta = meta_for(&agg);
         let cfg = LuxConfig::default();
+        let meta = meta_for(&agg, &cfg);
         let ctx = ctx_for(&agg, &meta, &cfg);
         assert!(IndexVis.applies(&ctx));
         let c = IndexVis.generate(&ctx).unwrap();
@@ -375,8 +379,8 @@ mod tests {
             .build()
             .unwrap();
         let pivot = df.pivot("state", "month", "cases", Agg::Sum).unwrap();
-        let meta = meta_for(&pivot);
         let cfg = LuxConfig::default();
+        let meta = meta_for(&pivot, &cfg);
         let ctx = ctx_for(&pivot, &meta, &cfg);
         let c = IndexVis.generate(&ctx).unwrap();
         // 2 column-wise + 2 row-wise (CA, NY)
@@ -408,8 +412,8 @@ mod tests {
             .agg(&[("pay", Agg::Mean)])
             .unwrap();
         assert_eq!(agg.index().num_levels(), 2);
-        let meta = meta_for(&agg);
         let cfg = LuxConfig::default();
+        let meta = meta_for(&agg, &cfg);
         let ctx = ctx_for(&agg, &meta, &cfg);
         assert!(IndexVis.applies(&ctx));
         let c = IndexVis.generate(&ctx).unwrap();
@@ -422,8 +426,8 @@ mod tests {
     #[test]
     fn index_vis_not_applicable_without_labels() {
         let df = DataFrameBuilder::new().float("x", [1.0]).build().unwrap();
-        let meta = meta_for(&df);
         let cfg = LuxConfig::default();
+        let meta = meta_for(&df, &cfg);
         assert!(!IndexVis.applies(&ctx_for(&df, &meta, &cfg)));
     }
 }

@@ -199,7 +199,7 @@ pub fn governed_pass(
         Some(&h),
         threads,
         chunk_rows,
-        df.append_lineage(),
+        df.append_lineage().as_slice(),
     );
     pass_output(&m, &h)
 }

@@ -260,18 +260,49 @@ fn failpoint_spec_parsing_round_trips() {
     assert!(chaos.arm(fp::CSV_INGEST, "sleep").is_err());
 }
 
-/// A history action's parent is a frame a print already scanned: its
-/// metadata finalizes the partials cached under the frame's own
+/// A history action's parent is a frame a print already scanned: under
+/// WFLOW its metadata finalizes the partials cached under the frame's own
 /// fingerprint, so a second `meta_for` scans no column (the armed panic
-/// never fires) and answers what the first did.
+/// never fires) and answers what the first did. The no-opt baseline
+/// rescans.
 #[test]
 fn meta_for_a_scanned_frame_finalizes_its_cached_partials() {
     let chaos = chaos();
+    let config = LuxConfig::default();
     let df = frame(5_000);
-    let first = meta_for(&df);
+    let first = meta_for(&df, &config);
     chaos
         .arm(fp::METADATA_COLUMN, "panic(column rescanned)")
         .unwrap();
-    let again = meta_for(&df);
+    let again = meta_for(&df, &config);
     assert_eq!(format!("{again:?}"), format!("{first:?}"));
+
+    chaos.arm(fp::METADATA_COLUMN, "return").unwrap();
+    let trips = || MetricsRegistry::global().counter(names::FAILPOINT_TRIPS);
+    let trips0 = trips();
+    let no_opt = meta_for(&df, &LuxConfig::no_opt());
+    assert!(
+        trips() > trips0,
+        "the no-opt baseline reused cached partials"
+    );
+    assert_eq!(format!("{no_opt:?}"), format!("{first:?}"));
+}
+
+/// A parent that is an append never printed itself, onto a frame that was:
+/// `meta_for` falls back to the append lineage and scans only the tail.
+#[test]
+fn meta_for_an_unprinted_append_merges_its_base_partials() {
+    let _chaos = chaos();
+    let config = LuxConfig::default();
+    let base = frame(5_000);
+    meta_for(&base, &config);
+    let appended = base.concat(&frame(100)).expect("concat");
+    let merges = || MetricsRegistry::global().counter(names::METADATA_APPEND_MERGES);
+    let merges0 = merges();
+    meta_for(&appended, &config);
+    assert_eq!(
+        merges(),
+        merges0 + 1,
+        "the appended frame was rescanned whole"
+    );
 }

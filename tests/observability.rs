@@ -276,7 +276,7 @@ fn metadata_fold_spans_appear_only_when_columns_fold() {
             None,
             2,
             chunk_rows,
-            None,
+            &[],
         );
         collector.end(root);
         collector.snapshot()

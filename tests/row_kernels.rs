@@ -683,146 +683,3 @@ fn airbnb_keys_are_indexed_and_integer_columns_scan_dense() {
     assert!(scan("id").is_sketched());
     assert!(!scan("latitude").is_dense());
 }
-
-/// A frame of three floats and a string, `rows` tall.
-fn scatter_frame(rows: usize) -> DataFrame {
-    DataFrameBuilder::new()
-        .float("a", (0..rows).map(|i| (mix(i as u64) % 1_000) as f64))
-        .float("b", (0..rows).map(|i| (mix(i as u64 * 7) % 500) as f64))
-        .float("c", (0..rows).map(|i| i as f64 / 3.0))
-        .str("dept", (0..rows).map(|i| ["S", "E", "H"][i % 3]))
-        .build()
-        .unwrap()
-}
-
-/// A processed frame's names and rows, comparable by value.
-fn rows_of(df: &DataFrame) -> (Vec<String>, Vec<String>) {
-    let rows = (0..df.num_rows()).map(|r| format!("{:?}", df.row(r)));
-    (df.column_names().to_vec(), rows.collect())
-}
-
-/// The per-frame scatter downsample (DESIGN.md §16): processing a scatter
-/// against the frame's one `max_points`-row draw gives the rows processing
-/// it against the frame samples, below, at and above `max_points`, with and
-/// without a colour channel.
-#[test]
-fn scatter_on_the_shared_downsample_equals_sampling_the_frame() {
-    use lux::engine::CachedSample;
-    use lux::vis::{process, ProcessOptions};
-    let opts = ProcessOptions {
-        max_points: 100,
-        ..ProcessOptions::default()
-    };
-    let x = Encoding::new("a", SemanticType::Quantitative, Channel::X);
-    let y = Encoding::new("c", SemanticType::Quantitative, Channel::Y);
-    let color = Encoding::new("dept", SemanticType::Nominal, Channel::Color);
-    for rows in [40, 99, 100, 101, 1_000] {
-        let df = scatter_frame(rows);
-        let downsample = CachedSample::new(opts.max_points, opts.seed);
-        for encodings in [
-            vec![x.clone(), y.clone()],
-            vec![x.clone(), y.clone(), color.clone()],
-        ] {
-            let spec = VisSpec::new(Mark::Scatter, encodings, vec![]);
-            let shared = process(&spec, &downsample.get(&df), &opts).unwrap();
-            let sampled = process(&spec, &df, &opts).unwrap();
-            assert_eq!(shared.num_rows(), rows.min(opts.max_points), "{rows} rows");
-            assert_eq!(rows_of(&shared), rows_of(&sampled), "{rows} rows");
-        }
-    }
-}
-
-/// Only an unpinned, unfiltered scatter on the native backend over a frame
-/// taller than `max_points` reads the pass's downsample: Correlation's
-/// scatters draw it and serve the rows a pass without it serves, while a
-/// filtered scatter, a pinned one, and every scatter of the SQL backend
-/// leave it undrawn.
-#[test]
-fn only_unfiltered_unpinned_native_scatters_share_the_downsample() {
-    use lux::engine::governor::event_sink;
-    use lux::engine::{CachedSample, FrameMeta};
-    use lux::recs::metadata_actions::Correlation;
-    use lux::recs::{execute_action, Action, Pass, PassCtx};
-    use lux::vis::ProcessOptions;
-    use std::collections::HashMap;
-    use std::sync::Arc;
-
-    let df = scatter_frame(12_000);
-    let config = LuxConfig::default();
-    let max_points = ProcessOptions::from(&config).max_points;
-    assert!(df.num_rows() > max_points);
-    let fresh = || Arc::new(CachedSample::new(max_points, config.sample_seed));
-    let meta = Arc::new(FrameMeta::compute(&df, &HashMap::new()));
-    let run = |action: &dyn Action, config: LuxConfig, downsample: Option<&Arc<CachedSample>>| {
-        let ctx = PassCtx::detached("pass", config.budget.clone());
-        let frame = Arc::new(df.clone());
-        let pass = Pass::open(
-            frame,
-            Arc::clone(&meta),
-            &[],
-            Arc::new(config),
-            None,
-            downsample,
-            ctx,
-        );
-        let result = execute_action(action, &pass, &pass.trace, &event_sink())
-            .expect("action runs clean")
-            .expect("action has candidates");
-        let visses = result.vislist.iter();
-        visses
-            .map(|v| {
-                (
-                    v.spec.describe(),
-                    rows_of(v.data.as_ref().expect("processed")),
-                )
-            })
-            .collect::<Vec<_>>()
-    };
-
-    let shared = fresh();
-    let with = run(&Correlation, config.clone(), Some(&shared));
-    assert!(
-        shared.is_cached(),
-        "Correlation's scatters never drew the downsample"
-    );
-    assert_eq!(with, run(&Correlation, config.clone(), None));
-
-    let sql = fresh();
-    let sql_config = LuxConfig {
-        sql_backend: true,
-        ..config.clone()
-    };
-    run(&Correlation, sql_config, Some(&sql));
-    assert!(
-        !sql.is_cached(),
-        "an SQL-backend scatter read the downsample"
-    );
-
-    let scatter = |filters| {
-        VisSpec::new(
-            Mark::Scatter,
-            vec![
-                Encoding::new("a", SemanticType::Quantitative, Channel::X),
-                Encoding::new("b", SemanticType::Quantitative, Channel::Y),
-            ],
-            filters,
-        )
-    };
-    let odd = CustomAction::new(
-        "FilteredAndPinned",
-        |_: &ActionContext<'_>| true,
-        move |ctx: &ActionContext<'_>| {
-            let odd_ones = FilterSpec::new("dept", FilterOp::Ne, Value::str("S"));
-            Ok(vec![
-                Candidate::new(scatter(vec![odd_ones])),
-                Candidate::on_frame(scatter(vec![]), Arc::new(ctx.df.clone())),
-            ])
-        },
-    );
-    let untouched = fresh();
-    assert_eq!(run(&odd, config, Some(&untouched)).len(), 2);
-    assert!(
-        !untouched.is_cached(),
-        "a filtered or pinned scatter read the downsample"
-    );
-}

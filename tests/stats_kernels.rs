@@ -662,8 +662,9 @@ fn partial_shape(n: &NumericStats) -> impl PartialEq + std::fmt::Debug {
 /// partial the convert-at-the-cap loop does — near-unique, exactly `cap`
 /// and `cap + 1` distinct (the set jumps, then stays exact or converts),
 /// 30 distinct in 100k rows (no jump, no sketch), NaN / null / `-0.0`
-/// mixes, and the degraded cap whose set is allocated outright and never
-/// jumps.
+/// mixes, the degraded cap whose set is allocated outright and never
+/// jumps, and a chunk no taller than its cap, whose set may jump but which
+/// never starts a sketch.
 #[test]
 fn tall_chunk_partials_equal_the_converting_scan() {
     let rows = 100_000usize;
@@ -716,6 +717,11 @@ fn tall_chunk_partials_equal_the_converting_scan() {
             "degraded cap",
             (0..rows).map(|i| Some(near_unique(i))).collect(),
             spec(4_096),
+        ),
+        (
+            "no taller than its cap",
+            (0..rows).map(|i| Some(near_unique(i))).collect(),
+            spec(rows),
         ),
     ];
     for (name, values, spec) in cases {
