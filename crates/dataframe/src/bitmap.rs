@@ -19,14 +19,35 @@ impl Bitmap {
 
     /// A bitmap of `len` bits, all set to `value`.
     pub fn filled(len: usize, value: bool) -> Self {
-        let nwords = len.div_ceil(64);
         let word = if value { u64::MAX } else { 0 };
-        let mut bm = Bitmap {
-            words: vec![word; nwords],
-            len,
-        };
+        Bitmap::from_words(vec![word; len.div_ceil(64)], len)
+    }
+
+    /// Build from packed words, bit `i` of the bitmap being bit `i % 64` of
+    /// word `i / 64`. Bits at positions `>= len` are cleared, so a kernel
+    /// may fill whole words without masking its last one.
+    pub fn from_words(words: Vec<u64>, len: usize) -> Self {
+        assert_eq!(
+            words.len(),
+            len.div_ceil(64),
+            "{} words cannot hold exactly {len} bits",
+            words.len()
+        );
+        let mut bm = Bitmap { words, len };
         bm.mask_tail();
         bm
+    }
+
+    /// One bit per item, `bit(item)`, packed 64 items to a word.
+    pub fn pack<T>(items: &[T], bit: impl Fn(&T) -> bool) -> Self {
+        let words = items
+            .chunks(64)
+            .map(|chunk| {
+                let bits = chunk.iter().enumerate();
+                bits.fold(0u64, |w, (b, x)| w | (bit(x) as u64) << b)
+            })
+            .collect();
+        Bitmap::from_words(words, items.len())
     }
 
     /// Build from an iterator of booleans.
@@ -131,9 +152,21 @@ impl Bitmap {
         }
     }
 
+    /// The positions of the set bits, ascending, read a word at a time.
+    pub fn ones(&self) -> Vec<usize> {
+        let mut out = Vec::with_capacity(self.count_ones());
+        for (wi, mut w) in self.words.iter().copied().enumerate() {
+            while w != 0 {
+                out.push(wi * 64 + w.trailing_zeros() as usize);
+                w &= w - 1;
+            }
+        }
+        out
+    }
+
     /// Gather the bits at `indices` into a new bitmap.
     pub fn take(&self, indices: &[usize]) -> Bitmap {
-        Bitmap::from_iter(indices.iter().map(|&i| self.get(i)))
+        Bitmap::pack(indices, |&i| self.get(i))
     }
 
     /// Clear any garbage bits past `len` in the last word so that equality and

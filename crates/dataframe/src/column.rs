@@ -103,6 +103,16 @@ impl<T: Copy + Default> PrimitiveColumn<T> {
         self.validity.as_ref().map_or(0, Bitmap::count_zeros)
     }
 
+    /// Make row `i` null, its slot holding the placeholder `push(None)`
+    /// writes.
+    pub(crate) fn set_null(&mut self, i: usize) {
+        self.values[i] = T::default();
+        let len = self.values.len();
+        self.validity
+            .get_or_insert_with(|| Bitmap::filled(len, true))
+            .set(i, false);
+    }
+
     /// Gather rows at `indices`.
     pub fn take(&self, indices: &[usize]) -> Self {
         let values = indices.iter().map(|&i| self.values[i]).collect();
@@ -118,15 +128,26 @@ impl<T: Copy + Default> PrimitiveColumn<T> {
 
 /// A dictionary-encoded string column.
 ///
-/// `codes[i]` indexes into `dict`; nulls are tracked by the validity bitmap
-/// with code 0 (or any code) as placeholder. The dictionary is append-only
-/// and deduplicated through `lookup`.
+/// `codes[i]` indexes into the dictionary; nulls are tracked by the validity
+/// bitmap with code 0 (or any code) as placeholder. The dictionary — the
+/// distinct strings and their lookup map — sits behind one `Arc`: `clone`,
+/// `take` and every row gather built on them (filter, sort, head, sample,
+/// the group-by key gathers) share it, and `intern` copies it only when it
+/// appends a new string to a shared one. It only ever grows by appending,
+/// so a code names the same string in every column derived from this one.
 #[derive(Debug, Clone)]
 pub struct StrColumn {
     codes: Vec<u32>,
-    dict: Vec<Arc<str>>,
-    lookup: HashMap<Arc<str>, u32>,
+    dict: Arc<Dictionary>,
     validity: Option<Bitmap>,
+}
+
+/// The distinct strings of a [`StrColumn`], in first-interned order, and
+/// their codes.
+#[derive(Debug, Clone, Default)]
+struct Dictionary {
+    strings: Vec<Arc<str>>,
+    lookup: HashMap<Arc<str>, u32>,
 }
 
 impl Default for StrColumn {
@@ -139,8 +160,7 @@ impl StrColumn {
     pub fn new() -> Self {
         Self {
             codes: Vec::new(),
-            dict: Vec::new(),
-            lookup: HashMap::new(),
+            dict: Arc::default(),
             validity: None,
         }
     }
@@ -171,15 +191,17 @@ impl StrColumn {
         self.codes.is_empty()
     }
 
-    /// Intern `s`, returning its dictionary code.
+    /// Intern `s`, returning its dictionary code. A new string is appended
+    /// to this column's own copy of the dictionary when it is shared.
     pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&code) = self.lookup.get(s) {
+        if let Some(code) = self.code_of(s) {
             return code;
         }
+        let dict = Arc::make_mut(&mut self.dict);
         let arc: Arc<str> = Arc::from(s);
-        let code = self.dict.len() as u32;
-        self.dict.push(arc.clone());
-        self.lookup.insert(arc, code);
+        let code = dict.strings.len() as u32;
+        dict.strings.push(arc.clone());
+        dict.lookup.insert(arc, code);
         code
     }
 
@@ -202,6 +224,14 @@ impl StrColumn {
         }
     }
 
+    /// Overwrite row `i` with the (valid) string `s`.
+    pub(crate) fn set(&mut self, i: usize, s: &str) {
+        self.codes[i] = self.intern(s);
+        if let Some(v) = &mut self.validity {
+            v.set(i, true);
+        }
+    }
+
     #[inline]
     pub fn is_valid(&self, i: usize) -> bool {
         self.validity.as_ref().is_none_or(|v| v.get(i))
@@ -220,19 +250,19 @@ impl StrColumn {
     /// `Some(string)` for valid rows.
     #[inline]
     pub fn get(&self, i: usize) -> Option<&Arc<str>> {
-        self.code(i).map(|c| &self.dict[c as usize])
+        self.code(i).map(|c| &self.dict.strings[c as usize])
     }
 
     /// The distinct strings present in the dictionary. Note: the dictionary
     /// may contain strings no longer referenced after filtering; use
     /// `used_codes` for exact distinct counts.
     pub fn dict(&self) -> &[Arc<str>] {
-        &self.dict
+        &self.dict.strings
     }
 
     /// Dictionary code for `s`, if interned.
     pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.lookup.get(s).copied()
+        self.dict.lookup.get(s).copied()
     }
 
     /// Raw code buffer (placeholder codes at null rows).
@@ -253,7 +283,7 @@ impl StrColumn {
     /// all-valid words mark codes in a tight loop, mixed words visit only
     /// their set bits, and the all-valid column skips bit tests entirely.
     pub fn used_codes(&self) -> Vec<u32> {
-        let mut seen = vec![false; self.dict.len()];
+        let mut seen = vec![false; self.dict().len()];
         match &self.validity {
             None => {
                 for &c in &self.codes {
@@ -278,19 +308,20 @@ impl StrColumn {
                 }
             }
         }
-        (0..self.dict.len() as u32)
+        (0..self.dict().len() as u32)
             .filter(|&c| seen[c as usize])
             .collect()
     }
 
-    /// Gather rows at `indices`. The dictionary is shared as-is.
+    /// Gather rows at `indices`. The result shares this column's
+    /// dictionary (one reference count, no copy), so it may hold strings no
+    /// taken row references.
     pub fn take(&self, indices: &[usize]) -> Self {
         let codes = indices.iter().map(|&i| self.codes[i]).collect();
         let validity = self.validity.as_ref().map(|b| b.take(indices));
         Self {
             codes,
-            dict: self.dict.clone(),
-            lookup: self.lookup.clone(),
+            dict: Arc::clone(&self.dict),
             validity,
         }
     }
@@ -407,8 +438,7 @@ impl Column {
                 got: mask.len(),
             });
         }
-        let indices: Vec<usize> = (0..self.len()).filter(|&i| mask.get(i)).collect();
-        Ok(self.take(&indices))
+        Ok(self.take(&mask.ones()))
     }
 
     /// Append the rows of `other` (must be same dtype).

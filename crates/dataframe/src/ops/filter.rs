@@ -110,7 +110,7 @@ impl DataFrame {
                 got: mask.len(),
             });
         }
-        let indices: Vec<usize> = (0..self.num_rows()).filter(|&i| mask.get(i)).collect();
+        let indices = mask.ones();
         let names = self.column_names().to_vec();
         let cols: Vec<Arc<Column>> = (0..self.num_columns())
             .map(|c| Arc::new(self.column_at(c).take(&indices)))
@@ -121,55 +121,56 @@ impl DataFrame {
     }
 }
 
-/// Typed fast paths for mask construction; falls back to boxed comparison.
+/// Typed fast paths for mask construction, 64 rows per word; falls back to
+/// boxed comparison.
 fn build_mask(col: &Column, op: FilterOp, value: &Value) -> Bitmap {
     match (col, value) {
-        // Dictionary fast path: equality on strings compares codes.
+        // Dictionary fast path: equality on strings compares codes. A value
+        // not in the dictionary has no code: Eq matches nothing, Ne every
+        // valid row.
         (Column::Str(c), Value::Str(s)) if matches!(op, FilterOp::Eq | FilterOp::Ne) => {
-            match c.code_of(s) {
-                Some(code) => Bitmap::from_iter((0..c.len()).map(|i| {
-                    c.code(i).is_some_and(|ci| match op {
-                        FilterOp::Eq => ci == code,
-                        _ => ci != code,
-                    })
-                })),
-                // Value not in dictionary: Eq matches nothing, Ne matches all valid rows.
-                None => Bitmap::from_iter(
-                    (0..c.len()).map(|i| matches!(op, FilterOp::Ne) && c.is_valid(i)),
-                ),
-            }
+            let code = c.code_of(s);
+            let eq = op == FilterOp::Eq;
+            word_mask(c.codes(), c.validity(), |&x| (Some(x) == code) == eq)
         }
-        (Column::Int64(c), v) | (Column::DateTime(c), v) => {
-            if let Some(rhs) = v.as_f64() {
-                Bitmap::from_iter(
-                    (0..c.len()).map(|i| c.get(i).is_some_and(|x| eval_f64(op, x as f64, rhs))),
-                )
-            } else {
-                boxed_mask(col, op, value)
-            }
-        }
-        (Column::Float64(c), v) => {
-            if let Some(rhs) = v.as_f64() {
-                Bitmap::from_iter(
-                    (0..c.len()).map(|i| c.get(i).is_some_and(|x| eval_f64(op, x, rhs))),
-                )
-            } else {
-                boxed_mask(col, op, value)
-            }
-        }
+        (Column::Int64(c) | Column::DateTime(c), v) => match v.as_f64() {
+            Some(rhs) => f64_mask(c.values(), c.validity(), op, rhs, |x| x as f64),
+            None => boxed_mask(col, op, value),
+        },
+        (Column::Float64(c), v) => match v.as_f64() {
+            Some(rhs) => f64_mask(c.values(), c.validity(), op, rhs, |x| x),
+            None => boxed_mask(col, op, value),
+        },
         _ => boxed_mask(col, op, value),
     }
 }
 
-#[inline]
-fn eval_f64(op: FilterOp, lhs: f64, rhs: f64) -> bool {
+/// `hit` over every slot of `values`, 64 to a word, then ANDed with the
+/// validity words — a null row never matches, whatever its placeholder.
+fn word_mask<T>(values: &[T], validity: Option<&Bitmap>, hit: impl Fn(&T) -> bool) -> Bitmap {
+    let mask = Bitmap::pack(values, hit);
+    match validity {
+        Some(valid) => mask.and(valid),
+        None => mask,
+    }
+}
+
+/// `f(x) OP rhs` over a numeric buffer, the operator resolved once so each
+/// arm is its own loop.
+fn f64_mask<T: Copy>(
+    values: &[T],
+    validity: Option<&Bitmap>,
+    op: FilterOp,
+    rhs: f64,
+    f: impl Fn(T) -> f64,
+) -> Bitmap {
     match op {
-        FilterOp::Eq => lhs == rhs,
-        FilterOp::Ne => lhs != rhs,
-        FilterOp::Gt => lhs > rhs,
-        FilterOp::Lt => lhs < rhs,
-        FilterOp::Ge => lhs >= rhs,
-        FilterOp::Le => lhs <= rhs,
+        FilterOp::Eq => word_mask(values, validity, |&x| f(x) == rhs),
+        FilterOp::Ne => word_mask(values, validity, |&x| f(x) != rhs),
+        FilterOp::Gt => word_mask(values, validity, |&x| f(x) > rhs),
+        FilterOp::Lt => word_mask(values, validity, |&x| f(x) < rhs),
+        FilterOp::Ge => word_mask(values, validity, |&x| f(x) >= rhs),
+        FilterOp::Le => word_mask(values, validity, |&x| f(x) <= rhs),
     }
 }
 

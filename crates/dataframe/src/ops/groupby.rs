@@ -582,19 +582,22 @@ impl GroupBy<'_> {
     fn finish(&self, aggs: Vec<(String, Column)>, detail: &str) -> Result<DataFrame> {
         // The overflow group's representative row carries an arbitrary key;
         // patch it to "(other)" (string keys) or null so the fold is visible.
-        let gather = |source: &Column| -> Result<Column> {
-            let taken = source.take(&self.representatives);
-            match self.overflow {
-                Some(ov) => patch_row(&taken, ov as usize),
-                None => Ok(taken),
-            }
-        };
+        let levels: Vec<Column> = self
+            .keys
+            .iter()
+            .map(|key| {
+                let taken = self.df.column(key)?.take(&self.representatives);
+                Ok(match self.overflow {
+                    Some(ov) => patch_row(taken, ov as usize),
+                    None => taken,
+                })
+            })
+            .collect::<Result<_>>()?;
         let mut names = Vec::with_capacity(self.keys.len() + aggs.len());
         let mut cols: Vec<Arc<Column>> = Vec::with_capacity(self.keys.len() + aggs.len());
-        for key in &self.keys {
-            let source = self.df.column(key)?;
+        for (key, level) in self.keys.iter().zip(&levels) {
             names.push(key.clone());
-            cols.push(Arc::new(gather(source)?));
+            cols.push(Arc::new(level.clone()));
         }
         for (name, col) in aggs {
             if names.contains(&name) {
@@ -603,20 +606,13 @@ impl GroupBy<'_> {
             names.push(name);
             cols.push(Arc::new(col));
         }
-        let index = if self.keys.len() == 1 {
-            Index::labels(
-                Some(self.keys[0].clone()),
-                gather(self.df.column(&self.keys[0])?)?,
-            )
-        } else {
+        let index = match <[Column; 1]>::try_from(levels) {
+            Ok([level]) => Index::labels(Some(self.keys[0].clone()), level),
             // Multi-key group-bys carry a multi-level index (the paper's
             // future-work extension; see crate::index).
-            let levels: Vec<Column> = self
-                .keys
-                .iter()
-                .map(|k| gather(self.df.column(k)?))
-                .collect::<Result<_>>()?;
-            Index::multi_labels(self.keys.iter().map(|k| Some(k.clone())).collect(), levels)
+            Err(levels) => {
+                Index::multi_labels(self.keys.iter().map(|k| Some(k.clone())).collect(), levels)
+            }
         };
         let event = Event::new(
             OpKind::Aggregate,
@@ -627,23 +623,18 @@ impl GroupBy<'_> {
     }
 }
 
-/// Rebuild `col` with row `row` replaced by `"(other)"` for string columns
-/// or null otherwise. O(len), and only ever applied to the (already capped)
-/// group-key gather, never to full-height data.
-fn patch_row(col: &Column, row: usize) -> Result<Column> {
-    let replacement = match col {
-        Column::Str(_) => Value::str("(other)"),
-        _ => Value::Null,
-    };
-    let mut out = Column::empty(col.dtype());
-    for i in 0..col.len() {
-        if i == row {
-            out.push_value(&replacement)?;
-        } else {
-            out.push_value(&col.value(i))?;
-        }
+/// `col` with row `row` replaced by `"(other)"` for string columns or null
+/// otherwise, in place: a string column interns `"(other)"` once (copying a
+/// dictionary it shares) and sets that row's code. Only ever applied to the
+/// (already capped) group-key gather, never to full-height data.
+fn patch_row(mut col: Column, row: usize) -> Column {
+    match &mut col {
+        Column::Str(c) => c.set(row, "(other)"),
+        Column::Int64(c) | Column::DateTime(c) => c.set_null(row),
+        Column::Float64(c) => c.set_null(row),
+        Column::Bool(c) => c.set_null(row),
     }
-    Ok(out)
+    col
 }
 
 #[cfg(test)]
@@ -915,5 +906,94 @@ mod tests {
             .filter("k", crate::ops::FilterOp::Eq, &Value::str("a"))
             .unwrap();
         assert_eq!(row_a.value(0, "v").unwrap(), Value::Int(1));
+    }
+
+    /// The value-by-value rebuild `patch_row` replaced, kept as its
+    /// reference.
+    fn patch_row_by_values(col: &Column, row: usize) -> Column {
+        let replacement = match col {
+            Column::Str(_) => Value::str("(other)"),
+            _ => Value::Null,
+        };
+        let mut out = Column::empty(col.dtype());
+        for i in 0..col.len() {
+            let v = if i == row {
+                replacement.clone()
+            } else {
+                col.value(i)
+            };
+            out.push_value(&v).unwrap();
+        }
+        out
+    }
+
+    /// Every cell, floats by Debug so NaN and -0.0 compare as themselves.
+    fn cells(col: &Column) -> Vec<String> {
+        (0..col.len())
+            .map(|i| format!("{:?}", col.value(i)))
+            .collect()
+    }
+
+    #[test]
+    fn patch_row_matches_the_value_by_value_rebuild() {
+        use crate::column::StrColumn;
+        let source = StrColumn::from_options([Some("a"), Some("(other)"), None, Some("b")]);
+        let cols = [
+            // "(other)" already a real value, and a null key
+            Column::Str(source.clone()),
+            // a gather that shares a larger dictionary
+            Column::Str(source.take(&[3, 2, 0])),
+            Column::Str(StrColumn::from_strings(["x", "y", "x"])),
+            Column::Int64(PrimitiveColumn::from_values(vec![4, 5, 6])),
+            Column::Int64(PrimitiveColumn::from_options(vec![Some(1), None, Some(3)])),
+            Column::Float64(PrimitiveColumn::from_options(vec![
+                Some(f64::NAN),
+                Some(-0.0),
+                None,
+            ])),
+            Column::Bool(PrimitiveColumn::from_values(vec![true, false, true])),
+            Column::DateTime(PrimitiveColumn::from_values(vec![86_400, 0, -1])),
+        ];
+        for col in cols {
+            for row in 0..col.len() {
+                let got = patch_row(col.clone(), row);
+                let want = patch_row_by_values(&col, row);
+                assert_eq!(got.dtype(), want.dtype());
+                assert_eq!(cells(&got), cells(&want), "{col:?} at row {row}");
+                assert_eq!(got.null_count(), want.null_count(), "{col:?} at row {row}");
+                if let Column::Str(c) = &got {
+                    let others = c.dict().iter().filter(|s| s.as_ref() == "(other)");
+                    assert_eq!(others.count(), 1, "\"(other)\" interned once");
+                }
+            }
+        }
+        // the source's dictionary never sees a patch
+        assert_eq!(source.dict().len(), 3);
+        let fresh = StrColumn::from_strings(["p", "q"]);
+        patch_row(Column::Str(fresh.take(&[1, 0])), 0);
+        assert_eq!(fresh.code_of("(other)"), None);
+    }
+
+    #[test]
+    fn capped_index_levels_carry_the_patched_keys() {
+        let df = DataFrameBuilder::new()
+            .str("k", ["a", "b", "c", "a", "d"])
+            .int("n", [1, 2, 3, 1, 4])
+            .build()
+            .unwrap();
+        // (a, 1) and (b, 2) fit the cap; row 2 founds the overflow group
+        let multi = df.groupby_capped(&["k", "n"], 2).unwrap().count().unwrap();
+        assert_eq!(multi.value(2, "k").unwrap(), Value::str("(other)"));
+        assert!(multi.value(2, "n").unwrap().is_null());
+        for (level, key) in ["k", "n"].into_iter().enumerate() {
+            let values = multi.index().level_values(level).unwrap();
+            assert_eq!(cells(values), cells(multi.column(key).unwrap()), "{key}");
+        }
+        let single = df.groupby_capped(&["k"], 2).unwrap().count().unwrap();
+        assert_eq!(
+            cells(single.index().values().unwrap()),
+            cells(single.column("k").unwrap())
+        );
+        assert_eq!(single.value(2, "k").unwrap(), Value::str("(other)"));
     }
 }

@@ -1,6 +1,7 @@
 //! Null handling: `dropna`, `fillna`, `null_counts`.
 
 use crate::bitmap::Bitmap;
+use crate::column::Column;
 use crate::error::Result;
 use crate::frame::DataFrame;
 use crate::history::{Event, OpKind};
@@ -9,9 +10,9 @@ use crate::value::Value;
 impl DataFrame {
     /// Drop rows containing any null in any column.
     pub fn dropna(&self) -> DataFrame {
-        let nrows = self.num_rows();
-        let mask = Bitmap::from_iter(
-            (0..nrows).map(|i| (0..self.num_columns()).all(|c| self.column_at(c).is_valid(i))),
+        let mask = valid_in_all(
+            self.num_rows(),
+            (0..self.num_columns()).map(|c| self.column_at(c)),
         );
         let mut out = self
             .filter_rows(&mask)
@@ -22,12 +23,11 @@ impl DataFrame {
 
     /// Drop rows with a null in any of the named columns.
     pub fn dropna_subset(&self, columns: &[&str]) -> Result<DataFrame> {
-        let cols: Vec<&crate::column::Column> = columns
+        let cols: Vec<&Column> = columns
             .iter()
             .map(|c| self.column(c))
             .collect::<Result<_>>()?;
-        let mask =
-            Bitmap::from_iter((0..self.num_rows()).map(|i| cols.iter().all(|c| c.is_valid(i))));
+        let mask = valid_in_all(self.num_rows(), cols);
         let mut out = self.filter_rows(&mask)?;
         out.record_event(
             Event::new(OpKind::NullHandling, format!("dropna(subset={columns:?})"))
@@ -49,7 +49,7 @@ impl DataFrame {
                 }
             })
             .collect();
-        let new_col = crate::column::Column::from_values(&values)?;
+        let new_col = Column::from_values(&values)?;
         let mut out = self.with_column(column, new_col)?;
         out.record_event(
             Event::new(OpKind::NullHandling, format!("fillna({column:?}, {value})"))
@@ -66,6 +66,13 @@ impl DataFrame {
             .map(|(i, n)| (n.clone(), self.column_at(i).null_count()))
             .collect()
     }
+}
+
+/// The rows valid in every one of `cols`: the AND of their validity words.
+fn valid_in_all<'a>(rows: usize, cols: impl IntoIterator<Item = &'a Column>) -> Bitmap {
+    cols.into_iter()
+        .filter_map(Column::validity)
+        .fold(Bitmap::filled(rows, true), |mask, valid| mask.and(valid))
 }
 
 #[cfg(test)]

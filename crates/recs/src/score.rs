@@ -161,7 +161,7 @@ fn try_interestingness(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) ->
 
     match spec.mark {
         Mark::Scatter | Mark::Heatmap => {
-            let frame = apply_filters(spec, df)?;
+            let frame = lux_vis::filtered_view(spec, df)?;
             let x = spec
                 .channel(Channel::X)
                 .ok_or_else(|| Error::InvalidArgument("no x".into()))?;
@@ -220,14 +220,6 @@ fn filtered_deviation(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> 
         Ok(dist)
     };
     Ok(distribution_deviation(&dist(&with)?, &dist(&without)?))
-}
-
-fn apply_filters(spec: &VisSpec, df: &DataFrame) -> Result<DataFrame> {
-    let mut frame = df.clone();
-    for f in &spec.filters {
-        frame = frame.filter(&f.attribute, f.op, &f.value)?;
-    }
-    Ok(frame)
 }
 
 #[cfg(test)]

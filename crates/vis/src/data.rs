@@ -5,6 +5,7 @@
 //! decoupled from the source data (the paper's WYSIWYG rule: recommendations
 //! are views, they never mutate the user's dataframe).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use lux_dataframe::ops::{bin_of, edge_of};
@@ -155,16 +156,8 @@ fn process_uncached(
     if opts.backend == Backend::Sql {
         return Ok((crate::sql::process_sql(spec, df, opts)?, false));
     }
-    // 1. Apply the filter conjunction.
-    let mut filtered;
-    let mut frame = df;
-    if !spec.filters.is_empty() {
-        filtered = df.clone();
-        for f in &spec.filters {
-            filtered = filtered.filter(&f.attribute, f.op, &f.value)?;
-        }
-        frame = &filtered;
-    }
+    // 1. Apply the filter conjunction to the columns the view draws.
+    let frame = &*filtered_view(spec, df)?;
 
     // 2. Mark-specific processing; only grouping can degrade.
     let exact = match spec.mark {
@@ -174,6 +167,23 @@ fn process_uncached(
         Mark::Heatmap => process_heatmap(spec, frame, opts),
     };
     Ok((exact?, false))
+}
+
+/// The rows of `df` that pass `spec`'s filter conjunction, holding only the
+/// columns the spec reads (`VisSpec::attributes`: its axes, colour and
+/// filter attributes), so a filter gathers what the view draws rather than
+/// the whole frame; `df` itself, borrowed, when the spec has no filter.
+/// Every processing step reads its columns by name, so the result is the
+/// same as filtering the whole frame first.
+pub fn filtered_view<'a>(spec: &VisSpec, df: &'a DataFrame) -> Result<Cow<'a, DataFrame>> {
+    if spec.filters.is_empty() {
+        return Ok(Cow::Borrowed(df));
+    }
+    let mut frame = df.select(&spec.attributes())?;
+    for f in &spec.filters {
+        frame = frame.filter(&f.attribute, f.op, &f.value)?;
+    }
+    Ok(Cow::Owned(frame))
 }
 
 fn x_attr(spec: &VisSpec) -> Result<&str> {

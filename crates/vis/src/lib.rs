@@ -12,7 +12,7 @@ pub mod spec;
 pub mod sql;
 pub mod vislist;
 
-pub use data::{process, Backend, ProcessOptions};
+pub use data::{filtered_view, process, Backend, ProcessOptions};
 pub use spec::{Channel, Encoding, FilterSpec, Mark, VisSpec};
 pub use sql::{process_sql, to_sql};
 pub use vislist::{Vis, VisList};

@@ -4,11 +4,17 @@
 //! `f64_at`-per-row predecessor, over columns built to hit every branch of
 //! the validity-word walk: lengths around the 64-row word size, validity
 //! absent / all-null / null at word edges / scattered, and NaN, ±inf and
-//! `-0.0` payloads.
+//! `-0.0` payloads. The same grid holds the filter kernel (masks built a
+//! word at a time, row lists read off the mask words) to the row-at-a-time
+//! kernel it replaced, and filtered views that select their columns before
+//! filtering to filtering the whole frame first (§16, "Filtered views").
 
 use lux::dataframe::scan::{for_each_f64_pair, for_each_f64_triple};
 use lux::prelude::*;
-use lux::recs::score::{coefficient_of_variation, pearson, skewness};
+use lux::recs::score::{
+    coefficient_of_variation, distribution_deviation, interestingness, pearson, skewness,
+};
+use lux::vis::{process, ProcessOptions};
 use proptest::prelude::*;
 
 const LENGTHS: [usize; 8] = [0, 1, 63, 64, 65, 127, 128, 1000];
@@ -682,4 +688,569 @@ fn airbnb_keys_are_indexed_and_integer_columns_scan_dense() {
     }
     assert!(scan("id").is_sketched());
     assert!(!scan("latitude").is_dense());
+}
+
+// ---------------------------------------------------------------------
+// Filters: masks built a word at a time and row lists read off the mask
+// words, against the row-at-a-time kernel they replaced
+// ---------------------------------------------------------------------
+
+const OPS: [FilterOp; 6] = [
+    FilterOp::Eq,
+    FilterOp::Ne,
+    FilterOp::Gt,
+    FilterOp::Lt,
+    FilterOp::Ge,
+    FilterOp::Le,
+];
+
+/// The mask the row-at-a-time kernel built: string Eq/Ne by dictionary
+/// code (a string the dictionary lacks: Eq matches nothing, Ne every valid
+/// row), numeric columns against the right-hand side's `f64` view, and the
+/// boxed comparison for everything else.
+fn mask_by_rows(col: &Column, op: FilterOp, rhs: &Value) -> Vec<bool> {
+    let cmp = |x: f64, r: f64| match op {
+        FilterOp::Eq => x == r,
+        FilterOp::Ne => x != r,
+        FilterOp::Gt => x > r,
+        FilterOp::Lt => x < r,
+        FilterOp::Ge => x >= r,
+        FilterOp::Le => x <= r,
+    };
+    match (col, rhs, rhs.as_f64()) {
+        (Column::Str(c), Value::Str(s), _) if matches!(op, FilterOp::Eq | FilterOp::Ne) => {
+            let code = c.code_of(s);
+            (0..c.len())
+                .map(|i| match (c.code(i), code) {
+                    (Some(ci), Some(code)) => (ci == code) == (op == FilterOp::Eq),
+                    (Some(_), None) => op == FilterOp::Ne,
+                    (None, _) => false,
+                })
+                .collect()
+        }
+        (Column::Int64(c) | Column::DateTime(c), _, Some(r)) => (0..c.len())
+            .map(|i| c.get(i).is_some_and(|x| cmp(x as f64, r)))
+            .collect(),
+        (Column::Float64(c), _, Some(r)) => (0..c.len())
+            .map(|i| c.get(i).is_some_and(|x| cmp(x, r)))
+            .collect(),
+        _ => (0..col.len())
+            .map(|i| op.eval(&col.value(i), rhs))
+            .collect(),
+    }
+}
+
+/// Right-hand sides for a filter on `col`: ints and floats against every
+/// numeric type (NaN, ±inf and -0.0 included), a datetime and a bool, a
+/// string in the grid's dictionaries and one absent from all of them, a
+/// null, and a value the column holds.
+fn filter_rhs(col: &Column) -> Vec<Value> {
+    let mut out = vec![
+        Value::Int(0),
+        Value::Int(-1000),
+        Value::Int(7),
+        Value::Float(1.5),
+        Value::Float(-0.0),
+        Value::Float(f64::NAN),
+        Value::Float(f64::INFINITY),
+        Value::Float(f64::NEG_INFINITY),
+        Value::DateTime(86_400),
+        Value::Bool(true),
+        Value::str("s3"),
+        Value::str("absent"),
+        Value::Null,
+    ];
+    out.extend((0..col.len()).map(|i| col.value(i)).find(|v| !v.is_null()));
+    out
+}
+
+fn rows_of(mask: &[bool]) -> Vec<usize> {
+    (0..mask.len()).filter(|&i| mask[i]).collect()
+}
+
+#[test]
+fn filter_masks_and_row_lists_match_the_row_at_a_time_kernel() {
+    for (g, col) in grid().into_iter().enumerate() {
+        let rows = Column::Int64(PrimitiveColumn::from_values(
+            (0..col.len() as i64).collect(),
+        ));
+        let df =
+            DataFrame::from_columns(vec![("v".to_string(), col.clone()), ("row".into(), rows)])
+                .unwrap();
+        for rhs in filter_rhs(&col) {
+            for op in OPS {
+                let tag = format!(
+                    "{:?} x {} rows (grid {g}) {op} {rhs:?}",
+                    col.dtype(),
+                    col.len()
+                );
+                let want = mask_by_rows(&col, op, &rhs);
+                let mask = df.filter_mask("v", op, &rhs).unwrap();
+                assert_eq!(mask, Bitmap::from_iter(want.iter().copied()), "mask {tag}");
+
+                let kept_rows = rows_of(&want);
+                assert_eq!(mask.ones(), kept_rows, "ones {tag}");
+                let kept = df.filter("v", op, &rhs).unwrap();
+                let want_row_cells: Vec<String> = kept_rows
+                    .iter()
+                    .map(|&r| cell(&Value::Int(r as i64)))
+                    .collect();
+                assert_eq!(column_cells(&kept, "row"), want_row_cells, "rows {tag}");
+                let want_cells: Vec<String> =
+                    kept_rows.iter().map(|&r| cell(&col.value(r))).collect();
+                assert_eq!(column_cells(&kept, "v"), want_cells, "values {tag}");
+                let by_mask = col.filter(&mask).unwrap();
+                let by_rows: Vec<String> = (0..by_mask.len())
+                    .map(|i| cell(&by_mask.value(i)))
+                    .collect();
+                assert_eq!(by_rows, want_cells, "Column::filter {tag}");
+            }
+        }
+    }
+}
+
+/// `filter_rows` and the two `dropna`s over frames whose columns carry
+/// different null layouts, against masks built one row at a time.
+#[test]
+fn filter_rows_and_dropna_match_the_row_at_a_time_masks() {
+    for len in LENGTHS {
+        for nulls in NULLS {
+            let mut cols: Vec<(String, Column)> = (0..DTYPES)
+                .map(|d| {
+                    let nulls = if d == 0 {
+                        nulls
+                    } else {
+                        Nulls::Scattered(d as u64 * 13)
+                    };
+                    (format!("c{d}"), column(d, len, nulls, d as u64))
+                })
+                .collect();
+            let rows = Column::Int64(PrimitiveColumn::from_values((0..len as i64).collect()));
+            cols.push(("row".into(), rows));
+            let df = DataFrame::from_columns(cols).unwrap();
+            let tag = format!("{len} rows, {nulls:?}");
+            let valid_in = |names: &[String]| -> Vec<bool> {
+                (0..len)
+                    .map(|i| names.iter().all(|n| df.column(n).unwrap().is_valid(i)))
+                    .collect()
+            };
+            let row_cells = |mask: &[bool]| -> Vec<String> {
+                rows_of(mask)
+                    .into_iter()
+                    .map(|r| cell(&Value::Int(r as i64)))
+                    .collect()
+            };
+
+            let all = valid_in(df.column_names());
+            assert_eq!(
+                column_cells(&df.dropna(), "row"),
+                row_cells(&all),
+                "dropna {tag}"
+            );
+            let subset = ["c0".to_string(), "c4".to_string()];
+            let some = valid_in(&subset);
+            let dropped = df.dropna_subset(&["c0", "c4"]).unwrap();
+            assert_eq!(
+                column_cells(&dropped, "row"),
+                row_cells(&some),
+                "dropna_subset {tag}"
+            );
+
+            let pattern: Vec<bool> = (0..len)
+                .map(|i| mix(i as u64 ^ len as u64).is_multiple_of(3))
+                .collect();
+            let kept = df
+                .filter_rows(&Bitmap::from_iter(pattern.iter().copied()))
+                .unwrap();
+            assert_eq!(
+                column_cells(&kept, "row"),
+                row_cells(&pattern),
+                "filter_rows {tag}"
+            );
+            for name in df.column_names() {
+                let src = df.column(name).unwrap();
+                let want: Vec<String> = rows_of(&pattern)
+                    .into_iter()
+                    .map(|r| cell(&src.value(r)))
+                    .collect();
+                assert_eq!(column_cells(&kept, name), want, "filter_rows {name} {tag}");
+            }
+        }
+    }
+}
+
+/// `Bitmap::take` and `Bitmap::ones` against bit loops, and the word
+/// constructor's tail masking, around the 64-bit word size.
+#[test]
+fn bitmap_word_constructors_match_bit_loops() {
+    for len in LENGTHS {
+        for nulls in NULLS {
+            let source = column(0, len, nulls, 5);
+            let bits: Vec<bool> = (0..len).map(|i| source.is_valid(i)).collect();
+            let bm = Bitmap::from_iter(bits.iter().copied());
+            let tag = format!("{len} bits, {nulls:?}");
+
+            // garbage past `len` in the last word is cleared
+            let mut words = bm.words().to_vec();
+            if let Some(last) = words.last_mut() {
+                if len % 64 != 0 {
+                    *last |= u64::MAX << (len % 64);
+                }
+            }
+            let rebuilt = Bitmap::from_words(words, len);
+            assert_eq!(rebuilt, bm, "from_words {tag}");
+            assert_eq!(rebuilt.count_ones(), rows_of(&bits).len(), "count {tag}");
+            assert_eq!(bm.ones(), rows_of(&bits), "ones {tag}");
+
+            let gathers: [Vec<usize>; 5] = [
+                (0..len).collect(),
+                (0..len).rev().collect(),
+                (0..len).flat_map(|i| [i, i]).collect(),
+                (0..len).step_by(3).collect(),
+                vec![],
+            ];
+            for indices in gathers {
+                let want = Bitmap::from_iter(indices.iter().map(|&i| bits[i]));
+                assert_eq!(bm.take(&indices), want, "take of {} {tag}", indices.len());
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "cannot hold exactly")]
+fn bitmap_from_words_rejects_a_word_count_that_does_not_fit() {
+    Bitmap::from_words(vec![0, 0], 64);
+}
+
+// ---------------------------------------------------------------------
+// One shared dictionary per string column
+// ---------------------------------------------------------------------
+
+fn strings(c: &StrColumn) -> Vec<&str> {
+    c.dict().iter().map(|s| s.as_ref()).collect()
+}
+
+#[test]
+fn string_dictionaries_are_shared_until_a_new_string_is_interned() {
+    let source = StrColumn::from_options([Some("a"), None, Some("b"), Some("a")]);
+    let shares = |c: &StrColumn| std::ptr::eq(c.dict().as_ptr(), source.dict().as_ptr());
+    let taken = source.take(&[2, 0]);
+    let cloned = source.clone();
+    assert!(shares(&taken) && shares(&cloned), "take and clone share");
+
+    for mut derived in [taken, cloned] {
+        assert_eq!(derived.intern("b"), 1);
+        assert!(shares(&derived), "interning a known string copies nothing");
+        assert_eq!(derived.intern("z"), 2);
+        assert!(!shares(&derived));
+        assert_eq!(strings(&derived), ["a", "b", "z"]);
+        assert_eq!(strings(&source), ["a", "b"], "the source is untouched");
+        assert_eq!(source.code_of("z"), None);
+    }
+
+    // every row gather of a frame shares it: filter, sort, head, sample
+    let df = DataFrame::from_columns(vec![
+        ("s".to_string(), Column::Str(source.clone())),
+        (
+            "n".into(),
+            Column::Int64(PrimitiveColumn::from_values(vec![3, 1, 2, 0])),
+        ),
+    ])
+    .unwrap();
+    let derived = [
+        df.filter("s", FilterOp::Eq, &Value::str("a")).unwrap(),
+        df.sort_by(&["n"], true).unwrap(),
+        df.head(2),
+        df.sample(2, 7),
+    ];
+    for frame in &derived {
+        let Column::Str(c) = frame.column("s").unwrap() else {
+            panic!("not a string column");
+        };
+        assert!(shares(c), "{:?}", frame.history().events().last());
+    }
+}
+
+/// A concat appends the tail's strings to a filtered parent's dictionary,
+/// which still holds strings no parent row references; merging the
+/// parent's cached statistics with a scan of the tail must land on the
+/// `FrameMeta` a from-scratch pass computes.
+#[test]
+fn concat_onto_a_filtered_parent_merges_to_the_full_recompute() {
+    use lux::engine::governor::{BudgetHandle, ResourceBudget};
+    use lux::engine::trace::{names, MetricsRegistry};
+    use lux::engine::FrameMeta;
+
+    let frame = |start: usize, end: usize, depts: &[&'static str]| {
+        DataFrameBuilder::new()
+            .int("id", start as i64..end as i64)
+            .str("dept", (start..end).map(|i| depts[i % depts.len()]))
+            .float("pay", (start..end).map(|i| (i % 97) as f64))
+            .build()
+            .unwrap()
+    };
+    // the parent keeps no "c" row, yet "c" stays in its dictionary; the
+    // tail brings "c" back and adds "d"
+    let filtered = || {
+        frame(0, 3_000, &["a", "b", "c"])
+            .filter("dept", FilterOp::Ne, &Value::str("c"))
+            .unwrap()
+    };
+    let tail = frame(3_000, 4_000, &["d", "c", "a"]);
+    let overrides = std::collections::HashMap::new();
+    let pass = |df: &DataFrame| {
+        let h = BudgetHandle::new(ResourceBudget::unlimited());
+        let m = FrameMeta::compute_governed_par(df, &overrides, None, Some(&h), 2);
+        let cols: Vec<String> = m.columns.iter().map(|c| format!("{c:?}")).collect();
+        (h.charged(), cols)
+    };
+
+    let parent = filtered();
+    FrameMeta::compute_governed_par(&parent, &overrides, None, None, 2);
+    let appended = parent.concat(&tail).unwrap();
+    let Column::Str(dept) = appended.column("dept").unwrap() else {
+        panic!("dept is a string column");
+    };
+    assert_eq!(
+        strings(dept),
+        ["a", "b", "c", "d"],
+        "the dictionary grew by appending"
+    );
+    let merges = MetricsRegistry::global().counter(names::METADATA_APPEND_MERGES);
+    let merged = pass(&appended);
+    assert!(
+        MetricsRegistry::global().counter(names::METADATA_APPEND_MERGES) > merges,
+        "the append pass did not merge cached partials"
+    );
+    assert_eq!(merged, pass(&filtered().concat(&tail).unwrap()));
+}
+
+// ---------------------------------------------------------------------
+// Filtered views select the columns they draw before filtering: the same
+// frames and scores as filtering the whole frame first
+// ---------------------------------------------------------------------
+
+fn without_filters(spec: &VisSpec) -> VisSpec {
+    let mut bare = spec.clone();
+    bare.filters.clear();
+    bare
+}
+
+fn filter_whole_frame(spec: &VisSpec, df: &DataFrame) -> Result<DataFrame> {
+    let mut frame = df.clone();
+    for f in &spec.filters {
+        frame = frame.filter(&f.attribute, f.op, &f.value)?;
+    }
+    Ok(frame)
+}
+
+/// `process` as it ran before selection: filter every column of the frame,
+/// then process the spec's marks.
+fn process_whole_frame_first(
+    spec: &VisSpec,
+    df: &DataFrame,
+    opts: &ProcessOptions,
+) -> Result<DataFrame> {
+    process(&without_filters(spec), &filter_whole_frame(spec, df)?, opts)
+}
+
+/// `interestingness` as it ran before selection: a filtered scatter is
+/// scored on the whole filtered frame, any other filtered view by how far
+/// its distribution deviates from the unfiltered view's.
+fn interestingness_whole_frame_first(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> f64 {
+    let score = || -> Result<f64> {
+        if spec.filters.is_empty() || spec.mark == Mark::Scatter {
+            let frame = filter_whole_frame(spec, df)?;
+            return Ok(interestingness(&without_filters(spec), &frame, opts));
+        }
+        let with = process_whole_frame_first(spec, df, opts)?;
+        let without = process(&without_filters(spec), df, opts)?;
+        let x = &spec.channel(Channel::X).unwrap().attribute;
+        let y = spec
+            .channel(Channel::Y)
+            .map(|e| e.attribute.as_str())
+            .filter(|a| with.has_column(a))
+            .unwrap_or("count");
+        let dist = |frame: &DataFrame| -> Result<Vec<(Value, f64)>> {
+            let (xc, yc) = (frame.column(x)?, frame.column(y)?);
+            Ok((0..frame.num_rows())
+                .map(|i| (xc.value(i), yc.f64_at(i).unwrap_or(0.0)))
+                .collect())
+        };
+        Ok(distribution_deviation(&dist(&with)?, &dist(&without)?))
+    };
+    match score() {
+        Ok(s) if s.is_finite() => s,
+        _ => 0.0,
+    }
+}
+
+fn frame_cells(df: &DataFrame) -> Vec<(String, Vec<String>)> {
+    df.column_names()
+        .iter()
+        .map(|n| (n.clone(), column_cells(df, n)))
+        .collect()
+}
+
+/// One spec per mark over the named columns: `nom` / `nom2` nominal, `q1` /
+/// `q2` quantitative, `t` the line chart's axis.
+fn mark_specs(nom: &str, nom2: &str, q1: &str, q2: &str, t: &str) -> Vec<VisSpec> {
+    use lux::engine::SemanticType::{Nominal, Quantitative, Temporal};
+    let enc = Encoding::new;
+    vec![
+        VisSpec::new(
+            Mark::Bar,
+            vec![
+                enc(nom, Nominal, Channel::X),
+                enc(q1, Quantitative, Channel::Y).with_aggregation(Agg::Mean),
+            ],
+            vec![],
+        ),
+        VisSpec::new(
+            Mark::Bar,
+            vec![
+                enc(nom, Nominal, Channel::X),
+                Encoding::synthetic_count(Channel::Y),
+                enc(nom2, Nominal, Channel::Color),
+            ],
+            vec![],
+        ),
+        VisSpec::new(
+            Mark::Line,
+            vec![
+                enc(t, Temporal, Channel::X),
+                enc(q1, Quantitative, Channel::Y).with_aggregation(Agg::Mean),
+            ],
+            vec![],
+        ),
+        VisSpec::new(
+            Mark::Choropleth,
+            vec![
+                enc(nom, Nominal, Channel::X),
+                enc(q2, Quantitative, Channel::Y).with_aggregation(Agg::Sum),
+            ],
+            vec![],
+        ),
+        VisSpec::new(
+            Mark::Histogram,
+            vec![
+                enc(q1, Quantitative, Channel::X).with_bin(10),
+                Encoding::synthetic_count(Channel::Y),
+            ],
+            vec![],
+        ),
+        VisSpec::new(
+            Mark::Heatmap,
+            vec![
+                enc(q1, Quantitative, Channel::X),
+                enc(q2, Quantitative, Channel::Y),
+            ],
+            vec![],
+        ),
+        VisSpec::new(
+            Mark::Scatter,
+            vec![
+                enc(q1, Quantitative, Channel::X),
+                enc(q2, Quantitative, Channel::Y),
+                enc(nom, Nominal, Channel::Color),
+            ],
+            vec![],
+        ),
+    ]
+}
+
+/// Every spec of `specs` under a filter on each of `filter_on` x every op
+/// (compared against the value at a third of the frame), plus one
+/// two-filter conjunction.
+fn check_filtered_views(df: &DataFrame, specs: &[VisSpec], filter_on: &[&str], tag: &str) {
+    let small_sample = ProcessOptions {
+        max_points: 40,
+        ..ProcessOptions::default()
+    };
+    // an empty frame filters against null
+    let value_at = |row: usize, attr: &str| match df.num_rows() {
+        0 => Value::Null,
+        _ => df.value(row, attr).unwrap(),
+    };
+    for base in specs {
+        let mut variants = Vec::new();
+        for attr in filter_on {
+            let value = value_at(df.num_rows() / 3, attr);
+            for op in OPS {
+                let mut spec = base.clone();
+                spec.filters = vec![FilterSpec::new(*attr, op, value.clone())];
+                variants.push(spec);
+            }
+        }
+        let mut both = base.clone();
+        both.filters = filter_on
+            .iter()
+            .map(|a| FilterSpec::new(*a, FilterOp::Ne, value_at(0, a)))
+            .collect();
+        variants.push(both);
+        for spec in &variants {
+            for opts in [&ProcessOptions::default(), &small_sample] {
+                let at = format!("{spec} over {tag}, max_points {}", opts.max_points);
+                let got = process(spec, df, opts).map(|f| frame_cells(&f));
+                let want = process_whole_frame_first(spec, df, opts).map(|f| frame_cells(&f));
+                match (got, want) {
+                    (Ok(got), Ok(want)) => assert_eq!(got, want, "process {at}"),
+                    (got, want) => assert_eq!(got.is_ok(), want.is_ok(), "process {at}"),
+                }
+                assert_eq!(
+                    interestingness(spec, df, opts).to_bits(),
+                    interestingness_whole_frame_first(spec, df, opts).to_bits(),
+                    "interestingness {at}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn filtered_views_select_then_filter_like_the_whole_frame() {
+    let airbnb = lux::workloads::airbnb(600, 11);
+    check_filtered_views(
+        &airbnb,
+        &mark_specs(
+            "neighbourhood_group",
+            "room_type",
+            "price",
+            "reviews_per_month",
+            "availability_365",
+        ),
+        &["room_type", "minimum_nights"],
+        "airbnb",
+    );
+    let communities = lux::workloads::communities(300, 11);
+    check_filtered_views(
+        &communities,
+        &mark_specs("communityname", "fold", "population", "attr_001", "state"),
+        &["state", "attr_000"],
+        "communities",
+    );
+    // the grid: every null layout at every length, NaN / ±inf / -0.0 floats
+    for len in LENGTHS {
+        for nulls in NULLS {
+            let names = ["int", "float", "bool", "time", "str"];
+            let cols = (0..DTYPES)
+                .map(|d| {
+                    let nulls = if d == 1 {
+                        nulls
+                    } else {
+                        Nulls::Scattered(d as u64)
+                    };
+                    (names[d].to_string(), column(d, len, nulls, 7 + d as u64))
+                })
+                .collect();
+            let df = DataFrame::from_columns(cols).unwrap();
+            check_filtered_views(
+                &df,
+                &mark_specs("str", "bool", "float", "int", "time"),
+                &["float", "str"],
+                &format!("grid {len} rows, {nulls:?}"),
+            );
+        }
+    }
 }
