@@ -46,6 +46,17 @@ impl DataFrame {
     /// Equal-width histogram of a numeric column: returns `(bin_edges,
     /// counts)` with `bins + 1` edges. Nulls and NaNs are excluded.
     pub fn histogram(&self, column: &str, bins: usize) -> Result<(Vec<f64>, Vec<u64>)> {
+        let (bounds, counts) = self.bin_counts(column, bins)?;
+        let (lo, hi) = bounds.unwrap_or((0.0, 0.0));
+        let edges = (0..=bins).map(|b| edge_of(b, lo, hi, bins)).collect();
+        Ok((edges, counts))
+    }
+
+    /// The counting half of [`DataFrame::histogram`]: the finite range the
+    /// bins span (`None` when the column has no finite value, and every
+    /// count is zero) and the count per bin. Nulls, NaNs and ±inf are
+    /// excluded.
+    pub fn bin_counts(&self, column: &str, bins: usize) -> Result<BinCounts> {
         if bins == 0 {
             return Err(Error::InvalidArgument(
                 "histogram requires bins >= 1".into(),
@@ -59,20 +70,22 @@ impl DataFrame {
                 got: col.dtype().name(),
             });
         }
-        let (lo, hi) = match col.min_max_finite() {
-            Some(mm) => mm,
-            None => return Ok((vec![0.0; bins + 1], vec![0; bins])),
-        };
-        let edges: Vec<f64> = (0..=bins).map(|b| edge_of(b, lo, hi, bins)).collect();
         let mut counts = vec![0u64; bins];
+        let Some((lo, hi)) = col.min_max_finite() else {
+            return Ok((None, counts));
+        };
         col.for_each_f64(|_, v| {
             if v.is_finite() {
                 counts[bin_of(v, lo, hi, bins)] += 1;
             }
         });
-        Ok((edges, counts))
+        Ok((Some((lo, hi)), counts))
     }
 }
+
+/// A column's finite `(min, max)`, `None` when it has none, and its count
+/// per equal-width bin.
+pub type BinCounts = (Option<(f64, f64)>, Vec<u64>);
 
 /// Equal-width bin index of a finite `v` in `[lo, hi]`, overflow-safe: the
 /// half-span `hi/2 - lo/2` stays finite even when `hi - lo` would overflow

@@ -123,122 +123,86 @@ fn resolve_alias(expr: &SqlExpr, stmt: &SelectStmt) -> SqlExpr {
 }
 
 /// Evaluate a select item within one group: aggregates reduce over the
-/// group's rows; group-key expressions evaluate on the first member.
+/// group's rows; column references (group keys) read its first member.
 fn eval_in_group(expr: &SqlExpr, df: &DataFrame, members: &[usize]) -> Result<Value> {
-    match expr {
-        SqlExpr::Agg(func, arg) => eval_aggregate(*func, arg.as_deref(), df, members),
-        SqlExpr::Arith(a, op, b) => {
-            let va = eval_in_group(a, df, members)?;
-            let vb = eval_in_group(b, df, members)?;
-            arith(&va, *op, &vb)
-        }
-        SqlExpr::Floor(e) => {
-            let v = eval_in_group(e, df, members)?;
-            Ok(v.as_f64().map_or(Value::Null, |f| Value::Float(f.floor())))
-        }
-        SqlExpr::Neg(e) => {
-            let v = eval_in_group(e, df, members)?;
-            Ok(v.as_f64().map_or(Value::Null, |f| Value::Float(-f)))
-        }
-        // non-aggregate: must be (part of) a group key; evaluate on the
-        // group's representative row
-        other => match members.first() {
-            Some(&r) => eval_scalar(other, df, r),
-            None => Ok(Value::Null),
-        },
-    }
+    eval(expr, &|leaf| match (leaf, members.first()) {
+        (SqlExpr::Agg(func, arg), _) => eval_aggregate(*func, arg.as_deref(), df, members),
+        (SqlExpr::Column(name), Some(&r)) => Ok(df.column(name)?.value(r)),
+        _ => Ok(Value::Null),
+    })
 }
 
+/// Reduce one group. NaN is missing, as null is (pandas' reading of a
+/// float column): every aggregate but `COUNT(*)` skips both.
 fn eval_aggregate(
     func: AggFunc,
     arg: Option<&SqlExpr>,
     df: &DataFrame,
     members: &[usize],
 ) -> Result<Value> {
-    match func {
-        AggFunc::Count => {
-            let n = match arg {
-                None => members.len(),
-                Some(e) => members
-                    .iter()
-                    .map(|&r| eval_scalar(e, df, r))
-                    .collect::<Result<Vec<_>>>()?
-                    .iter()
-                    .filter(|v| !v.is_null())
-                    .count(),
-            };
-            Ok(Value::Int(n as i64))
-        }
-        _ => {
-            let e = arg.ok_or_else(|| Error::Parse(format!("{func:?} requires an argument")))?;
-            let mut vals: Vec<f64> = Vec::new();
-            let mut raw: Vec<Value> = Vec::new();
-            for &r in members {
-                let v = eval_scalar(e, df, r)?;
-                if v.is_null() {
-                    continue;
-                }
-                raw.push(v.clone());
-                if let Some(f) = v.as_f64() {
-                    if !f.is_nan() {
-                        vals.push(f);
-                    }
-                }
-            }
-            Ok(match func {
-                AggFunc::Sum => {
-                    if vals.is_empty() {
-                        Value::Null
-                    } else {
-                        Value::Float(vals.iter().sum())
-                    }
-                }
-                AggFunc::Avg => {
-                    if vals.is_empty() {
-                        Value::Null
-                    } else {
-                        Value::Float(vals.iter().sum::<f64>() / vals.len() as f64)
-                    }
-                }
-                AggFunc::Min => raw
-                    .iter()
-                    .min_by(|a, b| a.total_cmp(b))
-                    .cloned()
-                    .unwrap_or(Value::Null),
-                AggFunc::Max => raw
-                    .iter()
-                    .max_by(|a, b| a.total_cmp(b))
-                    .cloned()
-                    .unwrap_or(Value::Null),
-                AggFunc::Count => unreachable!(),
-            })
+    let Some(e) = arg else {
+        return match func {
+            AggFunc::Count => Ok(Value::Int(members.len() as i64)),
+            _ => Err(Error::Parse(format!("{func:?} requires an argument"))),
+        };
+    };
+    let mut present = Vec::new();
+    for &r in members {
+        let v = eval_scalar(e, df, r)?;
+        if !v.is_null() && !v.as_f64().is_some_and(f64::is_nan) {
+            present.push(v);
         }
     }
+    let extreme = |pick: std::cmp::Ordering| {
+        present
+            .iter()
+            .reduce(|best, v| if v.total_cmp(best) == pick { v } else { best })
+            .cloned()
+            .unwrap_or(Value::Null)
+    };
+    Ok(match func {
+        AggFunc::Count => Value::Int(present.len() as i64),
+        AggFunc::Sum | AggFunc::Avg => {
+            let nums: Vec<f64> = present.iter().filter_map(Value::as_f64).collect();
+            match (func, nums.len()) {
+                (_, 0) => Value::Null,
+                (AggFunc::Sum, _) => Value::Float(nums.iter().sum()),
+                (_, n) => Value::Float(nums.iter().sum::<f64>() / n as f64),
+            }
+        }
+        AggFunc::Min => extreme(std::cmp::Ordering::Less),
+        AggFunc::Max => extreme(std::cmp::Ordering::Greater),
+    })
 }
 
 /// Row-scalar evaluation.
 fn eval_scalar(expr: &SqlExpr, df: &DataFrame, row: usize) -> Result<Value> {
-    match expr {
+    eval(expr, &|leaf| match leaf {
         SqlExpr::Column(name) => Ok(df.column(name)?.value(row)),
+        _ => Err(Error::Parse(
+            "aggregate used outside GROUP BY context".into(),
+        )),
+    })
+}
+
+/// Evaluate `expr`, with `leaf` answering its column references and
+/// aggregate calls.
+fn eval(expr: &SqlExpr, leaf: &dyn Fn(&SqlExpr) -> Result<Value>) -> Result<Value> {
+    let num = |e: &SqlExpr, f: fn(f64) -> f64| {
+        Ok(eval(e, leaf)?
+            .as_f64()
+            .map_or(Value::Null, |v| Value::Float(f(v))))
+    };
+    match expr {
+        SqlExpr::Column(_) | SqlExpr::Agg(..) => leaf(expr),
         SqlExpr::Int(v) => Ok(Value::Int(*v)),
         SqlExpr::Float(v) => Ok(Value::Float(*v)),
         SqlExpr::Str(s) => Ok(Value::str(s)),
-        SqlExpr::Floor(e) => {
-            let v = eval_scalar(e, df, row)?;
-            Ok(v.as_f64().map_or(Value::Null, |f| Value::Float(f.floor())))
-        }
-        SqlExpr::Neg(e) => {
-            let v = eval_scalar(e, df, row)?;
-            Ok(v.as_f64().map_or(Value::Null, |f| Value::Float(-f)))
-        }
-        SqlExpr::Arith(a, op, b) => {
-            let va = eval_scalar(a, df, row)?;
-            let vb = eval_scalar(b, df, row)?;
-            arith(&va, *op, &vb)
-        }
+        SqlExpr::Floor(e) => num(e, f64::floor),
+        SqlExpr::Neg(e) => num(e, |v| -v),
+        SqlExpr::Least(args) => least(args, |e| eval(e, leaf)),
+        SqlExpr::Arith(a, op, b) => arith(&eval(a, leaf)?, *op, &eval(b, leaf)?),
         SqlExpr::Cmp(a, op, b) => {
-            let va = eval_scalar(a, df, row)?;
-            let vb = eval_scalar(b, df, row)?;
             let fop = match op {
                 CmpOp::Eq => FilterOp::Eq,
                 CmpOp::Ne => FilterOp::Ne,
@@ -247,19 +211,32 @@ fn eval_scalar(expr: &SqlExpr, df: &DataFrame, row: usize) -> Result<Value> {
                 CmpOp::Gt => FilterOp::Gt,
                 CmpOp::Ge => FilterOp::Ge,
             };
-            Ok(Value::Bool(fop.eval(&va, &vb)))
+            Ok(Value::Bool(fop.eval(&eval(a, leaf)?, &eval(b, leaf)?)))
         }
         SqlExpr::And(a, b) => Ok(Value::Bool(
-            truthy(&eval_scalar(a, df, row)?) && truthy(&eval_scalar(b, df, row)?),
+            truthy(&eval(a, leaf)?) && truthy(&eval(b, leaf)?),
         )),
         SqlExpr::Or(a, b) => Ok(Value::Bool(
-            truthy(&eval_scalar(a, df, row)?) || truthy(&eval_scalar(b, df, row)?),
+            truthy(&eval(a, leaf)?) || truthy(&eval(b, leaf)?),
         )),
-        SqlExpr::Not(e) => Ok(Value::Bool(!truthy(&eval_scalar(e, df, row)?))),
-        SqlExpr::Agg(..) => Err(Error::Parse(
-            "aggregate used outside GROUP BY context".into(),
-        )),
+        SqlExpr::Not(e) => Ok(Value::Bool(!truthy(&eval(e, leaf)?))),
     }
+}
+
+/// The smallest argument; null when any argument is, as arithmetic on a
+/// null is null.
+fn least(args: &[SqlExpr], mut value: impl FnMut(&SqlExpr) -> Result<Value>) -> Result<Value> {
+    let mut best: Option<Value> = None;
+    for arg in args {
+        let v = value(arg)?;
+        if v.is_null() {
+            return Ok(Value::Null);
+        }
+        if best.as_ref().is_none_or(|b| v.total_cmp(b).is_lt()) {
+            best = Some(v);
+        }
+    }
+    Ok(best.unwrap_or(Value::Null))
 }
 
 fn truthy(v: &Value) -> bool {
@@ -312,6 +289,33 @@ mod tests {
         .unwrap();
         assert_eq!(r.value(0, "n").unwrap(), Value::Int(1));
         assert_eq!(r.value(0, "m").unwrap(), Value::Float(1.0));
+    }
+
+    #[test]
+    fn aggregates_skip_nan_like_null() {
+        let df = DataFrameBuilder::new()
+            .float("v", [1.0, f64::NAN, 3.0])
+            .build()
+            .unwrap();
+        let r = query_frame(
+            "SELECT COUNT(*) AS rows, COUNT(v) AS n, MIN(v) AS lo, MAX(v) AS hi, SUM(v) AS s FROM t",
+            &df,
+        )
+        .unwrap();
+        assert_eq!(r.value(0, "rows").unwrap(), Value::Int(3));
+        assert_eq!(r.value(0, "n").unwrap(), Value::Int(2));
+        assert_eq!(r.value(0, "lo").unwrap(), Value::Float(1.0));
+        assert_eq!(r.value(0, "hi").unwrap(), Value::Float(3.0));
+        assert_eq!(r.value(0, "s").unwrap(), Value::Float(4.0));
+    }
+
+    #[test]
+    fn least_clamps_and_propagates_null() {
+        let df = crate::csv::read_csv_str("x,k\n1,a\n7,b\n,c\n").unwrap();
+        let r = query_frame("SELECT LEAST(x * 2, 5) AS b FROM t", &df).unwrap();
+        assert_eq!(r.value(0, "b").unwrap(), Value::Float(2.0));
+        assert_eq!(r.value(1, "b").unwrap(), Value::Int(5));
+        assert!(r.value(2, "b").unwrap().is_null());
     }
 
     #[test]

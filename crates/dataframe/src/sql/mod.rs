@@ -7,16 +7,20 @@
 //! query shapes visualization processing emits (Table 2):
 //!
 //! ```sql
-//! SELECT x, y FROM t WHERE dept = 'Sales' LIMIT 5000;                     -- scatter
-//! SELECT dept, AVG(pay) AS pay FROM t GROUP BY dept ORDER BY pay DESC;    -- bar
-//! SELECT FLOOR((price - 0) / 10) AS bin, COUNT(*) AS count
-//!   FROM t GROUP BY bin ORDER BY bin ASC;                                  -- histogram
+//! SELECT x, y FROM t WHERE dept = 'Sales';                     -- scatter
+//! SELECT dept, AVG(pay) AS pay FROM t GROUP BY dept;           -- bar
+//! SELECT MIN(price + price * 0) AS lo0,
+//!        MAX(price + price * 0) AS hi0 FROM t;                 -- bin bounds
+//! SELECT LEAST(FLOOR((price * 0.5 - 0.0) / 250.0 * 10.0), 9) AS bin,
+//!        COUNT(*) AS count
+//!   FROM t WHERE price * 0 = 0 GROUP BY bin;                   -- histogram
 //! ```
 //!
 //! Supported: projections with aliases and arithmetic, `COUNT(*)` /
-//! `COUNT` / `SUM` / `AVG` / `MIN` / `MAX`, `FLOOR`, `WHERE` with
-//! `AND`/`OR`/`NOT` and the six comparators, `GROUP BY` on expressions,
-//! `ORDER BY` output columns, and `LIMIT`.
+//! `COUNT` / `SUM` / `AVG` / `MIN` / `MAX` (which skip NaN as they skip
+//! null), `FLOOR`, `LEAST`, `WHERE` with `AND`/`OR`/`NOT` and the six
+//! comparators, `GROUP BY` on expressions, `ORDER BY` output columns, and
+//! `LIMIT`.
 
 mod eval;
 mod parse;
@@ -25,30 +29,20 @@ mod token;
 pub use eval::execute;
 pub use parse::{parse_select, AggFunc, BinOp, CmpOp, OrderKey, SelectStmt, SqlExpr};
 
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::frame::DataFrame;
 
-/// Parse and execute one `SELECT` statement against a table registry.
-///
-/// `tables` maps table names (case-sensitive) to frames.
-pub fn query(sql: &str, tables: &dyn Fn(&str) -> Option<DataFrame>) -> Result<DataFrame> {
-    let stmt = parse_select(sql)?;
-    let df = tables(&stmt.table).ok_or_else(|| {
-        crate::error::Error::InvalidArgument(format!("unknown table {:?}", stmt.table))
-    })?;
-    execute(&stmt, &df)
-}
-
-/// Convenience: run a query against a single frame registered as `t`.
+/// Parse and execute one `SELECT` statement against `df`, the one table,
+/// named `t`.
 pub fn query_frame(sql: &str, df: &DataFrame) -> Result<DataFrame> {
-    let df_clone = df.clone();
-    query(sql, &move |name| {
-        if name == "t" {
-            Some(df_clone.clone())
-        } else {
-            None
-        }
-    })
+    let stmt = parse_select(sql)?;
+    if stmt.table != "t" {
+        return Err(Error::InvalidArgument(format!(
+            "unknown table {:?}",
+            stmt.table
+        )));
+    }
+    execute(&stmt, df)
 }
 
 #[cfg(test)]
@@ -126,7 +120,7 @@ mod tests {
 
     #[test]
     fn unknown_table_and_column_error() {
-        assert!(query("SELECT x FROM nope", &|_| None).is_err());
+        assert!(query_frame("SELECT pay FROM nope", &df()).is_err());
         assert!(query_frame("SELECT nope FROM t", &df()).is_err());
     }
 

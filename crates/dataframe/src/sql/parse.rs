@@ -57,6 +57,8 @@ pub enum SqlExpr {
     /// `AGG(expr)`; `COUNT(*)` is `Agg(Count, None)`.
     Agg(AggFunc, Option<Box<SqlExpr>>),
     Floor(Box<SqlExpr>),
+    /// `LEAST(a, b, ...)`: the smallest argument, null if any is null.
+    Least(Vec<SqlExpr>),
     Arith(Box<SqlExpr>, BinOp, Box<SqlExpr>),
     Cmp(Box<SqlExpr>, CmpOp, Box<SqlExpr>),
     And(Box<SqlExpr>, Box<SqlExpr>),
@@ -71,6 +73,7 @@ impl SqlExpr {
         match self {
             SqlExpr::Agg(..) => true,
             SqlExpr::Floor(e) | SqlExpr::Not(e) | SqlExpr::Neg(e) => e.has_aggregate(),
+            SqlExpr::Least(args) => args.iter().any(SqlExpr::has_aggregate),
             SqlExpr::Arith(a, _, b)
             | SqlExpr::Cmp(a, _, b)
             | SqlExpr::And(a, b)
@@ -330,27 +333,29 @@ impl Parser {
                 // function call?
                 if self.peek() == Some(&Token::LParen) {
                     self.pos += 1;
-                    if let Some(agg) = AggFunc::parse(&name) {
-                        if agg == AggFunc::Count && self.eat(&Token::Star) {
-                            if !self.eat(&Token::RParen) {
-                                return Err(Error::Parse("expected ')' after COUNT(*)".into()));
-                            }
-                            return Ok(SqlExpr::Agg(AggFunc::Count, None));
-                        }
-                        let inner = self.expr()?;
+                    let agg = AggFunc::parse(&name);
+                    if agg == Some(AggFunc::Count) && self.eat(&Token::Star) {
                         if !self.eat(&Token::RParen) {
-                            return Err(Error::Parse("expected ')'".into()));
+                            return Err(Error::Parse("expected ')' after COUNT(*)".into()));
                         }
-                        return Ok(SqlExpr::Agg(agg, Some(Box::new(inner))));
+                        return Ok(SqlExpr::Agg(AggFunc::Count, None));
                     }
-                    if name.eq_ignore_ascii_case("FLOOR") {
-                        let inner = self.expr()?;
-                        if !self.eat(&Token::RParen) {
-                            return Err(Error::Parse("expected ')'".into()));
-                        }
-                        return Ok(SqlExpr::Floor(Box::new(inner)));
+                    let mut args = vec![self.expr()?];
+                    while self.eat(&Token::Comma) {
+                        args.push(self.expr()?);
                     }
-                    return Err(Error::Parse(format!("unknown function {name:?}")));
+                    if !self.eat(&Token::RParen) {
+                        return Err(Error::Parse("expected ')'".into()));
+                    }
+                    return match (agg, name.to_ascii_uppercase().as_str(), args.len()) {
+                        (Some(agg), _, 1) => Ok(SqlExpr::Agg(agg, Some(Box::new(args.remove(0))))),
+                        (None, "FLOOR", 1) => Ok(SqlExpr::Floor(Box::new(args.remove(0)))),
+                        (None, "LEAST", _) => Ok(SqlExpr::Least(args)),
+                        _ => Err(Error::Parse(format!(
+                            "unknown function {name:?} of {} arguments",
+                            args.len()
+                        ))),
+                    };
                 }
                 Ok(SqlExpr::Column(name))
             }
@@ -424,6 +429,13 @@ mod tests {
         let s = parse_select("SELECT FLOOR((x - 1) / 2) AS b FROM t GROUP BY b").unwrap();
         assert!(matches!(s.items[0].0, SqlExpr::Floor(_)));
         assert!(!s.items[0].0.has_aggregate());
+    }
+
+    #[test]
+    fn least_takes_a_list() {
+        let s = parse_select("SELECT LEAST(FLOOR(x), 3, y) AS b FROM t").unwrap();
+        assert!(matches!(&s.items[0].0, SqlExpr::Least(args) if args.len() == 3));
+        assert!(parse_select("SELECT LEAST(x FROM t").is_err());
     }
 
     #[test]

@@ -143,31 +143,23 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                 out.push(Token::Ident(s));
             }
             c if c.is_ascii_digit() || c == '.' => {
+                // Digits, a point and an exponent (`1e-7`, `2.5E16`: how
+                // `{:?}` prints a float far from 1, so every printed
+                // literal reads back exactly).
                 let mut s = String::new();
-                let mut is_float = false;
                 while let Some(&c) = chars.peek() {
-                    if c.is_ascii_digit() {
-                        s.push(c);
-                        chars.next();
-                    } else if c == '.' && !is_float {
-                        is_float = true;
-                        s.push(c);
-                        chars.next();
-                    } else {
+                    let sign = matches!(c, '+' | '-') && s.ends_with(['e', 'E']);
+                    if !(c.is_ascii_digit() || matches!(c, '.' | 'e' | 'E') || sign) {
                         break;
                     }
+                    s.push(c);
+                    chars.next();
                 }
-                if is_float {
-                    out.push(Token::Float(
-                        s.parse()
-                            .map_err(|_| Error::Parse(format!("bad number {s:?}")))?,
-                    ));
-                } else {
-                    out.push(Token::Int(
-                        s.parse()
-                            .map_err(|_| Error::Parse(format!("bad number {s:?}")))?,
-                    ));
-                }
+                let bad = || Error::Parse(format!("bad number {s:?}"));
+                out.push(match s.contains(['.', 'e', 'E']) {
+                    true => Token::Float(s.parse().map_err(|_| bad())?),
+                    false => Token::Int(s.parse().map_err(|_| bad())?),
+                });
             }
             c if c.is_alphabetic() || c == '_' => {
                 let mut s = String::new();
@@ -223,6 +215,15 @@ mod tests {
         let ts = tokenize("\"weird col\" = -5").unwrap();
         assert_eq!(ts[0], Token::Ident("weird col".into()));
         assert!(ts.contains(&Token::Minus)); // unary minus handled by parser
+    }
+
+    #[test]
+    fn float_literals_round_trip() {
+        for v in [1e-7, 2.5e16, f64::MAX, 0.1 + 0.2, 12.0] {
+            let text = format!("{v:?}");
+            assert_eq!(tokenize(&text).unwrap(), vec![Token::Float(v)], "{text}");
+        }
+        assert!(tokenize("1e").is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! `lux-dataframe` is the dependency-free base crate and holds no sites: the
 //! CSV and SQL points are hit by the callers that can see this registry
 //! (`LuxDataFrame::read_csv*`, which the server's puts and recovery go
-//! through, and the SQL backend's retry loop in `lux-vis`).
+//! through, and each statement the SQL backend in `lux-vis` runs).
 //!
 //! ## Activation syntax
 //!
@@ -63,8 +63,8 @@ pub mod names {
     pub const METADATA_COLUMN: &str = "metadata.column";
     /// CSV ingest entry (strict and permissive paths).
     pub const CSV_INGEST: &str = "csv.ingest";
-    /// SQL backend query execution (`return` injects a backend error; make
-    /// the message contain `transient` to exercise the retry path).
+    /// SQL backend statement execution (`return` injects a backend error,
+    /// which fails the vis: an in-process engine has nothing to retry).
     pub const SQL_QUERY: &str = "sql.query";
     /// Admission slot acquisition, before the controller takes the queue
     /// lock.

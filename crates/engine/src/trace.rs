@@ -414,8 +414,6 @@ pub mod names {
     pub const ADMISSION_RETRIES: &str = "lux.admission.retries";
     /// Counter: per-pass charges the global ledger refused at the cap.
     pub const ADMISSION_LEDGER_REFUSALS: &str = "lux.admission.ledger_refusals";
-    /// Counter: transient SQL backend errors retried with backoff.
-    pub const SQL_RETRIES: &str = "lux.sql.retries";
     /// Counter: pool workers respawned after a panic escaped the task guard.
     pub const POOL_RESPAWNS: &str = "lux.pool.respawns";
     /// Counter: workers the watchdog flagged as hung on a single task.

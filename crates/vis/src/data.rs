@@ -16,7 +16,7 @@ use lux_engine::lock_recover;
 use lux_engine::trace::{names, MetricsRegistry};
 use lux_engine::LuxConfig;
 
-use crate::spec::{Channel, Mark, VisSpec};
+use crate::spec::{Channel, Encoding, Mark, VisSpec};
 
 /// Which execution backend processes visualization data (paper §7: the
 /// engine runs "either as a series of dataframe operations ... or
@@ -148,25 +148,104 @@ pub fn process(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<
 /// The processed frame and whether THIS call degraded it (recorded a
 /// governor event) — never what a concurrently-running vis happened to
 /// record on the shared handle in the same window.
+///
+/// The backend runs the relational step; the finishing step is shared, so
+/// both backends draw the same chart from the same relational answer.
 fn process_uncached(
     spec: &VisSpec,
     df: &DataFrame,
     opts: &ProcessOptions,
 ) -> Result<(DataFrame, bool)> {
-    if opts.backend == Backend::Sql {
-        return Ok((crate::sql::process_sql(spec, df, opts)?, false));
+    let (rows, degraded) = match opts.backend {
+        Backend::Native => relational(spec, df, opts)?,
+        Backend::Sql => (crate::sql::relational(spec, df, opts)?, false),
+    };
+    Ok((finish(spec, rows, opts)?, degraded))
+}
+
+/// The relational step's answer — Table 2's filter, projection, group-by
+/// with aggregate and bin-count — in the one shape [`finish`] reads,
+/// whichever backend computed it.
+pub(crate) enum Relational {
+    /// Scatter: the filtered rows of the drawn columns, in row order.
+    Points(DataFrame),
+    /// Bar, line, map: one row per group in first-seen order, the keys
+    /// ([`group_keys`]) then the measure ([`measure`]). A temporal line
+    /// past `temporal_buckets` instants carries its bins, and its x key
+    /// holds bucket indices.
+    Groups(DataFrame, Option<Bins>),
+    /// Histogram and heatmap: the bin-count.
+    Binned(Cells),
+}
+
+/// `n` equal-width bins over an axis' finite range, decided once by the
+/// backend that runs the relational step and labelled by [`finish`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Bins {
+    pub lo: f64,
+    pub hi: f64,
+    pub n: usize,
+}
+
+impl Bins {
+    /// `n` bins over `bounds`, the axis' finite `(min, max)`; an axis with
+    /// no finite value spans the empty range at 0.
+    pub fn new(bounds: Option<(f64, f64)>, n: usize) -> Bins {
+        let (lo, hi) = bounds.unwrap_or((0.0, 0.0));
+        Bins { lo, hi, n }
     }
+
+    pub fn index(&self, v: f64) -> usize {
+        bin_of(v, self.lo, self.hi, self.n)
+    }
+
+    pub fn edge(&self, b: usize) -> f64 {
+        edge_of(b, self.lo, self.hi, self.n)
+    }
+}
+
+/// The cells of the [`binned_axes`], x varying fastest: rows per cell, and
+/// the sum and count of the cell's colour values that are neither null nor
+/// NaN (SQL's `AVG` skips nulls, so the colour mean keeps its own count).
+pub(crate) struct Cells {
+    pub axes: Vec<Bins>,
+    pub count: Vec<i64>,
+    pub sum: Vec<f64>,
+    pub colored: Vec<u64>,
+}
+
+impl Cells {
+    pub fn new(axes: Vec<Bins>) -> Cells {
+        let n = axes.iter().map(|b| b.n).product();
+        let (count, sum, colored) = (vec![0; n], vec![0.0; n], vec![0; n]);
+        Cells {
+            axes,
+            count,
+            sum,
+            colored,
+        }
+    }
+}
+
+/// The native relational step: the filter, then the mark's kernel.
+fn relational(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<(Relational, bool)> {
     // 1. Apply the filter conjunction to the columns the view draws.
     let frame = &*filtered_view(spec, df)?;
 
-    // 2. Mark-specific processing; only grouping can degrade.
-    let exact = match spec.mark {
-        Mark::Bar | Mark::Line | Mark::Choropleth => return process_group_agg(spec, frame, opts),
-        Mark::Scatter => process_scatter(spec, frame, opts),
-        Mark::Histogram => process_histogram(spec, frame, opts),
-        Mark::Heatmap => process_heatmap(spec, frame, opts),
+    // 2. Mark-specific kernels; only grouping can degrade.
+    let rows = match spec.mark {
+        Mark::Bar | Mark::Line | Mark::Choropleth => return group_agg(spec, frame, opts),
+        Mark::Scatter => Relational::Points(frame.select(&drawn_columns(spec)?)?),
+        Mark::Histogram => {
+            let (x, n) = binned_axes(spec, opts)?[0];
+            let (bounds, counts) = frame.bin_counts(x, n)?;
+            let mut cells = Cells::new(vec![Bins::new(bounds, n)]);
+            cells.count = counts.into_iter().map(|c| c as i64).collect();
+            Relational::Binned(cells)
+        }
+        Mark::Heatmap => Relational::Binned(bin_cells(spec, frame, opts)?),
     };
-    Ok((exact?, false))
+    Ok((rows, false))
 }
 
 /// The rows of `df` that pass `spec`'s filter conjunction, holding only the
@@ -186,64 +265,128 @@ pub fn filtered_view<'a>(spec: &VisSpec, df: &'a DataFrame) -> Result<Cow<'a, Da
     Ok(Cow::Owned(frame))
 }
 
-fn x_attr(spec: &VisSpec) -> Result<&str> {
-    spec.channel(Channel::X)
-        .map(|e| e.attribute.as_str())
-        .ok_or_else(|| Error::InvalidArgument(format!("spec {spec} has no x encoding")))
+/// The finishing step, shared by both backends: the scatter downsample,
+/// the top `max_bars` bars, the line and map sort, bin and bucket labels,
+/// empty histogram bins, and the heatmap's cells and colour means.
+fn finish(spec: &VisSpec, rows: Relational, opts: &ProcessOptions) -> Result<DataFrame> {
+    let x = &channel(spec, Channel::X)?.attribute;
+    match rows {
+        Relational::Points(points) if points.num_rows() > opts.max_points => {
+            Ok(points.sample(opts.max_points, opts.seed))
+        }
+        Relational::Points(points) => Ok(points),
+        Relational::Groups(groups, buckets) => {
+            let groups = match buckets {
+                Some(bins) => label_buckets(&groups, x, bins)?,
+                None => groups,
+            };
+            match spec.mark {
+                // Rank bars by value and keep the top ones so high-cardinality
+                // axes stay readable (and bounded in cost).
+                Mark::Bar => {
+                    let y = measure(spec).map_or("count", |(attr, _)| attr);
+                    Ok(groups.sort_by(&[y], false)?.head(opts.max_bars))
+                }
+                // Lines and maps read left-to-right / by region: sort by the axis.
+                _ => groups.sort_by(&[x.as_str()], true),
+            }
+        }
+        Relational::Binned(cells) => emit_cells(spec, opts, &cells),
+    }
 }
 
-fn process_scatter(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<DataFrame> {
-    let x = x_attr(spec)?;
-    let y = spec
-        .channel(Channel::Y)
-        .map(|e| e.attribute.as_str())
-        .ok_or_else(|| Error::InvalidArgument("scatter requires a y encoding".into()))?;
-    let mut cols = vec![x, y];
-    if let Some(c) = spec.channel(Channel::Color) {
-        if !cols.contains(&c.attribute.as_str()) {
-            cols.push(&c.attribute);
+/// The encoding on `ch`, which the spec's mark requires.
+pub(crate) fn channel(spec: &VisSpec, ch: Channel) -> Result<&Encoding> {
+    spec.channel(ch)
+        .ok_or_else(|| Error::InvalidArgument(format!("spec {spec} has no {} encoding", ch.name())))
+}
+
+/// A histogram's x, or a heatmap's x and y, each with its bin count: its
+/// own, else the mark's default.
+pub(crate) fn binned_axes<'a>(
+    spec: &'a VisSpec,
+    opts: &ProcessOptions,
+) -> Result<Vec<(&'a str, usize)>> {
+    let (axes, default): (&[Channel], _) = match spec.mark {
+        Mark::Histogram => (&[Channel::X], opts.histogram_bins),
+        _ => (&[Channel::X, Channel::Y], opts.heatmap_bins),
+    };
+    let axis = |&ch: &Channel| {
+        let e = channel(spec, ch)?;
+        match e.bin.unwrap_or(default) {
+            0 => Err(Error::InvalidArgument(format!(
+                "{} needs a bin",
+                e.attribute
+            ))),
+            n => Ok((e.attribute.as_str(), n)),
         }
+    };
+    axes.iter().map(axis).collect()
+}
+
+/// A heatmap's colour encoding, when it draws one.
+pub(crate) fn colour(spec: &VisSpec) -> Option<&Encoding> {
+    let heatmap = spec.mark == Mark::Heatmap;
+    spec.channel(Channel::Color)
+        .filter(|e| heatmap && !e.synthetic)
+}
+
+/// The columns a scatter draws: x, y, and a colour that is neither.
+pub(crate) fn drawn_columns(spec: &VisSpec) -> Result<Vec<&str>> {
+    let mut cols = vec![
+        channel(spec, Channel::X)?.attribute.as_str(),
+        channel(spec, Channel::Y)?.attribute.as_str(),
+    ];
+    if let Some(c) = spec
+        .channel(Channel::Color)
+        .filter(|c| !cols.contains(&c.attribute.as_str()))
+    {
+        cols.push(&c.attribute);
     }
-    let selected = df.select(&cols)?;
-    if selected.num_rows() > opts.max_points {
-        Ok(selected.sample(opts.max_points, opts.seed))
-    } else {
-        Ok(selected)
-    }
+    Ok(cols)
+}
+
+/// A group chart's keys: x, then a colour other than x.
+pub(crate) fn group_keys(spec: &VisSpec) -> Result<Vec<&str>> {
+    let x = channel(spec, Channel::X)?.attribute.as_str();
+    let mut keys = vec![x];
+    keys.extend(
+        spec.channel(Channel::Color)
+            .map(|e| e.attribute.as_str())
+            .filter(|&c| c != x),
+    );
+    Ok(keys)
+}
+
+/// What a group chart aggregates: the y attribute under its aggregation
+/// (the mean by default), or `None` for a row count.
+pub(crate) fn measure(spec: &VisSpec) -> Option<(&str, Agg)> {
+    spec.channel(Channel::Y)
+        .filter(|e| !e.synthetic)
+        .map(|e| (e.attribute.as_str(), e.aggregation.unwrap_or(Agg::Mean)))
+}
+
+/// Whether a line's x axis is temporal: past `temporal_buckets` distinct
+/// instants it is drawn over that many equal-width time buckets, since a
+/// point per instant is unreadable and as expensive as the raw data.
+pub(crate) fn temporal_line(spec: &VisSpec, df: &DataFrame, x: &str) -> Result<bool> {
+    Ok(spec.mark == Mark::Line && df.column(x)?.dtype() == lux_dataframe::DType::DateTime)
 }
 
 /// Bar / line / choropleth: (1D or 2D) group-by aggregation.
-fn process_group_agg(
-    spec: &VisSpec,
-    df: &DataFrame,
-    opts: &ProcessOptions,
-) -> Result<(DataFrame, bool)> {
-    let x = x_attr(spec)?;
+fn group_agg(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<(Relational, bool)> {
+    let keys = group_keys(spec)?;
+    let x = keys[0];
 
-    // High-cardinality temporal axes get resampled into time buckets before
-    // grouping: a line chart over raw timestamps would emit one point per
-    // distinct instant (unreadable and as expensive as the raw data).
-    let resampled;
-    let df = if spec.mark == Mark::Line
-        && matches!(df.column(x)?.dtype(), lux_dataframe::DType::DateTime)
-    {
-        if df.cardinality_exceeds(x, opts.temporal_buckets)? {
-            resampled = resample_temporal(df, x, opts.temporal_buckets)?;
-            &resampled
-        } else {
-            df
-        }
-    } else {
-        df
-    };
-
-    let color = spec.channel(Channel::Color).map(|e| e.attribute.as_str());
-    let mut keys = vec![x];
-    if let Some(c) = color {
-        if c != x {
-            keys.push(c);
-        }
+    let bucketed;
+    let mut buckets = None;
+    let mut df = df;
+    if temporal_line(spec, df, x)? && df.cardinality_exceeds(x, opts.temporal_buckets)? {
+        let bins = Bins::new(df.column(x)?.min_max_finite(), opts.temporal_buckets.max(1));
+        bucketed = bucket_indices(df, x, bins)?;
+        (df, buckets) = (&bucketed, Some(bins));
     }
+
     // Grouping cost is ~8 bytes/row (group-id vector + key codes or
     // hash-map entries up to the cap); charge it, and tighten the cap to
     // the displayable bar count once the pass budget is spent.
@@ -279,136 +422,93 @@ fn process_group_agg(
         degrade(g, detail);
     }
 
-    let y_enc = spec.channel(Channel::Y);
-    let grouped = match y_enc {
-        Some(e) if !e.synthetic => {
-            let agg = e.aggregation.unwrap_or(Agg::Mean);
-            gb.agg(&[(e.attribute.as_str(), agg)])?
-        }
-        _ => gb.count()?,
+    let grouped = match measure(spec) {
+        Some((attr, agg)) => gb.agg(&[(attr, agg)])?,
+        None => gb.count()?,
     };
-    let y_col = match y_enc {
-        Some(e) if !e.synthetic => e.attribute.clone(),
-        _ => "count".to_string(),
-    };
-
-    let out = match spec.mark {
-        // Rank bars by value and keep the top ones so high-cardinality
-        // axes stay readable (and bounded in cost).
-        Mark::Bar => grouped
-            .sort_by(&[y_col.as_str()], false)?
-            .head(opts.max_bars),
-        // Lines and maps read left-to-right / by region: sort by the axis.
-        _ => grouped.sort_by(&[x], true)?,
-    };
-    Ok((out, degraded))
+    Ok((Relational::Groups(grouped, buckets), degraded))
 }
 
-fn process_histogram(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<DataFrame> {
-    let x_enc = spec
-        .channel(Channel::X)
-        .ok_or_else(|| Error::InvalidArgument("histogram requires an x encoding".into()))?;
-    let bins = x_enc.bin.unwrap_or(opts.histogram_bins);
-    let (edges, counts) = df.histogram(&x_enc.attribute, bins)?;
-    let starts: Vec<f64> = edges[..edges.len() - 1].to_vec();
-    DataFrameBuilder::new()
-        .float(&x_enc.attribute, starts)
-        .int(
-            "count",
-            counts.iter().map(|&c| c as i64).collect::<Vec<_>>(),
-        )
-        .build()
-}
-
-/// 2D bin + count (+ group-by mean for the color channel).
-fn process_heatmap(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<DataFrame> {
-    let x_enc = spec
-        .channel(Channel::X)
-        .ok_or_else(|| Error::InvalidArgument("heatmap requires an x encoding".into()))?;
-    let y_enc = spec
-        .channel(Channel::Y)
-        .ok_or_else(|| Error::InvalidArgument("heatmap requires a y encoding".into()))?;
-    let xb = x_enc.bin.unwrap_or(opts.heatmap_bins);
-    let yb = y_enc.bin.unwrap_or(opts.heatmap_bins);
-    let xcol = df.column(&x_enc.attribute)?;
-    let ycol = df.column(&y_enc.attribute)?;
-    let color = spec.channel(Channel::Color).filter(|e| !e.synthetic);
-    let ccol = color.map(|e| df.column(&e.attribute)).transpose()?;
-
-    let (xlo, xhi) = xcol.min_max_finite().unwrap_or((0.0, 1.0));
-    let (ylo, yhi) = ycol.min_max_finite().unwrap_or((0.0, 1.0));
+/// Heatmap bin-count: rows per cell where x and y are both finite, plus
+/// the colour sum and count.
+fn bin_cells(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<Cells> {
+    let axes = binned_axes(spec, opts)?;
+    let (xcol, ycol) = (df.column(axes[0].0)?, df.column(axes[1].0)?);
+    let ccol = colour(spec).map(|e| df.column(&e.attribute)).transpose()?;
+    let xb = Bins::new(xcol.min_max_finite(), axes[0].1);
+    let yb = Bins::new(ycol.min_max_finite(), axes[1].1);
+    let mut cells = Cells::new(vec![xb, yb]);
 
     // The cell of a row whose x and y are both finite.
     let cell_of = |xv: f64, yv: f64| {
-        (xv.is_finite() && yv.is_finite())
-            .then(|| bin_of(yv, ylo, yhi, yb) * xb + bin_of(xv, xlo, xhi, xb))
+        (xv.is_finite() && yv.is_finite()).then(|| yb.index(yv) * xb.n + xb.index(xv))
     };
-    let mut counts = vec![0i64; xb * yb];
     for_each_f64_pair(xcol, ycol, |_, xv, yv| {
         if let Some(cell) = cell_of(xv, yv) {
-            counts[cell] += 1;
+            cells.count[cell] += 1;
         }
     });
-    // The colour mean is over the cell's valid colour values only (SQL's
-    // `AVG` skips nulls), so it keeps its own per-cell count.
-    let mut sums = vec![0f64; xb * yb];
-    let mut colored = vec![0u64; xb * yb];
     if let Some(ccol) = ccol {
         for_each_f64_triple(xcol, ycol, ccol, |_, xv, yv, cv| {
             if let Some(cell) = cell_of(xv, yv).filter(|_| !cv.is_nan()) {
-                sums[cell] += cv;
-                colored[cell] += 1;
+                cells.sum[cell] += cv;
+                cells.colored[cell] += 1;
             }
         });
     }
+    Ok(cells)
+}
 
-    // Emit only non-empty cells.
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    let mut ns = Vec::new();
-    let mut cs = Vec::new();
-    for by in 0..yb {
-        for bx in 0..xb {
-            let cell = by * xb + bx;
-            if counts[cell] == 0 {
-                continue;
-            }
-            xs.push(edge_of(bx, xlo, xhi, xb));
-            ys.push(edge_of(by, ylo, yhi, yb));
-            ns.push(counts[cell]);
-            cs.push((colored[cell] > 0).then(|| sums[cell] / colored[cell] as f64));
+/// Every histogram bin, or the non-empty heatmap cells, y-major: each axis
+/// labelled with its bins' start edges, the count, and the colour mean.
+fn emit_cells(spec: &VisSpec, opts: &ProcessOptions, cells: &Cells) -> Result<DataFrame> {
+    let mut labels = vec![Vec::new(); cells.axes.len()];
+    let (mut ns, mut means) = (Vec::new(), Vec::new());
+    for (cell, &n) in cells.count.iter().enumerate() {
+        if n == 0 && spec.mark == Mark::Heatmap {
+            continue;
         }
+        let mut rest = cell;
+        for (bins, labels) in cells.axes.iter().zip(&mut labels) {
+            labels.push(bins.edge(rest % bins.n));
+            rest /= bins.n;
+        }
+        ns.push(n);
+        let colored = cells.colored[cell];
+        means.push((colored > 0).then(|| cells.sum[cell] / colored as f64));
     }
-    let mut b = DataFrameBuilder::new()
-        .float(&x_enc.attribute, xs)
-        .float(&y_enc.attribute, ys)
-        .int("count", ns);
-    if let Some(e) = color {
-        b = b.column(
-            &format!("mean_{}", e.attribute),
-            Column::Float64(PrimitiveColumn::from_options(cs)),
-        );
+    let mut b = DataFrameBuilder::new();
+    for ((attr, _), labels) in binned_axes(spec, opts)?.into_iter().zip(labels) {
+        b = b.float(attr, labels);
+    }
+    b = b.int("count", ns);
+    if let Some(e) = colour(spec) {
+        let means = Column::Float64(PrimitiveColumn::from_options(means));
+        b = b.column(&format!("mean_{}", e.attribute), means);
     }
     b.build()
 }
 
-/// Replace a datetime column with its values floored to one of `buckets`
-/// equal-width time buckets (bucket-start timestamps).
-fn resample_temporal(df: &DataFrame, column: &str, buckets: usize) -> Result<DataFrame> {
+/// Replace a datetime column with the index of its values' time bucket.
+fn bucket_indices(df: &DataFrame, column: &str, bins: Bins) -> Result<DataFrame> {
     let col = df.column(column)?;
-    let (lo, hi) = col.min_max_finite().unwrap_or((0.0, 1.0));
-    let buckets = buckets.max(1);
     let mut binned: Vec<Option<i64>> = vec![None; col.len()];
     col.for_each_f64(|row, v| {
         if v.is_finite() {
-            let b = bin_of(v, lo, hi, buckets);
-            binned[row] = Some(edge_of(b, lo, hi, buckets) as i64);
+            binned[row] = Some(bins.index(v) as i64);
         }
     });
-    df.with_column(
-        column,
-        Column::DateTime(PrimitiveColumn::from_options(binned)),
-    )
+    df.with_column(column, Column::Int64(PrimitiveColumn::from_options(binned)))
+}
+
+/// A temporal line's bucket-index key relabelled with each bucket's start
+/// instant.
+fn label_buckets(groups: &DataFrame, x: &str, bins: Bins) -> Result<DataFrame> {
+    let mut labels = Vec::with_capacity(groups.num_rows());
+    groups
+        .column(x)?
+        .for_each_row_f64(|_, b| labels.push(b.map(|b| bins.edge(b as usize) as i64)));
+    groups.with_column(x, Column::DateTime(PrimitiveColumn::from_options(labels)))
 }
 
 /// Processed-vis memo cache (paper's WFLOW rule applied to processing, not

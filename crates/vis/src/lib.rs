@@ -9,10 +9,10 @@
 pub mod data;
 pub mod render;
 pub mod spec;
-pub mod sql;
+mod sql;
 pub mod vislist;
 
 pub use data::{filtered_view, process, Backend, ProcessOptions};
 pub use spec::{Channel, Encoding, FilterSpec, Mark, VisSpec};
-pub use sql::{process_sql, to_sql};
+pub use sql::to_sql;
 pub use vislist::{Vis, VisList};

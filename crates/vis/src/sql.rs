@@ -1,70 +1,33 @@
-//! SQL translation of visualization processing (paper §7: "the execution
-//! engine performs the required data processing ... either as a series of
-//! dataframe operations in pandas or equivalently in SQL queries in
-//! relational databases").
+//! SQL lowering of visualization processing (paper §7: the engine runs
+//! "either as a series of dataframe operations in pandas or equivalently in
+//! SQL queries in relational databases").
 //!
-//! [`to_sql`] emits the Table-2 query for a complete [`VisSpec`] against a
-//! table named `t`, and [`process_sql`] executes it through the in-crate
-//! SQL engine — an alternative backend whose results match the native
-//! processing in [`crate::data`] (verified by integration tests).
-
-use std::time::Duration;
+//! Only a spec's relational step — Table 2's filter, projection, group-by
+//! with aggregate and bin-count — is lowered, to one `SELECT` against a
+//! table named `t` ([`to_sql`]). Its answer feeds the finishing step in
+//! [`crate::data`] that the native kernels feed too, so both backends draw
+//! the same data, with one exception: the native group-by folds keys past
+//! `max_group_cardinality` into `"(other)"`, and SQL returns them all.
 
 use lux_dataframe::prelude::*;
+use lux_dataframe::scan::for_each_f64_pair;
 use lux_dataframe::sql::query_frame;
-use lux_engine::admission::Backoff;
 use lux_engine::failpoint;
-use lux_engine::trace::{names, MetricsRegistry};
 
-use crate::data::ProcessOptions;
-use crate::spec::{Channel, Mark, VisSpec};
+use crate::data::{
+    binned_axes, colour, drawn_columns, group_keys, measure, temporal_line, Bins, Cells,
+    ProcessOptions, Relational,
+};
+use crate::spec::{Mark, VisSpec};
 
-/// Classify a backend error as transient (worth retrying) or permanent.
-/// Permanent errors — bad SQL, unknown columns, type mismatches — will fail
-/// identically on every attempt; transient ones (a busy/locked/timed-out
-/// backend, a dropped connection, an injected `transient` fault) are the
-/// relational-backend failure modes a bounded retry absorbs.
-pub fn is_transient_error(e: &Error) -> bool {
-    let msg = e.to_string().to_ascii_lowercase();
-    [
-        "transient",
-        "busy",
-        "locked",
-        "timeout",
-        "timed out",
-        "connection",
-    ]
-    .iter()
-    .any(|needle| msg.contains(needle))
-}
-
-/// Attempts per query (1 initial + bounded retries).
-const SQL_MAX_ATTEMPTS: u32 = 3;
-
-/// Run one backend query, retrying transient errors with jittered
-/// exponential backoff (deterministically seeded from the query text).
-/// Every retry is counted in `lux.sql.retries`.
-fn query_with_retry(sql: &str, df: &DataFrame) -> Result<DataFrame> {
-    let seed = sql.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-    });
-    let mut backoff = Backoff::new(Duration::from_millis(1), Duration::from_millis(16), seed);
-    loop {
-        let outcome = match failpoint::hit(failpoint::names::SQL_QUERY) {
-            Some(msg) => Err(Error::InvalidArgument(format!(
-                "injected backend failure: {msg}"
-            ))),
-            None => query_frame(sql, df),
-        };
-        match outcome {
-            Ok(out) => return Ok(out),
-            Err(e) if is_transient_error(&e) && backoff.attempts() + 1 < SQL_MAX_ATTEMPTS => {
-                MetricsRegistry::global().incr(names::SQL_RETRIES);
-                std::thread::sleep(backoff.next_delay());
-            }
-            Err(e) => return Err(e),
-        }
+/// Run one statement against `df` as table `t`. The `sql.query` failpoint
+/// refuses it.
+fn run(sql: &str, df: &DataFrame) -> Result<DataFrame> {
+    if let Some(msg) = failpoint::hit(failpoint::names::SQL_QUERY) {
+        let msg = format!("injected backend failure: {msg}");
+        return Err(Error::InvalidArgument(msg));
     }
+    query_frame(sql, df)
 }
 
 /// Quote an identifier for SQL.
@@ -84,219 +47,161 @@ fn literal(v: &Value) -> String {
     }
 }
 
-fn where_clause(spec: &VisSpec) -> String {
-    if spec.filters.is_empty() {
-        return String::new();
-    }
+/// The spec's filter conjunction and `extra` predicates as a `WHERE`
+/// clause (empty when there are none).
+fn where_clause(spec: &VisSpec, extra: impl IntoIterator<Item = String>) -> String {
     let preds: Vec<String> = spec
         .filters
         .iter()
-        .map(|f| {
-            let op = match f.op {
-                FilterOp::Eq => "=",
-                FilterOp::Ne => "!=",
-                FilterOp::Gt => ">",
-                FilterOp::Lt => "<",
-                FilterOp::Ge => ">=",
-                FilterOp::Le => "<=",
-            };
-            format!("{} {op} {}", ident(&f.attribute), literal(&f.value))
-        })
+        .map(|f| format!("{} {} {}", ident(&f.attribute), f.op, literal(&f.value)))
+        .chain(extra)
         .collect();
-    format!(" WHERE {}", preds.join(" AND "))
+    match preds.is_empty() {
+        true => String::new(),
+        false => format!(" WHERE {}", preds.join(" AND ")),
+    }
 }
 
+/// `AGG("col")`, for the aggregations the engine has.
 fn agg_sql(agg: Agg, col: &str) -> Result<String> {
     let f = match agg {
-        Agg::Count => "COUNT",
-        Agg::Sum => "SUM",
         Agg::Mean => "AVG",
-        Agg::Min => "MIN",
-        Agg::Max => "MAX",
+        Agg::Count | Agg::Sum | Agg::Min | Agg::Max => agg.name(),
         other => {
-            return Err(Error::InvalidArgument(format!(
-                "aggregation {other} has no SQL translation in this engine"
-            )))
+            let msg = format!("aggregation {other} has no SQL translation in this engine");
+            return Err(Error::InvalidArgument(msg));
         }
     };
-    Ok(format!("{f}({})", ident(col)))
+    Ok(format!("{}({})", f.to_uppercase(), ident(col)))
 }
 
-/// Emit the Table-2 SQL query for a spec. `meta_min` supplies the binned
-/// attribute's minimum (histograms bin as `FLOOR((x - lo) / width)`; the
-/// caller provides `lo`/`width` from metadata, as Lux's SQL executor does).
-pub fn to_sql(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<String> {
-    let wher = where_clause(spec);
-    match spec.mark {
-        Mark::Scatter => {
-            let x = spec
-                .channel(Channel::X)
-                .ok_or_else(|| Error::InvalidArgument("scatter needs x".into()))?;
-            let y = spec
-                .channel(Channel::Y)
-                .ok_or_else(|| Error::InvalidArgument("scatter needs y".into()))?;
-            let mut cols = vec![ident(&x.attribute), ident(&y.attribute)];
-            if let Some(c) = spec.channel(Channel::Color) {
-                cols.push(ident(&c.attribute));
-            }
-            Ok(format!(
-                "SELECT {} FROM t{wher} LIMIT {}",
-                cols.join(", "),
-                opts.max_points
-            ))
-        }
+/// `bin_of` in SQL: the same arithmetic on the same f64 literals, which
+/// `{:?}` prints exactly, floored and clamped into the last bin. Every
+/// finite value in `[lo, hi]` lands in the bin the native kernel picks.
+fn bin_expr(col: &str, bins: Bins) -> String {
+    // `bin_of` puts every value of a zero-width range in bin 0
+    let half_span = bins.hi * 0.5 - bins.lo * 0.5;
+    if half_span <= 0.0 {
+        return "0".to_string();
+    }
+    format!(
+        "LEAST(FLOOR(({} * 0.5 - {:?}) / {half_span:?} * {:?}), {:?})",
+        ident(col),
+        bins.lo * 0.5,
+        bins.n as f64,
+        (bins.n - 1) as f64
+    )
+}
+
+/// Lower a spec's relational step to its statement and the bins it counts
+/// into. A histogram or heatmap reads its bounds first, with one
+/// `MIN`/`MAX` statement; a temporal line reads its distinct instants.
+fn lower(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<(String, Vec<Bins>)> {
+    let (mut group, mut bins, mut finite) = (vec![], vec![], vec![]);
+    let select: Vec<String> = match spec.mark {
+        Mark::Scatter => drawn_columns(spec)?.into_iter().map(ident).collect(),
         Mark::Bar | Mark::Line | Mark::Choropleth => {
-            let x = spec
-                .channel(Channel::X)
-                .ok_or_else(|| Error::InvalidArgument("group chart needs x".into()))?;
-            let y = spec.channel(Channel::Y);
-            let color = spec.channel(Channel::Color).filter(|e| !e.synthetic);
-            let mut select = vec![ident(&x.attribute)];
-            let mut group = vec![ident(&x.attribute)];
-            if let Some(c) = color {
-                if c.aggregation.is_none() {
-                    select.push(ident(&c.attribute));
-                    group.push(ident(&c.attribute));
+            let keys = group_keys(spec)?;
+            group = keys.iter().map(|k| ident(k)).collect();
+            let mut select = group.clone();
+            if temporal_line(spec, df, keys[0])? {
+                let (x, wher) = (&group[0], where_clause(spec, []));
+                let instants = run(&format!("SELECT {x} FROM t{wher} GROUP BY {x}"), df)?;
+                if instants.cardinality_exceeds(keys[0], opts.temporal_buckets)? {
+                    let bounds = instants.column(keys[0])?.min_max_finite();
+                    bins.push(Bins::new(bounds, opts.temporal_buckets.max(1)));
+                    select[0] = format!("{} AS {x}", bin_expr(keys[0], bins[0]));
                 }
             }
-            let (measure, y_name) = match y {
-                Some(e) if !e.synthetic => {
-                    let agg = e.aggregation.unwrap_or(Agg::Mean);
-                    (
-                        format!("{} AS {}", agg_sql(agg, &e.attribute)?, ident(&e.attribute)),
-                        e.attribute.clone(),
-                    )
-                }
-                _ => ("COUNT(*) AS count".to_string(), "count".to_string()),
-            };
-            select.push(measure);
-            if let Some(c) = color {
-                if let Some(agg) = c.aggregation {
-                    select.push(format!(
-                        "{} AS {}",
-                        agg_sql(agg, &c.attribute)?,
-                        ident(&c.attribute)
-                    ));
-                }
-            }
-            let order = match spec.mark {
-                Mark::Bar => format!(" ORDER BY {} DESC LIMIT {}", ident(&y_name), opts.max_bars),
-                _ => format!(" ORDER BY {} ASC", ident(&x.attribute)),
-            };
-            Ok(format!(
-                "SELECT {} FROM t{wher} GROUP BY {}{order}",
-                select.join(", "),
-                group.join(", ")
-            ))
+            select.push(match measure(spec) {
+                Some((col, agg)) => format!("{} AS {}", agg_sql(agg, col)?, ident(col)),
+                None => "COUNT(*) AS count".to_string(),
+            });
+            select
         }
-        Mark::Histogram => {
-            let x = spec
-                .channel(Channel::X)
-                .ok_or_else(|| Error::InvalidArgument("histogram needs x".into()))?;
-            let bins = x.bin.unwrap_or(opts.histogram_bins).max(1);
-            let (lo, hi) = filtered_min_max(spec, df, &x.attribute)?;
-            let width = if hi > lo {
-                (hi - lo) / bins as f64
-            } else {
-                1.0
-            };
-            Ok(format!(
-                "SELECT FLOOR(({col} - {lo:?}) / {width:?}) AS bin, COUNT(*) AS count FROM t{wher} GROUP BY bin ORDER BY bin ASC",
-                col = ident(&x.attribute)
-            ))
-        }
-        Mark::Heatmap => {
-            let x = spec
-                .channel(Channel::X)
-                .ok_or_else(|| Error::InvalidArgument("heatmap needs x".into()))?;
-            let y = spec
-                .channel(Channel::Y)
-                .ok_or_else(|| Error::InvalidArgument("heatmap needs y".into()))?;
-            let xb = x.bin.unwrap_or(opts.heatmap_bins).max(1);
-            let yb = y.bin.unwrap_or(opts.heatmap_bins).max(1);
-            let (xlo, xhi) = filtered_min_max(spec, df, &x.attribute)?;
-            let (ylo, yhi) = filtered_min_max(spec, df, &y.attribute)?;
-            let xw = if xhi > xlo {
-                (xhi - xlo) / xb as f64
-            } else {
-                1.0
-            };
-            let yw = if yhi > ylo {
-                (yhi - ylo) / yb as f64
-            } else {
-                1.0
-            };
-            let mut select = format!(
-                "FLOOR(({x} - {xlo:?}) / {xw:?}) AS xbin, FLOOR(({y} - {ylo:?}) / {yw:?}) AS ybin, COUNT(*) AS count",
-                x = ident(&x.attribute),
-                y = ident(&y.attribute),
-            );
-            if let Some(c) = spec.channel(Channel::Color).filter(|e| !e.synthetic) {
-                select.push_str(&format!(
-                    ", AVG({}) AS mean_{}",
-                    ident(&c.attribute),
-                    c.attribute
+        Mark::Histogram | Mark::Heatmap => {
+            // `c + c * 0` is `c` for a finite value and NaN, which `MIN` and
+            // `MAX` skip, for ±inf: the bounds native binning uses.
+            let axes = binned_axes(spec, opts)?;
+            let mut extremes = vec![];
+            for (i, (c, _)) in axes.iter().enumerate() {
+                let c = ident(c);
+                extremes.push(format!(
+                    "MIN({c} + {c} * 0) AS lo{i}, MAX({c} + {c} * 0) AS hi{i}"
                 ));
             }
-            Ok(format!(
-                "SELECT {select} FROM t{wher} GROUP BY xbin, ybin ORDER BY ybin ASC, xbin ASC"
-            ))
+            let wher = where_clause(spec, []);
+            let found = run(&format!("SELECT {} FROM t{wher}", extremes.join(", ")), df)?;
+            let bound = |name: String| found.value(0, &name).map(|v| v.as_f64());
+            let mut cell = vec![];
+            for (i, &(col, n)) in axes.iter().enumerate() {
+                let b = Bins::new(bound(format!("lo{i}"))?.zip(bound(format!("hi{i}"))?), n);
+                let bin = bin_expr(col, b);
+                cell.push(match bins.first() {
+                    Some(x) => format!("{bin} * {:?}", x.n as f64),
+                    None => bin,
+                });
+                // `c * 0 = 0` holds exactly for finite numbers: ±inf * 0
+                // and NaN * 0 are NaN, and null stays null.
+                finite.push(format!("{} * 0 = 0", ident(col)));
+                bins.push(b);
+            }
+            group.push("cell".to_string());
+            let mut select = vec![format!("{} AS cell", cell.join(" + "))];
+            select.push("COUNT(*) AS count".to_string());
+            if let Some(c) = colour(spec).map(|e| ident(&e.attribute)) {
+                select.push(format!("SUM({c}) AS sum, COUNT({c}) AS n"));
+            }
+            select
         }
+    };
+    let wher = where_clause(spec, finite);
+    let mut sql = format!("SELECT {} FROM t{wher}", select.join(", "));
+    if !group.is_empty() {
+        sql.push_str(&format!(" GROUP BY {}", group.join(", ")));
     }
+    Ok((sql, bins))
 }
 
-/// min/max of an attribute under the spec's filters (two tiny SQL queries,
-/// mirroring how a relational backend would plan the histogram).
-fn filtered_min_max(spec: &VisSpec, df: &DataFrame, attr: &str) -> Result<(f64, f64)> {
-    let wher = where_clause(spec);
-    let q = format!(
-        "SELECT MIN({c}) AS lo, MAX({c}) AS hi FROM t{wher}",
-        c = ident(attr)
-    );
-    let r = query_with_retry(&q, df)?;
-    let lo = r.value(0, "lo")?.as_f64().unwrap_or(0.0);
-    let hi = r.value(0, "hi")?.as_f64().unwrap_or(1.0);
-    Ok((lo, hi))
+/// The statement that runs `spec`'s relational step against table `t`.
+/// A histogram, heatmap or temporal line reads `df` first to decide its
+/// bins.
+pub fn to_sql(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<String> {
+    lower(spec, df, opts).map(|(sql, _)| sql)
 }
 
-/// Process a visualization through the SQL backend. The result frame has
-/// the same columns as the native [`crate::data::process`] output (bin
-/// columns hold bin *indices* scaled back to bin starts for histograms).
-pub fn process_sql(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<DataFrame> {
-    let sql = to_sql(spec, df, opts)?;
-    let out = query_with_retry(&sql, df)?;
-    // Histograms: SQL's FLOOR puts the maximum value into its own edge bin
-    // (index == bins); native processing clamps it into the last bin.
-    // Merge edge bins and convert indices back to bin-start values so the
-    // output matches native processing's x column exactly.
-    if spec.mark == Mark::Histogram {
-        let x = spec.channel(Channel::X).expect("checked in to_sql");
-        let bins = x.bin.unwrap_or(opts.histogram_bins).max(1);
-        let (lo, hi) = filtered_min_max(spec, df, &x.attribute)?;
-        let width = if hi > lo {
-            (hi - lo) / bins as f64
-        } else {
-            1.0
-        };
-        let mut counts = vec![0i64; bins];
-        for r in 0..out.num_rows() {
-            let idx = out.value(r, "bin")?.as_f64().unwrap_or(0.0).max(0.0) as usize;
-            let n = out.value(r, "count")?.as_f64().unwrap_or(0.0) as i64;
-            counts[idx.min(bins - 1)] += n;
+/// Run `spec`'s relational step as SQL, in the shape the native kernels
+/// hand to the finishing step.
+pub fn relational(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<Relational> {
+    let (sql, bins) = lower(spec, df, opts)?;
+    let out = run(&sql, df)?;
+    Ok(match spec.mark {
+        Mark::Scatter => Relational::Points(out),
+        Mark::Bar | Mark::Line | Mark::Choropleth => Relational::Groups(out, bins.first().copied()),
+        Mark::Histogram | Mark::Heatmap => {
+            let mut cells = Cells::new(bins);
+            let mut cell = vec![0; out.num_rows()];
+            out.column("cell")?
+                .for_each_f64(|r, c| cell[r] = c as usize);
+            let count = out.column("count")?;
+            count.for_each_f64(|r, n| cells.count[cell[r]] += n as i64);
+            if colour(spec).is_some() {
+                // a cell with no numeric colour value has a null sum
+                for_each_f64_pair(out.column("sum")?, out.column("n")?, |r, sum, n| {
+                    cells.sum[cell[r]] += sum;
+                    cells.colored[cell[r]] += n as u64;
+                });
+            }
+            Relational::Binned(cells)
         }
-        let starts: Vec<f64> = (0..bins).map(|b| lo + width * b as f64).collect();
-        return DataFrameBuilder::new()
-            .float(&x.attribute, starts)
-            .int("count", counts)
-            .build();
-    }
-    Ok(out)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{Encoding, FilterSpec};
+    use crate::data::{process, Backend};
+    use crate::spec::{Channel, Encoding, FilterSpec};
     use lux_engine::SemanticType;
 
     fn df() -> DataFrame {
@@ -306,6 +211,13 @@ mod tests {
             .float("age", [25.0, 32.0, 47.0, 28.0, 36.0])
             .build()
             .unwrap()
+    }
+
+    fn sql() -> ProcessOptions {
+        ProcessOptions {
+            backend: Backend::Sql,
+            ..ProcessOptions::default()
+        }
     }
 
     #[test]
@@ -318,9 +230,12 @@ mod tests {
             ],
             vec![FilterSpec::new("dept", FilterOp::Eq, Value::str("Sales"))],
         );
-        let sql = to_sql(&spec, &df(), &ProcessOptions::default()).unwrap();
-        assert!(sql.contains("SELECT \"pay\", \"age\" FROM t WHERE \"dept\" = 'Sales'"));
-        let out = process_sql(&spec, &df(), &ProcessOptions::default()).unwrap();
+        let text = to_sql(&spec, &df(), &sql()).unwrap();
+        assert_eq!(
+            text,
+            "SELECT \"pay\", \"age\" FROM t WHERE \"dept\" = 'Sales'"
+        );
+        let out = process(&spec, &df(), &sql()).unwrap();
         assert_eq!(out.num_rows(), 2);
     }
 
@@ -335,24 +250,18 @@ mod tests {
             ],
             vec![],
         );
-        let opts = ProcessOptions::default();
-        let native = crate::data::process(&spec, &df(), &opts).unwrap();
-        let sql = process_sql(&spec, &df(), &opts).unwrap();
+        let native = process(&spec, &df(), &ProcessOptions::default()).unwrap();
+        let sql = process(&spec, &df(), &sql()).unwrap();
         assert_eq!(native.num_rows(), sql.num_rows());
         for i in 0..native.num_rows() {
-            assert_eq!(
-                native.value(i, "dept").unwrap(),
-                sql.value(i, "dept").unwrap()
-            );
-            assert_eq!(
-                native.value(i, "pay").unwrap(),
-                sql.value(i, "pay").unwrap()
-            );
+            for c in ["dept", "pay"] {
+                assert_eq!(native.value(i, c).unwrap(), sql.value(i, c).unwrap());
+            }
         }
     }
 
     #[test]
-    fn histogram_sql_counts_match_native() {
+    fn histogram_bins_the_way_native_does() {
         let big = DataFrameBuilder::new()
             .float("v", (0..100).map(|i| i as f64))
             .build()
@@ -365,16 +274,15 @@ mod tests {
             ],
             vec![],
         );
-        let opts = ProcessOptions::default();
-        let native = crate::data::process(&spec, &big, &opts).unwrap();
-        let sql = process_sql(&spec, &big, &opts).unwrap();
-        let total = |d: &DataFrame| -> i64 {
-            (0..d.num_rows())
-                .map(|i| d.value(i, "count").unwrap().as_f64().unwrap() as i64)
-                .sum()
-        };
-        assert_eq!(total(&native), total(&sql));
-        assert_eq!(sql.num_rows(), 5);
+        // the maximum is clamped into the last bin, not counted in a sixth
+        assert_eq!(
+            to_sql(&spec, &big, &sql()).unwrap(),
+            "SELECT LEAST(FLOOR((\"v\" * 0.5 - 0.0) / 49.5 * 5.0), 4.0) AS cell, \
+             COUNT(*) AS count FROM t WHERE \"v\" * 0 = 0 GROUP BY cell"
+        );
+        let out = process(&spec, &big, &sql()).unwrap();
+        let counts: Vec<Value> = (0..5).map(|i| out.value(i, "count").unwrap()).collect();
+        assert_eq!(counts, [20, 20, 20, 20, 20].map(Value::Int));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The SQL execution path (paper §7): the engine can process visualization
 //! data "either as a series of dataframe operations ... or equivalently in
-//! SQL queries in relational databases". This example shows the generated
-//! SQL for each Table-2 visualization type, runs a full print through the
-//! SQL backend, and demonstrates the standalone mini SQL engine.
+//! SQL queries in relational databases". This example shows the statement
+//! each Table-2 visualization type's relational step lowers to (a binned
+//! chart reads its bounds with one `MIN`/`MAX` statement first), runs a
+//! full print through the SQL backend, and demonstrates the standalone mini
+//! SQL engine.
 //!
 //! ```sh
-//! cargo run --example sql_backend
+//! cargo run --release --example sql_backend
 //! ```
 
 use std::sync::Arc;
@@ -55,6 +57,18 @@ fn main() -> Result<()> {
                 vec![
                     Encoding::new("price", q, Channel::X).with_bin(10),
                     Encoding::synthetic_count(Channel::Y),
+                ],
+                vec![],
+            ),
+        ),
+        (
+            "heatmap (mean reviews per price x availability cell)",
+            VisSpec::new(
+                Mark::Heatmap,
+                vec![
+                    Encoding::new("price", q, Channel::X).with_bin(4),
+                    Encoding::new("availability_365", q, Channel::Y).with_bin(4),
+                    Encoding::new("number_of_reviews", q, Channel::Color),
                 ],
                 vec![],
             ),
