@@ -10,7 +10,6 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lux_core::prelude::*;
-use lux_engine::governor::event_sink;
 use lux_engine::{CachedSample, FrameMeta};
 use lux_recs::{
     execute_action, metadata_actions::Correlation, run_pass, ActionRegistry, Pass, PassCtx,
@@ -76,7 +75,7 @@ fn ablation_prune(c: &mut Criterion) {
                 b.iter(|| {
                     // A pass per iteration: its budget is per pass.
                     let pass = pass_over(&df, &meta, &config, sample.as_ref());
-                    execute_action(&Correlation, &pass, &pass.trace, &event_sink())
+                    execute_action(&Correlation, &pass, &pass.trace)
                         .expect("correlation runs clean")
                         .expect("correlation has candidates")
                         .vislist

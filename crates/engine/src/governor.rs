@@ -4,10 +4,10 @@
 //! *memory or work* when the frame itself is adversarial (millions of rows,
 //! near-unique categorical columns, megabyte strings). The governor closes
 //! that gap: every print pass creates one [`BudgetHandle`] from the
-//! [`ResourceBudget`] in `LuxConfig`, threads it through metadata
-//! computation, candidate enumeration, and visualization processing, and
-//! every allocation-heavy step checks it before allocating. On breach the
-//! step degrades along a fixed ladder instead of OOMing or stalling:
+//! [`ResourceBudget`] in `LuxConfig`, charged before anything is allocated
+//! by two planning steps that read no column data: the metadata pass's
+//! column plan and each action's plan (`lux_recs`). A refused charge
+//! degrades the step along a fixed ladder instead of OOMing or stalling:
 //!
 //! 1. **exact** — the normal path, within budget;
 //! 2. **sampled** — recompute over the cached sample (PRUNE machinery);
@@ -23,24 +23,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::admission::GlobalLedger;
 use crate::sync::lock_recover;
 use crate::trace::{names, MetricsRegistry};
-
-/// An ordered buffer of deferred [`GovernorEvent`]s. Parallel stages give
-/// each unit of work its own sink and replay the buffers in schedule order
-/// via [`BudgetHandle::absorb`], so the handle's event list — and therefore
-/// the pass summary — is identical at every thread count.
-pub type EventSink = Arc<Mutex<Vec<GovernorEvent>>>;
-
-/// A fresh, empty [`EventSink`].
-pub fn event_sink() -> EventSink {
-    Arc::new(Mutex::new(Vec::new()))
-}
-
-/// Drain a sink's buffered events (in recording order).
-pub fn drain_sink(sink: &EventSink) -> Vec<GovernorEvent> {
-    std::mem::take(&mut *lock_recover(sink))
-}
 
 /// Per-pass resource ceilings. All knobs live on `LuxConfig` (field
 /// `budget`), so callers tune them the same way they tune `top_k` or
@@ -105,19 +90,13 @@ pub enum DegradeLevel {
     CappedCardinality,
 }
 
-impl DegradeLevel {
-    pub fn name(self) -> &'static str {
-        match self {
+impl fmt::Display for DegradeLevel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
             DegradeLevel::Exact => "exact",
             DegradeLevel::Sampled => "sampled",
             DegradeLevel::CappedCardinality => "capped-cardinality",
-        }
-    }
-}
-
-impl fmt::Display for DegradeLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+        })
     }
 }
 
@@ -137,84 +116,130 @@ impl fmt::Display for GovernorEvent {
     }
 }
 
-/// The shared per-pass budget state. Created once per print pass, shared by
-/// `Arc` across the metadata, generation, and scoring stages (including the
-/// async scheduler's worker threads).
+/// A pass's byte meter and limits, shared by its [`BudgetHandle::scope`]s:
+/// the last handle to drop returns the pass's charge to the global ledger.
 #[derive(Debug)]
-pub struct BudgetHandle {
+struct Meter {
     budget: ResourceBudget,
     charged: AtomicU64,
     breached: AtomicBool,
-    events: Mutex<Vec<GovernorEvent>>,
-    /// Global admission ledger every successful charge is mirrored into
-    /// (and released from when the handle drops). `None` for ungoverned
-    /// passes and standalone tests.
-    ledger: Option<Arc<crate::admission::GlobalLedger>>,
+    /// Global admission ledger every successful charge is mirrored into.
+    /// `None` for ungoverned passes and standalone tests.
+    ledger: Option<Arc<GlobalLedger>>,
     /// Admission-forced minimum degradation rung: `Sampled` means the pass
     /// must engage PRUNE/sample mode even where the cost model would not
     /// (the shed ladder, DESIGN.md §10).
     floor: DegradeLevel,
 }
 
+impl Drop for Meter {
+    fn drop(&mut self) {
+        // `charged` only ever holds ledger-accepted bytes (refused mirrors
+        // are rolled back in `try_charge`), so this release is exact.
+        if let Some(ledger) = &self.ledger {
+            ledger.release(self.charged.load(Ordering::Relaxed));
+        }
+    }
+}
+
+/// The per-pass budget state: a shared [`Meter`] and an event list. Created
+/// once per print pass and shared by `Arc` across the metadata, generation,
+/// and scoring stages (including the async scheduler's worker threads).
+#[derive(Debug)]
+pub struct BudgetHandle {
+    meter: Arc<Meter>,
+    events: Mutex<Vec<GovernorEvent>>,
+    /// False for a scope: its events count in the metrics when the pass's
+    /// handle adopts them, so events the executor discards never count.
+    counted: bool,
+}
+
 impl BudgetHandle {
     pub fn new(budget: ResourceBudget) -> BudgetHandle {
-        BudgetHandle {
-            budget,
-            charged: AtomicU64::new(0),
-            breached: AtomicBool::new(false),
-            events: Mutex::new(Vec::new()),
-            ledger: None,
-            floor: DegradeLevel::Exact,
-        }
+        BudgetHandle::metered(budget, None, DegradeLevel::Exact)
     }
 
     /// A handle whose charges also count against the process-wide admission
     /// ledger, carrying the admission-imposed degradation floor.
     pub fn governed(
         budget: ResourceBudget,
-        ledger: Arc<crate::admission::GlobalLedger>,
+        ledger: Arc<GlobalLedger>,
         floor: DegradeLevel,
     ) -> BudgetHandle {
-        let mut h = BudgetHandle::new(budget);
-        h.ledger = Some(ledger);
-        h.floor = floor;
-        h
+        BudgetHandle::metered(budget, Some(ledger), floor)
+    }
+
+    fn metered(
+        budget: ResourceBudget,
+        ledger: Option<Arc<GlobalLedger>>,
+        floor: DegradeLevel,
+    ) -> BudgetHandle {
+        let meter = Meter {
+            budget,
+            charged: AtomicU64::new(0),
+            breached: AtomicBool::new(false),
+            ledger,
+            floor,
+        };
+        BudgetHandle {
+            meter: Arc::new(meter),
+            events: Mutex::default(),
+            counted: true,
+        }
+    }
+
+    /// A handle on the same meter that keeps its own event list. Work that
+    /// races its siblings (an action under ASYNC, a candidate on the pool)
+    /// records on its own scope, and the executor [`adopt`](Self::adopt)s
+    /// the scopes in schedule order, so the pass's event list is the same
+    /// at every thread count.
+    pub fn scope(&self) -> BudgetHandle {
+        BudgetHandle {
+            meter: Arc::clone(&self.meter),
+            events: Mutex::default(),
+            counted: false,
+        }
+    }
+
+    /// Move `scope`'s events to the end of this handle's list.
+    pub fn adopt(&self, scope: &BudgetHandle) {
+        self.append(std::mem::take(&mut *lock_recover(&scope.events)));
     }
 
     /// The ceilings this handle enforces.
     pub fn budget(&self) -> &ResourceBudget {
-        &self.budget
+        &self.meter.budget
     }
 
     /// The admission-forced minimum degradation rung ([`DegradeLevel::Exact`]
     /// when the pass was admitted without pressure).
     pub fn degrade_floor(&self) -> DegradeLevel {
-        self.floor
+        self.meter.floor
     }
 
     /// Charge `bytes` of intended allocation against the pass budget.
     /// Returns false — without charging — when the charge would cross the
     /// byte cap; the caller should degrade rather than allocate. The
     /// check-and-add is a single compare-exchange loop, so accounting stays
-    /// exact when pool workers charge the same handle concurrently: a
+    /// exact when pool workers charge the same meter concurrently: a
     /// refused charge never inflates `charged()`, and concurrent successful
     /// charges can never jointly overshoot the cap.
     pub fn try_charge(&self, bytes: u64) -> bool {
         // A breach is sticky: once one charge was refused the pass stays
         // degraded, even if smaller charges would still fit the ledger.
-        if self.breached.load(Ordering::Relaxed) {
+        if self.meter.breached.load(Ordering::Relaxed) {
             return false;
         }
-        let mut current = self.charged.load(Ordering::Relaxed);
+        let mut current = self.meter.charged.load(Ordering::Relaxed);
         loop {
             let next = current.saturating_add(bytes);
-            if next > self.budget.max_bytes {
-                if !self.breached.swap(true, Ordering::Relaxed) {
+            if next > self.meter.budget.max_bytes {
+                if !self.meter.breached.swap(true, Ordering::Relaxed) {
                     MetricsRegistry::global().incr(names::GOVERNOR_BREACHES);
                 }
                 return false;
             }
-            match self.charged.compare_exchange_weak(
+            match self.meter.charged.compare_exchange_weak(
                 current,
                 next,
                 Ordering::Relaxed,
@@ -224,10 +249,10 @@ impl BudgetHandle {
                     // Mirror the charge into the global admission ledger;
                     // a refusal there breaches this pass too (and rolls the
                     // local charge back so drop-time release stays exact).
-                    if let Some(ledger) = &self.ledger {
+                    if let Some(ledger) = &self.meter.ledger {
                         if !ledger.try_charge(bytes) {
-                            self.charged.fetch_sub(bytes, Ordering::Relaxed);
-                            if !self.breached.swap(true, Ordering::Relaxed) {
+                            self.meter.charged.fetch_sub(bytes, Ordering::Relaxed);
+                            if !self.meter.breached.swap(true, Ordering::Relaxed) {
                                 MetricsRegistry::global().incr(names::GOVERNOR_BREACHES);
                             }
                             return false;
@@ -242,42 +267,29 @@ impl BudgetHandle {
 
     /// Total bytes charged so far.
     pub fn charged(&self) -> u64 {
-        self.charged.load(Ordering::Relaxed)
-    }
-
-    /// Bytes left before the cap (0 once breached — refused charges no
-    /// longer inflate the ledger, so the breach flag is what marks the
-    /// budget exhausted).
-    pub fn remaining(&self) -> u64 {
-        if self.breached() {
-            return 0;
-        }
-        self.budget.max_bytes.saturating_sub(self.charged())
+        self.meter.charged.load(Ordering::Relaxed)
     }
 
     /// True once any charge crossed the byte cap.
     pub fn breached(&self) -> bool {
-        self.breached.load(Ordering::Relaxed)
+        self.meter.breached.load(Ordering::Relaxed)
     }
 
     /// Record a downgrade: stored on the handle for end-of-pass surfacing
-    /// and counted in the global metrics registry immediately.
+    /// and, unless this is a scope, counted in the global metrics registry.
     pub fn record(&self, stage: impl Into<String>, level: DegradeLevel, detail: impl Into<String>) {
-        MetricsRegistry::global().incr(names::GOVERNOR_DEGRADES);
-        lock_recover(&self.events).push(GovernorEvent {
+        self.append(vec![GovernorEvent {
             stage: stage.into(),
             level,
             detail: detail.into(),
-        });
+        }]);
     }
 
-    /// Append deferred events from an [`EventSink`], with the same
-    /// accounting as recording them live. Callers replay sinks in schedule
-    /// order so the event list stays deterministic under parallelism.
-    pub fn absorb(&self, events: Vec<GovernorEvent>) {
-        for e in events {
-            self.record(e.stage, e.level, e.detail);
+    fn append(&self, events: Vec<GovernorEvent>) {
+        if self.counted && !events.is_empty() {
+            MetricsRegistry::global().add(names::GOVERNOR_DEGRADES, events.len() as u64);
         }
+        lock_recover(&self.events).extend(events);
     }
 
     /// Downgrades recorded so far (pass order).
@@ -285,8 +297,7 @@ impl BudgetHandle {
         lock_recover(&self.events).clone()
     }
 
-    /// Number of downgrades recorded so far. Cheap; used to detect whether
-    /// a bracketed step degraded (snapshot before, compare after).
+    /// Number of downgrades recorded so far.
     pub fn event_count(&self) -> usize {
         lock_recover(&self.events).len()
     }
@@ -310,17 +321,6 @@ impl BudgetHandle {
             events.len(),
             shown.join("; ")
         ))
-    }
-}
-
-impl Drop for BudgetHandle {
-    fn drop(&mut self) {
-        // The pass is over: return its whole live charge to the global
-        // ledger. `charged` only ever holds ledger-accepted bytes (refused
-        // mirrors are rolled back in `try_charge`), so this is exact.
-        if let Some(ledger) = &self.ledger {
-            ledger.release(self.charged.load(Ordering::Relaxed));
-        }
     }
 }
 
@@ -375,7 +375,6 @@ mod tests {
         assert!(h.try_charge(400));
         assert!(!h.breached());
         assert_eq!(h.charged(), 800);
-        assert_eq!(h.remaining(), 200);
     }
 
     #[test]
@@ -386,7 +385,6 @@ mod tests {
         });
         assert!(!h.try_charge(101));
         assert!(h.breached());
-        assert_eq!(h.remaining(), 0);
         // later charges keep failing: the pass stays degraded
         assert!(!h.try_charge(1));
     }
@@ -402,7 +400,6 @@ mod tests {
         // exact accounting: the refused 60 was never added
         assert_eq!(h.charged(), 60);
         assert!(h.breached());
-        assert_eq!(h.remaining(), 0, "breach pins remaining at 0");
     }
 
     #[test]
@@ -430,6 +427,37 @@ mod tests {
         assert_eq!(h.charged(), 50_000);
         assert_eq!(ok.load(Ordering::Relaxed), 500);
         assert!(h.breached());
+    }
+
+    #[test]
+    fn scopes_share_the_meter_and_keep_their_own_events() {
+        use crate::admission::GlobalLedger;
+        let ledger = Arc::new(GlobalLedger::new(u64::MAX));
+        let budget = ResourceBudget {
+            max_bytes: 100,
+            ..ResourceBudget::default()
+        };
+        let h = BudgetHandle::governed(budget, Arc::clone(&ledger), DegradeLevel::Sampled);
+        let (a, b) = (h.scope(), h.scope());
+        assert_eq!(a.degrade_floor(), DegradeLevel::Sampled);
+        assert!(a.try_charge(60));
+        assert_eq!(h.charged(), 60, "a scope charges the pass meter");
+        assert!(!b.try_charge(60));
+        assert!(h.breached() && a.breached(), "one breach flag per pass");
+        b.record("b", DegradeLevel::CappedCardinality, "second");
+        a.record("a", DegradeLevel::CappedCardinality, "first");
+        assert_eq!(h.event_count(), 0, "scoped events stay on the scope");
+        // Adopted in schedule order, whatever order they were recorded in.
+        h.adopt(&a);
+        h.adopt(&b);
+        let stages: Vec<String> = h.events().into_iter().map(|e| e.stage).collect();
+        assert_eq!(stages, ["a", "b"]);
+        assert_eq!(a.event_count(), 0, "adopting moves the events");
+        // The charge goes back to the ledger once, when the last scope drops.
+        drop((h, a));
+        assert_eq!(ledger.live(), 60);
+        drop(b);
+        assert_eq!(ledger.live(), 0);
     }
 
     #[test]

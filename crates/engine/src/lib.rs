@@ -52,8 +52,7 @@ pub use config::LuxConfig;
 pub use cost::{CostModel, OpClass};
 pub use flight::{FlightEntry, FlightRecorder};
 pub use governor::{
-    cmp_cost_asc, cmp_score_desc, drain_sink, event_sink, BudgetHandle, DegradeLevel, EventSink,
-    GovernorEvent, ResourceBudget,
+    cmp_cost_asc, cmp_score_desc, BudgetHandle, DegradeLevel, GovernorEvent, ResourceBudget,
 };
 pub use metadata::{ColumnMeta, FrameMeta, SemanticType};
 pub use pool::{parallel_for, parallel_map, worker_index, WorkPool};

@@ -38,11 +38,6 @@ impl CachedSample {
         }
     }
 
-    /// The sample cap.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
     /// How many rows the sample of an `nrows`-row frame holds, known
     /// without drawing it.
     pub fn rows(&self, nrows: usize) -> usize {
@@ -62,11 +57,6 @@ impl CachedSample {
         };
         *guard = Some(Arc::clone(&sample));
         sample
-    }
-
-    /// Drop the cached sample (called when the underlying frame changes).
-    pub fn invalidate(&self) {
-        *lock_recover(&self.cache) = None;
     }
 
     /// True when a sample has been materialized.
@@ -134,16 +124,5 @@ mod tests {
         });
         assert!(drawn.iter().all(|d| Arc::ptr_eq(d, &drawn[0])));
         assert_eq!(drawn[0].num_rows(), 100);
-    }
-
-    #[test]
-    fn invalidate_resamples() {
-        let df = frame(5000);
-        let s = CachedSample::new(100, 7);
-        let a = s.get(&df);
-        s.invalidate();
-        let b = s.get(&df);
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(b.num_rows(), 100);
     }
 }

@@ -225,10 +225,6 @@ impl Deadline {
     pub fn budget(&self) -> Duration {
         self.budget
     }
-
-    pub fn is_bounded(&self) -> bool {
-        self.at.is_some()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -514,9 +510,7 @@ mod tests {
     fn deadline_expiry() {
         let d = Deadline::none();
         assert!(!d.expired());
-        assert!(!d.is_bounded());
         let d = Deadline::after(Duration::from_millis(5));
-        assert!(d.is_bounded());
         std::thread::sleep(Duration::from_millis(10));
         assert!(d.expired());
     }

@@ -4,8 +4,11 @@
 //! registry's actions on the caller (applicability, circuit breaker),
 //! dispatches each runnable one — as a detached pool task under ASYNC,
 //! inline otherwise — through the five stages of [`execute_action`]
-//! (`enumerate → prune_gate → score → select_top_k → process`, PRUNE being
-//! the sample-scored first pass), and settles every outcome in one place.
+//! (`enumerate → plan → score → select_top_k → process`, PRUNE being the
+//! sample-scored first pass), and settles every outcome in one place. What
+//! an action may degrade before it runs — the candidate cap, the deadline,
+//! the PRUNE gate, each group-by's byte charge — is decided once, by its
+//! plan (`crate::plan`).
 //! The blocking API is [`StreamingRun::collect_report`].
 //!
 //! Every action runs under the fault model of [`crate::fault`]: generation,
@@ -24,13 +27,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lux_dataframe::prelude::*;
-use lux_engine::governor::{
-    drain_sink, event_sink, BudgetHandle, DegradeLevel, EventSink, ResourceBudget,
-};
-use lux_engine::lock_recover;
+use lux_engine::governor::{BudgetHandle, DegradeLevel, ResourceBudget};
 use lux_engine::trace::{names as metric, MetricsRegistry, SpanId, TraceCollector};
 use lux_engine::{clock, failpoint};
-use lux_engine::{AdmissionPermit, CachedSample, CostModel, FrameMeta, GovernorEvent, LuxConfig};
+use lux_engine::{AdmissionPermit, CachedSample, CostModel, FrameMeta, LuxConfig};
 use lux_intent::{Clause, CompileOptions};
 use lux_vis::{Channel, ProcessOptions, Vis, VisList, VisSpec};
 
@@ -39,6 +39,7 @@ use crate::fault::{
     isolate, ActionError, ActionHealth, ActionStatus, BreakerDecision, CircuitBreaker, Deadline,
     RunReport,
 };
+use crate::plan::{Plan, SampleMode};
 
 /// Trace attachment: the shared pass collector plus the span this unit of
 /// work records under — for a [`Pass`] the parent of its per-action spans,
@@ -154,17 +155,16 @@ pub struct Pass {
     /// stack frame unwinds. `None` — as opened — when the caller holds the
     /// slot itself.
     pub permit: Option<Arc<AdmissionPermit>>,
-    /// `config` as processing options; each action attaches the governor
-    /// and its own sinks to a copy.
+    /// `config` as processing options; each call into an action attaches
+    /// its group cap and governor scope to a copy.
     opts: ProcessOptions,
-    model: CostModel,
 }
 
 impl Pass {
     /// Open a pass over `df` in `ctx`: compile `intent` against `meta` (an
     /// empty or invalid intent compiles to no specs — the widget shows the
-    /// diagnostics instead), derive the processing options and cost model
-    /// from `config`, and keep the `sample` handle only when PRUNE is on.
+    /// diagnostics instead), derive the processing options from `config`,
+    /// and keep the `sample` handle only when PRUNE is on.
     pub fn open(
         df: Arc<DataFrame>,
         meta: Arc<FrameMeta>,
@@ -186,7 +186,6 @@ impl Pass {
             intent_specs: Arc::new(intent_specs),
             sample: sample.filter(|_| config.prune).cloned(),
             opts: ProcessOptions::from(&*config),
-            model: CostModel::default(),
             config,
             trace: ctx.trace,
             governor: ctx.governor,
@@ -206,117 +205,54 @@ impl Pass {
     }
 }
 
-/// Estimate `(rows, groups)` for costing one spec against frame metadata.
-/// "Groups" is the output cardinality of the primary relational operation
-/// (Table 2): selections materialize no groups, binned ops produce one
-/// group per bin, and group-bys produce one group per key combination.
-fn estimate_spec(spec: &VisSpec, meta: &FrameMeta, num_rows: usize) -> (usize, usize) {
-    use lux_engine::OpClass;
-    let x_card = spec
-        .channel(Channel::X)
-        .and_then(|e| meta.column(&e.attribute))
-        .map(|c| c.cardinality.min(num_rows))
-        .unwrap_or(1);
-    let color_card = spec
-        .channel(Channel::Color)
-        .and_then(|e| meta.column(&e.attribute))
-        .map(|c| c.cardinality.min(num_rows))
-        .unwrap_or(1);
-    let bins = |e: Option<&lux_vis::Encoding>| e.and_then(|e| e.bin).unwrap_or(10);
-    let groups = match spec.op_class() {
-        OpClass::Selection2 | OpClass::Selection3 => 0,
-        OpClass::GroupAgg => x_card,
-        OpClass::GroupAgg2D => x_card.saturating_mul(color_card).min(num_rows),
-        OpClass::BinCount => bins(spec.channel(Channel::X)),
-        OpClass::BinCount2D | OpClass::BinCount2DGroup => {
-            bins(spec.channel(Channel::X)) * bins(spec.channel(Channel::Y))
-        }
-    };
-    (num_rows, groups)
-}
-
 // ---------------------------------------------------------------------
-// One action: enumerate → prune_gate → score → select_top_k → process
+// One action: enumerate → plan → score → select_top_k → process
 // ---------------------------------------------------------------------
 
-/// A candidate with its first-pass score and whether that score was
+/// A kept candidate and the group cap its plan-time charge left it.
+type Kept = (Candidate, usize);
+
+/// A kept candidate with its first-pass score and whether that score was
 /// computed on the PRUNE sample.
-type Scored = (Candidate, f64, bool);
-
-/// What one per-candidate pool task hands its stage's fold: the outcome
-/// (`Err` is a panic inside the action) and the governor events it buffered.
-type Slot<T> = (std::result::Result<T, ActionError>, Vec<GovernorEvent>);
+type Scored = (Kept, f64, bool);
 
 type Outcome = std::result::Result<Option<ActionResult>, ActionError>;
 
-/// One action's trip through the five stages: the borrowed inputs, the
-/// options every call into the action starts from, and what the stages
-/// accumulate for the final [`ActionResult`].
+/// One action's trip through the five stages: the borrowed inputs and what
+/// the stages accumulate for the final [`ActionResult`].
 struct ActionRun<'a> {
     action: &'a dyn Action,
+    /// The action's pass, whose governor is the action's own scope.
     pass: &'a Pass,
     /// The action's own span.
     trace: &'a TraceCtx,
-    /// The action's governor-event buffer, replayed onto the pass handle by
-    /// [`run_pass`] in dispatch order.
-    events: &'a EventSink,
-    opts: ProcessOptions,
-    // The next three are set by `enumerate`, once there are candidates.
+    // The next three are set once the action has candidates.
     started: Instant,
     estimated_cost: f64,
     deadline: Deadline,
     /// Why the deadline degraded this action, when it did.
     degraded_reason: Option<String>,
-    /// Governor-imposed degradations to surface on the result.
-    governor_notes: Vec<String>,
-    /// Score/process degradations attributed to THIS action (counted from
-    /// its own per-candidate sinks, immune to concurrent actions' events).
-    degrade_events: usize,
-}
-
-/// Options for one candidate's call into the action, with a call-local
-/// event sink attached: the stage's fold replays it in candidate order.
-fn candidate_opts(opts: &ProcessOptions) -> (ProcessOptions, EventSink) {
-    let sink = event_sink();
-    let mut copts = opts.clone();
-    copts.event_sink = Some(sink.clone());
-    (copts, sink)
+    /// The candidate-cap note, when the plan dropped candidates.
+    cap_note: Option<String>,
 }
 
 impl<'a> ActionRun<'a> {
-    fn open(
-        action: &'a dyn Action,
-        pass: &'a Pass,
-        trace: &'a TraceCtx,
-        events: &'a EventSink,
-    ) -> ActionRun<'a> {
-        let mut opts = pass.opts.clone();
-        opts.governor = Some(Arc::clone(&pass.governor));
+    fn open(action: &'a dyn Action, pass: &'a Pass, trace: &'a TraceCtx) -> ActionRun<'a> {
         ActionRun {
             action,
             pass,
             trace,
-            events,
-            opts,
             started: clock::now(),
             estimated_cost: 0.0,
             deadline: Deadline::none(),
             degraded_reason: None,
-            governor_notes: Vec::new(),
-            degrade_events: 0,
+            cap_note: None,
         }
     }
 
-    /// Move one candidate's buffered events onto the action's sink — the
-    /// order a sequential run would have recorded them in.
-    fn replay(&mut self, events: Vec<GovernorEvent>) {
-        self.degrade_events += events.len();
-        lock_recover(self.events).extend(events);
-    }
-
-    /// Stage 1: run `action.generate` under panic isolation (folding
-    /// generation errors into the [`ActionError`] taxonomy), cap the search
-    /// space, and cost what is left. `Ok(None)` means no candidates.
+    /// Stage 1: run `action.generate` under panic isolation, folding
+    /// generation errors into the [`ActionError`] taxonomy. `Ok(None)` means
+    /// no candidates.
     fn enumerate(&mut self) -> std::result::Result<Option<Vec<Candidate>>, ActionError> {
         let name = self.action.name();
         let ctx = self.pass.action_context();
@@ -328,110 +264,75 @@ impl<'a> ActionRun<'a> {
             Err(_) => span.tag("failed", "true"),
         }
         span.end();
-        let mut candidates = generated?;
-        if candidates.is_empty() {
-            return Ok(None);
-        }
+        let candidates = generated?;
         // The action is timed from here: generation has its own span.
         self.started = clock::now();
-        // Governor: the candidate search space is the first allocation-heavy
-        // surface of an action — cap it before any scoring/processing
-        // happens. The governor's budget may be tighter than the config's:
-        // under admission pressure the shed ladder hands the pass a shrunk
-        // candidate cap (DESIGN.md §10).
-        let max_candidates = self.pass.governor.budget().max_candidates;
-        if candidates.len() > max_candidates {
-            let dropped = candidates.len() - max_candidates;
-            candidates.truncate(max_candidates);
-            let note =
-                format!("candidate search space capped at {max_candidates} ({dropped} dropped)");
-            lock_recover(self.events).push(GovernorEvent {
-                stage: format!("action:{name}"),
-                level: DegradeLevel::CappedCardinality,
-                detail: note.clone(),
-            });
-            self.governor_notes.push(note);
-        }
-        // Cost-model estimate for the whole action: the sum over its
-        // candidates, each costed on the frame it will run against.
-        self.estimated_cost = self.pass.model.action_cost(candidates.iter().map(|c| {
-            let rows = c.frame.as_deref().unwrap_or(&self.pass.df).num_rows();
-            let (r, g) = estimate_spec(&c.spec, &self.pass.meta, rows);
-            (c.spec.op_class(), r, g)
-        }));
-        self.trace.tag("candidates", candidates.len().to_string());
-        self.trace
-            .tag("cost.estimated", format!("{:.0}", self.estimated_cost));
-        // The budget is proportional to how expensive the cost model predicts
-        // this action to be — cheap actions get the base budget, heavyweight
-        // ones up to the hard-cutoff multiple of it.
-        if let Some(base) = self.pass.config.action_budget {
-            self.deadline = Deadline::after(self.pass.model.time_budget(self.estimated_cost, base));
-            self.trace.tag(
-                "deadline.budget_ms",
-                format!("{:.1}", self.deadline.budget().as_secs_f64() * 1e3),
-            );
-        }
-        Ok(Some(candidates))
+        Ok((!candidates.is_empty()).then_some(candidates))
     }
 
-    /// Stage 2, the PRUNE gate: approximate only when the cost model
-    /// predicts a win and a genuinely smaller sample exists (paper: "apply
-    /// prune for any action where the number of visualizations exceeds k",
-    /// subject to the model). The verdict needs only the sample's size;
-    /// the sample itself is drawn, and returned to score on, in the same
-    /// match that decides to prune, so the "prune without a sample" state
-    /// is unrepresentable.
-    fn prune_gate(&self, candidates: &[Candidate]) -> Option<Arc<DataFrame>> {
-        let config = &self.pass.config;
-        let df = &self.pass.df;
-        let sample = self.pass.sample.as_deref();
-        let rep = &candidates[0].spec;
-        let (rep_rows, rep_groups) = estimate_spec(rep, &self.pass.meta, df.num_rows());
-        // Admission shed ladder: a pass admitted under pressure carries a
-        // `Sampled` degradation floor — approximate scoring is then forced
-        // whenever a sample exists, regardless of the cost model's verdict.
-        let force_sampled = self.pass.governor.degrade_floor() >= DegradeLevel::Sampled;
-        let prune_sample = match sample {
-            Some(s) if force_sampled => Some(s.get(df)),
-            Some(s)
-                if config.prune
-                    && self.pass.model.prune_worthwhile(
-                        candidates.len(),
-                        config.top_k,
-                        rep.op_class(),
-                        rep_rows,
-                        s.rows(df.num_rows()),
-                        rep_groups,
-                    ) =>
-            {
-                Some(s.get(df))
-            }
-            _ => None,
-        };
-        // PRUNE observability: when approximation was a live question (PRUNE
-        // on and a sample available), record whether the gate engaged.
-        if (config.prune || force_sampled) && sample.is_some() {
-            MetricsRegistry::global().incr(if prune_sample.is_some() {
-                metric::PRUNE_ENGAGED
-            } else {
-                metric::PRUNE_SKIPPED
-            });
+    /// Stage 2: decide the action's [`Plan`] and carry out its pre-scoring
+    /// half: keep the planned candidates, start the deadline, count and tag
+    /// the PRUNE verdict, draw the sample when it engages, and charge each
+    /// group-by in candidate order — a refused charge tightens that
+    /// candidate's group cap to the displayable bar count.
+    fn plan(&mut self, mut candidates: Vec<Candidate>) -> (Vec<Kept>, Option<Arc<DataFrame>>) {
+        let (pass, governor) = (self.pass, &*self.pass.governor);
+        let rows = |c: &Candidate| c.frame.as_deref().unwrap_or(&pass.df).num_rows();
+        let specs: Vec<(&VisSpec, usize)> = candidates.iter().map(|c| (&c.spec, rows(c))).collect();
+        let sample_rows = pass.sample.as_ref().map(|s| s.rows(pass.df.num_rows()));
+        let plan = Plan::new(&specs, &pass.meta, &pass.config, governor, sample_rows);
+        candidates.truncate(plan.kept);
+        if let Some(note) = &plan.cap_note {
+            let stage = format!("action:{}", self.action.name());
+            governor.record(stage, DegradeLevel::CappedCardinality, note.clone());
         }
-        self.trace.tag(
-            "prune",
-            match (
-                force_sampled && prune_sample.is_some(),
-                config.prune,
-                prune_sample.is_some(),
-            ) {
-                (true, _, _) => "forced",
-                (false, true, true) => "engaged",
-                (false, true, false) => "skipped",
-                (false, false, _) => "off",
-            },
-        );
-        prune_sample
+        (self.cap_note, self.estimated_cost) = (plan.cap_note, plan.cost);
+        self.trace.tag("candidates", plan.kept.to_string());
+        self.trace
+            .tag("cost.estimated", format!("{:.0}", plan.cost));
+        if let Some(budget) = plan.deadline {
+            self.deadline = Deadline::after(budget);
+            let ms = budget.as_secs_f64() * 1e3;
+            self.trace.tag("deadline.budget_ms", format!("{ms:.1}"));
+        }
+        if let Some(counter) = plan.prune_counter {
+            MetricsRegistry::global().incr(counter);
+        }
+        self.trace.tag("prune", plan.sample.name());
+        let prune_sample = (pass.sample.as_ref())
+            .filter(|_| plan.sample >= SampleMode::Engaged)
+            .map(|s| s.get(&pass.df));
+        let (cap, tightened) = (pass.opts.max_group_cardinality, pass.opts.max_bars.max(1));
+        let charge = |(cand, bytes): (Candidate, u64)| {
+            if bytes == 0 || governor.try_charge(bytes) {
+                return (cand, cap);
+            }
+            let x = cand.spec.channel(Channel::X).map_or("", |e| &e.attribute);
+            let (stage, level) = (format!("process:{x}"), DegradeLevel::CappedCardinality);
+            governor.record(
+                stage,
+                level,
+                "pass memory budget exhausted; group cap tightened",
+            );
+            (cand, cap.min(tightened))
+        };
+        let kept = candidates.into_iter().zip(plan.group_bytes).map(charge);
+        (kept.collect(), prune_sample)
+    }
+
+    /// A scope of the action's governor per fan-out item, adopted in order.
+    fn scopes(&self, n: usize) -> Vec<Arc<BudgetHandle>> {
+        let governor = &self.pass.governor;
+        (0..n).map(|_| Arc::new(governor.scope())).collect()
+    }
+
+    /// Options for one call into the action: `kept`'s group cap, and
+    /// `scope` to record on.
+    fn call_opts(&self, (_, group_cap): &Kept, scope: &Arc<BudgetHandle>) -> ProcessOptions {
+        let mut opts = self.pass.opts.clone();
+        opts.max_group_cardinality = *group_cap;
+        opts.governor = Some(Arc::clone(scope));
+        opts
     }
 
     /// Stage 3, first pass: score every candidate (on the sample when PRUNE
@@ -442,20 +343,20 @@ impl<'a> ActionRun<'a> {
     /// `threads = 1` is the plain sequential loop).
     fn score(
         &mut self,
-        candidates: Vec<Candidate>,
+        candidates: Vec<Kept>,
         prune_sample: Option<&DataFrame>,
     ) -> std::result::Result<Vec<Scored>, ActionError> {
         let total = candidates.len();
         let par = self.pass.config.effective_threads();
         let span = self.trace.child("score");
         span.tag("par", par.to_string());
-        let outcomes = lux_engine::parallel_map(par, candidates, |_, cand| {
-            self.score_one(cand, prune_sample)
+        let scopes = self.scopes(total);
+        let outcomes = lux_engine::parallel_map(par, candidates, |i, cand| {
+            self.score_one(cand, &scopes[i], prune_sample)
         });
         let mut scored: Vec<Scored> = Vec::with_capacity(total);
-        for (outcome, events) in outcomes {
-            // Replay this candidate's events before settling its outcome.
-            self.replay(events);
+        for (outcome, scope) in outcomes.into_iter().zip(&scopes) {
+            self.pass.governor.adopt(scope);
             match outcome {
                 Ok(Some(s)) => scored.push(s),
                 Ok(None) => {
@@ -485,23 +386,28 @@ impl<'a> ActionRun<'a> {
     }
 
     /// Score one candidate; `Ok(None)` once the deadline has expired.
-    fn score_one(&self, cand: Candidate, prune_sample: Option<&DataFrame>) -> Slot<Option<Scored>> {
+    fn score_one(
+        &self,
+        kept: Kept,
+        scope: &Arc<BudgetHandle>,
+        prune_sample: Option<&DataFrame>,
+    ) -> std::result::Result<Option<Scored>, ActionError> {
         if self.deadline.expired() {
-            return (Ok(None), Vec::new());
+            return Ok(None);
         }
-        let (copts, csink) = candidate_opts(&self.opts);
+        let copts = self.call_opts(&kept, scope);
         // Candidates pinned to their own frame (history/structure actions)
         // are scored on that frame; others use the sample when pruning.
-        let (frame, approx): (&DataFrame, bool) = match (&cand.frame, prune_sample) {
+        let (frame, approx): (&DataFrame, bool) = match (&kept.0.frame, prune_sample) {
             (Some(f), _) => (f, false),
             (None, Some(s)) => (s, true),
             (None, None) => (&self.pass.df, false),
         };
         let score = isolate(self.action.name(), || {
             let _ = failpoint::hit_for(failpoint::names::ACTION_SCORE, self.action.name());
-            self.action.score(&cand.spec, frame, &copts)
+            self.action.score(&kept.0.spec, frame, &copts)
         });
-        (score.map(|s| Some((cand, s, approx))), drain_sink(&csink))
+        score.map(|s| Some((kept, s, approx)))
     }
 
     /// Stage 4: rank by first-pass score and keep the top k. NaN scores sort
@@ -526,13 +432,14 @@ impl<'a> ActionRun<'a> {
         let span = self.trace.child("process");
         span.tag("par", par.to_string());
         let already_degraded = self.degraded_reason.is_some();
-        let outcomes = lux_engine::parallel_map(par, survivors, |_, survivor| {
-            self.process_one(survivor, already_degraded)
+        let scopes = self.scopes(survivors.len());
+        let outcomes = lux_engine::parallel_map(par, survivors, |i, survivor| {
+            self.process_one(survivor, &scopes[i], already_degraded)
         });
         let mut visses: Vec<Vis> = Vec::with_capacity(outcomes.len());
         let mut last_processing_error: Option<String> = None;
-        for (outcome, events) in outcomes {
-            self.replay(events);
+        for (outcome, scope) in outcomes.into_iter().zip(&scopes) {
+            self.pass.governor.adopt(scope);
             match outcome.map_err(|panic| span.panicked(panic))? {
                 Processed::Exact(Ok(vis)) => visses.push(vis),
                 // fail-safe: drop the broken vis, keep the rest
@@ -562,18 +469,19 @@ impl<'a> ActionRun<'a> {
 
     fn process_one(
         &self,
-        (cand, score, approx): Scored,
+        (kept, score, approx): Scored,
+        scope: &Arc<BudgetHandle>,
         already_degraded: bool,
-    ) -> Slot<Processed> {
+    ) -> std::result::Result<Processed, ActionError> {
         let name = self.action.name();
-        let (copts, csink) = candidate_opts(&self.opts);
+        let copts = self.call_opts(&kept, scope);
         let Candidate {
             spec,
             frame: pinned,
-        } = cand;
-        let outcome = if !already_degraded && !self.deadline.expired() {
+        } = kept.0;
+        if !already_degraded && !self.deadline.expired() {
             let frame: &DataFrame = pinned.as_deref().unwrap_or(&self.pass.df);
-            isolate(name, || -> Result<Vis> {
+            return isolate(name, || -> Result<Vis> {
                 let exact = if approx {
                     self.action.score(&spec, frame, &copts)
                 } else {
@@ -585,42 +493,39 @@ impl<'a> ActionRun<'a> {
                 vis.process(frame, &copts)?;
                 Ok(vis)
             })
-            .map(Processed::Exact)
-        } else {
-            // Degraded path: best-effort processing against the pinned
-            // frame or the sample; score-only (no data) when neither works.
-            let mut vis = Vis::new(spec);
-            vis.score = score;
-            vis.approximate = true;
-            let sample = || self.pass.sample.as_ref().map(|s| s.get(&self.pass.df));
-            if let Some(frame) = pinned.or_else(sample) {
-                let _ = isolate(name, || vis.process(&frame, &copts));
-            }
-            Ok(Processed::Degraded(vis))
-        };
-        (outcome, drain_sink(&csink))
+            .map(Processed::Exact);
+        }
+        // Degraded path: best-effort processing against the pinned frame or
+        // the sample; score-only (no data) when neither works.
+        let mut vis = Vis::new(spec);
+        vis.score = score;
+        vis.approximate = true;
+        let sample = || self.pass.sample.as_ref().map(|s| s.get(&self.pass.df));
+        if let Some(frame) = pinned.or_else(sample) {
+            let _ = isolate(name, || vis.process(&frame, &copts));
+        }
+        Ok(Processed::Degraded(vis))
     }
 
     /// Rank the processed survivors and fold what the stages accumulated —
     /// deadline degradation, governor notes — into the result.
-    fn into_result(mut self, visses: Vec<Vis>) -> ActionResult {
+    fn into_result(self, visses: Vec<Vis>) -> ActionResult {
         let mut vislist = VisList::new(visses);
         vislist.rank();
-        // Governor degradations during scoring/processing (group caps,
-        // shrunk scans, ...) surface on the result even though the deadline
-        // never fired: the tab is marked degraded with the governor's
-        // reasons.
-        if self.degrade_events > 0 {
-            self.governor_notes.push(format!(
-                "resource governor degraded {} processing step(s)",
-                self.degrade_events
-            ));
-        }
+        // Tightened group caps and "(other)" folds mark the tab degraded even
+        // though the deadline never fired. The action's scope holds them.
+        let recorded = self.pass.governor.event_count();
+        let degrade_events = recorded - usize::from(self.cap_note.is_some());
         self.trace
-            .tag("governor.events", self.degrade_events.to_string());
+            .tag("governor.events", degrade_events.to_string());
         // The deadline's reason first, then the governor's.
         let mut reasons: Vec<String> = self.degraded_reason.into_iter().collect();
-        reasons.extend(self.governor_notes);
+        reasons.extend(self.cap_note);
+        if degrade_events > 0 {
+            reasons.push(format!(
+                "resource governor degraded {degrade_events} processing step(s)"
+            ));
+        }
         let degraded_reason = (!reasons.is_empty()).then(|| reasons.join("; "));
         ActionResult {
             action: self.action.name().to_string(),
@@ -641,24 +546,23 @@ enum Processed {
     Degraded(Vis),
 }
 
-/// Execute one action end-to-end under the fault model: generate, score
-/// (approximately when PRUNE applies), rank, keep top-k, and process the
-/// survivors exactly. Phase spans and decision tags are recorded under
-/// `trace` (the action's own span); governor degradations buffer in
-/// `events` for the caller to replay. `Ok(None)` means the action generated
-/// no candidates (an invisible empty tab, not a fault).
+/// Execute one action end-to-end under the fault model: generate, plan,
+/// score (approximately when PRUNE applies), rank, keep top-k, and process
+/// the survivors exactly. Phase spans and decision tags are recorded under
+/// `trace` (the action's own span), governor events on `pass.governor`,
+/// which must be the action's own. `Ok(None)` means the action generated no
+/// candidates (an invisible empty tab, not a fault).
 pub fn execute_action(
     action: &dyn Action,
     pass: &Pass,
     trace: &TraceCtx,
-    events: &EventSink,
 ) -> std::result::Result<Option<ActionResult>, ActionError> {
-    let mut run = ActionRun::open(action, pass, trace, events);
+    let mut run = ActionRun::open(action, pass, trace);
     let Some(candidates) = run.enumerate()? else {
         return Ok(None);
     };
-    let prune_sample = run.prune_gate(&candidates);
-    let scored = run.score(candidates, prune_sample.as_deref())?;
+    let (kept, prune_sample) = run.plan(candidates);
+    let scored = run.score(kept, prune_sample.as_deref())?;
     let survivors = run.select_top_k(scored);
     run.process(survivors)
 }
@@ -742,8 +646,8 @@ struct Dispatched {
     name: String,
     /// The action's span: queued at dispatch, ended when it settles.
     trace: TraceCtx,
-    /// The action's governor events, buffered until the pass closes.
-    sink: EventSink,
+    /// The action's scope of the pass budget, adopted when the pass closes.
+    governor: Arc<BudgetHandle>,
 }
 
 /// The settling side of a pass — the collector thread under ASYNC, the
@@ -803,11 +707,8 @@ impl Settler {
             action.trace.tag("degraded.reason", reason.clone());
         }
         action.trace.end();
-        let health = match &result.degraded_reason {
-            Some(reason) if result.degraded => ActionStatus::Degraded(reason.clone()),
-            _ if result.degraded => ActionStatus::Degraded("partial results".to_string()),
-            _ => ActionStatus::Ok,
-        };
+        let health =
+            (result.degraded_reason.clone()).map_or(ActionStatus::Ok, ActionStatus::Degraded);
         let _ = self.health.send(ActionHealth::new(&action.name, health));
         let _ = self.results.send((action.order, result));
     }
@@ -870,19 +771,23 @@ pub fn run_pass(registry: &ActionRegistry, pass: Pass) -> StreamingRun {
     for (order, action) in runnable.into_iter().enumerate() {
         let trace = pass.trace.child(&format!("action:{}", action.name()));
         trace.tag("sched.order", order.to_string());
-        let sink = event_sink();
+        // The action records on its own scope of the pass budget.
+        let governor = Arc::new(pass.governor.scope());
+        let pass = Pass {
+            governor,
+            ..pass.clone()
+        };
         dispatched.push(Dispatched {
             order,
             name: action.name().to_string(),
             trace: trace.clone(),
-            sink: sink.clone(),
+            governor: Arc::clone(&pass.governor),
         });
         if !pass.config.r#async {
-            let outcome = execute_action(action.as_ref(), &pass, &trace, &sink);
+            let outcome = execute_action(action.as_ref(), &pass, &trace);
             settler.settle(&dispatched[order], outcome);
             continue;
         }
-        let pass = pass.clone();
         let worker_tx = worker_tx.clone();
         // Detached-lane pool task rather than a dedicated thread: cheap
         // actions reuse warm threads instead of paying a spawn each, while
@@ -895,7 +800,7 @@ pub fn run_pass(registry: &ActionRegistry, pass: Pass) -> StreamingRun {
                 "sched.worker",
                 worker.map_or("caller".to_string(), |w| w.to_string()),
             );
-            let outcome = execute_action(action.as_ref(), &pass, &trace, &sink);
+            let outcome = execute_action(action.as_ref(), &pass, &trace);
             // Release this worker's pass clone — and with it its
             // governor/ledger handle — *before* signaling completion. The
             // collector may settle the pass the instant this send lands,
@@ -920,14 +825,15 @@ pub fn run_pass(registry: &ActionRegistry, pass: Pass) -> StreamingRun {
         }
         // Every action has settled or been abandoned: free the session slot.
         drop(permit);
-        // Replay the buffered governor events onto the pass handle in
-        // dispatch order — whatever order the actions finished in — and only
-        // then close the run's channels, so a caller returning from
+        // Adopt the actions' governor scopes onto the pass handle in dispatch
+        // order — whatever order the actions finished in — and only then
+        // close the run's channels, so a caller returning from
         // `collect_report` reads the complete, deterministic event list. The
-        // handle clone goes first: the caller's own drop must be the last
-        // one so the global ledger reflects the pass's exit synchronously.
-        for action in &dispatched {
-            governor.absorb(drain_sink(&action.sink));
+        // scopes and the handle clone go first: the caller's own drop must
+        // be the last one so the global ledger reflects the pass's exit
+        // synchronously.
+        for action in dispatched {
+            governor.adopt(&action.governor);
         }
         drop(governor);
         drop(settler);
@@ -1014,7 +920,7 @@ mod tests {
     }
 
     fn run_one(action: &dyn Action, pass: &Pass) -> ActionResult {
-        execute_action(action, pass, &pass.trace, &event_sink())
+        execute_action(action, pass, &pass.trace)
             .expect("action runs clean")
             .expect("action has candidates")
     }
@@ -1291,6 +1197,24 @@ mod tests {
             .expect("health entry for hung action");
         assert_eq!(status.name(), "failed");
         assert!(status.reason().unwrap().contains("hard deadline"));
+    }
+
+    #[test]
+    fn warm_memo_charges_what_a_cold_pass_charges() {
+        // Occurrence's bars go through the processed-vis memo: the first
+        // pass fills it and the second hits it. Both plan, and so charge,
+        // the same group-bys.
+        let df = frame(300);
+        let config = config_with(|c| c.wflow = true);
+        let charged = || {
+            let pass = pass_over(df.clone(), config.clone());
+            let governor = Arc::clone(&pass.governor);
+            report(&ActionRegistry::with_defaults(), pass);
+            governor.charged()
+        };
+        let (cold, warm) = (charged(), charged());
+        assert!(cold > 0, "no group-by was charged");
+        assert_eq!(cold, warm, "a memo hit changed the pass's accounting");
     }
 
     #[test]

@@ -1,0 +1,270 @@
+//! One plan per action (paper §8.2): the candidate cap, the deadline, the
+//! PRUNE gate and each group-by's byte charge, decided once before anything
+//! is scored. `crate::generate` carries the plan out; the one degradation
+//! left to run time is the group-by kernel's `"(other)"` fold.
+
+use std::time::Duration;
+
+use lux_engine::governor::{BudgetHandle, DegradeLevel};
+use lux_engine::trace::names as metric;
+use lux_engine::{CostModel, FrameMeta, LuxConfig, OpClass};
+use lux_vis::{Channel, VisSpec};
+
+/// The output cardinality of `spec`'s primary relational operation over
+/// `rows` rows (Table 2): selections materialize no groups, binned ops one
+/// group per bin, and group-bys one group per key combination.
+fn groups(spec: &VisSpec, meta: &FrameMeta, rows: usize) -> usize {
+    let cardinality = |ch| {
+        let column = spec.channel(ch).and_then(|e| meta.column(&e.attribute));
+        column.map_or(1, |c| c.cardinality.min(rows))
+    };
+    let bins = |ch| spec.channel(ch).and_then(|e| e.bin).unwrap_or(10);
+    match spec.op_class() {
+        OpClass::Selection2 | OpClass::Selection3 => 0,
+        OpClass::GroupAgg => cardinality(Channel::X),
+        OpClass::GroupAgg2D => (cardinality(Channel::X))
+            .saturating_mul(cardinality(Channel::Color))
+            .min(rows),
+        OpClass::BinCount => bins(Channel::X),
+        OpClass::BinCount2D | OpClass::BinCount2DGroup => bins(Channel::X) * bins(Channel::Y),
+    }
+}
+
+/// Whether an action scores on the PRUNE sample, in ladder order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum SampleMode {
+    Off,
+    /// PRUNE is on, but there is no sample or the cost model sees no win.
+    Skipped,
+    Engaged,
+    /// A `Sampled` admission floor forces the sample, whatever the model.
+    Forced,
+}
+
+impl SampleMode {
+    /// The action span's `prune` tag.
+    pub(crate) fn name(self) -> &'static str {
+        ["off", "skipped", "engaged", "forced"][self as usize]
+    }
+}
+
+/// What one action will do, from its candidates' specs and frame row
+/// counts, the metadata, the config and the pass budget: no column data is
+/// read, so a test can state what an action will do without running it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Plan {
+    /// How many candidates are kept: the first ones, in generation order.
+    pub kept: usize,
+    /// The candidate-cap event's detail, when some were dropped.
+    pub cap_note: Option<String>,
+    /// The cost model's estimate over the kept candidates.
+    pub cost: f64,
+    /// The action's time budget, when the config sets a base one.
+    pub deadline: Option<Duration>,
+    pub sample: SampleMode,
+    /// The PRUNE counter bumped: only when there was a sample to draw.
+    pub prune_counter: Option<&'static str>,
+    /// Bytes each kept candidate's group-by is charged: 8 a row of its
+    /// frame (group ids plus key codes), whatever cap it runs under; 0 for
+    /// marks that do not group.
+    pub group_bytes: Vec<u64>,
+}
+
+impl Plan {
+    /// Plan `candidates` (each a spec and its frame's row count) over the
+    /// frame `meta` describes, whose PRUNE sample holds `sample_rows`.
+    pub(crate) fn new(
+        candidates: &[(&VisSpec, usize)],
+        meta: &FrameMeta,
+        config: &LuxConfig,
+        governor: &BudgetHandle,
+        sample_rows: Option<usize>,
+    ) -> Plan {
+        let model = CostModel::default();
+        // The governor's cap may be tighter than the config's: under
+        // admission pressure the shed ladder shrinks it (DESIGN.md §10).
+        let max_candidates = governor.budget().max_candidates;
+        let kept = candidates.len().min(max_candidates);
+        let dropped = candidates.len() - kept;
+        let cap_note = (dropped > 0).then(|| {
+            format!("candidate search space capped at {max_candidates} ({dropped} dropped)")
+        });
+        let candidates = &candidates[..kept];
+        let cost = (candidates.iter())
+            .map(|&(spec, rows)| (spec.op_class(), rows, groups(spec, meta, rows)));
+        let cost = model.action_cost(cost);
+        // Approximate when the model predicts a win on a genuinely smaller
+        // sample (paper: "apply prune for any action where the number of
+        // visualizations exceeds k"), or when the admission floor forces it.
+        let worthwhile = |sample| {
+            let (rep, rows) = (candidates[0].0, meta.num_rows);
+            let (k, class) = (config.top_k, rep.op_class());
+            model.prune_worthwhile(kept, k, class, rows, sample, groups(rep, meta, rows))
+        };
+        let sample = match sample_rows {
+            Some(_) if governor.degrade_floor() >= DegradeLevel::Sampled => SampleMode::Forced,
+            Some(rows) if config.prune && worthwhile(rows) => SampleMode::Engaged,
+            _ if config.prune => SampleMode::Skipped,
+            _ => SampleMode::Off,
+        };
+        let prune_counter = match sample {
+            SampleMode::Off => None,
+            SampleMode::Skipped => sample_rows.map(|_| metric::PRUNE_SKIPPED),
+            _ => Some(metric::PRUNE_ENGAGED),
+        };
+        let grouped =
+            |spec: &VisSpec| matches!(spec.op_class(), OpClass::GroupAgg | OpClass::GroupAgg2D);
+        Plan {
+            kept,
+            cap_note,
+            cost,
+            // Cheap actions get the base budget, heavyweight ones up to the
+            // hard-cutoff multiple of it.
+            deadline: config
+                .action_budget
+                .map(|base| model.time_budget(cost, base)),
+            sample,
+            prune_counter,
+            group_bytes: candidates
+                .iter()
+                .map(|&(spec, rows)| if grouped(spec) { rows as u64 * 8 } else { 0 })
+                .collect(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    fn config_with(tweak: impl FnOnce(&mut LuxConfig)) -> LuxConfig {
+        let mut config = LuxConfig::default();
+        tweak(&mut config);
+        config
+    }
+
+    fn scatter() -> VisSpec {
+        use lux_engine::SemanticType::Quantitative;
+        let enc = |a: &str, ch| lux_vis::Encoding::new(a, Quantitative, ch);
+        let encodings = vec![enc("a", Channel::X), enc("b", Channel::Y)];
+        VisSpec::new(lux_vis::Mark::Scatter, encodings, vec![])
+    }
+
+    fn bar() -> VisSpec {
+        let x = lux_vis::Encoding::new("dept", lux_engine::SemanticType::Nominal, Channel::X);
+        let count = lux_vis::Encoding::synthetic_count(Channel::Y);
+        VisSpec::new(lux_vis::Mark::Bar, vec![x, count], vec![])
+    }
+
+    /// The plan of `n` copies of `spec` on a `rows`-row frame that exists
+    /// only as metadata.
+    fn plan_of(
+        spec: &VisSpec,
+        n: usize,
+        rows: usize,
+        config: &LuxConfig,
+        governor: &BudgetHandle,
+        sample_rows: Option<usize>,
+    ) -> Plan {
+        let meta = FrameMeta {
+            columns: Vec::new(),
+            num_rows: rows,
+        };
+        let specs = vec![(spec, rows); n];
+        Plan::new(&specs, &meta, config, governor, sample_rows)
+    }
+
+    #[test]
+    fn plan_keeps_the_first_candidates_up_to_the_cap() {
+        let config = LuxConfig::default();
+        let governor = BudgetHandle::new(config.budget.clone());
+        let plan = plan_of(&scatter(), 100, 1_000, &config, &governor, None);
+        assert_eq!(plan.kept, 64);
+        assert_eq!(
+            plan.cap_note.as_deref(),
+            Some("candidate search space capped at 64 (36 dropped)")
+        );
+        assert_eq!(plan.group_bytes.len(), 64);
+        let plan = plan_of(&scatter(), 10, 1_000, &config, &governor, None);
+        assert_eq!((plan.kept, plan.cap_note), (10, None));
+        assert_eq!(governor.event_count(), 0, "planning records nothing");
+    }
+
+    #[test]
+    fn plan_picks_each_sample_mode() {
+        let config = LuxConfig::default();
+        let exact = BudgetHandle::new(config.budget.clone());
+        let floored = BudgetHandle::governed(
+            config.budget.clone(),
+            Arc::new(lux_engine::admission::GlobalLedger::new(u64::MAX)),
+            DegradeLevel::Sampled,
+        );
+        let off = config_with(|c| c.prune = false);
+        let mode = |n, config: &LuxConfig, governor, sample| {
+            let plan = plan_of(&scatter(), n, 1_000_000, config, governor, sample);
+            (plan.sample.name(), plan.prune_counter)
+        };
+        let (engaged, skipped) = (Some(metric::PRUNE_ENGAGED), Some(metric::PRUNE_SKIPPED));
+        assert_eq!(mode(64, &off, &exact, None), ("off", None));
+        // No sample to draw: skipped, but not counted.
+        assert_eq!(mode(64, &config, &exact, None), ("skipped", None));
+        assert_eq!(mode(64, &config, &floored, None), ("skipped", None));
+        // 64 candidates over a 30k sample of 1M rows pay off; 10 under
+        // top-k never do.
+        assert_eq!(
+            mode(64, &config, &exact, Some(30_000)),
+            ("engaged", engaged)
+        );
+        assert_eq!(
+            mode(10, &config, &exact, Some(30_000)),
+            ("skipped", skipped)
+        );
+        // The admission floor forces the sample the model would skip.
+        assert_eq!(
+            mode(10, &config, &floored, Some(30_000)),
+            ("forced", engaged)
+        );
+        assert_eq!(mode(10, &off, &floored, Some(30_000)), ("forced", engaged));
+    }
+
+    #[test]
+    fn plan_deadline_scales_the_base_budget_by_cost() {
+        let base = Duration::from_millis(50);
+        let config = config_with(|c| c.action_budget = Some(base));
+        let governor = BudgetHandle::new(config.budget.clone());
+        let model = CostModel::default();
+        for rows in [100, 1_000_000] {
+            let plan = plan_of(&bar(), 20, rows, &config, &governor, None);
+            let cost = model.action_cost(vec![(OpClass::GroupAgg, rows, 1); 20]);
+            assert_eq!(plan.cost, cost);
+            assert_eq!(plan.deadline, Some(model.time_budget(cost, base)));
+        }
+        let unbounded = config_with(|c| c.action_budget = None);
+        let plan = plan_of(&bar(), 20, 100, &unbounded, &governor, None);
+        assert_eq!(plan.deadline, None);
+    }
+
+    #[test]
+    fn plan_predicts_bytes_for_group_bys_only() {
+        let config = LuxConfig::default();
+        let governor = BudgetHandle::new(config.budget.clone());
+        let meta = FrameMeta {
+            columns: Vec::new(),
+            num_rows: 1_000,
+        };
+        let (scatter, bar) = (scatter(), bar());
+        let mut histogram = scatter.clone();
+        histogram.mark = lux_vis::Mark::Histogram;
+        // The bar pinned to a 40-row frame is charged on that frame.
+        let specs = [
+            (&scatter, 1_000),
+            (&bar, 1_000),
+            (&histogram, 1_000),
+            (&bar, 40),
+        ];
+        let plan = Plan::new(&specs, &meta, &config, &governor, None);
+        assert_eq!(plan.group_bytes, [0, 8_000, 0, 320]);
+        assert_eq!(governor.charged(), 0, "planning charges nothing");
+    }
+}

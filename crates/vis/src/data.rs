@@ -11,8 +11,7 @@ use std::sync::Arc;
 use lux_dataframe::ops::{bin_of, edge_of};
 use lux_dataframe::prelude::*;
 use lux_dataframe::scan::{for_each_f64_pair, for_each_f64_triple};
-use lux_engine::governor::{BudgetHandle, DegradeLevel, EventSink, GovernorEvent};
-use lux_engine::lock_recover;
+use lux_engine::governor::{BudgetHandle, DegradeLevel};
 use lux_engine::trace::{names, MetricsRegistry};
 use lux_engine::LuxConfig;
 
@@ -52,13 +51,9 @@ pub struct ProcessOptions {
     /// beyond it fold into a single `"(other)"` group, so a near-unique
     /// axis can never materialize millions of groups.
     pub max_group_cardinality: usize,
-    /// Per-pass budget handle; when set, allocation-heavy steps charge it
-    /// and record their degradations.
+    /// Where a group-by records its `"(other)"` fold: the executor's scope
+    /// of the pass budget for this call (its plan did the charging).
     pub governor: Option<Arc<BudgetHandle>>,
-    /// Deferred-event buffer: when set, degradations are pushed here
-    /// instead of recorded live on the governor, so a parallel caller can
-    /// replay them in schedule order (see `lux_engine::governor::EventSink`).
-    pub event_sink: Option<EventSink>,
     /// Read by nothing: the sharded group-by it selected is gone. The field
     /// stays only because `benchmark/src/probe.rs` names it and product PRs
     /// may not edit `benchmark/`; the next `[benchmark]` PR deletes both.
@@ -81,7 +76,6 @@ impl Default for ProcessOptions {
             temporal_buckets: 64,
             max_group_cardinality: 1_000,
             governor: None,
-            event_sink: None,
             threads: 1,
             memo: false,
         }
@@ -89,8 +83,7 @@ impl Default for ProcessOptions {
 }
 
 /// How a [`LuxConfig`] becomes processing options — the one place. The
-/// per-pass attachments (`governor`, `event_sink`) are the executor's to
-/// set.
+/// per-call `governor` scope is the executor's to attach.
 impl From<&LuxConfig> for ProcessOptions {
     fn from(config: &LuxConfig) -> ProcessOptions {
         ProcessOptions {
@@ -145,9 +138,7 @@ pub fn process(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<
     Ok(out)
 }
 
-/// The processed frame and whether THIS call degraded it (recorded a
-/// governor event) — never what a concurrently-running vis happened to
-/// record on the shared handle in the same window.
+/// The processed frame and whether this call folded a group-by.
 ///
 /// The backend runs the relational step; the finishing step is shared, so
 /// both backends draw the same chart from the same relational answer.
@@ -387,46 +378,22 @@ fn group_agg(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<(R
         (df, buckets) = (&bucketed, Some(bins));
     }
 
-    // Grouping cost is ~8 bytes/row (group-id vector + key codes or
-    // hash-map entries up to the cap); charge it, and tighten the cap to
-    // the displayable bar count once the pass budget is spent.
-    let mut group_cap = opts.max_group_cardinality;
-    // Either degradation below caps this grouping's cardinality. The event
-    // is buffered into the caller's [`EventSink`] when one is attached
-    // (deterministic parallel replay), otherwise recorded live.
-    let mut degraded = false;
-    let mut degrade = |g: &BudgetHandle, detail: String| {
-        degraded = true;
-        let (stage, level) = (format!("process:{x}"), DegradeLevel::CappedCardinality);
-        match &opts.event_sink {
-            Some(sink) => lock_recover(sink).push(GovernorEvent {
-                stage,
-                level,
-                detail,
-            }),
-            None => g.record(stage, level, detail),
-        }
-    };
-    if let Some(g) = &opts.governor {
-        if !g.try_charge(df.num_rows() as u64 * 8) {
-            group_cap = group_cap.min(opts.max_bars.max(1));
-            degrade(
-                g,
-                "pass memory budget exhausted; group cap tightened".to_string(),
-            );
-        }
-    }
-    let gb = df.groupby_capped(&keys, group_cap)?;
-    if let Some(g) = opts.governor.as_ref().filter(|_| gb.is_capped()) {
-        let detail = format!("distinct group keys exceed cap {group_cap}; folded into \"(other)\"");
-        degrade(g, detail);
+    // Past the cap the kernel folds the tail keys into "(other)": the one
+    // degradation decided at run time. The cap itself is the executor's,
+    // tightened by its plan when the pass budget refused this vis's charge.
+    let gb = df.groupby_capped(&keys, opts.max_group_cardinality)?;
+    let folded = opts.governor.as_ref().filter(|_| gb.is_capped());
+    if let Some(g) = folded {
+        let (stage, cap) = (format!("process:{x}"), opts.max_group_cardinality);
+        let detail = format!("distinct group keys exceed cap {cap}; folded into \"(other)\"");
+        g.record(stage, DegradeLevel::CappedCardinality, detail);
     }
 
     let grouped = match measure(spec) {
         Some((attr, agg)) => gb.agg(&[(attr, agg)])?,
         None => gb.count()?,
     };
-    Ok((Relational::Groups(grouped, buckets), degraded))
+    Ok((Relational::Groups(grouped, buckets), folded.is_some()))
 }
 
 /// Heatmap bin-count: rows per cell where x and y are both finite, plus

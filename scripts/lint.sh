@@ -69,6 +69,23 @@ if [ -n "$records" ]; then
 fi
 echo "ok: finished passes are observed only in crates/core/src/luxframe.rs"
 
+echo "== budget-charge lint (try_charge( outside the planning steps)"
+# A pass's bytes are charged before anything is allocated, by the steps that
+# plan it (DESIGN.md §8): the metadata pass's column plan, each action's
+# plan in the executor, and the governor and admission ledger themselves. A
+# charge anywhere else — inside a kernel, say — is a run-time decision that
+# makes the pass's accounting depend on scheduling or cache state.
+charges=$(find crates/*/src -name '*.rs' \
+    ! -path 'crates/engine/src/governor.rs' ! -path 'crates/engine/src/admission.rs' \
+    ! -path 'crates/engine/src/metadata.rs' ! -path 'crates/recs/src/generate.rs' \
+    -exec awk "$MARK_TESTS"' !t && /try_charge\(/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ -n "$charges" ]; then
+    echo "$charges"
+    echo "error: try_charge( outside engine/src/{governor,admission,metadata}.rs and recs/src/generate.rs — charge the budget in a plan, not at run time"
+    exit 1
+fi
+echo "ok: the pass budget is charged only by the metadata and action plans"
+
 echo "== clock/rng drift lint (crates/*/src outside clock.rs, rng.rs, bench)"
 # Product code reads time through lux_engine::clock and draws randomness
 # through lux_engine::rng, so the whole stack is replayable under a world

@@ -148,7 +148,7 @@ fn chaos_survives_both_executor_paths() {
 
 #[test]
 fn slow_action_degrades_to_partial_results() {
-    let _slow = slow_sloth();
+    let slow = slow_sloth();
     let cfg = LuxConfig {
         r#async: false,
         action_budget: Some(Duration::from_millis(30)),
@@ -173,7 +173,10 @@ fn slow_action_degrades_to_partial_results() {
 
     // The same sloth under a propagated client deadline: what is left of
     // the deadline becomes its budget, so the pass as a whole overruns it —
-    // counted process-wide and against the tenant.
+    // counted process-wide and against the tenant. At 10 ms a score, 8
+    // threads finish the 64 capped candidates in ~80 ms, inside the 100 ms
+    // deadline; at 25 ms they take ~200 ms at any thread count.
+    slow.arm("action.score:Sloth", "sleep(25)").expect("arm");
     let metrics = MetricsRegistry::global();
     let misses0 = metrics.counter(names::DEADLINE_MISSES);
     let tenant0 = metrics.tenant_counter(names::TENANT_DEADLINE_MISSES, "t-sloth");
