@@ -14,7 +14,8 @@ use std::collections::HashMap;
 use lux_bench::{env_scales, full_scale, print_table};
 use lux_engine::{FrameMeta, LuxConfig, SemanticType};
 use lux_intent::Clause;
-use lux_recs::{intent_actions, metadata_actions, Action, ActionContext};
+use lux_recs::metadata_actions::{self, Univariate};
+use lux_recs::{intent_actions, Action, ActionContext};
 use lux_workloads::{action_recall, communities};
 
 fn main() {
@@ -51,8 +52,8 @@ fn main() {
 
     let metadata_actions: Vec<(&str, Box<dyn Action>)> = vec![
         ("Correlation", Box::new(metadata_actions::Correlation)),
-        ("Distribution", Box::new(metadata_actions::Distribution)),
-        ("Occurrence", Box::new(metadata_actions::Occurrence)),
+        ("Distribution", Box::new(Univariate::DISTRIBUTION)),
+        ("Occurrence", Box::new(Univariate::OCCURRENCE)),
     ];
     let intent_based: Vec<(&str, Box<dyn Action>)> = vec![
         ("Enhance", Box::new(intent_actions::Enhance)),

@@ -86,7 +86,7 @@ fn main() {
     println!("# Table 2: relational operations per visualization type ({rows} rows)");
     let df = airbnb(rows, 3);
     let opts = ProcessOptions::default();
-    let model = CostModel::default();
+    let model = CostModel;
 
     let vis_types = [
         "Scatterplot",

@@ -366,15 +366,13 @@ impl LuxDataFrame {
     }
 
     /// Open a pass over this frame in `ctx`: the one place the frame's
-    /// state meets [`Pass::open`]. `config` is the frame's own, or a print's
-    /// deadline-shrunk copy replacing it for this one pass; everything
-    /// memoized (metadata, sample) is config-independent.
-    fn open_pass(&self, ctx: &PassCtx, config: &Arc<LuxConfig>, meta: Arc<FrameMeta>) -> Pass {
+    /// state meets [`Pass::open`].
+    fn open_pass(&self, ctx: &PassCtx, meta: Arc<FrameMeta>) -> Pass {
         Pass::open(
             Arc::clone(&self.df),
             meta,
             &self.intent,
-            Arc::clone(config),
+            Arc::clone(&self.config),
             Some(&self.sample),
             ctx.clone(),
         )
@@ -383,12 +381,7 @@ impl LuxDataFrame {
     /// One blocking pass in `ctx` — its recommendations and their health
     /// ledger — through the WFLOW memo. `meta` is what the pass reads, asked
     /// for only on a memo miss.
-    fn pass_in(
-        &self,
-        ctx: &PassCtx,
-        config: &Arc<LuxConfig>,
-        meta: impl FnOnce() -> Arc<FrameMeta>,
-    ) -> PassOutput {
+    fn pass_in(&self, ctx: &PassCtx, meta: impl FnOnce() -> Arc<FrameMeta>) -> PassOutput {
         let metrics = MetricsRegistry::global();
         if self.config.wflow {
             if let Some(memoized) = &lock_recover(&self.cache).recommendations {
@@ -402,7 +395,7 @@ impl LuxDataFrame {
             .tag("memo", if self.config.wflow { "miss" } else { "off" });
         // The caller blocks on collect_report, holding the pass's admission
         // slot itself when there is one, so the pass carries none.
-        let pass = self.open_pass(ctx, config, meta());
+        let pass = self.open_pass(ctx, meta());
         let report = lux_recs::run_pass(&self.registry, pass).collect_report();
         if let Some(log) = &self.logger {
             for h in report.problems() {
@@ -411,11 +404,10 @@ impl LuxDataFrame {
         }
         let (recs, health) = (Arc::new(report.results), Arc::new(report.health));
         if self.config.wflow {
-            // A deadline-shrunk pass that degraded must not poison the memo:
-            // the next print with a full budget would otherwise replay the
-            // partial results forever. Clean passes cache as usual.
-            let own_config = Arc::ptr_eq(config, &self.config);
-            if own_config || health.iter().all(|h| h.status.is_ok()) {
+            // A pass under a client deadline that degraded must not poison
+            // the memo: the next print with a full budget would otherwise
+            // replay the partial results forever. Clean passes cache as usual.
+            if ctx.deadline.is_none() || health.iter().all(|h| h.status.is_ok()) {
                 lock_recover(&self.cache).recommendations =
                     Some((Arc::clone(&recs), Arc::clone(&health)));
             } else {
@@ -430,7 +422,7 @@ impl LuxDataFrame {
     /// memoized here carry the governor marks a print would give them.
     fn detached_pass(&self) -> PassOutput {
         let ctx = PassCtx::detached("recommendations", self.config.budget.clone());
-        self.pass_in(&ctx, &self.config, || self.metadata())
+        self.pass_in(&ctx, || self.metadata())
     }
 
     /// The ranked recommendations, computed lazily and memoized under WFLOW.
@@ -474,7 +466,7 @@ impl LuxDataFrame {
         // Each streaming run is its own pass with its own budget; its
         // collector holds the slot until every action has settled.
         let ctx = PassCtx::admitted("recommendations.streaming", &permit, &self.config.budget);
-        let mut pass = self.open_pass(&ctx, &self.config, self.metadata());
+        let mut pass = self.open_pass(&ctx, self.metadata());
         pass.permit = Some(permit);
         lux_recs::run_pass(&self.registry, pass)
     }
@@ -522,10 +514,11 @@ impl LuxDataFrame {
             Admission::Granted(p) => p,
             Admission::Shed(shed) => return self.print_shed(start, shed, opts),
         };
-        // What is left of the client deadline after queueing becomes this
-        // pass's action budget ceiling: a pass admitted with 200ms remaining
-        // must not run the configured 2s per action. An exhausted deadline
-        // sheds before any compute.
+        // What is left of the client deadline after queueing caps every
+        // action's time budget in this pass: a pass admitted with 200ms
+        // remaining must not run the configured 2s per action, nor scale a
+        // heavy action's budget past 200ms. An exhausted deadline sheds
+        // before any compute.
         let remaining = opts.deadline.map(|d| d.saturating_sub(permit.waited()));
         if remaining.is_some_and(|rem| rem < std::time::Duration::from_millis(1)) {
             drop(permit);
@@ -536,22 +529,16 @@ impl LuxDataFrame {
             };
             return self.print_shed(start, shed, opts);
         }
-        let mut config = Arc::clone(&self.config);
-        if let Some(rem) = remaining {
-            // A copy: the frame's own config is shared, and stays as it is.
-            let c = Arc::make_mut(&mut config);
-            c.action_budget = Some(match c.action_budget {
-                Some(b) => b.min(rem),
-                None => rem,
-            });
-        }
         // One budget per pass: every allocation-heavy step below (metadata
         // scans, candidate enumeration, group-by/bin processing) charges
         // this handle and degrades along the ladder instead of exhausting
         // memory (DESIGN.md §8). Under admission pressure the budget is
         // shaped down (shed ladder) and every charge is mirrored into the
         // process-wide ledger.
-        let ctx = PassCtx::admitted("print", &permit, &self.config.budget);
+        let ctx = PassCtx {
+            deadline: remaining,
+            ..PassCtx::admitted("print", &permit, &self.config.budget)
+        };
         let (root, governor) = (&ctx.trace, &ctx.governor);
         root.tag("admission.wait_ms", permit.waited().as_millis().to_string());
         root.tag("admission.pressure", permit.pressure().name());
@@ -572,7 +559,7 @@ impl LuxDataFrame {
             lux_intent::validate(&self.intent, &meta)
         });
         let actions = ctx.child("actions");
-        let (results, health) = self.pass_in(&actions, &config, || meta);
+        let (results, health) = self.pass_in(&actions, || meta);
         actions.trace.end();
         root.tag("governor.degrades", governor.event_count().to_string());
         root.tag("governor.breached", governor.breached().to_string());
@@ -1149,13 +1136,7 @@ mod tests {
             "Always",
             |_ctx: &ActionContext<'_>| true,
             |ctx: &ActionContext<'_>| {
-                Ok(vec![lux_recs::Candidate::new(
-                    lux_recs::structure_actions::univariate_spec(
-                        &ctx.meta.columns[0].name,
-                        ctx.meta.columns[0].semantic,
-                        10,
-                    ),
-                )])
+                Ok(ctx.compile(&[Clause::axis(ctx.meta.columns[0].name.clone())]))
             },
         ));
         let w = ldf.print();

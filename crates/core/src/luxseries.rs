@@ -136,10 +136,7 @@ mod tests {
             "Lonely",
             |ctx: &lux_recs::ActionContext<'_>| ctx.df.num_columns() == 1,
             |ctx: &lux_recs::ActionContext<'_>| {
-                let column = &ctx.meta.columns[0];
-                Ok(vec![lux_recs::Candidate::new(
-                    lux_recs::structure_actions::univariate_spec(&column.name, column.semantic, 10),
-                )])
+                Ok(ctx.compile(&[lux_intent::Clause::axis(ctx.meta.columns[0].name.clone())]))
             },
         ));
         assert!(!ldf.print().tabs().contains(&"Lonely"));

@@ -59,31 +59,10 @@ impl OpClass {
 ///
 /// Units are abstract "row-visits"; only *relative* magnitudes matter, since
 /// the scheduler and prune gate compare estimates against each other. The
-/// default coefficients reflect the relative expense of each kernel in this
+/// coefficients reflect the relative expense of each kernel in this
 /// codebase (selection ≈ copy, group-by ≈ hash per row, 2D variants ≈ 2x).
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    coefficients: [f64; 7],
-    /// Added per distinct group produced (materialization of the result).
-    group_coefficient: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            coefficients: [
-                1.0, // Selection2
-                1.4, // Selection3
-                2.0, // GroupAgg
-                3.6, // GroupAgg2D
-                1.6, // BinCount
-                2.8, // BinCount2D
-                4.2, // BinCount2DGroup
-            ],
-            group_coefficient: 4.0,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CostModel;
 
 impl CostModel {
     /// Abstract cost treated as "one base budget's worth of work" when
@@ -94,6 +73,9 @@ impl CostModel {
     /// Budget scale ceiling, and the multiple of the base budget at which
     /// the ASYNC collector's hard cutoff abandons a hung worker.
     pub const HARD_CUTOFF_FACTOR: u32 = 4;
+
+    /// Added per distinct group produced (materialization of the result).
+    const GROUP_COEFFICIENT: f64 = 4.0;
 
     /// Convert an action's abstract cost estimate into a wall-clock budget:
     /// the base budget scaled linearly with estimated cost, clamped to
@@ -112,11 +94,16 @@ impl CostModel {
     /// Estimated cost of one visualization: `rows` input rows producing
     /// `groups` output rows (0 for selections).
     pub fn vis_cost(&self, class: OpClass, rows: usize, groups: usize) -> f64 {
-        let idx = OpClass::ALL
-            .iter()
-            .position(|c| *c == class)
-            .expect("class in ALL");
-        self.coefficients[idx] * rows as f64 + self.group_coefficient * groups as f64
+        let coefficient = match class {
+            OpClass::Selection2 => 1.0,
+            OpClass::Selection3 => 1.4,
+            OpClass::GroupAgg => 2.0,
+            OpClass::GroupAgg2D => 3.6,
+            OpClass::BinCount => 1.6,
+            OpClass::BinCount2D => 2.8,
+            OpClass::BinCount2DGroup => 4.2,
+        };
+        coefficient * rows as f64 + Self::GROUP_COEFFICIENT * groups as f64
     }
 
     /// Estimated cost of an action: the sum of its visualization costs

@@ -46,19 +46,23 @@ impl From<&LuxConfig> for CompileOptions {
     }
 }
 
-/// A fully-expanded axis: one attribute plus carried-over options.
-#[derive(Debug, Clone)]
-struct ConcreteAxis {
-    attribute: String,
+/// A fully-expanded axis: one attribute, its semantic type (resolved once,
+/// at expansion; `None` when the metadata has no such column) and the
+/// clause's carried-over options.
+#[derive(Debug, Clone, Copy)]
+struct ConcreteAxis<'a> {
+    attribute: &'a str,
+    semantic: Option<SemanticType>,
     channel: Option<Channel>,
     aggregation: Option<Agg>,
     bin_size: Option<usize>,
 }
 
 #[derive(Debug, Clone)]
-enum ConcreteClause {
-    Axis(ConcreteAxis),
-    Filter(FilterSpec),
+enum ConcreteClause<'a> {
+    Axis(ConcreteAxis<'a>),
+    /// A filter, and whether the metadata has its column.
+    Filter(FilterSpec, bool),
 }
 
 /// Compile a validated intent into complete [`VisSpec`]s.
@@ -74,13 +78,13 @@ pub fn compile(intent: &[Clause], meta: &FrameMeta, opts: &CompileOptions) -> Re
         .map(|c| expand_clause(c, meta, opts))
         .collect::<Result<_>>()?;
 
-    let mut combos: Vec<Vec<ConcreteClause>> = vec![Vec::new()];
+    let mut combos: Vec<Vec<&ConcreteClause>> = vec![Vec::new()];
     for alternatives in &per_clause {
         let mut next = Vec::with_capacity(combos.len() * alternatives.len().max(1));
         for combo in &combos {
             for alt in alternatives {
                 let mut c = combo.clone();
-                c.push(alt.clone());
+                c.push(alt);
                 next.push(c);
                 if next.len() > opts.max_visualizations {
                     return Err(Error::InvalidArgument(format!(
@@ -98,24 +102,29 @@ pub fn compile(intent: &[Clause], meta: &FrameMeta, opts: &CompileOptions) -> Re
     for combo in combos {
         let mut axes: Vec<ConcreteAxis> = Vec::new();
         let mut filters: Vec<FilterSpec> = Vec::new();
+        let mut known = true;
         for cc in combo {
             match cc {
-                ConcreteClause::Axis(a) => axes.push(a),
-                ConcreteClause::Filter(f) => filters.push(f),
+                ConcreteClause::Axis(a) => axes.push(*a),
+                ConcreteClause::Filter(f, has_column) => {
+                    known &= has_column;
+                    filters.push(f.clone());
+                }
             }
         }
-        if let Some(spec) = lookup_and_infer(axes, filters, meta, opts) {
-            specs.push(spec);
+        // A filter on a column the metadata lacks invalidates the combo.
+        if known {
+            specs.extend(lookup_and_infer(&axes, filters, meta.num_rows, opts));
         }
     }
     Ok(specs)
 }
 
-fn expand_clause(
-    clause: &Clause,
-    meta: &FrameMeta,
+fn expand_clause<'a>(
+    clause: &'a Clause,
+    meta: &'a FrameMeta,
     opts: &CompileOptions,
-) -> Result<Vec<ConcreteClause>> {
+) -> Result<Vec<ConcreteClause<'a>>> {
     match clause {
         Clause::Axis {
             attribute,
@@ -123,45 +132,46 @@ fn expand_clause(
             aggregation,
             bin_size,
         } => {
-            let names: Vec<String> = match attribute {
-                AttributeSpec::Named(names) => names.clone(),
+            let axis = |attribute: &'a str, semantic| {
+                ConcreteClause::Axis(ConcreteAxis {
+                    attribute,
+                    semantic,
+                    channel: *channel,
+                    aggregation: *aggregation,
+                    bin_size: *bin_size,
+                })
+            };
+            let axes: Vec<ConcreteClause> = match attribute {
+                AttributeSpec::Named(names) => names
+                    .iter()
+                    .map(|n| axis(n, meta.column(n).map(|c| c.semantic)))
+                    .collect(),
                 AttributeSpec::Wildcard { constraint } => meta
                     .columns
                     .iter()
                     .filter(|c| c.semantic != SemanticType::Id)
                     .filter(|c| constraint.is_none_or(|t| c.semantic == t))
-                    .map(|c| c.name.clone())
+                    .map(|c| axis(&c.name, Some(c.semantic)))
                     .collect(),
             };
-            if names.is_empty() {
+            if axes.is_empty() {
                 return Err(Error::InvalidArgument(
                     "axis clause matches no columns".to_string(),
                 ));
             }
-            Ok(names
-                .into_iter()
-                .map(|attribute| {
-                    ConcreteClause::Axis(ConcreteAxis {
-                        attribute,
-                        channel: *channel,
-                        aggregation: *aggregation,
-                        bin_size: *bin_size,
-                    })
-                })
-                .collect())
+            Ok(axes)
         }
         Clause::Filter {
             attribute,
             op,
             value,
         } => {
+            let column = meta.column(attribute);
             let values: Vec<Value> = match value {
                 ValueSpec::One(v) => vec![v.clone()],
                 ValueSpec::Union(vs) => vs.clone(),
                 ValueSpec::Wildcard => {
-                    let cm = meta
-                        .column(attribute)
-                        .ok_or_else(|| Error::ColumnNotFound(attribute.clone()))?;
+                    let cm = column.ok_or_else(|| Error::ColumnNotFound(attribute.clone()))?;
                     cm.unique_values
                         .iter()
                         .take(opts.max_filter_expansions)
@@ -176,19 +186,22 @@ fn expand_clause(
             }
             Ok(values
                 .into_iter()
-                .map(|v| ConcreteClause::Filter(FilterSpec::new(attribute.clone(), *op, v)))
+                .map(|v| {
+                    let filter = FilterSpec::new(attribute.clone(), *op, v);
+                    ConcreteClause::Filter(filter, column.is_some())
+                })
                 .collect())
         }
     }
 }
 
-/// Lookup metadata for each axis and infer the mark/channels. Returns `None`
-/// for combinations that are invalid or would use ineffective encodings
-/// (the compiler "removes any invalid visualizations", §7.1.2).
+/// Lookup each axis's semantic type and infer the mark/channels. Returns
+/// `None` for combinations that are invalid or would use ineffective
+/// encodings (the compiler "removes any invalid visualizations", §7.1.2).
 fn lookup_and_infer(
-    axes: Vec<ConcreteAxis>,
+    axes: &[ConcreteAxis],
     filters: Vec<FilterSpec>,
-    meta: &FrameMeta,
+    meta_rows: usize,
     opts: &CompileOptions,
 ) -> Option<VisSpec> {
     // Drop combos that repeat an attribute (cross-products of overlapping
@@ -200,22 +213,16 @@ fn lookup_and_infer(
             }
         }
     }
-    // Lookup semantic types; unknown columns or Id columns invalidate.
-    let semantics: Vec<SemanticType> = axes
-        .iter()
-        .map(|a| meta.column(&a.attribute).map(|c| c.semantic))
-        .collect::<Option<Vec<_>>>()?;
+    // Unknown columns or Id columns invalidate.
+    let semantics: Vec<SemanticType> = axes.iter().map(|a| a.semantic).collect::<Option<_>>()?;
     if semantics.contains(&SemanticType::Id) {
         return None;
-    }
-    for f in &filters {
-        meta.column(&f.attribute)?;
     }
 
     match axes.len() {
         1 => infer_univariate(&axes[0], semantics[0], filters, opts),
-        2 => infer_bivariate(&axes, &semantics, filters, opts, meta.num_rows),
-        3 => infer_trivariate(&axes, &semantics, filters, opts, meta.num_rows),
+        2 => infer_bivariate(axes, &semantics, filters, opts, meta_rows),
+        3 => infer_trivariate(axes, &semantics, filters, opts, meta_rows),
         // 0 axes (pure filter intents) and >3 axes are not chartable here;
         // actions handle the 0-axis case by adding their own axes.
         _ => None,
@@ -223,7 +230,7 @@ fn lookup_and_infer(
 }
 
 fn encoding_of(axis: &ConcreteAxis, semantic: SemanticType, channel: Channel) -> Encoding {
-    let mut e = Encoding::new(axis.attribute.clone(), semantic, channel);
+    let mut e = Encoding::new(axis.attribute, semantic, channel);
     e.aggregation = axis.aggregation;
     e.bin = axis.bin_size;
     e
@@ -296,8 +303,7 @@ fn infer_bivariate(
 
     if both_measures {
         // Q x Q. Both binned, or too many rows to plot points -> heatmap;
-        // otherwise scatter. Explicit channels are honored; default keeps
-        // clause order (first -> x).
+        // otherwise scatter.
         let mark = if (a.bin_size.is_some() && b.bin_size.is_some())
             || meta_rows > opts.scatter_row_threshold
         {
@@ -305,11 +311,12 @@ fn infer_bivariate(
         } else {
             Mark::Scatter
         };
-        let (xa, ya) = order_by_channel(a, b);
-        let (sx, sy) = if std::ptr::eq(xa, a) {
-            (sa, sb)
+        // Explicit channels are honored; otherwise clause order (first -> x).
+        let ((xa, sx), (ya, sy)) = if a.channel == Some(Channel::Y) || b.channel == Some(Channel::X)
+        {
+            ((b, sb), (a, sa))
         } else {
-            (sb, sa)
+            ((a, sa), (b, sb))
         };
         return Some(VisSpec::new(
             mark,
@@ -337,17 +344,9 @@ fn infer_bivariate(
             filters,
         ));
     };
-    let (dim, dsem) = (&axes[dim_i], semantics[dim_i]);
-    let (msr, msem) = (&axes[msr_i], semantics[msr_i]);
-    let mark = mark_for_dimension(dsem);
-    let x = encoding_of(dim, dsem, Channel::X);
-    let mut y = encoding_of(msr, msem, Channel::Y);
-    if y.aggregation.is_none() {
-        // "By default, average is the function used for aggregation" (Q3).
-        y.aggregation = Some(Agg::Mean);
-    }
-    let _ = opts;
-    Some(VisSpec::new(mark, vec![x, y], filters))
+    let x = encoding_of(&axes[dim_i], semantics[dim_i], Channel::X);
+    let y = encoding_of(&axes[msr_i], semantics[msr_i], Channel::Y);
+    Some(dimension_by_measure(x, y, filters))
 }
 
 fn infer_trivariate(
@@ -365,8 +364,8 @@ fn infer_trivariate(
         .or_else(|| (0..3).rev().find(|&i| !is_measure(&axes[i], semantics[i])))
         .unwrap_or(2);
     let rest: Vec<usize> = (0..3).filter(|&i| i != color_i).collect();
-    let base_axes = vec![axes[rest[0]].clone(), axes[rest[1]].clone()];
-    let base_sem = vec![semantics[rest[0]], semantics[rest[1]]];
+    let base_axes = [axes[rest[0]], axes[rest[1]]];
+    let base_sem = [semantics[rest[0]], semantics[rest[1]]];
     let mut spec = infer_bivariate(&base_axes, &base_sem, filters, opts, meta_rows)?;
     // Colored bar/line charts must not exceed 2D group-by: a quantitative
     // color on an aggregate chart gets a mean aggregation.
@@ -382,23 +381,21 @@ fn infer_trivariate(
     Some(spec)
 }
 
+/// Infer's dimension-by-measure rule: the dimension `x` drawn with the mark
+/// its semantic type calls for, against the measure `y` — averaged unless it
+/// carries its own aggregation ("by default, average is the function used
+/// for aggregation", Q3). Exported for the builders whose dimension is not a
+/// column of the frame's metadata (an aggregate's index labels, say).
+pub fn dimension_by_measure(x: Encoding, mut y: Encoding, filters: Vec<FilterSpec>) -> VisSpec {
+    y.aggregation.get_or_insert(Agg::Mean);
+    VisSpec::new(mark_for_dimension(x.semantic), vec![x, y], filters)
+}
+
 fn mark_for_dimension(s: SemanticType) -> Mark {
     match s {
         SemanticType::Temporal => Mark::Line,
         SemanticType::Geographic => Mark::Choropleth,
         _ => Mark::Bar,
-    }
-}
-
-/// Order two axes into (x, y) respecting any explicit channel choices.
-fn order_by_channel<'a>(
-    a: &'a ConcreteAxis,
-    b: &'a ConcreteAxis,
-) -> (&'a ConcreteAxis, &'a ConcreteAxis) {
-    if a.channel == Some(Channel::Y) || b.channel == Some(Channel::X) {
-        (b, a)
-    } else {
-        (a, b)
     }
 }
 

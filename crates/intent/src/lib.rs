@@ -19,6 +19,6 @@ pub mod parse;
 pub mod validate;
 
 pub use clause::{AttributeSpec, Clause, Intent, ValueSpec};
-pub use compile::{compile, CompileOptions};
+pub use compile::{compile, dimension_by_measure, CompileOptions};
 pub use parse::{parse_clause, parse_intent, parse_value};
 pub use validate::{has_errors, validate, Diagnostic, Severity};

@@ -47,6 +47,21 @@ pub struct ActionContext<'a> {
     pub config: &'a LuxConfig,
 }
 
+impl ActionContext<'_> {
+    /// The candidates `intent` compiles to over this frame's metadata. Every
+    /// default action states its search space as intents and takes its
+    /// marks, channels and aggregations from the compiler's Infer step
+    /// (paper §7.1.2), as upstream Lux's do. An intent that fails to expand
+    /// (a wildcard no column matches, an over-broad variant) contributes
+    /// nothing.
+    pub fn compile(&self, intent: &[lux_intent::Clause]) -> Vec<Candidate> {
+        match lux_intent::compile(intent, self.meta, &self.config.into()) {
+            Ok(specs) => specs.into_iter().map(Candidate::new).collect(),
+            Err(_) => Vec::new(),
+        }
+    }
+}
+
 /// A candidate visualization produced by an action. `frame` optionally
 /// overrides the dataframe the vis is processed/scored against (used by
 /// history actions, which visualize a *parent* frame).

@@ -39,7 +39,7 @@ use crate::fault::{
     isolate, ActionError, ActionHealth, ActionStatus, BreakerDecision, CircuitBreaker, Deadline,
     RunReport,
 };
-use crate::plan::{Plan, SampleMode};
+use crate::plan::{base_budget, Plan, SampleMode};
 
 /// Trace attachment: the shared pass collector plus the span this unit of
 /// work records under — for a [`Pass`] the parent of its per-action spans,
@@ -98,6 +98,9 @@ impl TraceCtx {
 pub struct PassCtx {
     pub trace: TraceCtx,
     pub governor: Arc<BudgetHandle>,
+    /// What is left of the client's deadline, when it set one: no action of
+    /// the pass plans a longer time budget.
+    pub deadline: Option<Duration>,
 }
 
 impl PassCtx {
@@ -107,6 +110,7 @@ impl PassCtx {
         PassCtx {
             trace: TraceCtx::root(name),
             governor: Arc::new(BudgetHandle::new(budget)),
+            deadline: None,
         }
     }
 
@@ -118,14 +122,16 @@ impl PassCtx {
         PassCtx {
             trace: TraceCtx::root(name),
             governor: Arc::new(BudgetHandle::governed(budget, permit.ledger(), floor)),
+            deadline: None,
         }
     }
 
-    /// The same budget under a child span.
+    /// The same budget and deadline under a child span.
     pub fn child(&self, name: &str) -> PassCtx {
         PassCtx {
             trace: self.trace.child(name),
             governor: Arc::clone(&self.governor),
+            deadline: self.deadline,
         }
     }
 }
@@ -149,6 +155,8 @@ pub struct Pass {
     /// Per-pass resource governor shared by every worker: allocation-heavy
     /// steps degrade against its budget instead of exhausting memory.
     pub governor: Arc<BudgetHandle>,
+    /// What is left of the client's deadline, as opened ([`PassCtx`]).
+    pub deadline: Option<Duration>,
     /// Admission slot held for the duration of the pass. Under ASYNC the
     /// collector thread takes ownership so the slot is released only once
     /// every action has settled (or been abandoned), not when the caller's
@@ -189,6 +197,7 @@ impl Pass {
             config,
             trace: ctx.trace,
             governor: ctx.governor,
+            deadline: ctx.deadline,
             permit: None,
         }
     }
@@ -280,7 +289,14 @@ impl<'a> ActionRun<'a> {
         let rows = |c: &Candidate| c.frame.as_deref().unwrap_or(&pass.df).num_rows();
         let specs: Vec<(&VisSpec, usize)> = candidates.iter().map(|c| (&c.spec, rows(c))).collect();
         let sample_rows = pass.sample.as_ref().map(|s| s.rows(pass.df.num_rows()));
-        let plan = Plan::new(&specs, &pass.meta, &pass.config, governor, sample_rows);
+        let plan = Plan::new(
+            &specs,
+            &pass.meta,
+            &pass.config,
+            governor,
+            sample_rows,
+            pass.deadline,
+        );
         candidates.truncate(plan.kept);
         if let Some(note) = &plan.cap_note {
             let stage = format!("action:{}", self.action.name());
@@ -816,7 +832,8 @@ pub fn run_pass(registry: &ActionRegistry, pass: Pass) -> StreamingRun {
     // The closing half of the pass runs on a detached collector thread
     // under ASYNC, so the caller gets its handle immediately, and inline
     // otherwise (where every action has settled already).
-    let (r#async, action_budget) = (pass.config.r#async, pass.config.action_budget);
+    let r#async = pass.config.r#async;
+    let action_budget = base_budget(&pass.config, pass.deadline);
     let governor = Arc::clone(&pass.governor);
     let permit = pass.permit.clone();
     let close = move || {
@@ -851,9 +868,10 @@ pub fn run_pass(registry: &ActionRegistry, pass: Pass) -> StreamingRun {
 }
 
 /// The ASYNC collector loop: settle outcomes as workers report them, until
-/// all have or the hard cutoff (`action_budget × HARD_CUTOFF_FACTOR`)
-/// passes; whatever is still outstanding then was hung (or its worker died)
-/// — abandon it, charge its breaker, and surface the failure.
+/// all have or the hard cutoff (the base action budget ×
+/// `HARD_CUTOFF_FACTOR`) passes; whatever is still outstanding then was hung
+/// (or its worker died) — abandon it, charge its breaker, and surface the
+/// failure.
 fn collect(
     settler: &Settler,
     dispatched: &[Dispatched],
@@ -890,7 +908,6 @@ mod tests {
     use super::*;
     use crate::action::{ActionClass, CustomAction};
     use crate::metadata_actions::Correlation;
-    use crate::structure_actions::univariate_spec;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -941,16 +958,8 @@ mod tests {
 
     /// Univariate candidates over the frame's first two columns.
     fn healthy(ctx: &ActionContext<'_>) -> Vec<Candidate> {
-        ctx.meta.columns[..2]
-            .iter()
-            .map(|c| {
-                Candidate::new(univariate_spec(
-                    &c.name,
-                    c.semantic,
-                    ctx.config.histogram_bins,
-                ))
-            })
-            .collect()
+        let names = ctx.meta.columns[..2].iter().map(|c| c.name.clone());
+        ctx.compile(&[Clause::axis_union(names)])
     }
 
     #[test]

@@ -9,10 +9,11 @@ use std::sync::Arc;
 
 use lux_dataframe::prelude::*;
 use lux_engine::SemanticType;
-use lux_vis::{Channel, Encoding, Mark, VisSpec};
+use lux_intent::{dimension_by_measure, Clause};
+use lux_vis::{Channel, Encoding};
 
 use crate::action::{Action, ActionClass, ActionContext, Candidate};
-use crate::structure_actions::{meta_for, univariate_spec};
+use crate::structure_actions::meta_for;
 
 /// Frames at or below this row count are "too small to recommend on";
 /// the pre-filter parent is shown instead.
@@ -54,21 +55,22 @@ impl Action for PreFilter {
             return Ok(vec![]);
         };
         let parent_meta = meta_for(&parent, ctx.config);
-        let mut out = Vec::new();
-        for cm in &parent_meta.columns {
-            if cm.semantic == SemanticType::Id {
-                continue;
-            }
-            let spec = univariate_spec(&cm.name, cm.semantic, ctx.config.histogram_bins);
-            out.push(Candidate::on_frame(spec, Arc::clone(&parent)));
-        }
-        Ok(out)
+        let parent_ctx = ActionContext {
+            df: &parent,
+            meta: &parent_meta,
+            ..*ctx
+        };
+        Ok((parent_ctx.compile(&[Clause::wildcard()]).into_iter())
+            .map(|c| Candidate::on_frame(c.spec, Arc::clone(&parent)))
+            .collect())
     }
 }
 
 /// Visualize the measures of the frame that fed a recent aggregation,
 /// grouped by the aggregation keys — the "what did this aggregate summarize"
-/// view of a pre-aggregated workflow.
+/// view of a pre-aggregated workflow. Not an intent: the key may be typed
+/// Quantitative or Id, where the compiler would draw a scatter or nothing,
+/// so it is charted with the compiler's dimension-by-measure rule directly.
 pub struct PreAggregate;
 
 impl PreAggregate {
@@ -109,23 +111,14 @@ impl Action for PreAggregate {
         let Some(key_meta) = parent_meta.column(&key) else {
             return Ok(vec![]);
         };
-        let mark = match key_meta.semantic {
-            SemanticType::Temporal => Mark::Line,
-            SemanticType::Geographic => Mark::Choropleth,
-            _ => Mark::Bar,
-        };
         let mut out = Vec::new();
         for cm in &parent_meta.columns {
             if cm.name == key || cm.semantic != SemanticType::Quantitative {
                 continue;
             }
-            let spec = VisSpec::new(
-                mark,
-                vec![
-                    Encoding::new(key.clone(), key_meta.semantic, Channel::X),
-                    Encoding::new(cm.name.clone(), SemanticType::Quantitative, Channel::Y)
-                        .with_aggregation(Agg::Mean),
-                ],
+            let spec = dimension_by_measure(
+                Encoding::new(key.clone(), key_meta.semantic, Channel::X),
+                Encoding::new(cm.name.clone(), SemanticType::Quantitative, Channel::Y),
                 vec![],
             );
             out.push(Candidate::on_frame(spec, Arc::clone(&parent)));

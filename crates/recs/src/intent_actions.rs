@@ -12,15 +12,6 @@ use lux_vis::VisSpec;
 
 use crate::action::{Action, ActionClass, ActionContext, Candidate};
 
-/// Compile a modified intent into candidates, dropping expansion failures
-/// (an over-broad Enhance/Filter variant just contributes nothing).
-fn compile_to_candidates(intent: &[Clause], ctx: &ActionContext<'_>) -> Vec<Candidate> {
-    match lux_intent::compile(intent, ctx.meta, &ctx.config.into()) {
-        Ok(specs) => specs.into_iter().map(Candidate::new).collect(),
-        Err(_) => Vec::new(),
-    }
-}
-
 /// Attribute names referenced by the current intent (axes and filters).
 fn intent_attributes(intent: &[Clause]) -> Vec<&str> {
     let mut out = Vec::new();
@@ -100,7 +91,7 @@ impl Action for Enhance {
             }
             let mut intent = ctx.intent.to_vec();
             intent.push(Clause::axis(cm.name.clone()));
-            out.extend(compile_to_candidates(&intent, ctx));
+            out.extend(ctx.compile(&intent));
         }
         Ok(out)
     }
@@ -151,7 +142,7 @@ impl Action for FilterAction {
                     let mut intent: Vec<Clause> =
                         ctx.intent.iter().filter(|c| c.is_axis()).cloned().collect();
                     intent.push(Clause::filter(attribute.clone(), *op, v.clone()));
-                    out.extend(compile_to_candidates(&intent, ctx));
+                    out.extend(ctx.compile(&intent));
                 }
             }
             // "add 1 additional filter": wildcard over each unused
@@ -172,7 +163,7 @@ impl Action for FilterAction {
                     }
                     let mut intent = ctx.intent.to_vec();
                     intent.push(Clause::filter_wildcard(cm.name.clone()));
-                    out.extend(compile_to_candidates(&intent, ctx));
+                    out.extend(ctx.compile(&intent));
                 }
             }
         }
@@ -212,7 +203,7 @@ impl Action for Generalize {
             if !intent.iter().any(|c| c.is_axis()) {
                 continue;
             }
-            for cand in compile_to_candidates(&intent, ctx) {
+            for cand in ctx.compile(&intent) {
                 if !seen.contains(&cand.spec) {
                     seen.push(cand.spec.clone());
                     out.push(cand);

@@ -28,9 +28,9 @@ pub use generate::{execute_action, run_pass, Pass, PassCtx, StreamingRun, TraceC
 /// Every default action of Table 1, in taxonomy order.
 pub fn default_actions() -> Vec<Arc<dyn Action>> {
     vec![
-        Arc::new(metadata_actions::Distribution),
-        Arc::new(metadata_actions::Occurrence),
-        Arc::new(metadata_actions::Temporal),
+        Arc::new(metadata_actions::Univariate::DISTRIBUTION),
+        Arc::new(metadata_actions::Univariate::OCCURRENCE),
+        Arc::new(metadata_actions::Univariate::TEMPORAL),
         Arc::new(metadata_actions::Geographic),
         Arc::new(metadata_actions::Correlation),
         Arc::new(intent_actions::CurrentVis),

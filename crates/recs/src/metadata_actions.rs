@@ -1,15 +1,23 @@
 //! Metadata-based actions (Table 1): Correlation, Distribution, Occurrence,
 //! Temporal, Geographic — the always-available univariate and bivariate
-//! overviews driven purely by column statistics.
+//! overviews driven purely by column statistics. Each states its search
+//! space as an intent and takes its marks from the compiler.
 
 use lux_dataframe::prelude::*;
 use lux_engine::SemanticType;
+use lux_intent::Clause;
 use lux_vis::{Channel, Encoding, Mark, VisSpec};
 
 use crate::action::{Action, ActionClass, ActionContext, Candidate};
 
 /// Bivariate scatterplots between all pairs of quantitative attributes,
 /// ranked by |Pearson's r|.
+///
+/// The one default action that builds its specs by hand. The intent
+/// `[?:quantitative, ?:quantitative]` yields ordered pairs, and past the
+/// compiler's `scatter_row_threshold` it draws heatmaps, where Correlation
+/// scores scatters at every frame height: compiling it would change what a
+/// tall frame's print computes.
 pub struct Correlation;
 
 impl Action for Correlation {
@@ -46,49 +54,26 @@ impl Action for Correlation {
     }
 }
 
-/// Univariate histograms of quantitative attributes, ranked by |skewness|.
-pub struct Distribution;
+/// One univariate chart per column of one semantic type — upstream Lux's
+/// `univariate` action, compiled from `[?:<type>]`: Distribution
+/// (histograms of quantitative columns, ranked by |skewness|), Occurrence
+/// (bars of nominal columns, ranked by how uneven the counts are) and
+/// Temporal (record counts over time).
+pub struct Univariate(SemanticType);
 
-impl Action for Distribution {
-    fn name(&self) -> &str {
-        "Distribution"
-    }
-
-    fn class(&self) -> ActionClass {
-        ActionClass::Metadata
-    }
-
-    fn applies(&self, ctx: &ActionContext<'_>) -> bool {
-        ctx.intent.is_empty() && !ctx.meta.columns_of(SemanticType::Quantitative).is_empty()
-    }
-
-    fn generate(&self, ctx: &ActionContext<'_>) -> Result<Vec<Candidate>> {
-        Ok(ctx
-            .meta
-            .columns_of(SemanticType::Quantitative)
-            .into_iter()
-            .map(|name| {
-                Candidate::new(VisSpec::new(
-                    Mark::Histogram,
-                    vec![
-                        Encoding::new(name, SemanticType::Quantitative, Channel::X)
-                            .with_bin(ctx.config.histogram_bins),
-                        Encoding::synthetic_count(Channel::Y),
-                    ],
-                    vec![],
-                ))
-            })
-            .collect())
-    }
+impl Univariate {
+    pub const DISTRIBUTION: Univariate = Univariate(SemanticType::Quantitative);
+    pub const OCCURRENCE: Univariate = Univariate(SemanticType::Nominal);
+    pub const TEMPORAL: Univariate = Univariate(SemanticType::Temporal);
 }
 
-/// Univariate bar charts of categorical attributes, ranked by how uneven
-/// the category counts are.
-pub struct Occurrence;
-
-impl Action for Occurrence {
+impl Action for Univariate {
     fn name(&self) -> &str {
-        "Occurrence"
+        match self.0 {
+            SemanticType::Quantitative => "Distribution",
+            SemanticType::Nominal => "Occurrence",
+            _ => "Temporal",
+        }
     }
 
     fn class(&self) -> ActionClass {
@@ -96,71 +81,17 @@ impl Action for Occurrence {
     }
 
     fn applies(&self, ctx: &ActionContext<'_>) -> bool {
-        ctx.intent.is_empty() && !ctx.meta.columns_of(SemanticType::Nominal).is_empty()
+        ctx.intent.is_empty() && !ctx.meta.columns_of(self.0).is_empty()
     }
 
     fn generate(&self, ctx: &ActionContext<'_>) -> Result<Vec<Candidate>> {
-        Ok(ctx
-            .meta
-            .columns_of(SemanticType::Nominal)
-            .into_iter()
-            .map(|name| {
-                Candidate::new(VisSpec::new(
-                    Mark::Bar,
-                    vec![
-                        Encoding::new(name, SemanticType::Nominal, Channel::X),
-                        Encoding::synthetic_count(Channel::Y),
-                    ],
-                    vec![],
-                ))
-            })
-            .collect())
-    }
-}
-
-/// Univariate line charts of temporal attributes (record counts over time).
-pub struct Temporal;
-
-impl Action for Temporal {
-    fn name(&self) -> &str {
-        "Temporal"
-    }
-
-    fn class(&self) -> ActionClass {
-        ActionClass::Metadata
-    }
-
-    fn applies(&self, ctx: &ActionContext<'_>) -> bool {
-        ctx.intent.is_empty() && !ctx.meta.columns_of(SemanticType::Temporal).is_empty()
-    }
-
-    fn generate(&self, ctx: &ActionContext<'_>) -> Result<Vec<Candidate>> {
-        Ok(ctx
-            .meta
-            .columns_of(SemanticType::Temporal)
-            .into_iter()
-            .map(|name| {
-                let semantic = ctx
-                    .meta
-                    .column(name)
-                    .map(|c| c.semantic)
-                    .unwrap_or(SemanticType::Temporal);
-                Candidate::new(VisSpec::new(
-                    Mark::Line,
-                    vec![
-                        Encoding::new(name, semantic, Channel::X),
-                        Encoding::synthetic_count(Channel::Y),
-                    ],
-                    vec![],
-                ))
-            })
-            .collect())
+        Ok(ctx.compile(&[Clause::wildcard_typed(self.0)]))
     }
 }
 
 /// Choropleth maps: each geographic attribute against each quantitative
 /// measure (mean per region), ranked by how much the measure varies across
-/// regions.
+/// regions — or each region's record count on a frame with no measure.
 pub struct Geographic;
 
 impl Action for Geographic {
@@ -177,33 +108,11 @@ impl Action for Geographic {
     }
 
     fn generate(&self, ctx: &ActionContext<'_>) -> Result<Vec<Candidate>> {
-        let geos = ctx.meta.columns_of(SemanticType::Geographic);
-        let quants = ctx.meta.columns_of(SemanticType::Quantitative);
-        let mut out = Vec::new();
-        for g in &geos {
-            if quants.is_empty() {
-                out.push(Candidate::new(VisSpec::new(
-                    Mark::Choropleth,
-                    vec![
-                        Encoding::new(*g, SemanticType::Geographic, Channel::X),
-                        Encoding::synthetic_count(Channel::Y),
-                    ],
-                    vec![],
-                )));
-            }
-            for q in &quants {
-                out.push(Candidate::new(VisSpec::new(
-                    Mark::Choropleth,
-                    vec![
-                        Encoding::new(*g, SemanticType::Geographic, Channel::X),
-                        Encoding::new(*q, SemanticType::Quantitative, Channel::Y)
-                            .with_aggregation(Agg::Mean),
-                    ],
-                    vec![],
-                )));
-            }
+        let mut intent = vec![Clause::wildcard_typed(SemanticType::Geographic)];
+        if !ctx.meta.columns_of(SemanticType::Quantitative).is_empty() {
+            intent.push(Clause::wildcard_typed(SemanticType::Quantitative));
         }
-        Ok(out)
+        Ok(ctx.compile(&intent))
     }
 }
 
@@ -252,7 +161,7 @@ mod tests {
     fn distribution_one_histogram_per_quant() {
         let (df, meta, cfg) = fixture();
         let ctx = ctx!(df, meta, cfg);
-        let c = Distribution.generate(&ctx).unwrap();
+        let c = Univariate::DISTRIBUTION.generate(&ctx).unwrap();
         assert_eq!(c.len(), 3);
         assert!(c.iter().all(|x| x.spec.mark == Mark::Histogram));
     }
@@ -261,7 +170,7 @@ mod tests {
     fn occurrence_covers_nominal_only() {
         let (df, meta, cfg) = fixture();
         let ctx = ctx!(df, meta, cfg);
-        let c = Occurrence.generate(&ctx).unwrap();
+        let c = Univariate::OCCURRENCE.generate(&ctx).unwrap();
         // dept is nominal; country is geographic so excluded here
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].spec.channel(Channel::X).unwrap().attribute, "dept");
@@ -271,7 +180,7 @@ mod tests {
     fn temporal_and_geographic() {
         let (df, meta, cfg) = fixture();
         let ctx = ctx!(df, meta, cfg);
-        assert_eq!(Temporal.generate(&ctx).unwrap().len(), 1);
+        assert_eq!(Univariate::TEMPORAL.generate(&ctx).unwrap().len(), 1);
         let g = Geographic.generate(&ctx).unwrap();
         assert_eq!(g.len(), 3); // country x {a,b,c}
         assert!(g.iter().all(|x| x.spec.mark == Mark::Choropleth));
@@ -289,7 +198,7 @@ mod tests {
             config: &cfg,
         };
         assert!(!Correlation.applies(&ctx));
-        assert!(!Distribution.applies(&ctx));
+        assert!(!Univariate::DISTRIBUTION.applies(&ctx));
     }
 
     #[test]
@@ -299,8 +208,8 @@ mod tests {
         let cfg = LuxConfig::default();
         let ctx = ctx!(df, meta, cfg);
         assert!(!Correlation.applies(&ctx));
-        assert!(!Distribution.applies(&ctx));
-        assert!(Occurrence.applies(&ctx));
-        assert!(!Temporal.applies(&ctx));
+        assert!(!Univariate::DISTRIBUTION.applies(&ctx));
+        assert!(Univariate::OCCURRENCE.applies(&ctx));
+        assert!(!Univariate::TEMPORAL.applies(&ctx));
     }
 }

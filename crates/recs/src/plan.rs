@@ -30,6 +30,15 @@ fn groups(spec: &VisSpec, meta: &FrameMeta, rows: usize) -> usize {
     }
 }
 
+/// An action's base time budget: the configured one, capped at what is left
+/// of the client's deadline (either alone when the other is unset).
+pub(crate) fn base_budget(config: &LuxConfig, client: Option<Duration>) -> Option<Duration> {
+    match (config.action_budget, client) {
+        (Some(base), Some(left)) => Some(base.min(left)),
+        (base, left) => base.or(left),
+    }
+}
+
 /// Whether an action scores on the PRUNE sample, in ladder order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum SampleMode {
@@ -59,7 +68,7 @@ pub(crate) struct Plan {
     pub cap_note: Option<String>,
     /// The cost model's estimate over the kept candidates.
     pub cost: f64,
-    /// The action's time budget, when the config sets a base one.
+    /// The action's time budget, when the config or the client sets one.
     pub deadline: Option<Duration>,
     pub sample: SampleMode,
     /// The PRUNE counter bumped: only when there was a sample to draw.
@@ -72,15 +81,17 @@ pub(crate) struct Plan {
 
 impl Plan {
     /// Plan `candidates` (each a spec and its frame's row count) over the
-    /// frame `meta` describes, whose PRUNE sample holds `sample_rows`.
+    /// frame `meta` describes, whose PRUNE sample holds `sample_rows`, with
+    /// `client` left of the client's deadline.
     pub(crate) fn new(
         candidates: &[(&VisSpec, usize)],
         meta: &FrameMeta,
         config: &LuxConfig,
         governor: &BudgetHandle,
         sample_rows: Option<usize>,
+        client: Option<Duration>,
     ) -> Plan {
-        let model = CostModel::default();
+        let model = CostModel;
         // The governor's cap may be tighter than the config's: under
         // admission pressure the shed ladder shrinks it (DESIGN.md §10).
         let max_candidates = governor.budget().max_candidates;
@@ -119,10 +130,12 @@ impl Plan {
             cap_note,
             cost,
             // Cheap actions get the base budget, heavyweight ones up to the
-            // hard-cutoff multiple of it.
-            deadline: config
-                .action_budget
-                .map(|base| model.time_budget(cost, base)),
+            // hard-cutoff multiple of it — but never past the client's
+            // deadline.
+            deadline: base_budget(config, client).map(|base| {
+                let budget = model.time_budget(cost, base);
+                client.map_or(budget, |left| budget.min(left))
+            }),
             sample,
             prune_counter,
             group_bytes: candidates
@@ -172,7 +185,7 @@ mod tests {
             num_rows: rows,
         };
         let specs = vec![(spec, rows); n];
-        Plan::new(&specs, &meta, config, governor, sample_rows)
+        Plan::new(&specs, &meta, config, governor, sample_rows, None)
     }
 
     #[test]
@@ -263,7 +276,7 @@ mod tests {
             (&histogram, 1_000),
             (&bar, 40),
         ];
-        let plan = Plan::new(&specs, &meta, &config, &governor, None);
+        let plan = Plan::new(&specs, &meta, &config, &governor, None, None);
         assert_eq!(plan.group_bytes, [0, 8_000, 0, 320]);
         assert_eq!(governor.charged(), 0, "planning charges nothing");
     }

@@ -11,48 +11,10 @@ use std::sync::Arc;
 
 use lux_dataframe::prelude::*;
 use lux_engine::{FrameMeta, LuxConfig, SemanticType};
-use lux_vis::{Channel, Encoding, Mark, VisSpec};
+use lux_intent::{dimension_by_measure, Clause};
+use lux_vis::{Channel, Encoding, Mark};
 
 use crate::action::{Action, ActionClass, ActionContext, Candidate};
-
-/// Build the default univariate spec for a column of a given semantic type
-/// (shared with the paper's metadata actions' shapes).
-pub fn univariate_spec(name: &str, semantic: SemanticType, bins: usize) -> VisSpec {
-    match semantic {
-        SemanticType::Quantitative => VisSpec::new(
-            Mark::Histogram,
-            vec![
-                Encoding::new(name, semantic, Channel::X).with_bin(bins),
-                Encoding::synthetic_count(Channel::Y),
-            ],
-            vec![],
-        ),
-        SemanticType::Temporal => VisSpec::new(
-            Mark::Line,
-            vec![
-                Encoding::new(name, semantic, Channel::X),
-                Encoding::synthetic_count(Channel::Y),
-            ],
-            vec![],
-        ),
-        SemanticType::Geographic => VisSpec::new(
-            Mark::Choropleth,
-            vec![
-                Encoding::new(name, semantic, Channel::X),
-                Encoding::synthetic_count(Channel::Y),
-            ],
-            vec![],
-        ),
-        _ => VisSpec::new(
-            Mark::Bar,
-            vec![
-                Encoding::new(name, semantic, Channel::X),
-                Encoding::synthetic_count(Channel::Y),
-            ],
-            vec![],
-        ),
-    }
-}
 
 /// Univariate visualization of a one-column frame (a Series printed on its
 /// own).
@@ -72,17 +34,7 @@ impl Action for SeriesVis {
     }
 
     fn generate(&self, ctx: &ActionContext<'_>) -> Result<Vec<Candidate>> {
-        let Some(cm) = ctx.meta.columns.first() else {
-            return Ok(vec![]);
-        };
-        if cm.semantic == SemanticType::Id {
-            return Ok(vec![]);
-        }
-        Ok(vec![Candidate::new(univariate_spec(
-            &cm.name,
-            cm.semantic,
-            ctx.config.histogram_bins,
-        ))])
+        Ok(ctx.compile(&[Clause::wildcard()]))
     }
 }
 
@@ -102,7 +54,10 @@ fn label_semantic(labels: &Column, name: Option<&str>) -> SemanticType {
 
 /// Visualizations of a pre-aggregated frame's values grouped by its labeled
 /// index: one chart per value column (column-wise), plus per-row series
-/// across the columns when the frame is a pivot-style grid (Figure 7).
+/// across the columns when the frame is a pivot-style grid (Figure 7). Not
+/// intents: each chart lives on a synthesized frame the metadata does not
+/// describe, so it is charted with the compiler's dimension-by-measure rule
+/// directly.
 pub struct IndexVis;
 
 impl IndexVis {
@@ -114,11 +69,6 @@ impl IndexVis {
         };
         let index_name = df.index().name().unwrap_or("index").to_string();
         let semantic = label_semantic(labels, df.index().name());
-        let mark = match semantic {
-            SemanticType::Temporal => Mark::Line,
-            SemanticType::Geographic => Mark::Choropleth,
-            _ => Mark::Bar,
-        };
         let mut out = Vec::new();
         for (i, col_name) in df.column_names().iter().enumerate() {
             let col = df.column_at(i);
@@ -131,13 +81,9 @@ impl IndexVis {
                 (index_name.clone(), (*labels).clone()),
                 (col_name.clone(), col.clone()),
             ])?;
-            let spec = VisSpec::new(
-                mark,
-                vec![
-                    Encoding::new(index_name.clone(), semantic, Channel::X),
-                    Encoding::new(col_name.clone(), SemanticType::Quantitative, Channel::Y)
-                        .with_aggregation(Agg::Mean),
-                ],
+            let spec = dimension_by_measure(
+                Encoding::new(index_name.clone(), semantic, Channel::X),
+                Encoding::new(col_name.clone(), SemanticType::Quantitative, Channel::Y),
                 vec![],
             );
             out.push(Candidate::on_frame(spec, Arc::new(synth)));
@@ -187,17 +133,9 @@ impl IndexVis {
                     Column::Float64(PrimitiveColumn::from_values(values)),
                 ),
             ])?;
-            let spec = VisSpec::new(
-                if x_sem == SemanticType::Temporal {
-                    Mark::Line
-                } else {
-                    Mark::Bar
-                },
-                vec![
-                    Encoding::new("column", x_sem, Channel::X),
-                    Encoding::new(label, SemanticType::Quantitative, Channel::Y)
-                        .with_aggregation(Agg::Mean),
-                ],
+            let spec = dimension_by_measure(
+                Encoding::new("column", x_sem, Channel::X),
+                Encoding::new(label, SemanticType::Quantitative, Channel::Y),
                 vec![],
             );
             out.push(Candidate::on_frame(spec, Arc::new(synth)));
@@ -230,10 +168,6 @@ impl IndexVis {
             .to_string();
         let sem0 = label_semantic(l0, Some(&n0));
         let sem1 = label_semantic(l1, Some(&n1));
-        let mark = match sem0 {
-            SemanticType::Temporal => Mark::Line,
-            _ => Mark::Bar,
-        };
         let mut out = Vec::new();
         for (i, col_name) in df.column_names().iter().enumerate() {
             let col = df.column_at(i);
@@ -245,16 +179,19 @@ impl IndexVis {
                 (n1.clone(), l1.clone()),
                 (col_name.clone(), col.clone()),
             ])?;
-            let spec = VisSpec::new(
-                mark,
-                vec![
-                    Encoding::new(n0.clone(), sem0, Channel::X),
-                    Encoding::new(col_name.clone(), SemanticType::Quantitative, Channel::Y)
-                        .with_aggregation(Agg::Mean),
-                    Encoding::new(n1.clone(), sem1, Channel::Color),
-                ],
+            let mut spec = dimension_by_measure(
+                Encoding::new(n0.clone(), sem0, Channel::X),
+                Encoding::new(col_name.clone(), SemanticType::Quantitative, Channel::Y),
                 vec![],
             );
+            // The one exception to the compiler's marks: a geographic level 0
+            // stays a bar, since a map draws one value per region and has no
+            // second colour series for level 1.
+            if spec.mark == Mark::Choropleth {
+                spec.mark = Mark::Bar;
+            }
+            spec.encodings
+                .push(Encoding::new(n1.clone(), sem1, Channel::Color));
             out.push(Candidate::on_frame(spec, Arc::new(synth)));
         }
         Ok(out)

@@ -56,6 +56,20 @@ if [ -n "$literals" ]; then
 fi
 echo "ok: options are derived from a LuxConfig only in lux-vis and lux-intent"
 
+echo "== spec-literal lint (VisSpec::new( in crates/recs/src outside Correlation)"
+# Actions state their search space as intents and take marks, channels and
+# aggregations from lux-intent's Infer step (DESIGN.md §2). A hand-built
+# spec in an action is a second copy of those rules; Correlation's pair loop
+# in metadata_actions.rs is the one kept exception.
+specs=$(find crates/recs/src -name '*.rs' ! -path 'crates/recs/src/metadata_actions.rs' \
+    -exec awk "$MARK_TESTS"' !t && /VisSpec::new\(/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ -n "$specs" ]; then
+    echo "$specs"
+    echo "error: VisSpec::new( in crates/recs/src outside metadata_actions.rs — compile an intent (ActionContext::compile) or use lux_intent::dimension_by_measure"
+    exit 1
+fi
+echo "ok: actions take their specs from the intent compiler"
+
 echo "== one-record lint (pass observation outside LuxDataFrame::finish_print)"
 # A finished print is observed in one place (DESIGN.md §7): it summarizes its
 # trace once and that one PassSummary feeds the JSONL log, the flight

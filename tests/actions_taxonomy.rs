@@ -183,3 +183,96 @@ fn top_k_respected_everywhere() {
         );
     }
 }
+
+const CANDIDATES_GOLDEN: &str = include_str!("golden/default_candidates.txt");
+
+/// What every applicable default action generates on `ldf`, in registry
+/// order: each candidate's mark, its encodings (attribute, semantic type,
+/// channel, aggregation, bin), its filters and, for a candidate pinned to
+/// another frame, that frame's row count.
+fn describe_candidates(label: &str, ldf: &LuxDataFrame) -> String {
+    use lux::recs::ActionContext;
+    use std::fmt::Write as _;
+    let meta = ldf.metadata();
+    let ctx = ActionContext {
+        df: ldf.data(),
+        meta: &meta,
+        intent: &[],
+        intent_specs: &[],
+        config: ldf.config(),
+    };
+    let mut out = format!("== {label}\n");
+    for action in lux::recs::default_actions() {
+        if !action.applies(&ctx) {
+            continue;
+        }
+        let candidates = action.generate(&ctx).expect("default actions generate");
+        writeln!(out, "{} ({})", action.name(), candidates.len()).unwrap();
+        for c in candidates {
+            let mut line = format!("  {}", c.spec.mark.name());
+            for e in &c.spec.encodings {
+                let synthetic = if e.synthetic { " synthetic" } else { "" };
+                write!(
+                    line,
+                    " | {}:{:?}@{} agg={:?} bin={:?}{synthetic}",
+                    e.attribute,
+                    e.semantic,
+                    e.channel.name(),
+                    e.aggregation,
+                    e.bin
+                )
+                .unwrap();
+            }
+            for f in &c.spec.filters {
+                write!(line, " | filter {f}").unwrap();
+            }
+            if let Some(frame) = &c.frame {
+                write!(line, " | on {} rows", frame.num_rows()).unwrap();
+            }
+            writeln!(out, "{line}").unwrap();
+        }
+    }
+    out
+}
+
+/// Characterization of the default actions' search spaces on every frame
+/// shape that triggers one: the plain mixed frame (metadata actions), a
+/// head (Pre-filter), a one-column select (Series), one- and two-level
+/// group-bys (Index column-wise and multi-level, Pre-aggregate) and a pivot
+/// (Index row-wise). No bless switch: on mismatch the actual listing is
+/// printed between `BEGIN`/`END` markers.
+#[test]
+fn default_action_candidates_are_pinned() {
+    let frame = mixed_frame();
+    let shapes = [
+        ("mixed_frame", mixed_frame()),
+        ("head(4)", frame.head(4)),
+        ("select(quant_a)", frame.select(&["quant_a"]).unwrap()),
+        (
+            "groupby_agg(nominal)",
+            frame
+                .groupby_agg(&["nominal"], &[("quant_a", Agg::Mean)])
+                .unwrap(),
+        ),
+        (
+            "groupby_agg(country, nominal)",
+            frame
+                .groupby_agg(&["country", "nominal"], &[("quant_a", Agg::Mean)])
+                .unwrap(),
+        ),
+        (
+            "pivot(nominal, country, quant_a)",
+            frame
+                .pivot("nominal", "country", "quant_a", Agg::Mean)
+                .unwrap(),
+        ),
+    ];
+    let actual: String = shapes
+        .iter()
+        .map(|(label, ldf)| describe_candidates(label, ldf))
+        .collect();
+    if actual != CANDIDATES_GOLDEN {
+        println!("BEGIN\n{actual}END");
+        panic!("default action candidates differ from tests/golden/default_candidates.txt");
+    }
+}

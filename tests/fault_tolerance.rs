@@ -12,7 +12,6 @@ use lux::engine::trace::{names, MetricsRegistry};
 use lux::engine::world::World;
 use lux::engine::FlightRecorder;
 use lux::prelude::*;
-use lux::recs::structure_actions::univariate_spec;
 use lux::recs::{Action, ActionContext, Candidate, CustomAction};
 
 /// A small frame with enough shape for the default overview actions.
@@ -47,16 +46,8 @@ fn custom(
 
 /// Univariate candidates over the frame's first two columns.
 fn healthy(ctx: &ActionContext<'_>) -> Vec<Candidate> {
-    ctx.meta.columns[..2]
-        .iter()
-        .map(|c| {
-            Candidate::new(univariate_spec(
-                &c.name,
-                c.semantic,
-                ctx.config.histogram_bins,
-            ))
-        })
-        .collect()
+    let names = ctx.meta.columns[..2].iter().map(|c| c.name.clone());
+    ctx.compile(&[Clause::axis_union(names)])
 }
 
 /// An action 400 candidates long; [`slow_sloth`] makes each score 10 ms.
@@ -101,11 +92,12 @@ fn healthy_actions_survive_a_chaotic_registry() {
     }));
     // Specs on a missing column: every candidate fails processing.
     ldf.register_action(custom("Garbler", |ctx| {
-        let spec = univariate_spec(
-            "__missing__",
-            SemanticType::Quantitative,
-            ctx.config.histogram_bins,
-        );
+        let x = Encoding::new("__missing__", SemanticType::Quantitative, Channel::X);
+        let encodings = vec![
+            x.with_bin(ctx.config.histogram_bins),
+            Encoding::synthetic_count(Channel::Y),
+        ];
+        let spec = VisSpec::new(Mark::Histogram, encodings, vec![]);
         Ok(vec![Candidate::new(spec.clone()), Candidate::new(spec)])
     }));
 

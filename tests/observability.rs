@@ -10,7 +10,6 @@ use lux::engine::trace::names as metric;
 use lux::engine::world::World;
 use lux::engine::MetricsRegistry;
 use lux::prelude::*;
-use lux::recs::structure_actions::univariate_spec;
 use lux::recs::{Candidate, CustomAction};
 
 fn frame(n: usize) -> DataFrame {
@@ -154,11 +153,7 @@ fn degraded_pass_is_marked_in_trace_and_metrics() {
         "Molasses",
         |_| true,
         |ctx| {
-            let spec = univariate_spec(
-                "price",
-                SemanticType::Quantitative,
-                ctx.config.histogram_bins,
-            );
+            let spec = ctx.compile(&[Clause::axis("price")]).swap_remove(0).spec;
             Ok((0..300).map(|_| Candidate::new(spec.clone())).collect())
         },
     ));
@@ -308,4 +303,39 @@ fn metadata_fold_spans_appear_only_when_columns_fold() {
     let single = traced_pass(lux::engine::metadata::CHUNK_ROWS);
     assert!(single.spans_named("metadata.fold").is_empty());
     assert_eq!(single.spans_prefixed("column:").len(), df.num_columns());
+}
+
+/// A client deadline caps every action's planned time budget: the cost
+/// model may scale a heavy action's budget up to the hard-cutoff multiple
+/// of its base, but never past what is left of the client's deadline.
+/// Airbnb at 100k rows gives Correlation and Distribution estimates above
+/// `CostModel::REFERENCE_COST`, so both would scale.
+#[test]
+fn client_deadline_caps_every_action_budget() {
+    let ldf = LuxDataFrame::new(lux::workloads::airbnb(100_000, 7));
+    let deadline = Some(Duration::from_millis(100));
+    ldf.print_with(&PrintOptions::default().with_deadline(deadline));
+    let trace = ldf.last_trace().expect("print records a trace");
+    let root = trace.root().expect("root span");
+    let remaining: f64 = (root.tag("deadline.remaining_ms"))
+        .expect("a client deadline is tagged")
+        .parse()
+        .expect("whole milliseconds");
+    let budgets: Vec<(&str, f64)> = (trace.spans_prefixed("action:").into_iter())
+        .filter_map(|s| Some((s.name.as_str(), s.tag("deadline.budget_ms")?.parse().ok()?)))
+        .collect();
+    assert!(
+        budgets
+            .iter()
+            .any(|(name, _)| *name == "action:Correlation"),
+        "got {budgets:?}"
+    );
+    for (name, budget_ms) in budgets {
+        // The root tag truncates to whole milliseconds, the action tag
+        // rounds to a tenth.
+        assert!(
+            budget_ms <= remaining + 1.0,
+            "{name} planned {budget_ms} ms with {remaining} ms left"
+        );
+    }
 }
