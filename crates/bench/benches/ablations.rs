@@ -6,11 +6,11 @@
 //! 4. cheapest-first async scheduling vs sequential execution (ASYNC).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lux_core::prelude::*;
-use lux_engine::{CachedSample, FrameMeta};
+use lux_engine::FrameMeta;
 use lux_recs::{
     execute_action, metadata_actions::Correlation, run_pass, ActionRegistry, Pass, PassCtx,
 };
@@ -36,45 +36,41 @@ fn ablation_wflow(c: &mut Criterion) {
     g.finish();
 }
 
-/// A standalone pass: no intent, detached, `sample` kept when PRUNE is on.
-fn pass_over(
-    df: &Arc<DataFrame>,
-    meta: &Arc<FrameMeta>,
-    config: &Arc<LuxConfig>,
-    sample: Option<&Arc<CachedSample>>,
-) -> Pass {
+/// A standalone pass: no intent, detached, with an empty sample slot of its
+/// own (so a pruned pass draws a cold sample).
+fn pass_over(df: &Arc<DataFrame>, meta: &Arc<FrameMeta>, config: &Arc<LuxConfig>) -> Pass {
     let ctx = PassCtx::detached("pass", config.budget.clone());
     Pass::open(
         Arc::clone(df),
         Arc::clone(meta),
         &[],
         Arc::clone(config),
-        sample,
+        Arc::default(),
         ctx,
     )
 }
 
 /// PRUNE ablation: the Correlation action on a wide frame, exact vs sampled
-/// two-pass.
+/// two-pass (drawing its 1k-row sample afresh each iteration).
 fn ablation_prune(c: &mut Criterion) {
     let df = Arc::new(communities(10_000, 2));
     let meta = Arc::new(FrameMeta::compute(&df, &HashMap::new()));
     let mut g = c.benchmark_group("ablation_prune");
     g.sample_size(10);
-    for (name, prune, sample_rows) in [("exact", false, 0usize), ("pruned_1k_sample", true, 1_000)]
-    {
+    for (name, prune) in [("exact", false), ("pruned_1k_sample", true)] {
         g.bench_with_input(
             BenchmarkId::new("correlation", name),
             &prune,
             |b, &prune| {
                 let config = Arc::new(LuxConfig {
                     prune,
+                    sample_cap: 1_000,
+                    sample_seed: 9,
                     ..LuxConfig::default()
                 });
-                let sample = (sample_rows > 0).then(|| Arc::new(CachedSample::new(sample_rows, 9)));
                 b.iter(|| {
                     // A pass per iteration: its budget is per pass.
-                    let pass = pass_over(&df, &meta, &config, sample.as_ref());
+                    let pass = pass_over(&df, &meta, &config);
                     execute_action(&Correlation, &pass, &pass.trace)
                         .expect("correlation runs clean")
                         .expect("correlation has candidates")
@@ -87,14 +83,14 @@ fn ablation_prune(c: &mut Criterion) {
     g.finish();
 }
 
-/// Sample-cache ablation: cached sample handle vs re-sampling per use.
+/// Sample-cache ablation: the frame's filled sample slot vs re-sampling per
+/// use.
 fn ablation_sample_cache(c: &mut Criterion) {
     let df = communities(50_000, 3);
     let mut g = c.benchmark_group("ablation_sample_cache");
     g.bench_function("cached", |b| {
-        let cache = CachedSample::new(5_000, 7);
-        let _ = cache.get(&df);
-        b.iter(|| cache.get(&df).num_rows())
+        let slot = OnceLock::new();
+        b.iter(|| slot.get_or_init(|| df.sample(5_000, 7)).num_rows())
     });
     g.bench_function("fresh_each_time", |b| {
         b.iter(|| df.sample(5_000, 7).num_rows())
@@ -117,7 +113,7 @@ fn ablation_async(c: &mut Criterion) {
                 ..LuxConfig::default()
             });
             b.iter(|| {
-                let pass = pass_over(&df, &meta, &config, None);
+                let pass = pass_over(&df, &meta, &config);
                 run_pass(&registry, pass).collect_all().len()
             })
         });

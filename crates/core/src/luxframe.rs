@@ -18,15 +18,14 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use lux_dataframe::prelude::*;
 use lux_engine::sync::lock_recover;
 use lux_engine::trace::{names as metric, MetricsRegistry, MetricsSnapshot};
 use lux_engine::{
-    failpoint, Admission, AdmissionController, AdmitRequest, CachedSample, FlightRecorder,
-    FrameMeta, LuxConfig, PassSummary, PassTrace, Priority, ResourceBudget, SemanticType,
-    ShedReason,
+    failpoint, Admission, AdmissionController, AdmitRequest, FlightRecorder, FrameMeta, LuxConfig,
+    PassSummary, PassTrace, Priority, ResourceBudget, SemanticType, ShedReason,
 };
 use lux_intent::{Clause, Diagnostic};
 use lux_recs::{ActionHealth, ActionRegistry, ActionResult, Pass, PassCtx, TraceCtx};
@@ -97,7 +96,9 @@ pub struct LuxDataFrame {
     registry: Arc<ActionRegistry>,
     overrides: HashMap<String, SemanticType>,
     cache: Mutex<WflowCache>,
-    sample: Arc<CachedSample>,
+    /// The PRUNE sample, drawn by the first pass that reads it
+    /// ([`Pass::sample`]) and shared by every later one.
+    sample: Arc<OnceLock<Arc<DataFrame>>>,
     exported: Mutex<Vec<Vis>>,
     logger: Option<Arc<SessionLogger>>,
     /// Span tree of the most recent print pass on this frame.
@@ -161,7 +162,6 @@ impl LuxDataFrame {
         registry: Arc<ActionRegistry>,
         overrides: HashMap<String, SemanticType>,
     ) -> LuxDataFrame {
-        let sample = Arc::new(CachedSample::new(config.sample_cap, config.sample_seed));
         let ldf = LuxDataFrame {
             df: Arc::new(df),
             intent,
@@ -169,7 +169,7 @@ impl LuxDataFrame {
             registry,
             overrides,
             cache: Mutex::new(WflowCache::default()),
-            sample,
+            sample: Arc::default(),
             exported: Mutex::new(Vec::new()),
             logger: None,
             last_trace: Mutex::new(None),
@@ -373,7 +373,7 @@ impl LuxDataFrame {
             meta,
             &self.intent,
             Arc::clone(&self.config),
-            Some(&self.sample),
+            Arc::clone(&self.sample),
             ctx.clone(),
         )
     }
@@ -563,9 +563,8 @@ impl LuxDataFrame {
         actions.trace.end();
         root.tag("governor.degrades", governor.event_count().to_string());
         root.tag("governor.breached", governor.breached().to_string());
-        let governor_note = governor.summary();
-        if let Some(note) = &governor_note {
-            root.tag("governor.summary", note.clone());
+        if let Some(note) = governor.summary() {
+            root.tag("governor.summary", note);
         }
         root.end();
         Widget::new(
@@ -576,7 +575,6 @@ impl LuxDataFrame {
             self.df.num_rows(),
             self.df.num_columns(),
             self.finish_print(root, opts, start, Some(permit.waited())),
-            governor_note,
         )
     }
 
@@ -680,7 +678,6 @@ impl LuxDataFrame {
             self.df.num_rows(),
             self.df.num_columns(),
             self.finish_print(&root, opts, start, None),
-            None,
         )
     }
 
@@ -950,7 +947,7 @@ mod tests {
     #[test]
     fn print_with_skipped_gates_never_draws_the_sample() {
         // Taller than the cap, PRUNE on, but too few candidates for any
-        // gate to engage: the pass carries the handle and nobody reads it.
+        // gate to engage: the pass carries the slot and nobody fills it.
         let config = LuxConfig {
             sample_cap: 10,
             ..LuxConfig::default()
@@ -959,7 +956,21 @@ mod tests {
         let ldf = LuxDataFrame::with_config(sample_ldf().data().clone(), Arc::new(config));
         let w = ldf.print();
         assert!(!w.results().is_empty());
-        assert!(!ldf.sample.is_cached(), "an unread sample was drawn");
+        assert!(ldf.sample.get().is_none(), "an unread sample was drawn");
+    }
+
+    #[test]
+    fn passes_over_one_frame_share_one_drawn_sample() {
+        let config = LuxConfig {
+            sample_cap: 10,
+            ..LuxConfig::default()
+        };
+        let ldf = LuxDataFrame::with_config(sample_ldf().data().clone(), Arc::new(config));
+        let ctx = PassCtx::detached("pass", ResourceBudget::unlimited());
+        let first = ldf.open_pass(&ctx, ldf.metadata()).sample();
+        let second = ldf.open_pass(&ctx, ldf.metadata()).sample();
+        assert_eq!(first.num_rows(), 10);
+        assert!(Arc::ptr_eq(&first, &second), "the second pass drew again");
     }
 
     #[test]

@@ -27,9 +27,6 @@ pub struct Widget {
     /// The pass's one summary, computed when the print finished: the timing
     /// footer and the shed note read it.
     summary: PassSummary,
-    /// One-line summary of resource-governor degradations during the pass
-    /// (`None` when everything ran exact within budget).
-    governor_note: Option<String>,
 }
 
 impl Widget {
@@ -39,7 +36,6 @@ impl Widget {
     /// run recommendations, so the widget degrades to the plain table plus
     /// the reason (never a panic or a hang), and display, export and the
     /// timing footer all still work.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         table: String,
         results: Arc<Vec<ActionResult>>,
@@ -48,7 +44,6 @@ impl Widget {
         num_rows: usize,
         num_columns: usize,
         (trace, summary): (Arc<PassTrace>, PassSummary),
-        governor_note: Option<String>,
     ) -> Widget {
         Widget {
             table,
@@ -59,7 +54,6 @@ impl Widget {
             num_columns,
             trace,
             summary,
-            governor_note,
         }
     }
 
@@ -69,9 +63,10 @@ impl Widget {
     }
 
     /// The resource-governor marker for this pass: which steps degraded and
-    /// why, or `None` when the pass ran entirely exact within its budget.
+    /// why, or `None` when the pass ran entirely exact within its budget:
+    /// the root span's `governor.summary` tag.
     pub fn governor_note(&self) -> Option<&str> {
-        self.governor_note.as_deref()
+        self.trace.root()?.tag("governor.summary")
     }
 
     /// Why admission control shed this pass, or `None` when it ran
@@ -139,7 +134,7 @@ impl Widget {
         for h in self.health_problems() {
             out.push_str(&format!("(!) action {h}\n"));
         }
-        if let Some(note) = &self.governor_note {
+        if let Some(note) = self.governor_note() {
             out.push_str(&format!("(~) {note}\n"));
         }
         if let Some(note) = self.shed_note() {
@@ -244,7 +239,7 @@ impl std::fmt::Display for Widget {
                 .collect();
             writeln!(f, "[action health: {}]", notes.join(", "))?;
         }
-        if let Some(note) = &self.governor_note {
+        if let Some(note) = self.governor_note() {
             writeln!(f, "[{note}]")?;
         }
         if let Some(note) = self.shed_note() {

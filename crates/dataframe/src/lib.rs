@@ -36,7 +36,6 @@ pub mod bitmap;
 pub mod column;
 pub mod csv;
 pub mod error;
-pub mod expr;
 pub mod frame;
 pub mod history;
 pub mod index;
@@ -49,7 +48,6 @@ pub mod value;
 pub use column::{Column, PrimitiveColumn, StrColumn};
 pub use csv::{ParseIssue, ParseReport};
 pub use error::{Error, Result};
-pub use expr::{col, Expr};
 pub use frame::{DataFrame, DataFrameBuilder};
 pub use history::{Event, History, OpKind};
 pub use index::Index;
@@ -62,7 +60,6 @@ pub mod prelude {
     pub use crate::bitmap::Bitmap;
     pub use crate::column::{Column, PrimitiveColumn, StrColumn};
     pub use crate::error::{Error, Result};
-    pub use crate::expr::{col, Expr};
     pub use crate::frame::{DataFrame, DataFrameBuilder};
     pub use crate::history::{Event, History, OpKind};
     pub use crate::index::Index;

@@ -4,6 +4,9 @@ use std::time::Duration;
 
 use crate::governor::ResourceBudget;
 
+/// Default sample cap from the paper's experiments (§9.1).
+pub const DEFAULT_SAMPLE_CAP: usize = 30_000;
+
 /// Global knobs controlling recommendation generation and the three
 /// optimizations, matching the experimental conditions of the paper (§9.1):
 /// `no-opt`, `wflow`, `wflow+prune`, and `all-opt` are all expressible by
@@ -64,7 +67,7 @@ impl Default for LuxConfig {
     fn default() -> Self {
         LuxConfig {
             top_k: 15,
-            sample_cap: crate::sample::DEFAULT_SAMPLE_CAP,
+            sample_cap: DEFAULT_SAMPLE_CAP,
             sample_seed: 0x1ab_cafe,
             wflow: true,
             prune: true,

@@ -6,7 +6,6 @@
 //!   (paper §8.1 "Metadata Computation");
 //! - [`cost`] — the per-visualization cost model of Table 2, used by the
 //!   ASYNC scheduler and the PRUNE gate (§8.2);
-//! - [`sample`] — cached, capped row samples for approximate scoring (§8.2);
 //! - [`config`] — the knobs that express the paper's experimental conditions
 //!   (`no-opt` / `wflow` / `wflow+prune` / `all-opt`);
 //! - [`governor`] — per-pass resource budgets and the degradation ladder
@@ -37,7 +36,6 @@ pub mod knobs;
 pub mod metadata;
 pub mod pool;
 pub mod rng;
-pub mod sample;
 pub mod stats;
 pub mod summary;
 pub mod sync;
@@ -48,7 +46,7 @@ pub use admission::{
     Admission, AdmissionConfig, AdmissionController, AdmissionPermit, AdmissionStats, AdmitRequest,
     Backoff, GlobalLedger, PressureLevel, Priority, ShedReason,
 };
-pub use config::LuxConfig;
+pub use config::{LuxConfig, DEFAULT_SAMPLE_CAP};
 pub use cost::{CostModel, OpClass};
 pub use flight::{FlightEntry, FlightRecorder};
 pub use governor::{
@@ -57,7 +55,6 @@ pub use governor::{
 pub use metadata::{ColumnMeta, FrameMeta, SemanticType};
 pub use pool::{parallel_for, parallel_map, worker_index, WorkPool};
 pub use rng::SeededRng;
-pub use sample::{CachedSample, DEFAULT_SAMPLE_CAP};
 pub use summary::PassSummary;
 pub use sync::lock_recover;
 pub use trace::{

@@ -31,10 +31,6 @@ impl AttributeSpec {
     pub fn one(name: impl Into<String>) -> AttributeSpec {
         AttributeSpec::Named(vec![name.into()])
     }
-
-    pub fn is_wildcard(&self) -> bool {
-        matches!(self, AttributeSpec::Wildcard { .. })
-    }
 }
 
 /// The value part of a filter clause: one value, a union, or a wildcard.

@@ -5,41 +5,42 @@
 //! dispatches each runnable one — as a detached pool task under ASYNC,
 //! inline otherwise — through the five stages of [`execute_action`]
 //! (`enumerate → plan → score → select_top_k → process`, PRUNE being the
-//! sample-scored first pass), and settles every outcome in one place. What
-//! an action may degrade before it runs — the candidate cap, the deadline,
-//! the PRUNE gate, each group-by's byte charge — is decided once, by its
-//! plan (`crate::plan`).
+//! sample-scored first pass), and settles every outcome in one place. An
+//! action runs on its pass and its plan alone: what it may degrade before
+//! it runs — the candidate cap, the deadline, the PRUNE gate — and each
+//! group-by's byte charge are decided once, by its plan (`crate::plan`),
+//! and the pass's hard cutoff is planned beside the deadlines it bounds.
 //! The blocking API is [`StreamingRun::collect_report`].
 //!
 //! Every action runs under the fault model of [`crate::fault`]: generation,
 //! scoring, and processing are panic-isolated; each action gets a wall-clock
 //! budget derived from its cost estimate (`LuxConfig::action_budget` scaled
 //! by `CostModel::time_budget`) with cooperative checks between steps and —
-//! under ASYNC — a hard cutoff that abandons hung workers; and a per-action
-//! circuit breaker skips actions that keep failing, with a half-open
-//! re-probe after a cooldown of fresh frames. One misbehaving action can
-//! therefore never take down a recommendation pass: every healthy action's
-//! results are still served, and the per-action health ledger in
-//! [`RunReport`] says what happened to the rest.
+//! under ASYNC — a hard cutoff (`crate::plan::hard_cutoff`) that abandons
+//! hung workers; and a per-action circuit breaker skips actions that keep
+//! failing, with a half-open re-probe after a cooldown of fresh frames. One
+//! misbehaving action can therefore never take down a recommendation pass:
+//! every healthy action's results are still served, and the per-action
+//! health ledger in [`RunReport`] says what happened to the rest.
 
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use lux_dataframe::prelude::*;
 use lux_engine::governor::{BudgetHandle, DegradeLevel, ResourceBudget};
 use lux_engine::trace::{names as metric, MetricsRegistry, SpanId, TraceCollector};
 use lux_engine::{clock, failpoint};
-use lux_engine::{AdmissionPermit, CachedSample, CostModel, FrameMeta, LuxConfig};
+use lux_engine::{AdmissionPermit, FrameMeta, LuxConfig};
 use lux_intent::{Clause, CompileOptions};
-use lux_vis::{Channel, ProcessOptions, Vis, VisList, VisSpec};
+use lux_vis::{ProcessOptions, Vis, VisList, VisSpec};
 
 use crate::action::{Action, ActionContext, ActionRegistry, ActionResult, Candidate};
 use crate::fault::{
     isolate, ActionError, ActionHealth, ActionStatus, BreakerDecision, CircuitBreaker, Deadline,
     RunReport,
 };
-use crate::plan::{base_budget, Plan, SampleMode};
+use crate::plan::{hard_cutoff, Plan, SampleMode};
 
 /// Trace attachment: the shared pass collector plus the span this unit of
 /// work records under — for a [`Pass`] the parent of its per-action spans,
@@ -146,10 +147,10 @@ pub struct Pass {
     pub intent: Arc<Vec<Clause>>,
     pub intent_specs: Arc<Vec<VisSpec>>,
     pub config: Arc<LuxConfig>,
-    /// The frame's PRUNE sample handle; `None` when PRUNE is off. The rows
-    /// are drawn by the first stage that reads them (an engaged or forced
-    /// gate, a degraded survivor), never up front.
-    pub sample: Option<Arc<CachedSample>>,
+    /// The frame's PRUNE sample slot, shared by every pass over the frame:
+    /// filled by the first [`Pass::sample`] call (an engaged or forced gate,
+    /// a degraded survivor), never up front.
+    sample: Arc<OnceLock<Arc<DataFrame>>>,
     /// The span under which per-action spans are recorded.
     pub trace: TraceCtx,
     /// Per-pass resource governor shared by every worker: allocation-heavy
@@ -164,21 +165,22 @@ pub struct Pass {
     /// slot itself.
     pub permit: Option<Arc<AdmissionPermit>>,
     /// `config` as processing options; each call into an action attaches
-    /// its group cap and governor scope to a copy.
+    /// its governor scope to a copy.
     opts: ProcessOptions,
 }
 
 impl Pass {
     /// Open a pass over `df` in `ctx`: compile `intent` against `meta` (an
     /// empty or invalid intent compiles to no specs — the widget shows the
-    /// diagnostics instead), derive the processing options from `config`,
-    /// and keep the `sample` handle only when PRUNE is on.
+    /// diagnostics instead), and derive the processing options from
+    /// `config`. `sample` is the frame's PRUNE sample slot; a standalone
+    /// pass hands in an empty one of its own.
     pub fn open(
         df: Arc<DataFrame>,
         meta: Arc<FrameMeta>,
         intent: &[Clause],
         config: Arc<LuxConfig>,
-        sample: Option<&Arc<CachedSample>>,
+        sample: Arc<OnceLock<Arc<DataFrame>>>,
         ctx: PassCtx,
     ) -> Pass {
         let intent_specs = ctx.trace.time("intent.compile", || {
@@ -192,7 +194,7 @@ impl Pass {
             meta,
             intent: Arc::new(intent.to_vec()),
             intent_specs: Arc::new(intent_specs),
-            sample: sample.filter(|_| config.prune).cloned(),
+            sample,
             opts: ProcessOptions::from(&*config),
             config,
             trace: ctx.trace,
@@ -212,18 +214,36 @@ impl Pass {
             config: &self.config,
         }
     }
+
+    /// Rows in the PRUNE sample, known without drawing it; `None` when PRUNE
+    /// is off.
+    fn sample_rows(&self) -> Option<usize> {
+        (self.config.prune).then(|| self.config.sample_cap.min(self.df.num_rows()))
+    }
+
+    /// The frame's PRUNE sample, drawn on first read — once per frame,
+    /// whichever pass or worker asks first: the frame itself at or under
+    /// `sample_cap`, else a seeded draw of `sample_cap` rows.
+    pub fn sample(&self) -> Arc<DataFrame> {
+        let (df, cap) = (&self.df, self.config.sample_cap);
+        let drawn = self.sample.get_or_init(|| {
+            if df.num_rows() <= cap {
+                Arc::clone(df)
+            } else {
+                Arc::new(df.sample(cap, self.config.sample_seed))
+            }
+        });
+        Arc::clone(drawn)
+    }
 }
 
 // ---------------------------------------------------------------------
 // One action: enumerate → plan → score → select_top_k → process
 // ---------------------------------------------------------------------
 
-/// A kept candidate and the group cap its plan-time charge left it.
-type Kept = (Candidate, usize);
-
 /// A kept candidate with its first-pass score and whether that score was
 /// computed on the PRUNE sample.
-type Scored = (Kept, f64, bool);
+type Scored = (Candidate, f64, bool);
 
 type Outcome = std::result::Result<Option<ActionResult>, ActionError>;
 
@@ -282,19 +302,19 @@ impl<'a> ActionRun<'a> {
     /// Stage 2: decide the action's [`Plan`] and carry out its pre-scoring
     /// half: keep the planned candidates, start the deadline, count and tag
     /// the PRUNE verdict, draw the sample when it engages, and charge each
-    /// group-by in candidate order — a refused charge tightens that
-    /// candidate's group cap to the displayable bar count.
-    fn plan(&mut self, mut candidates: Vec<Candidate>) -> (Vec<Kept>, Option<Arc<DataFrame>>) {
+    /// group-by in candidate order. A refused charge breaches the pass
+    /// budget and changes nothing else: the bytes are the ledger's record,
+    /// not a bound on what the action draws.
+    fn plan(&mut self, mut candidates: Vec<Candidate>) -> (Vec<Candidate>, Option<Arc<DataFrame>>) {
         let (pass, governor) = (self.pass, &*self.pass.governor);
         let rows = |c: &Candidate| c.frame.as_deref().unwrap_or(&pass.df).num_rows();
         let specs: Vec<(&VisSpec, usize)> = candidates.iter().map(|c| (&c.spec, rows(c))).collect();
-        let sample_rows = pass.sample.as_ref().map(|s| s.rows(pass.df.num_rows()));
         let plan = Plan::new(
             &specs,
             &pass.meta,
             &pass.config,
             governor,
-            sample_rows,
+            pass.sample_rows(),
             pass.deadline,
         );
         candidates.truncate(plan.kept);
@@ -315,25 +335,11 @@ impl<'a> ActionRun<'a> {
             MetricsRegistry::global().incr(counter);
         }
         self.trace.tag("prune", plan.sample.name());
-        let prune_sample = (pass.sample.as_ref())
-            .filter(|_| plan.sample >= SampleMode::Engaged)
-            .map(|s| s.get(&pass.df));
-        let (cap, tightened) = (pass.opts.max_group_cardinality, pass.opts.max_bars.max(1));
-        let charge = |(cand, bytes): (Candidate, u64)| {
-            if bytes == 0 || governor.try_charge(bytes) {
-                return (cand, cap);
-            }
-            let x = cand.spec.channel(Channel::X).map_or("", |e| &e.attribute);
-            let (stage, level) = (format!("process:{x}"), DegradeLevel::CappedCardinality);
-            governor.record(
-                stage,
-                level,
-                "pass memory budget exhausted; group cap tightened",
-            );
-            (cand, cap.min(tightened))
-        };
-        let kept = candidates.into_iter().zip(plan.group_bytes).map(charge);
-        (kept.collect(), prune_sample)
+        let prune_sample = (plan.sample >= SampleMode::Engaged).then(|| pass.sample());
+        for bytes in plan.group_bytes.into_iter().filter(|&b| b > 0) {
+            governor.try_charge(bytes);
+        }
+        (candidates, prune_sample)
     }
 
     /// A scope of the action's governor per fan-out item, adopted in order.
@@ -342,11 +348,9 @@ impl<'a> ActionRun<'a> {
         (0..n).map(|_| Arc::new(governor.scope())).collect()
     }
 
-    /// Options for one call into the action: `kept`'s group cap, and
-    /// `scope` to record on.
-    fn call_opts(&self, (_, group_cap): &Kept, scope: &Arc<BudgetHandle>) -> ProcessOptions {
+    /// Options for one call into the action, recording on `scope`.
+    fn call_opts(&self, scope: &Arc<BudgetHandle>) -> ProcessOptions {
         let mut opts = self.pass.opts.clone();
-        opts.max_group_cardinality = *group_cap;
         opts.governor = Some(Arc::clone(scope));
         opts
     }
@@ -359,7 +363,7 @@ impl<'a> ActionRun<'a> {
     /// `threads = 1` is the plain sequential loop).
     fn score(
         &mut self,
-        candidates: Vec<Kept>,
+        candidates: Vec<Candidate>,
         prune_sample: Option<&DataFrame>,
     ) -> std::result::Result<Vec<Scored>, ActionError> {
         let total = candidates.len();
@@ -404,26 +408,26 @@ impl<'a> ActionRun<'a> {
     /// Score one candidate; `Ok(None)` once the deadline has expired.
     fn score_one(
         &self,
-        kept: Kept,
+        cand: Candidate,
         scope: &Arc<BudgetHandle>,
         prune_sample: Option<&DataFrame>,
     ) -> std::result::Result<Option<Scored>, ActionError> {
         if self.deadline.expired() {
             return Ok(None);
         }
-        let copts = self.call_opts(&kept, scope);
+        let copts = self.call_opts(scope);
         // Candidates pinned to their own frame (history/structure actions)
         // are scored on that frame; others use the sample when pruning.
-        let (frame, approx): (&DataFrame, bool) = match (&kept.0.frame, prune_sample) {
+        let (frame, approx): (&DataFrame, bool) = match (&cand.frame, prune_sample) {
             (Some(f), _) => (f, false),
             (None, Some(s)) => (s, true),
             (None, None) => (&self.pass.df, false),
         };
         let score = isolate(self.action.name(), || {
             let _ = failpoint::hit_for(failpoint::names::ACTION_SCORE, self.action.name());
-            self.action.score(&kept.0.spec, frame, &copts)
+            self.action.score(&cand.spec, frame, &copts)
         });
-        score.map(|s| Some((kept, s, approx)))
+        score.map(|s| Some((cand, s, approx)))
     }
 
     /// Stage 4: rank by first-pass score and keep the top k. NaN scores sort
@@ -485,16 +489,16 @@ impl<'a> ActionRun<'a> {
 
     fn process_one(
         &self,
-        (kept, score, approx): Scored,
+        (cand, score, approx): Scored,
         scope: &Arc<BudgetHandle>,
         already_degraded: bool,
     ) -> std::result::Result<Processed, ActionError> {
         let name = self.action.name();
-        let copts = self.call_opts(&kept, scope);
+        let copts = self.call_opts(scope);
         let Candidate {
             spec,
             frame: pinned,
-        } = kept.0;
+        } = cand;
         if !already_degraded && !self.deadline.expired() {
             let frame: &DataFrame = pinned.as_deref().unwrap_or(&self.pass.df);
             return isolate(name, || -> Result<Vis> {
@@ -516,7 +520,7 @@ impl<'a> ActionRun<'a> {
         let mut vis = Vis::new(spec);
         vis.score = score;
         vis.approximate = true;
-        let sample = || self.pass.sample.as_ref().map(|s| s.get(&self.pass.df));
+        let sample = || self.pass.config.prune.then(|| self.pass.sample());
         if let Some(frame) = pinned.or_else(sample) {
             let _ = isolate(name, || vis.process(&frame, &copts));
         }
@@ -528,8 +532,8 @@ impl<'a> ActionRun<'a> {
     fn into_result(self, visses: Vec<Vis>) -> ActionResult {
         let mut vislist = VisList::new(visses);
         vislist.rank();
-        // Tightened group caps and "(other)" folds mark the tab degraded even
-        // though the deadline never fired. The action's scope holds them.
+        // "(other)" folds mark the tab degraded even though the deadline
+        // never fired. The action's scope holds them.
         let recorded = self.pass.governor.event_count();
         let degrade_events = recorded - usize::from(self.cap_note.is_some());
         self.trace
@@ -833,12 +837,12 @@ pub fn run_pass(registry: &ActionRegistry, pass: Pass) -> StreamingRun {
     // under ASYNC, so the caller gets its handle immediately, and inline
     // otherwise (where every action has settled already).
     let r#async = pass.config.r#async;
-    let action_budget = base_budget(&pass.config, pass.deadline);
+    let cutoff = hard_cutoff(&pass.config, pass.deadline);
     let governor = Arc::clone(&pass.governor);
     let permit = pass.permit.clone();
     let close = move || {
         if r#async {
-            collect(&settler, &dispatched, worker_rx, action_budget);
+            collect(&settler, &dispatched, worker_rx, cutoff);
         }
         // Every action has settled or been abandoned: free the session slot.
         drop(permit);
@@ -868,17 +872,15 @@ pub fn run_pass(registry: &ActionRegistry, pass: Pass) -> StreamingRun {
 }
 
 /// The ASYNC collector loop: settle outcomes as workers report them, until
-/// all have or the hard cutoff (the base action budget ×
-/// `HARD_CUTOFF_FACTOR`) passes; whatever is still outstanding then was hung
-/// (or its worker died) — abandon it, charge its breaker, and surface the
-/// failure.
+/// all have or the planned `hard_budget` passes; whatever is still
+/// outstanding then was hung (or its worker died) — abandon it, charge its
+/// breaker, and surface the failure.
 fn collect(
     settler: &Settler,
     dispatched: &[Dispatched],
     worker_rx: mpsc::Receiver<(usize, Outcome)>,
-    action_budget: Option<Duration>,
+    hard_budget: Option<Duration>,
 ) {
-    let hard_budget = action_budget.map(|base| base * CostModel::HARD_CUTOFF_FACTOR);
     let cutoff = hard_budget.map(|b| clock::now() + b);
     let mut settled = vec![false; dispatched.len()];
     while settled.contains(&false) {
@@ -922,11 +924,12 @@ mod tests {
     }
 
     /// The one fixture every test opens its pass through: a standalone pass
-    /// over `df` (fresh metadata, no intent, no sample).
+    /// over `df` (fresh metadata, no intent, a sample slot of its own).
     fn pass_over(df: DataFrame, config: LuxConfig) -> Pass {
         let meta = Arc::new(FrameMeta::compute(&df, &HashMap::new()));
         let ctx = PassCtx::detached("pass", config.budget.clone());
-        Pass::open(Arc::new(df), meta, &[], Arc::new(config), None, ctx)
+        let config = Arc::new(config);
+        Pass::open(Arc::new(df), meta, &[], config, Default::default(), ctx)
     }
 
     /// The default config with `tweak` applied.
@@ -1031,12 +1034,12 @@ mod tests {
         let config = config_with(|c| {
             c.prune = true;
             c.top_k = 1;
+            (c.sample_cap, c.sample_seed) = (100, 7);
         });
-        let mut pass = pass_over(frame(2000), config);
-        let sample = Arc::new(CachedSample::new(100, 7));
-        pass.sample = Some(Arc::clone(&sample));
+        let pass = pass_over(frame(2000), config);
         let r = run_one(&Correlation, &pass);
-        assert!(sample.is_cached(), "the engaged gate never drew the sample");
+        let drawn = pass.sample.get().expect("the engaged gate drew nothing");
+        assert_eq!(drawn.num_rows(), 100);
         let attrs = r.vislist.visualizations[0].spec.attributes();
         assert!(attrs.contains(&"a") && attrs.contains(&"b"));
         // final scores are exact (recomputed), so the perfect pair scores 1
@@ -1044,14 +1047,24 @@ mod tests {
     }
 
     #[test]
+    fn sample_is_the_frame_up_to_the_cap() {
+        let capped = config_with(|c| c.sample_cap = 100);
+        let pass = pass_over(frame(100), capped.clone());
+        assert!(Arc::ptr_eq(&pass.sample(), &pass.df));
+        let pass = pass_over(frame(101), capped);
+        assert_eq!(pass.sample().num_rows(), 100);
+    }
+
+    #[test]
     fn forced_gates_of_racing_actions_share_one_drawn_sample() {
         use lux_engine::admission::GlobalLedger;
         // ASYNC dispatches the three metadata actions as concurrent tasks;
         // a `Sampled` floor forces every gate, so all three ask the handle.
-        let config = config_with(|c| c.r#async = true);
-        let sample = Arc::new(CachedSample::new(50, 7));
+        let config = config_with(|c| {
+            c.r#async = true;
+            (c.sample_cap, c.sample_seed) = (50, 7);
+        });
         let mut pass = pass_over(frame(400), config);
-        pass.sample = Some(Arc::clone(&sample));
         pass.governor = Arc::new(BudgetHandle::governed(
             pass.config.budget.clone(),
             Arc::new(GlobalLedger::new(u64::MAX)),
@@ -1065,10 +1078,10 @@ mod tests {
             .iter()
             .filter(|s| s.tag("prune") == Some("forced"));
         assert_eq!(forced.count(), 3, "every gate was forced onto the sample");
-        // Whoever asked first drew it (`CachedSample::get` samples under its
-        // lock, so once); the others scored on that same frame.
-        assert!(sample.is_cached());
-        assert_eq!(sample.get(&pass.df).num_rows(), 50);
+        // Whoever asked first drew it (`OnceLock::get_or_init` runs one
+        // initializer); the others scored on that same frame.
+        let drawn = pass.sample.get().expect("no gate drew the sample");
+        assert_eq!(drawn.num_rows(), 50);
     }
 
     #[test]

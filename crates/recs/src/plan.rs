@@ -1,7 +1,8 @@
 //! One plan per action (paper §8.2): the candidate cap, the deadline, the
 //! PRUNE gate and each group-by's byte charge, decided once before anything
-//! is scored. `crate::generate` carries the plan out; the one degradation
-//! left to run time is the group-by kernel's `"(other)"` fold.
+//! is scored, plus the pass's hard cutoff that bounds every deadline.
+//! `crate::generate` carries the plan out; the one degradation left to run
+//! time is the group-by kernel's `"(other)"` fold.
 
 use std::time::Duration;
 
@@ -32,11 +33,27 @@ fn groups(spec: &VisSpec, meta: &FrameMeta, rows: usize) -> usize {
 
 /// An action's base time budget: the configured one, capped at what is left
 /// of the client's deadline (either alone when the other is unset).
-pub(crate) fn base_budget(config: &LuxConfig, client: Option<Duration>) -> Option<Duration> {
+fn base_budget(config: &LuxConfig, client: Option<Duration>) -> Option<Duration> {
     match (config.action_budget, client) {
         (Some(base), Some(left)) => Some(base.min(left)),
         (base, left) => base.or(left),
     }
+}
+
+/// The pass's hard cutoff, past which the ASYNC collector abandons a hung
+/// worker: `HARD_CUTOFF_FACTOR` base budgets. No planned deadline exceeds it.
+pub(crate) fn hard_cutoff(config: &LuxConfig, client: Option<Duration>) -> Option<Duration> {
+    base_budget(config, client).map(|base| base * CostModel::HARD_CUTOFF_FACTOR)
+}
+
+/// The time budget of an action estimated at `cost`: cheap actions get the
+/// base budget, heavyweight ones up to the hard cutoff — but never past the
+/// client's deadline.
+fn deadline(cost: f64, config: &LuxConfig, client: Option<Duration>) -> Option<Duration> {
+    base_budget(config, client).map(|base| {
+        let budget = CostModel.time_budget(cost, base);
+        client.map_or(budget, |left| budget.min(left))
+    })
 }
 
 /// Whether an action scores on the PRUNE sample, in ladder order.
@@ -73,9 +90,9 @@ pub(crate) struct Plan {
     pub sample: SampleMode,
     /// The PRUNE counter bumped: only when there was a sample to draw.
     pub prune_counter: Option<&'static str>,
-    /// Bytes each kept candidate's group-by is charged: 8 a row of its
-    /// frame (group ids plus key codes), whatever cap it runs under; 0 for
-    /// marks that do not group.
+    /// Bytes each kept candidate's group-by is charged, for the pass ledger
+    /// and its breach flag only: 8 a row of its frame (group ids plus key
+    /// codes), whatever cap it runs under; 0 for marks that do not group.
     pub group_bytes: Vec<u64>,
 }
 
@@ -129,13 +146,7 @@ impl Plan {
             kept,
             cap_note,
             cost,
-            // Cheap actions get the base budget, heavyweight ones up to the
-            // hard-cutoff multiple of it — but never past the client's
-            // deadline.
-            deadline: base_budget(config, client).map(|base| {
-                let budget = model.time_budget(cost, base);
-                client.map_or(budget, |left| budget.min(left))
-            }),
+            deadline: deadline(cost, config, client),
             sample,
             prune_counter,
             group_bytes: candidates
@@ -256,6 +267,30 @@ mod tests {
         let unbounded = config_with(|c| c.action_budget = None);
         let plan = plan_of(&bar(), 20, 100, &unbounded, &governor, None);
         assert_eq!(plan.deadline, None);
+    }
+
+    #[test]
+    fn no_planned_deadline_exceeds_the_hard_cutoff() {
+        let reference = CostModel::REFERENCE_COST;
+        let costs = [
+            0.0,
+            reference,
+            4.0 * reference,
+            100.0 * reference,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        let ms = Duration::from_millis;
+        for base in [ms(30), ms(40), ms(50), ms(333)] {
+            let config = config_with(|c| c.action_budget = Some(base));
+            for client in [None, Some(ms(25)), Some(ms(70)), Some(ms(10_000))] {
+                let cutoff = hard_cutoff(&config, client).expect("a budget is set");
+                for cost in costs {
+                    let planned = deadline(cost, &config, client).expect("a budget is set");
+                    assert!(planned <= cutoff, "{planned:?} > {cutoff:?} at {cost}");
+                }
+            }
+        }
     }
 
     #[test]

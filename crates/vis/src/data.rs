@@ -379,8 +379,8 @@ fn group_agg(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<(R
     }
 
     // Past the cap the kernel folds the tail keys into "(other)": the one
-    // degradation decided at run time. The cap itself is the executor's,
-    // tightened by its plan when the pass budget refused this vis's charge.
+    // degradation decided at run time. The cap is the config's, whatever
+    // the pass budget.
     let gb = df.groupby_capped(&keys, opts.max_group_cardinality)?;
     let folded = opts.governor.as_ref().filter(|_| gb.is_capped());
     if let Some(g) = folded {

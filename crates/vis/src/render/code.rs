@@ -6,7 +6,6 @@
 //! declarative-JSON export path.
 
 use crate::spec::{Channel, VisSpec};
-use crate::vislist::Vis;
 use lux_dataframe::prelude::*;
 
 fn value_literal(v: &Value) -> String {
@@ -70,11 +69,6 @@ pub fn to_rust_code(spec: &VisSpec) -> String {
     ));
     lines.push("println!(\"{}\", vis.render_ascii());".to_string());
     lines.join("\n")
-}
-
-/// Emit code for a [`Vis`] (same as its spec).
-pub fn vis_to_rust_code(vis: &Vis) -> String {
-    to_rust_code(&vis.spec)
 }
 
 fn agg_variant(agg: Agg) -> &'static str {

@@ -14,7 +14,7 @@ PROD_LINES="$MARK_TESTS !t"
 echo "== unwrap() lint (crates/{engine,recs,core}/src)"
 # New code in the print path must handle errors (or use `expect` with a
 # message), never add bare unwraps. Lower the baseline when you remove some.
-BASELINE=135
+BASELINE=134
 count=$(grep -rho 'unwrap()' crates/engine/src crates/recs/src crates/core/src | wc -l | tr -d ' ')
 if [ "$count" -gt "$BASELINE" ]; then
     echo "error: $count unwrap() calls (baseline $BASELINE) — new unwrap() in the print path is denied"

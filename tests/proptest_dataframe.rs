@@ -168,16 +168,4 @@ proptest! {
             .expect("rendered datetimes parse back");
         prop_assert_eq!(parsed, epoch, "roundtrip through {}", rendered);
     }
-
-    /// Expression filters agree with the equivalent single-column filter.
-    #[test]
-    fn expr_matches_filter(threshold in -1_000i64..1_000) {
-        let df = DataFrameBuilder::new()
-            .int("n", (-50..50).collect::<Vec<i64>>())
-            .build()
-            .unwrap();
-        let via_expr = df.filter_expr(&lux::dataframe::col("n").le(threshold)).unwrap();
-        let via_filter = df.filter("n", FilterOp::Le, &Value::Int(threshold)).unwrap();
-        prop_assert_eq!(via_expr.num_rows(), via_filter.num_rows());
-    }
 }

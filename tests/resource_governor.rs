@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use lux::engine::trace::{names, MetricsRegistry};
-use lux::engine::LuxConfig;
+use lux::engine::{FrameMeta, LuxConfig};
 use lux::prelude::*;
 use lux::LuxDataFrame;
 
@@ -111,6 +111,83 @@ fn tight_byte_budget_breaches_but_still_serves_the_table() {
     );
     let footer = widget.timing_footer().expect("always-on pass is traced");
     assert!(footer.contains("budget breached"), "{footer}");
+}
+
+/// One vis as served: its description, score bits and drawn data.
+type Drawn = (String, u64, Option<String>);
+
+/// What a standalone pass serves, in a directly comparable shape: per tab,
+/// its name, degraded flag and reason, and its vis.
+type Served = Vec<(String, bool, Option<String>, Vec<Drawn>)>;
+
+/// One standalone pass over `df` with ungoverned metadata; its results and
+/// whether it breached its byte budget.
+fn serve(df: &DataFrame, config: LuxConfig) -> (Served, bool) {
+    use lux::recs::{run_pass, ActionRegistry, Pass, PassCtx};
+    let df = Arc::new(df.clone());
+    let meta = Arc::new(FrameMeta::compute(&df, &Default::default()));
+    let ctx = PassCtx::detached("pass", config.budget.clone());
+    let governor = Arc::clone(&ctx.governor);
+    let pass = Pass::open(df, meta, &[], Arc::new(config), Default::default(), ctx);
+    let results = run_pass(&ActionRegistry::with_defaults(), pass).collect_all();
+    let table = |d: &DataFrame| d.to_table_string(d.num_rows());
+    let served = results
+        .iter()
+        .map(|r| {
+            let visses = r.vislist.iter().map(|v| {
+                let data = v.data.as_ref().map(table);
+                (v.spec.describe(), v.score.to_bits(), data)
+            });
+            let reason = r.degraded_reason.clone();
+            (r.action.clone(), r.degraded, reason, visses.collect())
+        })
+        .collect();
+    (served, governor.breached())
+}
+
+#[test]
+fn action_plan_breach_serves_what_an_unbudgeted_pass_serves() {
+    // Two geographic columns, two low-cardinality nominal ones and two
+    // floats: Occurrence and Geographic plan more group-bys than the three
+    // a budget of three full-frame group-bys admits.
+    let rows = 2_000;
+    let df = DataFrameBuilder::new()
+        .str(
+            "country",
+            (0..rows).map(|i| ["USA", "France", "Japan", "Peru"][i % 4]),
+        )
+        .str("state", (0..rows).map(|i| ["CA", "NY", "TX"][i % 3]))
+        .str("tier", (0..rows).map(|i| ["gold", "silver"][i % 2]))
+        .str(
+            "channel",
+            (0..rows).map(|i| ["web", "store", "phone"][i % 3]),
+        )
+        .float("price", (0..rows).map(|i| (i % 97) as f64))
+        .float("rating", (0..rows).map(|i| ((i * 7) % 50) as f64 / 10.0))
+        .build()
+        .unwrap();
+    for threads in [1, 8] {
+        for streamed in [false, true] {
+            let config = LuxConfig {
+                threads,
+                r#async: streamed,
+                ..LuxConfig::default()
+            };
+            let mut budgeted = config.clone();
+            budgeted.budget.max_bytes = 8 * rows as u64 * 3;
+            let mut unbudgeted = config;
+            unbudgeted.budget.max_bytes = u64::MAX;
+            let (exact, clean) = serve(&df, unbudgeted);
+            let (breached_pass, breached) = serve(&df, budgeted);
+            assert!(!clean, "the unbudgeted pass breached");
+            assert!(breached, "threads={threads} async={streamed}: no breach");
+            assert!(
+                exact.iter().any(|(tab, ..)| tab == "Geographic"),
+                "{exact:?}"
+            );
+            assert_eq!(breached_pass, exact, "threads={threads} async={streamed}");
+        }
+    }
 }
 
 #[test]
