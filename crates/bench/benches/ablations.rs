@@ -3,7 +3,8 @@
 //! 1. freshness-based memoization vs recompute-always (WFLOW);
 //! 2. cost-model-gated pruning vs no pruning (PRUNE);
 //! 3. cached sample vs fresh sample per print;
-//! 4. cheapest-first async scheduling vs sequential execution (ASYNC).
+//! 4. streamed async execution vs sequential execution (ASYNC), on a wide
+//!    frame and on a tall one where the cheapest plan runs alone first.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -13,8 +14,9 @@ use lux_core::prelude::*;
 use lux_engine::FrameMeta;
 use lux_recs::{
     execute_action, metadata_actions::Correlation, run_pass, ActionRegistry, Pass, PassCtx,
+    ORDERED_ROWS,
 };
-use lux_workloads::{communities, synthetic_wide};
+use lux_workloads::{airbnb, communities, synthetic_wide};
 
 /// WFLOW ablation: repeated prints with and without memoization.
 fn ablation_wflow(c: &mut Criterion) {
@@ -98,25 +100,33 @@ fn ablation_sample_cache(c: &mut Criterion) {
     g.finish();
 }
 
-/// ASYNC ablation: full default action set, threaded vs sequential.
+/// ASYNC ablation: full default action set, threaded vs sequential, on a
+/// wide frame and on a tall one of `ORDERED_ROWS` rows, where ASYNC runs the
+/// cheapest planned action alone before the rest.
 fn ablation_async(c: &mut Criterion) {
-    let df = Arc::new(synthetic_wide(30, 5_000, 4));
-    let meta = Arc::new(FrameMeta::compute(&df, &HashMap::new()));
+    let frames = [
+        ("wide", synthetic_wide(30, 5_000, 4)),
+        ("tall", airbnb(ORDERED_ROWS, 4)),
+    ];
     let registry = ActionRegistry::with_defaults();
     let mut g = c.benchmark_group("ablation_async");
     g.sample_size(10);
-    for (name, is_async) in [("sequential", false), ("async_cheapest_first", true)] {
-        g.bench_function(name, |b| {
+    for (shape, df) in frames {
+        let df = Arc::new(df);
+        let meta = Arc::new(FrameMeta::compute(&df, &HashMap::new()));
+        for (name, is_async) in [("sequential", false), ("async", true)] {
             let config = Arc::new(LuxConfig {
                 r#async: is_async,
                 prune: false,
                 ..LuxConfig::default()
             });
-            b.iter(|| {
-                let pass = pass_over(&df, &meta, &config);
-                run_pass(&registry, pass).collect_all().len()
-            })
-        });
+            g.bench_with_input(BenchmarkId::new(name, shape), &config, |b, config| {
+                b.iter(|| {
+                    let pass = pass_over(&df, &meta, config);
+                    run_pass(&registry, pass).collect_all().len()
+                })
+            });
+        }
     }
     g.finish();
 }

@@ -439,11 +439,14 @@ impl LuxDataFrame {
     }
 
     /// Begin a streaming recommendation run: dispatches every applicable
-    /// action onto background workers (cheapest first) and returns
-    /// immediately — the ASYNC experience of §8.2, where "recommendation
-    /// results can be streamed into the frontend widget as the computation
-    /// for each action completes". Bypasses the WFLOW memo (results go to
-    /// the caller, not the cache).
+    /// action onto background workers and returns immediately — the ASYNC
+    /// experience of §8.2, where "recommendation results can be streamed
+    /// into the frontend widget as the computation for each action
+    /// completes". Each worker sends its result the moment it has one; on a
+    /// frame of at least [`lux_recs::ORDERED_ROWS`] rows the cheapest
+    /// planned action runs alone first, so its result is the first to
+    /// arrive. Bypasses the WFLOW memo (results go to the caller, not the
+    /// cache).
     pub fn recommendations_streaming(&self) -> lux_recs::StreamingRun {
         // Background priority: streaming runs yield to interactive prints
         // and retry with jittered backoff before giving up. The jitter seed

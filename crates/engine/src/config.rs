@@ -25,7 +25,10 @@ pub struct LuxConfig {
     pub wflow: bool,
     /// PRUNE: two-pass approximate scoring with the cost-model gate.
     pub prune: bool,
-    /// ASYNC: cost-based cheapest-first action scheduling on worker threads.
+    /// ASYNC: actions run on worker threads and each result streams out as
+    /// soon as its worker has it. On frames of at least
+    /// `lux_recs::ORDERED_ROWS` rows the cheapest planned action runs alone
+    /// before the rest, so its tab arrives first.
     pub r#async: bool,
     /// Default number of histogram bins.
     pub histogram_bins: usize,

@@ -217,6 +217,20 @@ impl Deadline {
         }
     }
 
+    /// The same budget, falling no later than `latest`.
+    pub(crate) fn no_later_than(self, latest: Option<Instant>) -> Deadline {
+        let at = match (self.at, latest) {
+            (Some(at), Some(latest)) => Some(at.min(latest)),
+            (at, _) => at,
+        };
+        Deadline { at, ..self }
+    }
+
+    /// When the deadline falls; `None` for no deadline.
+    pub(crate) fn at(&self) -> Option<Instant> {
+        self.at
+    }
+
     pub fn expired(&self) -> bool {
         self.at.is_some_and(|at| lux_engine::clock::now() >= at)
     }

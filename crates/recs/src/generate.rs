@@ -1,15 +1,20 @@
 //! The recommendation pass (paper §8.2): one executor for every caller.
 //!
 //! A caller opens a [`Pass`] and hands it to [`run_pass`], which gates the
-//! registry's actions on the caller (applicability, circuit breaker),
+//! registry's actions on the caller (applicability, circuit breaker) and
 //! dispatches each runnable one — as a detached pool task under ASYNC,
 //! inline otherwise — through the five stages of [`execute_action`]
 //! (`enumerate → plan → score → select_top_k → process`, PRUNE being the
-//! sample-scored first pass), and settles every outcome in one place. An
-//! action runs on its pass and its plan alone: what it may degrade before
-//! it runs — the candidate cap, the deadline, the PRUNE gate — and each
-//! group-by's byte charge are decided once, by its plan (`crate::plan`),
-//! and the pass's hard cutoff is planned beside the deadlines it bounds.
+//! sample-scored first pass). Whoever ran an action settles it: its worker
+//! under ASYNC, which delivers the result the moment it has one, the caller
+//! otherwise. On frames of at least [`ORDERED_ROWS`] rows ASYNC workers
+//! also wait between planning and scoring while the cheapest plan runs
+//! alone, so its tab arrives first (paper §8.2: cheap actions return
+//! first). An action runs on its pass and its plan alone: what it may
+//! degrade before it runs — the candidate cap, the deadline, the PRUNE
+//! gate — and each group-by's byte charge are decided once, by its plan
+//! (`crate::plan`), and the pass's hard cutoff is planned beside the
+//! deadlines it bounds.
 //! The blocking API is [`StreamingRun::collect_report`].
 //!
 //! Every action runs under the fault model of [`crate::fault`]: generation,
@@ -23,7 +28,8 @@
 //! every healthy action's results are still served, and the per-action
 //! health ledger in [`RunReport`] says what happened to the rest.
 
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -40,7 +46,7 @@ use crate::fault::{
     isolate, ActionError, ActionHealth, ActionStatus, BreakerDecision, CircuitBreaker, Deadline,
     RunReport,
 };
-use crate::plan::{hard_cutoff, Plan, SampleMode};
+use crate::plan::{base_budget, hard_cutoff, runs_alone, Plan, SampleMode, ORDERED_ROWS};
 
 /// Trace attachment: the shared pass collector plus the span this unit of
 /// work records under — for a [`Pass`] the parent of its per-action spans,
@@ -300,12 +306,13 @@ impl<'a> ActionRun<'a> {
     }
 
     /// Stage 2: decide the action's [`Plan`] and carry out its pre-scoring
-    /// half: keep the planned candidates, start the deadline, count and tag
-    /// the PRUNE verdict, draw the sample when it engages, and charge each
-    /// group-by in candidate order. A refused charge breaches the pass
-    /// budget and changes nothing else: the bytes are the ledger's record,
-    /// not a bound on what the action draws.
-    fn plan(&mut self, mut candidates: Vec<Candidate>) -> (Vec<Candidate>, Option<Arc<DataFrame>>) {
+    /// half: keep the planned candidates, count and tag the PRUNE verdict,
+    /// draw the sample when it engages, and charge each group-by in
+    /// candidate order. A refused charge breaches the pass budget and
+    /// changes nothing else: the bytes are the ledger's record, not a bound
+    /// on what the action draws. Returns the kept candidates, the sample
+    /// and the planned time budget, which [`ActionRun::start`] arms.
+    fn plan(&mut self, mut candidates: Vec<Candidate>) -> Planned {
         let (pass, governor) = (self.pass, &*self.pass.governor);
         let rows = |c: &Candidate| c.frame.as_deref().unwrap_or(&pass.df).num_rows();
         let specs: Vec<(&VisSpec, usize)> = candidates.iter().map(|c| (&c.spec, rows(c))).collect();
@@ -327,7 +334,6 @@ impl<'a> ActionRun<'a> {
         self.trace
             .tag("cost.estimated", format!("{:.0}", plan.cost));
         if let Some(budget) = plan.deadline {
-            self.deadline = Deadline::after(budget);
             let ms = budget.as_secs_f64() * 1e3;
             self.trace.tag("deadline.budget_ms", format!("{ms:.1}"));
         }
@@ -339,7 +345,29 @@ impl<'a> ActionRun<'a> {
         for bytes in plan.group_bytes.into_iter().filter(|&b| b > 0) {
             governor.try_charge(bytes);
         }
-        (candidates, prune_sample)
+        (candidates, prune_sample, plan.deadline)
+    }
+
+    /// Wait at the pass's gate, when it has one, for the action's turn;
+    /// then arm its planned deadline, so the budget counts from when the
+    /// action runs, not from when it planned. A gated deadline still falls
+    /// no later than the client's, counted from dispatch.
+    fn start(&mut self, budget: Option<Duration>, seat: Option<Seat<'_>>) {
+        let planned = clock::now();
+        let first = seat.is_some_and(|(gate, order)| gate.wait(order, self.estimated_cost));
+        let waited = clock::elapsed(planned);
+        self.trace
+            .tag("sched.wait_us", waited.as_micros().to_string());
+        // The wait is not the action's cost.
+        self.started += waited;
+        if let Some(budget) = budget {
+            let latest = seat.and_then(|(gate, _)| gate.latest);
+            self.deadline = Deadline::after(budget).no_later_than(latest);
+        }
+        if let (true, Some((gate, _))) = (first, seat) {
+            self.trace.tag("sched.first", "true");
+            gate.running(self.deadline.at());
+        }
     }
 
     /// A scope of the action's governor per fan-out item, adopted in order.
@@ -559,6 +587,14 @@ impl<'a> ActionRun<'a> {
     }
 }
 
+/// An action's place at its pass's gate: the gate and the action's
+/// dispatch order.
+type Seat<'a> = (&'a Gate, usize);
+
+/// What stage 2 hands on: the kept candidates, the PRUNE sample when it
+/// engages, and the planned time budget.
+type Planned = (Vec<Candidate>, Option<Arc<DataFrame>>, Option<Duration>);
+
 /// One survivor after stage 5: processed exactly (or failed to), or served
 /// degraded once the deadline had expired.
 enum Processed {
@@ -577,18 +613,25 @@ pub fn execute_action(
     pass: &Pass,
     trace: &TraceCtx,
 ) -> std::result::Result<Option<ActionResult>, ActionError> {
+    execute(action, pass, trace, None)
+}
+
+/// [`execute_action`], waiting at `seat` between planning and scoring when
+/// the pass is ordered.
+fn execute(action: &dyn Action, pass: &Pass, trace: &TraceCtx, seat: Option<Seat<'_>>) -> Outcome {
     let mut run = ActionRun::open(action, pass, trace);
     let Some(candidates) = run.enumerate()? else {
         return Ok(None);
     };
-    let (kept, prune_sample) = run.plan(candidates);
+    let (kept, prune_sample, budget) = run.plan(candidates);
+    run.start(budget, seat);
     let scored = run.score(kept, prune_sample.as_deref())?;
     let survivors = run.select_top_k(scored);
     run.process(survivors)
 }
 
 // ---------------------------------------------------------------------
-// The pass: gate → dispatch → settle
+// The pass: breaker → dispatch → (gate) → settle
 // ---------------------------------------------------------------------
 
 /// A recommendation run whose results stream as actions settle.
@@ -597,11 +640,12 @@ pub fn execute_action(
 /// "recommendation results can be streamed into the frontend widget as the
 /// computation for each action completes ... instead of incurring a high
 /// wait time". Results arrive on one channel, per-action health on another;
-/// under ASYNC a collector thread enforces the hard wall-clock cutoff —
-/// workers that outlive it are abandoned (they finish on their own and
-/// their sends fail harmlessly) and reported as failed. Dropping the handle
-/// likewise detaches everything cleanly. Without ASYNC every action has
-/// already settled by the time the handle is returned.
+/// under ASYNC each worker sends its own action's, and a collector thread
+/// enforces the hard wall-clock cutoff — workers that outlive it are
+/// abandoned (they finish on their own and deliver nothing) and reported as
+/// failed. Dropping the handle likewise detaches everything cleanly.
+/// Without ASYNC every action has already settled by the time the handle is
+/// returned.
 pub struct StreamingRun {
     /// Each result with its dispatch index.
     results: mpsc::Receiver<(usize, ActionResult)>,
@@ -660,20 +704,21 @@ impl StreamingRun {
 }
 
 /// One dispatched action as the settling side sees it.
+#[derive(Clone)]
 struct Dispatched {
     /// Position in dispatch (registry) order.
     order: usize,
     name: String,
     /// The action's span: queued at dispatch, ended when it settles.
     trace: TraceCtx,
-    /// The action's scope of the pass budget, adopted when the pass closes.
-    governor: Arc<BudgetHandle>,
 }
 
-/// The settling side of a pass — the collector thread under ASYNC, the
-/// caller otherwise: it owns the breaker bookkeeping, the `lux.actions.*`
-/// metrics, the closing span tags, and the run's sending ends, so health
-/// stays correct even when the consumer drops the [`StreamingRun`] undrained.
+/// The settling side of a pass — each action's worker under ASYNC (the
+/// collector for what it abandons), the caller otherwise: it owns the
+/// breaker bookkeeping, the `lux.actions.*` metrics, the closing span tags,
+/// and the run's sending ends, so health stays correct even when the
+/// consumer drops the [`StreamingRun`] undrained. Workers reach it through
+/// a `Weak`, so only the collector keeps the channels open.
 struct Settler {
     breaker: Arc<CircuitBreaker>,
     threshold: u32,
@@ -752,26 +797,128 @@ impl Settler {
     }
 }
 
+/// The gate of an ordered pass: ASYNC over a frame of at least
+/// [`ORDERED_ROWS`] rows. Every action waits here between planning and
+/// scoring. Once every dispatched action has planned or finished without a
+/// plan — or the base budget has passed — the cheapest plan runs alone;
+/// the rest go once its result is delivered or it overruns its deadline.
+struct Gate {
+    state: Mutex<GateState>,
+    changed: Condvar,
+    /// Dispatch plus the base budget: past it the gate stops waiting for
+    /// actions still generating and picks among those that planned.
+    planning_ends: Instant,
+    /// Dispatch plus what is left of the client's deadline: no deadline
+    /// armed after a wait falls later.
+    latest: Option<Instant>,
+}
+
+struct GateState {
+    /// Each dispatched action's planned cost, `None` until it plans.
+    costs: Vec<Option<f64>>,
+    /// Whether each dispatched action has planned or finished.
+    resolved: Vec<bool>,
+    /// The action that runs alone, once decided. The decision is taken by
+    /// an action that has planned, so there always is one.
+    first: Option<usize>,
+    /// When the first action's deadline falls, once it runs.
+    overrun_at: Option<Instant>,
+    /// The first action's result has been delivered.
+    open: bool,
+}
+
+impl Gate {
+    fn new(actions: usize, planning_ends: Instant, latest: Option<Instant>) -> Gate {
+        let state = GateState {
+            costs: vec![None; actions],
+            resolved: vec![false; actions],
+            first: None,
+            overrun_at: None,
+            open: false,
+        };
+        Gate {
+            state: Mutex::new(state),
+            changed: Condvar::new(),
+            planning_ends,
+            latest,
+        }
+    }
+
+    /// Each update below is one assignment, so a poisoned lock still holds
+    /// a consistent state.
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Record `order`'s planned `cost` and block until its turn: `true` when
+    /// it runs alone, `false` when it runs after the one that did.
+    fn wait(&self, order: usize, cost: f64) -> bool {
+        let mut state = self.lock();
+        (state.costs[order], state.resolved[order]) = (Some(cost), true);
+        loop {
+            let now = clock::now();
+            let all_resolved = state.resolved.iter().all(|&r| r);
+            if state.first.is_none() && (all_resolved || now >= self.planning_ends) {
+                state.first = runs_alone(&state.costs);
+                self.changed.notify_all();
+            }
+            if let Some(first) = state.first {
+                let overran = state.overrun_at.is_some_and(|at| now >= at);
+                if first == order || state.open || overran {
+                    return first == order;
+                }
+            }
+            let until = match state.first {
+                None => Some(self.planning_ends),
+                Some(_) => state.overrun_at,
+            };
+            state = match until {
+                Some(at) => {
+                    let left = at.saturating_duration_since(now);
+                    clock::wait_timeout(&self.changed, state, left).0
+                }
+                None => (self.changed.wait(state)).unwrap_or_else(PoisonError::into_inner),
+            };
+        }
+    }
+
+    /// The first action runs, its deadline falling at `deadline`.
+    fn running(&self, deadline: Option<Instant>) {
+        self.lock().overrun_at = deadline;
+        self.changed.notify_all();
+    }
+
+    /// `order` has finished and its outcome is delivered: it no longer
+    /// holds up the decision, and if it ran alone, the rest run now.
+    fn done(&self, order: usize) {
+        let mut state = self.lock();
+        state.resolved[order] = true;
+        state.open |= state.first == Some(order);
+        self.changed.notify_all();
+    }
+}
+
 /// Run every applicable action of `registry` over `pass`.
 ///
 /// With `config.async` each action runs as a detached pool task and the
-/// call returns immediately: results arrive in completion order — cheap
-/// actions naturally finish first, giving the paper's cheapest-first
-/// experience without blocking dispatch on a cost pre-pass (which would
-/// re-introduce a hang window: even `generate` runs on the worker, so a
-/// hung action cannot stall the caller). Without it the same task runs
-/// inline on the caller, in dispatch order, under panic isolation and
-/// cooperative deadlines but no hard cutoff — an action that blocks inside
-/// one call delays the pass.
+/// call returns immediately. Even `generate` runs on the worker, so a hung
+/// action cannot stall the caller; each worker delivers its own result the
+/// moment it has one. On a frame of at least [`ORDERED_ROWS`] rows with a
+/// base budget, the tasks also wait between planning and scoring while the
+/// cheapest plan runs alone ([`Gate`]), so its tab arrives first instead of
+/// sharing the CPUs with every other action. Smaller frames run all
+/// actions at once. Without ASYNC the same task runs inline on the caller,
+/// in dispatch order, under panic isolation and cooperative deadlines but
+/// no hard cutoff — an action that blocks inside one call delays the pass.
 pub fn run_pass(registry: &ActionRegistry, pass: Pass) -> StreamingRun {
     let (results_tx, results) = mpsc::channel();
     let (health_tx, health) = mpsc::channel();
-    let settler = Settler {
+    let settler = Arc::new(Settler {
         breaker: Arc::clone(registry.breaker()),
         threshold: pass.config.breaker_threshold,
         results: results_tx,
         health: health_tx,
-    };
+    });
     settler.breaker.begin_frame();
 
     // Applicability checks and the breaker gate run on the caller: both are
@@ -786,63 +933,86 @@ pub fn run_pass(registry: &ActionRegistry, pass: Pass) -> StreamingRun {
     }
     let expected = runnable.len();
 
-    let (worker_tx, worker_rx) = mpsc::channel::<(usize, Outcome)>();
+    let r#async = pass.config.r#async;
+    let dispatch = clock::now();
+    // Without a base budget nothing would bound the wait behind a hung
+    // action, so such a pass stays unordered.
+    let ordered = r#async && pass.df.num_rows() >= ORDERED_ROWS;
+    let base = base_budget(&pass.config, pass.deadline).filter(|_| ordered);
+    let gate = base.map(|base| {
+        let latest = pass.deadline.map(|left| dispatch + left);
+        Arc::new(Gate::new(expected, dispatch + base, latest))
+    });
+    let claimed: Arc<[AtomicBool]> = (0..expected).map(|_| AtomicBool::new(false)).collect();
+    let (done_tx, done_rx) = mpsc::channel::<()>();
     let mut dispatched: Vec<Dispatched> = Vec::with_capacity(expected);
+    let mut scopes: Vec<Arc<BudgetHandle>> = Vec::with_capacity(expected);
     for (order, action) in runnable.into_iter().enumerate() {
         let trace = pass.trace.child(&format!("action:{}", action.name()));
         trace.tag("sched.order", order.to_string());
-        // The action records on its own scope of the pass budget.
+        // The action records on its own scope of the pass budget, adopted
+        // when the pass closes.
         let governor = Arc::new(pass.governor.scope());
+        scopes.push(Arc::clone(&governor));
         let pass = Pass {
             governor,
             ..pass.clone()
         };
-        dispatched.push(Dispatched {
-            order,
-            name: action.name().to_string(),
-            trace: trace.clone(),
-            governor: Arc::clone(&pass.governor),
-        });
-        if !pass.config.r#async {
-            let outcome = execute_action(action.as_ref(), &pass, &trace);
-            settler.settle(&dispatched[order], outcome);
+        let name = action.name().to_string();
+        let job = Dispatched { order, name, trace };
+        dispatched.push(job.clone());
+        if !r#async {
+            let outcome = execute_action(action.as_ref(), &pass, &job.trace);
+            settler.settle(&job, outcome);
             continue;
         }
-        let worker_tx = worker_tx.clone();
+        let (settler, gate) = (Arc::downgrade(&settler), gate.clone());
+        let (claimed, done_tx) = (Arc::clone(&claimed), done_tx.clone());
         // Detached-lane pool task rather than a dedicated thread: cheap
         // actions reuse warm threads instead of paying a spawn each, while
-        // a task abandoned at the hard cutoff only parks its own lane
-        // thread — it can never occupy the fixed pool workers that
-        // run the per-vis fan-out inside healthy actions.
+        // a task abandoned at the hard cutoff (or waiting at the gate) only
+        // parks its own lane thread — it can never occupy the fixed pool
+        // workers that run the per-vis fan-out inside healthy actions.
         lux_engine::pool::global().spawn_detached(Box::new(move || {
             let worker = lux_engine::worker_index();
-            trace.tag(
+            job.trace.tag(
                 "sched.worker",
                 worker.map_or("caller".to_string(), |w| w.to_string()),
             );
-            let outcome = execute_action(action.as_ref(), &pass, &trace);
+            let seat = gate.as_deref().map(|gate| (gate, order));
+            let outcome = execute(action.as_ref(), &pass, &job.trace, seat);
             // Release this worker's pass clone — and with it its
-            // governor/ledger handle — *before* signaling completion. The
-            // collector may settle the pass the instant this send lands,
-            // and the caller's budget drop must then be the last one so
-            // the global ledger reflects the pass's exit synchronously.
+            // governor/ledger handle — *before* settling. The collector may
+            // close the pass the instant the completion lands, and the
+            // caller's budget drop must then be the last one so the global
+            // ledger reflects the pass's exit synchronously.
             drop(action);
             drop(pass);
-            let _ = worker_tx.send((order, outcome));
+            // An action still running at the hard cutoff is claimed by the
+            // collector, which reports it abandoned; its worker delivers
+            // nothing.
+            if !claimed[order].swap(true, Ordering::SeqCst) {
+                if let Some(settler) = settler.upgrade() {
+                    settler.settle(&job, outcome);
+                }
+                let _ = done_tx.send(());
+            }
+            if let Some(gate) = gate {
+                gate.done(order);
+            }
         }));
     }
-    drop(worker_tx);
+    drop(done_tx);
 
     // The closing half of the pass runs on a detached collector thread
     // under ASYNC, so the caller gets its handle immediately, and inline
     // otherwise (where every action has settled already).
-    let r#async = pass.config.r#async;
     let cutoff = hard_cutoff(&pass.config, pass.deadline);
     let governor = Arc::clone(&pass.governor);
     let permit = pass.permit.clone();
     let close = move || {
         if r#async {
-            collect(&settler, &dispatched, worker_rx, cutoff);
+            collect(&settler, &dispatched, &claimed, done_rx, dispatch, cutoff);
         }
         // Every action has settled or been abandoned: free the session slot.
         drop(permit);
@@ -853,8 +1023,8 @@ pub fn run_pass(registry: &ActionRegistry, pass: Pass) -> StreamingRun {
         // scopes and the handle clone go first: the caller's own drop must
         // be the last one so the global ledger reflects the pass's exit
         // synchronously.
-        for action in dispatched {
-            governor.adopt(&action.governor);
+        for scope in scopes {
+            governor.adopt(&scope);
         }
         drop(governor);
         drop(settler);
@@ -871,37 +1041,46 @@ pub fn run_pass(registry: &ActionRegistry, pass: Pass) -> StreamingRun {
     }
 }
 
-/// The ASYNC collector loop: settle outcomes as workers report them, until
-/// all have or the planned `hard_budget` passes; whatever is still
-/// outstanding then was hung (or its worker died) — abandon it, charge its
-/// breaker, and surface the failure.
+/// The ASYNC collector: wait until every worker has delivered or the
+/// planned `hard_budget` since `dispatch` has passed. Whatever no worker has
+/// claimed by then was hung (or its worker died): claim it, abandon it,
+/// charge its breaker, and surface the failure. A worker that claimed its
+/// action first is delivering it; the pass closes once it has.
 fn collect(
     settler: &Settler,
     dispatched: &[Dispatched],
-    worker_rx: mpsc::Receiver<(usize, Outcome)>,
+    claimed: &[AtomicBool],
+    done: mpsc::Receiver<()>,
+    dispatch: Instant,
     hard_budget: Option<Duration>,
 ) {
-    let cutoff = hard_budget.map(|b| clock::now() + b);
-    let mut settled = vec![false; dispatched.len()];
-    while settled.contains(&false) {
+    let cutoff = hard_budget.map(|b| dispatch + b);
+    let mut pending = dispatched.len();
+    while pending > 0 {
         let left = cutoff.map_or(Duration::MAX, |at| {
             at.saturating_duration_since(clock::now())
         });
         // Timeout: the hard cutoff. Disconnected: a worker died without
         // reporting (should be unreachable: all action code is isolated).
         // Either way fall through to cleanup.
-        let Ok((order, outcome)) = worker_rx.recv_timeout(left) else {
+        if done.recv_timeout(left).is_err() {
             break;
-        };
-        settler.settle(&dispatched[order], outcome);
-        settled[order] = true;
+        }
+        pending -= 1;
     }
-    for (action, _) in dispatched.iter().zip(settled).filter(|(_, done)| !done) {
-        let reason = match hard_budget {
-            Some(b) => format!("exceeded hard deadline ({b:?}); worker abandoned"),
-            None => "worker terminated without reporting".to_string(),
-        };
-        settler.fail(action, "abandoned", reason);
+    for action in dispatched {
+        if !claimed[action.order].swap(true, Ordering::SeqCst) {
+            let reason = match hard_budget {
+                Some(b) => format!("exceeded hard deadline ({b:?}); worker abandoned"),
+                None => "worker terminated without reporting".to_string(),
+            };
+            settler.fail(action, "abandoned", reason);
+            pending -= 1;
+        }
+    }
+    // Settling never blocks, so these arrive promptly.
+    while pending > 0 && done.recv().is_ok() {
+        pending -= 1;
     }
 }
 
@@ -993,17 +1172,23 @@ mod tests {
     #[test]
     fn async_and_sync_agree_on_content() {
         let registry = ActionRegistry::with_defaults();
-        let run = |r#async: bool| {
-            let config = config_with(|c| c.r#async = r#async);
-            report(&registry, pass_over(frame(80), config)).results
-        };
-        let (sync, asynced) = (run(false), run(true));
-        let names = |rs: &[ActionResult]| rs.iter().map(|r| r.action.clone()).collect::<Vec<_>>();
-        assert_eq!(names(&sync), names(&asynced));
-        for (a, b) in sync.iter().zip(&asynced) {
-            assert_eq!(a.vislist.len(), b.vislist.len());
-            for (va, vb) in a.vislist.iter().zip(b.vislist.iter()) {
-                assert_eq!(va.spec, vb.spec);
+        // A small frame, and a tall one on which ASYNC runs the cheapest
+        // plan alone, at one thread and at eight.
+        for (rows, threads) in [(80, 0), (ORDERED_ROWS, 1), (ORDERED_ROWS, 8)] {
+            let run = |r#async: bool| {
+                let config = config_with(|c| (c.r#async, c.threads) = (r#async, threads));
+                report(&registry, pass_over(frame(rows), config)).results
+            };
+            let (sync, asynced) = (run(false), run(true));
+            let names =
+                |rs: &[ActionResult]| rs.iter().map(|r| r.action.clone()).collect::<Vec<_>>();
+            assert_eq!(names(&sync), names(&asynced), "{rows} rows");
+            for (a, b) in sync.iter().zip(&asynced) {
+                assert_eq!(a.vislist.len(), b.vislist.len());
+                for (va, vb) in a.vislist.iter().zip(b.vislist.iter()) {
+                    assert_eq!(va.spec, vb.spec);
+                    assert_eq!(va.score.to_bits(), vb.score.to_bits(), "{:?}", va.spec);
+                }
             }
         }
     }
@@ -1208,17 +1393,21 @@ mod tests {
             std::thread::sleep(Duration::from_secs(30));
             Ok(healthy(ctx))
         }));
-        let start = clock::now();
-        let report = report(&registry, pass_over(frame(50), config));
-        // returned in ~hard-cutoff time, not the 30 s hang
-        assert!(clock::elapsed(start) < Duration::from_secs(5));
-        assert!(report.results.iter().all(|r| r.action != "Sleeper"));
-        assert!(report.results.iter().any(|r| r.action == "Distribution"));
-        let status = report
-            .status_of("Sleeper")
-            .expect("health entry for hung action");
-        assert_eq!(status.name(), "failed");
-        assert!(status.reason().unwrap().contains("hard deadline"));
+        // On the tall frame the hang never plans: the gate stops waiting
+        // for it after one base budget.
+        for rows in [50, ORDERED_ROWS] {
+            let start = clock::now();
+            let report = report(&registry, pass_over(frame(rows), config.clone()));
+            // returned in ~hard-cutoff time, not the 30 s hang
+            assert!(clock::elapsed(start) < Duration::from_secs(5));
+            assert!(report.results.iter().all(|r| r.action != "Sleeper"));
+            assert!(report.results.iter().any(|r| r.action == "Distribution"));
+            let status = report
+                .status_of("Sleeper")
+                .expect("health entry for hung action");
+            assert_eq!(status.name(), "failed");
+            assert!(status.reason().unwrap().contains("hard deadline"));
+        }
     }
 
     #[test]

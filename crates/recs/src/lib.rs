@@ -4,7 +4,8 @@
 //! default action classes of Table 1, interestingness scoring, and the one
 //! executor: [`run_pass`] runs a [`Pass`] — opened by [`Pass::open`], the
 //! one way in — over a registry (ASYNC streams each action's result as it
-//! completes) and [`execute_action`] runs one action through it (PRUNE:
+//! completes, the cheapest first on frames of [`ORDERED_ROWS`] rows or
+//! more) and [`execute_action`] runs one action through it (PRUNE:
 //! approximate two-pass top-k).
 
 pub mod action;
@@ -24,6 +25,7 @@ pub use action::{
 };
 pub use fault::{ActionError, ActionHealth, ActionStatus, CircuitBreaker, RunReport};
 pub use generate::{execute_action, run_pass, Pass, PassCtx, StreamingRun, TraceCtx};
+pub use plan::ORDERED_ROWS;
 
 /// Every default action of Table 1, in taxonomy order.
 pub fn default_actions() -> Vec<Arc<dyn Action>> {

@@ -1,8 +1,9 @@
 //! One plan per action (paper §8.2): the candidate cap, the deadline, the
 //! PRUNE gate and each group-by's byte charge, decided once before anything
-//! is scored, plus the pass's hard cutoff that bounds every deadline.
-//! `crate::generate` carries the plan out; the one degradation left to run
-//! time is the group-by kernel's `"(other)"` fold.
+//! is scored, plus the pass's hard cutoff that bounds every deadline and,
+//! on tall frames, which planned action runs alone. `crate::generate`
+//! carries the plans out; the one degradation left to run time is the
+//! group-by kernel's `"(other)"` fold.
 
 use std::time::Duration;
 
@@ -31,9 +32,26 @@ fn groups(spec: &VisSpec, meta: &FrameMeta, rows: usize) -> usize {
     }
 }
 
+/// Frames of at least this many rows run an ASYNC pass's cheapest planned
+/// action alone before the rest (DESIGN.md §9). Below it, row scans are too
+/// short for the head start to outweigh the lost overlap. It is the paper's
+/// sample size, where a measured sweep put the crossover.
+pub const ORDERED_ROWS: usize = 30_000;
+
+/// The action of an ordered pass that runs alone, from each dispatched
+/// action's planned cost (`None` until it has planned, or when it never
+/// will): the lowest cost, ties to the earliest dispatched, NaN last.
+pub(crate) fn runs_alone(costs: &[Option<f64>]) -> Option<usize> {
+    let planned = costs.iter().enumerate();
+    let planned = planned.filter_map(|(order, cost)| Some((order, (*cost)?)));
+    // `min_by` keeps the first of equal minima: the earliest dispatched.
+    let cheapest = planned.min_by(|(_, a), (_, b)| lux_engine::cmp_cost_asc(*a, *b));
+    cheapest.map(|(order, _)| order)
+}
+
 /// An action's base time budget: the configured one, capped at what is left
 /// of the client's deadline (either alone when the other is unset).
-fn base_budget(config: &LuxConfig, client: Option<Duration>) -> Option<Duration> {
+pub(crate) fn base_budget(config: &LuxConfig, client: Option<Duration>) -> Option<Duration> {
     match (config.action_budget, client) {
         (Some(base), Some(left)) => Some(base.min(left)),
         (base, left) => base.or(left),
@@ -291,6 +309,19 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_cheapest_planned_action_runs_alone() {
+        let nan = Some(f64::NAN);
+        assert_eq!(runs_alone(&[]), None);
+        assert_eq!(runs_alone(&[None, None]), None);
+        assert_eq!(runs_alone(&[Some(3.0), Some(1.0), Some(2.0)]), Some(1));
+        // Ties go to dispatch order; NaN sorts last; unplanned never runs.
+        assert_eq!(runs_alone(&[Some(2.0), Some(1.0), Some(1.0)]), Some(1));
+        assert_eq!(runs_alone(&[nan, Some(9.0), None]), Some(1));
+        assert_eq!(runs_alone(&[None, nan, nan]), Some(1));
+        assert_eq!(runs_alone(&[None, Some(5.0), Some(0.5)]), Some(2));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The ASYNC experience (paper §8.2): on a wide dataframe the Correlation
-//! action is a laggard; with cost-based scheduling, cheap actions stream in
-//! first and interactive control returns to the user early instead of
-//! blocking on the slowest tab.
+//! action is a laggard; each action's result streams in the moment its
+//! worker has it, so cheap tabs arrive first and interactive control
+//! returns to the user early instead of blocking on the slowest tab. (On
+//! frames of `lux::recs::ORDERED_ROWS` rows or more the cheapest planned
+//! action also runs alone first.)
 //!
 //! ```sh
 //! cargo run --release --example streaming_recommendations

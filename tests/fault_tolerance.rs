@@ -34,6 +34,39 @@ fn frame() -> DataFrame {
         .unwrap()
 }
 
+/// The same three columns, tall enough that ASYNC runs the cheapest planned
+/// action alone before the rest.
+fn tall_frame() -> DataFrame {
+    let n = lux::recs::ORDERED_ROWS;
+    DataFrameBuilder::new()
+        .float("price", (0..n).map(|i| 10.0 + (i % 17) as f64))
+        .float("size", (0..n).map(|i| (i * 7 % 23) as f64))
+        .str("kind", (0..n).map(|i| ["a", "b", "c"][i % 3]))
+        .build()
+        .unwrap()
+}
+
+/// The first result a streaming run over `tall_frame()` delivers, checked
+/// to be the action with the lowest estimated cost.
+fn first_streamed(cfg: &LuxConfig) -> String {
+    let ldf = LuxDataFrame::with_config(tall_frame(), Arc::new(cfg.clone()));
+    let run = ldf.recommendations_streaming();
+    let first = run.next_result().expect("a first result");
+    let rest = run.collect_all();
+    assert!(!rest.is_empty(), "only {} delivered", first.action);
+    for r in &rest {
+        assert!(
+            first.estimated_cost <= r.estimated_cost,
+            "{} ({}) arrived before the cheaper {} ({})",
+            first.action,
+            first.estimated_cost,
+            r.action,
+            r.estimated_cost
+        );
+    }
+    first.action
+}
+
 /// An always-applicable custom action running `generate`: the fault
 /// harness of this suite. Each test names its own, so no concurrent test
 /// can run it.
@@ -319,4 +352,79 @@ fn permissive_csv_feeds_the_pipeline_despite_bad_rows() {
         !widget.tabs().is_empty(),
         "repaired frame still gets recommendations"
     );
+}
+
+/// On a tall frame the cheapest action streams first and runs alone: its
+/// span ends before any other action starts scoring, even with every one
+/// of its scores slowed by 5 ms.
+#[test]
+fn the_cheapest_action_streams_first_and_runs_alone() {
+    let world = World::enter();
+    let cheapest = first_streamed(&LuxConfig::default());
+    let site = format!("action.score:{cheapest}");
+    world.arm(&site, "sleep(5)").expect("arm");
+    let widget = LuxDataFrame::new(tall_frame()).print();
+    let trace = widget.trace().expect("print records a trace");
+    let actions = trace.spans_prefixed("action:");
+    assert!(actions.len() >= 3, "{actions:?}");
+    for span in &actions {
+        assert!(span.tag("sched.wait_us").is_some(), "{span:?}");
+    }
+    let alone: Vec<_> = (actions.iter())
+        .filter(|s| s.tag("sched.first") == Some("true"))
+        .collect();
+    assert_eq!(alone.len(), 1, "{actions:?}");
+    assert_eq!(alone[0].name, format!("action:{cheapest}"));
+    for score in trace.spans_named("score") {
+        if score.parent != Some(alone[0].id) {
+            assert!(
+                score.start_ns >= alone[0].end_ns(),
+                "a score started at {} ns, before {cheapest} ended at {} ns",
+                score.start_ns,
+                alone[0].end_ns()
+            );
+        }
+    }
+}
+
+/// A cheapest action that overruns its deadline releases the rest when it
+/// does: the other tabs ship, and the print returns inside the hard cutoff.
+#[test]
+fn an_overrunning_cheapest_action_does_not_hold_back_the_rest() {
+    let world = World::enter();
+    let budget = Duration::from_millis(100);
+    let cfg = LuxConfig {
+        action_budget: Some(budget),
+        ..LuxConfig::default()
+    };
+    let cheapest = first_streamed(&cfg);
+    // Past its deadline, well inside the hard cutoff of four budgets.
+    world
+        .arm(&format!("action.score:{cheapest}"), "sleep(200)")
+        .expect("arm");
+    let ldf = LuxDataFrame::with_config(tall_frame(), Arc::new(cfg));
+    let start = Instant::now();
+    let widget = ldf.print();
+    let took = start.elapsed();
+    assert!(
+        took < budget * 4,
+        "print took {took:?}, past the hard cutoff"
+    );
+    assert_eq!(status_of(&ldf, &cheapest).as_deref(), Some("degraded"));
+    let others: Vec<_> = (statuses(&ldf).into_iter())
+        .filter(|(action, _)| *action != cheapest)
+        .collect();
+    assert!(others.len() >= 2, "{others:?}");
+    for (action, status) in &others {
+        assert_eq!(status, "ok", "{action}");
+        assert!(widget.tabs().contains(&action.as_str()), "{action}");
+    }
+    // Released at the overrun, not once the slow tab was delivered.
+    let trace = widget.trace().expect("print records a trace");
+    let first = trace
+        .span(&format!("action:{cheapest}"))
+        .expect("the cheapest action's span");
+    for score in trace.spans_named("score") {
+        assert!(score.start_ns < first.end_ns(), "{score:?}");
+    }
 }
