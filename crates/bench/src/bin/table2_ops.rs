@@ -6,7 +6,8 @@
 
 use lux_bench::{env_scales, fmt_spread, full_scale, print_table, time_cells};
 use lux_dataframe::prelude::*;
-use lux_engine::{CostModel, SemanticType};
+use lux_engine::SemanticType;
+use lux_recs::plan::vis_cost;
 use lux_vis::{process, Channel, Encoding, Mark, ProcessOptions, VisSpec};
 use lux_workloads::airbnb;
 
@@ -86,7 +87,6 @@ fn main() {
     println!("# Table 2: relational operations per visualization type ({rows} rows)");
     let df = airbnb(rows, 3);
     let opts = ProcessOptions::default();
-    let model = CostModel;
 
     let vis_types = [
         "Scatterplot",
@@ -117,7 +117,7 @@ fn main() {
     let mut measured: Vec<(String, f64)> = Vec::new();
     for ((vt, spec), spread) in vis_types.iter().zip(&specs).zip(timed) {
         let class = spec.op_class();
-        let est = model.vis_cost(class, rows, 16);
+        let est = vis_cost(class, rows, 16);
         measured.push((vt.to_string(), spread.0));
         out.push(vec![
             vt.to_string(),

@@ -42,10 +42,11 @@ pub struct LuxConfig {
     /// (paper §7's relational-database execution path).
     pub sql_backend: bool,
     /// Base wall-clock budget per action. The cost model scales it by the
-    /// action's estimated cost (`CostModel::time_budget`); expiry degrades
-    /// the action to sample-approximated partial results, and under ASYNC
-    /// a hard cutoff at `action_budget x CostModel::HARD_CUTOFF_FACTOR`
-    /// abandons hung workers. `None` disables deadlines entirely.
+    /// action's estimated cost (`lux_recs::plan::time_budget`); expiry
+    /// degrades the action to sample-approximated partial results, and
+    /// under ASYNC a hard cutoff at `action_budget x HARD_CUTOFF_FACTOR`
+    /// (4, `lux_recs::plan`) abandons hung workers. `None` disables deadlines
+    /// entirely.
     pub action_budget: Option<Duration>,
     /// Consecutive failures after which an action's circuit breaker opens
     /// and the action is skipped.

@@ -201,9 +201,13 @@ impl BudgetHandle {
         }
     }
 
-    /// Move `scope`'s events to the end of this handle's list.
-    pub fn adopt(&self, scope: &BudgetHandle) {
-        self.append(std::mem::take(&mut *lock_recover(&scope.events)));
+    /// Move `scope`'s events to the end of this handle's list; returns how
+    /// many moved.
+    pub fn adopt(&self, scope: &BudgetHandle) -> usize {
+        let events = std::mem::take(&mut *lock_recover(&scope.events));
+        let moved = events.len();
+        self.append(events);
+        moved
     }
 
     /// The ceilings this handle enforces.
@@ -448,8 +452,11 @@ mod tests {
         a.record("a", DegradeLevel::CappedCardinality, "first");
         assert_eq!(h.event_count(), 0, "scoped events stay on the scope");
         // Adopted in schedule order, whatever order they were recorded in.
-        h.adopt(&a);
-        h.adopt(&b);
+        assert_eq!(
+            (h.adopt(&a), h.adopt(&b)),
+            (1, 1),
+            "each adopt reports what moved"
+        );
         let stages: Vec<String> = h.events().into_iter().map(|e| e.stage).collect();
         assert_eq!(stages, ["a", "b"]);
         assert_eq!(a.event_count(), 0, "adopting moves the events");

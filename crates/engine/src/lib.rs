@@ -4,8 +4,6 @@
 //!
 //! - [`metadata`] — per-column statistics and semantic data type inference
 //!   (paper §8.1 "Metadata Computation");
-//! - [`cost`] — the per-visualization cost model of Table 2, used by the
-//!   ASYNC scheduler and the PRUNE gate (§8.2);
 //! - [`config`] — the knobs that express the paper's experimental conditions
 //!   (`no-opt` / `wflow` / `wflow+prune` / `all-opt`);
 //! - [`governor`] — per-pass resource budgets and the degradation ladder
@@ -28,7 +26,6 @@
 pub mod admission;
 pub mod clock;
 pub mod config;
-pub mod cost;
 pub mod failpoint;
 pub mod flight;
 pub mod governor;
@@ -47,7 +44,6 @@ pub use admission::{
     Backoff, GlobalLedger, PressureLevel, Priority, ShedReason,
 };
 pub use config::{LuxConfig, DEFAULT_SAMPLE_CAP};
-pub use cost::{CostModel, OpClass};
 pub use flight::{FlightEntry, FlightRecorder};
 pub use governor::{
     cmp_cost_asc, cmp_score_desc, BudgetHandle, DegradeLevel, GovernorEvent, ResourceBudget,

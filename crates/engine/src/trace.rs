@@ -234,8 +234,10 @@ impl PassTrace {
 
     /// Structural consistency check: every span must lie within the pass
     /// extent, every child must start no earlier than its parent, and the
-    /// summed duration of same-thread children must not exceed the parent's
-    /// duration (plus `slack`). Returns the first violation found.
+    /// time covered by children begun on the parent's thread must not exceed
+    /// the parent's duration (plus `slack`). Covered time counts overlaps
+    /// once: the caller begins an ASYNC pass's action spans, but they run at
+    /// the same time on workers. Returns the first violation found.
     pub fn validate(&self, slack: Duration) -> Result<(), String> {
         let slack_ns = slack.as_nanos() as u64;
         for span in &self.spans {
@@ -258,16 +260,20 @@ impl PassTrace {
             }
         }
         for parent in &self.spans {
-            let sequential_sum: u64 = self
-                .children(parent.id)
-                .iter()
-                .filter(|c| c.tid == parent.tid)
-                .map(|c| c.dur_ns)
-                .sum();
-            if sequential_sum > parent.dur_ns + slack_ns {
+            let children = self.children(parent.id).into_iter();
+            let mut intervals: Vec<(u64, u64)> = (children.filter(|c| c.tid == parent.tid))
+                .map(|c| (c.start_ns, c.end_ns()))
+                .collect();
+            intervals.sort_unstable();
+            let (mut covered, mut reach) = (0, 0);
+            for (start, end) in intervals {
+                covered += end.saturating_sub(start.max(reach));
+                reach = reach.max(end);
+            }
+            if covered > parent.dur_ns + slack_ns {
                 return Err(format!(
-                    "children of {:?} sum to {}ns, exceeding the parent's {}ns",
-                    parent.name, sequential_sum, parent.dur_ns
+                    "children of {:?} cover {}ns, exceeding the parent's {}ns",
+                    parent.name, covered, parent.dur_ns
                 ));
             }
         }
@@ -921,6 +927,41 @@ mod tests {
         );
         assert_eq!(trace.children(trace.root().unwrap().id).len(), 1);
         trace.validate(Duration::from_millis(1)).unwrap();
+    }
+
+    /// Children begun on the parent's thread but run at once elsewhere (an
+    /// ASYNC pass's actions) cover their overlap once, not twice; children
+    /// that really cover more than the parent still fail.
+    #[test]
+    fn validate_counts_overlapping_children_once() {
+        let span = |id, parent: Option<u32>, start_ns, dur_ns| SpanRecord {
+            id: SpanId(id),
+            parent: parent.map(SpanId),
+            name: format!("span{id}"),
+            start_ns,
+            dur_ns,
+            tid: 0,
+            tags: Vec::new(),
+        };
+        let trace = |spans: Vec<SpanRecord>| PassTrace {
+            total_ns: spans.iter().map(SpanRecord::end_ns).max().unwrap_or(0),
+            spans,
+        };
+        let overlapping = trace(vec![
+            span(0, None, 0, 100),
+            span(1, Some(0), 0, 90),
+            span(2, Some(0), 10, 90),
+        ]);
+        overlapping
+            .validate(Duration::ZERO)
+            .expect("overlap counted once");
+        let sequential = trace(vec![
+            span(0, None, 0, 100),
+            span(1, Some(0), 0, 60),
+            span(2, Some(0), 60, 60),
+        ]);
+        let err = sequential.validate(Duration::ZERO).unwrap_err();
+        assert!(err.contains("cover 120ns"), "{err}");
     }
 
     #[test]

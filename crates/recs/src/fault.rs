@@ -14,7 +14,7 @@
 //!   with a panic hook that captures the payload and panic site (and keeps
 //!   isolated panics off stderr) so a panic becomes a value, not a crash;
 //! - [`Deadline`] — cooperative per-action time budgets, derived from the
-//!   cost model (see `CostModel::time_budget`) and `LuxConfig::action_budget`;
+//!   cost model (see `crate::plan`) and `LuxConfig::action_budget`;
 //! - [`CircuitBreaker`] — per-action failure tracking: after N consecutive
 //!   failures an action is skipped with a recorded reason, and re-probed
 //!   (half-open) after M fresh frames;
@@ -29,14 +29,12 @@ use std::collections::HashMap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, Once, PoisonError};
+use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
 
-use crate::action::ActionResult;
+use lux_engine::lock_recover;
 
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::action::ActionResult;
 
 // ---------------------------------------------------------------------
 // Error taxonomy

@@ -20,7 +20,7 @@
 //! Every action runs under the fault model of [`crate::fault`]: generation,
 //! scoring, and processing are panic-isolated; each action gets a wall-clock
 //! budget derived from its cost estimate (`LuxConfig::action_budget` scaled
-//! by `CostModel::time_budget`) with cooperative checks between steps and —
+//! by the cost model of `crate::plan`) with cooperative checks between steps and —
 //! under ASYNC — a hard cutoff (`crate::plan::hard_cutoff`) that abandons
 //! hung workers; and a per-action circuit breaker skips actions that keep
 //! failing, with a half-open re-probe after a cooldown of fresh frames. One
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use lux_dataframe::prelude::*;
 use lux_engine::governor::{BudgetHandle, DegradeLevel, ResourceBudget};
 use lux_engine::trace::{names as metric, MetricsRegistry, SpanId, TraceCollector};
-use lux_engine::{clock, failpoint};
+use lux_engine::{clock, failpoint, lock_recover};
 use lux_engine::{AdmissionPermit, FrameMeta, LuxConfig};
 use lux_intent::{Clause, CompileOptions};
 use lux_vis::{ProcessOptions, Vis, VisList, VisSpec};
@@ -221,10 +221,14 @@ impl Pass {
         }
     }
 
-    /// Rows in the PRUNE sample, known without drawing it; `None` when PRUNE
-    /// is off.
-    fn sample_rows(&self) -> Option<usize> {
-        (self.config.prune).then(|| self.config.sample_cap.min(self.df.num_rows()))
+    /// Plan an action's `candidates` over this pass (`crate::plan`). The
+    /// PRUNE sample's size is known without drawing it.
+    fn plan(&self, candidates: &[Candidate]) -> Plan {
+        let rows = |c: &Candidate| c.frame.as_deref().unwrap_or(&self.df).num_rows();
+        let specs: Vec<(&VisSpec, usize)> = candidates.iter().map(|c| (&c.spec, rows(c))).collect();
+        let sample_rows = self.config.sample_cap.min(self.df.num_rows());
+        let (meta, config, governor) = (&self.meta, &self.config, &self.governor);
+        Plan::new(&specs, meta, config, governor, sample_rows, self.deadline)
     }
 
     /// The frame's PRUNE sample, drawn on first read — once per frame,
@@ -253,120 +257,108 @@ type Scored = (Candidate, f64, bool);
 
 type Outcome = std::result::Result<Option<ActionResult>, ActionError>;
 
-/// One action's trip through the five stages: the borrowed inputs and what
-/// the stages accumulate for the final [`ActionResult`].
+/// One action's trip through stages 3–5 on its plan: the borrowed inputs,
+/// the [`Plan`] they run on, and what the stages accumulate for the final
+/// [`ActionResult`].
 struct ActionRun<'a> {
     action: &'a dyn Action,
     /// The action's pass, whose governor is the action's own scope.
     pass: &'a Pass,
     /// The action's own span.
     trace: &'a TraceCtx,
-    // The next three are set once the action has candidates.
+    plan: Plan,
+    /// The PRUNE sample, when the plan engages or forces it.
+    sample: Option<Arc<DataFrame>>,
     started: Instant,
-    estimated_cost: f64,
     deadline: Deadline,
     /// Why the deadline degraded this action, when it did.
     degraded_reason: Option<String>,
-    /// The candidate-cap note, when the plan dropped candidates.
-    cap_note: Option<String>,
+    /// Processing steps the resource governor degraded, counted as the
+    /// fan-out scopes are adopted.
+    degraded_steps: usize,
+}
+
+/// Stage 1: run `action.generate` under panic isolation, folding generation
+/// errors into the [`ActionError`] taxonomy. `Ok(None)` means no candidates.
+fn enumerate(
+    action: &dyn Action,
+    pass: &Pass,
+    trace: &TraceCtx,
+) -> std::result::Result<Option<Vec<Candidate>>, ActionError> {
+    let ctx = pass.action_context();
+    let span = trace.child("generate");
+    let generated = isolate(action.name(), || action.generate(&ctx))
+        .and_then(|r| r.map_err(|e| ActionError::Generation(e.to_string())));
+    match &generated {
+        Ok(c) => span.tag("candidates", c.len().to_string()),
+        Err(_) => span.tag("failed", "true"),
+    }
+    span.end();
+    let candidates = generated?;
+    Ok((!candidates.is_empty()).then_some(candidates))
 }
 
 impl<'a> ActionRun<'a> {
-    fn open(action: &'a dyn Action, pass: &'a Pass, trace: &'a TraceCtx) -> ActionRun<'a> {
+    /// Stage 2, carried out: record the plan's cap event, tag its decisions,
+    /// count the PRUNE verdict and draw the sample when it engages, and
+    /// charge each group-by in candidate order. A refused charge breaches
+    /// the pass budget and changes nothing else: the bytes are the ledger's
+    /// record, not a bound on what the action draws. Then wait at the
+    /// pass's gate, when it has one, for the action's turn, and arm the
+    /// planned deadline, so the budget counts from when the action runs,
+    /// not from when it planned. A gated deadline still falls no later than
+    /// the client's, counted from dispatch. `started` is when generation
+    /// ended: the action is timed from there, less the wait.
+    fn start(
+        action: &'a dyn Action,
+        pass: &'a Pass,
+        trace: &'a TraceCtx,
+        plan: Plan,
+        started: Instant,
+        seat: Option<Seat<'_>>,
+    ) -> ActionRun<'a> {
+        let governor = &*pass.governor;
+        if let Some(note) = &plan.cap_note {
+            let stage = format!("action:{}", action.name());
+            governor.record(stage, DegradeLevel::CappedCardinality, note.clone());
+        }
+        trace.tag("candidates", plan.kept.to_string());
+        trace.tag("cost.estimated", format!("{:.0}", plan.cost));
+        if let Some(budget) = plan.deadline {
+            let ms = budget.as_secs_f64() * 1e3;
+            trace.tag("deadline.budget_ms", format!("{ms:.1}"));
+        }
+        if let Some(counter) = plan.sample.counter() {
+            MetricsRegistry::global().incr(counter);
+        }
+        trace.tag("prune", plan.sample.name());
+        let sample = (plan.sample >= SampleMode::Engaged).then(|| pass.sample());
+        for &bytes in plan.group_bytes.iter().filter(|&&b| b > 0) {
+            governor.try_charge(bytes);
+        }
+        let planned = clock::now();
+        let first = seat.is_some_and(|(gate, order)| gate.wait(order, plan.cost));
+        let waited = clock::elapsed(planned);
+        trace.tag("sched.wait_us", waited.as_micros().to_string());
+        let latest = seat.and_then(|(gate, _)| gate.latest);
+        let deadline = (plan.deadline).map_or(Deadline::none(), |b| {
+            Deadline::after(b).no_later_than(latest)
+        });
+        if let (true, Some((gate, _))) = (first, seat) {
+            trace.tag("sched.first", "true");
+            gate.running(deadline.at());
+        }
         ActionRun {
             action,
             pass,
             trace,
-            started: clock::now(),
-            estimated_cost: 0.0,
-            deadline: Deadline::none(),
+            plan,
+            sample,
+            // The wait is not the action's cost.
+            started: started + waited,
+            deadline,
             degraded_reason: None,
-            cap_note: None,
-        }
-    }
-
-    /// Stage 1: run `action.generate` under panic isolation, folding
-    /// generation errors into the [`ActionError`] taxonomy. `Ok(None)` means
-    /// no candidates.
-    fn enumerate(&mut self) -> std::result::Result<Option<Vec<Candidate>>, ActionError> {
-        let name = self.action.name();
-        let ctx = self.pass.action_context();
-        let span = self.trace.child("generate");
-        let generated = isolate(name, || self.action.generate(&ctx))
-            .and_then(|r| r.map_err(|e| ActionError::Generation(e.to_string())));
-        match &generated {
-            Ok(c) => span.tag("candidates", c.len().to_string()),
-            Err(_) => span.tag("failed", "true"),
-        }
-        span.end();
-        let candidates = generated?;
-        // The action is timed from here: generation has its own span.
-        self.started = clock::now();
-        Ok((!candidates.is_empty()).then_some(candidates))
-    }
-
-    /// Stage 2: decide the action's [`Plan`] and carry out its pre-scoring
-    /// half: keep the planned candidates, count and tag the PRUNE verdict,
-    /// draw the sample when it engages, and charge each group-by in
-    /// candidate order. A refused charge breaches the pass budget and
-    /// changes nothing else: the bytes are the ledger's record, not a bound
-    /// on what the action draws. Returns the kept candidates, the sample
-    /// and the planned time budget, which [`ActionRun::start`] arms.
-    fn plan(&mut self, mut candidates: Vec<Candidate>) -> Planned {
-        let (pass, governor) = (self.pass, &*self.pass.governor);
-        let rows = |c: &Candidate| c.frame.as_deref().unwrap_or(&pass.df).num_rows();
-        let specs: Vec<(&VisSpec, usize)> = candidates.iter().map(|c| (&c.spec, rows(c))).collect();
-        let plan = Plan::new(
-            &specs,
-            &pass.meta,
-            &pass.config,
-            governor,
-            pass.sample_rows(),
-            pass.deadline,
-        );
-        candidates.truncate(plan.kept);
-        if let Some(note) = &plan.cap_note {
-            let stage = format!("action:{}", self.action.name());
-            governor.record(stage, DegradeLevel::CappedCardinality, note.clone());
-        }
-        (self.cap_note, self.estimated_cost) = (plan.cap_note, plan.cost);
-        self.trace.tag("candidates", plan.kept.to_string());
-        self.trace
-            .tag("cost.estimated", format!("{:.0}", plan.cost));
-        if let Some(budget) = plan.deadline {
-            let ms = budget.as_secs_f64() * 1e3;
-            self.trace.tag("deadline.budget_ms", format!("{ms:.1}"));
-        }
-        if let Some(counter) = plan.prune_counter {
-            MetricsRegistry::global().incr(counter);
-        }
-        self.trace.tag("prune", plan.sample.name());
-        let prune_sample = (plan.sample >= SampleMode::Engaged).then(|| pass.sample());
-        for bytes in plan.group_bytes.into_iter().filter(|&b| b > 0) {
-            governor.try_charge(bytes);
-        }
-        (candidates, prune_sample, plan.deadline)
-    }
-
-    /// Wait at the pass's gate, when it has one, for the action's turn;
-    /// then arm its planned deadline, so the budget counts from when the
-    /// action runs, not from when it planned. A gated deadline still falls
-    /// no later than the client's, counted from dispatch.
-    fn start(&mut self, budget: Option<Duration>, seat: Option<Seat<'_>>) {
-        let planned = clock::now();
-        let first = seat.is_some_and(|(gate, order)| gate.wait(order, self.estimated_cost));
-        let waited = clock::elapsed(planned);
-        self.trace
-            .tag("sched.wait_us", waited.as_micros().to_string());
-        // The wait is not the action's cost.
-        self.started += waited;
-        if let Some(budget) = budget {
-            let latest = seat.and_then(|(gate, _)| gate.latest);
-            self.deadline = Deadline::after(budget).no_later_than(latest);
-        }
-        if let (true, Some((gate, _))) = (first, seat) {
-            self.trace.tag("sched.first", "true");
-            gate.running(self.deadline.at());
+            degraded_steps: 0,
         }
     }
 
@@ -392,19 +384,17 @@ impl<'a> ActionRun<'a> {
     fn score(
         &mut self,
         candidates: Vec<Candidate>,
-        prune_sample: Option<&DataFrame>,
     ) -> std::result::Result<Vec<Scored>, ActionError> {
         let total = candidates.len();
         let par = self.pass.config.effective_threads();
         let span = self.trace.child("score");
         span.tag("par", par.to_string());
         let scopes = self.scopes(total);
-        let outcomes = lux_engine::parallel_map(par, candidates, |i, cand| {
-            self.score_one(cand, &scopes[i], prune_sample)
-        });
+        let outcomes =
+            lux_engine::parallel_map(par, candidates, |i, cand| self.score_one(cand, &scopes[i]));
         let mut scored: Vec<Scored> = Vec::with_capacity(total);
         for (outcome, scope) in outcomes.into_iter().zip(&scopes) {
-            self.pass.governor.adopt(scope);
+            self.degraded_steps += self.pass.governor.adopt(scope);
             match outcome {
                 Ok(Some(s)) => scored.push(s),
                 Ok(None) => {
@@ -420,7 +410,7 @@ impl<'a> ActionRun<'a> {
             }
         }
         span.tag("scored", format!("{}/{total}", scored.len()));
-        span.tag("approximate", prune_sample.is_some().to_string());
+        span.tag("approximate", self.sample.is_some().to_string());
         span.end();
         if scored.is_empty() {
             // Deadline hit before anything was scored: nothing servable.
@@ -438,7 +428,6 @@ impl<'a> ActionRun<'a> {
         &self,
         cand: Candidate,
         scope: &Arc<BudgetHandle>,
-        prune_sample: Option<&DataFrame>,
     ) -> std::result::Result<Option<Scored>, ActionError> {
         if self.deadline.expired() {
             return Ok(None);
@@ -446,7 +435,7 @@ impl<'a> ActionRun<'a> {
         let copts = self.call_opts(scope);
         // Candidates pinned to their own frame (history/structure actions)
         // are scored on that frame; others use the sample when pruning.
-        let (frame, approx): (&DataFrame, bool) = match (&cand.frame, prune_sample) {
+        let (frame, approx): (&DataFrame, bool) = match (&cand.frame, &self.sample) {
             (Some(f), _) => (f, false),
             (None, Some(s)) => (s, true),
             (None, None) => (&self.pass.df, false),
@@ -487,7 +476,7 @@ impl<'a> ActionRun<'a> {
         let mut visses: Vec<Vis> = Vec::with_capacity(outcomes.len());
         let mut last_processing_error: Option<String> = None;
         for (outcome, scope) in outcomes.into_iter().zip(&scopes) {
-            self.pass.governor.adopt(scope);
+            self.degraded_steps += self.pass.governor.adopt(scope);
             match outcome.map_err(|panic| span.panicked(panic))? {
                 Processed::Exact(Ok(vis)) => visses.push(vis),
                 // fail-safe: drop the broken vis, keep the rest
@@ -561,17 +550,15 @@ impl<'a> ActionRun<'a> {
         let mut vislist = VisList::new(visses);
         vislist.rank();
         // "(other)" folds mark the tab degraded even though the deadline
-        // never fired. The action's scope holds them.
-        let recorded = self.pass.governor.event_count();
-        let degrade_events = recorded - usize::from(self.cap_note.is_some());
-        self.trace
-            .tag("governor.events", degrade_events.to_string());
+        // never fired.
+        let steps = self.degraded_steps;
+        self.trace.tag("governor.events", steps.to_string());
         // The deadline's reason first, then the governor's.
         let mut reasons: Vec<String> = self.degraded_reason.into_iter().collect();
-        reasons.extend(self.cap_note);
-        if degrade_events > 0 {
+        reasons.extend(self.plan.cap_note);
+        if steps > 0 {
             reasons.push(format!(
-                "resource governor degraded {degrade_events} processing step(s)"
+                "resource governor degraded {steps} processing step(s)"
             ));
         }
         let degraded_reason = (!reasons.is_empty()).then(|| reasons.join("; "));
@@ -579,7 +566,7 @@ impl<'a> ActionRun<'a> {
             action: self.action.name().to_string(),
             class: self.action.class(),
             vislist,
-            estimated_cost: self.estimated_cost,
+            estimated_cost: self.plan.cost,
             elapsed: clock::elapsed(self.started).as_secs_f64(),
             degraded: degraded_reason.is_some(),
             degraded_reason,
@@ -590,10 +577,6 @@ impl<'a> ActionRun<'a> {
 /// An action's place at its pass's gate: the gate and the action's
 /// dispatch order.
 type Seat<'a> = (&'a Gate, usize);
-
-/// What stage 2 hands on: the kept candidates, the PRUNE sample when it
-/// engages, and the planned time budget.
-type Planned = (Vec<Candidate>, Option<Arc<DataFrame>>, Option<Duration>);
 
 /// One survivor after stage 5: processed exactly (or failed to), or served
 /// degraded once the deadline had expired.
@@ -619,13 +602,15 @@ pub fn execute_action(
 /// [`execute_action`], waiting at `seat` between planning and scoring when
 /// the pass is ordered.
 fn execute(action: &dyn Action, pass: &Pass, trace: &TraceCtx, seat: Option<Seat<'_>>) -> Outcome {
-    let mut run = ActionRun::open(action, pass, trace);
-    let Some(candidates) = run.enumerate()? else {
+    let Some(mut candidates) = enumerate(action, pass, trace)? else {
         return Ok(None);
     };
-    let (kept, prune_sample, budget) = run.plan(candidates);
-    run.start(budget, seat);
-    let scored = run.score(kept, prune_sample.as_deref())?;
+    // The action is timed from here: generation has its own span.
+    let started = clock::now();
+    let plan = pass.plan(&candidates);
+    candidates.truncate(plan.kept);
+    let mut run = ActionRun::start(action, pass, trace, plan, started, seat);
+    let scored = run.score(candidates)?;
     let survivors = run.select_top_k(scored);
     run.process(survivors)
 }
@@ -847,7 +832,7 @@ impl Gate {
     /// Each update below is one assignment, so a poisoned lock still holds
     /// a consistent state.
     fn lock(&self) -> MutexGuard<'_, GateState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        lock_recover(&self.state)
     }
 
     /// Record `order`'s planned `cost` and block until its turn: `true` when

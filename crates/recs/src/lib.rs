@@ -14,7 +14,7 @@ pub mod generate;
 pub mod history_actions;
 pub mod intent_actions;
 pub mod metadata_actions;
-mod plan;
+pub mod plan;
 pub mod score;
 pub mod structure_actions;
 

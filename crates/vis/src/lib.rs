@@ -13,6 +13,6 @@ mod sql;
 pub mod vislist;
 
 pub use data::{filtered_view, process, Backend, ProcessOptions};
-pub use spec::{Channel, Encoding, FilterSpec, Mark, VisSpec};
+pub use spec::{Channel, Encoding, FilterSpec, Mark, OpClass, VisSpec};
 pub use sql::to_sql;
 pub use vislist::{Vis, VisList};

@@ -8,7 +8,7 @@
 use std::fmt;
 
 use lux_dataframe::prelude::*;
-use lux_engine::{OpClass, SemanticType};
+use lux_engine::SemanticType;
 
 /// The mark (chart) types Lux produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,6 +41,52 @@ impl fmt::Display for Mark {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
+}
+
+/// The primary relational operation of a visualization (Table 2), which
+/// [`VisSpec::op_class`] reads off its mark and channels and the cost model
+/// prices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum OpClass {
+    /// Scatterplot: selection on 2 columns.
+    Selection2,
+    /// Colored scatterplot: selection on 3 columns.
+    Selection3,
+    /// Line/Bar: group-by aggregation.
+    GroupAgg,
+    /// Colored line/bar: 2D group-by aggregation.
+    GroupAgg2D,
+    /// Histogram: bin + count.
+    BinCount,
+    /// Heatmap: 2D bin + count.
+    BinCount2D,
+    /// Colored heatmap: 2D bin + count + group-by aggregation.
+    BinCount2DGroup,
+}
+
+impl OpClass {
+    pub fn name(self) -> &'static str {
+        match self {
+            OpClass::Selection2 => "selection-2col",
+            OpClass::Selection3 => "selection-3col",
+            OpClass::GroupAgg => "group-by-agg",
+            OpClass::GroupAgg2D => "2d-group-by-agg",
+            OpClass::BinCount => "bin+count",
+            OpClass::BinCount2D => "2d-bin+count",
+            OpClass::BinCount2DGroup => "2d-bin+count+group-by",
+        }
+    }
+
+    /// All classes, for sweeps and the Table 2 bench.
+    pub const ALL: [OpClass; 7] = [
+        OpClass::Selection2,
+        OpClass::Selection3,
+        OpClass::GroupAgg,
+        OpClass::GroupAgg2D,
+        OpClass::BinCount,
+        OpClass::BinCount2D,
+        OpClass::BinCount2DGroup,
+    ];
 }
 
 /// The visual channel an attribute maps to.
@@ -313,6 +359,12 @@ mod tests {
             vec![],
         );
         assert_eq!(heat.op_class(), OpClass::BinCount2D);
+    }
+
+    #[test]
+    fn class_names_unique() {
+        let names: std::collections::HashSet<_> = OpClass::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(names.len(), OpClass::ALL.len());
     }
 
     #[test]

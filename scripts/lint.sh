@@ -100,6 +100,21 @@ if [ -n "$charges" ]; then
 fi
 echo "ok: the pass budget is charged only by the metadata and action plans"
 
+echo "== cost-model lint (vis_cost( / action_cost( / time_budget( / prune_worthwhile( outside plan.rs)"
+# The cost model prices every action once, in its plan (DESIGN.md §8): the
+# PRUNE gate, the deadline and ASYNC's cheapest-first order all read that
+# estimate. A call anywhere else in product code is a second pricing that
+# can drift from the plan. The experiment binaries are exempt — Table 2
+# prints the model's estimate beside the measured time.
+pricing=$(find crates/*/src -name '*.rs' ! -path 'crates/recs/src/plan.rs' ! -path 'crates/bench/src/*' \
+    -exec awk "$MARK_TESTS"' !t && /(vis_cost|action_cost|time_budget|prune_worthwhile)\(/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ -n "$pricing" ]; then
+    echo "$pricing"
+    echo "error: cost-model call outside crates/recs/src/plan.rs — read the action's Plan instead"
+    exit 1
+fi
+echo "ok: the cost model is called only by crates/recs/src/plan.rs"
+
 echo "== clock/rng drift lint (crates/*/src outside clock.rs, rng.rs, bench)"
 # Product code reads time through lux_engine::clock and draws randomness
 # through lux_engine::rng, so the whole stack is replayable under a world

@@ -309,7 +309,7 @@ fn metadata_fold_spans_appear_only_when_columns_fold() {
 /// model may scale a heavy action's budget up to the hard-cutoff multiple
 /// of its base, but never past what is left of the client's deadline.
 /// Airbnb at 100k rows gives Correlation and Distribution estimates above
-/// `CostModel::REFERENCE_COST`, so both would scale.
+/// the cost model's `REFERENCE_COST` (`lux_recs::plan`), so both would scale.
 #[test]
 fn client_deadline_caps_every_action_budget() {
     let ldf = LuxDataFrame::new(lux::workloads::airbnb(100_000, 7));

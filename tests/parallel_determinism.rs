@@ -2,7 +2,7 @@
 //! a print pass must not depend on the parallelism degree. Every test here
 //! runs the identical workload under `threads = 1` and `threads = 8` and
 //! requires bit-identical results — action lists, spec order, scores,
-//! degradation flags, governor notes — plus identical metrics-counter
+//! degradation flags, governor notes, each action's plan — plus identical metrics-counter
 //! deltas for the pipeline's own accounting. The metadata pass under the
 //! print is additionally held invariant over its chunk grid (DESIGN.md §14).
 //!
@@ -43,7 +43,19 @@ struct PassOutput {
     degraded: Vec<(bool, Option<String>)>,
     /// The pass's governor summary line (None when fully exact).
     governor: Option<String>,
+    /// Per action span, in dispatch order: its name and the plan tags it
+    /// records before scoring — the plan is decided once, whatever the
+    /// thread count.
+    plans: Vec<(String, Vec<Option<String>>)>,
 }
+
+/// The tags an action span records from its plan.
+const PLAN_TAGS: [&str; 4] = [
+    "candidates",
+    "cost.estimated",
+    "deadline.budget_ms",
+    "prune",
+];
 
 fn run_pass(df: DataFrame, threads: usize) -> PassOutput {
     let config = LuxConfig {
@@ -76,6 +88,16 @@ fn run_pass(df: DataFrame, threads: usize) -> PassOutput {
             .map(|r| (r.degraded, r.degraded_reason.clone()))
             .collect(),
         governor: widget.governor_note().map(str::to_string),
+        plans: ldf
+            .last_trace()
+            .expect("print records a trace")
+            .spans_prefixed("action:")
+            .into_iter()
+            .map(|s| {
+                let tags = PLAN_TAGS.iter().map(|t| s.tag(t).map(str::to_string));
+                (s.name.clone(), tags.collect())
+            })
+            .collect(),
     }
 }
 
@@ -96,6 +118,7 @@ proptest! {
         prop_assert_eq!(&sequential.vislists, &parallel.vislists, "vis ranking diverged");
         prop_assert_eq!(&sequential.degraded, &parallel.degraded, "degradation diverged");
         prop_assert_eq!(&sequential.governor, &parallel.governor, "governor events diverged");
+        prop_assert_eq!(&sequential.plans, &parallel.plans, "action plans diverged");
     }
 
     /// The metadata pass under the print: on the pathological frames, the

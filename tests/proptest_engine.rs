@@ -6,8 +6,10 @@
 
 use std::collections::HashMap;
 
-use lux::engine::{CostModel, FrameMeta, OpClass};
+use lux::engine::FrameMeta;
 use lux::prelude::*;
+use lux::recs::plan::{prune_worthwhile, vis_cost};
+use lux::vis::OpClass;
 use proptest::prelude::*;
 
 /// Duplicate a frame's rows `k` times (the paper's scaling method).
@@ -95,19 +97,17 @@ proptest! {
         rows_b in 1usize..100_000,
         groups in 0usize..1_000,
     ) {
-        let m = CostModel::default();
         let (lo, hi) = (rows_a.min(rows_b), rows_a.max(rows_b));
         for class in OpClass::ALL {
-            prop_assert!(m.vis_cost(class, lo, groups) <= m.vis_cost(class, hi, groups));
-            prop_assert!(m.vis_cost(class, hi, groups) <= m.vis_cost(class, hi, groups + 1));
+            prop_assert!(vis_cost(class, lo, groups) <= vis_cost(class, hi, groups));
+            prop_assert!(vis_cost(class, hi, groups) <= vis_cost(class, hi, groups + 1));
         }
     }
 
     #[test]
     fn prune_gate_never_fires_below_k(n in 0usize..200, k in 1usize..50) {
-        let m = CostModel::default();
         if n <= k {
-            prop_assert!(!m.prune_worthwhile(n, k, OpClass::Selection2, 1_000_000, 10_000, 0));
+            prop_assert!(!prune_worthwhile(n, k, OpClass::Selection2, 1_000_000, 10_000, 0));
         }
     }
 
