@@ -227,8 +227,8 @@ impl LuxDataFrame {
         self.df.column_names()
     }
 
-    /// The underlying frame's identity fingerprint (shared by clones; the
-    /// key of the process-wide processed-vis memo).
+    /// The underlying frame's identity fingerprint (shared by clones, and
+    /// by them only).
     pub fn fingerprint(&self) -> u64 {
         self.df.fingerprint()
     }

@@ -1,7 +1,9 @@
 //! The columnar [`DataFrame`].
 
+use std::any::Any;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::column::Column;
 use crate::error::{Error, Result};
@@ -22,26 +24,64 @@ pub struct DataFrame {
     columns: Vec<Arc<Column>>,
     index: Index,
     history: History,
-    /// Process-unique freshness stamp: every constructed or derived frame
-    /// gets a fresh value, while plain clones keep it (same data, same
-    /// stamp). Downstream memo caches (the processed-vis cache) key on it,
-    /// so any data-changing operation invalidates them for free.
-    fingerprint: u64,
-    /// Set only by [`DataFrame::concat`]: `(parent_fingerprint,
-    /// parent_rows)` records that rows `0..parent_rows` of every column are
-    /// byte-identical to the frame stamped `parent_fingerprint` (string
-    /// dictionaries extend by prefix). Downstream statistics caches use it
-    /// to merge cached per-column partials with a scan of only the appended
-    /// tail instead of recomputing from row zero.
-    append_lineage: Option<(u64, usize)>,
+    /// The frame's identity: every constructed or derived frame mints a
+    /// fresh one, while plain clones share it (same data, same identity).
+    /// Downstream memos live in it, so any data-changing operation starts
+    /// them empty and dropping the last frame of an identity frees them.
+    state: Arc<FrameState>,
+    /// Set only by [`DataFrame::concat`]: `(parent_state, parent_rows)`
+    /// records that rows `0..parent_rows` of every column are byte-identical
+    /// to the frames of `parent_state` (string dictionaries extend by
+    /// prefix). The metadata pass uses it to merge the parent's per-column
+    /// partials with a scan of only the appended tail instead of
+    /// recomputing from row zero.
+    append_lineage: Option<(Arc<FrameState>, usize)>,
 }
 
-/// Monotonic source for [`DataFrame::fingerprint`]. Starts at 1 so 0 can
-/// serve as an "unknown frame" sentinel in caches.
-fn next_fingerprint() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
+/// What one frame identity keeps beside its data: its fingerprint, and the
+/// state downstream crates attach to it (the metadata pass's partials, the
+/// processed-vis memo), one value per type. It is minted with every fresh
+/// fingerprint and shared by clones, so two frames share a `FrameState`
+/// exactly when they share a fingerprint, and what it holds is freed with
+/// the last of them.
+pub struct FrameState {
+    fingerprint: u64,
+    slots: Mutex<Vec<Arc<dyn Any + Send + Sync>>>,
+}
+
+impl FrameState {
+    /// A fresh identity. Fingerprints start at 1 and never repeat within a
+    /// process.
+    fn mint() -> Arc<FrameState> {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        Arc::new(FrameState {
+            fingerprint: NEXT.fetch_add(1, Ordering::Relaxed),
+            slots: Mutex::default(),
+        })
+    }
+
+    /// This identity's `T`, made with `T::default()` on first use. A value
+    /// kept here must not hold a frame of this identity, a clone included:
+    /// that would be an `Arc` cycle, never freed.
+    pub fn get<T: Any + Send + Sync + Default>(&self) -> Arc<T> {
+        // Every update is one push, so a poisoned lock guards a valid list.
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(t) = slots
+            .iter()
+            .find_map(|s| Arc::clone(s).downcast::<T>().ok())
+        {
+            return t;
+        }
+        let t = Arc::new(T::default());
+        slots.push(t.clone());
+        t
+    }
+}
+
+impl fmt::Debug for FrameState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "FrameState({})", self.fingerprint)
+    }
 }
 
 impl DataFrame {
@@ -52,7 +92,7 @@ impl DataFrame {
             columns: Vec::new(),
             index: Index::range(0),
             history: History::new(),
-            fingerprint: next_fingerprint(),
+            state: FrameState::mint(),
             append_lineage: None,
         }
     }
@@ -148,21 +188,28 @@ impl DataFrame {
     /// same data, so memo caches may key on it (the converse does not hold —
     /// re-deriving identical data yields a new stamp, costing only a miss).
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.state.fingerprint
+    }
+
+    /// The frame's identity and the state kept on it, shared by clones.
+    pub fn state(&self) -> &Arc<FrameState> {
+        &self.state
     }
 
     /// Append provenance, when this frame was produced by
-    /// [`DataFrame::concat`]: `(parent_fingerprint, parent_rows)` such that
-    /// rows `0..parent_rows` of every column equal the parent frame's rows
-    /// (and string dictionaries extend the parent's by suffix). `None` for
-    /// every other derivation.
-    pub fn append_lineage(&self) -> Option<(u64, usize)> {
+    /// [`DataFrame::concat`]: `(parent_state, parent_rows)` such that rows
+    /// `0..parent_rows` of every column equal the parent frame's rows (and
+    /// string dictionaries extend the parent's by suffix). `None` for every
+    /// other derivation.
+    pub fn append_lineage(&self) -> Option<(&FrameState, usize)> {
         self.append_lineage
+            .as_ref()
+            .map(|(parent, rows)| (&**parent, *rows))
     }
 
     /// Stamp append provenance on a freshly derived frame (concat only).
-    pub(crate) fn set_append_lineage(&mut self, parent: u64, parent_rows: usize) {
-        self.append_lineage = Some((parent, parent_rows));
+    pub(crate) fn set_append_lineage(&mut self, parent: &DataFrame) {
+        self.append_lineage = Some((Arc::clone(&parent.state), parent.num_rows()));
     }
 
     /// The boxed value at `(row, column-name)`.
@@ -195,7 +242,7 @@ impl DataFrame {
             columns,
             index,
             history,
-            fingerprint: next_fingerprint(),
+            state: FrameState::mint(),
             append_lineage: None,
         }
     }
@@ -214,8 +261,9 @@ impl DataFrame {
     }
 
     /// A clone whose history drops retained parent frames, so that storing it
-    /// as a parent does not chain ancestors indefinitely.
-    pub(crate) fn clone_without_parents(&self) -> DataFrame {
+    /// as a parent does not chain ancestors indefinitely, and keeping it in
+    /// a [`FrameState`] holds no frame of another identity.
+    pub fn clone_without_parents(&self) -> DataFrame {
         let mut df = self.clone();
         let mut history = History::new();
         for e in self.history.events() {
@@ -235,7 +283,7 @@ impl DataFrame {
     /// fingerprint: index labels are part of what downstream consumers see.
     pub(crate) fn with_index(mut self, index: Index) -> DataFrame {
         self.index = index;
-        self.fingerprint = next_fingerprint();
+        self.state = FrameState::mint();
         self.append_lineage = None;
         self
     }
@@ -466,9 +514,28 @@ mod tests {
         assert_ne!(df.fingerprint(), 0);
         let clone = df.clone();
         assert_eq!(df.fingerprint(), clone.fingerprint(), "clones share data");
+        assert!(Arc::ptr_eq(df.state(), clone.state()), "and their state");
         let other = sample();
         assert_ne!(df.fingerprint(), other.fingerprint());
         let derived = df.head(2);
         assert_ne!(df.fingerprint(), derived.fingerprint());
+        assert!(!Arc::ptr_eq(df.state(), derived.state()));
+    }
+
+    #[test]
+    fn state_is_one_value_per_type_and_freed_with_its_frames() {
+        #[derive(Default)]
+        struct Tally(AtomicU64);
+        let df = sample();
+        let clone = df.clone();
+        df.state().get::<Tally>().0.fetch_add(2, Ordering::Relaxed);
+        assert_eq!(clone.state().get::<Tally>().0.load(Ordering::Relaxed), 2);
+        assert_eq!(
+            df.head(1).state().get::<Tally>().0.load(Ordering::Relaxed),
+            0
+        );
+        let weak = Arc::downgrade(df.state());
+        drop((df, clone));
+        assert!(weak.upgrade().is_none());
     }
 }

@@ -48,7 +48,7 @@ pub mod value;
 pub use column::{Column, PrimitiveColumn, StrColumn};
 pub use csv::{ParseIssue, ParseReport};
 pub use error::{Error, Result};
-pub use frame::{DataFrame, DataFrameBuilder};
+pub use frame::{DataFrame, DataFrameBuilder, FrameState};
 pub use history::{Event, History, OpKind};
 pub use index::Index;
 pub use ops::{Agg, FilterOp, JoinKind};

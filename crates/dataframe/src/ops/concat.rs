@@ -43,9 +43,9 @@ impl DataFrame {
         let mut out = self.derive(names, cols, index, event);
         // Rows 0..self.num_rows() of the result are byte-identical to
         // `self` (extend_from appends in place; string dictionaries grow by
-        // suffix), so statistics caches may merge `self`'s per-column
+        // suffix), so the metadata pass may merge `self`'s per-column
         // partials with a scan of only the appended tail.
-        out.set_append_lineage(self.fingerprint(), self.num_rows());
+        out.set_append_lineage(self);
         Ok(out)
     }
 }

@@ -1,9 +1,9 @@
 //! Global admission control and load shedding for multi-session engines.
 //!
-//! PR 3's governor bounds what *one* pass may do; PR 4 made the pool, the
-//! processed-vis memo cache, and metrics process-wide. Nothing bounded what
-//! N concurrent sessions could collectively do to that shared state. This
-//! module closes the gap with three pieces (DESIGN.md §10):
+//! The governor bounds what *one* pass may do, while the pool and the
+//! metrics are process-wide. Nothing else bounds what N concurrent sessions
+//! can collectively do to that shared state. This module closes the gap
+//! with three pieces (DESIGN.md §10):
 //!
 //! - an [`AdmissionController`]: every recommendation pass acquires a slot
 //!   from a bounded pool through a deadline-aware wait queue where

@@ -16,22 +16,24 @@
 //!
 //! - fan column chunks out over the worker pool and fold deterministically,
 //!   and
-//! - reuse a parent frame's cached partials across an append (`concat`
-//!   stamps lineage; see [`crate::stats::cache`]), scanning only the tail.
+//! - reuse a parent frame's partials across an append (`concat` stamps
+//!   lineage; each frame keeps its last pass's partials in its
+//!   [`FrameState`]), scanning only the tail.
 //!
 //! Governor accounting stays thread-count-independent by splitting the pass
 //! into plan (sequential) / scan (parallel) / record (sequential) phases.
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use lux_dataframe::prelude::*;
+use lux_dataframe::FrameState;
 
 use crate::governor::{self, BudgetHandle, DegradeLevel};
-use crate::stats::cache::{self, FrameStatsEntry};
 use crate::stats::sketch::{self, CardinalitySketch};
 use crate::stats::{ColumnStats, StatsSpec};
+use crate::sync::lock_recover;
 use crate::trace::{names, MetricsRegistry};
 
 /// Semantic data type of a column (paper §8.1).
@@ -108,6 +110,27 @@ pub const NOMINAL_INT_CARDINALITY: usize = 20;
 /// register-max merge.
 pub const CHUNK_ROWS: usize = 1 << 20;
 
+/// Partials past this many bytes are not kept on their frame: an append to
+/// it rescans from row zero.
+const MAX_KEPT_PARTIALS_BYTES: u64 = 64 << 20;
+
+/// The merged partials of a frame's last metadata pass, with everything
+/// needed to validate reuse.
+struct FramePartials {
+    /// Rows the partials cover (the frame's row count when kept).
+    rows: usize,
+    /// Sketch precision the partials were built at.
+    precision: u32,
+    /// Per column, in frame order: name, dtype, the scan cap its pass was
+    /// planned with, and the merged partial.
+    columns: Vec<(String, DType, usize, ColumnStats)>,
+}
+
+/// Where a frame keeps its [`FramePartials`]: in its [`FrameState`], so an
+/// append (`concat` holds its parent's state) scans only its tail, and the
+/// partials are freed with the frame.
+type KeptPartials = Mutex<Option<Arc<FramePartials>>>;
+
 /// Statistics and inferred type for one column.
 #[derive(Debug, Clone)]
 pub struct ColumnMeta {
@@ -165,13 +188,13 @@ impl FrameMeta {
     /// 2. **scan** (parallel): one task per column chunk runs the fused
     ///    kernels with its pre-decided cap. Up to [`CHUNK_ROWS`] rows a
     ///    column is one chunk and its partial is the result; past that (or
-    ///    when the frame carries append lineage and the parent's partials
-    ///    are cached, so only the appended tail is scanned) each column
+    ///    when the frame carries append lineage and the parent kept its
+    ///    partials, so only the appended tail is scanned) each column
     ///    folds its own partials in chunk order, one pool task per column,
     ///    under a `metadata.fold` span;
     /// 3. **record** (sequential, column order): finalize each column,
-    ///    record capped-cardinality events, and cache the merged partials
-    ///    under this frame's fingerprint for the next append.
+    ///    record capped-cardinality events, and keep the merged partials in
+    ///    this frame's [`FrameState`] for the next append.
     pub fn compute_governed_par(
         df: &DataFrame,
         overrides: &HashMap<String, SemanticType>,
@@ -192,18 +215,18 @@ impl FrameMeta {
     }
 
     /// [`FrameMeta::compute`] for a frame a pass may already have scanned
-    /// (a history action's parent): compatible partials cached under its
-    /// own fingerprint are finalized — an append with a zero-row tail —
-    /// and failing those, its append parent's are, as a print would.
+    /// (a history action's parent): compatible partials kept in its own
+    /// state are finalized — an append with a zero-row tail — and failing
+    /// those, its append parent's are, as a print would.
     pub fn compute_reusing(df: &DataFrame, overrides: &HashMap<String, SemanticType>) -> FrameMeta {
-        let own = (df.fingerprint(), df.num_rows());
+        let own = (&**df.state(), df.num_rows());
         let lineage: Vec<_> = std::iter::once(own).chain(df.append_lineage()).collect();
         Self::compute_with_chunk_rows(df, overrides, None, None, 1, CHUNK_ROWS, &lineage)
     }
 
     /// [`FrameMeta::compute_governed_par`] on an explicit chunk grid,
-    /// seeded from the partials cached for the first compatible entry of
-    /// `lineage` (`(fingerprint, rows)` pairs; a print passes
+    /// seeded from the partials kept by the first compatible entry of
+    /// `lineage` (`(state, rows)` pairs; a print passes
     /// `df.append_lineage()`). The result does not depend on `chunk_rows`;
     /// tests pass a small one to reach the multi-chunk fold without a
     /// million-row frame.
@@ -215,7 +238,7 @@ impl FrameMeta {
         governor: Option<&BudgetHandle>,
         par: usize,
         chunk_rows: usize,
-        lineage: &[(u64, usize)],
+        lineage: &[(&FrameState, usize)],
     ) -> FrameMeta {
         assert!(chunk_rows > 0, "chunk grid needs a positive stride");
         let num_rows = df.num_rows();
@@ -236,7 +259,7 @@ impl FrameMeta {
             .collect();
 
         // Append fast path: partials for rows 0..parent_rows come from the
-        // cache; the chunk grid below covers only the tail.
+        // parent's state; the chunk grid below covers only the tail.
         let parent = lineage
             .iter()
             .find_map(|&l| reuse_parent_partials(df, l, &cols, &plans, precision));
@@ -344,8 +367,8 @@ impl FrameMeta {
             });
         }
 
-        // Cache the merged partials so a future append only scans its tail.
-        let entry = FrameStatsEntry {
+        // Keep the merged partials so a future append only scans its tail.
+        let entry = FramePartials {
             rows: num_rows,
             precision,
             columns: cols
@@ -357,7 +380,12 @@ impl FrameMeta {
                 })
                 .collect(),
         };
-        cache::store(df.fingerprint(), Arc::new(entry));
+        let bytes: u64 = (entry.columns.iter())
+            .map(|(name, _, _, stats)| 64 + name.len() as u64 + stats.bytes())
+            .sum();
+        if bytes <= MAX_KEPT_PARTIALS_BYTES {
+            *lock_recover(&df.state().get::<KeptPartials>()) = Some(Arc::new(entry));
+        }
 
         FrameMeta { columns, num_rows }
     }
@@ -381,7 +409,7 @@ impl FrameMeta {
 /// the column's scan and returns the [`StatsSpec`] to scan with. Always
 /// runs sequentially in column order on the caller thread, against the full
 /// column length (even when an append merge will skip most rows), so
-/// accounting is independent of scheduling *and* of cache state.
+/// accounting is independent of scheduling *and* of kept partials.
 fn plan_column_scan(
     name: &str,
     col: &Column,
@@ -422,19 +450,18 @@ fn plan_column_scan(
     }
 }
 
-/// Fetch the partials cached for `(parent_fp, parent_rows)` — an append's
-/// parent, or the frame itself — when the cache entry is compatible with
-/// this pass (same rows, precision, column names, dtypes, and per-column
-/// scan caps). Any mismatch falls back to a full rescan — never a wrong
-/// answer.
+/// Fetch the partials kept by `(parent, parent_rows)` — an append's
+/// parent, or the frame itself — when they are compatible with this pass
+/// (same rows, precision, column names, dtypes, and per-column scan caps).
+/// Any mismatch falls back to a full rescan — never a wrong answer.
 fn reuse_parent_partials(
     df: &DataFrame,
-    (parent_fp, parent_rows): (u64, usize),
+    (parent, parent_rows): (&FrameState, usize),
     cols: &[(&str, &Column)],
     plans: &[StatsSpec],
     precision: u32,
-) -> Option<Arc<FrameStatsEntry>> {
-    let entry = cache::lookup(parent_fp)?;
+) -> Option<Arc<FramePartials>> {
+    let entry = lock_recover(&parent.get::<KeptPartials>()).clone()?;
     let compatible = entry.rows == parent_rows
         && parent_rows <= df.num_rows()
         && entry.precision == precision
@@ -448,7 +475,7 @@ fn reuse_parent_partials(
 }
 
 /// Phase-2 fold for one column: its partials merged in chunk order, seeded
-/// from the cached parent partial on the append path. Runs as one pool task
+/// from the parent's kept partial on the append path. Runs as one pool task
 /// per column; a column with a single partial returns it untouched and
 /// opens no span.
 fn fold_column(
@@ -835,13 +862,13 @@ mod tests {
             .str("dept", (0..1_000).map(|i| ["c", "d"][i % 2]))
             .build()
             .expect("tail");
-        // Prime the cache with the parent's partials...
+        // Keep the parent's partials on it...
         let _ = meta_of(&base);
         let appended = base.concat(&tail).expect("concat");
         assert!(appended.append_lineage().is_some());
         let merged = meta_of(&appended);
         // ...and compare against a from-scratch pass on an identical frame
-        // with the lineage (and therefore the cache path) stripped.
+        // with the lineage (and therefore the append path) stripped.
         let all: Vec<&str> = appended.column_names().iter().map(|s| s.as_str()).collect();
         let fresh = appended.select(&all).expect("select");
         assert!(fresh.append_lineage().is_none());

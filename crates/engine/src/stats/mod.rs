@@ -24,7 +24,6 @@
 //! sequential scan at any thread count, and an appended frame can reuse its
 //! parent's partials and scan only the tail.
 
-pub mod cache;
 pub mod kernels;
 pub mod sketch;
 
@@ -37,8 +36,8 @@ use lux_dataframe::scan::int_span;
 use sketch::CardinalitySketch;
 
 /// Shape parameters for a statistics pass. Partials are only mergeable when
-/// their specs match — the stats cache stores the spec next to the partial
-/// and the append path falls back to a full rescan on any mismatch.
+/// their specs match — a frame keeps the spec next to its partials and the
+/// append path falls back to a full rescan on any mismatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSpec {
     /// Exact distinct ceiling: past this many distinct keys the counter
@@ -414,7 +413,7 @@ impl ColumnStats {
         )
     }
 
-    /// Approximate resident bytes (cache accounting).
+    /// Approximate resident bytes (what a frame keeping the partial holds).
     pub fn bytes(&self) -> u64 {
         match self {
             ColumnStats::Numeric(n) => {

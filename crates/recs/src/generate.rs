@@ -610,6 +610,10 @@ fn execute(action: &dyn Action, pass: &Pass, trace: &TraceCtx, seat: Option<Seat
     let plan = pass.plan(&candidates);
     candidates.truncate(plan.kept);
     let mut run = ActionRun::start(action, pass, trace, plan, started, seat);
+    if candidates.is_empty() {
+        // The budget kept none: an empty tab, like no candidates at all.
+        return Ok(None);
+    }
     let scored = run.score(candidates)?;
     let survivors = run.select_top_k(scored);
     run.process(survivors)

@@ -232,6 +232,9 @@ impl Plan {
         };
         let sample = if !config.prune {
             SampleMode::Off
+        } else if kept == 0 {
+            // Nothing to score, so nothing to sample.
+            SampleMode::Skipped
         } else if governor.degrade_floor() >= DegradeLevel::Sampled {
             SampleMode::Forced
         } else if worthwhile() {
@@ -383,11 +386,15 @@ mod tests {
     fn plan_picks_each_sample_mode() {
         let config = LuxConfig::default();
         let exact = BudgetHandle::new(config.budget.clone());
-        let floored = BudgetHandle::governed(
-            config.budget.clone(),
-            Arc::new(lux_engine::admission::GlobalLedger::new(u64::MAX)),
-            DegradeLevel::Sampled,
-        );
+        let floored_at = |budget| {
+            let ledger = Arc::new(lux_engine::admission::GlobalLedger::new(u64::MAX));
+            BudgetHandle::governed(budget, ledger, DegradeLevel::Sampled)
+        };
+        let floored = floored_at(config.budget.clone());
+        let none_kept = lux_engine::ResourceBudget {
+            max_candidates: 0,
+            ..config.budget.clone()
+        };
         let off = config_with(|c| c.prune = false);
         let mode = |n, config: &LuxConfig, governor, sample| {
             let plan = plan_of(&scatter(), n, 1_000_000, config, governor, sample);
@@ -405,6 +412,13 @@ mod tests {
         // The admission floor forces the sample the model would skip.
         assert_eq!(mode(10, &config, &floored, 30_000), ("forced", engaged));
         assert_eq!(mode(64, &config, &floored, 1_000_000), ("forced", engaged));
+        // A budget that keeps no candidate has nothing to sample.
+        let none = BudgetHandle::new(none_kept.clone());
+        assert_eq!(mode(64, &config, &none, 30_000), ("skipped", skipped));
+        assert_eq!(
+            mode(64, &config, &floored_at(none_kept), 30_000),
+            ("skipped", skipped)
+        );
     }
 
     #[test]

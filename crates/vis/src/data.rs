@@ -108,26 +108,26 @@ impl From<&LuxConfig> for ProcessOptions {
 /// count axes).
 ///
 /// With [`ProcessOptions::memo`] set, results are served from a bounded
-/// process-wide cache keyed on the source frame's fingerprint and the full
-/// spec/options serialization. Only exact (non-degraded) results are
-/// cached: a pass whose governor recorded a degradation during processing
-/// computed something budget-shaped, not data-shaped, and must not leak
-/// into healthier passes.
+/// memo kept in the source frame's state (so it lives and dies with the
+/// frame), keyed on the full spec/options serialization. Only exact
+/// (non-degraded) results are kept: a pass whose governor recorded a
+/// degradation during processing computed something budget-shaped, not
+/// data-shaped, and must not leak into healthier passes. The memo keeps a
+/// result without its history's parent frames, one of which may be `df`.
 pub fn process(spec: &VisSpec, df: &DataFrame, opts: &ProcessOptions) -> Result<DataFrame> {
     if !opts.memo {
         return process_uncached(spec, df, opts).map(|(out, _)| out);
     }
     let key = memo::key(spec, opts);
-    let fingerprint = df.fingerprint();
     let metrics = MetricsRegistry::global();
-    if let Some(hit) = memo::get(fingerprint, &key) {
+    if let Some(hit) = memo::get(df, &key) {
         metrics.incr(names::VIS_MEMO_HIT);
         return Ok(hit);
     }
     let (out, degraded) = process_uncached(spec, df, opts)?;
     if degraded {
         metrics.incr(names::VIS_MEMO_MISS);
-    } else if memo::insert(fingerprint, key, out.clone()) {
+    } else if memo::insert(df, key, out.clone_without_parents()) {
         // Another worker finished the same vis while we computed: count it
         // as the hit it would have been sequentially, so hit/miss totals
         // stay identical across thread counts.
@@ -478,11 +478,11 @@ fn label_buckets(groups: &DataFrame, x: &str, bins: Bins) -> Result<DataFrame> {
     groups.with_column(x, Column::DateTime(PrimitiveColumn::from_options(labels)))
 }
 
-/// Processed-vis memo cache (paper's WFLOW rule applied to processing, not
-/// just metadata). Process-wide like [`MetricsRegistry`], bounded FIFO.
-/// Entries key on the source frame's fingerprint, so any derivation — which
-/// re-stamps the fingerprint — naturally invalidates; stale entries age out
-/// of the FIFO without explicit hooks.
+/// Processed-vis memo (paper's WFLOW rule applied to processing, not just
+/// metadata): a bounded FIFO per source frame, kept in the frame's
+/// [`FrameState`](lux_dataframe::FrameState). Any derivation mints a fresh
+/// state, so it starts empty; the memo is freed with the last frame of its
+/// identity.
 mod memo {
     use std::collections::{HashMap, VecDeque};
     use std::sync::Mutex;
@@ -492,14 +492,17 @@ mod memo {
 
     use super::{ProcessOptions, VisSpec};
 
+    /// Processed views kept per source frame.
     const CAPACITY: usize = 256;
 
+    #[derive(Default)]
     struct Store {
-        map: HashMap<(u64, String), DataFrame>,
-        order: VecDeque<(u64, String)>,
+        map: HashMap<String, DataFrame>,
+        order: VecDeque<String>,
     }
 
-    static STORE: Mutex<Option<Store>> = Mutex::new(None);
+    /// The memo in a source frame's state.
+    type Memo = Mutex<Store>;
 
     /// Full cache key: the spec serialization plus every option that can
     /// change the processed output.
@@ -518,40 +521,35 @@ mod memo {
         )
     }
 
-    pub(super) fn get(fingerprint: u64, key: &str) -> Option<DataFrame> {
+    pub(super) fn get(df: &DataFrame, key: &str) -> Option<DataFrame> {
         // Injected lookup failure reads as a miss (the vis recomputes).
         if lux_engine::failpoint::hit(lux_engine::failpoint::names::MEMO_VIS_LOOKUP).is_some() {
             return None;
         }
         // Recover from poisoning: a panic while the lock was held (e.g. an
         // injected insert fault) leaves plain map/deque state that is never
-        // torn across a panic point — silently disabling the cache for the
-        // rest of the process (the old `.lock().ok()?`) wedged every later
-        // pass into miss-and-recompute.
-        let guard = lock_recover(&STORE);
-        guard
-            .as_ref()?
+        // torn across a panic point — silently disabling the memo for the
+        // rest of the frame's life (the old `.lock().ok()?`) wedged every
+        // later pass into miss-and-recompute.
+        lock_recover(&df.state().get::<Memo>())
             .map
-            .get(&(fingerprint, key.to_string()))
+            .get(key)
             .cloned()
     }
 
     /// Insert unless present. Returns `true` when an entry already existed
-    /// (a concurrent computation of the same vis won the race).
-    pub(super) fn insert(fingerprint: u64, key: String, value: DataFrame) -> bool {
-        let mut guard = lock_recover(&STORE);
+    /// (a concurrent computation of the same vis won the race). `value`
+    /// must hold no frame of `df`'s identity (see `FrameState::get`).
+    pub(super) fn insert(df: &DataFrame, key: String, value: DataFrame) -> bool {
+        let memo = df.state().get::<Memo>();
+        let mut store = lock_recover(&memo);
         // Inside the critical section on purpose: a `panic` action poisons
         // the store mutex mid-insert, which the poisoning regression test
         // requires later passes to survive.
         if lux_engine::failpoint::hit(lux_engine::failpoint::names::MEMO_VIS_INSERT).is_some() {
             return false;
         }
-        let store = guard.get_or_insert_with(|| Store {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        });
-        let k = (fingerprint, key);
-        if store.map.contains_key(&k) {
+        if store.map.contains_key(&key) {
             return true;
         }
         if store.order.len() >= CAPACITY {
@@ -559,8 +557,8 @@ mod memo {
                 store.map.remove(&old);
             }
         }
-        store.order.push_back(k.clone());
-        store.map.insert(k, value);
+        store.order.push_back(key.clone());
+        store.map.insert(key, value);
         false
     }
 }
@@ -929,10 +927,7 @@ mod tests {
         };
         let first = process(&spec, &df, &o).unwrap();
         let k = memo::key(&spec, &o);
-        assert!(
-            memo::get(df.fingerprint(), &k).is_some(),
-            "exact result was not cached"
-        );
+        assert!(memo::get(&df, &k).is_some(), "exact result was not cached");
         let second = process(&spec, &df, &o).unwrap();
         assert_eq!(first.num_rows(), second.num_rows());
         assert_eq!(
@@ -943,9 +938,9 @@ mod tests {
             first.value(0, "pay").unwrap(),
             second.value(0, "pay").unwrap()
         );
-        // a fresh frame with identical data has a different fingerprint:
-        // at worst a miss, never a wrong hit
-        assert!(memo::get(sample_df().fingerprint(), &k).is_none());
+        // a fresh frame with identical data has a different identity: at
+        // worst a miss, never a wrong hit
+        assert!(memo::get(&sample_df(), &k).is_none());
     }
 
     #[test]
@@ -976,7 +971,7 @@ mod tests {
         assert!(gov.event_count() >= 1, "expected a cap degradation");
         let k = memo::key(&spec, &o);
         assert!(
-            memo::get(df.fingerprint(), &k).is_none(),
+            memo::get(&df, &k).is_none(),
             "degraded result must not be cached"
         );
     }

@@ -115,6 +115,34 @@ if [ -n "$pricing" ]; then
 fi
 echo "ok: the cost model is called only by crates/recs/src/plan.rs"
 
+echo "== process-wide state lint (static Mutex / OnceLock / RwLock in crates/*/src)"
+# State about a frame lives on the frame (DataFrame::state, DESIGN.md §9)
+# and is freed with it; a process-wide map keyed by a frame's fingerprint
+# outlives every frame it describes. These are the process-wide statics
+# that remain, each reviewed: a new one needs a line here.
+allowed='
+crates/dataframe/src/ops/select.rs LAST
+crates/engine/src/rng.rs WORLD
+crates/engine/src/trace.rs GLOBAL
+crates/engine/src/failpoint.rs REGISTRY
+crates/engine/src/world.rs OWNER
+crates/engine/src/pool.rs POOL
+crates/engine/src/clock.rs VC
+crates/engine/src/flight.rs GLOBAL
+crates/engine/src/knobs.rs KNOBS
+crates/engine/src/admission.rs GLOBAL
+crates/server/src/mem.rs REG
+crates/server/src/protocol.rs TABLES
+'
+statics=$(find crates/*/src -name '*.rs' -exec awk "$MARK_TESTS"' !t && match($0, /static [A-Z0-9_]+ *: *([a-z_]+::)*(Mutex|OnceLock|RwLock)</) { split(substr($0, RSTART + 7), w, /[ :]/); print FILENAME " " w[1] }' {} + | sort)
+stray=$(comm -23 <(echo "$statics") <(echo "$allowed" | sed '/^$/d' | sort))
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "error: process-wide static outside the allowlist in scripts/lint.sh — keep per-frame state in DataFrame::state, or add a reviewed allowlist line"
+    exit 1
+fi
+echo "ok: $(echo "$statics" | wc -l | tr -d ' ') process-wide statics, all on the allowlist"
+
 echo "== clock/rng drift lint (crates/*/src outside clock.rs, rng.rs, bench)"
 # Product code reads time through lux_engine::clock and draws randomness
 # through lux_engine::rng, so the whole stack is replayable under a world

@@ -230,8 +230,8 @@ fn failpoint_spec_parsing_round_trips() {
 }
 
 /// A history action's parent is a frame a print already scanned: under
-/// WFLOW its metadata finalizes the partials cached under the frame's own
-/// fingerprint, so a second `meta_for` scans no column (the armed panic
+/// WFLOW its metadata finalizes the partials kept in the frame's own
+/// state, so a second `meta_for` scans no column (the armed panic
 /// never fires) and answers what the first did. The no-opt baseline
 /// rescans.
 #[test]

@@ -1,0 +1,100 @@
+//! What a print keeps lives on the printed frame's identity
+//! (`DataFrame::state`): the metadata pass's partials and the processed-vis
+//! memo. Other frames' work never evicts it, and dropping the last frame of
+//! the identity frees it — nothing a print leaves behind points back at the
+//! frame.
+//!
+//! The tests read the process-wide memo counters, so they run one at a time.
+
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+use lux::engine::trace::{names, MetricsRegistry};
+use lux::prelude::*;
+use lux::vis::{Channel, Encoding, Mark, ProcessOptions, VisSpec};
+use lux::{LuxDataFrame, Widget};
+
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn memo_counts() -> (u64, u64) {
+    let metrics = MetricsRegistry::global();
+    let hits = metrics.counter(names::VIS_MEMO_HIT);
+    (hits, metrics.counter(names::VIS_MEMO_MISS))
+}
+
+/// Each served vis as `(mark, filtered)`.
+fn served(widget: &Widget) -> Vec<(Mark, bool)> {
+    let visses = widget.results().iter().flat_map(|r| r.vislist.iter());
+    visses
+        .map(|v| (v.spec.mark, !v.spec.filters.is_empty()))
+        .collect()
+}
+
+#[test]
+fn other_frames_never_evict_a_frames_processed_views() {
+    let _serial = serial();
+    let config = Arc::new(LuxConfig::wflow_only());
+    let frame = lux::workloads::airbnb(1_500, 7);
+    let first = LuxDataFrame::with_config(frame.clone(), Arc::clone(&config)).print();
+    assert!(!served(&first).is_empty(), "the print served nothing");
+
+    // More processed views over other frames than one frame's memo holds.
+    let histogram = VisSpec::new(
+        Mark::Histogram,
+        vec![Encoding::new("price", SemanticType::Quantitative, Channel::X).with_bin(10)],
+        vec![],
+    );
+    let opts = ProcessOptions {
+        memo: true,
+        ..ProcessOptions::default()
+    };
+    for seed in 0..300 {
+        let other = lux::workloads::airbnb(50, seed);
+        lux::vis::process(&histogram, &other, &opts).expect("histogram");
+    }
+
+    // A fresh wrapper has no WFLOW recommendations, so its pass processes
+    // again — every view from the frame's own memo.
+    let (hits, misses) = memo_counts();
+    let again = LuxDataFrame::with_config(frame, config).print();
+    assert_eq!(served(&again), served(&first));
+    let (hits_after, misses_after) = memo_counts();
+    assert!(
+        hits_after > hits,
+        "the reprint processed nothing from the memo"
+    );
+    assert_eq!(
+        misses_after, misses,
+        "another frame's views evicted this one's"
+    );
+}
+
+#[test]
+fn dropping_a_printed_frame_frees_what_its_print_kept() {
+    let _serial = serial();
+    for detached in [false, true] {
+        let config = LuxConfig {
+            r#async: detached,
+            ..LuxConfig::wflow_only()
+        };
+        let mut ldf = LuxDataFrame::with_config(lux::workloads::airbnb(1_500, 7), Arc::new(config));
+        ldf.set_intent_strs(["price"]).expect("intent parses");
+        let state = Arc::downgrade(ldf.data().state());
+        let widget = ldf.print();
+        let marks = served(&widget);
+        for mark in [Mark::Bar, Mark::Histogram, Mark::Scatter] {
+            assert!(marks.iter().any(|&(m, _)| m == mark), "no {mark:?} served");
+        }
+        assert!(
+            marks.iter().any(|&(_, filtered)| filtered),
+            "no filtered view served"
+        );
+        drop((widget, ldf));
+        assert!(
+            state.upgrade().is_none(),
+            "async={detached}: the frame's state outlived it"
+        );
+    }
+}

@@ -232,6 +232,24 @@ fn candidate_cap_marks_results_degraded_with_reason() {
     }
 }
 
+/// A budget that keeps no candidate is not a fault: every action settles
+/// as one that generated none, so the print serves the table alone.
+#[test]
+fn zero_candidate_budget_prints_empty_tabs() {
+    for detached in [false, true] {
+        let mut config = LuxConfig {
+            r#async: detached,
+            ..LuxConfig::default()
+        };
+        config.budget.max_candidates = 0;
+        let frame = lux::workloads::synthetic_wide(6, 200, 1);
+        let widget = LuxDataFrame::with_config(frame, Arc::new(config)).print();
+        assert!(!widget.was_shed(), "async={detached}");
+        assert!(widget.results().is_empty(), "async={detached}");
+        assert!(widget.health_problems().is_empty(), "async={detached}");
+    }
+}
+
 #[test]
 fn degenerate_frames_complete_the_print_path() {
     // Deterministic companions to the proptest adversarial sweep: the exact

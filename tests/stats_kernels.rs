@@ -835,9 +835,9 @@ fn append_then_merge_equals_full_recompute_across_threads() {
 
     let mut outputs: Vec<(String, common::MetadataPassOutput)> = Vec::new();
     for &threads in &[1usize, 8] {
-        // Append path: prime the parent's stats cache, then concat (which
-        // stamps lineage) so metadata can merge cached partials with a
-        // tail-only scan.
+        // Append path: keep partials on the parent, then concat (which
+        // stamps lineage) so metadata can merge them with a tail-only
+        // scan.
         let base = stats_fixture(0, parent_rows);
         FrameMeta::compute_governed_par(&base, &overrides, None, None, threads);
         let appended = base.concat(&tail).expect("concat");
