@@ -175,6 +175,56 @@ impl DisplacedSlots {
     }
 }
 
+impl DataFrame {
+    /// Drop rows whose values in `subset` duplicate an earlier row (first
+    /// occurrence wins, pandas-style). An empty subset means all columns.
+    pub fn drop_duplicates(&self, subset: &[&str]) -> Result<DataFrame> {
+        let columns: Vec<&str> = if subset.is_empty() {
+            self.column_names().iter().map(String::as_str).collect()
+        } else {
+            subset.to_vec()
+        };
+        for c in &columns {
+            if !self.has_column(c) {
+                return Err(Error::ColumnNotFound(c.to_string()));
+            }
+        }
+        let gb = self.groupby(&columns)?;
+        let mut seen = vec![false; gb.num_groups()];
+        let mut keep = Vec::new();
+        for (row, &g) in gb.group_ids().iter().enumerate() {
+            if !seen[g as usize] {
+                seen[g as usize] = true;
+                keep.push(row);
+            }
+        }
+        let mut out = self.take_rows(&keep);
+        out.record_event(Event::new(
+            OpKind::Filter,
+            format!("drop_duplicates({columns:?})"),
+        ));
+        Ok(out)
+    }
+
+    /// Keep rows whose `column` value is in `values` (null never matches).
+    pub fn isin(&self, column: &str, values: &[crate::value::Value]) -> Result<DataFrame> {
+        let col = self.column(column)?;
+        let mask = crate::bitmap::Bitmap::from_iter((0..col.len()).map(|i| {
+            let v = col.value(i);
+            !v.is_null() && values.contains(&v)
+        }));
+        let mut out = self.filter_rows(&mask)?;
+        out.record_event(
+            Event::new(
+                OpKind::Filter,
+                format!("isin({column}, {} values)", values.len()),
+            )
+            .with_columns(vec![column.to_string()]),
+        );
+        Ok(out)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::{draw_indices, sample_indices, xorshift64star};
@@ -311,56 +361,6 @@ mod tests {
         let t = df().take_rows(&[4, 0]);
         assert_eq!(t.value(0, "b").unwrap(), Value::str("z"));
         assert_eq!(t.value(1, "b").unwrap(), Value::str("v"));
-    }
-}
-
-impl DataFrame {
-    /// Drop rows whose values in `subset` duplicate an earlier row (first
-    /// occurrence wins, pandas-style). An empty subset means all columns.
-    pub fn drop_duplicates(&self, subset: &[&str]) -> Result<DataFrame> {
-        let columns: Vec<&str> = if subset.is_empty() {
-            self.column_names().iter().map(String::as_str).collect()
-        } else {
-            subset.to_vec()
-        };
-        for c in &columns {
-            if !self.has_column(c) {
-                return Err(Error::ColumnNotFound(c.to_string()));
-            }
-        }
-        let gb = self.groupby(&columns)?;
-        let mut seen = vec![false; gb.num_groups()];
-        let mut keep = Vec::new();
-        for (row, &g) in gb.group_ids().iter().enumerate() {
-            if !seen[g as usize] {
-                seen[g as usize] = true;
-                keep.push(row);
-            }
-        }
-        let mut out = self.take_rows(&keep);
-        out.record_event(Event::new(
-            OpKind::Filter,
-            format!("drop_duplicates({columns:?})"),
-        ));
-        Ok(out)
-    }
-
-    /// Keep rows whose `column` value is in `values` (null never matches).
-    pub fn isin(&self, column: &str, values: &[crate::value::Value]) -> Result<DataFrame> {
-        let col = self.column(column)?;
-        let mask = crate::bitmap::Bitmap::from_iter((0..col.len()).map(|i| {
-            let v = col.value(i);
-            !v.is_null() && values.contains(&v)
-        }));
-        let mut out = self.filter_rows(&mask)?;
-        out.record_event(
-            Event::new(
-                OpKind::Filter,
-                format!("isin({column}, {} values)", values.len()),
-            )
-            .with_columns(vec![column.to_string()]),
-        );
-        Ok(out)
     }
 }
 

@@ -38,6 +38,18 @@ impl DataFrame {
         .with_columns(columns.iter().map(|s| s.to_string()).collect());
         Ok(self.derive(names, cols, index, event))
     }
+
+    /// Sort with a per-key direction, e.g. `[("g", true), ("v", false)]`
+    /// for `g` ascending then `v` descending within ties.
+    pub fn sort_by_keys(&self, keys: &[(&str, bool)]) -> Result<DataFrame> {
+        let mut out = self.clone();
+        // stable sorts applied from the last key to the first compose into
+        // a lexicographic multi-key order
+        for &(column, ascending) in keys.iter().rev() {
+            out = out.sort_by(&[column], ascending)?;
+        }
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
@@ -87,20 +99,6 @@ mod tests {
     fn sort_missing_column_errors() {
         let df = DataFrameBuilder::new().int("x", [1]).build().unwrap();
         assert!(df.sort_by(&["nope"], true).is_err());
-    }
-}
-
-impl DataFrame {
-    /// Sort with a per-key direction, e.g. `[("g", true), ("v", false)]`
-    /// for `g` ascending then `v` descending within ties.
-    pub fn sort_by_keys(&self, keys: &[(&str, bool)]) -> Result<DataFrame> {
-        let mut out = self.clone();
-        // stable sorts applied from the last key to the first compose into
-        // a lexicographic multi-key order
-        for &(column, ascending) in keys.iter().rev() {
-            out = out.sort_by(&[column], ascending)?;
-        }
-        Ok(out)
     }
 }
 

@@ -191,6 +191,21 @@ pub fn wait_timeout<'a, T>(
     (g, timed_out)
 }
 
+/// Condvar wait until `at`, or until notified when there is no `at`: a
+/// [`wait_timeout`] on whichever clock is current, and a plain wait — no
+/// timer for a driver to advance — otherwise. May return early; callers
+/// loop on their predicate.
+pub fn wait_until<'a, T>(
+    cond: &Condvar,
+    guard: MutexGuard<'a, T>,
+    at: Option<Instant>,
+) -> MutexGuard<'a, T> {
+    match at {
+        Some(at) => wait_timeout(cond, guard, at.saturating_duration_since(now())).0,
+        None => cond.wait(guard).unwrap_or_else(PoisonError::into_inner),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Driver API (used by crates/sim and sim-clock tests). Virtual time is
 // switched on only by `World::simulated`; the driver calls below have no

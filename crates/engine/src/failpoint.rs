@@ -22,8 +22,10 @@
 //!
 //! - `return` / `return(msg)` — the site reports an injected failure,
 //! - `panic` / `panic(msg)` — the site panics (exercises isolation/respawn),
-//! - `sleep(ms)` — the site blocks for `ms` milliseconds (exercises
-//!   deadlines, watchdogs and hard cutoffs),
+//! - `sleep(ms)` — the site blocks for `ms` milliseconds of
+//!   [`crate::clock`] time (exercises deadlines, watchdogs and hard
+//!   cutoffs; under a simulated `World` it wakes when the driver advances
+//!   the virtual clock past it),
 //! - `off` — disabled,
 //!
 //! optionally prefixed with a trigger budget: `3*panic` fires three times,
@@ -300,7 +302,7 @@ fn fire(name: &str) -> Option<String> {
         }
         FailAction::Sleep(d) => {
             crate::trace::MetricsRegistry::global().incr(crate::trace::names::FAILPOINT_TRIPS);
-            std::thread::sleep(d);
+            crate::clock::sleep(d);
             None
         }
         FailAction::Off => None,
@@ -404,6 +406,26 @@ mod tests {
         assert_eq!(trips(), trips0, "B is not slowed");
         assert_eq!(hit_for(names::ACTION_SCORE, "A"), None);
         assert_eq!(trips(), trips0 + 1, "A slept");
+    }
+
+    #[test]
+    fn sleep_runs_on_the_virtual_clock() {
+        let world = World::simulated(0);
+        world.arm("test.sleep", "sleep(60000)").expect("arm");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sleeper = std::thread::spawn(move || tx.send(hit("test.sleep")));
+        // The sleeper has registered once its deadline is pending (bounded
+        // by ~10 s of real time).
+        let mut naps = 0;
+        while crate::clock::next_deadline() != Some(Duration::from_secs(60)) {
+            assert!(naps < 10_000, "no sleeper registered");
+            std::thread::sleep(Duration::from_millis(1));
+            naps += 1;
+        }
+        crate::clock::advance(Duration::from_secs(60));
+        let woke = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(woke, Ok(None), "the sleeper waits on the virtual clock");
+        sleeper.join().expect("sleeper thread").expect("send");
     }
 
     #[test]

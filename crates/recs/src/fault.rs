@@ -215,13 +215,15 @@ impl Deadline {
         }
     }
 
-    /// The same budget, falling no later than `latest`.
-    pub(crate) fn no_later_than(self, latest: Option<Instant>) -> Deadline {
-        let at = match (self.at, latest) {
-            (Some(at), Some(latest)) => Some(at.min(latest)),
-            (at, _) => at,
+    /// A planned `budget` from now (no deadline without one), falling no
+    /// later than `latest`.
+    pub(crate) fn planned(budget: Option<Duration>, latest: Option<Instant>) -> Deadline {
+        let Some(budget) = budget else {
+            return Deadline::none();
         };
-        Deadline { at, ..self }
+        let at = lux_engine::clock::now() + budget;
+        let at = Some(latest.map_or(at, |latest| at.min(latest)));
+        Deadline { at, budget }
     }
 
     /// When the deadline falls; `None` for no deadline.

@@ -5,31 +5,34 @@
 //! dispatches each runnable one — as a detached pool task under ASYNC,
 //! inline otherwise — through the five stages of [`execute_action`]
 //! (`enumerate → plan → score → select_top_k → process`, PRUNE being the
-//! sample-scored first pass). Whoever ran an action settles it: its worker
-//! under ASYNC, which delivers the result the moment it has one, the caller
-//! otherwise. On frames of at least [`ORDERED_ROWS`] rows ASYNC workers
-//! also wait between planning and scoring while the cheapest plan runs
-//! alone, so its tab arrives first (paper §8.2: cheap actions return
-//! first). An action runs on its pass and its plan alone: what it may
-//! degrade before it runs — the candidate cap, the deadline, the PRUNE
-//! gate — and each group-by's byte charge are decided once, by its plan
-//! (`crate::plan`), and the pass's hard cutoff is planned beside the
-//! deadlines it bounds.
-//! The blocking API is [`StreamingRun::collect_report`].
+//! sample-scored first pass). An action runs on its pass and its plan
+//! alone: what it may degrade before it runs — the candidate cap, the
+//! deadline, the PRUNE gate — and each group-by's byte charge are decided
+//! once, by its plan (`crate::plan`). The blocking API is
+//! [`StreamingRun::collect_report`].
+//!
+//! An ASYNC pass keeps each action's state in one place, its `Board`: a
+//! slot per action (dispatched → planned → settled) under one lock. Each
+//! worker settles its own action through it the moment it has a result. On
+//! frames of at least [`ORDERED_ROWS`] rows workers also wait on it between
+//! planning and scoring while the cheapest plan runs alone, so its tab
+//! arrives first (paper §8.2: cheap actions return first). A collector
+//! waits on it until every slot has settled or the hard cutoff
+//! (`crate::plan::hard_cutoff`) has passed, and abandons hung workers.
+//! Every wait is on [`lux_engine::clock`], so a simulated `World` moves
+//! them all. Without ASYNC the caller settles each action inline.
 //!
 //! Every action runs under the fault model of [`crate::fault`]: generation,
-//! scoring, and processing are panic-isolated; each action gets a wall-clock
+//! scoring, and processing are panic-isolated; each action gets a time
 //! budget derived from its cost estimate (`LuxConfig::action_budget` scaled
-//! by the cost model of `crate::plan`) with cooperative checks between steps and —
-//! under ASYNC — a hard cutoff (`crate::plan::hard_cutoff`) that abandons
-//! hung workers; and a per-action circuit breaker skips actions that keep
-//! failing, with a half-open re-probe after a cooldown of fresh frames. One
+//! by the cost model of `crate::plan`) with cooperative checks between
+//! steps; and a per-action circuit breaker skips actions that keep failing,
+//! with a half-open re-probe after a cooldown of fresh frames. One
 //! misbehaving action can therefore never take down a recommendation pass:
 //! every healthy action's results are still served, and the per-action
 //! health ledger in [`RunReport`] says what happened to the rest.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Condvar, Mutex};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -164,11 +167,11 @@ pub struct Pass {
     pub governor: Arc<BudgetHandle>,
     /// What is left of the client's deadline, as opened ([`PassCtx`]).
     pub deadline: Option<Duration>,
-    /// Admission slot held for the duration of the pass. Under ASYNC the
-    /// collector thread takes ownership so the slot is released only once
-    /// every action has settled (or been abandoned), not when the caller's
-    /// stack frame unwinds. `None` — as opened — when the caller holds the
-    /// slot itself.
+    /// Admission slot held for the duration of the pass. [`run_pass`]
+    /// hands it to the collector alone, so the slot is released once every
+    /// action has settled or been abandoned: not when the caller's stack
+    /// frame unwinds, nor when an abandoned worker ends. `None` — as opened
+    /// — when the caller holds the slot itself.
     pub permit: Option<Arc<AdmissionPermit>>,
     /// `config` as processing options; each call into an action attaches
     /// its governor scope to a copy.
@@ -303,19 +306,19 @@ impl<'a> ActionRun<'a> {
     /// count the PRUNE verdict and draw the sample when it engages, and
     /// charge each group-by in candidate order. A refused charge breaches
     /// the pass budget and changes nothing else: the bytes are the ledger's
-    /// record, not a bound on what the action draws. Then wait at the
-    /// pass's gate, when it has one, for the action's turn, and arm the
-    /// planned deadline, so the budget counts from when the action runs,
-    /// not from when it planned. A gated deadline still falls no later than
-    /// the client's, counted from dispatch. `started` is when generation
-    /// ended: the action is timed from there, less the wait.
+    /// record, not a bound on what the action draws. Then take the turn of
+    /// an ASYNC `job` on its board and arm the planned deadline, so the
+    /// budget counts from when the action runs, not from when it planned
+    /// (still no later than the client's deadline, counted from dispatch).
+    /// `started` is when generation ended: the action is timed from there,
+    /// less the wait.
     fn start(
         action: &'a dyn Action,
         pass: &'a Pass,
         trace: &'a TraceCtx,
         plan: Plan,
         started: Instant,
-        seat: Option<Seat<'_>>,
+        job: Option<&Job>,
     ) -> ActionRun<'a> {
         let governor = &*pass.governor;
         if let Some(note) = &plan.cap_note {
@@ -337,16 +340,14 @@ impl<'a> ActionRun<'a> {
             governor.try_charge(bytes);
         }
         let planned = clock::now();
-        let first = seat.is_some_and(|(gate, order)| gate.wait(order, plan.cost));
+        let (deadline, first) = match job {
+            Some(Job(board, order)) => board.turn(*order, plan.cost, plan.deadline),
+            None => (Deadline::planned(plan.deadline, None), false),
+        };
         let waited = clock::elapsed(planned);
         trace.tag("sched.wait_us", waited.as_micros().to_string());
-        let latest = seat.and_then(|(gate, _)| gate.latest);
-        let deadline = (plan.deadline).map_or(Deadline::none(), |b| {
-            Deadline::after(b).no_later_than(latest)
-        });
-        if let (true, Some((gate, _))) = (first, seat) {
+        if first {
             trace.tag("sched.first", "true");
-            gate.running(deadline.at());
         }
         ActionRun {
             action,
@@ -574,10 +575,6 @@ impl<'a> ActionRun<'a> {
     }
 }
 
-/// An action's place at its pass's gate: the gate and the action's
-/// dispatch order.
-type Seat<'a> = (&'a Gate, usize);
-
 /// One survivor after stage 5: processed exactly (or failed to), or served
 /// degraded once the deadline had expired.
 enum Processed {
@@ -599,9 +596,9 @@ pub fn execute_action(
     execute(action, pass, trace, None)
 }
 
-/// [`execute_action`], waiting at `seat` between planning and scoring when
-/// the pass is ordered.
-fn execute(action: &dyn Action, pass: &Pass, trace: &TraceCtx, seat: Option<Seat<'_>>) -> Outcome {
+/// [`execute_action`], taking the action's turn on its pass's board
+/// between planning and scoring when it runs as an ASYNC `job`.
+fn execute(action: &dyn Action, pass: &Pass, trace: &TraceCtx, job: Option<&Job>) -> Outcome {
     let Some(mut candidates) = enumerate(action, pass, trace)? else {
         return Ok(None);
     };
@@ -609,7 +606,7 @@ fn execute(action: &dyn Action, pass: &Pass, trace: &TraceCtx, seat: Option<Seat
     let started = clock::now();
     let plan = pass.plan(&candidates);
     candidates.truncate(plan.kept);
-    let mut run = ActionRun::start(action, pass, trace, plan, started, seat);
+    let mut run = ActionRun::start(action, pass, trace, plan, started, job);
     if candidates.is_empty() {
         // The budget kept none: an empty tab, like no candidates at all.
         return Ok(None);
@@ -620,7 +617,7 @@ fn execute(action: &dyn Action, pass: &Pass, trace: &TraceCtx, seat: Option<Seat
 }
 
 // ---------------------------------------------------------------------
-// The pass: breaker → dispatch → (gate) → settle
+// The pass: breaker → dispatch → (turns) → settle
 // ---------------------------------------------------------------------
 
 /// A recommendation run whose results stream as actions settle.
@@ -630,11 +627,11 @@ fn execute(action: &dyn Action, pass: &Pass, trace: &TraceCtx, seat: Option<Seat
 /// computation for each action completes ... instead of incurring a high
 /// wait time". Results arrive on one channel, per-action health on another;
 /// under ASYNC each worker sends its own action's, and a collector thread
-/// enforces the hard wall-clock cutoff — workers that outlive it are
-/// abandoned (they finish on their own and deliver nothing) and reported as
-/// failed. Dropping the handle likewise detaches everything cleanly.
-/// Without ASYNC every action has already settled by the time the handle is
-/// returned.
+/// enforces the hard cutoff on [`lux_engine::clock`] — workers that outlive
+/// it are abandoned (they finish on their own and deliver nothing) and
+/// reported as failed. Dropping the handle likewise detaches everything
+/// cleanly. Without ASYNC every action has already settled by the time the
+/// handle is returned.
 pub struct StreamingRun {
     /// Each result with its dispatch index.
     results: mpsc::Receiver<(usize, ActionResult)>,
@@ -692,22 +689,13 @@ impl StreamingRun {
     }
 }
 
-/// One dispatched action as the settling side sees it.
-#[derive(Clone)]
-struct Dispatched {
-    /// Position in dispatch (registry) order.
-    order: usize,
-    name: String,
-    /// The action's span: queued at dispatch, ended when it settles.
-    trace: TraceCtx,
-}
-
 /// The settling side of a pass — each action's worker under ASYNC (the
-/// collector for what it abandons), the caller otherwise: it owns the
-/// breaker bookkeeping, the `lux.actions.*` metrics, the closing span tags,
-/// and the run's sending ends, so health stays correct even when the
-/// consumer drops the [`StreamingRun`] undrained. Workers reach it through
-/// a `Weak`, so only the collector keeps the channels open.
+/// collector for what it abandons, a dead job's guard for what it never
+/// settled), the caller otherwise: it owns the breaker bookkeeping, the
+/// `lux.actions.*` metrics, the closing span tags, and the run's sending
+/// ends, so health stays correct even when the consumer drops the
+/// [`StreamingRun`] undrained. Under ASYNC the [`Board`] holds it, and the
+/// collector closes the channels by taking it.
 struct Settler {
     breaker: Arc<CircuitBreaker>,
     threshold: u32,
@@ -726,8 +714,9 @@ impl Settler {
         let _ = self.health.send(health);
     }
 
-    /// Settle one finished action: breaker, metrics, span, delivery.
-    fn settle(&self, action: &Dispatched, outcome: Outcome) {
+    /// Settle one finished action, `order` in dispatch order: breaker,
+    /// metrics, span, delivery.
+    fn settle(&self, order: usize, action: &Slot, outcome: Outcome) {
         let metrics = MetricsRegistry::global();
         let result = match outcome {
             Ok(delivered) => {
@@ -747,16 +736,14 @@ impl Settler {
             action.trace.end();
             return;
         };
-        let status = if result.degraded { "degraded" } else { "ok" };
-        metrics.incr(if result.degraded {
-            metric::ACTIONS_DEGRADED
-        } else {
-            metric::ACTIONS_OK
-        });
+        let (status, counter) = match result.degraded {
+            true => ("degraded", metric::ACTIONS_DEGRADED),
+            false => ("ok", metric::ACTIONS_OK),
+        };
+        metrics.incr(counter);
         action.trace.tag("status", status);
-        action
-            .trace
-            .tag("cost.actual_ms", format!("{:.2}", result.elapsed * 1e3));
+        let actual_ms = format!("{:.2}", result.elapsed * 1e3);
+        action.trace.tag("cost.actual_ms", actual_ms);
         if let Some(reason) = &result.degraded_reason {
             action.trace.tag("degraded.reason", reason.clone());
         }
@@ -764,18 +751,16 @@ impl Settler {
         let health =
             (result.degraded_reason.clone()).map_or(ActionStatus::Ok, ActionStatus::Degraded);
         let _ = self.health.send(ActionHealth::new(&action.name, health));
-        let _ = self.results.send((action.order, result));
+        let _ = self.results.send((order, result));
     }
 
     /// Settle an action that produced nothing: it failed (`status`
-    /// `"failed"`) or was abandoned at the hard cutoff (`"abandoned"`).
-    fn fail(&self, action: &Dispatched, status: &str, reason: String) {
+    /// `"failed"`), or was abandoned at the hard cutoff or by a dead worker
+    /// (`"abandoned"`).
+    fn fail(&self, action: &Slot, status: &str, reason: String) {
         let metrics = MetricsRegistry::global();
         metrics.incr(metric::ACTIONS_FAILED);
-        let tripped = self
-            .breaker
-            .record_failure(&action.name, &reason, self.threshold);
-        if tripped {
+        if (self.breaker).record_failure(&action.name, &reason, self.threshold) {
             metrics.incr(metric::BREAKER_TRIPS);
         }
         action.trace.tag("status", status);
@@ -786,104 +771,163 @@ impl Settler {
     }
 }
 
-/// The gate of an ordered pass: ASYNC over a frame of at least
-/// [`ORDERED_ROWS`] rows. Every action waits here between planning and
-/// scoring. Once every dispatched action has planned or finished without a
-/// plan — or the base budget has passed — the cheapest plan runs alone;
-/// the rest go once its result is delivered or it overruns its deadline.
-struct Gate {
-    state: Mutex<GateState>,
-    changed: Condvar,
-    /// Dispatch plus the base budget: past it the gate stops waiting for
-    /// actions still generating and picks among those that planned.
-    planning_ends: Instant,
-    /// Dispatch plus what is left of the client's deadline: no deadline
-    /// armed after a wait falls later.
-    latest: Option<Instant>,
+/// Where a dispatched action stands: the one record of its state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Generating candidates: no plan yet.
+    Dispatched,
+    /// Planned at [`Slot::cost`] in an ordered pass: waiting for its turn,
+    /// or running.
+    Planned,
+    /// Settled by its worker, or failed by its dying job or the collector.
+    Settled,
 }
 
-struct GateState {
-    /// Each dispatched action's planned cost, `None` until it plans.
-    costs: Vec<Option<f64>>,
-    /// Whether each dispatched action has planned or finished.
-    resolved: Vec<bool>,
-    /// The action that runs alone, once decided. The decision is taken by
-    /// an action that has planned, so there always is one.
+/// One dispatched action on its pass's [`Board`].
+struct Slot {
+    name: String,
+    /// The action's span: opened at dispatch, ended when it settles.
+    trace: TraceCtx,
+    /// The action's scope of the pass budget, adopted when the pass closes.
+    governor: Arc<BudgetHandle>,
+    cost: Option<f64>,
+    phase: Phase,
+}
+
+/// What a [`Board`]'s lock guards: the slots, and the turns of an ordered
+/// pass — ASYNC over a frame of at least [`ORDERED_ROWS`] rows, with a base
+/// budget. There, once every action has planned or settled, or the base
+/// budget has passed, the cheapest plan runs alone; the rest go once it has
+/// settled or overrun its deadline.
+struct Scoreboard {
+    /// In dispatch order; the collector takes them when the pass closes.
+    slots: Vec<Slot>,
+    /// The run's sending ends, until the collector takes them.
+    settler: Option<Settler>,
+    /// Dispatch plus the base budget, past which the decision stops waiting
+    /// for actions still generating; `None` when every action runs at once.
+    planning_ends: Option<Instant>,
+    /// Dispatch plus what is left of the client's deadline: no deadline
+    /// armed at a turn falls later.
+    latest: Option<Instant>,
+    /// The action that runs alone, once decided (by one that has planned).
     first: Option<usize>,
     /// When the first action's deadline falls, once it runs.
     overrun_at: Option<Instant>,
-    /// The first action's result has been delivered.
-    open: bool,
 }
 
-impl Gate {
-    fn new(actions: usize, planning_ends: Instant, latest: Option<Instant>) -> Gate {
-        let state = GateState {
-            costs: vec![None; actions],
-            resolved: vec![false; actions],
-            first: None,
-            overrun_at: None,
-            open: false,
+impl Scoreboard {
+    /// Whether planned `order` may run at `now`: `Ok(true)` when it runs
+    /// alone, `Ok(false)` when it runs beside the others (at once in an
+    /// unordered pass), and while it waits `Err` of when to look again if
+    /// nothing notifies. Decides which action runs alone once every action
+    /// has planned or settled, or planning has ended.
+    fn turn(&mut self, order: usize, now: Instant) -> std::result::Result<bool, Option<Instant>> {
+        let slots = &self.slots;
+        // Unordered, abandoned, or the pass has closed: nothing to wait for.
+        let waits = slots.get(order).is_some_and(|s| s.phase != Phase::Settled);
+        let Some(planning_ends) = self.planning_ends.filter(|_| waits) else {
+            return Ok(false);
         };
-        Gate {
-            state: Mutex::new(state),
-            changed: Condvar::new(),
-            planning_ends,
-            latest,
+        let planned = slots.iter().all(|s| s.phase != Phase::Dispatched);
+        if self.first.is_none() && (planned || now >= planning_ends) {
+            self.first = runs_alone(&slots.iter().map(|s| s.cost).collect::<Vec<_>>());
+        }
+        let first = self.first.ok_or(Some(planning_ends))?;
+        let overran = self.overrun_at.is_some_and(|at| now >= at);
+        let released = slots[first].phase == Phase::Settled || overran;
+        let go = first == order || released;
+        go.then_some(first == order).ok_or(self.overrun_at)
+    }
+}
+
+/// The settling side of an ASYNC pass: every dispatched action's [`Slot`],
+/// the ordered pass's turns and the run's [`Settler`], under one lock.
+/// Workers take their turn and settle on it; the collector waits on it
+/// until every slot has settled or the hard cutoff has passed. Every change
+/// notifies every waiter, and every wait is on [`lux_engine::clock`]. An
+/// update is a few assignments: a poisoned lock still holds a usable state.
+struct Board {
+    state: Mutex<Scoreboard>,
+    changed: Condvar,
+}
+
+impl Board {
+    /// `order` has planned at `cost`: block until its turn, then arm its
+    /// deadline of `budget`, no later than the client's, which is the
+    /// overrun the others wait for when it runs alone. Returns the deadline
+    /// and whether the action runs alone.
+    fn turn(&self, order: usize, cost: f64, budget: Option<Duration>) -> (Deadline, bool) {
+        let mut board = lock_recover(&self.state);
+        // Only an ordered pass's turns wait for plans.
+        if let (Some(_), Some(slot)) = (board.planning_ends, board.slots.get_mut(order)) {
+            (slot.cost, slot.phase) = (Some(cost), Phase::Planned);
+            self.changed.notify_all();
+        }
+        let first = loop {
+            match board.turn(order, clock::now()) {
+                Ok(first) => break first,
+                Err(at) => board = clock::wait_until(&self.changed, board, at),
+            }
+        };
+        let deadline = Deadline::planned(budget, board.latest);
+        if first {
+            board.overrun_at = deadline.at();
+            self.changed.notify_all();
+        }
+        (deadline, first)
+    }
+
+    /// Settle slot `order` with `settle`, unless it has settled already or
+    /// the pass has closed.
+    fn settle(&self, order: usize, settle: impl FnOnce(&Settler, &Slot)) {
+        let mut board = lock_recover(&self.state);
+        let Scoreboard { slots, settler, .. } = &mut *board;
+        let slot = slots.get_mut(order).filter(|s| s.phase != Phase::Settled);
+        if let (Some(slot), Some(settler)) = (slot, settler) {
+            settle(settler, slot);
+            slot.phase = Phase::Settled;
+            self.changed.notify_all();
         }
     }
 
-    /// Each update below is one assignment, so a poisoned lock still holds
-    /// a consistent state.
-    fn lock(&self) -> MutexGuard<'_, GateState> {
-        lock_recover(&self.state)
-    }
-
-    /// Record `order`'s planned `cost` and block until its turn: `true` when
-    /// it runs alone, `false` when it runs after the one that did.
-    fn wait(&self, order: usize, cost: f64) -> bool {
-        let mut state = self.lock();
-        (state.costs[order], state.resolved[order]) = (Some(cost), true);
-        loop {
-            let now = clock::now();
-            let all_resolved = state.resolved.iter().all(|&r| r);
-            if state.first.is_none() && (all_resolved || now >= self.planning_ends) {
-                state.first = runs_alone(&state.costs);
-                self.changed.notify_all();
-            }
-            if let Some(first) = state.first {
-                let overran = state.overrun_at.is_some_and(|at| now >= at);
-                if first == order || state.open || overran {
-                    return first == order;
-                }
-            }
-            let until = match state.first {
-                None => Some(self.planning_ends),
-                Some(_) => state.overrun_at,
-            };
-            state = match until {
-                Some(at) => {
-                    let left = at.saturating_duration_since(now);
-                    clock::wait_timeout(&self.changed, state, left).0
-                }
-                None => (self.changed.wait(state)).unwrap_or_else(PoisonError::into_inner),
-            };
+    /// The collector: wait until every slot has settled or the hard cutoff,
+    /// `hard` after `dispatch`, has passed, then close the board and fail
+    /// what has not settled as abandoned. Hands back the slots and the
+    /// settler for the pass to close; an abandoned worker delivers nothing.
+    fn collect(&self, dispatch: Instant, hard: Option<Duration>) -> (Vec<Slot>, Option<Settler>) {
+        let cutoff = hard.map(|budget| dispatch + budget);
+        let mut board = lock_recover(&self.state);
+        while board.slots.iter().any(|s| s.phase != Phase::Settled)
+            && cutoff.is_none_or(|at| clock::now() < at)
+        {
+            board = clock::wait_until(&self.changed, board, cutoff);
         }
-    }
-
-    /// The first action runs, its deadline falling at `deadline`.
-    fn running(&self, deadline: Option<Instant>) {
-        self.lock().overrun_at = deadline;
+        if let (Some(budget), Some(settler)) = (hard, &board.settler) {
+            let reason = format!("exceeded hard deadline ({budget:?}); worker abandoned");
+            for slot in board.slots.iter().filter(|s| s.phase != Phase::Settled) {
+                settler.fail(slot, "abandoned", reason.clone());
+            }
+        }
+        let closed = (std::mem::take(&mut board.slots), board.settler.take());
+        // A worker still waiting for its turn goes now.
         self.changed.notify_all();
+        closed
     }
+}
 
-    /// `order` has finished and its outcome is delivered: it no longer
-    /// holds up the decision, and if it ran alone, the rest run now.
-    fn done(&self, order: usize) {
-        let mut state = self.lock();
-        state.resolved[order] = true;
-        state.open |= state.first == Some(order);
-        self.changed.notify_all();
+/// An ASYNC action's hold on its slot (the board, its dispatch order),
+/// owned by its job: the worker takes its turn and settles through it.
+/// Dropped before it settled (the job died, or the pool dropped it unrun),
+/// it fails the slot, so the pass never waits for a worker that is gone.
+struct Job(Arc<Board>, usize);
+
+impl Drop for Job {
+    fn drop(&mut self) {
+        let reason = "worker terminated without reporting";
+        (self.0).settle(self.1, |settler, slot| {
+            settler.fail(slot, "abandoned", reason.into())
+        });
     }
 }
 
@@ -894,20 +938,22 @@ impl Gate {
 /// action cannot stall the caller; each worker delivers its own result the
 /// moment it has one. On a frame of at least [`ORDERED_ROWS`] rows with a
 /// base budget, the tasks also wait between planning and scoring while the
-/// cheapest plan runs alone ([`Gate`]), so its tab arrives first instead of
-/// sharing the CPUs with every other action. Smaller frames run all
-/// actions at once. Without ASYNC the same task runs inline on the caller,
-/// in dispatch order, under panic isolation and cooperative deadlines but
-/// no hard cutoff — an action that blocks inside one call delays the pass.
-pub fn run_pass(registry: &ActionRegistry, pass: Pass) -> StreamingRun {
+/// cheapest plan runs alone, so its tab arrives first instead of sharing
+/// the CPUs with every other action. Smaller frames run all actions at
+/// once. One `Board` tracks every task's state and turn; a collector
+/// thread closes the pass on it. Without ASYNC the same stages run inline on the
+/// caller, in dispatch order, under panic isolation and cooperative
+/// deadlines but no hard cutoff — an action that blocks inside one call
+/// delays the pass.
+pub fn run_pass(registry: &ActionRegistry, mut pass: Pass) -> StreamingRun {
     let (results_tx, results) = mpsc::channel();
     let (health_tx, health) = mpsc::channel();
-    let settler = Arc::new(Settler {
+    let settler = Settler {
         breaker: Arc::clone(registry.breaker()),
         threshold: pass.config.breaker_threshold,
         results: results_tx,
         health: health_tx,
-    });
+    };
     settler.breaker.begin_frame();
 
     // Applicability checks and the breaker gate run on the caller: both are
@@ -928,81 +974,77 @@ pub fn run_pass(registry: &ActionRegistry, pass: Pass) -> StreamingRun {
     // action, so such a pass stays unordered.
     let ordered = r#async && pass.df.num_rows() >= ORDERED_ROWS;
     let base = base_budget(&pass.config, pass.deadline).filter(|_| ordered);
-    let gate = base.map(|base| {
-        let latest = pass.deadline.map(|left| dispatch + left);
-        Arc::new(Gate::new(expected, dispatch + base, latest))
-    });
-    let claimed: Arc<[AtomicBool]> = (0..expected).map(|_| AtomicBool::new(false)).collect();
-    let (done_tx, done_rx) = mpsc::channel::<()>();
-    let mut dispatched: Vec<Dispatched> = Vec::with_capacity(expected);
-    let mut scopes: Vec<Arc<BudgetHandle>> = Vec::with_capacity(expected);
+    // The collector holds the session slot, not the workers: an abandoned
+    // worker must not keep it.
+    let permit = pass.permit.take();
+    let mut slots: Vec<Slot> = Vec::with_capacity(expected);
+    let mut jobs = Vec::new();
     for (order, action) in runnable.into_iter().enumerate() {
-        let trace = pass.trace.child(&format!("action:{}", action.name()));
+        let name = action.name().to_string();
+        let trace = pass.trace.child(&format!("action:{name}"));
         trace.tag("sched.order", order.to_string());
-        // The action records on its own scope of the pass budget, adopted
-        // when the pass closes.
         let governor = Arc::new(pass.governor.scope());
-        scopes.push(Arc::clone(&governor));
+        let mut slot = Slot {
+            name,
+            trace,
+            governor: Arc::clone(&governor),
+            cost: None,
+            phase: Phase::Dispatched,
+        };
         let pass = Pass {
             governor,
             ..pass.clone()
         };
-        let name = action.name().to_string();
-        let job = Dispatched { order, name, trace };
-        dispatched.push(job.clone());
-        if !r#async {
-            let outcome = execute_action(action.as_ref(), &pass, &job.trace);
-            settler.settle(&job, outcome);
-            continue;
+        if r#async {
+            jobs.push((action, pass, slot.trace.clone()));
+        } else {
+            let outcome = execute_action(action.as_ref(), &pass, &slot.trace);
+            settler.settle(order, &slot, outcome);
+            slot.phase = Phase::Settled;
         }
-        let (settler, gate) = (Arc::downgrade(&settler), gate.clone());
-        let (claimed, done_tx) = (Arc::clone(&claimed), done_tx.clone());
+        slots.push(slot);
+    }
+    // Every slot is on the board before any job runs, so no turn is
+    // decided without the whole pass.
+    let state = Mutex::new(Scoreboard {
+        slots,
+        settler: Some(settler),
+        planning_ends: base.map(|base| dispatch + base),
+        latest: base.and(pass.deadline).map(|left| dispatch + left),
+        first: None,
+        overrun_at: None,
+    });
+    let changed = Condvar::new();
+    let board = Arc::new(Board { state, changed });
+    for (order, (action, pass, trace)) in jobs.into_iter().enumerate() {
+        let job = Job(Arc::clone(&board), order);
         // Detached-lane pool task rather than a dedicated thread: cheap
         // actions reuse warm threads instead of paying a spawn each, while
-        // a task abandoned at the hard cutoff (or waiting at the gate) only
-        // parks its own lane thread — it can never occupy the fixed pool
-        // workers that run the per-vis fan-out inside healthy actions.
+        // a task abandoned at the hard cutoff (or waiting for its turn)
+        // only parks its own lane thread — it can never occupy the fixed
+        // pool workers that run the per-vis fan-out inside healthy actions.
         lux_engine::pool::global().spawn_detached(Box::new(move || {
-            let worker = lux_engine::worker_index();
-            job.trace.tag(
-                "sched.worker",
-                worker.map_or("caller".to_string(), |w| w.to_string()),
-            );
-            let seat = gate.as_deref().map(|gate| (gate, order));
-            let outcome = execute(action.as_ref(), &pass, &job.trace, seat);
+            let worker = lux_engine::worker_index().map_or("caller".to_string(), |w| w.to_string());
+            trace.tag("sched.worker", worker);
+            let outcome = execute(action.as_ref(), &pass, &trace, Some(&job));
             // Release this worker's pass clone — and with it its
             // governor/ledger handle — *before* settling. The collector may
-            // close the pass the instant the completion lands, and the
-            // caller's budget drop must then be the last one so the global
-            // ledger reflects the pass's exit synchronously.
-            drop(action);
-            drop(pass);
-            // An action still running at the hard cutoff is claimed by the
-            // collector, which reports it abandoned; its worker delivers
-            // nothing.
-            if !claimed[order].swap(true, Ordering::SeqCst) {
-                if let Some(settler) = settler.upgrade() {
-                    settler.settle(&job, outcome);
-                }
-                let _ = done_tx.send(());
-            }
-            if let Some(gate) = gate {
-                gate.done(order);
-            }
+            // close the pass the instant the slot settles, and the caller's
+            // budget drop must then be the last one so the global ledger
+            // reflects the pass's exit synchronously.
+            drop((action, pass));
+            // Delivered unless the collector has abandoned the slot.
+            (job.0).settle(order, |settler, slot| settler.settle(order, slot, outcome));
         }));
     }
-    drop(done_tx);
 
     // The closing half of the pass runs on a detached collector thread
     // under ASYNC, so the caller gets its handle immediately, and inline
     // otherwise (where every action has settled already).
     let cutoff = hard_cutoff(&pass.config, pass.deadline);
     let governor = Arc::clone(&pass.governor);
-    let permit = pass.permit.clone();
     let close = move || {
-        if r#async {
-            collect(&settler, &dispatched, &claimed, done_rx, dispatch, cutoff);
-        }
+        let (slots, settler) = board.collect(dispatch, cutoff);
         // Every action has settled or been abandoned: free the session slot.
         drop(permit);
         // Adopt the actions' governor scopes onto the pass handle in dispatch
@@ -1012,8 +1054,8 @@ pub fn run_pass(registry: &ActionRegistry, pass: Pass) -> StreamingRun {
         // scopes and the handle clone go first: the caller's own drop must
         // be the last one so the global ledger reflects the pass's exit
         // synchronously.
-        for scope in scopes {
-            governor.adopt(&scope);
+        for slot in slots {
+            governor.adopt(&slot.governor);
         }
         drop(governor);
         drop(settler);
@@ -1027,49 +1069,6 @@ pub fn run_pass(registry: &ActionRegistry, pass: Pass) -> StreamingRun {
         results,
         health,
         expected,
-    }
-}
-
-/// The ASYNC collector: wait until every worker has delivered or the
-/// planned `hard_budget` since `dispatch` has passed. Whatever no worker has
-/// claimed by then was hung (or its worker died): claim it, abandon it,
-/// charge its breaker, and surface the failure. A worker that claimed its
-/// action first is delivering it; the pass closes once it has.
-fn collect(
-    settler: &Settler,
-    dispatched: &[Dispatched],
-    claimed: &[AtomicBool],
-    done: mpsc::Receiver<()>,
-    dispatch: Instant,
-    hard_budget: Option<Duration>,
-) {
-    let cutoff = hard_budget.map(|b| dispatch + b);
-    let mut pending = dispatched.len();
-    while pending > 0 {
-        let left = cutoff.map_or(Duration::MAX, |at| {
-            at.saturating_duration_since(clock::now())
-        });
-        // Timeout: the hard cutoff. Disconnected: a worker died without
-        // reporting (should be unreachable: all action code is isolated).
-        // Either way fall through to cleanup.
-        if done.recv_timeout(left).is_err() {
-            break;
-        }
-        pending -= 1;
-    }
-    for action in dispatched {
-        if !claimed[action.order].swap(true, Ordering::SeqCst) {
-            let reason = match hard_budget {
-                Some(b) => format!("exceeded hard deadline ({b:?}); worker abandoned"),
-                None => "worker terminated without reporting".to_string(),
-            };
-            settler.fail(action, "abandoned", reason);
-            pending -= 1;
-        }
-    }
-    // Settling never blocks, so these arrive promptly.
-    while pending > 0 && done.recv().is_ok() {
-        pending -= 1;
     }
 }
 
@@ -1382,7 +1381,7 @@ mod tests {
             std::thread::sleep(Duration::from_secs(30));
             Ok(healthy(ctx))
         }));
-        // On the tall frame the hang never plans: the gate stops waiting
+        // On the tall frame the hang never plans: the turns stop waiting
         // for it after one base budget.
         for rows in [50, ORDERED_ROWS] {
             let start = clock::now();
@@ -1397,6 +1396,145 @@ mod tests {
             assert_eq!(status.name(), "failed");
             assert!(status.reason().unwrap().contains("hard deadline"));
         }
+    }
+
+    /// A board of `n` actions still generating — ordered, planning ending
+    /// at `planning_ends`, when given one — and the health it reports.
+    fn board_of(
+        n: usize,
+        planning_ends: Option<Instant>,
+    ) -> (Arc<Board>, mpsc::Receiver<ActionHealth>) {
+        let (results, _) = mpsc::channel();
+        let (health_tx, health) = mpsc::channel();
+        let settler = Settler {
+            breaker: Arc::default(),
+            threshold: 3,
+            results,
+            health: health_tx,
+        };
+        let trace = TraceCtx::root("pass");
+        let slots = (0..n).map(|order| Slot {
+            name: format!("A{order}"),
+            trace: trace.child(&format!("action:A{order}")),
+            governor: Arc::new(BudgetHandle::new(ResourceBudget::default())),
+            cost: None,
+            phase: Phase::Dispatched,
+        });
+        let state = Mutex::new(Scoreboard {
+            slots: slots.collect(),
+            settler: Some(settler),
+            planning_ends,
+            latest: None,
+            first: None,
+            overrun_at: None,
+        });
+        (
+            Arc::new(Board {
+                state,
+                changed: Condvar::new(),
+            }),
+            health,
+        )
+    }
+
+    impl Board {
+        fn lock(&self) -> std::sync::MutexGuard<'_, Scoreboard> {
+            lock_recover(&self.state)
+        }
+    }
+
+    /// Plan slot `order` at `cost` without waiting for its turn.
+    fn plan(board: &Board, order: usize, cost: f64) {
+        let slot = &mut board.lock().slots[order];
+        (slot.cost, slot.phase) = (Some(cost), Phase::Planned);
+    }
+
+    #[test]
+    fn no_turn_before_every_action_plans_or_planning_ends() {
+        let now = clock::now();
+        let ends = now + Duration::from_millis(50);
+        let (board, _) = board_of(3, Some(ends));
+        for (order, cost) in [(0, 5.0), (1, 3.0)] {
+            plan(&board, order, cost);
+        }
+        let mut state = board.lock();
+        // Action 2 is still generating: look again when planning ends.
+        assert_eq!(state.turn(0, now), Err(Some(ends)));
+        assert_eq!(state.turn(1, now), Err(Some(ends)));
+        assert_eq!(state.first, None, "nothing decided yet");
+        // Planning is over: the cheapest of those that planned runs alone.
+        assert_eq!(state.turn(0, ends), Err(None), "waits for a notify");
+        assert_eq!(state.turn(1, ends), Ok(true));
+    }
+
+    #[test]
+    fn the_cheapest_plan_runs_alone() {
+        let now = clock::now();
+        let (board, _) = board_of(3, Some(now + Duration::from_secs(60)));
+        for (order, cost) in [(0, 5.0), (1, 3.0), (2, 3.0)] {
+            plan(&board, order, cost);
+        }
+        let mut state = board.lock();
+        assert_eq!(state.turn(0, now), Err(None), "decided, not its turn");
+        let tie = state.turn(2, now);
+        assert_eq!(tie, Err(None), "ties go to the earliest dispatched");
+        assert_eq!(state.turn(1, now), Ok(true));
+        // An unordered pass has no turns: every action runs at once.
+        let (unordered, _) = board_of(2, None);
+        plan(&unordered, 1, 1.0);
+        assert_eq!(unordered.lock().turn(1, now), Ok(false));
+    }
+
+    #[test]
+    fn the_rest_go_once_the_first_settles_or_overruns() {
+        let now = clock::now();
+        let (board, _) = board_of(2, Some(now + Duration::from_secs(60)));
+        plan(&board, 1, 2.0);
+        // The last to plan is the cheapest: its turn comes at once, and
+        // its deadline is the overrun the other waits for.
+        let (deadline, first) = board.turn(0, 1.0, Some(Duration::from_secs(10)));
+        assert!(first);
+        let overrun = deadline.at().expect("a 10 s deadline");
+        let mut state = board.lock();
+        assert_eq!(state.turn(1, now), Err(Some(overrun)));
+        assert_eq!(state.turn(1, overrun), Ok(false), "the first overran");
+        state.slots[0].phase = Phase::Settled;
+        assert_eq!(state.turn(1, now), Ok(false), "the first settled");
+    }
+
+    #[test]
+    fn a_died_or_abandoned_slot_resolves() {
+        let now = clock::now();
+        let ends = now + Duration::from_secs(60);
+        let (board, health) = board_of(3, Some(ends));
+        plan(&board, 0, 2.0);
+        // Action 1's job is dropped unrun: its slot settles failed, and the
+        // decision waits only for action 2, until its job is dropped too.
+        drop(Job(Arc::clone(&board), 1));
+        let died = health.try_recv().expect("the dropped job reported");
+        let reason = "worker terminated without reporting";
+        assert_eq!(died.status, ActionStatus::Failed(reason.to_string()));
+        assert_eq!(board.lock().turn(0, now), Err(Some(ends)));
+        drop(Job(Arc::clone(&board), 2));
+        assert_eq!(board.lock().turn(0, now), Ok(true));
+        // At a hard cutoff that has passed, the collector abandons what has
+        // not settled (action 0) and closes the pass.
+        let (slots, settler) = board.collect(now, Some(Duration::ZERO));
+        assert_eq!((slots.len(), settler.is_some()), (3, true));
+        let rest: Vec<ActionHealth> = health.try_iter().collect();
+        assert_eq!(rest.len(), 2, "{rest:?}");
+        let abandoned = rest[1].status.reason().unwrap_or_default();
+        assert_eq!(rest[1].action, "A0");
+        assert!(
+            abandoned.starts_with("exceeded hard deadline"),
+            "{abandoned}"
+        );
+        // A worker still waiting for its turn goes; one that settles late
+        // delivers nothing.
+        assert_eq!(board.lock().turn(0, now), Ok(false));
+        let mut settled = false;
+        board.settle(0, |_, _| settled = true);
+        assert!(!settled && health.try_recv().is_err());
     }
 
     #[test]

@@ -4,10 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Test code is what follows a file's `#[cfg(test)]` + `mod` pair; a lone
-# `#[cfg(test)]` item above it (a test-only thread-local, say) is not.
+# Test code is a `#[cfg(test)]` + `mod` pair through that module's closing
+# `}` in column 0; a lone `#[cfg(test)]` item (a test-only thread-local,
+# say) is not, and product code below a test module is product code.
 # TEST_LINES prints a file list's test lines, PROD_LINES the rest.
-MARK_TESTS='FNR == 1 { t = 0; armed = 0 } armed && /^(pub(\([a-z]+\))? )?mod / { t = 1 } { armed = /^#\[cfg\(test\)\]/ }'
+MARK_TESTS='FNR == 1 { t = 0; armed = 0; ended = 0 } ended { t = 0; ended = 0 } armed && /^(pub(\([a-z]+\))? )?mod / { t = 1 } t && /^}/ { ended = 1 } { armed = /^#\[cfg\(test\)\]/ }'
 TEST_LINES="$MARK_TESTS t"
 PROD_LINES="$MARK_TESTS !t"
 

@@ -1,7 +1,9 @@
 //! Admission under the virtual clock (DESIGN.md §15): the condvar
 //! priority queue must not lose a wakeup when a waiter's deadline
 //! expires in the same virtual tick as a slot free — the interleaving
-//! the real-time overload test cannot pin.
+//! the real-time overload test cannot pin. The ASYNC pass an admitted
+//! streaming run holds its slot for waits on the same clock, so its hard
+//! cutoff is the driver's to pass.
 //!
 //! This file is its own test binary (root `tests/` layout), and each test
 //! holds a `World::simulated` for its whole body, so the process-global
@@ -11,6 +13,8 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lux::prelude::*;
+use lux::recs::ActionStatus;
 use lux_engine::world::World;
 use lux_engine::{clock, Admission, AdmissionConfig, AdmissionController, Priority};
 
@@ -139,4 +143,65 @@ fn deadline_is_measured_in_virtual_time() {
         Admission::Granted(_) => panic!("slot is held; grant is impossible"),
     }
     h.join().expect("waiter thread");
+}
+
+/// A streaming run with one action hung in a failpoint sleep: the healthy
+/// actions deliver on frozen virtual time, and once the driver advances
+/// past the hard cutoff (four 10 s budgets) the pass closes at once — no
+/// real time waited — with the hung action failed and its admission slot
+/// free. When the abandoned worker's sleep ends it delivers nothing and
+/// the pass's charge leaves the ledger.
+#[test]
+fn the_hard_cutoff_of_an_async_pass_is_on_the_virtual_clock() {
+    let world = World::simulated(0);
+    let n = 400;
+    let df = DataFrameBuilder::new()
+        .float("price", (0..n).map(|i| 10.0 + (i % 17) as f64))
+        .float("size", (0..n).map(|i| (i * 7 % 23) as f64))
+        .str("kind", (0..n).map(|i| ["a", "b", "c"][i % 3]))
+        .build()
+        .expect("frame");
+    let config = LuxConfig {
+        r#async: true,
+        action_budget: Some(Duration::from_secs(10)),
+        ..LuxConfig::default()
+    };
+    let mut ldf = LuxDataFrame::with_config(df, Arc::new(config));
+    ldf.register_action(CustomAction::new(
+        "Hang",
+        |_| true,
+        |ctx| Ok(ctx.compile(&[Clause::axis("price")])),
+    ));
+    world
+        .arm("action.score:Hang", "1*sleep(60000)")
+        .expect("arm");
+    let real = Instant::now();
+    let run = ldf.recommendations_streaming();
+    for _ in 1..run.expected() {
+        run.next_result().expect("a healthy action delivers");
+    }
+    clock::advance(Duration::from_secs(41));
+    let report = run.collect_report();
+    let took = real.elapsed();
+    assert!(
+        took < Duration::from_secs(5),
+        "waited {took:?} of real time"
+    );
+    match report.status_of("Hang") {
+        Some(ActionStatus::Failed(reason)) => {
+            assert!(reason.starts_with("exceeded hard deadline"), "{reason}")
+        }
+        other => panic!("the hung action reads {other:?}"),
+    }
+    let admission = AdmissionController::global();
+    assert_eq!(admission.stats().live_sessions, 0, "the slot is free");
+    clock::advance(Duration::from_secs(20));
+    while admission.stats().ledger_live > 0 {
+        let left = admission.stats().ledger_live;
+        assert!(
+            real.elapsed() < Duration::from_secs(10),
+            "{left} B stay charged"
+        );
+        std::thread::yield_now();
+    }
 }

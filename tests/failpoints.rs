@@ -14,6 +14,7 @@ use lux::engine::trace::{names, MetricsRegistry};
 use lux::engine::world::World;
 use lux::prelude::*;
 use lux::recs::structure_actions::meta_for;
+use lux::recs::ActionStatus;
 use lux::vis::{process, Backend, Channel, Encoding, Mark, ProcessOptions, VisSpec};
 use lux::LuxDataFrame;
 
@@ -177,6 +178,38 @@ fn dropped_pool_tasks_do_not_hang_fork_join() {
     let out: Vec<usize> = lux::engine::pool::parallel_map(8, (0..256).collect(), |_, x: usize| x);
     assert_eq!(out.len(), 256);
     assert_eq!(out[255], 255);
+}
+
+/// An ASYNC action job the pool drops unrun (`return` at `pool.task.run`;
+/// at one thread the action jobs are the pass's only pool tasks) settles its
+/// action as failed as it drops: the pass closes at once instead of waiting
+/// out the hard cutoff, and its health says what happened.
+#[test]
+fn a_dropped_action_job_fails_without_waiting_for_the_cutoff() {
+    let chaos = chaos();
+    let config = LuxConfig {
+        threads: 1,
+        r#async: true,
+        ..LuxConfig::default()
+    };
+    // The hard cutoff is four base budgets.
+    let cutoff = config.action_budget.expect("a default budget") * 4;
+    let ldf = LuxDataFrame::with_config(frame(400), std::sync::Arc::new(config));
+    chaos.arm(fp::POOL_TASK_RUN, "1*return").unwrap();
+    let start = std::time::Instant::now();
+    let report = ldf.recommendations_streaming().collect_report();
+    let took = start.elapsed();
+    assert!(
+        took < cutoff / 2,
+        "the pass waited {took:?} for a dropped job"
+    );
+    let failed: Vec<_> = (report.health.iter())
+        .filter(|h| !h.status.is_ok())
+        .collect();
+    assert_eq!(failed.len(), 1, "{:?}", report.health);
+    let reason = "worker terminated without reporting".to_string();
+    assert_eq!(failed[0].status, ActionStatus::Failed(reason));
+    assert_eq!(report.results.len() + 1, report.health.len());
 }
 
 /// Chaos sweep over a whole always-on pass: metadata, memo lookup, and
