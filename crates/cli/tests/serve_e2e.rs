@@ -21,6 +21,11 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// Spawn `lux-shell serve` on an ephemeral port over `data_dir`, wait for
 /// the ready marker, and return the child plus the resolved address.
 fn spawn_server(data_dir: &Path, log: &Path) -> (Child, String) {
+    spawn_server_with(data_dir, log, &[])
+}
+
+/// [`spawn_server`] with extra environment variables.
+fn spawn_server_with(data_dir: &Path, log: &Path, env: &[(&str, &str)]) -> (Child, String) {
     let log_file = std::fs::File::create(log).unwrap();
     let child = Command::new(env!("CARGO_BIN_EXE_lux-shell"))
         .arg("serve")
@@ -28,6 +33,7 @@ fn spawn_server(data_dir: &Path, log: &Path) -> (Child, String) {
         .env("LUX_SERVER_DATA_DIR", data_dir)
         .env("LUX_READ_TIMEOUT_MS", "300")
         .env("LUX_DRAIN_TIMEOUT_MS", "3000")
+        .envs(env.iter().copied())
         .stdout(Stdio::from(log_file))
         .stderr(Stdio::null())
         .spawn()
@@ -144,7 +150,8 @@ fn kill_nine_then_restart_replays_journal() {
 fn client_subcommand_round_trips_against_a_live_server() {
     let dir = tmp_dir("clientcmd");
     let log = dir.join("serve.log");
-    let (mut child, addr) = spawn_server(&dir, &log);
+    // A malformed knob: warned about, counted, and read as unset.
+    let (mut child, addr) = spawn_server_with(&dir, &log, &[("LUX_ADMIT_TIMEOUT_MS", "soon")]);
     let csv_path = dir.join("cars.csv");
     std::fs::write(&csv_path, CSV).unwrap();
 
@@ -189,6 +196,20 @@ fn client_subcommand_round_trips_against_a_live_server() {
         ok && text.contains("# TYPE") && text.contains("lux_tenant_requests"),
         "metrics: {text}"
     );
+    // The series the requests above moved: one invalid knob, a request per
+    // command, a flight-recorder entry per pass, and the tenant's served
+    // prints timed end to end and in the admission queue.
+    let value = |series: &str| -> f64 {
+        let line = text.lines().find(|l| l.starts_with(series));
+        let value = line.and_then(|l| l.rsplit(' ').next()?.parse().ok());
+        value.unwrap_or_else(|| panic!("no {series} in metrics: {text}"))
+    };
+    assert_eq!(value("lux_env_invalid "), 1.0);
+    assert!(value("lux_server_requests ") >= 8.0);
+    assert!(value("lux_flight_recorded ") >= 2.0);
+    for histogram in ["lux_tenant_pass_latency", "lux_tenant_queue_wait"] {
+        assert!(value(&format!("{histogram}_seconds_count{{tenant=\"t1\"}}")) >= 2.0);
+    }
     let (ok, text) = run(&["flight"]);
     assert!(ok && text.contains("flight recorder"), "flight: {text}");
     let (ok, text) = run(&["top", "100", "1"]);

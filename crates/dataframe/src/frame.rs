@@ -164,6 +164,11 @@ impl DataFrame {
         &self.columns[i]
     }
 
+    /// The shared handle for a column by position.
+    pub fn column_arc_at(&self, i: usize) -> &Arc<Column> {
+        &self.columns[i]
+    }
+
     /// `(name, dtype)` pairs describing the schema.
     pub fn schema(&self) -> Vec<(&str, DType)> {
         self.names

@@ -20,7 +20,7 @@
 //! an exact one.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::admission::GlobalLedger;
@@ -117,12 +117,15 @@ impl fmt::Display for GovernorEvent {
 }
 
 /// A pass's byte meter and limits, shared by its [`BudgetHandle::scope`]s:
-/// the last handle to drop returns the pass's charge to the global ledger.
+/// the last [`Account`] to let go of it — by dropping or by being fenced —
+/// returns the pass's charge to the global ledger.
 #[derive(Debug)]
 struct Meter {
     budget: ResourceBudget,
     charged: AtomicU64,
     breached: AtomicBool,
+    /// Accounts neither dropped nor fenced.
+    holders: AtomicUsize,
     /// Global admission ledger every successful charge is mirrored into.
     /// `None` for ungoverned passes and standalone tests.
     ledger: Option<Arc<GlobalLedger>>,
@@ -132,12 +135,40 @@ struct Meter {
     floor: DegradeLevel,
 }
 
-impl Drop for Meter {
+/// What one holder of a [`Meter`] has charged onto it: the pass's handle,
+/// or an action's scope together with the scopes under it. It holds the
+/// meter until it drops or is [fenced](BudgetHandle::fence).
+#[derive(Debug)]
+struct Account {
+    meter: Arc<Meter>,
+    /// `None` once fenced: charged bytes given back, later charges refused.
+    own: Mutex<Option<u64>>,
+}
+
+impl Account {
+    fn open(meter: Arc<Meter>) -> Arc<Account> {
+        meter.holders.fetch_add(1, Ordering::Relaxed);
+        let own = Mutex::new(Some(0));
+        Arc::new(Account { meter, own })
+    }
+
+    /// Stop holding the meter; the last holder returns what the pass
+    /// charged to the ledger. `charged` only ever holds ledger-accepted
+    /// bytes (refused mirrors are rolled back in `try_charge`, fenced ones
+    /// given back), so the release is exact.
+    fn let_go(&self) {
+        if self.meter.holders.fetch_sub(1, Ordering::AcqRel) == 1 {
+            if let Some(ledger) = &self.meter.ledger {
+                ledger.release(self.meter.charged.load(Ordering::Relaxed));
+            }
+        }
+    }
+}
+
+impl Drop for Account {
     fn drop(&mut self) {
-        // `charged` only ever holds ledger-accepted bytes (refused mirrors
-        // are rolled back in `try_charge`), so this release is exact.
-        if let Some(ledger) = &self.ledger {
-            ledger.release(self.charged.load(Ordering::Relaxed));
+        if lock_recover(&self.own).is_some() {
+            self.let_go();
         }
     }
 }
@@ -147,7 +178,7 @@ impl Drop for Meter {
 /// and scoring stages (including the async scheduler's worker threads).
 #[derive(Debug)]
 pub struct BudgetHandle {
-    meter: Arc<Meter>,
+    account: Arc<Account>,
     events: Mutex<Vec<GovernorEvent>>,
     /// False for a scope: its events count in the metrics when the pass's
     /// handle adopts them, so events the executor discards never count.
@@ -178,11 +209,12 @@ impl BudgetHandle {
             budget,
             charged: AtomicU64::new(0),
             breached: AtomicBool::new(false),
+            holders: AtomicUsize::new(0),
             ledger,
             floor,
         };
         BudgetHandle {
-            meter: Arc::new(meter),
+            account: Account::open(Arc::new(meter)),
             events: Mutex::default(),
             counted: true,
         }
@@ -192,13 +224,35 @@ impl BudgetHandle {
     /// races its siblings (an action under ASYNC, a candidate on the pool)
     /// records on its own scope, and the executor [`adopt`](Self::adopt)s
     /// the scopes in schedule order, so the pass's event list is the same
-    /// at every thread count.
+    /// at every thread count. A scope of the pass's handle opens an account
+    /// of its own; a scope of a scope charges its parent's.
     pub fn scope(&self) -> BudgetHandle {
+        let account = match self.counted {
+            true => Account::open(Arc::clone(&self.account.meter)),
+            false => Arc::clone(&self.account),
+        };
         BudgetHandle {
-            meter: Arc::clone(&self.meter),
+            account,
             events: Mutex::default(),
             counted: false,
         }
+    }
+
+    /// Give back what this handle's account charged, to the meter and the
+    /// admission ledger, and refuse every later charge on it (unmirrored):
+    /// how a pass lets go of an action it abandoned while the action's
+    /// worker may still hold its scopes. Returns the bytes given back.
+    pub fn fence(&self) -> u64 {
+        let account = &self.account;
+        let Some(bytes) = lock_recover(&account.own).take() else {
+            return 0;
+        };
+        account.meter.charged.fetch_sub(bytes, Ordering::Relaxed);
+        if let Some(ledger) = &account.meter.ledger {
+            ledger.release(bytes);
+        }
+        account.let_go();
+        bytes
     }
 
     /// Move `scope`'s events to the end of this handle's list; returns how
@@ -212,13 +266,13 @@ impl BudgetHandle {
 
     /// The ceilings this handle enforces.
     pub fn budget(&self) -> &ResourceBudget {
-        &self.meter.budget
+        &self.account.meter.budget
     }
 
     /// The admission-forced minimum degradation rung ([`DegradeLevel::Exact`]
     /// when the pass was admitted without pressure).
     pub fn degrade_floor(&self) -> DegradeLevel {
-        self.meter.floor
+        self.account.meter.floor
     }
 
     /// Charge `bytes` of intended allocation against the pass budget.
@@ -229,21 +283,27 @@ impl BudgetHandle {
     /// refused charge never inflates `charged()`, and concurrent successful
     /// charges can never jointly overshoot the cap.
     pub fn try_charge(&self, bytes: u64) -> bool {
+        // Held across the charge, so a fence sees it whole or not at all.
+        let mut own = lock_recover(&self.account.own);
+        let Some(own) = own.as_mut() else {
+            return false;
+        };
+        let meter = &*self.account.meter;
         // A breach is sticky: once one charge was refused the pass stays
         // degraded, even if smaller charges would still fit the ledger.
-        if self.meter.breached.load(Ordering::Relaxed) {
+        if meter.breached.load(Ordering::Relaxed) {
             return false;
         }
-        let mut current = self.meter.charged.load(Ordering::Relaxed);
+        let mut current = meter.charged.load(Ordering::Relaxed);
         loop {
             let next = current.saturating_add(bytes);
-            if next > self.meter.budget.max_bytes {
-                if !self.meter.breached.swap(true, Ordering::Relaxed) {
+            if next > meter.budget.max_bytes {
+                if !meter.breached.swap(true, Ordering::Relaxed) {
                     MetricsRegistry::global().incr(names::GOVERNOR_BREACHES);
                 }
                 return false;
             }
-            match self.meter.charged.compare_exchange_weak(
+            match meter.charged.compare_exchange_weak(
                 current,
                 next,
                 Ordering::Relaxed,
@@ -253,15 +313,16 @@ impl BudgetHandle {
                     // Mirror the charge into the global admission ledger;
                     // a refusal there breaches this pass too (and rolls the
                     // local charge back so drop-time release stays exact).
-                    if let Some(ledger) = &self.meter.ledger {
+                    if let Some(ledger) = &meter.ledger {
                         if !ledger.try_charge(bytes) {
-                            self.meter.charged.fetch_sub(bytes, Ordering::Relaxed);
-                            if !self.meter.breached.swap(true, Ordering::Relaxed) {
+                            meter.charged.fetch_sub(bytes, Ordering::Relaxed);
+                            if !meter.breached.swap(true, Ordering::Relaxed) {
                                 MetricsRegistry::global().incr(names::GOVERNOR_BREACHES);
                             }
                             return false;
                         }
                     }
+                    *own += bytes;
                     return true;
                 }
                 Err(seen) => current = seen,
@@ -271,12 +332,12 @@ impl BudgetHandle {
 
     /// Total bytes charged so far.
     pub fn charged(&self) -> u64 {
-        self.meter.charged.load(Ordering::Relaxed)
+        self.account.meter.charged.load(Ordering::Relaxed)
     }
 
     /// True once any charge crossed the byte cap.
     pub fn breached(&self) -> bool {
-        self.meter.breached.load(Ordering::Relaxed)
+        self.account.meter.breached.load(Ordering::Relaxed)
     }
 
     /// Record a downgrade: stored on the handle for end-of-pass surfacing
@@ -464,6 +525,32 @@ mod tests {
         drop((h, a));
         assert_eq!(ledger.live(), 60);
         drop(b);
+        assert_eq!(ledger.live(), 0);
+    }
+
+    #[test]
+    fn a_fenced_scope_gives_back_its_charge_once_and_charges_nothing_more() {
+        use crate::admission::GlobalLedger;
+        let ledger = Arc::new(GlobalLedger::new(u64::MAX));
+        let h = BudgetHandle::governed(
+            ResourceBudget::default(),
+            Arc::clone(&ledger),
+            DegradeLevel::Exact,
+        );
+        let (a, b) = (h.scope(), h.scope());
+        let under_a = a.scope();
+        assert!(a.try_charge(30) && under_a.try_charge(10) && b.try_charge(5));
+        assert_eq!(ledger.live(), 45);
+        assert_eq!(a.fence(), 40, "an action's account covers its scopes");
+        assert_eq!(under_a.fence(), 0, "given back once");
+        assert_eq!((ledger.live(), h.charged()), (5, 5));
+        assert!(!under_a.try_charge(1), "a fenced account charges nothing");
+        assert!(!h.breached(), "a fenced refusal is no breach");
+        assert_eq!(ledger.live(), 5);
+        // The fenced worker's handles no longer hold the pass's charge.
+        drop((h, b));
+        assert_eq!(ledger.live(), 0);
+        drop((a, under_a));
         assert_eq!(ledger.live(), 0);
     }
 

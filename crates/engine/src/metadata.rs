@@ -9,9 +9,9 @@
 //!
 //! The statistics themselves come from the fused one-pass kernels in
 //! [`crate::stats`]: one branch-light loop per column chunk produces null
-//! count, min/max, distinct count (exact set up to [`UNIQUE_SCAN_CAP`],
-//! then a mergeable cardinality sketch), and the smallest-K distinct
-//! values. Because the per-chunk partials merge into a result that depends
+//! count, min/max and distinct count (exact set up to [`UNIQUE_SCAN_CAP`],
+//! then a mergeable cardinality sketch); [`UniqueValues`] lists are built
+//! when first read. Because the per-chunk partials merge into a result that depends
 //! only on the scanned row set, the pass can
 //!
 //! - fan column chunks out over the worker pool and fold deterministically,
@@ -25,14 +25,14 @@
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use lux_dataframe::prelude::*;
 use lux_dataframe::FrameState;
 
 use crate::governor::{self, BudgetHandle, DegradeLevel};
 use crate::stats::sketch::{self, CardinalitySketch};
-use crate::stats::{ColumnStats, StatsSpec};
+use crate::stats::{self, ColumnStats, StatsSpec};
 use crate::sync::lock_recover;
 use crate::trace::{names, MetricsRegistry};
 
@@ -82,8 +82,8 @@ impl std::fmt::Display for SemanticType {
     }
 }
 
-/// How many distinct values we materialize per column for wildcard
-/// enumeration and filter validation (the smallest-K in value order).
+/// How many distinct values a column's [`UniqueValues`] holds (the smallest
+/// K in value order), for wildcard enumeration and filter validation.
 pub const UNIQUE_VALUES_CAP: usize = 256;
 
 /// Ceiling on the exact distinct set built while scanning a non-string
@@ -147,14 +147,61 @@ pub struct ColumnMeta {
     pub cardinality_estimated: bool,
     /// Up to [`UNIQUE_VALUES_CAP`] distinct values. Numeric columns carry
     /// the smallest distinct values in value order; string columns the
-    /// first-interned dictionary entries still referenced.
-    pub unique_values: Vec<Value>,
+    /// first-interned dictionary entries still referenced. Only intent
+    /// paths read it, so a print without one never builds it.
+    pub unique_values: UniqueValues,
     /// True when `unique_values` holds every distinct value.
     pub unique_complete: bool,
     /// Numeric min/max (ints, floats, bools, datetimes), nulls/NaN ignored.
     pub min: Option<f64>,
     pub max: Option<f64>,
     pub null_count: usize,
+}
+
+/// A column's value list, built in one pass over the column when first
+/// read, into a slot every clone of its [`ColumnMeta`] shares: once per
+/// `FrameMeta` a frame's WFLOW memo keeps, freed with it. The build opens no
+/// span and charges no budget. Derefs to `[Value]`, as `Debug` and `==` do.
+#[derive(Clone)]
+pub struct UniqueValues {
+    column: Arc<Column>,
+    list: Arc<OnceLock<Vec<Value>>>,
+}
+
+impl UniqueValues {
+    /// The (not yet built) value list of `column`.
+    pub fn new(column: Arc<Column>) -> UniqueValues {
+        UniqueValues {
+            column,
+            list: Arc::default(),
+        }
+    }
+
+    /// True once the list has been built.
+    #[doc(hidden)]
+    pub fn is_built(&self) -> bool {
+        self.list.get().is_some()
+    }
+}
+
+impl std::ops::Deref for UniqueValues {
+    type Target = [Value];
+    fn deref(&self) -> &[Value] {
+        self.list
+            .get_or_init(|| stats::value_list(&self.column, UNIQUE_VALUES_CAP))
+    }
+}
+
+impl std::fmt::Debug for UniqueValues {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl PartialEq for UniqueValues {
+    fn eq(&self, other: &UniqueValues) -> bool {
+        **self == **other
+    }
 }
 
 /// Metadata for a whole frame.
@@ -244,12 +291,12 @@ impl FrameMeta {
         let num_rows = df.num_rows();
         let precision = sketch::DEFAULT_PRECISION;
         // Columns are walked by position, once; every phase carries the
-        // `&Column` instead of resolving the name again.
-        let cols: Vec<(&str, &Column)> = df
+        // column instead of resolving the name again.
+        let cols: Vec<(&str, &Arc<Column>)> = df
             .column_names()
             .iter()
             .enumerate()
-            .map(|(i, name)| (name.as_str(), df.column_at(i)))
+            .map(|(i, name)| (name.as_str(), df.column_arc_at(i)))
             .collect();
 
         // Phase 1: plan.
@@ -330,7 +377,7 @@ impl FrameMeta {
         // Phase 3: record + finalize, in column order.
         let mut columns = Vec::with_capacity(cols.len());
         for ((&(name, col), stats), plan) in cols.iter().zip(&folded).zip(&plans) {
-            let fin = stats.finalize(col, plan);
+            let fin = stats.finalize(plan);
             if fin.estimated {
                 if let Some(g) = governor {
                     g.record(
@@ -359,8 +406,8 @@ impl FrameMeta {
                 semantic,
                 cardinality: fin.cardinality,
                 cardinality_estimated: fin.estimated,
-                unique_values: fin.unique_values,
-                unique_complete: fin.unique_complete,
+                unique_values: UniqueValues::new(Arc::clone(col)),
+                unique_complete: !fin.estimated && fin.cardinality <= UNIQUE_VALUES_CAP,
                 min: fin.min,
                 max: fin.max,
                 null_count: fin.null_count,
@@ -446,7 +493,6 @@ fn plan_column_scan(
     StatsSpec {
         scan_cap,
         precision,
-        values_cap: UNIQUE_VALUES_CAP,
     }
 }
 
@@ -457,7 +503,7 @@ fn plan_column_scan(
 fn reuse_parent_partials(
     df: &DataFrame,
     (parent, parent_rows): (&FrameState, usize),
-    cols: &[(&str, &Column)],
+    cols: &[(&str, &Arc<Column>)],
     plans: &[StatsSpec],
     precision: u32,
 ) -> Option<Arc<FramePartials>> {

@@ -1,8 +1,8 @@
 //! Fused one-pass statistics kernels.
 //!
-//! One chunk scan computes min/max, null count, distinct keys, and the
-//! smallest-K distinct values in a single loop over the validity bitmap's
-//! words. The loop shape is the whole optimization:
+//! One chunk scan computes min/max, null count and distinct keys in a
+//! single loop over the validity bitmap's words. The loop shape is the
+//! whole optimization:
 //!
 //! - rows are visited **per validity word**: an all-valid word (`u64::MAX`)
 //!   takes a branch-free inner loop over 64 values, a mixed word iterates
@@ -10,9 +10,9 @@
 //!   — no per-row `is_valid` branch anywhere;
 //! - every value is canonicalized once into an **order-preserving `u64`
 //!   key** shared by the distinct set, the cardinality sketch, and the
-//!   smallest-K accumulator, so "distinct", "smallest", and hashing all work
-//!   in one integer domain with no boxed [`lux_dataframe::Value`] (the old
-//!   path cloned every scanned value into a `HashMap<u64, Value>`);
+//!   on-demand value list's smallest-K accumulator, so "distinct",
+//!   "smallest", and hashing all work in one integer domain with no boxed
+//!   [`lux_dataframe::Value`];
 //! - min/max ride the same pass as two comparisons whose NaN behavior
 //!   (comparisons are false) makes NaN-skipping free.
 
@@ -307,30 +307,24 @@ impl KeyBits {
     }
 }
 
-/// Bounded accumulator of the `cap` **smallest distinct keys** seen so far.
+/// Bounded accumulator of the `cap` **smallest distinct keys** offered —
+/// the value list's fill ([`super::value_list`]). Keys are order-preserving,
+/// so "smallest keys" is exactly "smallest values under `Value::total_cmp`".
 ///
-/// Maintained over *all* rows, independent of whether the distinct counter
-/// is still exact or has degraded to a sketch — that independence is what
-/// makes the materialized `unique_values` list insensitive to chunk
-/// boundaries and merge order. Keys are order-preserving, so "smallest keys"
-/// is exactly "smallest values under `Value::total_cmp`".
-///
-/// Arrivals are buffered, not placed: a key at or above the retained
-/// maximum is rejected with one comparison, anything else is pushed, and a
-/// buffer of `2 * cap` is compacted (sort, dedup, truncate to `cap`). That
-/// is O(1) amortized per key whatever the input order — a strictly
-/// descending column, where every key displaces the whole retained set,
-/// costs the same as an ascending one. [`SmallestKeys::compact`] after the
-/// last offer; `keys` and `merge` read a compacted accumulator.
-#[derive(Debug, Clone, Default)]
+/// A key at or above the retained maximum is rejected with one comparison
+/// and a key already let in with one probe; anything else is buffered, and
+/// a buffer of `2 * cap` is compacted (sort, truncate to `cap`): O(1)
+/// amortized per key. [`SmallestKeys::compact`] after the last offer.
+#[derive(Debug, Clone)]
 pub struct SmallestKeys {
-    /// `keys[..settled]` is ascending, distinct and at most `cap` long; the
-    /// rest are arrivals since the last compaction.
+    /// Distinct keys; ascending and at most `cap` long once compacted.
     keys: Vec<u64>,
-    settled: usize,
+    /// Every key let in so far, so a column of few distinct values never
+    /// fills the buffer.
+    admitted: U64Set,
     cap: usize,
-    /// The retained maximum once `cap` distinct keys are settled: nothing
-    /// at or above it can enter the smallest `cap`.
+    /// The retained maximum once `cap` keys are kept: nothing at or above
+    /// it can enter the smallest `cap`.
     ceiling: Option<u64>,
 }
 
@@ -338,25 +332,16 @@ impl SmallestKeys {
     pub fn new(cap: usize) -> SmallestKeys {
         SmallestKeys {
             keys: Vec::new(),
-            settled: 0,
+            admitted: U64Set::with_capacity(2 * cap),
             cap,
             ceiling: None,
         }
     }
 
-    /// The accumulator a scan that offered every key of `ascending` (a
-    /// strictly increasing stream) would hold: its first `cap` keys.
-    pub fn from_ascending(cap: usize, ascending: impl Iterator<Item = u64>) -> SmallestKeys {
-        let mut s = SmallestKeys::new(cap);
-        s.keys = ascending.take(cap).collect();
-        s.compact();
-        s
-    }
-
     /// Offer one key.
     #[inline]
     pub fn offer(&mut self, key: u64) {
-        if self.ceiling.is_some_and(|c| key >= c) {
+        if self.ceiling.is_some_and(|c| key >= c) || !self.admitted.insert(key) {
             return;
         }
         self.keys.push(key);
@@ -365,61 +350,24 @@ impl SmallestKeys {
         }
     }
 
-    /// Settle the buffered arrivals: afterwards the accumulator holds
-    /// exactly the `cap` smallest distinct keys offered so far, ascending.
+    /// Settle the buffer: afterwards it holds exactly the `cap` smallest
+    /// distinct keys offered so far, ascending.
     pub fn compact(&mut self) {
-        if self.settled < self.keys.len() {
-            // Sort only the arrivals, then take the first `cap` distinct
-            // keys of the two sorted runs: the settled prefix is never
-            // re-sorted, and nothing past the cut is ever moved.
-            let (settled, arrivals) = self.keys.split_at_mut(self.settled);
-            arrivals.sort_unstable();
-            let mut merged = Vec::with_capacity(2 * self.cap);
-            let (mut i, mut j) = (0, 0);
-            while merged.len() < self.cap && (i < settled.len() || j < arrivals.len()) {
-                let from_settled =
-                    j == arrivals.len() || (i < settled.len() && settled[i] <= arrivals[j]);
-                let next = if from_settled {
-                    i += 1;
-                    settled[i - 1]
-                } else {
-                    j += 1;
-                    arrivals[j - 1]
-                };
-                if merged.last() != Some(&next) {
-                    merged.push(next);
-                }
-            }
-            self.keys = merged;
-        }
-        self.settled = self.keys.len();
-        self.ceiling = (self.settled == self.cap).then(|| self.keys.last().copied().unwrap_or(0));
+        self.keys.sort_unstable();
+        self.keys.truncate(self.cap);
+        self.ceiling =
+            (self.keys.len() == self.cap).then(|| self.keys.last().copied().unwrap_or(0));
     }
 
-    /// Fold another (compacted) accumulator in.
-    pub fn merge(&mut self, other: &SmallestKeys) {
-        self.keys.extend_from_slice(other.keys());
-        self.compact();
-    }
-
-    /// The retained keys, ascending.
+    /// The retained keys, ascending once compacted.
     pub fn keys(&self) -> &[u64] {
-        assert_eq!(
-            self.settled,
-            self.keys.len(),
-            "keys of an uncompacted accumulator"
-        );
         &self.keys
-    }
-
-    pub fn bytes(&self) -> u64 {
-        self.keys.capacity() as u64 * 8
     }
 }
 
 /// Per-row behavior a fused primitive scan needs from its element type:
 /// the canonical key and the (NaN-skipping) min/max update.
-pub trait ScanValue: Copy {
+pub trait ScanValue: Copy + Default {
     fn key(self) -> u64;
     fn update_minmax(self, lo: &mut f64, hi: &mut f64);
 }
@@ -564,23 +512,15 @@ mod tests {
     }
 
     #[test]
-    fn smallest_merge_is_order_insensitive() {
-        let mut a = SmallestKeys::new(4);
-        let mut b = SmallestKeys::new(4);
-        let mut whole = SmallestKeys::new(4);
+    fn smallest_is_order_insensitive() {
         let keys = [50u64, 4, 9, 1, 60, 2, 9, 4];
-        for (i, &k) in keys.iter().enumerate() {
-            if i % 2 == 0 { &mut a } else { &mut b }.offer(k);
-            whole.offer(k);
-        }
-        for s in [&mut a, &mut b, &mut whole] {
+        let of = |keys: &mut dyn Iterator<Item = &u64>| {
+            let mut s = SmallestKeys::new(4);
+            keys.for_each(|&k| s.offer(k));
             s.compact();
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab.keys(), ba.keys());
-        assert_eq!(ab.keys(), whole.keys());
+            s.keys().to_vec()
+        };
+        assert_eq!(of(&mut keys.iter()), vec![1, 2, 4, 9]);
+        assert_eq!(of(&mut keys.iter().rev()), vec![1, 2, 4, 9]);
     }
 }

@@ -1,10 +1,10 @@
 //! Mergeable per-column statistics (the metadata hot path).
 //!
 //! A [`ColumnStats`] is a **chunk partial**: everything the metadata layer
-//! needs from one fused pass over a row range — null count, min/max,
-//! distinct keys (exact set up to a cap, then a [`CardinalitySketch`]), and
-//! the smallest-K distinct values. Partials merge, and every accumulator is
-//! a pure function of the *set* of scanned rows:
+//! needs from one fused pass over a row range — null count, min/max, and
+//! distinct keys (exact set up to a cap, then a [`CardinalitySketch`]).
+//! Partials merge, and every accumulator is a pure function of the *set* of
+//! scanned rows:
 //!
 //! - null count / row count / min / max are trivially associative and
 //!   commutative;
@@ -14,15 +14,15 @@
 //!   and converts to a sketch the moment it does not; because the
 //!   conversion inserts every exact key, the final registers depend only on
 //!   the distinct key set, never on where chunk boundaries fell, which form
-//!   a chunk took, or which side of a merge overflowed;
-//! - the smallest-K accumulator runs over **all** rows regardless of
-//!   exact/sketch mode, so the materialized `unique_values` list is also
-//!   grouping-insensitive.
+//!   a chunk took, or which side of a merge overflowed.
 //!
 //! Consequences (tested in `tests/stats_kernels.rs`): merge is associative
 //! and order-insensitive, parallel chunked scans are byte-identical to the
 //! sequential scan at any thread count, and an appended frame can reuse its
 //! parent's partials and scan only the tail.
+//!
+//! A column's value list is no partial: [`value_list`] builds it from the
+//! whole column when first read, so a print that reads none pays nothing.
 
 pub mod kernels;
 pub mod sketch;
@@ -45,8 +45,6 @@ pub struct StatsSpec {
     pub scan_cap: usize,
     /// Sketch precision (`2^p` registers).
     pub precision: u32,
-    /// How many smallest distinct values to materialize.
-    pub values_cap: usize,
 }
 
 /// Distinct counter: exact until the union of keys outgrows the cap. The
@@ -221,7 +219,6 @@ pub struct NumericStats {
     pub lo: f64,
     pub hi: f64,
     pub distinct: DistinctAcc,
-    pub smallest: SmallestKeys,
 }
 
 /// Partial for a dictionary-encoded string column: a bitset over dictionary
@@ -249,8 +246,6 @@ pub struct FinalColumnStats {
     /// True when the distinct counter degraded to a sketch: `cardinality`
     /// is an estimate (within the sketch's documented error), not a count.
     pub estimated: bool,
-    pub unique_values: Vec<Value>,
-    pub unique_complete: bool,
     pub min: Option<f64>,
     pub max: Option<f64>,
     pub null_count: usize,
@@ -262,8 +257,8 @@ impl ColumnStats {
         ColumnStats::scan(col, 0, 0, spec)
     }
 
-    /// One fused pass over rows `start..end` of `col`: null count, min/max,
-    /// distinct, and smallest-K in a single loop over the validity words.
+    /// One fused pass over rows `start..end` of `col`: null count, min/max
+    /// and distinct in a single loop over the validity words.
     pub fn scan(col: &Column, start: usize, end: usize, spec: &StatsSpec) -> ColumnStats {
         match col {
             Column::Int64(c) | Column::DateTime(c) => {
@@ -276,14 +271,7 @@ impl ColumnStats {
                 ColumnStats::Numeric(scan_primitive(c.values(), c.validity(), start, end, spec))
             }
             Column::Str(c) => {
-                let codes = c.codes();
-                let mut seen = match c.dict().len() as u64 {
-                    0 => KeyBits::default(),
-                    entries => KeyBits::covering(0, entries - 1),
-                };
-                let valid = for_each_valid(c.validity(), start, end, |i| {
-                    seen.set(codes[i] as u64);
-                });
+                let (seen, valid) = referenced_codes(c, start, end);
                 ColumnStats::Str(StrStats {
                     rows: end - start,
                     null_count: (end - start) - valid,
@@ -306,7 +294,6 @@ impl ColumnStats {
                 if b.hi > a.hi {
                     a.hi = b.hi;
                 }
-                a.smallest.merge(&b.smallest);
                 a.distinct.merge(&b.distinct, a.rows, spec);
             }
             (ColumnStats::Str(a), ColumnStats::Str(b)) => {
@@ -319,9 +306,8 @@ impl ColumnStats {
         }
     }
 
-    /// Finalize into the numbers `ColumnMeta` carries. `col` supplies the
-    /// dtype for key decoding and the dictionary for string values.
-    pub fn finalize(&self, col: &Column, spec: &StatsSpec) -> FinalColumnStats {
+    /// Finalize into the numbers `ColumnMeta` carries.
+    pub fn finalize(&self, spec: &StatsSpec) -> FinalColumnStats {
         match self {
             ColumnStats::Numeric(n) => {
                 let (cardinality, estimated) = match &n.distinct {
@@ -338,46 +324,21 @@ impl ColumnStats {
                         )
                     }
                 };
-                let decode: fn(u64) -> Value = match col.dtype() {
-                    DType::Int64 => |k| Value::Int(decode_i64(k)),
-                    DType::DateTime => |k| Value::DateTime(decode_i64(k)),
-                    DType::Float64 => |k| Value::Float(decode_f64(k)),
-                    DType::Bool => |k| Value::Bool(k == 1),
-                    DType::Str => unreachable!("numeric partial for a string column"),
-                };
-                let unique_values: Vec<Value> =
-                    n.smallest.keys().iter().map(|&k| decode(k)).collect();
                 FinalColumnStats {
                     cardinality,
                     estimated,
-                    unique_complete: !estimated && cardinality <= spec.values_cap,
-                    unique_values,
                     min: (n.lo <= n.hi).then_some(n.lo),
                     max: (n.lo <= n.hi).then_some(n.hi),
                     null_count: n.null_count,
                 }
             }
-            ColumnStats::Str(s) => {
-                let Column::Str(c) = col else {
-                    unreachable!("string partial for a non-string column")
-                };
-                let cardinality = s.seen.count();
-                let unique_values: Vec<Value> = s
-                    .seen
-                    .iter()
-                    .take(spec.values_cap)
-                    .map(|code| Value::Str(c.dict()[code as usize].clone()))
-                    .collect();
-                FinalColumnStats {
-                    cardinality,
-                    estimated: false,
-                    unique_complete: cardinality <= spec.values_cap,
-                    unique_values,
-                    min: None,
-                    max: None,
-                    null_count: s.null_count,
-                }
-            }
+            ColumnStats::Str(s) => FinalColumnStats {
+                cardinality: s.seen.count(),
+                estimated: false,
+                min: None,
+                max: None,
+                null_count: s.null_count,
+            },
         }
     }
 
@@ -422,17 +383,60 @@ impl ColumnStats {
                     DistinctAcc::Exact(set) => set.bytes(),
                     DistinctAcc::Sketch(s) => s.bytes(),
                 };
-                48 + d + n.smallest.bytes()
+                48 + d
             }
             ColumnStats::Str(s) => 32 + s.seen.bytes(),
         }
     }
 }
 
+/// The value list of `col`: the `cap` smallest distinct values of its
+/// valid rows in value order (NaN last, `-0.0` folded into `0.0`), or the
+/// first `cap` dictionary entries they reference. A function of the column
+/// alone, whatever grid, thread count or append merge described it.
+pub fn value_list(col: &Column, cap: usize) -> Vec<Value> {
+    match col {
+        Column::Int64(c) => smallest(c, cap, |k| Value::Int(decode_i64(k))),
+        Column::DateTime(c) => smallest(c, cap, |k| Value::DateTime(decode_i64(k))),
+        Column::Float64(c) => smallest(c, cap, |k| Value::Float(decode_f64(k))),
+        Column::Bool(c) => smallest(c, cap, |k| Value::Bool(k == 1)),
+        Column::Str(c) => (referenced_codes(c, 0, c.len()).0.iter().take(cap))
+            .map(|code| Value::Str(c.dict()[code as usize].clone()))
+            .collect(),
+    }
+}
+
+/// The `cap` smallest distinct keys of `c`'s valid rows, as values. The
+/// 64-row blocks are visited from both ends toward the middle, so a sorted
+/// column, ascending or descending, meets its smallest values in its first
+/// few blocks and rejects the rest against the retained maximum.
+fn smallest<T: ScanValue>(c: &PrimitiveColumn<T>, cap: usize, v: fn(u64) -> Value) -> Vec<Value> {
+    let (values, mut keys) = (c.values(), SmallestKeys::new(cap));
+    let blocks = values.len().div_ceil(64);
+    for i in 0..blocks {
+        let start = 64 * [i / 2, blocks - 1 - i / 2][i % 2];
+        let end = (start + 64).min(values.len());
+        for_each_valid(c.validity(), start, end, |i| keys.offer(values[i].key()));
+    }
+    keys.compact();
+    keys.keys().iter().map(|&k| v(k)).collect()
+}
+
+/// The dictionary codes valid rows of `start..end` reference; valid rows.
+fn referenced_codes(c: &StrColumn, start: usize, end: usize) -> (KeyBits, usize) {
+    let codes = c.codes();
+    let mut seen = match c.dict().len() as u64 {
+        0 => KeyBits::default(),
+        entries => KeyBits::covering(0, entries - 1),
+    };
+    let valid = for_each_valid(c.validity(), start, end, |i| seen.set(codes[i] as u64));
+    (seen, valid)
+}
+
 /// The integer scan: when the chunk's values sit close together the
 /// distinct set is a bitset over `min..=max` — one extremes pass, then one
-/// pass that sets a bit per row — and the smallest K are its first K bits;
-/// otherwise the hashed scan every other dtype runs.
+/// pass that sets a bit per row; otherwise the hashed scan every other
+/// dtype runs.
 fn scan_ints(
     values: &[i64],
     validity: Option<&Bitmap>,
@@ -461,7 +465,6 @@ fn scan_ints(
         null_count: rows - valid,
         lo,
         hi,
-        smallest: SmallestKeys::from_ascending(spec.values_cap, bits.iter()),
         distinct: DistinctAcc::dense(bits, spec),
     }
 }
@@ -483,7 +486,6 @@ fn scan_primitive<T: ScanValue>(
     // The most keys this chunk can hand the exact set before it converts.
     let set = U64Set::with_capacity(rows.min(spec.scan_cap.saturating_add(1)));
     let (mut exact, mut sketch) = (Some(set), None::<CardinalitySketch>);
-    let mut smallest = SmallestKeys::new(spec.values_cap);
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
     let valid = for_each_valid(validity, start, end, |i| {
         values[i].update_minmax(&mut lo, &mut hi);
@@ -492,10 +494,9 @@ fn scan_primitive<T: ScanValue>(
             s.insert_key(key);
         }
         let Some(set) = &mut exact else {
-            return smallest.offer(key);
+            return;
         };
         if set.insert(key) {
-            smallest.offer(key);
             let over = set.len() > spec.scan_cap;
             if sketch.is_none() && tall && (over || set.jumped()) {
                 sketch = Some(sketch_of(set.iter(), spec.precision));
@@ -507,7 +508,6 @@ fn scan_primitive<T: ScanValue>(
     });
     let sketch = || DistinctAcc::Sketch(sketch.expect("a dropped set leaves its sketch"));
     let mut distinct = exact.map_or_else(sketch, DistinctAcc::Exact);
-    smallest.compact();
     if let DistinctAcc::Exact(set) = &mut distinct {
         set.trim();
     }
@@ -517,20 +517,25 @@ fn scan_primitive<T: ScanValue>(
         lo,
         hi,
         distinct,
-        smallest,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metadata::{UniqueValues, UNIQUE_VALUES_CAP};
+    use std::sync::Arc;
 
     fn spec() -> StatsSpec {
         StatsSpec {
             scan_cap: 64,
             precision: 12,
-            values_cap: 8,
         }
+    }
+
+    /// The column's lazy value list, built.
+    fn list(col: &Column) -> Vec<Value> {
+        UniqueValues::new(Arc::new(col.clone())).to_vec()
     }
 
     fn int_col(values: Vec<i64>) -> Column {
@@ -549,13 +554,13 @@ mod tests {
             Some(-0.0),
         ]));
         let s = ColumnStats::scan(&col, 0, col.len(), &spec());
-        let f = s.finalize(&col, &spec());
+        let f = s.finalize(&spec());
         assert_eq!(f.null_count, 1);
         assert_eq!(f.cardinality, 4); // -1, 0 (-0 folded), 3.5, NaN
         assert_eq!((f.min, f.max), (Some(-1.0), Some(3.5)));
-        assert!(f.unique_complete);
-        assert_eq!(f.unique_values.len(), 4);
-        assert_eq!(f.unique_values[0], Value::Float(-1.0));
+        let values = list(&col);
+        assert_eq!(values.len(), 4);
+        assert_eq!(values[0], Value::Float(-1.0));
     }
 
     #[test]
@@ -573,12 +578,13 @@ mod tests {
             for w in boundaries.windows(2) {
                 acc.merge(&ColumnStats::scan(&col, w[0], w[1], &sp), &sp);
             }
-            let (a, b) = (acc.finalize(&col, &sp), whole.finalize(&col, &sp));
+            let (a, b) = (acc.finalize(&sp), whole.finalize(&sp));
             assert_eq!(a.cardinality, b.cardinality, "{boundaries:?}");
             assert_eq!(a.estimated, b.estimated);
-            assert_eq!(a.unique_values, b.unique_values);
             assert_eq!((a.min, a.max, a.null_count), (b.min, b.max, b.null_count));
         }
+        // The value list is the column's, whatever the grid: all 250 keys.
+        assert_eq!(list(&col), (0..250).map(Value::Int).collect::<Vec<_>>());
     }
 
     #[test]
@@ -590,12 +596,12 @@ mod tests {
         let whole = ColumnStats::scan(&col, 0, 500, &sp);
         let mut halves = ColumnStats::scan(&col, 0, 250, &sp);
         halves.merge(&ColumnStats::scan(&col, 250, 500, &sp), &sp);
-        let (a, b) = (whole.finalize(&col, &sp), halves.finalize(&col, &sp));
+        let (a, b) = (whole.finalize(&sp), halves.finalize(&sp));
         assert!(a.estimated && b.estimated);
         assert_eq!(a.cardinality, b.cardinality);
-        assert_eq!(a.unique_values, b.unique_values);
-        assert_eq!(a.unique_values.len(), sp.values_cap);
-        assert_eq!(a.unique_values[0], Value::Int(0));
+        let values = list(&col);
+        assert_eq!(values.len(), UNIQUE_VALUES_CAP);
+        assert_eq!(values[0], Value::Int(0));
     }
 
     #[test]
@@ -610,11 +616,10 @@ mod tests {
         // Parent partial (old, shorter dictionary) + tail partial.
         let mut acc = ColumnStats::scan(&col_a, 0, 3, &sp);
         acc.merge(&ColumnStats::scan(&col, 3, 5, &sp), &sp);
-        let f = acc.finalize(&col, &sp);
+        let f = acc.finalize(&sp);
         assert_eq!(f.cardinality, 3);
         assert_eq!(f.null_count, 1);
-        assert!(f.unique_complete);
-        assert_eq!(f.unique_values[2], Value::str("z"));
+        assert_eq!(list(&col)[2], Value::str("z"));
     }
 
     #[test]
@@ -623,9 +628,8 @@ mod tests {
         let sp = StatsSpec {
             scan_cap: 64,
             precision: 4, // tiny sketch, huge error — the clamp must hold
-            values_cap: 8,
         };
-        let f = ColumnStats::scan(&col, 0, 200, &sp).finalize(&col, &sp);
+        let f = ColumnStats::scan(&col, 0, 200, &sp).finalize(&sp);
         assert!(f.estimated);
         assert!(
             f.cardinality > sp.scan_cap && f.cardinality <= 200,

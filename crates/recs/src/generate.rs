@@ -893,8 +893,11 @@ impl Board {
 
     /// The collector: wait until every slot has settled or the hard cutoff,
     /// `hard` after `dispatch`, has passed, then close the board and fail
-    /// what has not settled as abandoned. Hands back the slots and the
-    /// settler for the pass to close; an abandoned worker delivers nothing.
+    /// what has not settled as abandoned, fencing its governor scope: what
+    /// it charged leaves the admission ledger now, and the pass's charge
+    /// with the pass, not when the worker ends. Hands back the slots and
+    /// the settler for the pass to close; an abandoned worker delivers and
+    /// charges nothing.
     fn collect(&self, dispatch: Instant, hard: Option<Duration>) -> (Vec<Slot>, Option<Settler>) {
         let cutoff = hard.map(|budget| dispatch + budget);
         let mut board = lock_recover(&self.state);
@@ -907,6 +910,7 @@ impl Board {
             let reason = format!("exceeded hard deadline ({budget:?}); worker abandoned");
             for slot in board.slots.iter().filter(|s| s.phase != Phase::Settled) {
                 settler.fail(slot, "abandoned", reason.clone());
+                slot.governor.fence();
             }
         }
         let closed = (std::mem::take(&mut board.slots), board.settler.take());

@@ -8,6 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
+use lux_engine::trace::{names as metric, MetricsRegistry};
 use lux_server::journal::read_spool;
 use lux_server::protocol::crc32;
 use lux_server::Registry;
@@ -193,6 +194,8 @@ proptest! {
         // be quarantined, not served.
         std::fs::create_dir_all(dir.join("frames/t0")).unwrap();
         std::fs::write(dir.join("frames/t0/ghost.1.csv"), "a,b\n1,2\n").unwrap();
+        let quarantines = || MetricsRegistry::global().counter(metric::SERVER_JOURNAL_QUARANTINED);
+        let before = quarantines();
         let (reg, notes) = Registry::recover(&dir).expect("recover never fails");
         for t in 0..3 {
             let tenant = format!("t{t}");
@@ -213,6 +216,8 @@ proptest! {
             prop_assert!(notes.iter().any(|n| n.contains(&file) && n.contains("quarantined")),
                 "quarantine of {} not reported: {:?}", file, notes);
         }
+        // Each quarantined file counts once (other tests only add).
+        prop_assert!(quarantines() >= before + quarantined.len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 
 use lux::prelude::*;
 use lux::recs::ActionStatus;
+use lux_engine::trace::{names, MetricsRegistry};
 use lux_engine::world::World;
 use lux_engine::{clock, Admission, AdmissionConfig, AdmissionController, Priority};
 
@@ -148,9 +149,9 @@ fn deadline_is_measured_in_virtual_time() {
 /// A streaming run with one action hung in a failpoint sleep: the healthy
 /// actions deliver on frozen virtual time, and once the driver advances
 /// past the hard cutoff (four 10 s budgets) the pass closes at once — no
-/// real time waited — with the hung action failed and its admission slot
-/// free. When the abandoned worker's sleep ends it delivers nothing and
-/// the pass's charge leaves the ledger.
+/// real time waited — with the hung action failed, its admission slot
+/// free and the pass's charge off the ledger. When the abandoned worker's
+/// sleep ends it delivers nothing.
 #[test]
 fn the_hard_cutoff_of_an_async_pass_is_on_the_virtual_clock() {
     let world = World::simulated(0);
@@ -175,10 +176,18 @@ fn the_hard_cutoff_of_an_async_pass_is_on_the_virtual_clock() {
     world
         .arm("action.score:Hang", "1*sleep(60000)")
         .expect("arm");
+    let trips = || MetricsRegistry::global().counter(names::FAILPOINT_TRIPS);
+    let asleep = trips() + 1;
     let real = Instant::now();
     let run = ldf.recommendations_streaming();
     for _ in 1..run.expected() {
         run.next_result().expect("a healthy action delivers");
+    }
+    // Pass the cutoff only once `Hang` sleeps in its failpoint: before it
+    // scores, its own 10 s deadline would expire first and fail it.
+    while trips() < asleep {
+        assert!(real.elapsed() < Duration::from_secs(10), "Hang never slept");
+        std::thread::yield_now();
     }
     clock::advance(Duration::from_secs(41));
     let report = run.collect_report();
@@ -195,6 +204,11 @@ fn the_hard_cutoff_of_an_async_pass_is_on_the_virtual_clock() {
     }
     let admission = AdmissionController::global();
     assert_eq!(admission.stats().live_sessions, 0, "the slot is free");
+    assert_eq!(
+        admission.stats().ledger_live,
+        0,
+        "the abandoned action's bytes left the ledger with the pass"
+    );
     clock::advance(Duration::from_secs(20));
     while admission.stats().ledger_live > 0 {
         let left = admission.stats().ledger_live;

@@ -339,3 +339,31 @@ fn client_deadline_caps_every_action_budget() {
         );
     }
 }
+
+/// A pass whose anomaly dump cannot be written is still recorded, and the
+/// failed dump is counted.
+#[test]
+fn a_failed_flight_dump_is_counted_and_the_pass_still_recorded() {
+    use lux::engine::trace::TraceCollector;
+    use lux::engine::{FlightRecorder, PassSummary};
+    // A spool directory removed after it was set: no dump can be written.
+    let spool = std::env::temp_dir().join(format!("lux-flight-gone-{}", std::process::id()));
+    let recorder = FlightRecorder::new(8, 4);
+    recorder.set_spool(&spool);
+    std::fs::remove_dir_all(&spool).expect("spool was created");
+    let collector = TraceCollector::new();
+    let root = collector.begin(None, "print");
+    collector.tag(root, "admission.shed", "all 1 session slots busy");
+    collector.end(root);
+    let trace = collector.snapshot();
+    let summary = PassSummary::from_trace(&trace);
+    let metrics = MetricsRegistry::global();
+    let (recorded, failures) = (
+        metrics.counter(metric::FLIGHT_RECORDED),
+        metrics.counter(metric::FLIGHT_DUMP_FAILURES),
+    );
+    assert!(recorder.record(Arc::new(trace), &summary).is_none());
+    assert!(metrics.counter(metric::FLIGHT_DUMP_FAILURES) > failures);
+    assert!(metrics.counter(metric::FLIGHT_RECORDED) > recorded);
+    assert_eq!(recorder.pinned().len(), 1, "the shed pass is pinned");
+}

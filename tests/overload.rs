@@ -244,6 +244,49 @@ fn streaming_recovers_after_slot_frees() {
     assert_eq!(ctl.stats().live_sessions, 0, "streaming leaked its slot");
 }
 
+/// A tenant's SLO series move with its prints: a served print observes its
+/// latency and its queue wait, a shed one counts a shed.
+#[test]
+fn a_tenants_served_and_shed_prints_move_its_slo_series() {
+    let _serial = admission_lock().lock().unwrap();
+    let metrics = MetricsRegistry::global();
+    let tenant = "slo-probe";
+    let opts = PrintOptions {
+        tenant: Some(tenant.to_string()),
+        ..PrintOptions::default()
+    };
+    let ldf = LuxDataFrame::new(frame(100));
+    {
+        let _roomy = ConfigGuard::install(AdmissionConfig {
+            max_sessions: 8,
+            ..AdmissionConfig::default()
+        });
+        assert!(ldf.print_with(&opts).shed_note().is_none());
+    }
+    let snap = metrics.snapshot();
+    for series in [names::TENANT_PASS_LATENCY, names::TENANT_QUEUE_WAIT] {
+        let served = snap.tenant_histogram(series, tenant).map(|h| h.count);
+        assert_eq!(served, Some(1), "{series}");
+    }
+    assert_eq!(snap.tenant_counter(names::TENANT_SHEDS, tenant), 0);
+
+    let ctl = AdmissionController::global();
+    let _guard = ConfigGuard::install(AdmissionConfig {
+        max_sessions: 1,
+        interactive_deadline: Duration::from_millis(20),
+        ..ctl.config()
+    });
+    let _held = match ctl.admit(Priority::Interactive) {
+        Admission::Granted(p) => p,
+        Admission::Shed(r) => panic!("empty engine shed: {}", r.reason),
+    };
+    assert!(ldf.print_with(&opts).shed_note().is_some());
+    let snap = metrics.snapshot();
+    assert_eq!(snap.tenant_counter(names::TENANT_SHEDS, tenant), 1);
+    let served = snap.tenant_histogram(names::TENANT_PASS_LATENCY, tenant);
+    assert_eq!(served.map(|h| h.count), Some(1), "a shed pass is not timed");
+}
+
 /// Sheds are visible end to end: the widget, its trace root tags, and the
 /// pass-summary footer all carry the reason.
 #[test]

@@ -331,3 +331,26 @@ fn one_million_row_near_unique_frame_prints_within_budget() {
         }
     }
 }
+
+/// A charge the global admission ledger refuses breaches the pass that made
+/// it, and is counted.
+#[test]
+fn a_charge_past_the_ledger_cap_is_refused_and_counted() {
+    use lux::engine::governor::{BudgetHandle, DegradeLevel, ResourceBudget};
+    use lux::engine::GlobalLedger;
+    let ledger = Arc::new(GlobalLedger::new(1_000));
+    let pass = BudgetHandle::governed(
+        ResourceBudget::default(),
+        Arc::clone(&ledger),
+        DegradeLevel::Exact,
+    );
+    let refusals = || MetricsRegistry::global().counter(names::ADMISSION_LEDGER_REFUSALS);
+    let before = refusals();
+    assert!(pass.try_charge(600));
+    assert!(!pass.try_charge(600), "the ledger holds only 1 000 B");
+    assert!(refusals() > before);
+    assert!(pass.breached());
+    assert_eq!((ledger.live(), pass.charged()), (600, 600));
+    drop(pass);
+    assert_eq!(ledger.live(), 0);
+}

@@ -662,7 +662,7 @@ fn dense_tier_engages_exactly_up_to_its_bounds() {
 /// pass are counted in bitsets — `id` ending as the sketch of its keys.
 #[test]
 fn airbnb_keys_are_indexed_and_integer_columns_scan_dense() {
-    use lux::engine::metadata::{UNIQUE_SCAN_CAP, UNIQUE_VALUES_CAP};
+    use lux::engine::metadata::UNIQUE_SCAN_CAP;
     use lux::engine::stats::{sketch::DEFAULT_PRECISION, ColumnStats, StatsSpec};
 
     let df = lux::workloads::airbnb(100_000, 11);
@@ -676,7 +676,6 @@ fn airbnb_keys_are_indexed_and_integer_columns_scan_dense() {
     let spec = StatsSpec {
         scan_cap: UNIQUE_SCAN_CAP,
         precision: DEFAULT_PRECISION,
-        values_cap: UNIQUE_VALUES_CAP,
     };
     let scan = |name: &str| {
         let col = df.column(name).unwrap();

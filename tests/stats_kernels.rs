@@ -9,7 +9,7 @@
 mod common;
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use common::{
@@ -17,13 +17,16 @@ use common::{
     ADVERSARIAL_SCAN_CAP, CHUNK_GRID, THREAD_GRID,
 };
 use lux::engine::governor::{BudgetHandle, ResourceBudget};
-use lux::engine::metadata::{UNIQUE_SCAN_CAP, UNIQUE_VALUES_CAP};
-use lux::engine::stats::kernels::{encode_i64, for_each_valid, ScanValue, SmallestKeys, U64Set};
+use lux::engine::metadata::{UniqueValues, UNIQUE_SCAN_CAP, UNIQUE_VALUES_CAP};
+use lux::engine::stats::kernels::{
+    decode_f64, decode_i64, encode_f64, encode_i64, for_each_valid, ScanValue, SmallestKeys, U64Set,
+};
 use lux::engine::stats::sketch::{mix64, CardinalitySketch, DEFAULT_PRECISION};
 use lux::engine::stats::{ColumnStats, DistinctAcc, NumericStats, StatsSpec};
 use lux::engine::trace::{names, MetricsRegistry};
 use lux::engine::FrameMeta;
 use lux::prelude::*;
+use lux::LuxDataFrame;
 use proptest::prelude::*;
 
 /// Serializes tests that read the process-global [`MetricsRegistry`], so
@@ -58,18 +61,23 @@ fn fold_chunks(col: &Column, bounds: &[usize], spec: &StatsSpec) -> ColumnStats 
     acc.unwrap_or_else(|| ColumnStats::empty(col, spec))
 }
 
-/// Everything `finalize` surfaces, in a directly comparable shape.
+/// The column's lazy value list, built.
+fn lazy_list(col: &Column) -> Vec<Value> {
+    UniqueValues::new(Arc::new(col.clone())).to_vec()
+}
+
+/// Everything `finalize` surfaces, with the column's value list, in a
+/// directly comparable shape.
 fn fingerprint(
     stats: &ColumnStats,
     col: &Column,
     spec: &StatsSpec,
 ) -> impl PartialEq + std::fmt::Debug {
-    let f = stats.finalize(col, spec);
+    let f = stats.finalize(spec);
     (
         f.cardinality,
         f.estimated,
-        f.unique_values.clone(),
-        f.unique_complete,
+        lazy_list(col),
         f.min.map(f64::to_bits),
         f.max.map(f64::to_bits),
         f.null_count,
@@ -148,7 +156,7 @@ proptest! {
         let col = Column::Float64(PrimitiveColumn::from_options(vals));
         // A small cap forces the exact→sketch conversion on wide inputs, at
         // a different chunk for every grouping.
-        let spec = StatsSpec { scan_cap: 16, precision: DEFAULT_PRECISION, values_cap: 8 };
+        let spec = StatsSpec { scan_cap: 16, precision: DEFAULT_PRECISION };
         let clamp = |b: &[usize]| -> Vec<usize> {
             b.iter().map(|&x| x.min(rows)).collect()
         };
@@ -180,7 +188,6 @@ proptest! {
         let spec = StatsSpec {
             scan_cap: ADVERSARIAL_SCAN_CAP,
             precision: DEFAULT_PRECISION,
-            values_cap: 8,
         };
         let bounds: Vec<usize> = bounds.iter().map(|&b| b.min(rows)).collect();
         for (name, col) in dense_int_columns(rows, step, spec.scan_cap) {
@@ -204,12 +211,11 @@ proptest! {
             let mut smallest: Vec<i64> = valid.clone();
             smallest.sort_unstable();
             smallest.dedup();
-            smallest.truncate(spec.values_cap);
+            smallest.truncate(UNIQUE_VALUES_CAP);
             let expected = (
                 cardinality,
                 estimated,
                 smallest.into_iter().map(Value::Int).collect::<Vec<_>>(),
-                !estimated && cardinality <= spec.values_cap,
                 valid.iter().min().map(|&v| (v as f64).to_bits()),
                 valid.iter().max().map(|&v| (v as f64).to_bits()),
                 rows - valid.len(),
@@ -218,12 +224,11 @@ proptest! {
                 ColumnStats::scan(&col, 0, rows, &spec),
                 fold_chunks(&col, &bounds, &spec),
             ] {
-                let f = stats.finalize(&col, &spec);
+                let f = stats.finalize(&spec);
                 let got = (
                     f.cardinality,
                     f.estimated,
-                    f.unique_values.clone(),
-                    f.unique_complete,
+                    lazy_list(&col),
                     f.min.map(f64::to_bits),
                     f.max.map(f64::to_bits),
                     f.null_count,
@@ -242,18 +247,17 @@ proptest! {
         let exact_spec = StatsSpec {
             scan_cap: usize::MAX,
             precision: DEFAULT_PRECISION,
-            values_cap: 8,
         };
-        let sketch_spec = StatsSpec { scan_cap: 8, precision: DEFAULT_PRECISION, values_cap: 8 };
+        let sketch_spec = StatsSpec { scan_cap: 8, precision: DEFAULT_PRECISION };
         for name in df.column_names() {
             let col = df.column(&name).unwrap();
             if matches!(col, Column::Str(_)) {
                 continue; // string stats are exact by construction
             }
             let exact = ColumnStats::scan(col, 0, col.len(), &exact_spec)
-                .finalize(col, &exact_spec);
+                .finalize(&exact_spec);
             let est = ColumnStats::scan(col, 0, col.len(), &sketch_spec)
-                .finalize(col, &sketch_spec);
+                .finalize(&sketch_spec);
             if !est.estimated {
                 prop_assert_eq!(est.cardinality, exact.cardinality, "{}", name);
                 continue;
@@ -278,7 +282,6 @@ fn dense_hashed_and_sketched_partials_fold_alike() {
     let spec = StatsSpec {
         scan_cap: 64,
         precision: DEFAULT_PRECISION,
-        values_cap: 8,
     };
     let rows = 300usize;
     let col = Column::Int64(PrimitiveColumn::from_values(
@@ -436,7 +439,7 @@ proptest! {
     /// orders that separate a buffered accumulator from a sorted-insert one
     /// (ascending rejects everything, descending accepts everything,
     /// sawtooth re-offers retained keys, duplicate-heavy never fills), and
-    /// for `merge` of two accumulators in either order.
+    /// for the same stream offered from any rotation.
     #[test]
     fn smallest_keys_match_btreeset_prefix(
         shape in 0usize..5,
@@ -461,14 +464,11 @@ proptest! {
         let expected = first_k(&keys);
         prop_assert_eq!(smallest_of(&keys, cap).keys(), &expected[..]);
 
+        // The same keys offered from a rotation of the stream.
         let cut = cut.min(keys.len());
-        let (a, b) = (smallest_of(&keys[..cut], cap), smallest_of(&keys[cut..], cap));
-        prop_assert_eq!(a.keys(), &first_k(&keys[..cut])[..]);
-        let (mut ab, mut ba) = (a.clone(), b.clone());
-        ab.merge(&b);
-        ba.merge(&a);
-        prop_assert_eq!(ab.keys(), &expected[..]);
-        prop_assert_eq!(ba.keys(), &expected[..]);
+        prop_assert_eq!(smallest_of(&keys[..cut], cap).keys(), &first_k(&keys[..cut])[..]);
+        let rotated: Vec<u64> = keys[cut..].iter().chain(&keys[..cut]).copied().collect();
+        prop_assert_eq!(smallest_of(&rotated, cap).keys(), &expected[..]);
     }
 }
 
@@ -544,36 +544,31 @@ fn u64set_sizes_itself_from_what_it_has_seen() {
     assert_eq!(small.len(), 9_000, "the hint is not a bound");
 }
 
-/// Release-mode shape check, run by the CI metadata-stress job: the fused
-/// scan must not care which way a column is sorted. A strictly descending
-/// column offers every key to the smallest-K accumulator and an ascending
-/// one none after the first 2K, so this is the accumulator's worst case
-/// against its best (2.1x when `offer` was a sorted insert).
+/// Release-mode shape check, run by the CI metadata-stress job: the value
+/// list's fill must not care which way a column is sorted. A strictly
+/// descending column offers every key to the smallest-K accumulator and an
+/// ascending one none after the first 2K, so this is the accumulator's worst
+/// case against its best.
 #[test]
 #[ignore = "timing shape; run in release via CI metadata-stress or --include-ignored"]
-fn descending_column_scans_as_fast_as_ascending() {
+fn descending_column_fills_its_value_list_as_fast_as_ascending() {
     let rows = 100_000i64;
-    let spec = StatsSpec {
-        scan_cap: UNIQUE_SCAN_CAP,
-        precision: DEFAULT_PRECISION,
-        values_cap: UNIQUE_VALUES_CAP,
-    };
-    let column = |values: Vec<i64>| Column::Int64(PrimitiveColumn::from_values(values));
+    let column = |values: Vec<i64>| Arc::new(Column::Int64(PrimitiveColumn::from_values(values)));
     let (asc, desc) = (
         column((0..rows).collect()),
         column((0..rows).rev().collect()),
     );
-    let scan = |col: &Column| -> Duration {
+    let fill = |col: &Arc<Column>| -> Duration {
         let t = Instant::now();
-        std::hint::black_box(ColumnStats::scan(col, 0, col.len(), &spec));
+        std::hint::black_box(UniqueValues::new(Arc::clone(col)).len());
         t.elapsed()
     };
     // Best of 7, interleaved, so a noisy stretch on a shared runner lands
     // on both sides instead of on one.
     let (mut ascending, mut descending) = (Duration::MAX, Duration::MAX);
     for _ in 0..7 {
-        ascending = ascending.min(scan(&asc));
-        descending = descending.min(scan(&desc));
+        ascending = ascending.min(fill(&asc));
+        descending = descending.min(fill(&desc));
     }
     assert!(
         descending.as_secs_f64() <= 1.5 * ascending.as_secs_f64(),
@@ -584,45 +579,36 @@ fn descending_column_scans_as_fast_as_ascending() {
 /// The hashed scan before the tall-chunk rule, copied as the reference it
 /// must reproduce: the exact set takes every key until it passes the cap,
 /// then converts into the sketch of its keys, and every later row feeds the
-/// sketch (and, its freshness unknowable, the smallest-K).
+/// sketch.
 fn converting_scan<T: ScanValue>(
     values: &[T],
     validity: Option<&Bitmap>,
     spec: &StatsSpec,
 ) -> NumericStats {
     /// `DistinctAcc::insert` as it was: convert on the insert past the cap.
-    fn insert(distinct: &mut DistinctAcc, key: u64, spec: &StatsSpec) -> bool {
+    fn insert(distinct: &mut DistinctAcc, key: u64, spec: &StatsSpec) {
         match distinct {
             DistinctAcc::Exact(set) => {
-                let fresh = set.insert(key);
-                if fresh && set.len() > spec.scan_cap {
+                if set.insert(key) && set.len() > spec.scan_cap {
                     let mut sketch = CardinalitySketch::new(spec.precision);
                     set.iter().for_each(|k| sketch.insert_key(k));
                     *distinct = DistinctAcc::Sketch(sketch);
                 }
-                fresh
             }
-            DistinctAcc::Sketch(s) => {
-                s.insert_key(key);
-                true
-            }
+            DistinctAcc::Sketch(s) => s.insert_key(key),
             DistinctAcc::Dense(_) => unreachable!("a bitset is filled whole by its scan"),
         }
     }
     let rows = values.len();
     let hint = rows.min(spec.scan_cap.saturating_add(1));
     let mut distinct = DistinctAcc::Exact(U64Set::with_capacity(hint));
-    let mut smallest = SmallestKeys::new(spec.values_cap);
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
     let valid = for_each_valid(validity, 0, rows, |i| {
         let v = values[i];
         v.update_minmax(&mut lo, &mut hi);
         let key = v.key();
-        if insert(&mut distinct, key, spec) {
-            smallest.offer(key);
-        }
+        insert(&mut distinct, key, spec);
     });
-    smallest.compact();
     if let DistinctAcc::Exact(set) = &mut distinct {
         set.trim();
     }
@@ -632,11 +618,10 @@ fn converting_scan<T: ScanValue>(
         lo,
         hi,
         distinct,
-        smallest,
     }
 }
 
-/// A partial's registers or exact key set, smallest-K, extremes and counts.
+/// A partial's registers or exact key set, extremes and counts.
 fn partial_shape(n: &NumericStats) -> impl PartialEq + std::fmt::Debug {
     let distinct = match &n.distinct {
         DistinctAcc::Exact(set) => {
@@ -649,7 +634,6 @@ fn partial_shape(n: &NumericStats) -> impl PartialEq + std::fmt::Debug {
     };
     (
         distinct,
-        n.smallest.keys().to_vec(),
         n.lo.to_bits(),
         n.hi.to_bits(),
         n.rows,
@@ -671,7 +655,6 @@ fn tall_chunk_partials_equal_the_converting_scan() {
     let spec = |scan_cap| StatsSpec {
         scan_cap,
         precision: DEFAULT_PRECISION,
-        values_cap: UNIQUE_VALUES_CAP,
     };
     let near_unique = |i: usize| (mix64(i as u64) % 1_000_000_007) as f64 / 1e4;
     let cycling = |distinct: usize| move |i: usize| (i % distinct) as f64 * 0.5 - 7.0;
@@ -746,7 +729,6 @@ fn low_cardinality_tall_column_scans_as_fast_as_the_converting_loop() {
     let spec = StatsSpec {
         scan_cap: UNIQUE_SCAN_CAP,
         precision: DEFAULT_PRECISION,
-        values_cap: UNIQUE_VALUES_CAP,
     };
     let values: Vec<f64> = (0..100_000).map(|i| (i % 30) as f64 * 1.25).collect();
     let col = Column::Float64(PrimitiveColumn::from_values(values.clone()));
@@ -781,9 +763,8 @@ fn sketch_estimate_accurate_at_scale() {
     let spec = StatsSpec {
         scan_cap: 4_096,
         precision: DEFAULT_PRECISION,
-        values_cap: 8,
     };
-    let f = ColumnStats::scan(&col, 0, n, &spec).finalize(&col, &spec);
+    let f = ColumnStats::scan(&col, 0, n, &spec).finalize(&spec);
     assert!(f.estimated);
     let sigma = CardinalitySketch::standard_error(DEFAULT_PRECISION);
     let err = (f.cardinality as f64 - n as f64).abs() / n as f64;
@@ -1063,4 +1044,133 @@ fn append_with_degraded_plan_falls_back_and_stays_correct() {
     let b = pass_output(&m_full, &h_full);
     assert!(!a.2.is_empty(), "budget was not tight enough to degrade");
     assert_eq!(a, b, "degraded append pass diverged from full recompute");
+}
+
+// ---------------------------------------------------------------------
+// Value lists on demand: built on first read, equal to a set oracle
+// ---------------------------------------------------------------------
+
+/// What a column's value list must hold, from a `BTreeSet`: the
+/// `UNIQUE_VALUES_CAP` smallest distinct keys of the valid rows (NaN one
+/// key, `-0.0` folded into `0.0`), or the first `UNIQUE_VALUES_CAP`
+/// dictionary codes a valid row references.
+fn list_oracle(col: &Column) -> Vec<Value> {
+    let valid = (0..col.len()).filter(|&i| !col.value(i).is_null());
+    let smallest = |keys: BTreeSet<u64>, value: fn(u64) -> Value| -> Vec<Value> {
+        keys.into_iter()
+            .take(UNIQUE_VALUES_CAP)
+            .map(value)
+            .collect()
+    };
+    match col {
+        Column::Int64(c) => smallest(valid.map(|i| encode_i64(c.values()[i])).collect(), |k| {
+            Value::Int(decode_i64(k))
+        }),
+        Column::DateTime(c) => smallest(valid.map(|i| encode_i64(c.values()[i])).collect(), |k| {
+            Value::DateTime(decode_i64(k))
+        }),
+        Column::Float64(c) => smallest(valid.map(|i| encode_f64(c.values()[i])).collect(), |k| {
+            Value::Float(decode_f64(k))
+        }),
+        Column::Bool(c) => smallest(valid.map(|i| c.values()[i] as u64).collect(), |k| {
+            Value::Bool(k == 1)
+        }),
+        Column::Str(c) => {
+            let codes: BTreeSet<u32> = valid.map(|i| c.codes()[i]).collect();
+            let entries = codes.into_iter().take(UNIQUE_VALUES_CAP);
+            entries
+                .map(|code| Value::Str(c.dict()[code as usize].clone()))
+                .collect()
+        }
+    }
+}
+
+/// Every column's list in `meta` against the oracle over `df`'s columns.
+fn lists_match_the_oracle(meta: &FrameMeta, df: &DataFrame) {
+    for (i, cm) in meta.columns.iter().enumerate() {
+        prop_assert!(
+            !cm.unique_values.is_built(),
+            "{} built before a read",
+            cm.name
+        );
+        let expected = list_oracle(df.column_at(i));
+        prop_assert_eq!(&cm.unique_values[..], &expected[..], "column {}", &cm.name);
+        prop_assert!(cm.unique_values.is_built());
+        let complete = expected.len() == cm.cardinality && cm.cardinality <= UNIQUE_VALUES_CAP;
+        prop_assert_eq!(cm.unique_complete, complete, "column {}", &cm.name);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The lazy list of every column of the adversarial generator's frames
+    /// (NaN, `-0.0`, nulls, all-null and empty columns, both sides of the
+    /// cap) equals the set oracle, on every chunk grid, and on an appended
+    /// frame whose pass merged its parent's kept partials.
+    #[test]
+    fn lazy_value_lists_match_the_set_oracle(df in adversarial_frame(), cut in 0usize..400) {
+        let overrides = HashMap::new();
+        for chunk_rows in std::iter::once(7).chain(CHUNK_GRID) {
+            let fresh = df.select(&df.column_names().iter().map(|s| s.as_str()).collect::<Vec<_>>())
+                .expect("select");
+            let meta = FrameMeta::compute_with_chunk_rows(
+                &fresh, &overrides, None, None, 2, chunk_rows, &[],
+            );
+            lists_match_the_oracle(&meta, &df);
+        }
+        let cut = cut.min(df.num_rows());
+        let parent = df.head(cut);
+        FrameMeta::compute(&parent, &overrides);
+        let appended = parent.concat(&df.tail(df.num_rows() - cut)).expect("concat");
+        let meta = FrameMeta::compute_with_chunk_rows(
+            &appended, &overrides, None, None, 2, 7, appended.append_lineage().as_slice(),
+        );
+        lists_match_the_oracle(&meta, &appended);
+        lists_match_the_oracle(&FrameMeta::compute(&appended, &overrides), &df);
+    }
+}
+
+/// A print reads a value list only where an intent path needs one: a
+/// no-intent print of `print_wide`'s frame builds none, and an intent on
+/// `price` builds exactly the lists of the columns Filter expands (the
+/// unused nominal and geographic ones of at most `max_filter_expansions`
+/// values).
+#[test]
+fn a_print_builds_only_the_value_lists_it_reads() {
+    let wide = LuxDataFrame::new(lux::workloads::communities(2_000, 11));
+    wide.print();
+    let meta = wide.metadata();
+    assert_eq!(meta.columns.len(), 128);
+    let built: Vec<&str> = (meta.columns.iter())
+        .filter(|c| c.unique_values.is_built())
+        .map(|c| c.name.as_str())
+        .collect();
+    assert!(built.is_empty(), "a no-intent print built {built:?}");
+
+    // Inline actions: no hard cutoff can abandon Filter on a loaded box.
+    let config = LuxConfig {
+        r#async: false,
+        ..LuxConfig::default()
+    };
+    let mut airbnb = LuxDataFrame::with_config(lux::workloads::airbnb(5_000, 11), Arc::new(config));
+    airbnb.set_intent_strs(["price"]).expect("intent");
+    let widget = airbnb.print();
+    assert!(widget.tabs().contains(&"Filter"), "{:?}", widget.tabs());
+    let meta = airbnb.metadata();
+    let cap = LuxConfig::default().max_filter_expansions;
+    let expanded: Vec<&str> = (meta.columns.iter())
+        .filter(|c| {
+            matches!(c.semantic, SemanticType::Nominal | SemanticType::Geographic)
+                && c.name != "price"
+                && (1..=cap).contains(&c.cardinality)
+        })
+        .map(|c| c.name.as_str())
+        .collect();
+    let built: Vec<&str> = (meta.columns.iter())
+        .filter(|c| c.unique_values.is_built())
+        .map(|c| c.name.as_str())
+        .collect();
+    assert!(!expanded.is_empty());
+    assert_eq!(built, expanded);
 }
