@@ -24,8 +24,9 @@ use lux_dataframe::prelude::*;
 use lux_engine::sync::lock_recover;
 use lux_engine::trace::{names as metric, MetricsRegistry, MetricsSnapshot};
 use lux_engine::{
-    failpoint, Admission, AdmissionController, AdmitRequest, FlightRecorder, FrameMeta, LuxConfig,
-    PassSummary, PassTrace, Priority, ResourceBudget, SemanticType, ShedReason,
+    failpoint, Admission, AdmissionController, AdmissionPermit, AdmitRequest, FlightRecorder,
+    FrameMeta, LuxConfig, PassSummary, PassTrace, Priority, ResourceBudget, SemanticType,
+    ShedReason,
 };
 use lux_intent::{Clause, Diagnostic};
 use lux_recs::{ActionHealth, ActionRegistry, ActionResult, Pass, PassCtx, TraceCtx};
@@ -447,31 +448,61 @@ impl LuxDataFrame {
     /// planned action runs alone first, so its result is the first to
     /// arrive. Bypasses the WFLOW memo (results go to the caller, not the
     /// cache).
+    ///
+    /// The run is admitted and budgeted like a print, its metadata scan
+    /// included, at background priority: it waits once behind every
+    /// interactive print, and a shed run carries one failed health entry
+    /// naming the reason.
     pub fn recommendations_streaming(&self) -> lux_recs::StreamingRun {
-        // Background priority: streaming runs yield to interactive prints
-        // and retry with jittered backoff before giving up. The jitter seed
-        // derives from the frame shape so threads=1 runs stay deterministic.
-        let seed = (self.df.num_rows() as u64) << 16 ^ self.df.num_columns() as u64;
-        let permit =
-            match AdmissionController::global().admit_with_retry(Priority::Background, seed) {
-                Admission::Granted(p) => Arc::new(p),
-                Admission::Shed(shed) => {
-                    if let Some(log) = &self.logger {
-                        log.log(
-                            EventKind::ActionFault,
-                            format!("shed: {}", shed.reason),
-                            None,
-                        );
-                    }
-                    return lux_recs::StreamingRun::shed(&shed.reason);
+        let request = AdmitRequest::new(Priority::Background);
+        let (ctx, permit) = match self.admit_pass("recommendations.streaming", request) {
+            Ok(admitted) => admitted,
+            Err(shed) => {
+                if let Some(log) = &self.logger {
+                    let note = format!("shed: {}", shed.reason);
+                    log.log(EventKind::ActionFault, note, None);
                 }
-            };
-        // Each streaming run is its own pass with its own budget; its
-        // collector holds the slot until every action has settled.
-        let ctx = PassCtx::admitted("recommendations.streaming", &permit, &self.config.budget);
-        let mut pass = self.open_pass(&ctx, self.metadata());
-        pass.permit = Some(permit);
+                return lux_recs::StreamingRun::shed(&shed.reason);
+            }
+        };
+        let meta_ctx = ctx.child("metadata");
+        let meta = self.metadata_in(&meta_ctx);
+        meta_ctx.trace.end();
+        // The run's collector holds the slot until every action has settled.
+        let mut pass = self.open_pass(&ctx, meta);
+        pass.permit = Some(Arc::new(permit));
         lux_recs::run_pass(&self.registry, pass)
+    }
+
+    /// The one door into the engine for a pass (DESIGN.md §10). A granted
+    /// pass gets one budget that every allocation-heavy step charges
+    /// (DESIGN.md §8), shaped by the pressure it was granted under and
+    /// mirrored into the process-wide ledger. What queueing left of the
+    /// request's deadline caps every action's time budget.
+    fn admit_pass(
+        &self,
+        name: &str,
+        request: AdmitRequest,
+    ) -> std::result::Result<(PassCtx, AdmissionPermit), ShedReason> {
+        let deadline = request.deadline;
+        let permit = match AdmissionController::global().admit_request(request) {
+            Admission::Granted(p) => p,
+            Admission::Shed(shed) => return Err(shed),
+        };
+        let ctx = PassCtx {
+            deadline: deadline.map(|d| d.saturating_sub(permit.waited())),
+            ..PassCtx::admitted(name, &permit, &self.config.budget)
+        };
+        let root = &ctx.trace;
+        root.tag("admission.wait_ms", permit.waited().as_millis().to_string());
+        root.tag("admission.pressure", permit.pressure().name());
+        if let Some(rem) = ctx.deadline {
+            root.tag("deadline.remaining_ms", rem.as_millis().to_string());
+        }
+        if let Some(tenant) = permit.tenant() {
+            root.tag("admission.tenant", tenant.to_string());
+        }
+        Ok((ctx, permit))
     }
 
     /// The full span tree of the most recent [`LuxDataFrame::print`] on this
@@ -506,51 +537,17 @@ impl LuxDataFrame {
     /// a tenant label charged against the per-tenant admission quota.
     pub fn print_with(&self, opts: &PrintOptions) -> Widget {
         let start = lux_engine::clock::now();
-        // Admission first: under overload the pass is shed to a well-formed
-        // "engine busy" widget instead of piling more work onto a saturated
-        // process (DESIGN.md §10). Interactive priority — prints jump the
-        // queue ahead of background streaming runs.
+        // Under overload the pass is shed to a well-formed "engine busy"
+        // widget instead of piling more work onto a saturated process.
+        // Interactive priority: prints jump the queue ahead of streaming runs.
         let request = AdmitRequest::new(Priority::Interactive)
             .with_deadline(opts.deadline)
             .with_tenant(opts.tenant.clone());
-        let permit = match AdmissionController::global().admit_request(request) {
-            Admission::Granted(p) => p,
-            Admission::Shed(shed) => return self.print_shed(start, shed, opts),
-        };
-        // What is left of the client deadline after queueing caps every
-        // action's time budget in this pass: a pass admitted with 200ms
-        // remaining must not run the configured 2s per action, nor scale a
-        // heavy action's budget past 200ms. An exhausted deadline sheds
-        // before any compute.
-        let remaining = opts.deadline.map(|d| d.saturating_sub(permit.waited()));
-        if remaining.is_some_and(|rem| rem < std::time::Duration::from_millis(1)) {
-            drop(permit);
-            MetricsRegistry::global().incr(metric::ADMISSION_SHEDS);
-            let shed = ShedReason {
-                reason: "deadline exhausted while waiting for a slot".to_string(),
-                priority: Priority::Interactive,
-            };
-            return self.print_shed(start, shed, opts);
-        }
-        // One budget per pass: every allocation-heavy step below (metadata
-        // scans, candidate enumeration, group-by/bin processing) charges
-        // this handle and degrades along the ladder instead of exhausting
-        // memory (DESIGN.md §8). Under admission pressure the budget is
-        // shaped down (shed ladder) and every charge is mirrored into the
-        // process-wide ledger.
-        let ctx = PassCtx {
-            deadline: remaining,
-            ..PassCtx::admitted("print", &permit, &self.config.budget)
+        let (ctx, permit) = match self.admit_pass("print", request) {
+            Ok(admitted) => admitted,
+            Err(shed) => return self.print_shed(start, shed, opts),
         };
         let (root, governor) = (&ctx.trace, &ctx.governor);
-        root.tag("admission.wait_ms", permit.waited().as_millis().to_string());
-        root.tag("admission.pressure", permit.pressure().name());
-        if let Some(rem) = remaining {
-            root.tag("deadline.remaining_ms", rem.as_millis().to_string());
-        }
-        if let Some(tenant) = permit.tenant() {
-            root.tag("admission.tenant", tenant.to_string());
-        }
         self.tag_request_context(root, opts);
         let table = root.time("table", || self.df.to_table_string(10));
         // Metadata first (and traced), once: the validate/compile/action

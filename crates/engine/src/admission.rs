@@ -18,9 +18,10 @@
 //!   outright with a well-formed "engine busy" notice ([`Admission::Shed`])
 //!   — never a panic and never an unbounded wait.
 //!
-//! Background passes that get a transient refusal retry with jittered
-//! exponential [`Backoff`] instead of competing with interactive work.
-//! Every decision is accounted in `lux.admission.*` metrics.
+//! [`AdmissionController::admit_request`] is the one door: every grant and
+//! every shed is decided there, in one queue where background passes wait
+//! once behind interactive ones. Every decision is accounted in
+//! `lux.admission.*` metrics and in [`AdmissionController::stats`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,17 +51,11 @@ pub struct AdmissionConfig {
     /// How long an interactive pass may wait for a slot before it is shed
     /// (`LUX_ADMIT_TIMEOUT_MS`).
     pub interactive_deadline: Duration,
-    /// How long one background admission attempt may wait for a slot.
+    /// How long a background pass may wait for a slot before it is shed.
     pub background_deadline: Duration,
     /// Waiting passes beyond which new arrivals are shed immediately
     /// instead of queueing (bounds the queue itself).
     pub max_queue: usize,
-    /// First backoff delay for background retries.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_max: Duration,
-    /// Re-admission attempts a background pass makes before giving up.
-    pub max_retries: u32,
     /// Concurrent passes one *tenant* may hold at once; follows
     /// `max_sessions` unless set programmatically. Tenants are named by the
     /// serving layer; tenant-less passes (the REPL, library callers) are
@@ -75,11 +70,8 @@ impl Default for AdmissionConfig {
             max_sessions: (2 * cores).max(4),
             max_global_bytes: 1 << 30, // 1 GiB across all live passes
             interactive_deadline: Duration::from_millis(2_000),
-            background_deadline: Duration::from_millis(100),
+            background_deadline: Duration::from_millis(750),
             max_queue: (8 * cores).max(32),
-            backoff_base: Duration::from_millis(5),
-            backoff_max: Duration::from_millis(200),
-            max_retries: 5,
             tenant_max_sessions: (2 * cores).max(4),
         }
     }
@@ -192,56 +184,6 @@ impl GlobalLedger {
 }
 
 // ---------------------------------------------------------------------
-// Jittered exponential backoff
-// ---------------------------------------------------------------------
-
-/// Deterministic jittered exponential backoff: delay `n` is
-/// `base · 2ⁿ` capped at `max`, scaled by a jitter factor in `[0.5, 1.0)`
-/// derived from a splitmix64 stream seeded by the caller. Seeding keeps
-/// retry schedules reproducible in tests while still decorrelating
-/// concurrent sessions (each seeds with its own identity).
-#[derive(Debug)]
-pub struct Backoff {
-    base: Duration,
-    max: Duration,
-    attempt: u32,
-    state: u64,
-}
-
-impl Backoff {
-    pub fn new(base: Duration, max: Duration, seed: u64) -> Backoff {
-        Backoff {
-            base,
-            max,
-            attempt: 0,
-            state: seed ^ 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        // splitmix64 — the same generator the sampling layer and the
-        // seedable rng module use.
-        crate::rng::splitmix64(&mut self.state)
-    }
-
-    /// The next delay in the schedule (advances the attempt counter).
-    pub fn next_delay(&mut self) -> Duration {
-        let exp = self
-            .base
-            .saturating_mul(1u32 << self.attempt.min(16))
-            .min(self.max);
-        self.attempt = self.attempt.saturating_add(1);
-        let jitter = 0.5 + (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64 / 2.0;
-        Duration::from_nanos((exp.as_nanos() as f64 * jitter) as u64)
-    }
-
-    /// Attempts taken so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-}
-
-// ---------------------------------------------------------------------
 // Admission controller
 // ---------------------------------------------------------------------
 
@@ -252,8 +194,8 @@ impl Backoff {
 pub enum Priority {
     /// A user is watching (the `print` path).
     Interactive,
-    /// Streaming/background recomputation; sheds early and retries with
-    /// backoff instead of queueing against interactive work.
+    /// Streaming/background recomputation: waits once, behind every
+    /// interactive waiter, for [`AdmissionConfig::background_deadline`].
     Background,
 }
 
@@ -299,8 +241,8 @@ pub struct ShedReason {
 pub enum Admission {
     /// A slot was granted; holds it until the permit drops.
     Granted(AdmissionPermit),
-    /// The pass was shed; render a busy notice (interactive) or give up
-    /// after retries (background). Never panic, never hang.
+    /// The pass was shed; render a busy notice (interactive) or a failed
+    /// health entry (background). Never panic, never hang.
     Shed(ShedReason),
 }
 
@@ -312,7 +254,8 @@ pub enum Admission {
 #[derive(Debug, Clone)]
 pub struct AdmitRequest {
     pub priority: Priority,
-    /// How long this request may wait for a slot; `None` uses the
+    /// The request's own end-to-end deadline: it bounds the wait, and one
+    /// that queueing leaves under 1 ms sheds. `None` waits for the
     /// priority's configured deadline.
     pub deadline: Option<Duration>,
     /// Tenant this pass is accounted to; `None` passes are un-quota'd.
@@ -372,7 +315,6 @@ pub struct AdmissionStats {
     pub admits: u64,
     pub queue_waits: u64,
     pub sheds: u64,
-    pub retries: u64,
     pub ledger_live: u64,
     pub ledger_peak: u64,
     pub ledger_cap: u64,
@@ -393,8 +335,8 @@ impl AdmissionStats {
         );
         let _ = writeln!(
             out,
-            "  admits {} (waited {}), sheds {}, retries {}",
-            self.admits, self.queue_waits, self.sheds, self.retries
+            "  admits {} (waited {}), sheds {}",
+            self.admits, self.queue_waits, self.sheds
         );
         let _ = writeln!(
             out,
@@ -525,6 +467,13 @@ impl AdmissionController {
                 st.tenant_active.get(t).copied().unwrap_or(0) < tenant_cap
             });
             if st.active < slots && eligible && tenant_ok {
+                let wait = clock::elapsed(start);
+                let left = req.deadline.map(|d| d.saturating_sub(wait));
+                if left.is_some_and(|l| l < Duration::from_millis(1)) {
+                    drop(st);
+                    let reason = "deadline exhausted while waiting for a slot";
+                    return self.shed(priority, reason.to_string());
+                }
                 st.active += 1;
                 st.admits += 1;
                 if let Some(tenant) = &req.tenant {
@@ -534,7 +483,6 @@ impl AdmissionController {
                     st.queue_waits += 1;
                 }
                 metrics.incr(names::ADMISSION_ADMITS);
-                let wait = clock::elapsed(start);
                 metrics.observe(names::ADMISSION_WAIT, wait);
                 let pressure = self.pressure_locked(&st, slots);
                 drop(st);
@@ -558,16 +506,16 @@ impl AdmissionController {
                     );
                 }
             }
-            let Some(remaining) = deadline.checked_sub(clock::elapsed(start)) else {
+            // A waiter sheds the moment its whole deadline has passed.
+            let remaining = deadline.saturating_sub(clock::elapsed(start));
+            if remaining.is_zero() {
                 drop(st);
+                let ms = deadline.as_millis();
                 return self.shed(
                     priority,
-                    format!(
-                        "no slot within {}ms ({slots} slots busy)",
-                        deadline.as_millis()
-                    ),
+                    format!("no slot within {ms}ms ({slots} slots busy)"),
                 );
-            };
+            }
             waited = true;
             match priority {
                 Priority::Interactive => st.waiting_interactive += 1,
@@ -581,41 +529,6 @@ impl AdmissionController {
             match priority {
                 Priority::Interactive => st.waiting_interactive -= 1,
                 Priority::Background => st.waiting_background -= 1,
-            }
-        }
-    }
-
-    /// [`Self::admit`] plus the background retry protocol: on a transient
-    /// refusal, retry up to `max_retries` times with jittered exponential
-    /// backoff (seeded by `seed` for reproducible schedules).
-    pub fn admit_with_retry(&self, priority: Priority, seed: u64) -> Admission {
-        let cfg = self.config();
-        // When a sim world seed is installed, the retry schedule derives
-        // from it instead of the caller's ambient identity so replays of
-        // a failing seed are byte-for-byte exact.
-        let seed = if crate::rng::installed().is_some() {
-            crate::rng::derive("admission.backoff")
-        } else {
-            seed
-        };
-        let mut backoff = Backoff::new(cfg.backoff_base, cfg.backoff_max, seed);
-        loop {
-            match self.admit(priority) {
-                Admission::Granted(p) => return Admission::Granted(p),
-                Admission::Shed(r) => {
-                    if backoff.attempts() >= cfg.max_retries {
-                        return Admission::Shed(ShedReason {
-                            reason: format!(
-                                "{} (gave up after {} retries)",
-                                r.reason,
-                                backoff.attempts()
-                            ),
-                            ..r
-                        });
-                    }
-                    MetricsRegistry::global().incr(names::ADMISSION_RETRIES);
-                    clock::sleep(backoff.next_delay());
-                }
             }
         }
     }
@@ -644,7 +557,6 @@ impl AdmissionController {
 
     /// Point-in-time state for the REPL.
     pub fn stats(&self) -> AdmissionStats {
-        let metrics = MetricsRegistry::global();
         let st = lock_recover(&self.inner.state);
         let cfg = self.config();
         AdmissionStats {
@@ -654,7 +566,6 @@ impl AdmissionController {
             admits: st.admits,
             queue_waits: st.queue_waits,
             sheds: st.sheds,
-            retries: metrics.counter(names::ADMISSION_RETRIES),
             ledger_live: self.inner.ledger.live(),
             ledger_peak: self.inner.ledger.peak(),
             ledger_cap: self.inner.ledger.cap(),
@@ -762,9 +673,6 @@ mod tests {
             interactive_deadline: Duration::from_millis(50),
             background_deadline: Duration::from_millis(10),
             max_queue: 4,
-            backoff_base: Duration::from_millis(1),
-            backoff_max: Duration::from_millis(4),
-            max_retries: 2,
             tenant_max_sessions: 1,
         })
     }
@@ -842,40 +750,6 @@ mod tests {
         assert_eq!(l.live(), 0);
         assert!(l.try_charge(1_000));
         assert_eq!(l.peak(), 1_000);
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        let delays: Vec<Duration> = {
-            let mut b = Backoff::new(Duration::from_millis(5), Duration::from_millis(200), 42);
-            (0..8).map(|_| b.next_delay()).collect()
-        };
-        let again: Vec<Duration> = {
-            let mut b = Backoff::new(Duration::from_millis(5), Duration::from_millis(200), 42);
-            (0..8).map(|_| b.next_delay()).collect()
-        };
-        assert_eq!(delays, again, "same seed, same schedule");
-        for d in &delays {
-            assert!(*d <= Duration::from_millis(200));
-            assert!(*d >= Duration::from_micros(2_500), "jitter floor is 0.5x");
-        }
-        // Different seeds decorrelate.
-        let mut b = Backoff::new(Duration::from_millis(5), Duration::from_millis(200), 43);
-        let other: Vec<Duration> = (0..8).map(|_| b.next_delay()).collect();
-        assert_ne!(delays, other);
-    }
-
-    #[test]
-    fn retry_exhaustion_reports_attempts() {
-        let c = tiny(1);
-        let _held = match c.admit(Priority::Background) {
-            Admission::Granted(p) => p,
-            Admission::Shed(r) => panic!("{}", r.reason),
-        };
-        match c.admit_with_retry(Priority::Background, 7) {
-            Admission::Granted(_) => panic!("slot is held"),
-            Admission::Shed(r) => assert!(r.reason.contains("gave up"), "{}", r.reason),
-        }
     }
 
     #[test]
@@ -965,43 +839,5 @@ mod tests {
         drop(p);
         assert_eq!(c.stats().live_sessions, 0);
         assert!(s.render_text().contains("admission:"));
-    }
-
-    /// The jitter schedule is a pure function of the seed (DESIGN.md §15:
-    /// deterministic-capable backoff). These literals pin the splitmix64
-    /// sequence — any change to the generator or the jitter window breaks
-    /// seed replay across releases and must be deliberate.
-    #[test]
-    fn backoff_jitter_sequence_is_pinned_for_a_fixed_seed() {
-        let mut b = Backoff::new(Duration::from_millis(10), Duration::from_millis(500), 42);
-        let expected_nanos: [u64; 6] = [
-            5_799_551,
-            12_786_011,
-            26_883_814,
-            41_521_206,
-            149_458_246,
-            194_944_830,
-        ];
-        for (i, want) in expected_nanos.iter().enumerate() {
-            let got = b.next_delay().as_nanos() as u64;
-            assert_eq!(got, *want, "attempt {i} drifted from the pinned schedule");
-        }
-        assert_eq!(b.attempts(), 6);
-
-        // Same seed → byte-identical schedule; different seed → different
-        // jitter (same exponential envelope).
-        let mut again = Backoff::new(Duration::from_millis(10), Duration::from_millis(500), 42);
-        let mut other = Backoff::new(Duration::from_millis(10), Duration::from_millis(500), 43);
-        let replay: Vec<u64> = (0..6)
-            .map(|_| again.next_delay().as_nanos() as u64)
-            .collect();
-        let diverged: Vec<u64> = (0..6)
-            .map(|_| other.next_delay().as_nanos() as u64)
-            .collect();
-        assert_eq!(replay, expected_nanos.to_vec());
-        assert_ne!(diverged, expected_nanos.to_vec());
-        // Jitter stays inside the [0.5, 1.0] window of the exponential
-        // envelope: first step of base=10ms lands in [5ms, 10ms].
-        assert!((5_000_000..=10_000_000).contains(&diverged[0]));
     }
 }

@@ -41,7 +41,7 @@ pub mod world;
 
 pub use admission::{
     Admission, AdmissionConfig, AdmissionController, AdmissionPermit, AdmissionStats, AdmitRequest,
-    Backoff, GlobalLedger, PressureLevel, Priority, ShedReason,
+    GlobalLedger, PressureLevel, Priority, ShedReason,
 };
 pub use config::{LuxConfig, DEFAULT_SAMPLE_CAP};
 pub use flight::{FlightEntry, FlightRecorder};

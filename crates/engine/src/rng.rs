@@ -1,7 +1,7 @@
 //! Seedable process-wide randomness (DESIGN.md §15).
 //!
-//! Product code that needs "a little randomness" — backoff jitter,
-//! reconnect jitter, request tokens, sketch salts — must derive it from
+//! Product code that needs "a little randomness" — reconnect jitter,
+//! request tokens, sketch salts — must derive it from
 //! this module instead of hashing `SystemTime::now()` ad hoc
 //! (`scripts/check.sh` enforces this with a drift lint).  In normal
 //! operation [`derive`] mixes ambient entropy (wall clock, pid, a
@@ -11,10 +11,8 @@
 //! so a failing sim seed replays byte-for-byte.
 //!
 //! [`SeededRng`] is the shared splitmix64 stream type used by callers
-//! that want a local generator (the admission [`Backoff`] and the
-//! server client already use the same constants).
-//!
-//! [`Backoff`]: crate::admission::Backoff
+//! that want a local generator (the in-memory transport's fault plan and
+//! the simulator's input generator).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,7 +36,7 @@ fn world() -> MutexGuard<'static, Option<WorldSeed>> {
     crate::sync::lock_recover(&WORLD)
 }
 
-/// splitmix64 step — the same mixer `admission::Backoff` uses.
+/// splitmix64 step — the mixer behind [`derive`] and [`SeededRng`].
 #[inline]
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -415,9 +415,6 @@ pub mod names {
     pub const ADMISSION_ADMITS: &str = "lux.admission.admits";
     /// Counter: passes shed (refused) by the admission controller.
     pub const ADMISSION_SHEDS: &str = "lux.admission.sheds";
-    /// Counter: background/streaming re-admission attempts after a
-    /// transient refusal (jittered-backoff retries).
-    pub const ADMISSION_RETRIES: &str = "lux.admission.retries";
     /// Counter: per-pass charges the global ledger refused at the cap.
     pub const ADMISSION_LEDGER_REFUSALS: &str = "lux.admission.ledger_refusals";
     /// Counter: pool workers respawned after a panic escaped the task guard.

@@ -84,6 +84,20 @@ if [ -n "$records" ]; then
 fi
 echo "ok: finished passes are observed only in crates/core/src/luxframe.rs"
 
+echo "== one-door lint (admit_request( / .admit( outside core/luxframe.rs)"
+# Admission has one door (DESIGN.md §10): every pass, printed or streamed,
+# is admitted by LuxDataFrame's one helper, which opens the admitted pass's
+# budget and deadline. A call anywhere else in product code is a second
+# door that can skip the shaped budget, the ledger or the deadline shed.
+admits=$(find crates/*/src -name '*.rs' ! -path 'crates/core/src/luxframe.rs' ! -path 'crates/engine/src/admission.rs' \
+    -exec awk "$MARK_TESTS"' !t && /admit_request\(|\.admit\(/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ -n "$admits" ]; then
+    echo "$admits"
+    echo "error: a pass is admitted only in crates/core/src/luxframe.rs — open it through LuxDataFrame"
+    exit 1
+fi
+echo "ok: passes are admitted only in crates/core/src/luxframe.rs"
+
 echo "== budget-charge lint (try_charge( outside the planning steps)"
 # A pass's bytes are charged before anything is allocated, by the steps that
 # plan it (DESIGN.md §8): the metadata pass's column plan, each action's

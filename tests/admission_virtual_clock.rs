@@ -1,7 +1,8 @@
 //! Admission under the virtual clock (DESIGN.md §15): the condvar
 //! priority queue must not lose a wakeup when a waiter's deadline
 //! expires in the same virtual tick as a slot free — the interleaving
-//! the real-time overload test cannot pin. The ASYNC pass an admitted
+//! the real-time overload test cannot pin. A background stream waits in
+//! that queue once, for exactly its deadline. The ASYNC pass an admitted
 //! streaming run holds its slot for waits on the same clock, so its hard
 //! cutoff is the driver's to pass.
 //!
@@ -17,7 +18,9 @@ use lux::prelude::*;
 use lux::recs::ActionStatus;
 use lux_engine::trace::{names, MetricsRegistry};
 use lux_engine::world::World;
-use lux_engine::{clock, Admission, AdmissionConfig, AdmissionController, Priority};
+use lux_engine::{
+    clock, Admission, AdmissionConfig, AdmissionController, Priority, ResourceBudget,
+};
 
 fn one_slot() -> AdmissionConfig {
     AdmissionConfig {
@@ -25,7 +28,6 @@ fn one_slot() -> AdmissionConfig {
         interactive_deadline: Duration::from_millis(50),
         background_deadline: Duration::from_millis(50),
         max_queue: 4,
-        max_retries: 0,
         ..AdmissionConfig::default()
     }
 }
@@ -218,4 +220,103 @@ fn the_hard_cutoff_of_an_async_pass_is_on_the_virtual_clock() {
         );
         std::thread::yield_now();
     }
+}
+
+/// With every slot held, a streaming run waits in the queue once and sheds
+/// when exactly `background_deadline` of virtual time has passed — not a
+/// tick sooner, and with no second attempt after it. Its report carries
+/// one failed health entry naming the reason.
+#[test]
+fn a_background_stream_sheds_after_exactly_its_deadline() {
+    let _world = World::simulated(0);
+    let ctl = AdmissionController::global();
+    let deadline = ctl.config().background_deadline;
+    let held: Vec<_> = (0..ctl.config().max_sessions)
+        .map(|_| match ctl.admit(Priority::Interactive) {
+            Admission::Granted(p) => p,
+            Admission::Shed(r) => panic!("idle controller shed: {}", r.reason),
+        })
+        .collect();
+    let sheds = ctl.stats().sheds;
+    let (tx, rx) = mpsc::channel();
+    let h = std::thread::spawn(move || {
+        let df = DataFrameBuilder::new()
+            .float("price", (0..200).map(|i| (i % 17) as f64))
+            .str("kind", (0..200).map(|i| ["a", "b", "c"][i % 3]))
+            .build()
+            .expect("frame");
+        let _ = tx.send(LuxDataFrame::new(df).recommendations_streaming());
+    });
+    wait_for_queue(ctl);
+    let queued = clock::now();
+    clock::advance(deadline - Duration::from_millis(1));
+    assert!(
+        rx.recv_timeout(Duration::from_millis(200)).is_err(),
+        "the stream shed before its deadline"
+    );
+    clock::advance(Duration::from_millis(1));
+    let run = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the stream sheds once its deadline has passed");
+    h.join().expect("stream thread");
+    assert_eq!(clock::elapsed(queued), deadline);
+    assert_eq!(ctl.stats().sheds, sheds + 1, "one wait, one shed");
+    assert_eq!(run.expected(), 0, "a shed stream dispatched actions");
+    let report = run.collect_report();
+    assert!(report.results.is_empty());
+    let problem = report
+        .health
+        .iter()
+        .find(|h| !h.status.is_ok())
+        .expect("a shed run carries a health entry")
+        .to_string();
+    let reason = format!("no slot within {}ms", deadline.as_millis());
+    assert!(
+        problem.contains("shed by admission control") && problem.contains(&reason),
+        "{problem}"
+    );
+    drop(held);
+    assert_eq!(ctl.stats().live_sessions, 0);
+}
+
+/// A streaming run's metadata scan charges the run's admitted budget, as a
+/// print's does: under a budget too small for an exact distinct set, the
+/// cold scan of a near-unique column degrades to a sketch estimate (an
+/// unbudgeted scan would count it exactly). The pass's whole charge still
+/// leaves the ledger by the time `collect_report` returns.
+#[test]
+fn a_streaming_run_charges_its_metadata_scan_to_its_budget() {
+    let _world = World::simulated(0);
+    let n = 10_000;
+    let df = DataFrameBuilder::new()
+        .float("price", (0..n).map(|i| i as f64 * 0.25))
+        .str("kind", (0..n).map(|i| ["a", "b", "c"][i % 3]))
+        .build()
+        .expect("frame");
+    let config = LuxConfig {
+        budget: ResourceBudget {
+            max_bytes: 64 << 10,
+            ..ResourceBudget::default()
+        },
+        ..LuxConfig::default()
+    };
+    let ldf = LuxDataFrame::with_config(df, Arc::new(config));
+    let run = ldf.recommendations_streaming();
+    assert!(run.expected() > 0, "an idle engine shed the stream");
+    run.collect_report();
+    let admission = AdmissionController::global();
+    assert_eq!(admission.stats().live_sessions, 0, "the slot is free");
+    assert_eq!(
+        admission.stats().ledger_live,
+        0,
+        "the pass's charge left the ledger with the pass"
+    );
+    // The stream computed the frame's metadata; this read is its memo.
+    let meta = ldf.metadata();
+    let price = meta.column("price").expect("price column");
+    assert!(
+        price.cardinality_estimated,
+        "the stream's metadata scan ran outside its {} B budget",
+        64 << 10
+    );
 }

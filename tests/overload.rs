@@ -174,47 +174,35 @@ fn idle_engine_passes_are_unchanged() {
     assert_eq!(ctl.stats().live_sessions, 0);
 }
 
-/// Background streaming yields to a saturated engine: it retries with
-/// backoff (counted in `lux.admission.retries`), then gives up with a
-/// well-formed shed run whose health entry names the reason — the caller
-/// never panics and never hangs.
+/// A print whose deadline is already spent is shed by the controller, not
+/// granted a slot and dropped: one shed and no admit, in the metrics and in
+/// `stats()` alike, so admits + sheds still equals prints.
 #[test]
-fn background_streaming_retries_then_sheds_when_saturated() {
+fn a_spent_deadline_is_one_controller_shed() {
     let _serial = admission_lock().lock().unwrap();
     let ctl = AdmissionController::global();
     let _guard = ConfigGuard::install(AdmissionConfig {
-        max_sessions: 1,
-        background_deadline: Duration::from_millis(5),
-        backoff_base: Duration::from_millis(1),
-        backoff_max: Duration::from_millis(4),
-        max_retries: 3,
-        ..ctl.config()
+        max_sessions: 8,
+        ..AdmissionConfig::default()
     });
-    let _held = match ctl.admit(Priority::Interactive) {
-        Admission::Granted(p) => p,
-        Admission::Shed(r) => panic!("empty engine shed: {}", r.reason),
-    };
     let metrics = MetricsRegistry::global();
-    let retries0 = metrics.counter(names::ADMISSION_RETRIES);
-
-    let ldf = LuxDataFrame::new(frame(200));
-    let run = ldf.recommendations_streaming();
-    assert_eq!(run.expected(), 0, "saturated engine dispatched actions");
-    let report = run.collect_report();
-    assert!(report.results.is_empty());
-    let problem = report
-        .health
-        .iter()
-        .find(|h| !h.status.is_ok())
-        .expect("shed run must carry a health entry");
-    assert!(
-        problem.to_string().contains("shed by admission control"),
-        "{problem}"
+    let admits0 = metrics.counter(names::ADMISSION_ADMITS);
+    let sheds0 = metrics.counter(names::ADMISSION_SHEDS);
+    let stats0 = ctl.stats();
+    let opts = PrintOptions::default().with_deadline(Some(Duration::ZERO));
+    let widget = LuxDataFrame::new(frame(100)).print_with(&opts);
+    let note = widget.shed_note().expect("a spent deadline sheds");
+    assert!(note.contains("deadline exhausted"), "{note}");
+    assert_eq!(metrics.counter(names::ADMISSION_SHEDS) - sheds0, 1);
+    assert_eq!(metrics.counter(names::ADMISSION_ADMITS) - admits0, 0);
+    let stats = ctl.stats();
+    assert_eq!(
+        stats.sheds - stats0.sheds,
+        1,
+        "stats() disagrees with the metric"
     );
-    assert!(
-        metrics.counter(names::ADMISSION_RETRIES) >= retries0 + 3,
-        "background shed without retrying"
-    );
+    assert_eq!(stats.admits, stats0.admits, "stats() counted an admit");
+    assert_eq!(stats.live_sessions, 0);
 }
 
 /// A freed slot immediately revives streaming: the same call that shed
