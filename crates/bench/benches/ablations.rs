@@ -38,8 +38,8 @@ fn ablation_wflow(c: &mut Criterion) {
     g.finish();
 }
 
-/// A standalone pass: no intent, detached, with an empty sample slot of its
-/// own (so a pruned pass draws a cold sample).
+/// A standalone pass: no intent, detached. The PRUNE sample is kept on the
+/// frame, so a pass over a fresh identity of it draws a cold one.
 fn pass_over(df: &Arc<DataFrame>, meta: &Arc<FrameMeta>, config: &Arc<LuxConfig>) -> Pass {
     let ctx = PassCtx::detached("pass", config.budget.clone());
     Pass::open(
@@ -47,7 +47,6 @@ fn pass_over(df: &Arc<DataFrame>, meta: &Arc<FrameMeta>, config: &Arc<LuxConfig>
         Arc::clone(meta),
         &[],
         Arc::clone(config),
-        Arc::default(),
         ctx,
     )
 }
@@ -55,8 +54,9 @@ fn pass_over(df: &Arc<DataFrame>, meta: &Arc<FrameMeta>, config: &Arc<LuxConfig>
 /// PRUNE ablation: the Correlation action on a wide frame, exact vs sampled
 /// two-pass (drawing its 1k-row sample afresh each iteration).
 fn ablation_prune(c: &mut Criterion) {
-    let df = Arc::new(communities(10_000, 2));
+    let df = communities(10_000, 2);
     let meta = Arc::new(FrameMeta::compute(&df, &HashMap::new()));
+    let columns: Vec<&str> = df.column_names().iter().map(String::as_str).collect();
     let mut g = c.benchmark_group("ablation_prune");
     g.sample_size(10);
     for (name, prune) in [("exact", false), ("pruned_1k_sample", true)] {
@@ -71,8 +71,11 @@ fn ablation_prune(c: &mut Criterion) {
                     ..LuxConfig::default()
                 });
                 b.iter(|| {
-                    // A pass per iteration: its budget is per pass.
-                    let pass = pass_over(&df, &meta, &config);
+                    // A pass per iteration: its budget is per pass, and its
+                    // frame a fresh identity (shared columns), so the
+                    // sample is drawn anew.
+                    let fresh = Arc::new(df.select(&columns).expect("own columns"));
+                    let pass = pass_over(&fresh, &meta, &config);
                     execute_action(&Correlation, &pass, &pass.trace)
                         .expect("correlation runs clean")
                         .expect("correlation has candidates")

@@ -2,15 +2,17 @@
 //!
 //! `LuxDataFrame` wraps a [`DataFrame`] and mirrors its operations while
 //! storing the extra state Lux needs — intent, semantic-type overrides, the
-//! action registry, and the WFLOW cache. The WFLOW optimization (§8.2) is
-//! implemented here:
+//! action registry, and the recommendations memo. The WFLOW optimization
+//! (§8.2) is implemented here:
 //!
 //! - **lazy**: metadata and recommendations are computed only at
 //!   [`LuxDataFrame::print`] time;
-//! - **expiry**: every data-changing operation derives a *new* wrapper with
-//!   an empty cache, so stale results can never be shown;
-//! - **memoization**: repeated prints of an unmodified frame reuse the
-//!   cached metadata, sample, and recommendations.
+//! - **expiry**: every data-changing operation derives a *new* frame, whose
+//!   state and wrapper start empty, so stale results can never be shown;
+//! - **memoization**: repeated prints of an unmodified frame reuse its
+//!   metadata and PRUNE sample, which live on the frame's own state (every
+//!   wrapper over a clone of it shares them), and this wrapper's
+//!   recommendations.
 //!
 //! When `config.wflow` is off (the paper's `no-opt` baseline), every wrapped
 //! operation eagerly recomputes metadata and recommendations, reproducing a
@@ -18,7 +20,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use lux_dataframe::prelude::*;
 use lux_engine::sync::lock_recover;
@@ -35,22 +37,11 @@ use lux_vis::Vis;
 use crate::logging::{EventKind, SessionLogger};
 use crate::widget::Widget;
 
-/// Cached per-frame state for the WFLOW optimization.
-#[derive(Default)]
-struct WflowCache {
-    meta: Option<Arc<FrameMeta>>,
-    /// The last pass's recommendations and its per-action health ledger.
-    recommendations: Option<PassOutput>,
-}
-
 type PassOutput = (Arc<Vec<ActionResult>>, Arc<Vec<ActionHealth>>);
 
+// Metadata reads on this thread (each a scan under no-opt), for unit tests.
 #[cfg(test)]
-thread_local! {
-    /// Metadata computations (memo misses) performed on this thread, so a
-    /// unit test can count the ones its own prints caused.
-    static META_COMPUTES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
+thread_local!(static META_READS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) });
 
 /// Caller-supplied options for one print pass, used by the serving layer to
 /// propagate per-request context into the engine. `deadline` is end-to-end:
@@ -96,10 +87,8 @@ pub struct LuxDataFrame {
     config: Arc<LuxConfig>,
     registry: Arc<ActionRegistry>,
     overrides: HashMap<String, SemanticType>,
-    cache: Mutex<WflowCache>,
-    /// The PRUNE sample, drawn by the first pass that reads it
-    /// ([`Pass::sample`]) and shared by every later one.
-    sample: Arc<OnceLock<Arc<DataFrame>>>,
+    /// The last pass's WFLOW memo: results and health (intent-dependent).
+    recommendations: Mutex<Option<PassOutput>>,
     exported: Mutex<Vec<Vis>>,
     logger: Option<Arc<SessionLogger>>,
     /// Span tree of the most recent print pass on this frame.
@@ -169,8 +158,7 @@ impl LuxDataFrame {
             config,
             registry,
             overrides,
-            cache: Mutex::new(WflowCache::default()),
-            sample: Arc::default(),
+            recommendations: Mutex::default(),
             exported: Mutex::new(Vec::new()),
             logger: None,
             last_trace: Mutex::new(None),
@@ -184,8 +172,8 @@ impl LuxDataFrame {
     }
 
     /// Derive a wrapper around a transformed frame: intent, config, registry,
-    /// overrides and logger propagate; the cache starts empty (metadata
-    /// expired). The derived operation is logged.
+    /// overrides and logger propagate; the memos start empty (the frame's
+    /// state is new). The derived operation is logged.
     fn wrap(&self, df: DataFrame) -> LuxDataFrame {
         let mut derived = Self::assemble(
             df,
@@ -272,16 +260,14 @@ impl LuxDataFrame {
         self.set_intent(Vec::new());
     }
 
-    /// Override the inferred semantic type of a column (§8.1). Expires both
-    /// metadata and recommendations.
+    /// Override the inferred semantic type of a column (§8.1). Expires
+    /// recommendations; metadata is memoized per override set.
     pub fn set_data_type(&mut self, column: &str, semantic: SemanticType) -> Result<()> {
         if !self.df.has_column(column) {
             return Err(Error::ColumnNotFound(column.to_string()));
         }
         self.overrides.insert(column.to_string(), semantic);
-        let mut cache = lock_recover(&self.cache);
-        cache.meta = None;
-        cache.recommendations = None;
+        self.expire_recommendations();
         Ok(())
     }
 
@@ -314,51 +300,39 @@ impl LuxDataFrame {
     // Metadata & recommendations (the WFLOW-managed state)
     // ------------------------------------------------------------------
 
-    /// The frame's metadata, computed on first use and memoized (when
-    /// `wflow` is on). Every access counts as a memo query in the
-    /// process-wide metrics (`lux.wflow.meta_memo_*`).
+    /// The frame's metadata, computed on first use and memoized on the frame
+    /// for this wrapper's overrides (when `wflow` is on). Every access counts
+    /// as a memo query in the process-wide metrics (`lux.wflow.meta_memo_*`).
     pub fn metadata(&self) -> Arc<FrameMeta> {
         self.metadata_in(&PassCtx::detached("metadata", ResourceBudget::unlimited()))
     }
 
     /// [`LuxDataFrame::metadata`] in a pass's context: per-column spans and
-    /// the memo hit/miss tag go under `ctx.trace`, the scans charge
-    /// `ctx.governor`.
+    /// the memo hit/miss tag go under a `metadata` span of `ctx.trace`, the
+    /// scans charge `ctx.governor`.
     fn metadata_in(&self, ctx: &PassCtx) -> Arc<FrameMeta> {
-        let metrics = MetricsRegistry::global();
-        // Under WFLOW the cache stays locked across the computation, so
-        // concurrent first prints of one frame compute its metadata once.
-        let mut cache = self.config.wflow.then(|| lock_recover(&self.cache));
-        if let Some(meta) = cache.as_ref().and_then(|c| c.meta.as_ref()) {
-            metrics.incr(metric::META_MEMO_HIT);
-            ctx.trace.tag("memo", "hit");
-            return Arc::clone(meta);
-        }
-        metrics.incr(metric::META_MEMO_MISS);
-        ctx.trace
-            .tag("memo", if self.config.wflow { "miss" } else { "off" });
         #[cfg(test)]
-        META_COMPUTES.with(|n| n.set(n.get() + 1));
-        let meta = Arc::new(FrameMeta::compute_governed_par(
+        META_READS.with(|n| n.set(n.get() + 1));
+        let span = ctx.trace.child("metadata");
+        let meta = lux_engine::metadata::of_frame(
             &self.df,
             &self.overrides,
-            Some((ctx.trace.collector.as_ref(), ctx.trace.span)),
+            self.config.wflow,
+            Some((span.collector.as_ref(), span.span)),
             Some(ctx.governor.as_ref()),
             self.config.effective_threads(),
-        ));
-        if let Some(cache) = cache.as_mut() {
-            cache.meta = Some(Arc::clone(&meta));
-        }
+        );
+        span.end();
         meta
     }
 
     /// True when memoized recommendations are available.
     pub fn is_fresh(&self) -> bool {
-        lock_recover(&self.cache).recommendations.is_some()
+        lock_recover(&self.recommendations).is_some()
     }
 
     fn expire_recommendations(&self) {
-        lock_recover(&self.cache).recommendations = None;
+        *lock_recover(&self.recommendations) = None;
     }
 
     /// Validate the current intent against the frame.
@@ -374,7 +348,6 @@ impl LuxDataFrame {
             meta,
             &self.intent,
             Arc::clone(&self.config),
-            Arc::clone(&self.sample),
             ctx.clone(),
         )
     }
@@ -384,13 +357,12 @@ impl LuxDataFrame {
     /// for only on a memo miss.
     fn pass_in(&self, ctx: &PassCtx, meta: impl FnOnce() -> Arc<FrameMeta>) -> PassOutput {
         let metrics = MetricsRegistry::global();
-        if self.config.wflow {
-            if let Some(memoized) = &lock_recover(&self.cache).recommendations {
-                metrics.incr(metric::MEMO_HIT);
-                ctx.trace.tag("memo", "hit");
-                return memoized.clone();
-            }
-        } // released while computing (the metadata memo re-takes it)
+        // Only a WFLOW pass fills the memo; it is released while computing.
+        if let Some(memoized) = &*lock_recover(&self.recommendations) {
+            metrics.incr(metric::MEMO_HIT);
+            ctx.trace.tag("memo", "hit");
+            return memoized.clone();
+        }
         metrics.incr(metric::MEMO_MISS);
         ctx.trace
             .tag("memo", if self.config.wflow { "miss" } else { "off" });
@@ -409,7 +381,7 @@ impl LuxDataFrame {
             // the memo: the next print with a full budget would otherwise
             // replay the partial results forever. Clean passes cache as usual.
             if ctx.deadline.is_none() || health.iter().all(|h| h.status.is_ok()) {
-                lock_recover(&self.cache).recommendations =
+                *lock_recover(&self.recommendations) =
                     Some((Arc::clone(&recs), Arc::clone(&health)));
             } else {
                 ctx.trace.tag("memo", "skip-degraded");
@@ -465,9 +437,7 @@ impl LuxDataFrame {
                 return lux_recs::StreamingRun::shed(&shed.reason);
             }
         };
-        let meta_ctx = ctx.child("metadata");
-        let meta = self.metadata_in(&meta_ctx);
-        meta_ctx.trace.end();
+        let meta = self.metadata_in(&ctx);
         // The run's collector holds the slot until every action has settled.
         let mut pass = self.open_pass(&ctx, meta);
         pass.permit = Some(Arc::new(permit));
@@ -552,9 +522,7 @@ impl LuxDataFrame {
         let table = root.time("table", || self.df.to_table_string(10));
         // Metadata first (and traced), once: the validate/compile/action
         // stages below all read this one computation, WFLOW or not.
-        let meta_ctx = ctx.child("metadata");
-        let meta = self.metadata_in(&meta_ctx);
-        meta_ctx.trace.end();
+        let meta = self.metadata_in(&ctx);
         let diagnostics = root.time("intent.validate", || {
             lux_intent::validate(&self.intent, &meta)
         });
@@ -656,16 +624,12 @@ impl LuxDataFrame {
         // Admission refused this pass, so it must not scan the frame: the
         // intent is validated only against metadata an earlier pass
         // memoized, and an empty intent has nothing to validate.
-        let memoized = if self.intent.is_empty() {
-            None
-        } else {
-            lock_recover(&self.cache).meta.clone()
-        };
-        let diagnostics = match memoized {
-            Some(meta) => root.time("intent.validate", || {
-                lux_intent::validate(&self.intent, &meta)
-            }),
-            None => Vec::new(),
+        let diagnostics = match lux_engine::metadata::memoized(&self.df, &self.overrides) {
+            Some(meta) if self.config.wflow && !self.intent.is_empty() => root
+                .time("intent.validate", || {
+                    lux_intent::validate(&self.intent, &meta)
+                }),
+            _ => Vec::new(),
         };
         root.tag("admission.shed", shed.reason);
         root.tag("admission.priority", shed.priority.name());
@@ -945,32 +909,48 @@ mod tests {
     }
 
     #[test]
-    fn print_with_skipped_gates_never_draws_the_sample() {
-        // Taller than the cap, PRUNE on, but too few candidates for any
-        // gate to engage: the pass carries the slot and nobody fills it.
-        let config = LuxConfig {
+    fn wrappers_over_clones_of_a_frame_share_its_metadata_and_sample() {
+        let config = Arc::new(LuxConfig {
             sample_cap: 10,
             ..LuxConfig::default()
-        };
-        assert!(config.prune);
-        let ldf = LuxDataFrame::with_config(sample_ldf().data().clone(), Arc::new(config));
-        let w = ldf.print();
-        assert!(!w.results().is_empty());
-        assert!(ldf.sample.get().is_none(), "an unread sample was drawn");
-    }
-
-    #[test]
-    fn passes_over_one_frame_share_one_drawn_sample() {
-        let config = LuxConfig {
-            sample_cap: 10,
-            ..LuxConfig::default()
-        };
-        let ldf = LuxDataFrame::with_config(sample_ldf().data().clone(), Arc::new(config));
+        });
+        let frame = sample_ldf().data().clone();
+        let (a, b) = (
+            LuxDataFrame::with_config(frame.clone(), Arc::clone(&config)),
+            LuxDataFrame::with_config(frame.clone(), Arc::clone(&config)),
+        );
+        // One metadata computation, read by both wrappers.
+        let meta = a.metadata();
+        assert!(Arc::ptr_eq(&meta, &b.metadata()), "b recomputed metadata");
+        // One PRUNE sample, drawn by whichever pass asks first.
         let ctx = PassCtx::detached("pass", ResourceBudget::unlimited());
-        let first = ldf.open_pass(&ctx, ldf.metadata()).sample();
-        let second = ldf.open_pass(&ctx, ldf.metadata()).sample();
+        let first = a.open_pass(&ctx, a.metadata()).sample();
         assert_eq!(first.num_rows(), 10);
-        assert!(Arc::ptr_eq(&first, &second), "the second pass drew again");
+        let second = b.open_pass(&ctx, b.metadata()).sample();
+        assert!(Arc::ptr_eq(&first, &second), "b drew the sample again");
+        let other_seed = LuxConfig {
+            sample_seed: config.sample_seed + 1,
+            ..(*config).clone()
+        };
+        let c = LuxDataFrame::with_config(frame.clone(), Arc::new(other_seed));
+        let third = c.open_pass(&ctx, c.metadata()).sample();
+        assert!(!Arc::ptr_eq(&first, &third), "another seed read this draw");
+
+        // The overrides are part of the key: an override gets its own entry.
+        let mut typed = LuxDataFrame::with_config(frame.clone(), Arc::clone(&config));
+        typed
+            .set_data_type("life", SemanticType::Nominal)
+            .expect("column exists");
+        let typed_meta = typed.metadata();
+        let semantic = |m: &FrameMeta| m.column("life").expect("life").semantic;
+        assert_eq!(semantic(&typed_meta), SemanticType::Nominal);
+        assert_eq!(semantic(&a.metadata()), SemanticType::Quantitative);
+        assert!(Arc::ptr_eq(&typed_meta, &typed.metadata()));
+
+        // The no-opt baseline rescans on every read, memo or not.
+        let no_opt = LuxDataFrame::with_config(frame, Arc::new(LuxConfig::no_opt()));
+        assert!(!Arc::ptr_eq(&no_opt.metadata(), &no_opt.metadata()));
+        assert!(!Arc::ptr_eq(&no_opt.metadata(), &meta));
     }
 
     #[test]
@@ -1005,7 +985,7 @@ mod tests {
             crate::luxframe::PrintOptions::default().with_deadline(Some(std::time::Duration::ZERO));
         assert!(ldf.print_with(&opts).was_shed());
         assert!(
-            lock_recover(&ldf.cache).meta.is_none(),
+            lux_engine::metadata::memoized(ldf.data(), &ldf.overrides).is_none(),
             "a shed print computed metadata"
         );
     }
@@ -1017,10 +997,10 @@ mod tests {
         let mut ldf =
             LuxDataFrame::with_config(sample_ldf().data().clone(), Arc::new(LuxConfig::no_opt()));
         ldf.set_intent_strs(["life"]).expect("valid intent");
-        let before = META_COMPUTES.with(|n| n.get());
+        let before = META_READS.with(|n| n.get());
         let w = ldf.print();
         assert!(!w.was_shed());
-        assert_eq!(META_COMPUTES.with(|n| n.get()) - before, 1);
+        assert_eq!(META_READS.with(|n| n.get()) - before, 1);
     }
 
     #[test]

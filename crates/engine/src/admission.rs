@@ -284,7 +284,8 @@ impl AdmitRequest {
 
 struct QueueState {
     active: usize,
-    waiting_interactive: usize,
+    /// The tenant of each queued interactive pass (a quota may bar it).
+    waiting_interactive: Vec<Option<String>>,
     waiting_background: usize,
     admits: u64,
     sheds: u64,
@@ -369,7 +370,7 @@ impl AdmissionController {
                 cfg: RwLock::new(cfg),
                 state: Mutex::new(QueueState {
                     active: 0,
-                    waiting_interactive: 0,
+                    waiting_interactive: Vec::new(),
                     waiting_background: 0,
                     admits: 0,
                     sheds: 0,
@@ -460,12 +461,16 @@ impl AdmissionController {
         }
         let mut waited = false;
         loop {
-            let eligible = priority == Priority::Interactive || st.waiting_interactive == 0;
+            let under_quota = |tenant: &Option<String>| {
+                (tenant.as_ref())
+                    .is_none_or(|t| st.tenant_active.get(t).copied().unwrap_or(0) < tenant_cap)
+            };
+            // Background yields only to interactive waiters free to go.
+            let eligible = priority == Priority::Interactive
+                || !st.waiting_interactive.iter().any(under_quota);
             // Re-checked on every wakeup: a sibling pass of the same tenant
             // may have been admitted while this one waited.
-            let tenant_ok = req.tenant.as_ref().map_or(true, |t| {
-                st.tenant_active.get(t).copied().unwrap_or(0) < tenant_cap
-            });
+            let tenant_ok = under_quota(&req.tenant);
             if st.active < slots && eligible && tenant_ok {
                 let wait = clock::elapsed(start);
                 let left = req.deadline.map(|d| d.saturating_sub(wait));
@@ -497,7 +502,7 @@ impl AdmissionController {
             if !waited {
                 // Arriving to a full engine: shed immediately if the queue
                 // itself is full, otherwise join it.
-                let queued = st.waiting_interactive + st.waiting_background;
+                let queued = st.waiting_interactive.len() + st.waiting_background;
                 if queued >= cfg.max_queue {
                     drop(st);
                     return self.shed(
@@ -518,7 +523,7 @@ impl AdmissionController {
             }
             waited = true;
             match priority {
-                Priority::Interactive => st.waiting_interactive += 1,
+                Priority::Interactive => st.waiting_interactive.push(req.tenant.clone()),
                 Priority::Background => st.waiting_background += 1,
             }
             // Bounded naps so config changes and missed wakeups can't
@@ -527,7 +532,11 @@ impl AdmissionController {
             let (guard, _timeout) = clock::wait_timeout(&self.inner.cond, st, nap);
             st = guard;
             match priority {
-                Priority::Interactive => st.waiting_interactive -= 1,
+                Priority::Interactive => {
+                    let queued = st.waiting_interactive.iter().position(|t| *t == req.tenant);
+                    st.waiting_interactive
+                        .swap_remove(queued.expect("queued above"));
+                }
                 Priority::Background => st.waiting_background -= 1,
             }
         }
@@ -545,7 +554,7 @@ impl AdmissionController {
     fn pressure_locked(&self, st: &QueueState, slots: usize) -> PressureLevel {
         let ledger = &self.inner.ledger;
         let util = ledger.live() as f64 / ledger.cap().max(1) as f64;
-        let queued = st.waiting_interactive + st.waiting_background;
+        let queued = st.waiting_interactive.len() + st.waiting_background;
         if util > 0.85 || queued >= slots.max(1) {
             PressureLevel::Critical
         } else if util > 0.60 || queued > 0 || st.active >= slots {
@@ -562,7 +571,7 @@ impl AdmissionController {
         AdmissionStats {
             live_sessions: st.active,
             slots: cfg.max_sessions.max(1),
-            queue_depth: st.waiting_interactive + st.waiting_background,
+            queue_depth: st.waiting_interactive.len() + st.waiting_background,
             admits: st.admits,
             queue_waits: st.queue_waits,
             sheds: st.sheds,
@@ -735,6 +744,62 @@ mod tests {
         assert_eq!(first, "interactive", "interactive must win the freed slot");
         it.join().expect("interactive thread");
         bg.join().expect("background thread");
+    }
+
+    /// A queued print its tenant's quota bars from every slot does not
+    /// hold a background request off a free one.
+    #[test]
+    fn a_quota_barred_waiter_does_not_hold_background_off_a_free_slot() {
+        let c = Arc::new(tiny(2)); // tenant cap 1
+        let grant = |a: Admission| match a {
+            Admission::Granted(p) => p,
+            Admission::Shed(r) => panic!("unexpected shed: {}", r.reason),
+        };
+        let held = [
+            grant(c.admit(Priority::Interactive)),
+            grant(c.admit(Priority::Interactive)),
+        ];
+        c.reconfigure(AdmissionConfig {
+            interactive_deadline: Duration::from_secs(10),
+            ..c.config()
+        });
+        let settle = |live: usize, queued: usize| {
+            let start = clock::now();
+            while (c.stats().live_sessions, c.stats().queue_depth) != (live, queued) {
+                let stats = c.stats();
+                assert!(clock::elapsed(start) < Duration::from_secs(10), "{stats:?}");
+                std::thread::yield_now();
+            }
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let prints: Vec<_> = (0..2)
+            .map(|_| {
+                let (c, tx) = (Arc::clone(&c), tx.clone());
+                std::thread::spawn(move || {
+                    let req =
+                        AdmitRequest::new(Priority::Interactive).with_tenant(Some("a".into()));
+                    let _ = tx.send(c.admit_request(req));
+                })
+            })
+            .collect();
+        settle(2, 2);
+        drop(held);
+        let first = grant(rx.recv_timeout(Duration::from_secs(10)).expect("a print"));
+        // One slot free; the other print waits on its tenant's quota.
+        settle(1, 1);
+        c.reconfigure(AdmissionConfig {
+            background_deadline: Duration::from_millis(100),
+            ..c.config()
+        });
+        let background = grant(c.admit(Priority::Background));
+        drop((background, first));
+        drop(grant(
+            rx.recv_timeout(Duration::from_secs(10))
+                .expect("the other print"),
+        ));
+        for print in prints {
+            print.join().expect("print thread");
+        }
     }
 
     #[test]

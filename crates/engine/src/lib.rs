@@ -19,9 +19,9 @@
 //!   per-action execution (DESIGN.md §9).
 //!
 //! Higher layers (intent compilation, visualization processing, actions)
-//! build on these services; the WFLOW freshness cache lives with the
-//! `LuxDataFrame` wrapper in `lux-core` because it is keyed to the wrapper's
-//! operation instrumentation.
+//! build on these services. The WFLOW metadata memo lives on the frame
+//! ([`metadata::of_frame`]); the recommendations memo lives on the
+//! `LuxDataFrame` wrapper in `lux-core`: it depends on intent and actions.
 
 pub mod admission;
 pub mod clock;

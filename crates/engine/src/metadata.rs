@@ -18,7 +18,8 @@
 //!   and
 //! - reuse a parent frame's partials across an append (`concat` stamps
 //!   lineage; each frame keeps its last pass's partials in its
-//!   [`FrameState`]), scanning only the tail.
+//!   [`FrameState`], beside the WFLOW memo [`of_frame`] reads), scanning
+//!   only the tail.
 //!
 //! Governor accounting stays thread-count-independent by splitting the pass
 //! into plan (sequential) / scan (parallel) / record (sequential) phases.
@@ -216,68 +217,33 @@ impl FrameMeta {
     /// misclassified semantic type (paper §8.1: "If the data type is
     /// misclassified, users can override the automatically-inferred type").
     pub fn compute(df: &DataFrame, overrides: &HashMap<String, SemanticType>) -> FrameMeta {
-        Self::compute_governed_par(df, overrides, None, None, 1)
+        let lineage = df.append_lineage();
+        Self::compute_with_chunk_rows(df, overrides, None, None, 1, CHUNK_ROWS, lineage.as_slice())
     }
 
-    /// [`FrameMeta::compute`] as a print pass runs it: under the pass
-    /// budget (per-column scans charge `governor` before allocating, shrink
-    /// their distinct-value scan when the byte budget is exhausted, and
-    /// record every downgrade as a [`crate::governor::GovernorEvent`]),
-    /// with a `column:<name>` span per scanned chunk under `trace`, and with
-    /// the fused statistics scans fanned out over up to `par` pool workers
-    /// (DESIGN.md §9). Runs in three phases so the result — including
-    /// governor accounting and event order — is byte-identical for every
-    /// `par`:
+    /// [`FrameMeta::compute`] as a pass runs it ([`of_frame`]): under the
+    /// pass budget (per-column scans charge `governor` before allocating,
+    /// shrink their distinct-value scan when the byte budget is exhausted,
+    /// and record every downgrade as a [`crate::governor::GovernorEvent`]),
+    /// with a `column:<name>` span per scanned chunk under `trace`, fanned
+    /// out over up to `par` pool workers (DESIGN.md §9), seeded from the
+    /// partials of the first compatible `(state, rows)` of `lineage`, on a
+    /// `chunk_rows` grid (tests pass one below [`CHUNK_ROWS`] to reach the
+    /// fold). Runs in three phases so the result — governor accounting and
+    /// event order included — is byte-identical for every `par` and grid:
     ///
     /// 1. **plan** (sequential, column order): every byte-charge and
     ///    scan-cap decision happens on the caller thread, always against
     ///    the full column length (append reuse does not change charges);
     /// 2. **scan** (parallel): one task per column chunk runs the fused
-    ///    kernels with its pre-decided cap. Up to [`CHUNK_ROWS`] rows a
+    ///    kernels with its pre-decided cap. Up to `chunk_rows` rows a
     ///    column is one chunk and its partial is the result; past that (or
-    ///    when the frame carries append lineage and the parent kept its
-    ///    partials, so only the appended tail is scanned) each column
-    ///    folds its own partials in chunk order, one pool task per column,
-    ///    under a `metadata.fold` span;
+    ///    when `lineage` supplies partials, so only the rows past them are
+    ///    scanned) each column folds its own partials in chunk order, one
+    ///    pool task per column, under a `metadata.fold` span;
     /// 3. **record** (sequential, column order): finalize each column,
     ///    record capped-cardinality events, and keep the merged partials in
     ///    this frame's [`FrameState`] for the next append.
-    pub fn compute_governed_par(
-        df: &DataFrame,
-        overrides: &HashMap<String, SemanticType>,
-        trace: Option<(&crate::trace::TraceCollector, crate::trace::SpanId)>,
-        governor: Option<&BudgetHandle>,
-        par: usize,
-    ) -> FrameMeta {
-        let lineage = df.append_lineage();
-        Self::compute_with_chunk_rows(
-            df,
-            overrides,
-            trace,
-            governor,
-            par,
-            CHUNK_ROWS,
-            lineage.as_slice(),
-        )
-    }
-
-    /// [`FrameMeta::compute`] for a frame a pass may already have scanned
-    /// (a history action's parent): compatible partials kept in its own
-    /// state are finalized — an append with a zero-row tail — and failing
-    /// those, its append parent's are, as a print would.
-    pub fn compute_reusing(df: &DataFrame, overrides: &HashMap<String, SemanticType>) -> FrameMeta {
-        let own = (&**df.state(), df.num_rows());
-        let lineage: Vec<_> = std::iter::once(own).chain(df.append_lineage()).collect();
-        Self::compute_with_chunk_rows(df, overrides, None, None, 1, CHUNK_ROWS, &lineage)
-    }
-
-    /// [`FrameMeta::compute_governed_par`] on an explicit chunk grid,
-    /// seeded from the partials kept by the first compatible entry of
-    /// `lineage` (`(state, rows)` pairs; a print passes
-    /// `df.append_lineage()`). The result does not depend on `chunk_rows`;
-    /// tests pass a small one to reach the multi-chunk fold without a
-    /// million-row frame.
-    #[doc(hidden)]
     pub fn compute_with_chunk_rows(
         df: &DataFrame,
         overrides: &HashMap<String, SemanticType>,
@@ -450,6 +416,66 @@ impl FrameMeta {
             .map(|c| c.name.as_str())
             .collect()
     }
+}
+
+/// The WFLOW metadata memo in a frame's state: a [`FrameMeta`] per override set.
+type MetaMemo = Mutex<Vec<(HashMap<String, SemanticType>, Arc<FrameMeta>)>>;
+
+/// A frame's metadata as a pass reads it: the one way into the metadata pass
+/// outside tests and the experiment binaries. Under WFLOW (`memo`) it is the
+/// memo for `overrides`; a miss computes holding the memo's lock (concurrent
+/// first reads scan once), from the frame's kept partials, else its append
+/// parent's. No-opt reads always compute, merging only an append parent's.
+/// Counts in `lux.wflow.meta_memo_*`, tags `memo` on `trace`'s span; the rest
+/// is as for [`FrameMeta::compute_with_chunk_rows`].
+pub fn of_frame(
+    df: &DataFrame,
+    overrides: &HashMap<String, SemanticType>,
+    memo: bool,
+    trace: Option<(&crate::trace::TraceCollector, crate::trace::SpanId)>,
+    governor: Option<&BudgetHandle>,
+    par: usize,
+) -> Arc<FrameMeta> {
+    let slot = memo.then(|| df.state().get::<MetaMemo>());
+    let mut kept = slot.as_deref().map(lock_recover);
+    let hit = (kept.as_deref().into_iter().flatten())
+        .find(|(key, _)| key == overrides)
+        .map(|(_, meta)| Arc::clone(meta));
+    let (verdict, counter) = match (&hit, memo) {
+        (Some(_), _) => ("hit", names::META_MEMO_HIT),
+        (None, true) => ("miss", names::META_MEMO_MISS),
+        (None, false) => ("off", names::META_MEMO_MISS),
+    };
+    if let Some((c, span)) = trace {
+        c.tag(span, "memo", verdict);
+    }
+    MetricsRegistry::global().incr(counter);
+    if let Some(meta) = hit {
+        return meta;
+    }
+    let own = memo.then(|| (&**df.state(), df.num_rows()));
+    let lineage: Vec<_> = own.into_iter().chain(df.append_lineage()).collect();
+    let meta = FrameMeta::compute_with_chunk_rows(
+        df, overrides, trace, governor, par, CHUNK_ROWS, &lineage,
+    );
+    let meta = Arc::new(meta);
+    if let Some(kept) = kept.as_mut() {
+        kept.push((overrides.clone(), Arc::clone(&meta)));
+    }
+    meta
+}
+
+/// The metadata [`of_frame`] memoized on `df` for `overrides`, if any. Never
+/// scans: a shed print validates its intent against this alone.
+pub fn memoized(
+    df: &DataFrame,
+    overrides: &HashMap<String, SemanticType>,
+) -> Option<Arc<FrameMeta>> {
+    let kept = df.state().get::<MetaMemo>();
+    let kept = lock_recover(&kept);
+    kept.iter()
+        .find(|(key, _)| key == overrides)
+        .map(|(_, meta)| Arc::clone(meta))
 }
 
 /// Phase-1 governor planning for one column: performs every byte-charge for
@@ -792,7 +818,7 @@ mod tests {
             max_bytes: 1,
             ..ResourceBudget::default()
         });
-        let m = FrameMeta::compute_governed_par(&df, &HashMap::new(), None, Some(&h), 1);
+        let m = of_frame(&df, &HashMap::new(), false, None, Some(&h), 1);
         assert!(h.breached());
         assert!(h.event_count() >= 1, "no governor events recorded");
         // the degraded scan still produces usable metadata
@@ -828,8 +854,8 @@ mod tests {
         };
         let h1 = BudgetHandle::new(budget.clone());
         let h8 = BudgetHandle::new(budget);
-        let seq = FrameMeta::compute_governed_par(&df, &HashMap::new(), None, Some(&h1), 1);
-        let par = FrameMeta::compute_governed_par(&df, &HashMap::new(), None, Some(&h8), 8);
+        let seq = of_frame(&df, &HashMap::new(), false, None, Some(&h1), 1);
+        let par = of_frame(&df, &HashMap::new(), false, None, Some(&h8), 8);
         assert_eq!(seq.columns.len(), par.columns.len());
         for (a, b) in seq.columns.iter().zip(par.columns.iter()) {
             assert_eq!(a.name, b.name);

@@ -32,8 +32,7 @@
 //! every healthy action's results are still served, and the per-action
 //! health ledger in [`RunReport`] says what happened to the rest.
 
-use std::sync::{mpsc, Condvar, Mutex};
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use lux_dataframe::prelude::*;
@@ -156,10 +155,6 @@ pub struct Pass {
     pub intent: Arc<Vec<Clause>>,
     pub intent_specs: Arc<Vec<VisSpec>>,
     pub config: Arc<LuxConfig>,
-    /// The frame's PRUNE sample slot, shared by every pass over the frame:
-    /// filled by the first [`Pass::sample`] call (an engaged or forced gate,
-    /// a degraded survivor), never up front.
-    sample: Arc<OnceLock<Arc<DataFrame>>>,
     /// The span under which per-action spans are recorded.
     pub trace: TraceCtx,
     /// Per-pass resource governor shared by every worker: allocation-heavy
@@ -182,14 +177,12 @@ impl Pass {
     /// Open a pass over `df` in `ctx`: compile `intent` against `meta` (an
     /// empty or invalid intent compiles to no specs — the widget shows the
     /// diagnostics instead), and derive the processing options from
-    /// `config`. `sample` is the frame's PRUNE sample slot; a standalone
-    /// pass hands in an empty one of its own.
+    /// `config`.
     pub fn open(
         df: Arc<DataFrame>,
         meta: Arc<FrameMeta>,
         intent: &[Clause],
         config: Arc<LuxConfig>,
-        sample: Arc<OnceLock<Arc<DataFrame>>>,
         ctx: PassCtx,
     ) -> Pass {
         let intent_specs = ctx.trace.time("intent.compile", || {
@@ -203,7 +196,6 @@ impl Pass {
             meta,
             intent: Arc::new(intent.to_vec()),
             intent_specs: Arc::new(intent_specs),
-            sample,
             opts: ProcessOptions::from(&*config),
             config,
             trace: ctx.trace,
@@ -234,21 +226,30 @@ impl Pass {
         Plan::new(&specs, meta, config, governor, sample_rows, self.deadline)
     }
 
-    /// The frame's PRUNE sample, drawn on first read — once per frame,
-    /// whichever pass or worker asks first: the frame itself at or under
-    /// `sample_cap`, else a seeded draw of `sample_cap` rows.
+    /// The frame's PRUNE sample: the frame itself at or under `sample_cap`,
+    /// else a seeded draw of `sample_cap` rows, drawn on first read and
+    /// kept in the frame's state — once per frame and `(sample_cap,
+    /// sample_seed)`, whichever pass, wrapper or worker asks first.
     pub fn sample(&self) -> Arc<DataFrame> {
-        let (df, cap) = (&self.df, self.config.sample_cap);
-        let drawn = self.sample.get_or_init(|| {
-            if df.num_rows() <= cap {
-                Arc::clone(df)
-            } else {
-                Arc::new(df.sample(cap, self.config.sample_seed))
-            }
-        });
-        Arc::clone(drawn)
+        let (cap, seed) = (self.config.sample_cap, self.config.sample_seed);
+        if self.df.num_rows() <= cap {
+            return Arc::clone(&self.df);
+        }
+        let kept = self.df.state().get::<Samples>();
+        let mut kept = lock_recover(&kept);
+        if let Some((_, drawn)) = kept.iter().find(|(key, _)| *key == (cap, seed)) {
+            return Arc::clone(drawn);
+        }
+        // The draw's history retains this frame, which a value kept in its
+        // own state must not hold (`FrameState::get`).
+        let drawn = Arc::new(self.df.sample(cap, seed).clone_without_parents());
+        kept.push(((cap, seed), Arc::clone(&drawn)));
+        drawn
     }
 }
+
+/// The PRUNE samples kept in a frame's state, by `(sample_cap, sample_seed)`.
+type Samples = Mutex<Vec<((usize, u64), Arc<DataFrame>)>>;
 
 // ---------------------------------------------------------------------
 // One action: enumerate → plan → score → select_top_k → process
@@ -1095,12 +1096,22 @@ mod tests {
     }
 
     /// The one fixture every test opens its pass through: a standalone pass
-    /// over `df` (fresh metadata, no intent, a sample slot of its own).
+    /// over `df` (fresh metadata, no intent).
     fn pass_over(df: DataFrame, config: LuxConfig) -> Pass {
         let meta = Arc::new(FrameMeta::compute(&df, &HashMap::new()));
         let ctx = PassCtx::detached("pass", config.budget.clone());
         let config = Arc::new(config);
-        Pass::open(Arc::new(df), meta, &[], config, Default::default(), ctx)
+        Pass::open(Arc::new(df), meta, &[], config, ctx)
+    }
+
+    /// The PRUNE sample `pass` reads, if a pass over its frame drew it.
+    fn drawn_sample(pass: &Pass) -> Option<Arc<DataFrame>> {
+        let key = (pass.config.sample_cap, pass.config.sample_seed);
+        let kept = pass.df.state().get::<Samples>();
+        let kept = lock_recover(&kept);
+        kept.iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, d)| Arc::clone(d))
     }
 
     /// The default config with `tweak` applied.
@@ -1215,12 +1226,24 @@ mod tests {
         });
         let pass = pass_over(frame(2000), config);
         let r = run_one(&Correlation, &pass);
-        let drawn = pass.sample.get().expect("the engaged gate drew nothing");
+        let drawn = drawn_sample(&pass).expect("the engaged gate drew nothing");
         assert_eq!(drawn.num_rows(), 100);
         let attrs = r.vislist.visualizations[0].spec.attributes();
         assert!(attrs.contains(&"a") && attrs.contains(&"b"));
         // final scores are exact (recomputed), so the perfect pair scores 1
         assert!((r.vislist.visualizations[0].score - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn skipped_gates_never_draw_the_sample() {
+        // Taller than the cap, PRUNE on, but too few candidates for any
+        // gate to engage: nobody reads the sample, so nobody draws it.
+        let config = config_with(|c| c.sample_cap = 10);
+        assert!(config.prune);
+        let pass = pass_over(frame(40), config);
+        let report = report(&ActionRegistry::with_defaults(), pass.clone());
+        assert!(!report.results.is_empty());
+        assert!(drawn_sample(&pass).is_none(), "an unread sample was drawn");
     }
 
     #[test]
@@ -1255,9 +1278,9 @@ mod tests {
             .iter()
             .filter(|s| s.tag("prune") == Some("forced"));
         assert_eq!(forced.count(), 3, "every gate was forced onto the sample");
-        // Whoever asked first drew it (`OnceLock::get_or_init` runs one
-        // initializer); the others scored on that same frame.
-        let drawn = pass.sample.get().expect("no gate drew the sample");
+        // Whoever asked first drew it (the frame's sample slot is locked
+        // across the draw); the others scored on that same frame.
+        let drawn = drawn_sample(&pass).expect("no gate drew the sample");
         assert_eq!(drawn.num_rows(), 50);
     }
 

@@ -223,16 +223,10 @@ impl Action for IndexVis {
     }
 }
 
-/// Metadata for a synthesized or parent frame, computed on demand: an
-/// aggregate is small, and under WFLOW a history action's big parent
-/// finalizes the partials its own print cached instead of rescanning (the
-/// no-opt baseline rescans).
-pub fn meta_for(df: &DataFrame, config: &LuxConfig) -> FrameMeta {
-    if config.wflow {
-        FrameMeta::compute_reusing(df, &HashMap::new())
-    } else {
-        FrameMeta::compute(df, &HashMap::new())
-    }
+/// Metadata for a synthesized or parent frame, read on demand: under WFLOW a
+/// history action's big parent reuses what its print kept (no-opt rescans).
+pub fn meta_for(df: &DataFrame, config: &LuxConfig) -> Arc<FrameMeta> {
+    lux_engine::metadata::of_frame(df, &HashMap::new(), config.wflow, None, None, 1)
 }
 
 #[cfg(test)]

@@ -9,9 +9,9 @@
 //!   Unix sockets; typed requests/responses; malformed input yields typed
 //!   errors, never a panic or a desync.
 //! - [`registry`] — the session registry: tenants and named frames. Upload
-//!   a CSV once, print it many times; repeated prints share the WFLOW memo
-//!   and the process-wide processed-vis cache through the frame
-//!   fingerprint.
+//!   a CSV once, print it many times; repeated prints share the wrapper's
+//!   recommendations memo and the metadata, sample and processed views
+//!   kept on the frame.
 //! - [`journal`] — durable state as a spool directory: one checksummed,
 //!   seq-versioned file per put, a tombstone per drop, a directory per
 //!   tenant; listed on boot so a `kill -9`'d server comes back serving

@@ -2,8 +2,8 @@
 //!
 //! A client uploads a CSV once (`PutFrame`) and prints it many times; the
 //! registry keeps one [`LuxDataFrame`] per `(tenant, name)`, so repeated
-//! prints share the WFLOW metadata/recommendation memo and — through the
-//! underlying frame fingerprint — the process-wide processed-vis cache.
+//! prints share its recommendations memo and what the frame's own state
+//! keeps: the metadata memo, the PRUNE sample and the processed-vis memo.
 //! Every mutation is made durable in the spool directory before it is acked
 //! ([`crate::journal`]), so a crashed server rebuilds the same registry on
 //! restart; recovery verifies each spool file against its own checksums,

@@ -98,6 +98,21 @@ if [ -n "$admits" ]; then
 fi
 echo "ok: passes are admitted only in crates/core/src/luxframe.rs"
 
+echo "== one-door metadata lint (FrameMeta::compute*( outside engine/src/metadata.rs)"
+# A frame's metadata has one door (DESIGN.md §9): every pass reads it through
+# lux_engine::metadata::of_frame, which under WFLOW is the memo on the
+# frame. A direct FrameMeta::compute* call in product code bypasses the
+# memo: a second scan of a frame already scanned, and a second rule for when
+# metadata is fresh. The experiment binaries are exempt — they time the scan.
+computes=$(find crates/*/src -name '*.rs' ! -path 'crates/engine/src/metadata.rs' ! -path 'crates/bench/src/*' \
+    -exec awk "$MARK_TESTS"' !t && /FrameMeta::compute[a-z_]*\(/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ -n "$computes" ]; then
+    echo "$computes"
+    echo "error: FrameMeta::compute* outside crates/engine/src/metadata.rs — read metadata through lux_engine::metadata::of_frame"
+    exit 1
+fi
+echo "ok: metadata is read only through lux_engine::metadata::of_frame"
+
 echo "== budget-charge lint (try_charge( outside the planning steps)"
 # A pass's bytes are charged before anything is allocated, by the steps that
 # plan it (DESIGN.md §8): the metadata pass's column plan, each action's

@@ -263,10 +263,10 @@ fn failpoint_spec_parsing_round_trips() {
 }
 
 /// A history action's parent is a frame a print already scanned: under
-/// WFLOW its metadata finalizes the partials kept in the frame's own
-/// state, so a second `meta_for` scans no column (the armed panic
-/// never fires) and answers what the first did. The no-opt baseline
-/// rescans.
+/// WFLOW a second `meta_for` reads the metadata memoized on the frame, and
+/// a read under other overrides (a memo miss) finalizes the partials kept
+/// in the frame's own state. Neither scans a column (the armed panic never
+/// fires). The no-opt baseline rescans.
 #[test]
 fn meta_for_a_scanned_frame_finalizes_its_cached_partials() {
     let chaos = chaos();
@@ -277,7 +277,12 @@ fn meta_for_a_scanned_frame_finalizes_its_cached_partials() {
         .arm(fp::METADATA_COLUMN, "panic(column rescanned)")
         .unwrap();
     let again = meta_for(&df, &config);
-    assert_eq!(format!("{again:?}"), format!("{first:?}"));
+    assert!(std::sync::Arc::ptr_eq(&again, &first), "the memo missed");
+    let overrides = [("pay".to_string(), SemanticType::Nominal)].into();
+    let typed = lux::engine::metadata::of_frame(&df, &overrides, true, None, None, 1);
+    let mut expected = (*first).clone();
+    expected.columns[0].semantic = SemanticType::Nominal;
+    assert_eq!(format!("{typed:?}"), format!("{expected:?}"));
 
     chaos.arm(fp::METADATA_COLUMN, "return").unwrap();
     let trips = || MetricsRegistry::global().counter(names::FAILPOINT_TRIPS);

@@ -3,11 +3,16 @@
 //! still deliver every healthy action's recommendations, flag degraded
 //! results, disable repeat offenders through the circuit breaker, and
 //! surface all of it through the health ledger and the widget.
+//!
+//! The hung action sleeps on the process-wide virtual clock, so every test
+//! holds a `World`: they run one at a time, and none reads virtual time it
+//! did not ask for.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lux::engine::clock;
 use lux::engine::trace::{names, MetricsRegistry};
 use lux::engine::world::World;
 use lux::engine::FlightRecorder;
@@ -118,6 +123,7 @@ fn status_of(ldf: &LuxDataFrame, action: &str) -> Option<String> {
 
 #[test]
 fn healthy_actions_survive_a_chaotic_registry() {
+    let _world = World::enter();
     let mut ldf = LuxDataFrame::new(frame());
     ldf.register_action(panicker());
     ldf.register_action(custom("Erratic", |_| {
@@ -154,6 +160,7 @@ fn healthy_actions_survive_a_chaotic_registry() {
 
 #[test]
 fn chaos_survives_both_executor_paths() {
+    let _world = World::enter();
     for r#async in [false, true] {
         let cfg = LuxConfig {
             r#async,
@@ -250,21 +257,49 @@ fn missed_deadline_is_tagged_and_pinned() {
     assert_eq!(entry.anomaly, Some("deadline"));
 }
 
+/// A hung action sleeps on the virtual clock, so the hard cutoff is the
+/// driver's to pass: once every healthy action has settled, the test
+/// advances past it and the print returns, with no real-time wait for the
+/// hang.
 #[test]
 fn hung_action_is_abandoned_at_the_hard_cutoff() {
+    let _world = World::simulated(0);
     let cfg = LuxConfig {
         r#async: true, // the streaming executor owns the hard cutoff
         action_budget: Some(Duration::from_millis(50)),
         ..LuxConfig::default()
     };
     let mut ldf = LuxDataFrame::with_config(frame(), Arc::new(cfg));
-    ldf.register_action(custom("Sleeper", |ctx| {
-        std::thread::sleep(Duration::from_secs(30));
+    // Every test holds a `World`, so only this one's actions settle now.
+    let metrics = MetricsRegistry::global();
+    let settled = || metrics.counter(names::ACTIONS_OK) + metrics.counter(names::ACTIONS_DEGRADED);
+    let before = settled();
+    let _ = ldf.print(); // the healthy actions alone, on frozen time
+    let settling = settled() - before;
+    let (asleep, hung) = std::sync::mpsc::channel();
+    ldf.register_action(custom("Sleeper", move |ctx| {
+        let _ = asleep.send(());
+        clock::sleep(Duration::from_secs(30));
         Ok(healthy(ctx))
     }));
 
     let start = Instant::now();
-    let widget = ldf.print();
+    let before = settled();
+    let widget = std::thread::scope(|s| {
+        let print = s.spawn(|| ldf.print());
+        hung.recv_timeout(Duration::from_secs(10))
+            .expect("Sleeper started");
+        while settled() - before < settling {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "healthy actions hung"
+            );
+            std::thread::yield_now();
+        }
+        // Past the hard cutoff (four 50 ms budgets), far short of the hang.
+        clock::advance(Duration::from_secs(1));
+        print.join().expect("print thread")
+    });
     assert!(
         start.elapsed() < Duration::from_secs(10),
         "print must not wait out a 30s hang: {:?}",
@@ -280,6 +315,7 @@ fn hung_action_is_abandoned_at_the_hard_cutoff() {
 
 #[test]
 fn breaker_disables_repeat_offender_then_reprobes() {
+    let _world = World::enter();
     let cfg = LuxConfig {
         wflow: false, // every call below is a fresh recommendation pass
         r#async: false,
@@ -325,6 +361,7 @@ fn breaker_disables_repeat_offender_then_reprobes() {
 
 #[test]
 fn widget_surfaces_health_problems() {
+    let _world = World::enter();
     let mut ldf = LuxDataFrame::new(frame());
     ldf.register_action(panicker());
     let widget = ldf.print();
@@ -339,6 +376,7 @@ fn widget_surfaces_health_problems() {
 
 #[test]
 fn permissive_csv_feeds_the_pipeline_despite_bad_rows() {
+    let _world = World::enter();
     // Two ragged rows and an unterminated quote: strict refuses, permissive
     // repairs and still produces an analyzable frame.
     let text = "price,kind\n1.5,a\n2.5\n3.5,b,extra\n4.5,\"unterminated\n";

@@ -1,8 +1,8 @@
 //! What a print keeps lives on the printed frame's identity
-//! (`DataFrame::state`): the metadata pass's partials and the processed-vis
-//! memo. Other frames' work never evicts it, and dropping the last frame of
-//! the identity frees it — nothing a print leaves behind points back at the
-//! frame.
+//! (`DataFrame::state`): the metadata pass's partials, the metadata memo
+//! with its value lists, the PRUNE sample and the processed-vis memo. Other
+//! frames' work never evicts it, and dropping the last frame of the identity
+//! frees it — nothing a print leaves behind points back at the frame.
 //!
 //! The tests read the process-wide memo counters, so they run one at a time.
 
@@ -97,4 +97,47 @@ fn dropping_a_printed_frame_frees_what_its_print_kept() {
             "async={detached}: the frame's state outlived it"
         );
     }
+
+    // A print whose PRUNE gate engages keeps the drawn sample in the frame's
+    // state; the draw's history retains the frame, so the state must not.
+    let config = LuxConfig {
+        sample_cap: 100,
+        top_k: 2,
+        ..LuxConfig::wflow_prune()
+    };
+    let ldf = LuxDataFrame::with_config(lux::workloads::airbnb(1_500, 7), Arc::new(config));
+    let state = Arc::downgrade(ldf.data().state());
+    let widget = ldf.print();
+    let trace = widget.trace().expect("a print records a trace");
+    let engaged = (trace.spans.iter()).any(|s| s.tag("prune") == Some("engaged"));
+    assert!(engaged, "no PRUNE gate engaged");
+    drop((widget, ldf));
+    assert!(
+        state.upgrade().is_none(),
+        "the PRUNE sample kept the frame's state alive"
+    );
+
+    // An intent print that builds value lists keeps them in the metadata
+    // memo on the frame's state.
+    let config = Arc::new(LuxConfig::wflow_only());
+    let mut ldf = LuxDataFrame::with_config(lux::workloads::airbnb(1_500, 7), config);
+    ldf.set_intent_strs(["price", "room_type=?"])
+        .expect("intent parses");
+    let state = Arc::downgrade(ldf.data().state());
+    let widget = ldf.print();
+    assert!(
+        !widget.results().is_empty(),
+        "the intent print served nothing"
+    );
+    let meta = ldf.metadata();
+    let room_type = meta.column("room_type").expect("room_type");
+    assert!(
+        room_type.unique_values.is_built(),
+        "no value list was built"
+    );
+    drop((meta, widget, ldf));
+    assert!(
+        state.upgrade().is_none(),
+        "the value lists kept the frame's state alive"
+    );
 }

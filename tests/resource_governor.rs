@@ -128,7 +128,7 @@ fn serve(df: &DataFrame, config: LuxConfig) -> (Served, bool) {
     let meta = Arc::new(FrameMeta::compute(&df, &Default::default()));
     let ctx = PassCtx::detached("pass", config.budget.clone());
     let governor = Arc::clone(&ctx.governor);
-    let pass = Pass::open(df, meta, &[], Arc::new(config), Default::default(), ctx);
+    let pass = Pass::open(df, meta, &[], Arc::new(config), ctx);
     let results = run_pass(&ActionRegistry::with_defaults(), pass).collect_all();
     let table = |d: &DataFrame| d.to_table_string(d.num_rows());
     let served = results

@@ -978,8 +978,8 @@ fn string_dictionaries_are_shared_until_a_new_string_is_interned() {
 #[test]
 fn concat_onto_a_filtered_parent_merges_to_the_full_recompute() {
     use lux::engine::governor::{BudgetHandle, ResourceBudget};
+    use lux::engine::metadata::of_frame;
     use lux::engine::trace::{names, MetricsRegistry};
-    use lux::engine::FrameMeta;
 
     let frame = |start: usize, end: usize, depts: &[&'static str]| {
         DataFrameBuilder::new()
@@ -1000,13 +1000,13 @@ fn concat_onto_a_filtered_parent_merges_to_the_full_recompute() {
     let overrides = std::collections::HashMap::new();
     let pass = |df: &DataFrame| {
         let h = BudgetHandle::new(ResourceBudget::unlimited());
-        let m = FrameMeta::compute_governed_par(df, &overrides, None, Some(&h), 2);
+        let m = of_frame(df, &overrides, false, None, Some(&h), 2);
         let cols: Vec<String> = m.columns.iter().map(|c| format!("{c:?}")).collect();
         (h.charged(), cols)
     };
 
     let parent = filtered();
-    FrameMeta::compute_governed_par(&parent, &overrides, None, None, 2);
+    of_frame(&parent, &overrides, false, None, None, 2);
     let appended = parent.concat(&tail).unwrap();
     let Column::Str(dept) = appended.column("dept").unwrap() else {
         panic!("dept is a string column");

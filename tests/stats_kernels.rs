@@ -17,7 +17,7 @@ use common::{
     ADVERSARIAL_SCAN_CAP, CHUNK_GRID, THREAD_GRID,
 };
 use lux::engine::governor::{BudgetHandle, ResourceBudget};
-use lux::engine::metadata::{UniqueValues, UNIQUE_SCAN_CAP, UNIQUE_VALUES_CAP};
+use lux::engine::metadata::{of_frame, UniqueValues, UNIQUE_SCAN_CAP, UNIQUE_VALUES_CAP};
 use lux::engine::stats::kernels::{
     decode_f64, decode_i64, encode_f64, encode_i64, for_each_valid, ScanValue, SmallestKeys, U64Set,
 };
@@ -820,12 +820,11 @@ fn append_then_merge_equals_full_recompute_across_threads() {
         // stamps lineage) so metadata can merge them with a tail-only
         // scan.
         let base = stats_fixture(0, parent_rows);
-        FrameMeta::compute_governed_par(&base, &overrides, None, None, threads);
+        of_frame(&base, &overrides, false, None, None, threads);
         let appended = base.concat(&tail).expect("concat");
         let merges_before = metrics.counter(names::METADATA_APPEND_MERGES);
         let h_app = BudgetHandle::new(ResourceBudget::unlimited());
-        let m_app =
-            FrameMeta::compute_governed_par(&appended, &overrides, None, Some(&h_app), threads);
+        let m_app = of_frame(&appended, &overrides, false, None, Some(&h_app), threads);
         assert!(
             metrics.counter(names::METADATA_APPEND_MERGES) > merges_before,
             "append pass at threads={threads} did not take the merge path"
@@ -835,8 +834,7 @@ fn append_then_merge_equals_full_recompute_across_threads() {
         // no cached partials and metadata recomputes from scratch.
         let fresh = stats_fixture(0, parent_rows).concat(&tail).expect("concat");
         let h_full = BudgetHandle::new(ResourceBudget::unlimited());
-        let m_full =
-            FrameMeta::compute_governed_par(&fresh, &overrides, None, Some(&h_full), threads);
+        let m_full = of_frame(&fresh, &overrides, false, None, Some(&h_full), threads);
 
         outputs.push((
             format!("threads={threads}/append"),
@@ -993,9 +991,9 @@ fn one_million_row_governed_metadata_is_bounded_and_deterministic() {
     };
 
     let h1 = BudgetHandle::new(ResourceBudget::default());
-    let m1 = FrameMeta::compute_governed_par(&build(), &overrides, None, Some(&h1), 1);
+    let m1 = of_frame(&build(), &overrides, false, None, Some(&h1), 1);
     let h8 = BudgetHandle::new(ResourceBudget::default());
-    let m8 = FrameMeta::compute_governed_par(&build(), &overrides, None, Some(&h8), 8);
+    let m8 = of_frame(&build(), &overrides, false, None, Some(&h8), 8);
 
     assert!(
         !h1.breached(),
@@ -1031,14 +1029,14 @@ fn append_with_degraded_plan_falls_back_and_stays_correct() {
     let tail = stats_fixture(5_000, 7_000);
 
     let base = stats_fixture(0, 5_000);
-    FrameMeta::compute_governed_par(&base, &overrides, None, None, 1);
+    of_frame(&base, &overrides, false, None, None, 1);
     let appended = base.concat(&tail).expect("concat");
     let h_app = BudgetHandle::new(budget.clone());
-    let m_app = FrameMeta::compute_governed_par(&appended, &overrides, None, Some(&h_app), 1);
+    let m_app = of_frame(&appended, &overrides, false, None, Some(&h_app), 1);
 
     let fresh = stats_fixture(0, 5_000).concat(&tail).expect("concat");
     let h_full = BudgetHandle::new(budget);
-    let m_full = FrameMeta::compute_governed_par(&fresh, &overrides, None, Some(&h_full), 8);
+    let m_full = of_frame(&fresh, &overrides, false, None, Some(&h_full), 8);
 
     let a = pass_output(&m_app, &h_app);
     let b = pass_output(&m_full, &h_full);
