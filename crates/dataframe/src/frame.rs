@@ -116,7 +116,7 @@ impl DataFrame {
             df.names.push(name);
             df.columns.push(Arc::new(col));
         }
-        df.history.push(Event::new(OpKind::Load, "from_columns"));
+        df.record_event(Event::new(OpKind::Load, "from_columns"));
         Ok(df)
     }
 
@@ -232,7 +232,8 @@ impl DataFrame {
     // ------------------------------------------------------------------
 
     /// Derive a new frame with the given parts, carrying this frame's history
-    /// plus `event`.
+    /// plus `event`. A Filter or Aggregate event keeps `self` as its kind's
+    /// parent, for the history actions that show the pre-operation frame.
     pub(crate) fn derive(
         &self,
         names: Vec<String>,
@@ -241,7 +242,7 @@ impl DataFrame {
         event: Event,
     ) -> DataFrame {
         let mut history = self.history.clone();
-        history.push(event);
+        history.push(event, Some(self));
         DataFrame {
             names,
             columns,
@@ -252,36 +253,18 @@ impl DataFrame {
         }
     }
 
-    /// Derive a frame whose event retains `self` as parent (for history
-    /// actions that need the pre-operation frame).
-    pub(crate) fn derive_with_parent(
-        &self,
-        names: Vec<String>,
-        columns: Vec<Arc<Column>>,
-        index: Index,
-        event: Event,
-    ) -> DataFrame {
-        let parent = Arc::new(self.clone_without_parents());
-        self.derive(names, columns, index, event.with_parent(parent))
-    }
-
-    /// A clone whose history drops retained parent frames, so that storing it
-    /// as a parent does not chain ancestors indefinitely, and keeping it in
-    /// a [`FrameState`] holds no frame of another identity.
+    /// A clone whose history keeps no parent frames, so that storing it as a
+    /// parent does not chain ancestors, and keeping it in a [`FrameState`]
+    /// holds no frame of another identity.
     pub fn clone_without_parents(&self) -> DataFrame {
         let mut df = self.clone();
-        let mut history = History::new();
-        for e in self.history.events() {
-            history.push(Event::new(e.op, e.detail.clone()).with_columns(e.columns.clone()));
-        }
-        df.history = history;
+        df.history.clear_parents();
         df
     }
 
-    /// Record an extra event on this frame (used by wrappers that instrument
-    /// operations performed outside this crate).
-    pub fn record_event(&mut self, event: Event) {
-        self.history.push(event);
+    /// Record an extra event on this frame, with no parent.
+    pub(crate) fn record_event(&mut self, event: Event) {
+        self.history.push(event, None);
     }
 
     /// Replace the index (used by group-by style ops). Re-stamps the

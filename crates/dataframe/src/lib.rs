@@ -12,9 +12,9 @@
 //! - **Immutable frames, `Arc`-shared columns**: every operation derives a
 //!   new frame; untouched columns are reference-counted, not copied.
 //! - **Operation history on the frame** ([`history`]): each op appends an
-//!   event, and row-subsetting / aggregating ops retain their parent frame —
-//!   exactly the instrumentation the paper's history-based recommendations
-//!   need.
+//!   event, and the history keeps the input of the last row-subsetting op
+//!   and of the last aggregation — exactly the two frames the paper's
+//!   history-based recommendations show.
 //! - **Single-level labeled indexes** ([`index`]): group-by/pivot results
 //!   carry a labeled index, marking them "pre-aggregated" for structure-based
 //!   recommendations.

@@ -75,7 +75,7 @@ impl DataFrame {
             Column::Str(StrColumn::from_strings(DESCRIBE_STATS)),
         );
         let event = Event::new(OpKind::Aggregate, "describe()");
-        Ok(self.derive_with_parent(names, cols, index, event))
+        Ok(self.derive(names, cols, index, event))
     }
 }
 

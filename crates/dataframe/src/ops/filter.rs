@@ -98,7 +98,7 @@ impl DataFrame {
         self.filter_rows_with_detail(mask, "filter: mask".to_string(), vec![])
     }
 
-    fn filter_rows_with_detail(
+    pub(crate) fn filter_rows_with_detail(
         &self,
         mask: &Bitmap,
         detail: String,
@@ -117,7 +117,7 @@ impl DataFrame {
             .collect();
         let index = self.index().take(&indices);
         let event = Event::new(OpKind::Filter, detail).with_columns(columns);
-        Ok(self.derive_with_parent(names, cols, index, event))
+        Ok(self.derive(names, cols, index, event))
     }
 }
 
@@ -246,7 +246,7 @@ mod tests {
             .unwrap();
         let e = f.history().last_of(OpKind::Filter).unwrap();
         assert!(e.detail.contains("dept"));
-        assert_eq!(e.parent.as_ref().unwrap().num_rows(), 4);
+        assert_eq!(f.history().filter_parent().unwrap().num_rows(), 4);
     }
 
     #[test]

@@ -619,7 +619,7 @@ impl GroupBy<'_> {
             format!("groupby({:?}).agg({detail})", self.keys),
         )
         .with_columns(self.keys.clone());
-        Ok(self.df.derive_with_parent(names, cols, index, event))
+        Ok(self.df.derive(names, cols, index, event))
     }
 }
 

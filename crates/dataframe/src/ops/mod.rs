@@ -1,9 +1,9 @@
 //! Dataframe operations, split by family.
 //!
 //! Every operation derives a *new* frame and appends an event to the frame's
-//! history (see [`crate::history`]); operations that the paper's history
-//! actions care about (row subsetting, aggregation) additionally retain the
-//! parent frame on the event.
+//! history (see [`crate::history`]); for the two kinds the paper's history
+//! actions read (row subsetting, aggregation) the history also keeps the
+//! input frame, replacing that kind's previous one.
 
 mod assign;
 mod bin;

@@ -65,7 +65,7 @@ impl DataFrame {
             columns.to_string(),
             values.to_string(),
         ]);
-        Ok(self.derive_with_parent(names, cols, out_index, event))
+        Ok(self.derive(names, cols, out_index, event))
     }
 
     /// Cross-tabulation: counts of co-occurrence between two columns.
@@ -98,7 +98,7 @@ impl DataFrame {
         let out_index = Index::labels(Some(rows.to_string()), Column::from_values(&row_labels)?);
         let event = Event::new(OpKind::Aggregate, format!("crosstab({rows}, {columns})"))
             .with_columns(vec![rows.to_string(), columns.to_string()]);
-        Ok(self.derive_with_parent(names, cols, out_index, event))
+        Ok(self.derive(names, cols, out_index, event))
     }
 }
 
@@ -144,12 +144,7 @@ mod tests {
     fn pivot_records_aggregate_event() {
         let p = df().pivot("state", "month", "cases", Agg::Mean).unwrap();
         assert!(p.history().contains(OpKind::Aggregate));
-        assert!(p
-            .history()
-            .last_of(OpKind::Aggregate)
-            .unwrap()
-            .parent
-            .is_some());
+        assert!(p.history().aggregate_parent().is_some());
     }
 
     #[test]

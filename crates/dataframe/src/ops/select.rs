@@ -81,7 +81,7 @@ impl DataFrame {
             .map(|c| Arc::new(self.column_at(c).take(indices)))
             .collect();
         let index = self.index().take(indices);
-        self.derive_with_parent(names, columns, index, event)
+        self.derive(names, columns, index, event)
     }
 }
 
@@ -198,12 +198,9 @@ impl DataFrame {
                 keep.push(row);
             }
         }
-        let mut out = self.take_rows(&keep);
-        out.record_event(Event::new(
-            OpKind::Filter,
-            format!("drop_duplicates({columns:?})"),
-        ));
-        Ok(out)
+        let event = Event::new(OpKind::Filter, format!("drop_duplicates({columns:?})"))
+            .with_columns(columns.iter().map(|c| c.to_string()).collect());
+        Ok(self.take_rows_with_event(&keep, event))
     }
 
     /// Keep rows whose `column` value is in `values` (null never matches).
@@ -213,15 +210,8 @@ impl DataFrame {
             let v = col.value(i);
             !v.is_null() && values.contains(&v)
         }));
-        let mut out = self.filter_rows(&mask)?;
-        out.record_event(
-            Event::new(
-                OpKind::Filter,
-                format!("isin({column}, {} values)", values.len()),
-            )
-            .with_columns(vec![column.to_string()]),
-        );
-        Ok(out)
+        let detail = format!("isin({column}, {} values)", values.len());
+        self.filter_rows_with_detail(&mask, detail, vec![column.to_string()])
     }
 }
 
@@ -340,7 +330,7 @@ mod tests {
         let h = df().head(2);
         let e = h.history().last_of(OpKind::Filter).unwrap();
         assert!(e.detail.contains("head"));
-        let parent = e.parent.as_ref().unwrap();
+        let parent = h.history().filter_parent().unwrap();
         assert_eq!(parent.num_rows(), 5);
     }
 

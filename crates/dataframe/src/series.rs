@@ -73,7 +73,7 @@ impl Series {
     pub fn to_frame(&self) -> DataFrame {
         let df = DataFrame::from_columns(vec![((*self.name).to_string(), (*self.column).clone())])
             .expect("single column cannot mismatch");
-        df.with_index_pub(self.index.clone())
+        df.with_index(self.index.clone())
     }
 
     /// Mean of the numeric view, ignoring nulls/NaN.
@@ -100,11 +100,6 @@ impl Series {
 }
 
 impl DataFrame {
-    /// Public variant of index replacement used by [`Series::to_frame`].
-    pub fn with_index_pub(self, index: Index) -> DataFrame {
-        self.with_index(index)
-    }
-
     /// Extract a column as a [`Series`].
     pub fn series(&self, column: &str) -> Result<Series> {
         Series::from_frame(self, column)

@@ -24,8 +24,7 @@ pub struct PreFilter;
 
 impl PreFilter {
     fn parent_of(ctx: &ActionContext<'_>) -> Option<Arc<DataFrame>> {
-        let event = ctx.df.history().last_of(OpKind::Filter)?;
-        let parent = event.parent.as_ref()?;
+        let parent = ctx.df.history().filter_parent()?;
         // Only useful when the parent actually has more data to show.
         (parent.num_rows() > ctx.df.num_rows()).then(|| Arc::clone(parent))
     }
@@ -77,9 +76,9 @@ impl PreAggregate {
     fn last_agg<'a>(
         ctx: &'a ActionContext<'_>,
     ) -> Option<(&'a lux_dataframe::Event, Arc<DataFrame>)> {
-        let event = ctx.df.history().last_of(OpKind::Aggregate)?;
-        let parent = event.parent.as_ref()?;
-        Some((event, Arc::clone(parent)))
+        let history = ctx.df.history();
+        let parent = history.aggregate_parent()?;
+        Some((history.last_of(OpKind::Aggregate)?, Arc::clone(parent)))
     }
 }
 

@@ -113,6 +113,21 @@ if [ -n "$computes" ]; then
 fi
 echo "ok: metadata is read only through lux_engine::metadata::of_frame"
 
+echo "== one-door retention lint (Arc<DataFrame> in crates/dataframe/src outside history.rs)"
+# A frame keeps other frames alive in one place (DESIGN.md §9): its History
+# holds the input of the last Filter and of the last Aggregate, the two
+# frames the history actions show. A frame handle held anywhere else in the
+# crate — on an event, an op's result, a cache — is retention per event or
+# per op, and a chain of derived frames would keep every ancestor alive.
+retained=$(find crates/dataframe/src -name '*.rs' ! -path 'crates/dataframe/src/history.rs' \
+    -exec awk "$MARK_TESTS"' !t && /Arc<[A-Za-z_:]*DataFrame>/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ -n "$retained" ]; then
+    echo "$retained"
+    echo "error: Arc<DataFrame> in crates/dataframe/src outside history.rs — a derived frame keeps only History's two parents"
+    exit 1
+fi
+echo "ok: frames are retained only by History's two parents"
+
 echo "== budget-charge lint (try_charge( outside the planning steps)"
 # A pass's bytes are charged before anything is allocated, by the steps that
 # plan it (DESIGN.md §8): the metadata pass's column plan, each action's

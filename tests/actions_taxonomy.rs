@@ -130,6 +130,21 @@ fn history_actions_on_workflow_states() {
     let head = mixed_frame().head(4);
     assert!(head.print().tabs().contains(&"Pre-filter"));
 
+    // isin and drop_duplicates subset rows too -> Pre-filter
+    let base = mixed_frame();
+    let isin = (base.data())
+        .isin("quant_a", &[Value::Float(1.0), Value::Float(2.0)])
+        .unwrap();
+    assert!(LuxDataFrame::new(isin)
+        .print()
+        .tabs()
+        .contains(&"Pre-filter"));
+    let dedup = base.data().drop_duplicates(&["nominal"]).unwrap();
+    assert!(LuxDataFrame::new(dedup)
+        .print()
+        .tabs()
+        .contains(&"Pre-filter"));
+
     // groupby result -> Pre-aggregate (visualizing the parent's measures)
     let agg = mixed_frame()
         .groupby_agg(&["nominal"], &[("quant_a", Agg::Mean)])

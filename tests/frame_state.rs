@@ -141,3 +141,50 @@ fn dropping_a_printed_frame_frees_what_its_print_kept() {
         "the value lists kept the frame's state alive"
     );
 }
+
+/// A `df = df[...]` chain keeps only what the history actions read: the
+/// frame before the last filter and the frame before the last aggregate.
+/// Every other ancestor's state is freed once its wrapper drops, however
+/// long the chain.
+#[test]
+fn a_chain_of_derived_frames_keeps_only_the_two_history_parents() {
+    let _serial = serial();
+    let rows = 1_500;
+    let base = DataFrameBuilder::new()
+        .int("g", 0..rows)
+        .float("x", (0..rows).map(|i| (i % 97) as f64))
+        .float("y", (0..rows).map(|i| ((i * 31) % 53) as f64))
+        .build()
+        .expect("frame builds");
+    let mut ldf = LuxDataFrame::with_config(base, Arc::new(LuxConfig::wflow_only()));
+    let mut ancestors = Vec::new();
+    for step in 0..20 {
+        let next = match step % 3 {
+            0 => ldf.filter("x", FilterOp::Ne, &Value::Float(step as f64)),
+            1 => Ok(ldf.head(ldf.num_rows() - 10)),
+            _ => ldf.groupby_agg(&["g"], &[("x", Agg::Sum), ("y", Agg::Mean)]),
+        };
+        let next = next.expect("step derives");
+        assert!(
+            !next.print().results().is_empty(),
+            "step {step} served nothing"
+        );
+        ancestors.push((ldf.fingerprint(), Arc::downgrade(ldf.data().state())));
+        ldf = next;
+    }
+
+    let history = ldf.data().history();
+    let filter_parent = history.filter_parent().expect("a filter parent");
+    let aggregate_parent = history.aggregate_parent().expect("an aggregate parent");
+    // step 19 is a head, step 17 the last group-by
+    assert_eq!(filter_parent.fingerprint(), ancestors[19].0);
+    assert_eq!(aggregate_parent.fingerprint(), ancestors[17].0);
+    for (step, (fingerprint, state)) in ancestors.iter().enumerate() {
+        let kept = [filter_parent.fingerprint(), aggregate_parent.fingerprint()];
+        assert_eq!(
+            state.upgrade().is_some(),
+            kept.contains(fingerprint),
+            "the input of step {step} is alive exactly when a history parent"
+        );
+    }
+}
