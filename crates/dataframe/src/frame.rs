@@ -248,14 +248,12 @@ impl DataFrame {
             columns,
             index,
             history,
-            state: FrameState::mint(),
-            append_lineage: None,
+            ..DataFrame::empty()
         }
     }
 
-    /// A clone whose history keeps no parent frames, so that storing it as a
-    /// parent does not chain ancestors, and keeping it in a [`FrameState`]
-    /// holds no frame of another identity.
+    /// A clone whose history keeps no parents: stored as a parent it chains no
+    /// ancestors, and kept in a [`FrameState`] it holds no other identity's.
     pub fn clone_without_parents(&self) -> DataFrame {
         let mut df = self.clone();
         df.history.clear_parents();

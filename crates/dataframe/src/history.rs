@@ -124,8 +124,7 @@ impl History {
 
     /// Drop both parents, keeping the events.
     pub(crate) fn clear_parents(&mut self) {
-        self.filter_parent = None;
-        self.aggregate_parent = None;
+        (self.filter_parent, self.aggregate_parent) = (None, None);
     }
 
     pub fn events(&self) -> &[Event] {
@@ -154,6 +153,12 @@ impl History {
     pub fn contains(&self, op: OpKind) -> bool {
         self.events.iter().any(|e| e.op == op)
     }
+
+    /// Events within the trailing window of `n` operations, newest last.
+    pub fn recent(&self, n: usize) -> &[Event] {
+        let start = self.events.len().saturating_sub(n);
+        &self.events[start..]
+    }
 }
 
 #[cfg(test)]
@@ -174,6 +179,18 @@ mod tests {
         assert_eq!(h.last_of(OpKind::Filter).unwrap().detail, "head(5)");
         assert!(h.contains(OpKind::Load));
         assert!(!h.contains(OpKind::Join));
+    }
+
+    #[test]
+    fn recent_window() {
+        let mut h = History::new();
+        for i in 0..5 {
+            h.push(Event::new(OpKind::Other, format!("op{i}")), None);
+        }
+        let r = h.recent(2);
+        assert_eq!(r.len(), 2);
+        assert_eq!(r[1].detail, "op4");
+        assert_eq!(h.recent(100).len(), 5);
     }
 
     #[test]

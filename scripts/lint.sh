@@ -113,17 +113,26 @@ if [ -n "$computes" ]; then
 fi
 echo "ok: metadata is read only through lux_engine::metadata::of_frame"
 
-echo "== one-door retention lint (Arc<DataFrame> in crates/dataframe/src outside history.rs)"
+echo "== one-door retention lint (a DataFrame held in crates/dataframe/src outside History's two parents)"
 # A frame keeps other frames alive in one place (DESIGN.md §9): its History
 # holds the input of the last Filter and of the last Aggregate, the two
-# frames the history actions show. A frame handle held anywhere else in the
-# crate — on an event, an op's result, a cache — is retention per event or
-# per op, and a chain of derived frames would keep every ancestor alive.
-retained=$(find crates/dataframe/src -name '*.rs' ! -path 'crates/dataframe/src/history.rs' \
-    -exec awk "$MARK_TESTS"' !t && /Arc<[A-Za-z_:]*DataFrame>/ { print FILENAME ":" FNR ": " $0 }' {} +)
+# frames the history actions show. A frame held anywhere else in the crate,
+# on an event, an op's result or a cache, is retention per event or per op,
+# and a chain of derived frames would keep every ancestor alive. Flagged: an
+# `Arc`/`Rc`/`Box`/`Option`/`Vec` of a DataFrame on any line, and a DataFrame
+# by value on a struct or enum body line; borrows (`&`, `&'a`) are not
+# retention. Only History's two field lines are exempt.
+retained=$(find crates/dataframe/src -name '*.rs' -exec awk "$MARK_TESTS"'
+    t { next }
+    /^[ \t]*(pub(\([a-z]+\))? )?(struct|enum) .*\{[ \t]*$/ { body = 1; next }
+    body && /^[ \t]*}/ { body = 0 }
+    { line = $0; sub(/\/\/.*/, "", line); gsub(/&('"'"'[a-z_]+ )?(mut )?/, "REF", line) }
+    FILENAME ~ /\/history\.rs$/ && line ~ /^    (filter|aggregate)_parent: Option<Arc<DataFrame>>,$/ { next }
+    line ~ /(^|[^A-Za-z_])(Arc|Rc|Box|Option|Vec)<([a-z_]+::)*DataFrame>/ ||
+        body && line ~ /(^|[^A-Za-z_:])([a-z_]+::)*DataFrame([^A-Za-z_]|$)/ { print FILENAME ":" FNR ": " $0 }' {} +)
 if [ -n "$retained" ]; then
     echo "$retained"
-    echo "error: Arc<DataFrame> in crates/dataframe/src outside history.rs — a derived frame keeps only History's two parents"
+    echo "error: a DataFrame held in crates/dataframe/src outside History's filter_parent/aggregate_parent — a derived frame keeps only those two"
     exit 1
 fi
 echo "ok: frames are retained only by History's two parents"
