@@ -70,6 +70,7 @@ fn main() {
                     intent,
                     intent_specs: specs,
                     config: &config,
+                    max_candidates: usize::MAX,
                 };
                 if !action.applies(&ctx) {
                     eprintln!("  {name}: not applicable, skipped");

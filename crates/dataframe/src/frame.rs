@@ -100,6 +100,11 @@ impl DataFrame {
     /// Build a frame from `(name, column)` pairs. All columns must share a
     /// length and names must be distinct.
     pub fn from_columns(cols: Vec<(String, Column)>) -> Result<DataFrame> {
+        DataFrame::from_shared(cols.into_iter().map(|(n, c)| (n, Arc::new(c))).collect())
+    }
+
+    /// [`DataFrame::from_columns`] around column buffers it shares.
+    pub(crate) fn from_shared(cols: Vec<(String, Arc<Column>)>) -> Result<DataFrame> {
         let mut df = DataFrame::empty();
         let nrows = cols.first().map_or(0, |(_, c)| c.len());
         df.index = Index::range(nrows);
@@ -114,7 +119,7 @@ impl DataFrame {
                 return Err(Error::DuplicateColumn(name));
             }
             df.names.push(name);
-            df.columns.push(Arc::new(col));
+            df.columns.push(col);
         }
         df.record_event(Event::new(OpKind::Load, "from_columns"));
         Ok(df)

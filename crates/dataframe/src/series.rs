@@ -71,7 +71,7 @@ impl Series {
 
     /// View the series as a one-column dataframe (shares the column buffer).
     pub fn to_frame(&self) -> DataFrame {
-        let df = DataFrame::from_columns(vec![((*self.name).to_string(), (*self.column).clone())])
+        let df = DataFrame::from_shared(vec![(self.name.clone(), Arc::clone(&self.column))])
             .expect("single column cannot mismatch");
         df.with_index(self.index.clone())
     }
@@ -143,6 +143,13 @@ mod tests {
         assert_eq!(f.num_columns(), 1);
         assert_eq!(f.num_rows(), 3);
         assert!(f.has_column("x"));
+    }
+
+    #[test]
+    fn to_frame_shares_the_column_buffer() {
+        let s = df_series();
+        let f = s.to_frame();
+        assert!(std::ptr::eq(f.column_at(0), s.column()));
     }
 
     #[test]

@@ -45,6 +45,10 @@ pub struct ActionContext<'a> {
     pub intent: &'a [lux_intent::Clause],
     pub intent_specs: &'a [VisSpec],
     pub config: &'a LuxConfig,
+    /// How many candidates the pass's plan keeps: its governor's
+    /// `max_candidates`, which admission pressure may shrink. A caller that
+    /// ranks the whole space passes `usize::MAX`.
+    pub max_candidates: usize,
 }
 
 impl ActionContext<'_> {
@@ -95,8 +99,18 @@ pub trait Action: Send + Sync {
     /// (the "trigger" condition for custom actions).
     fn applies(&self, ctx: &ActionContext<'_>) -> bool;
 
-    /// Generate the candidate search space (unscored).
+    /// Generate the candidate search space (unscored). A `generate` may
+    /// stop after `ctx.max_candidates` candidates, the first ones in
+    /// enumeration order, since the plan keeps no more; one that does must
+    /// report the whole space's size from [`Action::space_size`].
     fn generate(&self, ctx: &ActionContext<'_>) -> Result<Vec<Candidate>>;
+
+    /// The size of the whole search space when `generate` stops at
+    /// `ctx.max_candidates`; `None` (the default) when the generated list is
+    /// the whole space.
+    fn space_size(&self, _ctx: &ActionContext<'_>) -> Option<usize> {
+        None
+    }
 
     /// Score one candidate against a frame (full data or sample). The
     /// default uses the mark-appropriate interestingness statistic.
@@ -290,6 +304,7 @@ mod tests {
             intent: &[],
             intent_specs: &[],
             config: &config,
+            max_candidates: usize::MAX,
         };
         let on = CustomAction::new("on", |_| true, |_| Ok(vec![]));
         let off = CustomAction::new("off", |_| false, |_| Ok(vec![]));

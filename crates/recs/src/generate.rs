@@ -213,17 +213,20 @@ impl Pass {
             intent: &self.intent,
             intent_specs: &self.intent_specs,
             config: &self.config,
+            max_candidates: self.governor.budget().max_candidates,
         }
     }
 
-    /// Plan an action's `candidates` over this pass (`crate::plan`). The
-    /// PRUNE sample's size is known without drawing it.
-    fn plan(&self, candidates: &[Candidate]) -> Plan {
+    /// Plan an action's `candidates`, the first of a `space` that size, over
+    /// this pass (`crate::plan`). The PRUNE sample's size is known without
+    /// drawing it.
+    fn plan(&self, candidates: &[Candidate], space: usize) -> Plan {
         let rows = |c: &Candidate| c.frame.as_deref().unwrap_or(&self.df).num_rows();
         let specs: Vec<(&VisSpec, usize)> = candidates.iter().map(|c| (&c.spec, rows(c))).collect();
         let sample_rows = self.config.sample_cap.min(self.df.num_rows());
         let (meta, config, governor) = (&self.meta, &self.config, &self.governor);
-        Plan::new(&specs, meta, config, governor, sample_rows, self.deadline)
+        let client = self.deadline;
+        Plan::new(&specs, space, meta, config, governor, sample_rows, client)
     }
 
     /// The frame's PRUNE sample: the frame itself at or under `sample_cap`,
@@ -282,24 +285,32 @@ struct ActionRun<'a> {
     degraded_steps: usize,
 }
 
-/// Stage 1: run `action.generate` under panic isolation, folding generation
-/// errors into the [`ActionError`] taxonomy. `Ok(None)` means no candidates.
+/// Stage 1: run `action.generate` and `action.space_size` under panic
+/// isolation, folding generation errors into the [`ActionError`] taxonomy.
+/// Yields the candidates and the size of the space they begin. `Ok(None)`
+/// means an empty space.
 fn enumerate(
     action: &dyn Action,
     pass: &Pass,
     trace: &TraceCtx,
-) -> std::result::Result<Option<Vec<Candidate>>, ActionError> {
+) -> std::result::Result<Option<(Vec<Candidate>, usize)>, ActionError> {
     let ctx = pass.action_context();
     let span = trace.child("generate");
-    let generated = isolate(action.name(), || action.generate(&ctx))
-        .and_then(|r| r.map_err(|e| ActionError::Generation(e.to_string())));
+    let generated = isolate(action.name(), || -> Result<_> {
+        let candidates = action.generate(&ctx)?;
+        let space = action.space_size(&ctx).unwrap_or(0).max(candidates.len());
+        Ok((candidates, space))
+    });
+    let generated = generated.and_then(|r| r.map_err(|e| ActionError::Generation(e.to_string())));
     match &generated {
-        Ok(c) => span.tag("candidates", c.len().to_string()),
+        Ok((_, space)) => span.tag("candidates", space.to_string()),
         Err(_) => span.tag("failed", "true"),
     }
     span.end();
-    let candidates = generated?;
-    Ok((!candidates.is_empty()).then_some(candidates))
+    let (candidates, space) = generated?;
+    // A capped prefix may be empty where the space is not: that space
+    // still plans, and records its cap event.
+    Ok((space > 0).then_some((candidates, space)))
 }
 
 impl<'a> ActionRun<'a> {
@@ -600,12 +611,12 @@ pub fn execute_action(
 /// [`execute_action`], taking the action's turn on its pass's board
 /// between planning and scoring when it runs as an ASYNC `job`.
 fn execute(action: &dyn Action, pass: &Pass, trace: &TraceCtx, job: Option<&Job>) -> Outcome {
-    let Some(mut candidates) = enumerate(action, pass, trace)? else {
+    let Some((mut candidates, space)) = enumerate(action, pass, trace)? else {
         return Ok(None);
     };
     // The action is timed from here: generation has its own span.
     let started = clock::now();
-    let plan = pass.plan(&candidates);
+    let plan = pass.plan(&candidates, space);
     candidates.truncate(plan.kept);
     let mut run = ActionRun::start(action, pass, trace, plan, started, job);
     if candidates.is_empty() {
@@ -1602,5 +1613,26 @@ mod tests {
         assert_eq!(report.results.len(), 2);
         let stages: Vec<String> = governor.events().into_iter().map(|e| e.stage).collect();
         assert_eq!(stages, ["action:Early", "action:Late"]);
+    }
+
+    #[test]
+    fn a_budget_that_keeps_no_pair_still_caps_correlation() {
+        // Correlation's capped prefix is empty, but its space of three pairs
+        // is not: the action plans, records its cap and ships no tab.
+        for r#async in [false, true] {
+            let config = config_with(|c| (c.r#async, c.budget.max_candidates) = (r#async, 0));
+            let mut registry = ActionRegistry::new();
+            registry.register(Correlation);
+            let pass = pass_over(frame(40), config);
+            let governor = Arc::clone(&pass.governor);
+            let report = report(&registry, pass);
+            assert!(report.results.is_empty(), "async={async}");
+            assert!(report.health.is_empty(), "an empty tab is not a fault");
+            let events: Vec<(String, String)> = (governor.events().into_iter())
+                .map(|e| (e.stage, e.detail))
+                .collect();
+            let capped = "candidate search space capped at 0 (3 dropped)";
+            assert_eq!(events, [("action:Correlation".into(), capped.into())]);
+        }
     }
 }

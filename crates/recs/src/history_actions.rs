@@ -143,6 +143,7 @@ mod tests {
             intent: &[],
             intent_specs: &[],
             config: cfg,
+            max_candidates: usize::MAX,
         }
     }
 

@@ -257,6 +257,7 @@ mod tests {
                 intent: &self.intent,
                 intent_specs: &self.specs,
                 config: &self.config,
+                max_candidates: usize::MAX,
             }
         }
     }

@@ -33,24 +33,23 @@ impl Action for Correlation {
         ctx.intent.is_empty() && ctx.meta.columns_of(SemanticType::Quantitative).len() >= 2
     }
 
+    /// Unordered pairs: the search space the paper's Q6 describes, with the
+    /// symmetric duplicates removed. It grows with the square of the width,
+    /// so only the `max_candidates` pairs the plan keeps are built.
     fn generate(&self, ctx: &ActionContext<'_>) -> Result<Vec<Candidate>> {
         let quant = ctx.meta.columns_of(SemanticType::Quantitative);
-        let mut out = Vec::new();
-        // Unordered pairs: the search space the paper's Q6 describes, with
-        // the symmetric duplicates removed.
-        for i in 0..quant.len() {
-            for j in i + 1..quant.len() {
-                out.push(Candidate::new(VisSpec::new(
-                    Mark::Scatter,
-                    vec![
-                        Encoding::new(quant[i], SemanticType::Quantitative, Channel::X),
-                        Encoding::new(quant[j], SemanticType::Quantitative, Channel::Y),
-                    ],
-                    vec![],
-                )));
-            }
-        }
-        Ok(out)
+        let pairs = (0..quant.len()).flat_map(|i| (i + 1..quant.len()).map(move |j| (i, j)));
+        let scatter = |(i, j): (usize, usize)| {
+            let axis = |column, channel| Encoding::new(column, SemanticType::Quantitative, channel);
+            let encodings = vec![axis(quant[i], Channel::X), axis(quant[j], Channel::Y)];
+            Candidate::new(VisSpec::new(Mark::Scatter, encodings, vec![]))
+        };
+        Ok(pairs.take(ctx.max_candidates).map(scatter).collect())
+    }
+
+    fn space_size(&self, ctx: &ActionContext<'_>) -> Option<usize> {
+        let q = ctx.meta.columns_of(SemanticType::Quantitative).len();
+        Some(q * q.saturating_sub(1) / 2)
     }
 }
 
@@ -144,6 +143,7 @@ mod tests {
                 intent: &[],
                 intent_specs: &[],
                 config: &$cfg,
+                max_candidates: usize::MAX,
             }
         };
     }
@@ -155,6 +155,39 @@ mod tests {
         assert!(Correlation.applies(&ctx));
         let c = Correlation.generate(&ctx).unwrap();
         assert_eq!(c.len(), 3); // C(3,2) over a,b,c
+    }
+
+    #[test]
+    fn capped_correlation_is_a_prefix_of_the_whole_space() {
+        for q in 0..=20usize {
+            // `q` float columns of 50 rows, beside a nominal one so the
+            // frame is never empty.
+            let mut builder = DataFrameBuilder::new().str("g", (0..50).map(|i| ["x", "y"][i % 2]));
+            for c in 0..q {
+                let values = (0..50).map(move |i| ((i * 7_919 + c * 104_729) % 1_009) as f64 / 7.0);
+                builder = builder.float(&format!("q{c}"), values);
+            }
+            let df = builder.build().expect("equal-length columns");
+            let meta = FrameMeta::compute(&df, &HashMap::new());
+            let cfg = LuxConfig::default();
+            let ctx = ctx!(df, meta, cfg);
+            let whole = Correlation.generate(&ctx).expect("Correlation generates");
+            assert_eq!(whole.len(), q * q.saturating_sub(1) / 2);
+            assert_eq!(Correlation.space_size(&ctx), Some(whole.len()));
+            for cap in [0, 1, 15, 64, usize::MAX] {
+                let capped_ctx = ActionContext {
+                    max_candidates: cap,
+                    ..ctx!(df, meta, cfg)
+                };
+                let prefix = Correlation
+                    .generate(&capped_ctx)
+                    .expect("Correlation generates");
+                let expected = &whole[..cap.min(whole.len())];
+                let specs = |c: &[Candidate]| c.iter().map(|c| c.spec.clone()).collect::<Vec<_>>();
+                assert_eq!(specs(&prefix), specs(expected), "q={q} cap={cap}");
+                assert_eq!(Correlation.space_size(&capped_ctx), Some(whole.len()));
+            }
+        }
     }
 
     #[test]
@@ -196,6 +229,7 @@ mod tests {
             intent: &intent,
             intent_specs: &[],
             config: &cfg,
+            max_candidates: usize::MAX,
         };
         assert!(!Correlation.applies(&ctx));
         assert!(!Univariate::DISTRIBUTION.applies(&ctx));

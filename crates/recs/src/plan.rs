@@ -199,11 +199,13 @@ pub(crate) struct Plan {
 }
 
 impl Plan {
-    /// Plan `candidates` (each a spec and its frame's row count) over the
-    /// frame `meta` describes, whose PRUNE sample would hold `sample_rows`,
-    /// with `client` left of the client's deadline.
+    /// Plan `candidates` (each a spec and its frame's row count), the first
+    /// of a search space of `space`, over the frame `meta` describes, whose
+    /// PRUNE sample would hold `sample_rows`, with `client` left of the
+    /// client's deadline.
     pub(crate) fn new(
         candidates: &[(&VisSpec, usize)],
+        space: usize,
         meta: &FrameMeta,
         config: &LuxConfig,
         governor: &BudgetHandle,
@@ -214,7 +216,7 @@ impl Plan {
         // admission pressure the shed ladder shrinks it (DESIGN.md §10).
         let max_candidates = governor.budget().max_candidates;
         let kept = candidates.len().min(max_candidates);
-        let dropped = candidates.len() - kept;
+        let dropped = space - kept;
         let cap_note = (dropped > 0).then(|| {
             format!("candidate search space capped at {max_candidates} ({dropped} dropped)")
         });
@@ -363,7 +365,7 @@ mod tests {
             num_rows: rows,
         };
         let specs = vec![(spec, rows); n];
-        Plan::new(&specs, &meta, config, governor, sample_rows, None)
+        Plan::new(&specs, n, &meta, config, governor, sample_rows, None)
     }
 
     #[test]
@@ -380,6 +382,27 @@ mod tests {
         let plan = plan_of(&scatter(), 10, 1_000, &config, &governor, 1_000);
         assert_eq!((plan.kept, plan.cap_note), (10, None));
         assert_eq!(governor.event_count(), 0, "planning records nothing");
+        // A generator that stopped at the cap hands over its prefix and the
+        // size of the whole space, which the note counts.
+        let meta = FrameMeta {
+            columns: Vec::new(),
+            num_rows: 1_000,
+        };
+        let spec = scatter();
+        let capped = "candidate search space capped at";
+        for (cap, n, space, note) in [
+            (64, 64, 7_875, Some(format!("{capped} 64 (7811 dropped)"))),
+            (16, 16, 7_875, Some(format!("{capped} 16 (7859 dropped)"))),
+            (0, 0, 3, Some(format!("{capped} 0 (3 dropped)"))),
+            (64, 45, 45, None),
+        ] {
+            let config = config_with(|c| c.budget.max_candidates = cap);
+            let governor = BudgetHandle::new(config.budget.clone());
+            let specs = vec![(&spec, 1_000); n];
+            let plan = Plan::new(&specs, space, &meta, &config, &governor, 1_000, None);
+            assert_eq!((plan.kept, plan.group_bytes.len()), (n, n));
+            assert_eq!(plan.cap_note, note);
+        }
     }
 
     #[test]
@@ -492,7 +515,7 @@ mod tests {
             (&histogram, 1_000),
             (&bar, 40),
         ];
-        let plan = Plan::new(&specs, &meta, &config, &governor, 1_000, None);
+        let plan = Plan::new(&specs, specs.len(), &meta, &config, &governor, 1_000, None);
         assert_eq!(plan.group_bytes, [0, 8_000, 0, 320]);
         assert_eq!(governor.charged(), 0, "planning charges nothing");
     }

@@ -244,6 +244,7 @@ mod tests {
             intent: &[],
             intent_specs: &[],
             config: cfg,
+            max_candidates: usize::MAX,
         }
     }
 

@@ -82,7 +82,7 @@ pub fn action_recall(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lux_engine::{FrameMeta, LuxConfig};
+    use lux_engine::{FrameMeta, LuxConfig, SemanticType};
     use lux_recs::metadata_actions::Correlation;
     use std::collections::HashMap;
 
@@ -108,9 +108,30 @@ mod tests {
             intent: &[],
             intent_specs: &[],
             config: &config,
+            max_candidates: usize::MAX,
         };
         let r = action_recall(&Correlation, &ctx, 1.0, 15, 7);
         assert_eq!(r, 1.0);
+    }
+
+    #[test]
+    fn an_uncapped_context_ranks_every_pair() {
+        // More pairs than the default budget keeps.
+        let df = crate::synth::synthetic_wide(20, 200, 3);
+        let meta = FrameMeta::compute(&df, &HashMap::new());
+        let q = meta.columns_of(SemanticType::Quantitative).len();
+        assert!(q * (q - 1) / 2 > LuxConfig::default().budget.max_candidates);
+        let config = LuxConfig::default();
+        let ctx = ActionContext {
+            df: &df,
+            meta: &meta,
+            intent: &[],
+            intent_specs: &[],
+            config: &config,
+            max_candidates: usize::MAX,
+        };
+        let keys = ranked_keys(&Correlation, &ctx, &df, &ProcessOptions::from(&config));
+        assert_eq!(keys.len(), q * (q - 1) / 2);
     }
 
     #[test]
@@ -124,6 +145,7 @@ mod tests {
             intent: &[],
             intent_specs: &[],
             config: &config,
+            max_candidates: usize::MAX,
         };
         let tiny = action_recall(&Correlation, &ctx, 0.02, 15, 7);
         let big = action_recall(&Correlation, &ctx, 0.5, 15, 7);

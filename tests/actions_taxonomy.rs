@@ -215,6 +215,7 @@ fn describe_candidates(label: &str, ldf: &LuxDataFrame) -> String {
         intent: &[],
         intent_specs: &[],
         config: ldf.config(),
+        max_candidates: usize::MAX,
     };
     let mut out = format!("== {label}\n");
     for action in lux::recs::default_actions() {

@@ -180,3 +180,94 @@ fn pipeline_counters_are_thread_count_invariant() {
         "counter deltas diverged between threads=1 and threads=8 ({watched:?})"
     );
 }
+
+/// What a print shows of its Correlation tab, at the thread count
+/// `LUX_THREADS` sets.
+struct CorrelationTab {
+    /// The tab's degraded reason.
+    reason: Option<String>,
+    /// Spec description and score bits per vis, in rank order.
+    specs: Vec<(String, u64)>,
+    /// The pass's governor note.
+    note: Option<String>,
+    /// The `candidates` tag of the action's `generate` span.
+    candidates: Option<String>,
+}
+
+fn correlation_tab(df: DataFrame, config: LuxConfig) -> CorrelationTab {
+    let ldf = LuxDataFrame::with_config(df, Arc::new(config));
+    let widget = ldf.print();
+    let tab = (widget.results().iter())
+        .find(|r| r.action == "Correlation")
+        .expect("a wide frame has a Correlation tab");
+    let trace = ldf.last_trace().expect("print records a trace");
+    let action = trace.span("action:Correlation").expect("Correlation ran");
+    let generate = (trace.children(action.id).into_iter()).find(|s| s.name == "generate");
+    CorrelationTab {
+        reason: tab.degraded_reason.clone(),
+        specs: (tab.vislist.iter())
+            .map(|v| (v.spec.describe(), v.score.to_bits()))
+            .collect(),
+        note: widget.governor_note().map(str::to_string),
+        candidates: generate
+            .and_then(|s| s.tag("candidates"))
+            .map(str::to_string),
+    }
+}
+
+/// The capped path, which no frame of the other tests reaches: the 126
+/// quantitative columns of `communities(2_000, 11)` span 7 875 Correlation
+/// pairs, of which the budget keeps the first 64. What the print shows of
+/// them is the same with and without the optimizations, at whatever thread
+/// count `LUX_THREADS` sets, and under a tighter candidate budget.
+#[test]
+fn a_capped_correlation_space_keeps_its_prefix() {
+    let _guard = lock();
+    let df = lux::workloads::communities(2_000, 11);
+    let expected: Vec<(String, u64)> = (CAPPED_CORRELATION.iter())
+        .map(|&(describe, bits)| (describe.to_string(), bits))
+        .collect();
+    for base in [LuxConfig::all_opt(), LuxConfig::no_opt()] {
+        let tab = correlation_tab(rebuild(&df), base.clone());
+        let capped = "candidate search space capped at 64 (7811 dropped)";
+        assert_eq!(tab.reason.as_deref(), Some(capped));
+        assert_eq!(tab.specs, expected);
+        assert_eq!(tab.note.as_deref(), Some(CAPPED_NOTE));
+        assert_eq!(tab.candidates.as_deref(), Some("7875"));
+
+        let mut tight = base;
+        tight.budget.max_candidates = 16;
+        let tab = correlation_tab(rebuild(&df), tight);
+        let capped = "candidate search space capped at 16 (7859 dropped)";
+        assert_eq!(tab.reason.as_deref(), Some(capped));
+        assert_eq!(tab.specs.len(), 15);
+        assert_eq!(tab.candidates.as_deref(), Some("7875"));
+    }
+}
+
+/// The governor note of those prints: Distribution's 126 histograms are
+/// capped too, and Occurrence folds the community names.
+const CAPPED_NOTE: &str = "governor: 4 step(s) degraded: \
+    action:Distribution -> capped-cardinality (candidate search space capped at 64 (62 dropped)); \
+    process:communityname -> capped-cardinality (distinct group keys exceed cap 1000; folded into \"(other)\"); \
+    process:communityname -> capped-cardinality (distinct group keys exceed cap 1000; folded into \"(other)\"); \
+    action:Correlation -> capped-cardinality (candidate search space capped at 64 (7811 dropped))";
+
+/// The Correlation tab of those prints, in rank order, with score bits.
+const CAPPED_CORRELATION: [(&str, u64); 15] = [
+    ("scatter of state vs attr_004", 0x3fa7fa75b22791aa),
+    ("scatter of state vs attr_003", 0x3fa394464e208431),
+    ("scatter of state vs attr_019", 0x3fa26b3da77102e5),
+    ("scatter of state vs attr_041", 0x3fa16b4bebdae065),
+    ("scatter of state vs attr_007", 0x3fa0fe39b8d15535),
+    ("scatter of state vs attr_055", 0x3f979d3f218055b3),
+    ("scatter of state vs attr_038", 0x3f95bc26621b6579),
+    ("scatter of state vs population", 0x3f9598e6fe6b4829),
+    ("scatter of state vs attr_058", 0x3f9510dc930beae8),
+    ("scatter of state vs attr_031", 0x3f942201a775b572),
+    ("scatter of state vs attr_025", 0x3f9344b17199490d),
+    ("scatter of state vs attr_043", 0x3f9324c8aeab1d8a),
+    ("scatter of state vs attr_006", 0x3f92856d453fcc25),
+    ("scatter of state vs attr_036", 0x3f90550569fe5d51),
+    ("scatter of state vs attr_001", 0x3f8b5e18c32e74d5),
+];
