@@ -300,16 +300,17 @@ impl LuxDataFrame {
     // Metadata & recommendations (the WFLOW-managed state)
     // ------------------------------------------------------------------
 
-    /// The frame's metadata, computed on first use and memoized on the frame
-    /// for this wrapper's overrides (when `wflow` is on). Every access counts
-    /// as a memo query in the process-wide metrics (`lux.wflow.meta_memo_*`).
+    /// The frame's metadata, memoized on the frame for this wrapper's
+    /// overrides (when `wflow` is on) under the scan plan of an unlimited
+    /// budget: exact, so a frame last scanned under a tight budget rescans.
+    /// Every access counts as a memo query (`lux.wflow.meta_memo_*`).
     pub fn metadata(&self) -> Arc<FrameMeta> {
         self.metadata_in(&PassCtx::detached("metadata", ResourceBudget::unlimited()))
     }
 
     /// [`LuxDataFrame::metadata`] in a pass's context: per-column spans and
-    /// the memo hit/miss tag go under a `metadata` span of `ctx.trace`, the
-    /// scans charge `ctx.governor`.
+    /// the memo hit/miss tag go under a `metadata` span of `ctx.trace`, and
+    /// the scan plan charges `ctx.governor`, on a memo hit as on a miss.
     fn metadata_in(&self, ctx: &PassCtx) -> Arc<FrameMeta> {
         #[cfg(test)]
         META_READS.with(|n| n.set(n.get() + 1));

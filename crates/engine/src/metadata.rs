@@ -18,8 +18,8 @@
 //!   and
 //! - reuse a parent frame's partials across an append (`concat` stamps
 //!   lineage; each frame keeps its last pass's partials in its
-//!   [`FrameState`], beside the WFLOW memo [`of_frame`] reads), scanning
-//!   only the tail.
+//!   [`FrameState`], in the one metadata entry [`of_frame`] reads, keyed on
+//!   the pass's scan plan), scanning only the tail.
 //!
 //! Governor accounting stays thread-count-independent by splitting the pass
 //! into plan (sequential) / scan (parallel) / record (sequential) phases.
@@ -115,22 +115,31 @@ pub const CHUNK_ROWS: usize = 1 << 20;
 /// it rescans from row zero.
 const MAX_KEPT_PARTIALS_BYTES: u64 = 64 << 20;
 
-/// The merged partials of a frame's last metadata pass, with everything
-/// needed to validate reuse.
-struct FramePartials {
-    /// Rows the partials cover (the frame's row count when kept).
+/// A metadata pass's plan, decided before any scan (phase 1): per column, in
+/// frame order, its name, dtype and [`StatsSpec`].
+type ScanPlan = Vec<(String, DType, StatsSpec)>;
+
+/// A frame's metadata, in its [`FrameState`]: the rows and plan it was
+/// scanned under, the merged partials (`None` past
+/// [`MAX_KEPT_PARTIALS_BYTES`]) a finalize under new overrides or an append
+/// child starts from, and the [`FrameMeta`] per override set WFLOW memoized.
+struct MetaEntry {
     rows: usize,
-    /// Sketch precision the partials were built at.
-    precision: u32,
-    /// Per column, in frame order: name, dtype, the scan cap its pass was
-    /// planned with, and the merged partial.
-    columns: Vec<(String, DType, usize, ColumnStats)>,
+    plan: ScanPlan,
+    partials: Option<Arc<[ColumnStats]>>,
+    metas: Vec<(HashMap<String, SemanticType>, Arc<FrameMeta>)>,
 }
 
-/// Where a frame keeps its [`FramePartials`]: in its [`FrameState`], so an
-/// append (`concat` holds its parent's state) scans only its tail, and the
-/// partials are freed with the frame.
-type KeptPartials = Mutex<Option<Arc<FramePartials>>>;
+type MetaSlot = Mutex<Option<MetaEntry>>;
+
+impl MetaEntry {
+    /// The one reuse rule: this entry, scanned over the first `rows` rows
+    /// of a frame (the frame itself, or its append parent), serves a pass
+    /// planned as `plan` when every column's name, dtype and spec match.
+    fn fits(&self, rows: usize, plan: &ScanPlan) -> bool {
+        self.rows == rows && self.plan == *plan
+    }
+}
 
 /// Statistics and inferred type for one column.
 #[derive(Debug, Clone)]
@@ -161,8 +170,8 @@ pub struct ColumnMeta {
 
 /// A column's value list, built in one pass over the column when first
 /// read, into a slot every clone of its [`ColumnMeta`] shares: once per
-/// `FrameMeta` a frame's WFLOW memo keeps, freed with it. The build opens no
-/// span and charges no budget. Derefs to `[Value]`, as `Debug` and `==` do.
+/// `FrameMeta` a frame's metadata entry keeps, freed with it. The build
+/// opens no span and charges no budget. Derefs to `[Value]`, as `Debug` and `==` do.
 #[derive(Clone)]
 pub struct UniqueValues {
     column: Arc<Column>,
@@ -227,10 +236,11 @@ impl FrameMeta {
     /// and record every downgrade as a [`crate::governor::GovernorEvent`]),
     /// with a `column:<name>` span per scanned chunk under `trace`, fanned
     /// out over up to `par` pool workers (DESIGN.md §9), seeded from the
-    /// partials of the first compatible `(state, rows)` of `lineage`, on a
-    /// `chunk_rows` grid (tests pass one below [`CHUNK_ROWS`] to reach the
-    /// fold). Runs in three phases so the result — governor accounting and
-    /// event order included — is byte-identical for every `par` and grid:
+    /// partials of the first `(state, rows)` of `lineage` whose plan matches,
+    /// on a `chunk_rows` grid (tests pass one below [`CHUNK_ROWS`] to reach
+    /// the fold). Runs in three phases so the result — governor accounting
+    /// and event order included — is byte-identical for every `par` and
+    /// grid:
     ///
     /// 1. **plan** (sequential, column order): every byte-charge and
     ///    scan-cap decision happens on the caller thread, always against
@@ -242,8 +252,9 @@ impl FrameMeta {
     ///    scanned) each column folds its own partials in chunk order, one
     ///    pool task per column, under a `metadata.fold` span;
     /// 3. **record** (sequential, column order): finalize each column,
-    ///    record capped-cardinality events, and keep the merged partials in
-    ///    this frame's [`FrameState`] for the next append.
+    ///    record capped-cardinality events, and keep the merged partials
+    ///    with the plan as this frame's metadata entry in its
+    ///    [`FrameState`], for an append child or a WFLOW read.
     pub fn compute_with_chunk_rows(
         df: &DataFrame,
         overrides: &HashMap<String, SemanticType>,
@@ -253,30 +264,60 @@ impl FrameMeta {
         chunk_rows: usize,
         lineage: &[(&FrameState, usize)],
     ) -> FrameMeta {
+        let (meta, _) = Self::read(
+            df, overrides, false, trace, governor, par, chunk_rows, lineage,
+        );
+        Arc::unwrap_or_clone(meta)
+    }
+
+    /// The pass behind [`of_frame`] and [`FrameMeta::compute_with_chunk_rows`],
+    /// and whether it was a WFLOW hit: phase 1, then under the frame's entry
+    /// lock phases 2 and 3 on a miss, seeded from its own partials or `lineage`'s.
+    #[allow(clippy::too_many_arguments)]
+    fn read(
+        df: &DataFrame,
+        overrides: &HashMap<String, SemanticType>,
+        memo: bool,
+        trace: Option<(&crate::trace::TraceCollector, crate::trace::SpanId)>,
+        governor: Option<&BudgetHandle>,
+        par: usize,
+        chunk_rows: usize,
+        lineage: &[(&FrameState, usize)],
+    ) -> (Arc<FrameMeta>, bool) {
         assert!(chunk_rows > 0, "chunk grid needs a positive stride");
         let num_rows = df.num_rows();
-        let precision = sketch::DEFAULT_PRECISION;
         // Columns are walked by position, once; every phase carries the
         // column instead of resolving the name again.
-        let cols: Vec<(&str, &Arc<Column>)> = df
-            .column_names()
-            .iter()
-            .enumerate()
-            .map(|(i, name)| (name.as_str(), df.column_arc_at(i)))
+        let cols: Vec<(&String, &Arc<Column>)> = (df.column_names().iter().enumerate())
+            .map(|(i, name)| (name, df.column_arc_at(i)))
             .collect();
 
         // Phase 1: plan.
-        let plans: Vec<StatsSpec> = cols
-            .iter()
-            .map(|(name, col)| plan_column_scan(name, col, governor, precision))
+        let plan: ScanPlan = (cols.iter())
+            .map(|&(name, c)| (name.clone(), c.dtype(), plan_column_scan(name, c, governor)))
             .collect();
+        let slot = df.state().get::<MetaSlot>();
+        let mut entry = lock_recover(&slot);
+        let own = (entry.as_ref()).filter(|e| memo && e.fits(num_rows, &plan));
+        let hit = own.and_then(|e| e.metas.iter().find(|(key, _)| key == overrides));
+        if let Some((_, meta)) = hit {
+            record_estimates(governor, meta, &plan);
+            return (Arc::clone(meta), true);
+        }
 
-        // Append fast path: partials for rows 0..parent_rows come from the
-        // parent's state; the chunk grid below covers only the tail.
-        let parent = lineage
-            .iter()
-            .find_map(|&l| reuse_parent_partials(df, l, &cols, &plans, precision));
-        let scan_from = parent.as_ref().map_or(0, |p| p.rows);
+        // Partials for the first rows come from the frame's own entry (no
+        // rows left to scan) or its append parent's (only the tail).
+        let seed = (own.and_then(|e| e.partials.clone()))
+            .map(|partials| (num_rows, partials))
+            .or_else(|| {
+                lineage.iter().find_map(|&(state, rows)| {
+                    let slot = state.get::<MetaSlot>();
+                    let parent = lock_recover(&slot);
+                    let parent = parent.as_ref().filter(|e| e.fits(rows, &plan))?;
+                    Some((rows, parent.partials.clone()?))
+                })
+            });
+        let scan_from = seed.as_ref().map_or(0, |(rows, _)| *rows);
 
         // Phase 2: scan. One task per (column, chunk); the grid depends
         // only on the row range, so every `par` folds identically.
@@ -307,7 +348,7 @@ impl FrameMeta {
             let (name, col) = cols[ci];
             let span =
                 trace.map(|(c, parent)| (c, c.begin(Some(parent), format!("column:{name}"))));
-            let stats = ColumnStats::scan(col, start, end, &plans[ci]);
+            let stats = ColumnStats::scan(col, start, end, &plan[ci].2);
             if let Some((c, id)) = span {
                 if let Some(w) = crate::pool::worker_index() {
                     c.tag(id, "sched.worker", w.to_string());
@@ -321,54 +362,42 @@ impl FrameMeta {
             chunks[ci].push(stats);
         }
 
-        // Fold each column's partials, seeded from the parent's (append
-        // path) or from its first chunk — never from an empty set that
-        // would force a pointless rehash of the first chunk's keys. A
+        // Fold each column's partials, seeded from the kept ones (own or
+        // append parent's) or from its first chunk — never from an empty set
+        // that would force a pointless rehash of the first chunk's keys. A
         // column with a single partial has nothing to fold, so the pool is
         // only entered when some column does.
-        let seeds = parent.as_ref().map(|entry| &entry.columns);
+        let seeds = seed.as_ref().map(|(_, partials)| partials);
         let fold_par = if seeds.is_some() || chunks.iter().any(|c| c.len() > 1) {
             par
         } else {
             1
         };
         let folded: Vec<ColumnStats> = crate::pool::parallel_map(fold_par, chunks, |ci, chunks| {
-            let seed = seeds.map(|s| &s[ci].3);
-            fold_column(cols[ci].1, &plans[ci], seed, chunks, trace)
+            let seed = seeds.map(|s| &s[ci]);
+            fold_column(cols[ci].1, &plan[ci].2, seed, chunks, trace)
         });
-        if parent.is_some() && scan_from < num_rows {
+        if seed.is_some() && scan_from < num_rows {
             MetricsRegistry::global().incr(names::METADATA_APPEND_MERGES);
         }
 
         // Phase 3: record + finalize, in column order.
         let mut columns = Vec::with_capacity(cols.len());
-        for ((&(name, col), stats), plan) in cols.iter().zip(&folded).zip(&plans) {
-            let fin = stats.finalize(plan);
-            if fin.estimated {
-                if let Some(g) = governor {
-                    g.record(
-                        format!("metadata:{name}"),
-                        DegradeLevel::CappedCardinality,
-                        format!(
-                            "distinct values exceed scan cap {}; cardinality estimated by sketch",
-                            plan.scan_cap
-                        ),
-                    );
-                }
-            }
+        for ((&(name, col), stats), (_, dtype, spec)) in cols.iter().zip(&folded).zip(&plan) {
+            let fin = stats.finalize(spec);
             let semantic = overrides.get(name).copied().unwrap_or_else(|| {
                 infer_semantic_est(
                     name,
-                    col.dtype(),
+                    *dtype,
                     fin.cardinality,
                     num_rows,
                     fin.estimated,
-                    precision,
+                    spec.precision,
                 )
             });
             columns.push(ColumnMeta {
-                name: name.to_string(),
-                dtype: col.dtype(),
+                name: name.clone(),
+                dtype: *dtype,
                 semantic,
                 cardinality: fin.cardinality,
                 cardinality_estimated: fin.estimated,
@@ -379,28 +408,26 @@ impl FrameMeta {
                 null_count: fin.null_count,
             });
         }
+        let meta = Arc::new(FrameMeta { columns, num_rows });
+        record_estimates(governor, &meta, &plan);
 
-        // Keep the merged partials so a future append only scans its tail.
-        let entry = FramePartials {
-            rows: num_rows,
-            precision,
-            columns: cols
-                .iter()
-                .zip(folded)
-                .zip(&plans)
-                .map(|((&(name, col), stats), plan)| {
-                    (name.to_string(), col.dtype(), plan.scan_cap, stats)
-                })
-                .collect(),
-        };
-        let bytes: u64 = (entry.columns.iter())
-            .map(|(name, _, _, stats)| 64 + name.len() as u64 + stats.bytes())
-            .sum();
-        if bytes <= MAX_KEPT_PARTIALS_BYTES {
-            *lock_recover(&df.state().get::<KeptPartials>()) = Some(Arc::new(entry));
+        // Keep the merged partials under the plan, replacing an entry scanned
+        // under another one (an entry under this plan already holds them).
+        if !entry.as_ref().is_some_and(|e| e.fits(num_rows, &plan)) {
+            let bytes: u64 = (plan.iter().zip(&folded))
+                .map(|((name, ..), stats)| 64 + name.len() as u64 + stats.bytes())
+                .sum();
+            *entry = Some(MetaEntry {
+                rows: num_rows,
+                plan,
+                partials: (bytes <= MAX_KEPT_PARTIALS_BYTES).then(|| folded.into()),
+                metas: Vec::new(),
+            });
         }
-
-        FrameMeta { columns, num_rows }
+        if let Some(kept) = entry.as_mut().filter(|_| memo) {
+            kept.metas.push((overrides.clone(), Arc::clone(&meta)));
+        }
+        (meta, false)
     }
 
     /// Metadata for a column by name.
@@ -418,16 +445,15 @@ impl FrameMeta {
     }
 }
 
-/// The WFLOW metadata memo in a frame's state: a [`FrameMeta`] per override set.
-type MetaMemo = Mutex<Vec<(HashMap<String, SemanticType>, Arc<FrameMeta>)>>;
-
 /// A frame's metadata as a pass reads it: the one way into the metadata pass
-/// outside tests and the experiment binaries. Under WFLOW (`memo`) it is the
-/// memo for `overrides`; a miss computes holding the memo's lock (concurrent
-/// first reads scan once), from the frame's kept partials, else its append
-/// parent's. No-opt reads always compute, merging only an append parent's.
-/// Counts in `lux.wflow.meta_memo_*`, tags `memo` on `trace`'s span; the rest
-/// is as for [`FrameMeta::compute_with_chunk_rows`].
+/// outside tests and the experiment binaries. It plans first. Under WFLOW
+/// (`memo`), if the plan matches the frame's entry, it returns the entry's
+/// [`FrameMeta`] for `overrides` (a hit) or finalizes one from its partials;
+/// otherwise it computes, merging an append parent's partials, and replaces
+/// the entry. A hit charges and records what its miss planned; a miss holds
+/// the entry's lock, so concurrent first reads scan once. No-opt reads always
+/// compute. Counts in `lux.wflow.meta_memo_*`, tags `memo` on `trace`'s span;
+/// the rest is as for [`FrameMeta::compute_with_chunk_rows`].
 pub fn of_frame(
     df: &DataFrame,
     overrides: &HashMap<String, SemanticType>,
@@ -436,46 +462,52 @@ pub fn of_frame(
     governor: Option<&BudgetHandle>,
     par: usize,
 ) -> Arc<FrameMeta> {
-    let slot = memo.then(|| df.state().get::<MetaMemo>());
-    let mut kept = slot.as_deref().map(lock_recover);
-    let hit = (kept.as_deref().into_iter().flatten())
-        .find(|(key, _)| key == overrides)
-        .map(|(_, meta)| Arc::clone(meta));
-    let (verdict, counter) = match (&hit, memo) {
-        (Some(_), _) => ("hit", names::META_MEMO_HIT),
-        (None, true) => ("miss", names::META_MEMO_MISS),
-        (None, false) => ("off", names::META_MEMO_MISS),
+    let lineage = df.append_lineage();
+    let lineage = lineage.as_slice();
+    let (meta, hit) = FrameMeta::read(
+        df, overrides, memo, trace, governor, par, CHUNK_ROWS, lineage,
+    );
+    let (verdict, counter) = match (hit, memo) {
+        (true, _) => ("hit", names::META_MEMO_HIT),
+        (false, true) => ("miss", names::META_MEMO_MISS),
+        (false, false) => ("off", names::META_MEMO_MISS),
     };
     if let Some((c, span)) = trace {
         c.tag(span, "memo", verdict);
     }
     MetricsRegistry::global().incr(counter);
-    if let Some(meta) = hit {
-        return meta;
-    }
-    let own = memo.then(|| (&**df.state(), df.num_rows()));
-    let lineage: Vec<_> = own.into_iter().chain(df.append_lineage()).collect();
-    let meta = FrameMeta::compute_with_chunk_rows(
-        df, overrides, trace, governor, par, CHUNK_ROWS, &lineage,
-    );
-    let meta = Arc::new(meta);
-    if let Some(kept) = kept.as_mut() {
-        kept.push((overrides.clone(), Arc::clone(&meta)));
-    }
     meta
 }
 
-/// The metadata [`of_frame`] memoized on `df` for `overrides`, if any. Never
-/// scans: a shed print validates its intent against this alone.
+/// The metadata [`of_frame`] memoized on `df` for `overrides`, if any,
+/// whatever its plan. Never scans: a shed print validates its intent
+/// against this alone.
 pub fn memoized(
     df: &DataFrame,
     overrides: &HashMap<String, SemanticType>,
 ) -> Option<Arc<FrameMeta>> {
-    let kept = df.state().get::<MetaMemo>();
-    let kept = lock_recover(&kept);
-    kept.iter()
-        .find(|(key, _)| key == overrides)
-        .map(|(_, meta)| Arc::clone(meta))
+    let slot = df.state().get::<MetaSlot>();
+    let entry = lock_recover(&slot);
+    let (_, meta) = (entry.as_ref()?.metas.iter()).find(|(key, _)| key == overrides)?;
+    Some(Arc::clone(meta))
+}
+
+/// Phase 3's events: `capped-cardinality` for each column whose count
+/// `meta` estimates, in column order.
+fn record_estimates(governor: Option<&BudgetHandle>, meta: &FrameMeta, plan: &ScanPlan) {
+    let Some(g) = governor else { return };
+    for (column, (_, _, spec)) in meta.columns.iter().zip(plan) {
+        if column.cardinality_estimated {
+            g.record(
+                format!("metadata:{}", column.name),
+                DegradeLevel::CappedCardinality,
+                format!(
+                    "distinct values exceed scan cap {}; cardinality estimated by sketch",
+                    spec.scan_cap
+                ),
+            );
+        }
+    }
 }
 
 /// Phase-1 governor planning for one column: performs every byte-charge for
@@ -483,73 +515,38 @@ pub fn memoized(
 /// runs sequentially in column order on the caller thread, against the full
 /// column length (even when an append merge will skip most rows), so
 /// accounting is independent of scheduling *and* of kept partials.
-fn plan_column_scan(
-    name: &str,
-    col: &Column,
-    governor: Option<&BudgetHandle>,
-    precision: u32,
-) -> StatsSpec {
-    let mut scan_cap = UNIQUE_SCAN_CAP;
-    match col {
-        Column::Str(c) => {
-            // Exact and already bounded: distinct values come from a bitset
-            // over the dictionary, one bit per entry (charged whole words).
-            if let Some(g) = governor {
-                g.try_charge(c.dict().len().div_ceil(64) as u64 * 8);
-            }
-        }
-        _ => {
-            if let Some(g) = governor {
-                let mut est = col.len().min(scan_cap) as u64 * governor::METADATA_EXACT_SLOT_BYTES;
-                if col.len() > scan_cap {
-                    // Tall enough that the exact set may spill into a sketch.
-                    est += governor::metadata_sketch_bytes(precision);
-                }
-                if !g.try_charge(est) {
-                    scan_cap = DEGRADED_SCAN_CAP;
-                    g.record(
-                        format!("metadata:{name}"),
-                        DegradeLevel::Sampled,
-                        "pass memory budget exhausted; exact distinct set shrunk",
-                    );
-                }
-            }
-        }
+fn plan_column_scan(name: &str, col: &Column, governor: Option<&BudgetHandle>) -> StatsSpec {
+    let mut spec = StatsSpec {
+        scan_cap: UNIQUE_SCAN_CAP,
+        precision: sketch::DEFAULT_PRECISION,
+    };
+    let Some(g) = governor else { return spec };
+    if let Column::Str(c) = col {
+        // Exact and already bounded: distinct values come from a bitset over
+        // the dictionary, one bit per entry (charged whole words).
+        g.try_charge(c.dict().len().div_ceil(64) as u64 * 8);
+        return spec;
     }
-    StatsSpec {
-        scan_cap,
-        precision,
+    let mut est = col.len().min(spec.scan_cap) as u64 * governor::METADATA_EXACT_SLOT_BYTES;
+    if col.len() > spec.scan_cap {
+        // Tall enough that the exact set may spill into a sketch.
+        est += governor::metadata_sketch_bytes(spec.precision);
     }
-}
-
-/// Fetch the partials kept by `(parent, parent_rows)` — an append's
-/// parent, or the frame itself — when they are compatible with this pass
-/// (same rows, precision, column names, dtypes, and per-column scan caps).
-/// Any mismatch falls back to a full rescan — never a wrong answer.
-fn reuse_parent_partials(
-    df: &DataFrame,
-    (parent, parent_rows): (&FrameState, usize),
-    cols: &[(&str, &Arc<Column>)],
-    plans: &[StatsSpec],
-    precision: u32,
-) -> Option<Arc<FramePartials>> {
-    let entry = lock_recover(&parent.get::<KeptPartials>()).clone()?;
-    let compatible = entry.rows == parent_rows
-        && parent_rows <= df.num_rows()
-        && entry.precision == precision
-        && entry.columns.len() == cols.len()
-        && entry.columns.iter().zip(cols).zip(plans).all(
-            |(((n, dt, cap, _), (name, col)), plan)| {
-                n == name && *cap == plan.scan_cap && col.dtype() == *dt
-            },
+    if !g.try_charge(est) {
+        spec.scan_cap = DEGRADED_SCAN_CAP;
+        g.record(
+            format!("metadata:{name}"),
+            DegradeLevel::Sampled,
+            "pass memory budget exhausted; exact distinct set shrunk",
         );
-    compatible.then_some(entry)
+    }
+    spec
 }
 
 /// Phase-2 fold for one column: its partials merged in chunk order, seeded
-/// from the parent's kept partial on the append path. Runs as one pool task
-/// per column; a column with a single partial returns it untouched and
-/// opens no span.
+/// from a kept partial (the frame's own, or its append parent's). Runs as
+/// one pool task per column; a column with a single partial returns it
+/// untouched and opens no span.
 fn fold_column(
     col: &Column,
     plan: &StatsSpec,

@@ -52,7 +52,8 @@ pub fn vis_cost(class: OpClass, rows: usize, groups: usize) -> f64 {
 /// §8.2: "we estimate the cost of the action as the sum of the
 /// visualization costs in the VisList").
 fn action_cost(specs: impl IntoIterator<Item = (OpClass, usize, usize)>) -> f64 {
-    (specs.into_iter()).map(|(c, r, g)| vis_cost(c, r, g)).sum()
+    // Folded from +0.0: an empty `f64` sum is -0.0, which tags "-0".
+    (specs.into_iter()).fold(0.0, |acc, (c, r, g)| acc + vis_cost(c, r, g))
 }
 
 /// Convert an action's cost estimate into a wall-clock budget: the base
@@ -282,6 +283,11 @@ mod tests {
         let x = lux_vis::Encoding::new("dept", lux_engine::SemanticType::Nominal, Channel::X);
         let count = lux_vis::Encoding::synthetic_count(Channel::Y);
         VisSpec::new(lux_vis::Mark::Bar, vec![x, count], vec![])
+    }
+
+    #[test]
+    fn a_plan_that_keeps_nothing_costs_positive_zero() {
+        assert_eq!(action_cost([]).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

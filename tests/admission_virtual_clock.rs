@@ -311,8 +311,11 @@ fn a_streaming_run_charges_its_metadata_scan_to_its_budget() {
         0,
         "the pass's charge left the ledger with the pass"
     );
-    // The stream computed the frame's metadata; this read is its memo.
-    let meta = ldf.metadata();
+    // The stream computed the frame's metadata, and the frame keeps it
+    // under the stream's plan: an unbudgeted read would plan exact and
+    // rescan, so this reads the kept entry itself, which never scans.
+    let meta = lux_engine::metadata::memoized(ldf.data(), &Default::default())
+        .expect("the stream memoized its metadata");
     let price = meta.column("price").expect("price column");
     assert!(
         price.cardinality_estimated,

@@ -1,14 +1,19 @@
 //! What a print keeps lives on the printed frame's identity
-//! (`DataFrame::state`): the metadata pass's partials, the metadata memo
-//! with its value lists, the PRUNE sample and the processed-vis memo. Other
-//! frames' work never evicts it, and dropping the last frame of the identity
-//! frees it — nothing a print leaves behind points back at the frame.
+//! (`DataFrame::state`): one metadata entry (the scan plan, the pass's
+//! partials and the memoized metadata with its value lists), the PRUNE
+//! sample and the processed-vis memo. Other frames' work never evicts it,
+//! and dropping the last frame of the identity frees it — nothing a print
+//! leaves behind points back at the frame. The metadata entry is keyed on
+//! its scan plan: a read under another budget's plan rescans instead of
+//! inheriting a degraded scan, and a hit charges and records what its miss
+//! planned.
 //!
 //! The tests read the process-wide memo counters, so they run one at a time.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use lux::engine::trace::{names, MetricsRegistry};
+use lux::engine::governor::{BudgetHandle, ResourceBudget};
+use lux::engine::trace::{names, MetricsRegistry, TraceCollector};
 use lux::prelude::*;
 use lux::vis::{Channel, Encoding, Mark, ProcessOptions, VisSpec};
 use lux::{LuxDataFrame, Widget};
@@ -186,5 +191,87 @@ fn a_chain_of_derived_frames_keeps_only_the_two_history_parents() {
             kept.contains(fingerprint),
             "the input of step {step} is alive exactly when a history parent"
         );
+    }
+}
+
+/// Metadata scanned under a tight budget is kept under the plan that
+/// budget made: a default-budget wrapper over a clone plans exact, so it
+/// rescans instead of reading the degraded entry, and the tight print's
+/// governor events are what they were.
+#[test]
+fn a_tight_print_does_not_degrade_a_default_wrappers_metadata() {
+    let _serial = serial();
+    let frame = lux::workloads::airbnb(20_000, 7);
+    let tight = Arc::new(LuxConfig {
+        budget: ResourceBudget {
+            max_bytes: 64 << 10,
+            ..ResourceBudget::default()
+        },
+        ..LuxConfig::wflow_only()
+    });
+    let tight_note = |frame: &DataFrame| {
+        let widget = LuxDataFrame::with_config(frame.clone(), Arc::clone(&tight)).print();
+        widget.governor_note().map(str::to_string)
+    };
+    let first = tight_note(&frame).expect("the tight print degraded nothing");
+    assert!(
+        first.starts_with("governor: 14 step(s) degraded: metadata:"),
+        "{first}"
+    );
+
+    let ldf = LuxDataFrame::with_config(frame.clone(), Arc::new(LuxConfig::wflow_only()));
+    let widget = ldf.print();
+    assert_eq!(widget.governor_note(), None, "the default print degraded");
+    let meta = ldf.metadata();
+    let id = meta.column("id").expect("id");
+    assert_eq!((id.cardinality, id.cardinality_estimated), (20_000, false));
+
+    assert_eq!(tight_note(&frame).as_deref(), Some(first.as_str()));
+}
+
+/// The metadata twin of the processed-vis memo's rule: a WFLOW hit charges
+/// and records what its miss planned, so a pass's accounting does not
+/// depend on whether the frame's metadata was already read.
+#[test]
+fn a_metadata_hit_charges_and_records_what_its_miss_planned() {
+    let _serial = serial();
+    let overrides = std::collections::HashMap::new();
+    let tight = ResourceBudget {
+        max_bytes: 64 << 10,
+        ..ResourceBudget::default()
+    };
+    // (budget, the cold read's charge where pinned, its event count)
+    let cases = [
+        (ResourceBudget::default(), Some(2_880_048), 0),
+        (tight, None, 14),
+    ];
+    for threads in [1, 8] {
+        for (budget, charged, events) in &cases {
+            let df = lux::workloads::airbnb(20_000, 7);
+            let read = || {
+                let h = BudgetHandle::new(budget.clone());
+                let trace = TraceCollector::new();
+                let root = trace.begin(None, "metadata");
+                let pass = Some((trace.as_ref(), root));
+                lux::engine::metadata::of_frame(&df, &overrides, true, pass, Some(&h), threads);
+                trace.end(root);
+                let scans = (trace.snapshot().spans.iter())
+                    .filter(|s| s.name.starts_with("column:"))
+                    .count();
+                let events: Vec<String> = h.events().iter().map(|e| e.to_string()).collect();
+                ((h.charged(), events), scans)
+            };
+            let ((cold, cold_scans), (warm, warm_scans)) = (read(), read());
+            assert_eq!(cold.1.len(), *events, "threads={threads}: {:?}", cold.1);
+            if let Some(charged) = charged {
+                assert_eq!(cold.0, *charged, "threads={threads}");
+            }
+            assert_eq!(warm, cold, "threads={threads}: the hit's accounting");
+            assert!(
+                cold_scans > 0,
+                "threads={threads}: the cold read scanned nothing"
+            );
+            assert_eq!(warm_scans, 0, "threads={threads}: the hit scanned");
+        }
     }
 }
