@@ -7,7 +7,6 @@
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
 
 use lux_core::prelude::*;
 use lux_dataframe::sql::query_frame;
@@ -339,7 +338,7 @@ impl Shell {
         self.current.as_deref()
     }
 
-    pub fn frame_names(&self) -> Vec<&str> {
+    fn frame_names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self.frames.keys().map(String::as_str).collect();
         names.sort();
         names
@@ -577,18 +576,6 @@ impl Shell {
         self.frames.insert(name.to_string(), LuxDataFrame::new(df));
         self.current = Some(name.to_string());
     }
-
-    /// Register with a custom config (e.g. SQL backend shells).
-    pub fn insert_with_config(
-        &mut self,
-        name: &str,
-        df: lux_dataframe::DataFrame,
-        config: Arc<LuxConfig>,
-    ) {
-        self.frames
-            .insert(name.to_string(), LuxDataFrame::with_config(df, config));
-        self.current = Some(name.to_string());
-    }
 }
 
 #[cfg(test)]
@@ -759,7 +746,9 @@ mod tests {
         let mut shell = Shell::new();
         let mut config = LuxConfig::default();
         config.budget.max_bytes = 1; // everything over budget from byte one
-        shell.insert_with_config("df", sample(), Arc::new(config));
+        let ldf = LuxDataFrame::with_config(sample(), std::sync::Arc::new(config));
+        shell.frames.insert("df".to_string(), ldf);
+        shell.current = Some("df".to_string());
         let out = shell
             .execute(parse_command("print").unwrap())
             .unwrap()

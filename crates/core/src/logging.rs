@@ -166,19 +166,6 @@ impl SessionLogger {
         let lines: Vec<String> = self.events().iter().map(LogEvent::to_json).collect();
         lines.join("\n")
     }
-
-    /// Seconds between consecutive prints — the paper's "think time"
-    /// distribution (fn. 2: median 2.8 s between showing the table and
-    /// toggling to the Lux view).
-    pub fn think_times(&self) -> Vec<f64> {
-        let prints: Vec<f64> = self
-            .events()
-            .iter()
-            .filter(|e| e.kind == EventKind::Print)
-            .map(|e| e.timestamp)
-            .collect();
-        prints.windows(2).map(|w| w[1] - w[0]).collect()
-    }
 }
 
 #[cfg(test)]
@@ -193,7 +180,6 @@ mod tests {
         log.log(EventKind::Print, "print df", Some(0.02));
         assert_eq!(log.events().len(), 3);
         assert_eq!(log.count_of(EventKind::Print), 2);
-        assert_eq!(log.think_times().len(), 1);
     }
 
     #[test]

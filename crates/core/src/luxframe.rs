@@ -27,8 +27,7 @@ use lux_engine::sync::lock_recover;
 use lux_engine::trace::{names as metric, MetricsRegistry, MetricsSnapshot};
 use lux_engine::{
     failpoint, Admission, AdmissionController, AdmissionPermit, AdmitRequest, FlightRecorder,
-    FrameMeta, LuxConfig, PassSummary, PassTrace, Priority, ResourceBudget, SemanticType,
-    ShedReason,
+    FrameMeta, LuxConfig, PassSummary, PassTrace, Priority, SemanticType, ShedReason,
 };
 use lux_intent::{Clause, Diagnostic};
 use lux_recs::{ActionHealth, ActionRegistry, ActionResult, Pass, PassCtx, TraceCtx};
@@ -301,11 +300,13 @@ impl LuxDataFrame {
     // ------------------------------------------------------------------
 
     /// The frame's metadata, memoized on the frame for this wrapper's
-    /// overrides (when `wflow` is on) under the scan plan of an unlimited
-    /// budget: exact, so a frame last scanned under a tight budget rescans.
-    /// Every access counts as a memo query (`lux.wflow.meta_memo_*`).
+    /// overrides (when `wflow` is on) under the scan plan of this wrapper's
+    /// own budget, the plan its prints make: a print, `validate_intent` and
+    /// this read share one entry, and a frame last scanned under another
+    /// budget's plan rescans. Every access counts as a memo query
+    /// (`lux.wflow.meta_memo_*`).
     pub fn metadata(&self) -> Arc<FrameMeta> {
-        self.metadata_in(&PassCtx::detached("metadata", ResourceBudget::unlimited()))
+        self.metadata_in(&PassCtx::detached("metadata", self.config.budget.clone()))
     }
 
     /// [`LuxDataFrame::metadata`] in a pass's context: per-column spans and
@@ -396,7 +397,7 @@ impl LuxDataFrame {
     /// memoized here carry the governor marks a print would give them.
     fn detached_pass(&self) -> PassOutput {
         let ctx = PassCtx::detached("recommendations", self.config.budget.clone());
-        self.pass_in(&ctx, || self.metadata())
+        self.pass_in(&ctx, || self.metadata_in(&ctx))
     }
 
     /// The ranked recommendations, computed lazily and memoized under WFLOW.
@@ -881,6 +882,7 @@ impl std::fmt::Display for LuxDataFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lux_engine::ResourceBudget;
     use lux_recs::{ActionClass, ActionContext};
 
     fn sample_ldf() -> LuxDataFrame {

@@ -254,8 +254,7 @@ impl StrColumn {
     }
 
     /// The distinct strings present in the dictionary. Note: the dictionary
-    /// may contain strings no longer referenced after filtering; use
-    /// `used_codes` for exact distinct counts.
+    /// may contain strings no longer referenced after filtering.
     pub fn dict(&self) -> &[Arc<str>] {
         &self.dict.strings
     }
@@ -276,41 +275,6 @@ impl StrColumn {
 
     pub fn null_count(&self) -> usize {
         self.validity.as_ref().map_or(0, Bitmap::count_zeros)
-    }
-
-    /// The set of codes actually referenced by valid rows, ascending (i.e.
-    /// first-interned order). Scans the validity bitmap a word at a time:
-    /// all-valid words mark codes in a tight loop, mixed words visit only
-    /// their set bits, and the all-valid column skips bit tests entirely.
-    pub fn used_codes(&self) -> Vec<u32> {
-        let mut seen = vec![false; self.dict().len()];
-        match &self.validity {
-            None => {
-                for &c in &self.codes {
-                    seen[c as usize] = true;
-                }
-            }
-            Some(bm) => {
-                for (wi, &w) in bm.words().iter().enumerate() {
-                    let base = wi * 64;
-                    if w == u64::MAX {
-                        for &c in &self.codes[base..base + 64] {
-                            seen[c as usize] = true;
-                        }
-                    } else {
-                        let mut w = w;
-                        while w != 0 {
-                            let bit = w.trailing_zeros() as usize;
-                            seen[self.codes[base + bit] as usize] = true;
-                            w &= w - 1;
-                        }
-                    }
-                }
-            }
-        }
-        (0..self.dict().len() as u32)
-            .filter(|&c| seen[c as usize])
-            .collect()
     }
 
     /// Gather rows at `indices`. The result shares this column's
@@ -590,7 +554,6 @@ mod tests {
         let c = StrColumn::from_options([Some("x"), None, Some("y")]);
         assert_eq!(c.null_count(), 1);
         assert!(c.get(1).is_none());
-        assert_eq!(c.used_codes().len(), 2);
     }
 
     #[test]
@@ -600,7 +563,7 @@ mod tests {
         assert_eq!(t.get(0).unwrap().as_ref(), "c");
         assert_eq!(t.get(1).unwrap().as_ref(), "a");
         // "b" is still in the shared dictionary but unused
-        assert_eq!(t.used_codes().len(), 2);
+        assert_eq!(t.codes(), &[2, 0]);
         assert_eq!(t.dict().len(), 3);
     }
 

@@ -125,15 +125,6 @@ impl Index {
         }
     }
 
-    /// The label at row `i` on a specific level.
-    pub fn label_at_level(&self, i: usize, level: usize) -> Option<Value> {
-        match self {
-            Index::Range(_) => None,
-            Index::Labels { values, .. } => (level == 0).then(|| values.value(i)),
-            Index::MultiLabels { levels, .. } => levels.get(level).map(|l| l.value(i)),
-        }
-    }
-
     /// Gather rows, preserving labels.
     pub fn take(&self, indices: &[usize]) -> Index {
         match self {
@@ -192,8 +183,11 @@ mod tests {
         assert_eq!(idx.num_levels(), 1);
         assert_eq!(idx.name(), Some("Region"));
         assert_eq!(idx.label(1), Value::str("b"));
-        assert_eq!(idx.label_at_level(1, 0), Some(Value::str("b")));
-        assert_eq!(idx.label_at_level(1, 1), None);
+        assert_eq!(
+            idx.level_values(0).map(|l| l.value(1)),
+            Some(Value::str("b"))
+        );
+        assert_eq!(idx.level_values(1).map(|l| l.value(1)), None);
     }
 
     #[test]
@@ -217,7 +211,7 @@ mod tests {
         assert_eq!(idx.name(), Some("g"));
         assert_eq!(idx.level_names(), vec![Some("g"), Some("sub")]);
         assert_eq!(idx.label(1), Value::str("(x, 2)"));
-        assert_eq!(idx.label_at_level(2, 1), Some(Value::Int(1)));
+        assert_eq!(idx.level_values(1).map(|l| l.value(2)), Some(Value::Int(1)));
         // single-level accessor stays None for multi-level
         assert!(idx.values().is_none());
         assert!(idx.level_values(1).is_some());
@@ -229,8 +223,11 @@ mod tests {
         let l1 = Column::Int64(PrimitiveColumn::from_values(vec![1, 2, 3]));
         let idx = Index::multi_labels(vec![None, None], vec![l0, l1]).take(&[2]);
         assert_eq!(idx.len(), 1);
-        assert_eq!(idx.label_at_level(0, 0), Some(Value::str("z")));
-        assert_eq!(idx.label_at_level(0, 1), Some(Value::Int(3)));
+        assert_eq!(
+            idx.level_values(0).map(|l| l.value(0)),
+            Some(Value::str("z"))
+        );
+        assert_eq!(idx.level_values(1).map(|l| l.value(0)), Some(Value::Int(3)));
     }
 
     #[test]

@@ -373,13 +373,6 @@ impl DataFrame {
         let counted = self.groupby(&[column])?.count()?;
         counted.sort_by(&["count"], false)
     }
-
-    /// [`DataFrame::value_counts`] with at most `max_groups` output rows:
-    /// values beyond the cap are folded into an `"(other)"` row.
-    pub fn value_counts_capped(&self, column: &str, max_groups: usize) -> Result<DataFrame> {
-        let counted = self.groupby_capped(&[column], max_groups)?.count()?;
-        counted.sort_by(&["count"], false)
-    }
 }
 
 impl GroupBy<'_> {
@@ -802,16 +795,6 @@ mod tests {
         let g = df.groupby_capped(&["dept"], 10).unwrap();
         assert!(!g.is_capped());
         assert_eq!(g.num_groups(), 2);
-    }
-
-    #[test]
-    fn value_counts_capped_bounds_rows() {
-        let df = DataFrameBuilder::new().int("k", 0..50).build().unwrap();
-        let vc = df.value_counts_capped("k", 5).unwrap();
-        assert_eq!(vc.num_rows(), 6);
-        // numeric overflow key renders as null
-        assert!((0..6).any(|r| vc.value(r, "k").unwrap() == Value::Null));
-        assert_eq!(vc.value(0, "count").unwrap(), Value::Int(45)); // "(other)" sorts first
     }
 
     #[test]

@@ -60,14 +60,6 @@ impl DataFrame {
         self.take_rows_with_event(&indices, Event::new(OpKind::Filter, format!("tail({n})")))
     }
 
-    /// Gather arbitrary rows by position.
-    pub fn take_rows(&self, indices: &[usize]) -> DataFrame {
-        self.take_rows_with_event(
-            indices,
-            Event::new(OpKind::Filter, format!("take({} rows)", indices.len())),
-        )
-    }
-
     /// Deterministic sample of up to `n` rows using a seeded xorshift
     /// permutation (no external RNG dependency in this crate).
     pub fn sample(&self, n: usize, seed: u64) -> DataFrame {
@@ -344,13 +336,6 @@ mod tests {
         }
         let s3 = df().sample(10, 1);
         assert_eq!(s3.num_rows(), 5);
-    }
-
-    #[test]
-    fn take_rows_gathers() {
-        let t = df().take_rows(&[4, 0]);
-        assert_eq!(t.value(0, "b").unwrap(), Value::str("z"));
-        assert_eq!(t.value(1, "b").unwrap(), Value::str("v"));
     }
 }
 

@@ -38,18 +38,6 @@ impl DataFrame {
         .with_columns(columns.iter().map(|s| s.to_string()).collect());
         Ok(self.derive(names, cols, index, event))
     }
-
-    /// Sort with a per-key direction, e.g. `[("g", true), ("v", false)]`
-    /// for `g` ascending then `v` descending within ties.
-    pub fn sort_by_keys(&self, keys: &[(&str, bool)]) -> Result<DataFrame> {
-        let mut out = self.clone();
-        // stable sorts applied from the last key to the first compose into
-        // a lexicographic multi-key order
-        for &(column, ascending) in keys.iter().rev() {
-            out = out.sort_by(&[column], ascending)?;
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -99,37 +87,5 @@ mod tests {
     fn sort_missing_column_errors() {
         let df = DataFrameBuilder::new().int("x", [1]).build().unwrap();
         assert!(df.sort_by(&["nope"], true).is_err());
-    }
-}
-
-#[cfg(test)]
-mod multi_dir_tests {
-    use crate::frame::DataFrameBuilder;
-
-    #[test]
-    fn mixed_directions() {
-        let df = DataFrameBuilder::new()
-            .str("g", ["b", "a", "b", "a"])
-            .int("v", [1, 2, 3, 4])
-            .build()
-            .unwrap();
-        let s = df.sort_by_keys(&[("g", true), ("v", false)]).unwrap();
-        let rows: Vec<(String, i64)> = (0..4)
-            .map(|i| {
-                (
-                    s.value(i, "g").unwrap().to_string(),
-                    s.value(i, "v").unwrap().as_f64().unwrap() as i64,
-                )
-            })
-            .collect();
-        assert_eq!(
-            rows,
-            vec![
-                ("a".into(), 4),
-                ("a".into(), 2),
-                ("b".into(), 3),
-                ("b".into(), 1)
-            ]
-        );
     }
 }

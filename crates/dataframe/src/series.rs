@@ -32,7 +32,7 @@ impl Series {
     }
 
     /// Extract a column of a dataframe as a series, carrying the frame's index.
-    pub fn from_frame(df: &DataFrame, column: &str) -> Result<Series> {
+    fn from_frame(df: &DataFrame, column: &str) -> Result<Series> {
         let col = df.column_arc(column)?;
         Ok(Series {
             name: column.to_string(),
@@ -92,11 +92,6 @@ impl Series {
             None
         }
     }
-
-    /// Min/max of the numeric view.
-    pub fn min_max(&self) -> Option<(f64, f64)> {
-        self.column.min_max_f64()
-    }
 }
 
 impl DataFrame {
@@ -125,7 +120,6 @@ mod tests {
     fn series_stats() {
         let s = df_series();
         assert_eq!(s.mean(), Some(2.0));
-        assert_eq!(s.min_max(), Some((1.0, 3.0)));
     }
 
     fn df_series() -> Series {

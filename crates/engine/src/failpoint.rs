@@ -21,11 +21,11 @@
 //! `LUX_FAILPOINTS="name=action;name=action"`, where `action` is one of:
 //!
 //! - `return` / `return(msg)` — the site reports an injected failure,
-//! - `panic` / `panic(msg)` — the site panics (exercises isolation/respawn),
+//! - `panic` / `panic(msg)` — the site panics (exercises isolation),
 //! - `sleep(ms)` — the site blocks for `ms` milliseconds of
-//!   [`crate::clock`] time (exercises deadlines, watchdogs and hard
-//!   cutoffs; under a simulated `World` it wakes when the driver advances
-//!   the virtual clock past it),
+//!   [`crate::clock`] time (exercises deadlines and hard cutoffs; under a
+//!   simulated `World` it wakes once the virtual clock is advanced past
+//!   it),
 //! - `off` — disabled,
 //!
 //! optionally prefixed with a trigger budget: `3*panic` fires three times,
@@ -52,9 +52,6 @@ pub mod names {
     /// Inside the pool's `run_task`, before the task body runs (panics here
     /// are caught by the task guard — the pool must survive).
     pub const POOL_TASK_RUN: &str = "pool.task.run";
-    /// In the worker loop outside the task guard (panics here kill the
-    /// worker thread — exercises supervisor respawn).
-    pub const POOL_WORKER_LOOP: &str = "pool.worker.loop";
     /// Before the processed-vis memo cache lookup (a `return` turns every
     /// lookup into a miss).
     pub const MEMO_VIS_LOOKUP: &str = "memo.vis.lookup";
@@ -96,7 +93,6 @@ pub mod names {
     /// Every compiled-in failpoint, for catalogue listings and tests.
     pub const ALL: &[&str] = &[
         POOL_TASK_RUN,
-        POOL_WORKER_LOOP,
         MEMO_VIS_LOOKUP,
         MEMO_VIS_INSERT,
         METADATA_COLUMN,
@@ -144,7 +140,7 @@ fn registry() -> &'static Mutex<HashMap<String, Entry>> {
 
 /// Parse an action string: `[count*]return[(msg)] | panic[(msg)] | sleep(ms)
 /// | off`.
-pub fn parse_action(spec: &str) -> Result<(FailAction, Option<usize>), String> {
+fn parse_action(spec: &str) -> Result<(FailAction, Option<usize>), String> {
     let spec = spec.trim();
     let (count, body) = match spec.split_once('*') {
         Some((n, rest)) => {
@@ -181,7 +177,7 @@ pub fn parse_action(spec: &str) -> Result<(FailAction, Option<usize>), String> {
     Ok((action, count))
 }
 
-/// Parse a `->`-chained sequence of [`parse_action`] stages.
+/// Parse a `->`-chained sequence of `parse_action` stages.
 pub fn parse_chain(spec: &str) -> Result<Vec<(FailAction, Option<usize>)>, String> {
     spec.split("->").map(parse_action).collect()
 }

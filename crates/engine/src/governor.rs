@@ -67,9 +67,10 @@ impl ResourceBudget {
 }
 
 /// Bytes the metadata planner charges per exact distinct-set slot: a raw
-/// `u64` key plus open-addressing slack and the smallest-K share. The fused
-/// statistics kernels (`crate::stats`) keep encoded keys, not boxed
-/// `Value`s, so this is a third of the old 48 B/slot hash-map estimate.
+/// 8-byte `u64` key plus the open-addressing table's slack (a power-of-two
+/// table at ≤ 7/8 load holds about two slots per key). The fused statistics
+/// kernels (`crate::stats`) keep encoded keys, not boxed `Value`s, so this
+/// is a third of the old 48 B/slot hash-map estimate.
 pub const METADATA_EXACT_SLOT_BYTES: u64 = 16;
 
 /// Bytes the metadata planner charges for a column's cardinality sketch

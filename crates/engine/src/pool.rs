@@ -27,28 +27,21 @@
 //!   the caller with no pool interaction at all, guaranteeing the
 //!   single-thread path is byte-identical to the old sequential code.
 //!
-//! Worker panics are caught per-task so a panicking task can never take a
-//! worker down; fork-join re-raises the panic on the calling thread.
-//!
-//! Supervision (DESIGN.md §10): each worker thread runs its loop under a
-//! supervisor that restarts it if a panic ever escapes the per-task guard
-//! (counted as `lux.pool.respawns`), and a watchdog thread watches how long
-//! every worker has been on its current task — a worker stuck past the
-//! threshold (30s unless [`set_watchdog_ms`] lowers it) is flagged
-//! (`lux.pool.hung_workers`) and a replacement worker is started on its
-//! queue so queued work keeps flowing while the hung task is left to the
-//! ASYNC collector's existing hard-cutoff/abandonment semantics.
+//! Fault model (DESIGN.md §10): every task runs under a per-task
+//! `catch_unwind` guard and every queue lock goes through
+//! [`crate::sync::lock_recover`], so no panic can take a worker down;
+//! fork-join re-raises a body's panic on the calling thread. A worker stuck
+//! in a task costs only its own slot: the caller-drained cursor completes
+//! every join without it, and tasks that may hang go to the detached lane.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::clock;
 use crate::sync::lock_recover;
-use crate::trace::{names, MetricsRegistry};
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
@@ -69,25 +62,6 @@ struct Shared {
     injector: Mutex<VecDeque<Task>>,
     /// Signalled whenever a task is pushed.
     available: Condvar,
-    /// Pool epoch origin for the watchdog's coarse clocks.
-    started: Instant,
-    /// Per-worker-index: millis-since-start when the current task began
-    /// (0 = idle). Written by workers, read by the watchdog.
-    busy_since_ms: Vec<AtomicU64>,
-    /// Per-worker-index: the `busy_since_ms` value already flagged as hung,
-    /// so one stuck task is counted once.
-    flagged_at_ms: Vec<AtomicU64>,
-    /// Replacement workers started (by the watchdog); bounded so a storm of
-    /// hung tasks can at most double the pool.
-    replacements: AtomicUsize,
-}
-
-impl Shared {
-    /// Coarse monotonic clock for the watchdog: non-zero millis since pool
-    /// start (0 is reserved for "idle").
-    fn epoch_ms(&self) -> u64 {
-        (self.started.elapsed().as_millis() as u64).max(1)
-    }
 }
 
 /// Elastic lane for detached tasks that may block or hang (streaming action
@@ -183,19 +157,12 @@ impl WorkPool {
         let shared = Arc::new(Shared {
             injector: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
-            started: clock::now(),
-            busy_since_ms: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            flagged_at_ms: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            replacements: AtomicUsize::new(0),
         });
         for index in 0..workers {
-            spawn_worker(Arc::clone(&shared), index);
-        }
-        {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
-                .name("lux-pool-watchdog".to_string())
-                .spawn(move || watchdog_loop(shared))
+                .name(format!("lux-pool-{index}"))
+                .spawn(move || worker_loop(shared, index))
                 .ok();
         }
         WorkPool {
@@ -213,7 +180,7 @@ impl WorkPool {
     /// Submit a task for the fixed workers. Tasks on this path are expected
     /// to be compute-bound and finite — anything that may block indefinitely
     /// belongs on [`WorkPool::spawn_detached`].
-    pub fn spawn(&self, task: Task) {
+    fn spawn(&self, task: Task) {
         lock_recover(&self.shared.injector).push_back(task);
         self.shared.available.notify_one();
     }
@@ -243,83 +210,18 @@ fn run_task(task: Task) {
     }));
 }
 
-/// Start a (or another) worker on `index` under a supervisor: if a panic
-/// ever escapes the per-task guard — a failpoint in the loop itself, or a
-/// bug in queue handling — the loop is restarted on the same thread and the
-/// respawn is counted, instead of the pool silently losing a worker.
-fn spawn_worker(shared: Arc<Shared>, index: usize) {
-    std::thread::Builder::new()
-        .name(format!("lux-pool-{index}"))
-        .spawn(move || loop {
-            let shared = Arc::clone(&shared);
-            if catch_unwind(AssertUnwindSafe(|| worker_loop(shared, index))).is_ok() {
-                return; // normal exit (the loop runs for the process lifetime)
-            }
-            MetricsRegistry::global().incr(names::POOL_RESPAWNS);
-        })
-        .ok();
-}
-
 fn worker_loop(shared: Arc<Shared>, index: usize) {
     WORKER_INDEX.with(|c| c.set(Some(index)));
     loop {
-        // Outside the task guard on purpose: a `panic` action here escapes
-        // the loop and exercises the supervisor respawn path.
-        let _ = crate::failpoint::hit(crate::failpoint::names::POOL_WORKER_LOOP);
         let mut queue = lock_recover(&shared.injector);
         let Some(task) = queue.pop_front() else {
-            // Timed, so an idle worker still passes the failpoint above.
-            let _ = shared
-                .available
-                .wait_timeout(queue, Duration::from_millis(50));
+            // A push takes the injector lock before it notifies, so no
+            // wakeup can land between the empty check and this wait.
+            drop(shared.available.wait(queue));
             continue;
         };
         drop(queue);
-        shared.busy_since_ms[index].store(shared.epoch_ms(), Ordering::Relaxed);
         run_task(task);
-        shared.busy_since_ms[index].store(0, Ordering::Relaxed);
-    }
-}
-
-/// Hung-task threshold in milliseconds, adjustable at runtime (tests).
-static WATCHDOG_MS: AtomicU64 = AtomicU64::new(30_000);
-
-/// Adjust the watchdog's hung-task threshold.
-pub fn set_watchdog_ms(ms: u64) {
-    WATCHDOG_MS.store(ms.max(1), Ordering::Relaxed);
-}
-
-fn watchdog_loop(shared: Arc<Shared>) {
-    let workers = shared.busy_since_ms.len();
-    loop {
-        let threshold = WATCHDOG_MS.load(Ordering::Relaxed);
-        std::thread::sleep(Duration::from_millis(
-            threshold.div_ceil(4).clamp(10, 1_000),
-        ));
-        let now = shared.epoch_ms();
-        for i in 0..workers {
-            let since = shared.busy_since_ms[i].load(Ordering::Relaxed);
-            if since == 0 || now.saturating_sub(since) < threshold {
-                continue;
-            }
-            // Flag each stuck task occupancy once (the swap only differs
-            // when a *new* task got stuck since the last flag).
-            if shared.flagged_at_ms[i].swap(since, Ordering::Relaxed) == since {
-                continue;
-            }
-            MetricsRegistry::global().incr(names::POOL_HUNG_WORKERS);
-            // Keep queued work flowing: start a replacement worker on the
-            // same queue, bounded so hung storms can at most double the
-            // pool. The hung task itself is abandoned to the streaming
-            // path's hard cutoff.
-            let seat = shared.replacements.fetch_add(1, Ordering::Relaxed);
-            if seat < workers {
-                MetricsRegistry::global().incr(names::POOL_RESPAWNS);
-                spawn_worker(Arc::clone(&shared), i);
-            } else {
-                shared.replacements.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
     }
 }
 
@@ -509,6 +411,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock;
 
     #[test]
     fn parallel_for_covers_every_index() {

@@ -48,7 +48,7 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 
 /// FNV-1a over a string, for stable label hashing.
 #[inline]
-pub fn fnv1a(s: &str) -> u64 {
+fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.as_bytes() {
         h ^= u64::from(*b);

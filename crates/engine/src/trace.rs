@@ -417,10 +417,6 @@ pub mod names {
     pub const ADMISSION_SHEDS: &str = "lux.admission.sheds";
     /// Counter: per-pass charges the global ledger refused at the cap.
     pub const ADMISSION_LEDGER_REFUSALS: &str = "lux.admission.ledger_refusals";
-    /// Counter: pool workers respawned after a panic escaped the task guard.
-    pub const POOL_RESPAWNS: &str = "lux.pool.respawns";
-    /// Counter: workers the watchdog flagged as hung on a single task.
-    pub const POOL_HUNG_WORKERS: &str = "lux.pool.hung_workers";
     /// Counter: failpoint actions actually executed (chaos bookkeeping).
     pub const FAILPOINT_TRIPS: &str = "lux.failpoint.trips";
     /// Counter: `LUX_*` environment values that failed to parse (each
@@ -512,7 +508,7 @@ impl Histogram {
         self.observe_ns(d.as_nanos() as u64);
     }
 
-    pub fn observe_ns(&self, ns: u64) {
+    fn observe_ns(&self, ns: u64) {
         self.buckets[Self::bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
@@ -523,16 +519,11 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    pub fn sum_ns(&self) -> u64 {
+    fn sum_ns(&self) -> u64 {
         self.sum_ns.load(Ordering::Relaxed)
     }
 
-    /// Largest observation recorded so far (0 before the first).
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns.load(Ordering::Relaxed)
-    }
-
-    pub fn mean_ns(&self) -> u64 {
+    fn mean_ns(&self) -> u64 {
         let n = self.count();
         if n == 0 {
             0
@@ -1062,7 +1053,6 @@ mod tests {
         one.observe_ns(5_000_000);
         assert_eq!(one.quantile_ns(0.5), 5_000_000);
         assert_eq!(one.quantile_ns(1.0), 5_000_000);
-        assert_eq!(one.max_ns(), 5_000_000);
         assert_eq!(one.sum_ns(), 5_000_000);
     }
 

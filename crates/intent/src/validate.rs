@@ -174,7 +174,7 @@ fn nearest<'a, I: Iterator<Item = &'a str>>(target: &str, candidates: I) -> Opti
 }
 
 /// Classic Levenshtein distance (O(nm), fine for column names).
-pub fn edit_distance(a: &str, b: &str) -> usize {
+fn edit_distance(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     let mut prev: Vec<usize> = (0..=b.len()).collect();

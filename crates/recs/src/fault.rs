@@ -262,7 +262,7 @@ static INSTALL_HOOK: Once = Once::new();
 /// taxonomy and suppresses the default stderr backtrace — an isolated action
 /// failure is an expected, reported condition, not a crash. Panics on any
 /// other thread flow to the previously-installed hook untouched.
-pub fn install_panic_capture() {
+fn install_panic_capture() {
     INSTALL_HOOK.call_once(|| {
         let previous = panic::take_hook();
         panic::set_hook(Box::new(move |info| {
@@ -428,21 +428,6 @@ impl CircuitBreaker {
         }
         reopen
     }
-
-    /// Whether `action` is currently open (disabled).
-    pub fn is_open(&self, action: &str) -> bool {
-        matches!(
-            lock_recover(&self.entries).get(action).map(|e| e.state),
-            Some(BreakerState::Open { .. })
-        )
-    }
-
-    /// The action's current consecutive-failure streak.
-    pub fn consecutive_failures(&self, action: &str) -> u32 {
-        lock_recover(&self.entries)
-            .get(action)
-            .map_or(0, |e| e.consecutive_failures)
-    }
 }
 
 #[cfg(test)]
@@ -486,7 +471,6 @@ mod tests {
             b.record_failure("A", "panicked: x", 3),
             "third failure opens"
         );
-        assert!(b.is_open("A"));
 
         // cooldown of 2 frames: skipped on the next frame...
         b.begin_frame();
@@ -497,7 +481,6 @@ mod tests {
 
         // probe failure re-opens instantly
         assert!(b.record_failure("A", "panicked: x", 3));
-        assert!(b.is_open("A"));
 
         // cooldown again; a successful probe closes it fully
         b.begin_frame();
@@ -505,7 +488,6 @@ mod tests {
         assert_eq!(b.decision("A", 2), BreakerDecision::Probe);
         b.record_success("A");
         assert_eq!(b.decision("A", 2), BreakerDecision::Run);
-        assert_eq!(b.consecutive_failures("A"), 0);
     }
 
     #[test]
@@ -515,9 +497,11 @@ mod tests {
         b.record_failure("A", "e", 3);
         b.record_failure("A", "e", 3);
         b.record_success("A");
-        assert_eq!(b.consecutive_failures("A"), 0);
-        b.record_failure("A", "e", 3);
-        assert!(!b.is_open("A"), "streak restarted after success");
+        assert!(!b.record_failure("A", "e", 3));
+        assert!(
+            !b.record_failure("A", "e", 3),
+            "streak restarted after success"
+        );
     }
 
     #[test]

@@ -250,15 +250,15 @@ impl Client {
         }
     }
 
-    /// Register this connection's tenant. Returns whether the server is
-    /// draining. (Use [`Client::hello_info`] for the full handshake.)
+    /// Register this connection's tenant (remembered and replayed after
+    /// every reconnect). Returns whether the server is draining.
     pub fn hello(&mut self, tenant: &str) -> Result<bool, ClientError> {
         self.hello_info(tenant).map(|info| info.draining)
     }
 
     /// Register this connection's tenant; the tenant is remembered and
     /// replayed automatically after every reconnect.
-    pub fn hello_info(&mut self, tenant: &str) -> Result<HelloInfo, ClientError> {
+    fn hello_info(&mut self, tenant: &str) -> Result<HelloInfo, ClientError> {
         self.tenant = Some(tenant.to_string());
         match self.request_idempotent(&Request::Hello {
             tenant: tenant.to_string(),

@@ -138,7 +138,7 @@ impl MemStream {
     }
 
     /// Arm the seeded fault plan on this end of the stream.
-    pub fn set_faults(&mut self, plan: FaultPlan) {
+    fn set_faults(&mut self, plan: FaultPlan) {
         self.faults = Some(FaultState {
             rng: SeededRng::from_seed(plan.seed),
             plan,

@@ -271,7 +271,7 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
-    pub fn from_u16(v: u16) -> ErrorCode {
+    fn from_u16(v: u16) -> ErrorCode {
         match v {
             1 => ErrorCode::Protocol,
             2 => ErrorCode::UnknownFrame,

@@ -215,7 +215,7 @@ struct KeyHistory {
 }
 
 /// Deterministic CSV payload for a `Put` step.
-pub fn payload_csv(k: u64) -> String {
+fn payload_csv(k: u64) -> String {
     let mut s = String::from("metric,count,tag\n");
     for row in 0..(2 + k % 3) {
         let a = k.wrapping_mul(31).wrapping_add(row * 7) % 1000;
@@ -516,7 +516,7 @@ impl Drop for Sim {
 }
 
 /// Generate a schedule of `len` steps from `seed`.
-pub fn generate_schedule(seed: u64, len: usize) -> Vec<Step> {
+fn generate_schedule(seed: u64, len: usize) -> Vec<Step> {
     let mut r = SeededRng::from_seed(seed ^ 0x5349_4d5f_4745_4e00); // "SIM_GEN"
     let mut steps = Vec::with_capacity(len);
     for _ in 0..len {

@@ -127,15 +127,6 @@ impl Figure {
         }
         out
     }
-
-    /// Number of explicit specification calls the user made (layers +
-    /// labels + title) — the quantitative burden Figure 6 compares.
-    pub fn specification_calls(&self) -> usize {
-        self.layers.len()
-            + usize::from(self.title.is_some())
-            + usize::from(self.xlabel.is_some())
-            + usize::from(self.ylabel.is_some())
-    }
 }
 
 /// The full imperative workflow for the paper's Q3, exactly as a matplotlib
@@ -184,17 +175,6 @@ mod tests {
         assert!(Figure::new().bar(vec!["a".into()], vec![1.0, 2.0]).is_err());
         assert!(Figure::new().scatter(vec![1.0], vec![]).is_err());
         assert!(Figure::new().line(vec![1.0], vec![2.0]).is_ok());
-    }
-
-    #[test]
-    fn specification_calls_counted() {
-        let fig = Figure::new()
-            .bar(vec!["a".into()], vec![1.0])
-            .unwrap()
-            .title("t")
-            .xlabel("x")
-            .ylabel("y");
-        assert_eq!(fig.specification_calls(), 4);
     }
 
     #[test]

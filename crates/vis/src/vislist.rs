@@ -54,12 +54,6 @@ impl VisList {
         VisList { visualizations }
     }
 
-    pub fn from_specs(specs: Vec<VisSpec>) -> VisList {
-        VisList {
-            visualizations: specs.into_iter().map(Vis::new).collect(),
-        }
-    }
-
     pub fn len(&self) -> usize {
         self.visualizations.len()
     }
@@ -83,22 +77,6 @@ impl VisList {
     /// Keep the top `k` by current order.
     pub fn truncate(&mut self, k: usize) {
         self.visualizations.truncate(k);
-    }
-
-    /// Process every visualization's data; returns the first error, if any,
-    /// after attempting all (a failing vis is dropped, mirroring the paper's
-    /// fail-safe display behavior).
-    pub fn process_all(&mut self, df: &DataFrame, opts: &ProcessOptions) -> usize {
-        let mut dropped = 0;
-        self.visualizations
-            .retain_mut(|v| match v.process(df, opts) {
-                Ok(()) => true,
-                Err(_) => {
-                    dropped += 1;
-                    false
-                }
-            });
-        dropped
     }
 }
 
@@ -127,6 +105,10 @@ mod tests {
         )
     }
 
+    fn list(specs: Vec<VisSpec>) -> VisList {
+        VisList::new(specs.into_iter().map(Vis::new).collect())
+    }
+
     fn df() -> DataFrame {
         DataFrameBuilder::new()
             .float("a", [1.0, 2.0])
@@ -145,7 +127,7 @@ mod tests {
 
     #[test]
     fn rank_sorts_desc() {
-        let mut list = VisList::from_specs(vec![spec("a", "b"), spec("b", "a")]);
+        let mut list = list(vec![spec("a", "b"), spec("b", "a")]);
         list.visualizations[0].score = 0.1;
         list.visualizations[1].score = 0.9;
         list.rank();
@@ -154,7 +136,7 @@ mod tests {
 
     #[test]
     fn rank_sorts_nan_last() {
-        let mut list = VisList::from_specs(vec![spec("a", "b"), spec("b", "a"), spec("a", "b")]);
+        let mut list = list(vec![spec("a", "b"), spec("b", "a"), spec("a", "b")]);
         list.visualizations[0].score = f64::NAN;
         list.visualizations[1].score = 0.3;
         list.visualizations[2].score = 0.7;
@@ -165,16 +147,8 @@ mod tests {
     }
 
     #[test]
-    fn process_all_drops_failing() {
-        let mut list = VisList::from_specs(vec![spec("a", "b"), spec("nope", "b")]);
-        let dropped = list.process_all(&df(), &ProcessOptions::default());
-        assert_eq!(dropped, 1);
-        assert_eq!(list.len(), 1);
-    }
-
-    #[test]
     fn truncate_keeps_top() {
-        let mut list = VisList::from_specs(vec![spec("a", "b"); 5]);
+        let mut list = list(vec![spec("a", "b"); 5]);
         list.truncate(2);
         assert_eq!(list.len(), 2);
     }

@@ -94,7 +94,7 @@ impl Session {
     /// fixes the cap at 30k rows against 100k-10M-row frames; reduced-scale
     /// harness runs must scale the cap down proportionally or PRUNE never
     /// engages (a cap above the row count means "no sampling").
-    pub fn with_sample_cap(condition: Condition, sample_cap: Option<usize>) -> Session {
+    fn with_sample_cap(condition: Condition, sample_cap: Option<usize>) -> Session {
         let config = condition.config().map(|mut c| {
             if let Some(cap) = sample_cap {
                 c.sample_cap = cap;
@@ -125,7 +125,7 @@ impl Session {
             .unwrap_or_else(|| panic!("no frame named {name:?}"))
     }
 
-    pub fn frame_mut(&mut self, name: &str) -> &mut LuxDataFrame {
+    fn frame_mut(&mut self, name: &str) -> &mut LuxDataFrame {
         self.frames
             .get_mut(name)
             .unwrap_or_else(|| panic!("no frame named {name:?}"))
@@ -138,7 +138,7 @@ impl Session {
     /// "Print" a frame under the session's condition. For `Pandas` this is
     /// just the table rendering; for Lux conditions it is the full widget.
     /// Returns the number of rendered characters (to keep the work observable).
-    pub fn print_frame(&self, name: &str) -> usize {
+    fn print_frame(&self, name: &str) -> usize {
         let f = self.frame(name);
         match self.condition {
             Condition::Pandas => f.data().to_table_string(10).len(),
@@ -150,7 +150,7 @@ impl Session {
     }
 
     /// "Print" a single column as a series.
-    pub fn print_series(&self, frame: &str, column: &str) -> usize {
+    fn print_series(&self, frame: &str, column: &str) -> usize {
         let f = self.frame(frame);
         match self.condition {
             Condition::Pandas => {
@@ -252,8 +252,9 @@ impl Notebook {
         self.run_with_sample_cap(condition, None)
     }
 
-    /// Replay with an explicit PRUNE sample cap (see
-    /// [`Session::with_sample_cap`]).
+    /// Replay with an explicit PRUNE sample cap. Reduced-scale runs scale
+    /// the cap down with the frames, or PRUNE never engages (a cap above
+    /// the row count means "no sampling").
     pub fn run_with_sample_cap(
         &self,
         condition: Condition,

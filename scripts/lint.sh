@@ -237,6 +237,33 @@ if [ "$rowless" -ne 0 ]; then
 fi
 echo "ok: LUX_* variables are read only in knobs.rs, and each has a README row"
 
+echo "== caller lint (every non-test pub fn in crates/*/src is named in another file)"
+# The observed-name rule below, for functions: a `pub fn` stays public only
+# while a file other than its own names it — another module or crate, a
+# test under tests/ or crates/*/tests/, an example, or the benchmark harness
+# (its own workspace, built by scripts/check.sh). The match is by word in
+# any tracked or new .rs file outside vendor/, so a same-named function
+# elsewhere can hide an unread one, but what it flags is unread. The user
+# API that README.md, docs/TUTORIAL.md or the paper documents is exempt.
+# Otherwise make the function private or pub(crate), or delete it.
+user_api=' to_code save_vega_lite remove_action deviation_from_uniform '
+words=$(mktemp)
+trap 'rm -f "$words"' EXIT
+git ls-files --cached --others --exclude-standard -- '*.rs' ':!:vendor/**' \
+    | while read -r f; do if [ -f "$f" ]; then echo "$f"; fi; done \
+    | xargs -d '\n' grep -owH '[A-Za-z_][A-Za-z0-9_]*' | sort -u >"$words"
+pub_fns=$(find crates/*/src -name '*.rs' -exec awk "$MARK_TESTS"' !t && match($0, /^[ \t]*pub fn [A-Za-z_][A-Za-z0-9_]*/) {
+    name = substr($0, RSTART, RLENGTH); sub(/.*pub fn /, "", name); print FILENAME ":" FNR " " name }' {} +)
+unread=$(echo "$pub_fns" | awk -v api="$user_api" -F: '
+    NR == FNR { files[$2]++; next }
+    { split($0, f, " "); if (files[f[2]] <= 1 && index(api, " " f[2] " ") == 0) print }' "$words" -)
+if [ -n "$unread" ]; then
+    echo "$unread"
+    echo "error: a pub fn no other file names — make it private or pub(crate), delete it, or (documented user API only) add it to user_api in scripts/lint.sh"
+    exit 1
+fi
+echo "ok: $(echo "$pub_fns" | wc -l | tr -d ' ') pub fns, each named outside its file or documented user API"
+
 echo "== observed-name lint (metrics, failpoints, LUX_* variables)"
 # One rule for the whole instrument surface: a metric in trace::names, a
 # failpoint site in failpoint::names, or a LUX_* variable read under
@@ -248,7 +275,7 @@ echo "== observed-name lint (metrics, failpoints, LUX_* variables)"
 # tests/, crates/*/tests/ or benchmark/src/ — counts as its observer.
 observers=$(mktemp)
 metric_observers=$(mktemp)
-trap 'rm -f "$observers" "$metric_observers"' EXIT
+trap 'rm -f "$words" "$observers" "$metric_observers"' EXIT
 find tests crates/*/tests benchmark/src -type f -exec cat {} + >"$metric_observers"
 {
     cat "$metric_observers"

@@ -2,10 +2,10 @@
 //!
 //! Every named failpoint is driven end to end: injected CSV/SQL failures
 //! surface as ordinary errors, a panic inside the processed-vis memo cache
-//! poisons the store and later passes recover, and a panic escaping a pool
-//! worker loop gets the worker respawned by its supervisor. Failpoints are process-global
-//! state, so every test holds a `World`, which serializes the file and
-//! clears the table on both entry and exit.
+//! poisons the store and later passes recover, and a pool task that is
+//! dropped or stuck holds up no fork-join caller. Failpoints are
+//! process-global state, so every test holds a `World`, which serializes
+//! the file and clears the table on both entry and exit.
 
 use std::time::Duration;
 
@@ -108,65 +108,30 @@ fn memo_cache_survives_poisoning_and_keeps_caching() {
     assert_eq!(first.num_rows(), second.num_rows());
 }
 
-/// A panic escaping the worker *loop* (not a task) is caught by the
-/// supervisor, counted, and the worker restarted — the pool self-heals
-/// instead of silently shrinking.
-#[test]
-fn pool_worker_panic_is_respawned_by_supervisor() {
-    let chaos = chaos();
-    let metrics = MetricsRegistry::global();
-    // Touch the pool first so workers exist before the failpoint arms.
-    let warm: Vec<usize> =
-        lux::engine::pool::parallel_map(4, (0..64).collect(), |_, x: usize| x * 2);
-    assert_eq!(warm[5], 10);
-    let respawns0 = metrics.counter(names::POOL_RESPAWNS);
-    chaos
-        .arm(fp::POOL_WORKER_LOOP, "1*panic(injected loop fault)")
-        .unwrap();
-    // Idle workers re-enter the loop top within their 50ms nap, so the
-    // panic fires without any help; poll for the supervisor's restart.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while metrics.counter(names::POOL_RESPAWNS) == respawns0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "supervisor never respawned the panicked worker"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    chaos.disarm(fp::POOL_WORKER_LOOP);
-    // The pool still does correct fork-join work afterwards.
-    let healed: Vec<usize> =
-        lux::engine::pool::parallel_map(4, (0..64).collect(), |_, x: usize| x + 1);
-    assert_eq!(healed.iter().sum::<usize>(), (1..=64).sum::<usize>());
-}
-
-/// A pool worker stuck on one task past the watchdog threshold is flagged
-/// (and a replacement worker started on its queue) while fork-join callers
-/// keep completing: the stalled fork claimed no index, so the caller
+/// A pool worker stuck in a fork (a `sleep` at `pool.task.run`, on the
+/// virtual clock, so it stays stuck until the test advances it) holds up no
+/// fork-join caller: the stalled fork claimed no index, so the caller
 /// drains the cursor itself.
 #[test]
-fn hung_pool_worker_is_flagged_by_the_watchdog() {
-    let chaos = chaos();
-    let metrics = MetricsRegistry::global();
-    let warm: Vec<usize> = lux::engine::pool::parallel_map(4, (0..64).collect(), |_, x: usize| x);
-    assert_eq!(warm.len(), 64);
-    let hung0 = metrics.counter(names::POOL_HUNG_WORKERS);
-    lux::engine::pool::set_watchdog_ms(20);
-    // Whichever worker runs the next pool task stalls in it for 6s.
-    chaos.arm(fp::POOL_TASK_RUN, "1*sleep(6000)").unwrap();
+fn a_stuck_pool_worker_does_not_block_fork_join() {
+    failpoint::init();
+    let world = World::simulated(7);
+    world.arm(fp::POOL_TASK_RUN, "1*sleep(250)").unwrap();
+    let first: Vec<usize> = lux::engine::pool::parallel_map(4, (0..64).collect(), |_, x: usize| x);
+    assert_eq!(first.len(), 64);
+    // Whichever worker picks up a fork first is now asleep in it.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while lux::engine::clock::next_deadline() != Some(Duration::from_millis(250)) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no pool worker stalled in a fork"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let out: Vec<usize> =
         lux::engine::pool::parallel_map(4, (0..64).collect(), |_, x: usize| x + 1);
     assert_eq!(out.iter().sum::<usize>(), (1..=64).sum::<usize>());
-    // The watchdog may be mid-nap on its old threshold (at most 1s).
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while metrics.counter(names::POOL_HUNG_WORKERS) == hung0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "watchdog never flagged the stalled worker"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    lux::engine::pool::set_watchdog_ms(30_000);
+    lux::engine::clock::advance(Duration::from_millis(250));
 }
 
 /// A dropped pool task (`return` at `pool.task.run`) cannot hang fork-join

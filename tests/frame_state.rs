@@ -275,3 +275,27 @@ fn a_metadata_hit_charges_and_records_what_its_miss_planned() {
         }
     }
 }
+
+/// Every read of one wrapper plans under the wrapper's own budget: a
+/// print and `validate_intent` on a tight wrapper share the frame's one
+/// metadata entry, so three rounds of both scan the frame once.
+#[test]
+fn a_tight_wrappers_reads_share_one_metadata_scan() {
+    let _serial = serial();
+    let config = LuxConfig {
+        budget: ResourceBudget {
+            max_bytes: 64 << 10,
+            ..ResourceBudget::default()
+        },
+        ..LuxConfig::wflow_only()
+    };
+    let mut ldf = LuxDataFrame::with_config(lux::workloads::airbnb(20_000, 7), Arc::new(config));
+    ldf.set_intent_strs(["price"]).expect("intent");
+    let misses = || MetricsRegistry::global().counter(names::META_MEMO_MISS);
+    let misses0 = misses();
+    for _ in 0..3 {
+        ldf.print();
+        ldf.validate_intent();
+    }
+    assert_eq!(misses() - misses0, 1, "the wrapper's reads rescanned");
+}
